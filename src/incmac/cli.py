@@ -5,15 +5,16 @@ Subcommands: eval (single point), kfun (the Macdonald limit), figure
 tabulation), verify (the full identity battery).
 
 Exit codes: 0 success, 1 usage or I/O error, 2 domain error, 3
-non-convergence, 4 verification failure.
+non-convergence or overflow, 4 verification failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
 
-from .core import DomainError, NearPoleWarning, NonConvergence, ShuParams, Tolerances, validate
+from .core import TIGHT, DomainError, NearPoleWarning, NonConvergence, ShuParams, Tolerances, validate
 from .evaluator import evaluate, evaluate_grid
 from .expansions import asympt_large_t, leading_large_z, leading_small_t, leading_small_z, series_small_t, series_small_z
 from .gamma import _macdonald_k_eval
@@ -28,7 +29,18 @@ EXIT_VERIFY_FAILED = 4
 
 _FLAG_FOR_FIELD = {"order": "--nu", "argument": "--z", "endpoint": "--t", "z": "--z", "t": "--t"}
 
-_DEFAULT_CLI_TOL = Tolerances(abs_tol=5e-324, rel_tol=1e-12, max_depth=120)
+# --method value -> function of (point, tolerances) returning an Evaluation
+_METHODS = {
+    "auto": lambda p, tol: evaluate(p, tol)[0],
+    "oracle": shu_oracle,
+    "small-t": series_small_t,
+    "small-z": series_small_z,
+    "large-t": asympt_large_t,
+}
+
+# argparse reads a leading "-" as a flag, so a list that starts negative
+# must be written in the --flag=value form
+_ORDERS_HELP = "comma-separated orders; write {}=-1,0 when the first is negative"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,11 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerances(args) -> Tolerances:
     if getattr(args, "tol", None) is None:
-        return _DEFAULT_CLI_TOL
+        return TIGHT
     rel = args.tol
     if rel <= 0.0:
         raise DomainError("tol", rel, "must be strictly positive")
-    return Tolerances(abs_tol=5e-324, rel_tol=rel, max_depth=120)
+    return dataclasses.replace(TIGHT, rel_tol=rel)
 
 
 def _print_eval(value, err, method, work, as_json):
@@ -57,17 +69,7 @@ def _print_eval(value, err, method, work, as_json):
 
 def _cmd_eval(args) -> int:
     p = validate(args.nu, args.z, args.t)
-    tol = _tolerances(args)
-    if args.method == "auto":
-        ev, _ = evaluate(p, tol)
-    elif args.method == "oracle":
-        ev = shu_oracle(p, tol)
-    elif args.method == "small-t":
-        ev = series_small_t(p, tol)
-    elif args.method == "small-z":
-        ev = series_small_z(p, tol)
-    else:  # large-t
-        ev = asympt_large_t(p, tol)
+    ev = _METHODS[args.method](p, _tolerances(args))
     _print_eval(ev.value, ev.error_estimate, ev.method.value, ev.work, args.json)
     return EXIT_OK
 
@@ -216,8 +218,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--nu", type=float, required=True, help="order")
     p.add_argument("--z", type=float, required=True, help="argument (> 0)")
     p.add_argument("--t", type=float, required=True, help="endpoint (> 0)")
-    p.add_argument("--method", choices=("auto", "oracle", "small-t", "small-z", "large-t"),
-                   default="auto")
+    p.add_argument("--method", choices=tuple(_METHODS), default="auto")
     p.add_argument("--tol", type=float, help="relative tolerance (default 1e-12)")
     p.add_argument("--json", action="store_true", help="emit a single JSON object")
     p.set_defaults(func=_cmd_eval)
@@ -233,12 +234,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--id", type=int, required=True, choices=sorted(_FIGURES))
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--points", type=int, default=60)
-    p.add_argument("--orders", default="0,1,2,3", help="comma-separated orders")
+    p.add_argument("--orders", default="0,1,2,3", help=_ORDERS_HELP.format("--orders"))
     p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("table", help="tabulate a Cartesian product grid to CSV")
-    p.add_argument("--nu-list", required=True)
+    p.add_argument("--nu-list", required=True, help=_ORDERS_HELP.format("--nu-list"))
     p.add_argument("--z-list", required=True)
     p.add_argument("--t-list", required=True)
     p.add_argument("--out", required=True)
@@ -264,6 +265,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except NonConvergence as exc:
         print(f"incmac: did not converge: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    except OverflowError as exc:
+        print(f"incmac: overflow: a value exceeded the double range ({exc})", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except OSError as exc:
         print(f"incmac: i/o error: {exc}", file=sys.stderr)

@@ -23,9 +23,24 @@ __all__ = [
     "Tolerances",
     "Evaluation",
     "DEFAULT_TOLERANCES",
+    "TIGHT",
+    "EPS",
+    "TINY",
+    "LOG_TINY",
+    "EXP_FLOOR",
+    "underflow_to_zero",
     "validate",
     "sgn",
 ]
+
+# Shared numeric policy; every module takes these from here.
+EPS = 2.220446049250313e-16  # double machine epsilon
+TINY = 2.2250738585072014e-308  # smallest normal double
+LOG_TINY = math.log(TINY)
+# Below this exponent e^e is subnormal or zero.  math.exp already returns an
+# exact 0.0 below about -745.13, so a plain exponential needs no guard; the
+# floor is for early exits that skip the work a vanishing factor multiplies.
+EXP_FLOOR = -745.0
 
 
 class DomainError(ValueError):
@@ -148,6 +163,10 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+# Tight targets: the CLI default, and what the identity checks and the
+# half-order gate need so that oracle noise sits well under their thresholds.
+TIGHT = Tolerances(abs_tol=5e-324, rel_tol=1e-12, max_depth=120)
+
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -170,6 +189,19 @@ class Evaluation:
             raise ValueError("error_estimate must be nonnegative")
         if self.work < 0:
             raise ValueError("work must be nonnegative")
+
+
+def underflow_to_zero(value: float, err: float, flags: tuple = ()):
+    """The underflow-to-zero policy for a computed value and its error.
+
+    A nonzero value below the smallest normal double becomes an exact 0.0
+    with zero error and FLAG_UNDERFLOW appended to flags, never subnormal
+    noise; anything else is returned unchanged.  Returns (value, err,
+    flags); the caller keeps its own work count.
+    """
+    if 0.0 < abs(value) < TINY:
+        return 0.0, 0.0, flags + (FLAG_UNDERFLOW,)
+    return value, err, flags
 
 
 def sgn(y: float) -> int:

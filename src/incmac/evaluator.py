@@ -14,7 +14,9 @@ from functools import lru_cache
 
 from .core import (
     DEFAULT_TOLERANCES,
+    EPS,
     FLAG_CANCELLATION,
+    TIGHT,
     DomainError,
     Evaluation,
     MethodTag,
@@ -36,8 +38,6 @@ __all__ = [
     "evaluate_grid",
 ]
 
-_EPS = 2.220446049250313e-16
-_EXP_FLOOR = -745.0
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -96,7 +96,7 @@ def _erfcx(x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) <= _EPS:
+        if abs(delta - 1.0) <= EPS:
             break
     return h / _SQRT_PI
 
@@ -113,8 +113,7 @@ def closed_form_half(p: ShuParams) -> float:
     st = math.sqrt(t)
     xm = 0.5 * z / st - st
     xp = 0.5 * z / st + st
-    e_shared = -0.25 * z * z / t - t  # equals -z - xm^2 and +z - xp^2
-    shared = math.exp(e_shared) if e_shared > _EXP_FLOOR else 0.0
+    shared = math.exp(-0.25 * z * z / t - t)  # equals e^(-z - xm^2) and e^(z - xp^2)
     term_m = shared * _erfcx(xm) if xm >= 0.0 else math.exp(-z) * math.erfc(xm)
     term_p = shared * _erfcx(xp)
     if nu > 0.0:
@@ -126,14 +125,29 @@ def closed_form_half(p: ShuParams) -> float:
 def _closed_form_half_validated() -> bool:
     """One-time gate: the closed form is implementer-derived, so it is only
     trusted after agreeing with the quadrature oracle on a small grid."""
-    tol = Tolerances(abs_tol=5e-324, rel_tol=1e-12, max_depth=120)
     for nu in (0.5, -0.5):
         for z, t in ((0.7, 0.4), (2.0, 1.0), (3.0, 3.0), (5.0, 4.0)):
-            want = shu_oracle(ShuParams(nu, z, t), tol).value
+            want = shu_oracle(ShuParams(nu, z, t), TIGHT).value
             got = closed_form_half(ShuParams(nu, z, t))
             if abs(got - want) > 1e-9 * abs(want):
                 return False
     return True
+
+
+def _verdict(method, p: ShuParams, tol: Tolerances):
+    """Run one candidate: (evaluation, None) when it meets the target,
+    otherwise (None, reason code)."""
+    try:
+        ev = method(p, tol)
+    except NonConvergence:
+        return None, "NON_CONVERGENCE"
+    except OverflowError:
+        return None, "OVERFLOW"
+    if FLAG_CANCELLATION in ev.flags:
+        return None, "CANCELLATION"
+    if not ev.error_estimate <= tol.target(ev.value):  # a NaN estimate fails too
+        return None, "TAIL_TOO_LARGE"
+    return ev, None
 
 
 def evaluate(
@@ -144,9 +158,11 @@ def evaluate(
     """Evaluate S with the regime-switching decision procedure.
 
     Returns the evaluation together with the decision record (chosen
-    method, reason code, and any candidates tried and rejected).  The
-    procedure is deterministic and never returns a leading-term
-    approximant.
+    method, reason code, and any candidates tried and rejected).  A
+    candidate that does not converge, overflows, cancels or misses the
+    target (a NaN error estimate included) is rejected, and the quadrature
+    oracle is the fallback.  The procedure is deterministic and never
+    returns a leading-term approximant.
     """
     tol = tol or DEFAULT_TOLERANCES
     th = thresholds or DEFAULT_THRESHOLDS
@@ -155,55 +171,35 @@ def evaluate(
 
     if t >= th.large_t_min:
         e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
-        corr0 = math.exp(e) if e > _EXP_FLOOR else 0.0
         kval, _, _ = _macdonald_k_eval(nu, z)
-        if corr0 < tol.target(kval):
-            ev = asympt_large_t(p, tol)
-            return ev, RegimeDecision(MethodTag.ASYMPT_LARGE_T, "LARGE_T", tuple(tried))
-        tried.append((MethodTag.ASYMPT_LARGE_T, "CORRECTION_TOO_LARGE"))
+        if math.exp(e) < tol.target(kval):
+            ev, rejection = _verdict(asympt_large_t, p, tol)
+            if ev is not None:
+                return ev, RegimeDecision(MethodTag.ASYMPT_LARGE_T, "LARGE_T", tuple(tried))
+        else:
+            rejection = "CORRECTION_TOO_LARGE"
+        tried.append((MethodTag.ASYMPT_LARGE_T, rejection))
 
     if abs(nu) == 0.5:
         if _closed_form_half_validated():
             v = closed_form_half(p)
-            ev = Evaluation(v, 8.0 * _EPS * abs(v), MethodTag.CLOSED_FORM_HALF, 1)
+            ev = Evaluation(v, 8.0 * EPS * abs(v), MethodTag.CLOSED_FORM_HALF, 1)
             return ev, RegimeDecision(
                 MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM", tuple(tried)
             )
         tried.append((MethodTag.CLOSED_FORM_HALF, "VALIDATION_FAILED"))
 
-    if 0.25 * z * z / t >= th.small_t_exponent:
-        rejection = None
-        try:
-            ev = series_small_t(p, tol)
-        except NonConvergence:
-            rejection = "NON_CONVERGENCE"
-        else:
-            if FLAG_CANCELLATION in ev.flags:
-                rejection = "CANCELLATION"
-            elif ev.error_estimate > tol.target(ev.value):
-                rejection = "TAIL_TOO_LARGE"
-            else:
-                return ev, RegimeDecision(
-                    MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", tuple(tried)
-                )
-        tried.append((MethodTag.SERIES_SMALL_T, rejection))
-
-    if z <= th.small_z_max:
-        rejection = None
-        try:
-            ev = series_small_z(p, tol)
-        except NonConvergence:
-            rejection = "NON_CONVERGENCE"
-        else:
-            if FLAG_CANCELLATION in ev.flags:
-                rejection = "CANCELLATION"
-            elif ev.error_estimate > tol.target(ev.value):
-                rejection = "TAIL_TOO_LARGE"
-            else:
-                return ev, RegimeDecision(
-                    MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED", tuple(tried)
-                )
-        tried.append((MethodTag.SERIES_SMALL_Z, rejection))
+    # named here rather than in a module-level table, so looked up at call time
+    for tag, reason, applies, method in (
+        (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED",
+         0.25 * z * z / t >= th.small_t_exponent, series_small_t),
+        (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED", z <= th.small_z_max, series_small_z),
+    ):
+        if applies:
+            ev, rejection = _verdict(method, p, tol)
+            if ev is not None:
+                return ev, RegimeDecision(tag, reason, tuple(tried))
+            tried.append((tag, rejection))
 
     ev = shu_oracle(p, tol)
     return ev, RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 from .core import (
     DEFAULT_TOLERANCES,
+    EPS,
+    EXP_FLOOR,
     FLAG_CANCELLATION,
-    FLAG_UNDERFLOW,
+    TINY,
     DomainError,
     Evaluation,
     MethodTag,
@@ -22,6 +24,7 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    underflow_to_zero,
 )
 from .gamma import _macdonald_k_eval, upper_incomplete_gamma
 
@@ -36,18 +39,7 @@ __all__ = [
     "leading_imb_large_z",
 ]
 
-_EPS = 2.220446049250313e-16
-_EXP_FLOOR = -745.0
-_TINY = 2.2250738585072014e-308
 _CANCEL_LIMIT = 1e6
-
-
-def _finish_eval(value, err, method, work, flags=()):
-    # same underflow-to-zero policy as the quadrature oracle: subnormal
-    # results become an exact flagged zero, never noise
-    if 0.0 < abs(value) < _TINY:
-        return Evaluation(0.0, 0.0, method, work, flags + (FLAG_UNDERFLOW,))
-    return Evaluation(value, err, method, work, flags)
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
     terms = 0
     for k in range(tol.max_terms):
         g = upper_incomplete_gamma(order_at(k), x)
-        if 0.0 < abs(g) < _TINY:
+        if 0.0 < abs(g) < TINY:
             qerr += abs(coef) * 5e-324
         term = coef * g
         total += term
@@ -113,8 +105,9 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     flags = ()
     if peak > _CANCEL_LIMIT * abs(summed.value):
         flags = (FLAG_CANCELLATION,)
-    err = summed.tail_bound + 32.0 * _EPS * peak + qerr
-    return _finish_eval(summed.value, err, MethodTag.SERIES_SMALL_T, summed.terms_used, flags)
+    err = summed.tail_bound + 32.0 * EPS * peak + qerr
+    value, err, flags = underflow_to_zero(summed.value, err, flags)
+    return Evaluation(value, err, MethodTag.SERIES_SMALL_T, summed.terms_used, flags)
 
 
 def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
@@ -133,8 +126,9 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     flags = ()
     if max(abs(summed.value), peak) > _CANCEL_LIMIT * abs(value):
         flags = (FLAG_CANCELLATION,)
-    err = summed.tail_bound + kerr + 32.0 * _EPS * max(peak, abs(kval)) + qerr
-    return _finish_eval(value, err, MethodTag.SERIES_SMALL_Z, summed.terms_used, flags)
+    err = summed.tail_bound + kerr + 32.0 * EPS * max(peak, abs(kval)) + qerr
+    value, err, flags = underflow_to_zero(value, err, flags)
+    return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, summed.terms_used, flags)
 
 
 def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
@@ -150,7 +144,7 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     nu, z, t = p.order, p.argument, p.endpoint
     kval, kerr, kwork = _macdonald_k_eval(nu, z)
     e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
-    if e <= _EXP_FLOOR:
+    if e <= EXP_FLOOR:
         # correction is far below double resolution of K
         return Evaluation(kval, kerr, MethodTag.ASYMPT_LARGE_T, kwork)
     base = math.exp(e)
@@ -194,8 +188,9 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     if not converged:
         raise NonConvergence("outer expansion did not converge", partial=kval - corr)
     value = kval - corr
-    err = kerr + tail + base * abs(kfac) + 16.0 * _EPS * (abs(kval) + abs(corr))
-    return _finish_eval(value, err, MethodTag.ASYMPT_LARGE_T, kwork + work)
+    err = kerr + tail + base * abs(kfac) + 16.0 * EPS * (abs(kval) + abs(corr))
+    value, err, flags = underflow_to_zero(value, err)
+    return Evaluation(value, err, MethodTag.ASYMPT_LARGE_T, kwork + work, flags)
 
 
 def leading_small_t(p: ShuParams) -> float:
@@ -205,7 +200,7 @@ def leading_small_t(p: ShuParams) -> float:
     """
     nu, z, t = p.order, p.argument, p.endpoint
     e = (nu - 2.0) * math.log(0.5 * z) - math.log(2.0) + (1.0 - nu) * math.log(t) - 0.25 * z * z / t
-    return math.exp(e) if e > _EXP_FLOOR else 0.0
+    return math.exp(e)
 
 
 def leading_small_z(p: ShuParams) -> float:
@@ -234,14 +229,13 @@ def leading_large_z(p: ShuParams) -> float:
             NearPoleWarning,
             stacklevel=2,
         )
-    e = (
+    return math.exp(
         nu * math.log(z)
         - 0.25 * z * z / t
         - t
         - (nu - 1.0) * math.log(2.0 * t)
         - math.log(z * z - 4.0 * t * t)
     )
-    return math.exp(e) if e > _EXP_FLOOR else 0.0
 
 
 def leading_imb_large_z(order: float, z: float, t_imb: float) -> float:
@@ -253,5 +247,4 @@ def leading_imb_large_z(order: float, z: float, t_imb: float) -> float:
         raise DomainError("z", z, "must be strictly positive")
     a = abs(order * t_imb)
     log_cosh = a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
-    e = log_cosh - z * math.cosh(t_imb) - math.log(2.0 * z * math.sinh(t_imb))
-    return math.exp(e) if e > _EXP_FLOOR else 0.0
+    return math.exp(log_cosh - z * math.cosh(t_imb) - math.log(2.0 * z * math.sinh(t_imb)))

@@ -8,7 +8,9 @@ package stays self-contained and cross-checkable.
 
 import math
 
-from .core import DomainError, NonConvergence, PoleError, Tolerances
+from .core import (
+    EPS, EXP_FLOOR, LOG_TINY, DomainError, NonConvergence, PoleError, Tolerances, underflow_to_zero
+)
 from .quadrature import integrate_adaptive
 
 __all__ = [
@@ -19,10 +21,6 @@ __all__ = [
     "macdonald_k",
 ]
 
-_EPS = 2.220446049250313e-16
-_EXP_FLOOR = -745.0
-_TINY = 2.2250738585072014e-308
-_LOG_TINY = math.log(_TINY)
 _X_SPLIT = 1.5  # series/recurrence below, continued fraction at and above
 _MAX_ITER = 1000
 _EULER = 0.5772156649015328606065120900824024
@@ -50,7 +48,7 @@ def _lower_series_sum(a: float, x: float) -> float:
     for n in range(1, _MAX_ITER):
         term *= x / (a + n)
         total += term
-        if abs(term) <= _EPS * abs(total):
+        if abs(term) <= EPS * abs(total):
             return total
     raise NonConvergence(f"lower gamma series stalled at a={a}, x={x}", partial=total)
 
@@ -69,7 +67,7 @@ def _e1_series(x: float) -> float:
         term *= -x / k
         piece = -term / k
         total += piece
-        if abs(piece) <= _EPS * abs(total):
+        if abs(piece) <= EPS * abs(total):
             return total
     raise NonConvergence(f"E1 series stalled at x={x}", partial=total)
 
@@ -95,9 +93,9 @@ def _upper_cf(a: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) <= _EPS:
+        if abs(delta - 1.0) <= EPS:
             e = a * math.log(x) - x
-            if e < _EXP_FLOOR:
+            if e < EXP_FLOOR:
                 return 0.0
             return math.exp(e) * h
     raise NonConvergence(f"incomplete gamma continued fraction stalled at a={a}, x={x}")
@@ -158,7 +156,7 @@ def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
         total += nxt
         term = nxt
     e = (a - 1.0) * math.log(x) - x
-    if e < _EXP_FLOOR:
+    if e < EXP_FLOOR:
         return 0.0
     return math.exp(e) * total
 
@@ -183,7 +181,7 @@ def _macdonald_k_eval(order: float, z: float, tol: Tolerances = None):
         raise DomainError("z", z, "must be strictly positive")
     tol = tol or _K_TOLERANCES
     a = abs(order)  # K is even in the order; the cosh form makes that exact
-    if -z + 6.0 < _LOG_TINY:
+    if -z + 6.0 < LOG_TINY:
         return 0.0, 0.0, 0  # bounded above by ~e^-z here
     hi = 1.0
     while z * math.cosh(hi) - a * hi < 780.0:
@@ -191,12 +189,7 @@ def _macdonald_k_eval(order: float, z: float, tol: Tolerances = None):
 
     def f(u):
         zc = z * math.cosh(u)
-        e1 = -zc + a * u
-        e2 = -zc - a * u
-        v = math.exp(e1) if e1 > _EXP_FLOOR else 0.0
-        if e2 > _EXP_FLOOR:
-            v += math.exp(e2)
-        return 0.5 * v
+        return 0.5 * (math.exp(-zc + a * u) + math.exp(-zc - a * u))
 
     pts = [u for u in (math.asinh(a / z), 0.25 * hi, 0.5 * hi, 0.75 * hi) if 0.0 < u < hi]
     res = integrate_adaptive(f, 0.0, hi, tol, points=pts)
@@ -206,9 +199,8 @@ def _macdonald_k_eval(order: float, z: float, tol: Tolerances = None):
             partial=res.value,
             error_estimate=res.error_estimate,
         )
-    if 0.0 < res.value < _TINY:
-        return 0.0, 0.0, res.subdivisions  # underflow-to-zero, not subnormal noise
-    return res.value, res.error_estimate, res.subdivisions
+    value, err, _ = underflow_to_zero(res.value, res.error_estimate)
+    return value, err, res.subdivisions
 
 
 def macdonald_k(order: float, z: float, tol: Tolerances = None) -> float:

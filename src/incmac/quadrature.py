@@ -13,20 +13,19 @@ from dataclasses import dataclass
 
 from .core import (
     DEFAULT_TOLERANCES,
+    EPS,
     FLAG_UNDERFLOW,
+    LOG_TINY,
+    TINY,
     Evaluation,
     MethodTag,
     NonConvergence,
     ShuParams,
     Tolerances,
+    underflow_to_zero,
 )
 
 __all__ = ["QuadratureResult", "integrate_adaptive", "shu_oracle", "shu_oracle_cosh"]
-
-_EPS = 2.220446049250313e-16
-_TINY = 2.2250738585072014e-308  # smallest normal double
-_LOG_TINY = math.log(_TINY)
-_EXP_FLOOR = -745.0  # exp() is an exact zero below this
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
 # Nodes in descending order; the Gauss nodes are indices 1, 3, 5 and the
@@ -97,8 +96,8 @@ def _gk15(f, a, b):
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _TINY / (50.0 * _EPS):
-        err = max(_EPS * 50.0 * resabs, err)
+    if resabs > TINY / (50.0 * EPS):
+        err = max(EPS * 50.0 * resabs, err)
     return value, err, resabs
 
 
@@ -206,7 +205,7 @@ def _log_value_bound(p: ShuParams) -> float:
 
 def _underflows(p: ShuParams) -> bool:
     # peak * generous-width still below the smallest normal
-    return _log_value_bound(p) + 12.0 < _LOG_TINY
+    return _log_value_bound(p) + 12.0 < LOG_TINY
 
 
 def _zero_eval(tag: MethodTag) -> Evaluation:
@@ -220,9 +219,8 @@ def _finish(res: QuadratureResult, tag: MethodTag) -> Evaluation:
             partial=res.value,
             error_estimate=res.error_estimate,
         )
-    if 0.0 < abs(res.value) < _TINY:
-        return _zero_eval(tag)
-    return Evaluation(res.value, res.error_estimate, tag, res.subdivisions)
+    value, err, flags = underflow_to_zero(res.value, res.error_estimate)
+    return Evaluation(value, err, tag, res.subdivisions, flags)
 
 
 def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluation:
@@ -253,8 +251,7 @@ def _oracle_y_form(p: ShuParams, tol: Tolerances) -> Evaluation:
     log_pref = nu * math.log(2.0 / z) - math.log(2.0)
 
     def f(y):
-        e = log_pref + (nu - 1.0) * math.log(y) - y - c / y
-        return math.exp(e) if e > _EXP_FLOOR else 0.0
+        return math.exp(log_pref + (nu - 1.0) * math.log(y) - y - c / y)
 
     ystar = 0.5 * ((nu - 1.0) + math.hypot(nu - 1.0, 2.0 * math.sqrt(c)))
     pts = [y for y in (ystar, y0 + 0.5, y0 + 2.0, y0 + 10.0, y0 + 50.0) if y > y0]
@@ -270,8 +267,7 @@ def _oracle_endpoint_form(p: ShuParams, tol: Tolerances) -> Evaluation:
     log_pref = nu * math.log(0.5 * z) - math.log(2.0)
 
     def f(tau):
-        e = log_pref - tau - c / tau - (nu + 1.0) * math.log(tau)
-        return math.exp(e) if e > _EXP_FLOOR else 0.0
+        return math.exp(log_pref - tau - c / tau - (nu + 1.0) * math.log(tau))
 
     tau_lo = c / 760.0  # e^(-z^2/4tau) alone is ~1e-330 left of here
     tau_hi = min(t, 775.0)  # e^-tau alone underflows right of here
@@ -300,8 +296,7 @@ def shu_oracle_cosh(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         return _zero_eval(MethodTag.ORACLE4)
 
     def f(w):
-        e = nu * w - z * math.cosh(w) - math.log(2.0)
-        return math.exp(e) if e > _EXP_FLOOR else 0.0
+        return math.exp(nu * w - z * math.cosh(w) - math.log(2.0))
 
     w0 = math.log(0.5 * z / t)
     hi = max(w0, 0.0) + 1.0

@@ -12,7 +12,7 @@ formula, so a sign error in that formula cannot certify itself.
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, ShuParams, StepTooCoarse, Tolerances
+from .core import TIGHT, TINY, DomainError, ShuParams, StepTooCoarse, Tolerances
 from .quadrature import shu_oracle
 
 __all__ = [
@@ -28,12 +28,6 @@ __all__ = [
     "leaky_aquifer",
     "incomplete_modified_bessel",
 ]
-
-_EXP_FLOOR = -745.0
-_TINY = 2.2250738585072014e-308
-
-# residual sweeps want oracle noise well under the identity tolerances
-_TIGHT = Tolerances(abs_tol=5e-324, rel_tol=1e-12, max_depth=120)
 
 # step-halving disagreement thresholds, relative to the residual scale
 _FD_CHECK = {1: 1e-5, 2: 1e-3}
@@ -75,7 +69,7 @@ def dS_dt(p: ShuParams) -> float:
     """
     nu, z, t = p.order, p.argument, p.endpoint
     e = nu * math.log(0.5 * z) - math.log(2.0) - t - 0.25 * z * z / t - (nu + 1.0) * math.log(t)
-    return math.exp(e) if e > _EXP_FLOOR else 0.0
+    return math.exp(e)
 
 
 def _d2S_dt2(p: ShuParams) -> float:
@@ -86,18 +80,18 @@ def _d2S_dt2(p: ShuParams) -> float:
 def dS_dz(p: ShuParams, tol: Tolerances = None) -> float:
     """Argument derivative through the order-shift formula
     (nu/z) S_nu - S_(nu+1), both terms from the quadrature oracle."""
-    tol = tol or _TIGHT
+    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     return (nu / z) * _S(nu, z, t, tol) - _S(nu + 1.0, z, t, tol)
 
 
 def _scale(*terms: float) -> float:
-    return max(max(abs(x) for x in terms), _TINY)
+    return max(max(abs(x) for x in terms), TINY)
 
 
 def recurrence1_residual(p: ShuParams, tol: Tolerances = None) -> ResidualReport:
     """First recurrence: dS_(nu-1)/dt + S_(nu-1) - S_(nu+1) + (2 nu/z) S_nu."""
-    tol = tol or _TIGHT
+    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     dt_term = dS_dt(ShuParams(nu - 1.0, z, t))
     s_lo = _S(nu - 1.0, z, t, tol)
@@ -113,7 +107,7 @@ def recurrence2_residual(p: ShuParams, tol: Tolerances = None) -> ResidualReport
     The z-derivative is a central finite difference of the oracle (step
     1e-5 z), deliberately not the order-shift formula.
     """
-    tol = tol or _TIGHT
+    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     dt_term = dS_dt(ShuParams(nu - 1.0, z, t))
     s_lo = _S(nu - 1.0, z, t, tol)
@@ -169,7 +163,7 @@ def diff_relation1_residual(p: ShuParams, k: int, tol: Tolerances = None) -> Res
     applied to z^(nu-k) S_(nu-k); k in {0, 1, 2}."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
-    tol = tol or _TIGHT
+    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     if k == 0:
         val = z**nu * _S(nu, z, t, tol)
@@ -193,7 +187,7 @@ def diff_relation2_residual(p: ShuParams, k: int, tol: Tolerances = None) -> Res
     """k-fold radial derivative of S_nu / z^nu against (-1)^k S_(nu+k)/z^(nu+k)."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
-    tol = tol or _TIGHT
+    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     if k == 0:
         val = _S(nu, z, t, tol) / z**nu
@@ -218,7 +212,7 @@ def pde_residual(p: ShuParams, mode: str = "exact", tol: Tolerances = None) -> R
     mode = mode.lower()
     if mode not in ("exact", "fd"):
         raise ValueError("mode must be 'exact' or 'fd'")
-    tol = tol or _TIGHT
+    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     s0 = _S(nu, z, t, tol)
     if mode == "exact":
@@ -250,7 +244,7 @@ def gen_incomplete_gamma(a: float, t_g: float, z_g: float, tol: Tolerances = Non
         raise DomainError("t", t_g, "must be strictly positive")
     if not (math.isfinite(z_g) and z_g > 0.0):
         raise DomainError("z", z_g, "must be strictly positive")
-    tol = tol or _TIGHT
+    tol = tol or TIGHT
     s = shu_oracle(ShuParams(a, 2.0 * math.sqrt(z_g), z_g / t_g), tol).value
     return 2.0 * z_g ** (0.5 * a) * s
 
@@ -263,7 +257,7 @@ def leaky_aquifer(a: float, z_l: float, t_l: float, tol: Tolerances = None) -> f
         raise DomainError("z", z_l, "must be strictly positive")
     if not (math.isfinite(t_l) and t_l > 0.0):
         raise DomainError("t", t_l, "must be strictly positive")
-    tol = tol or _TIGHT
+    tol = tol or TIGHT
     s = shu_oracle(ShuParams(-a, 2.0 * math.sqrt(z_l * t_l), t_l), tol).value
     return 2.0 * (z_l / t_l) ** (0.5 * a) * s
 
@@ -276,7 +270,7 @@ def incomplete_modified_bessel(a: float, z: float, t_imb: float, tol: Tolerances
         raise DomainError("z", z, "must be strictly positive")
     if not (math.isfinite(t_imb) and t_imb > 0.0):
         raise DomainError("t_imb", t_imb, "must be strictly positive")
-    tol = tol or _TIGHT
+    tol = tol or TIGHT
     endpoint = 0.5 * z * math.exp(-t_imb)
     if endpoint == 0.0:
         return 0.0  # truncation point beyond any representable contribution

@@ -10,7 +10,7 @@ the same records.
 import math
 from dataclasses import dataclass
 
-from .core import ShuParams, Tolerances
+from .core import EPS, TIGHT, ShuParams
 from .expansions import (
     leading_imb_large_z,
     leading_large_z,
@@ -33,9 +33,6 @@ from .relations import (
 )
 
 __all__ = ["VerifyRecord", "IDENTITY_TOLERANCES", "run_verification", "summarize"]
-
-_EXP_FLOOR = -745.0
-_TIGHT = Tolerances(abs_tol=5e-324, rel_tol=1e-12, max_depth=120)
 
 # Residual-style identities and their maximum relative residuals.  Window
 # and trend checks (bounded ratios, orderings) carry their bounds inline.
@@ -111,12 +108,11 @@ def _tail_gap(nu: float, z: float, t: float) -> float:
     log_pref = nu * math.log(0.5 * z) - math.log(2.0)
 
     def f(tau):
-        e = log_pref - tau - c / tau - (nu + 1.0) * math.log(tau)
-        return math.exp(e) if e > _EXP_FLOOR else 0.0
+        return math.exp(log_pref - tau - c / tau - (nu + 1.0) * math.log(tau))
 
     hi = min(t + 740.0, 1e30)
     pts = (t + 1.0, t + 5.0, t + 25.0, t + 125.0)
-    return integrate_adaptive(f, t, hi, _TIGHT, points=pts).value
+    return integrate_adaptive(f, t, hi, TIGHT, points=pts).value
 
 
 def _three_form(records, grid):
@@ -125,9 +121,9 @@ def _three_form(records, grid):
         for z in zs:
             for t in ts:
                 p = ShuParams(nu, z, t)
-                v5 = shu_oracle(p, _TIGHT).value
-                v2 = shu_oracle(p, _TIGHT, form=2).value
-                v4 = shu_oracle_cosh(p, _TIGHT).value
+                v5 = shu_oracle(p, TIGHT).value
+                v2 = shu_oracle(p, TIGHT, form=2).value
+                v4 = shu_oracle_cosh(p, TIGHT).value
                 worst = max(abs(v5 - v2), abs(v5 - v4), abs(v2 - v4))
                 scale = max(abs(v5), abs(v2), abs(v4), 2.3e-308)
                 records.append(_rec("ThreeForm", nu, z, t, worst, scale))
@@ -140,29 +136,29 @@ def _identities(records, grid):
             for t in ts:
                 p = ShuParams(nu, z, t)
                 for rep in (
-                    recurrence1_residual(p, _TIGHT),
-                    recurrence2_residual(p, _TIGHT),
-                    diff_relation1_residual(p, 1, _TIGHT),
-                    diff_relation1_residual(p, 2, _TIGHT),
-                    diff_relation2_residual(p, 1, _TIGHT),
-                    diff_relation2_residual(p, 2, _TIGHT),
+                    recurrence1_residual(p, TIGHT),
+                    recurrence2_residual(p, TIGHT),
+                    diff_relation1_residual(p, 1, TIGHT),
+                    diff_relation1_residual(p, 2, TIGHT),
+                    diff_relation2_residual(p, 1, TIGHT),
+                    diff_relation2_residual(p, 2, TIGHT),
                 ):
                     name = rep.identity if rep.k is None else f"{rep.identity}_k{rep.k}"
                     records.append(_rec(name, nu, z, t, rep.residual, rep.scale))
-                rep = pde_residual(p, "exact", _TIGHT)
+                rep = pde_residual(p, "exact", TIGHT)
                 records.append(_rec("PDE_exact", nu, z, t, rep.residual, rep.scale))
-                rep = pde_residual(p, "fd", _TIGHT)
+                rep = pde_residual(p, "fd", TIGHT)
                 records.append(_rec("PDE_fd", nu, z, t, rep.residual, rep.scale))
 
-                s0 = shu_oracle(p, _TIGHT).value
+                s0 = shu_oracle(p, TIGHT).value
 
                 # order-shift z-derivative against a raw central difference
                 h = 1e-5 * z
                 fd = (
-                    shu_oracle(ShuParams(nu, z + h, t), _TIGHT).value
-                    - shu_oracle(ShuParams(nu, z - h, t), _TIGHT).value
+                    shu_oracle(ShuParams(nu, z + h, t), TIGHT).value
+                    - shu_oracle(ShuParams(nu, z - h, t), TIGHT).value
                 ) / (2.0 * h)
-                exact = dS_dz(p, _TIGHT)
+                exact = dS_dz(p, TIGHT)
                 records.append(
                     _rec("dSdz", nu, z, t, exact - fd, max(abs(exact), abs(fd)))
                 )
@@ -173,17 +169,17 @@ def _identities(records, grid):
                 # saturated to e^-t scale against S itself
                 ht = 1e-5 * t
                 fd_full = (
-                    shu_oracle(ShuParams(nu, z, t + ht), _TIGHT).value
-                    - shu_oracle(ShuParams(nu, z, t - ht), _TIGHT).value
+                    shu_oracle(ShuParams(nu, z, t + ht), TIGHT).value
+                    - shu_oracle(ShuParams(nu, z, t - ht), TIGHT).value
                 ) / (2.0 * ht)
                 fd_half = (
-                    shu_oracle(ShuParams(nu, z, t + 0.5 * ht), _TIGHT).value
-                    - shu_oracle(ShuParams(nu, z, t - 0.5 * ht), _TIGHT).value
+                    shu_oracle(ShuParams(nu, z, t + 0.5 * ht), TIGHT).value
+                    - shu_oracle(ShuParams(nu, z, t - 0.5 * ht), TIGHT).value
                 ) / ht
                 fd_t = (4.0 * fd_half - fd_full) / 3.0
                 exact_t = dS_dt(p)
                 scale_t = max(abs(exact_t), abs(fd_t))
-                floor = 6.0 * 2.220446049250313e-16 * abs(s0) / ht
+                floor = 6.0 * EPS * abs(s0) / ht
                 resid_t = exact_t - fd_t
                 records.append(
                     VerifyRecord(
@@ -193,7 +189,7 @@ def _identities(records, grid):
                 )
 
                 # sum of the two recurrences: -dS/dz - (nu/z)S = S_(nu-1) + dS_(nu-1)/dt
-                s_lo = shu_oracle(ShuParams(nu - 1.0, z, t), _TIGHT).value
+                s_lo = shu_oracle(ShuParams(nu - 1.0, z, t), TIGHT).value
                 dt_lo = dS_dt(ShuParams(nu - 1.0, z, t))
                 terms = (-fd, -(nu / z) * s0, -s_lo, -dt_lo)
                 records.append(
@@ -206,14 +202,13 @@ def _round_trips(records):
     for a in (-0.5, 0.5, 2.0):
         for tg in (0.5, 1.0, 3.0):
             for zg in (0.5, 2.0, 5.0):
-                via_s = gen_incomplete_gamma(a, tg, zg, _TIGHT)
+                via_s = gen_incomplete_gamma(a, tg, zg, TIGHT)
 
                 def f(u, a=a, zg=zg):
-                    e = (a - 1.0) * math.log(u) - u - zg / u
-                    return math.exp(e) if e > _EXP_FLOOR else 0.0
+                    return math.exp((a - 1.0) * math.log(u) - u - zg / u)
 
                 direct = integrate_adaptive(
-                    f, tg, math.inf, _TIGHT, points=(tg + 1.0, tg + 5.0, tg + 25.0)
+                    f, tg, math.inf, TIGHT, points=(tg + 1.0, tg + 5.0, tg + 25.0)
                 ).value
                 records.append(
                     _rec("GenGammaDef", a, zg, tg, via_s - direct, max(abs(via_s), abs(direct)))
@@ -221,14 +216,13 @@ def _round_trips(records):
     for a in (-0.5, 0.5, 2.0):
         for zl in (0.3, 1.0, 2.0):
             for tl in (0.5, 1.0, 3.0):
-                via_s = leaky_aquifer(a, zl, tl, _TIGHT)
+                via_s = leaky_aquifer(a, zl, tl, TIGHT)
 
                 def f(u, a=a, zl=zl, tl=tl):
-                    e = -zl * u - tl / u - (a + 1.0) * math.log(u)
-                    return math.exp(e) if e > _EXP_FLOOR else 0.0
+                    return math.exp(-zl * u - tl / u - (a + 1.0) * math.log(u))
 
                 direct = integrate_adaptive(
-                    f, 1.0, math.inf, _TIGHT, points=(2.0, 5.0, 25.0)
+                    f, 1.0, math.inf, TIGHT, points=(2.0, 5.0, 25.0)
                 ).value
                 records.append(
                     _rec("LeakyDef", a, zl, tl, via_s - direct, max(abs(via_s), abs(direct)))
@@ -236,21 +230,16 @@ def _round_trips(records):
     for a in (0.0, 1.0, 2.5):
         for z in (1.0, 3.0, 6.0):
             for ti in (0.3, 1.0, 2.0):
-                via_s = incomplete_modified_bessel(a, z, ti, _TIGHT)
+                via_s = incomplete_modified_bessel(a, z, ti, TIGHT)
 
                 def f(u, a=a, z=z):
                     zc = z * math.cosh(u)
-                    e1 = -zc + a * u
-                    e2 = -zc - a * u
-                    v = math.exp(e1) if e1 > _EXP_FLOOR else 0.0
-                    if e2 > _EXP_FLOOR:
-                        v += math.exp(e2)
-                    return 0.25 * v
+                    return 0.25 * (math.exp(-zc + a * u) + math.exp(-zc - a * u))
 
                 hi = ti + 1.0
                 while z * math.cosh(hi) - a * hi < 760.0:
                     hi += 1.0
-                direct = integrate_adaptive(f, ti, hi, _TIGHT).value
+                direct = integrate_adaptive(f, ti, hi, TIGHT).value
                 records.append(
                     _rec("ImbDef", a, z, ti, via_s - direct, max(abs(via_s), abs(direct)))
                 )
@@ -260,14 +249,14 @@ def _round_trips(records):
         for z in (1.0, 3.0):
             for t in (0.7, 3.0):
                 p = ShuParams(nu, z, t)
-                want = shu_oracle(p, _TIGHT).value
+                want = shu_oracle(p, TIGHT).value
                 got = 0.5 * (2.0 / z) ** nu * gen_incomplete_gamma(
-                    nu, 0.25 * z * z / t, 0.25 * z * z, _TIGHT
+                    nu, 0.25 * z * z / t, 0.25 * z * z, TIGHT
                 )
                 records.append(
                     _rec("GenGammaInv", nu, z, t, got - want, max(abs(got), abs(want)))
                 )
-                got = 0.5 * (0.5 * z / t) ** nu * leaky_aquifer(-nu, 0.25 * z * z / t, t, _TIGHT)
+                got = 0.5 * (0.5 * z / t) ** nu * leaky_aquifer(-nu, 0.25 * z * z / t, t, TIGHT)
                 records.append(
                     _rec("LeakyInv", nu, z, t, got - want, max(abs(got), abs(want)))
                 )
@@ -278,7 +267,7 @@ def _trends(records):
     # leading correction within a factor 2
     for nu in (0.0, 1.0, 2.0):
         K = macdonald_k(nu, 3.0)
-        s = shu_oracle(ShuParams(nu, 3.0, 40.0), _TIGHT).value
+        s = shu_oracle(ShuParams(nu, 3.0, 40.0), TIGHT).value
         records.append(_rec("LargeTLimit", nu, 3.0, 40.0, s - K, abs(K)))
         for t in (15.0, 20.0, 30.0):
             gap = _tail_gap(nu, 3.0, t)
@@ -288,7 +277,7 @@ def _trends(records):
     # small endpoint ratio law at (2, 3): first-order shrink per halving,
     # and better agreement at higher order
     def dev_small_t(nu, t):
-        s = shu_oracle(ShuParams(nu, 3.0, t), _TIGHT).value
+        s = shu_oracle(ShuParams(nu, 3.0, t), TIGHT).value
         return abs(s / leading_small_t(ShuParams(nu, 3.0, t)) - 1.0)
 
     d1, d2, d3 = dev_small_t(2.0, 0.1), dev_small_t(2.0, 0.05), dev_small_t(2.0, 0.025)
@@ -301,26 +290,26 @@ def _trends(records):
     # small argument: log-law improvement at order 0, absolute gap growing
     # with order
     def dev0(z):
-        s = shu_oracle(ShuParams(0.0, z, 3.0), _TIGHT).value
+        s = shu_oracle(ShuParams(0.0, z, 3.0), TIGHT).value
         return abs(s / (-math.log(z)) - 1.0)
 
     records.append(_window("SmallZTrend", 0.0, 1e-4, 3.0, dev0(1e-4) / dev0(1e-2), 0.0, 1.0))
     gap1 = abs(
-        shu_oracle(ShuParams(1.0, 1e-2, 3.0), _TIGHT).value
+        shu_oracle(ShuParams(1.0, 1e-2, 3.0), TIGHT).value
         - leading_small_z(ShuParams(1.0, 1e-2, 3.0))
     )
     gap3 = abs(
-        shu_oracle(ShuParams(3.0, 1e-2, 3.0), _TIGHT).value
+        shu_oracle(ShuParams(3.0, 1e-2, 3.0), TIGHT).value
         - leading_small_z(ShuParams(3.0, 1e-2, 3.0))
     )
     records.append(_window("SmallZOrder", 1.0, 1e-2, 3.0, gap1 / gap3, 0.0, 1.0))
 
     # large argument: approximant within 10% at z = 12, improving with z
     def dev_large_z(z):
-        s = shu_oracle(ShuParams(0.0, z, 1.0), _TIGHT).value
+        s = shu_oracle(ShuParams(0.0, z, 1.0), TIGHT).value
         return abs(s / leading_large_z(ShuParams(0.0, z, 1.0)) - 1.0)
 
-    s12 = shu_oracle(ShuParams(0.0, 12.0, 1.0), _TIGHT).value
+    s12 = shu_oracle(ShuParams(0.0, 12.0, 1.0), TIGHT).value
     ratio12 = s12 / leading_large_z(ShuParams(0.0, 12.0, 1.0))
     records.append(_window("LargeZWindow", 0.0, 12.0, 1.0, ratio12, 0.9, 1.1))
     records.append(_window("LargeZTrend", 0.0, 20.0, 1.0, dev_large_z(20.0) / dev_large_z(12.0), 0.0, 1.0))
@@ -328,10 +317,9 @@ def _trends(records):
     # truncated cosh integral: approximant moves toward the integral as z grows
     def imb_ratio(z):
         def f(u, z=z):
-            e = -z * math.cosh(u)
-            return 0.5 * math.exp(e) if e > _EXP_FLOOR else 0.0
+            return 0.5 * math.exp(-z * math.cosh(u))
 
-        direct = integrate_adaptive(f, 1.0, 8.0, _TIGHT).value
+        direct = integrate_adaptive(f, 1.0, 8.0, TIGHT).value
         return leading_imb_large_z(0.0, z, 1.0) / direct
 
     records.append(

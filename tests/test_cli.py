@@ -85,6 +85,17 @@ class TestEval:
             assert "converge" in err.lower()
 
 
+    def test_overflow_exit_three(self, capsys):
+        # the small-endpoint series overflows in x**b far outside its regime
+        code, out, err = _run(
+            capsys, "eval", "--nu", "0", "--z", "0.7", "--t", "40", "--method", "small-t"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("incmac: overflow")
+        assert err.count("\n") == 1
+
+
 def test_usage_error_is_exit_code_one():
     # argparse failures must exit 1 (2 is reserved for domain errors)
     with pytest.raises(SystemExit) as exc:
@@ -177,6 +188,10 @@ class TestFigure:
              "--orders", "0,0.5")
         header, rows = _parse_csv(out)
         assert header == ["t", "S_n0", "S_n0.5"]
+        _run(capsys, "figure", "--id", "1", "--out", str(out), "--points", "4",
+             "--orders=-1,1")
+        header, rows = _parse_csv(out)
+        assert header == ["t", "S_n-1", "S_n1"]
 
 
 class TestTable:
@@ -218,6 +233,17 @@ class TestTable:
         assert rows[0][5] == "ERROR:DomainError"
         assert rows[0][3] == ""
         assert rows[1][5] != ""
+
+    def test_negative_first_order_in_equals_form(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code, _, _ = _run(
+            capsys, "table", "--nu-list=-1,0", "--z-list", "3", "--t-list", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        _, rows = _parse_csv(out)
+        assert [float(r[0]) for r in rows] == [-1.0, 0.0]
+        assert all(r[5].startswith(("Series", "Oracle")) for r in rows)
 
     def test_values_roundtrip_through_float(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

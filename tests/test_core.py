@@ -1,8 +1,12 @@
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import given, strategies as st
 
+import incmac
+from incmac import core
 from incmac.core import (
     DomainError,
     Evaluation,
@@ -121,3 +125,20 @@ def test_params_are_immutable():
     p = validate(1, 2, 3)
     with pytest.raises(AttributeError):
         p.argument = 5.0
+
+
+def test_numeric_policy_lives_in_core():
+    # every module imports the shared constants from core instead of
+    # binding an equal copy of its own
+    policy = (core.EPS, core.TINY, core.LOG_TINY, core.EXP_FLOOR, core.TIGHT)
+    modules = [incmac] + [
+        importlib.import_module(f"incmac.{m.name}") for m in pkgutil.iter_modules(incmac.__path__)
+    ]
+    copies = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name, value in vars(mod).items()
+        if isinstance(value, (float, Tolerances))
+        and any(value == want and value is not want for want in policy)
+    ]
+    assert copies == []

@@ -12,7 +12,7 @@ from incmac.evaluator import (
     evaluate_grid,
 )
 from incmac.gamma import macdonald_k
-from incmac.quadrature import shu_oracle
+from incmac.quadrature import shu_oracle, shu_oracle_cosh
 
 from frozen import S0_3_3, S_HALF_GRID
 
@@ -125,6 +125,40 @@ class TestDecisionProcedure:
         ev, _ = evaluate(p, tol)
         ref = shu_oracle(p, Tolerances(abs_tol=5e-324, rel_tol=1e-13, max_depth=140))
         assert abs(ev.value - ref.value) <= 1e-9 * abs(ref.value)
+
+    @pytest.mark.parametrize(
+        "point, rejected",
+        [
+            # the large-endpoint sum finds no truncation point
+            (
+                (-7.955851591265382, 320.06426145417345, 359.1606765143919),
+                (MethodTag.ASYMPT_LARGE_T, "NON_CONVERGENCE"),
+            ),
+            # the small-endpoint series returns 1.2e-22 with a NaN error
+            # estimate; the true value is 3.9e-176
+            (
+                (-22.21781064291803, 400.31798891392566, 204.284282851257),
+                (MethodTag.SERIES_SMALL_T, "TAIL_TOO_LARGE"),
+            ),
+            # the small-argument series overflows in x**b
+            (
+                (37.59408476864124, 0.0024955358148473924, 1.4958339344322494e-06),
+                (MethodTag.SERIES_SMALL_Z, "OVERFLOW"),
+            ),
+            (
+                (-35.79395168877865, 1.0064666361294206e-08, 3.2557370575532046e-05),
+                (MethodTag.SERIES_SMALL_Z, "OVERFLOW"),
+            ),
+        ],
+    )
+    def test_failed_candidate_falls_through_to_oracle(self, point, rejected):
+        p = ShuParams(*point)
+        ev, dec = evaluate(p, TIGHT)
+        assert dec.chosen is MethodTag.ORACLE5
+        assert ev.method is MethodTag.ORACLE5
+        assert rejected in dec.candidates_tried
+        ref = shu_oracle_cosh(p, TIGHT)
+        assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
 
     def test_error_estimates_calibrated_against_oracle(self):
         # every chosen path's estimate must cover the observed discrepancy

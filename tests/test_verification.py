@@ -70,10 +70,11 @@ def test_sign_fault_is_localized(monkeypatch, battery):
     recurrence checks that never use the formula keep passing."""
 
     def broken(p: ShuParams, tol=None):
-        from incmac.relations import _S, _TIGHT
+        from incmac.core import TIGHT
+        from incmac.relations import _S
 
         nu, z, t = p.order, p.argument, p.endpoint
-        tol = tol or _TIGHT
+        tol = tol or TIGHT
         # flipped sign on the shifted-order term
         return (nu / z) * _S(nu, z, t, tol) + _S(nu + 1.0, z, t, tol)
 
