@@ -112,12 +112,13 @@ def _figure_rows(fig_id: int, orders, n_points: int, tol: Tolerances):
         for o in orders:
             k_cache[o] = _macdonald_k_eval(o, fixed, tol)[0]
     rows = [header]
+    k_memo = {}  # K_nu(z) shared by the rows of one sweep, as evaluate_grid does
     for v in sweep_values:
         z, t = (fixed, v) if sweep == "t" else (v, fixed)
         row = [f"{v:.17g}"]
         for o in orders:
             point = ShuParams(o, z, t)
-            ev, _ = evaluate(point, tol)
+            ev, _ = evaluate(point, tol, _k_memo=k_memo)
             row.append(f"{ev.value:.17g}")
             if overlay is None:
                 continue

@@ -23,6 +23,7 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    underflow_to_zero,
     validate,
 )
 from .expansions import asympt_large_t, series_small_t, series_small_z
@@ -134,11 +135,11 @@ def _closed_form_half_validated() -> bool:
     return True
 
 
-def _verdict(method, p: ShuParams, tol: Tolerances):
-    """Run one candidate: (evaluation, None) when it meets the target,
-    otherwise (None, reason code)."""
+def _verdict(run, tol: Tolerances):
+    """Run one candidate (a no-argument call): (evaluation, None) when it
+    meets the target, otherwise (None, reason code)."""
     try:
-        ev = method(p, tol)
+        ev = run()
     except NonConvergence:
         return None, "NON_CONVERGENCE"
     except OverflowError:
@@ -154,6 +155,8 @@ def evaluate(
     p: ShuParams,
     tol: Tolerances = None,
     thresholds: RegimeThresholds = None,
+    *,
+    _k_memo: dict = None,
 ) -> tuple[Evaluation, RegimeDecision]:
     """Evaluate S with the regime-switching decision procedure.
 
@@ -163,17 +166,27 @@ def evaluate(
     target (a NaN error estimate included) is rejected, and the quadrature
     oracle is the fallback.  The procedure is deterministic and never
     returns a leading-term approximant.
+
+    K_nu(z) is computed at most once per call, only when the
+    large-endpoint gate or the small-argument series needs it, and shared
+    by the gate and both K-based expansions.
     """
     tol = tol or DEFAULT_TOLERANCES
     th = thresholds or DEFAULT_THRESHOLDS
     nu, z, t = p.order, p.argument, p.endpoint
     tried = []
+    # evaluate_grid passes one memo for the whole sweep; a raise stores nothing
+    k_memo = {} if _k_memo is None else _k_memo
+
+    def k():
+        if (nu, z) not in k_memo:
+            k_memo[nu, z] = _macdonald_k_eval(nu, z)
+        return k_memo[nu, z]
 
     if t >= th.large_t_min:
         e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
-        kval, _, _ = _macdonald_k_eval(nu, z)
-        if math.exp(e) < tol.target(kval):
-            ev, rejection = _verdict(asympt_large_t, p, tol)
+        if math.exp(e) < tol.target(k()[0]):
+            ev, rejection = _verdict(lambda: asympt_large_t(p, tol, k_eval=k()), tol)
             if ev is not None:
                 return ev, RegimeDecision(MethodTag.ASYMPT_LARGE_T, "LARGE_T", tuple(tried))
         else:
@@ -183,20 +196,22 @@ def evaluate(
     if abs(nu) == 0.5:
         if _closed_form_half_validated():
             v = closed_form_half(p)
-            ev = Evaluation(v, 8.0 * EPS * abs(v), MethodTag.CLOSED_FORM_HALF, 1)
+            v, err, flags = underflow_to_zero(v, 8.0 * EPS * abs(v))
+            ev = Evaluation(v, err, MethodTag.CLOSED_FORM_HALF, 1, flags)
             return ev, RegimeDecision(
                 MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM", tuple(tried)
             )
         tried.append((MethodTag.CLOSED_FORM_HALF, "VALIDATION_FAILED"))
 
     # named here rather than in a module-level table, so looked up at call time
-    for tag, reason, applies, method in (
+    for tag, reason, applies, run in (
         (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED",
-         0.25 * z * z / t >= th.small_t_exponent, series_small_t),
-        (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED", z <= th.small_z_max, series_small_z),
+         0.25 * z * z / t >= th.small_t_exponent, lambda: series_small_t(p, tol)),
+        (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED",
+         z <= th.small_z_max, lambda: series_small_z(p, tol, k_eval=k())),
     ):
         if applies:
-            ev, rejection = _verdict(method, p, tol)
+            ev, rejection = _verdict(run, tol)
             if ev is not None:
                 return ev, RegimeDecision(tag, reason, tuple(tried))
             tried.append((tag, rejection))
@@ -209,15 +224,20 @@ def evaluate_grid(orders, zs, ts, tol=None, thresholds=None) -> list:
     """Row-major sweep over the Cartesian product of the three lists.
 
     Cells are independent (identical to pointwise evaluate); a failed cell
-    carries an error marker and never aborts the sweep.
+    carries an error marker and never aborts the sweep.  K_nu(z) is
+    computed once per (order, argument) pair that needs it and shared by
+    that pair's cells; the memo lives for this call only, and a K that
+    raises is retried, so it fails exactly the cells pointwise evaluate
+    would.
     """
+    k_memo = {}
     cells = []
     for nu in orders:
         for z in zs:
             for t in ts:
                 try:
                     p = validate(nu, z, t)
-                    ev, dec = evaluate(p, tol, thresholds)
+                    ev, dec = evaluate(p, tol, thresholds, _k_memo=k_memo)
                 except (DomainError, NonConvergence, OverflowError) as exc:
                     cells.append(
                         GridCell(nu, z, t, None, None, f"{type(exc).__name__}: {exc}")

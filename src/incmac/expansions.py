@@ -110,16 +110,17 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, summed.terms_used, flags)
 
 
-def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
+def series_small_z(p: ShuParams, tol: Tolerances = None, *, k_eval=None) -> Evaluation:
     """K minus the convergent expansion in incomplete gammas of argument t.
 
     Mathematically valid everywhere; numerically hostile at small t where
     the summands alternate with large magnitude, which is reported through
-    the severe-cancellation flag.
+    the severe-cancellation flag.  k_eval, when given, is the precomputed
+    _macdonald_k_eval(order, argument) triple (value, error, work).
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
-    kval, kerr, kwork = _macdonald_k_eval(nu, z)
+    kval, kerr, kwork = k_eval or _macdonald_k_eval(nu, z)
     coef0 = 0.5 * (0.5 * z) ** nu
     summed, peak, qerr = _series_core(coef0, -0.25 * z * z, lambda k: -nu - k, t, tol)
     value = kval - summed.value
@@ -131,18 +132,19 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, summed.terms_used, flags)
 
 
-def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
+def asympt_large_t(p: ShuParams, tol: Tolerances = None, *, k_eval=None) -> Evaluation:
     """K minus the doubly truncated large-endpoint correction.
 
     The inner sum (powers of 1/t) is asymptotic and truncated at its
     smallest term; the outer sum (powers of (z/2)^2/t) is convergent and
     truncated on term smallness.  The reported tail bound is the largest
     first-omitted inner term over the retained outer terms, plus the first
-    omitted outer term.
+    omitted outer term.  k_eval, when given, is the precomputed
+    _macdonald_k_eval(order, argument) triple (value, error, work).
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
-    kval, kerr, kwork = _macdonald_k_eval(nu, z)
+    kval, kerr, kwork = k_eval or _macdonald_k_eval(nu, z)
     e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
     if e <= EXP_FLOOR:
         # correction is far below double resolution of K

@@ -8,6 +8,8 @@ reflected y-representation on (z^2/4t, inf); the last is the default
 oracle because its integrand is smooth with plain exponential decay.
 """
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -223,6 +225,22 @@ def _finish(res: QuadratureResult, tag: MethodTag) -> Evaluation:
     return Evaluation(value, err, tag, res.subdivisions, flags)
 
 
+# Oracle values by (point, tolerances, form), set only inside an
+# _oracle_memo() block so that no value outlives the call that opened it.
+_ORACLE_MEMO = contextvars.ContextVar("incmac_oracle_memo", default=None)
+
+
+@contextlib.contextmanager
+def _oracle_memo():
+    """Within the block, shu_oracle integrates each distinct
+    (point, tolerances, form) once; a raise is not stored."""
+    token = _ORACLE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _ORACLE_MEMO.reset(token)
+
+
 def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluation:
     """Reference value of S by adaptive quadrature.
 
@@ -236,10 +254,18 @@ def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluatio
     """
     tol = tol or DEFAULT_TOLERANCES
     if form == 5:
-        return _oracle_y_form(p, tol)
-    if form == 2:
-        return _oracle_endpoint_form(p, tol)
-    raise ValueError("form must be 2 or 5")
+        oracle = _oracle_y_form
+    elif form == 2:
+        oracle = _oracle_endpoint_form
+    else:
+        raise ValueError("form must be 2 or 5")
+    memo = _ORACLE_MEMO.get()
+    if memo is None:
+        return oracle(p, tol)
+    key = (p, tol, form)
+    if key not in memo:
+        memo[key] = oracle(p, tol)
+    return memo[key]
 
 
 def _oracle_y_form(p: ShuParams, tol: Tolerances) -> Evaluation:

@@ -18,7 +18,7 @@ from .expansions import (
     leading_small_z,
 )
 from .gamma import macdonald_k
-from .quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
+from .quadrature import _oracle_memo, integrate_adaptive, shu_oracle, shu_oracle_cosh
 from .relations import (
     dS_dt,
     dS_dz,
@@ -331,19 +331,23 @@ def run_verification(grid: str = "default", fail_fast: bool = False) -> list:
     """Run the battery and return one VerifyRecord per identity per point.
 
     With fail_fast, stops after the first section containing a failure.
+    Each distinct shu_oracle value (point, tolerances, form) is integrated
+    once per call and reused by every check that asks for it; nothing is
+    kept after the call returns.
     """
     three, ident = _grids(grid)
     records = []
-    for section in (
-        lambda r: _three_form(r, three),
-        lambda r: _identities(r, ident),
-        _round_trips,
-        _trends,
-    ):
-        start = len(records)
-        section(records)
-        if fail_fast and any(not r.passed for r in records[start:]):
-            break
+    with _oracle_memo():
+        for section in (
+            lambda r: _three_form(r, three),
+            lambda r: _identities(r, ident),
+            _round_trips,
+            _trends,
+        ):
+            start = len(records)
+            section(records)
+            if fail_fast and any(not r.passed for r in records[start:]):
+                break
     return records
 
 

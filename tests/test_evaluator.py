@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from incmac.core import DomainError, MethodTag, ShuParams, Tolerances
+import incmac.evaluator
+import incmac.expansions
+from incmac.cli import _figure_rows
+from incmac.core import FLAG_UNDERFLOW, DomainError, MethodTag, NonConvergence, ShuParams, Tolerances
 from incmac.evaluator import (
     RegimeThresholds,
     _erfcx,
@@ -205,6 +208,21 @@ class TestClosedFormHalf:
         asym = (1.0 - 0.5 / x**2 + 0.75 / x**4 - 1.875 / x**6) / (x * math.sqrt(math.pi))
         assert _rel(_erfcx(x), asym) < 1e-12
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (-0.5, 8.525982261439388, 0.02481167747622604),
+            (0.5, 8.525982261439388, 0.02481167747622604),
+        ],
+    )
+    def test_subnormal_value_flushed_to_zero(self, point):
+        # the closed form alone returns subnormals here (4e-323, 7e-321);
+        # evaluate applies the same underflow-to-zero rule as every path
+        assert 0.0 < closed_form_half(ShuParams(*point)) < 2.2250738585072014e-308
+        ev, dec = evaluate(ShuParams(*point), TIGHT)
+        assert dec.chosen is MethodTag.CLOSED_FORM_HALF
+        assert (ev.value, ev.error_estimate, ev.flags) == (0.0, 0.0, (FLAG_UNDERFLOW,))
+
     def test_no_underflow_at_deep_argument(self):
         # plain e^z erfc(...) underflows around here; the scaled route holds
         v = closed_form_half(ShuParams(0.5, 100.0, 4.0))
@@ -245,3 +263,86 @@ class TestEvaluateGrid:
             values = [c.evaluation.value for c in cells]
             assert all(a < b for a, b in zip(values, values[1:]))
             assert all(v < kval for v in values)
+
+
+def _count_k(monkeypatch, fail_at=None):
+    """Count K evaluations by (order, argument) through every binding the
+    evaluator and the expansions use; optionally make one pair raise."""
+    calls = []
+    real = incmac.evaluator._macdonald_k_eval
+
+    def counted(order, z, tol=None):
+        calls.append((order, z))
+        if (order, z) == fail_at:
+            raise NonConvergence("forced K failure")
+        return real(order, z, tol)
+
+    monkeypatch.setattr(incmac.evaluator, "_macdonald_k_eval", counted)
+    monkeypatch.setattr(incmac.expansions, "_macdonald_k_eval", counted)
+    return calls
+
+
+def _pointwise(nu, z, t):
+    try:
+        ev, dec = evaluate(ShuParams(nu, z, t), TIGHT)
+    except NonConvergence as exc:
+        return None, None, f"NonConvergence: {exc}"
+    return ev, dec, None
+
+
+# every path: Oracle5 (0, 3, 3), SeriesSmallT (1, 3, 0.2), SeriesSmallZ
+# (1, 0.5, 2), AsymptLargeT (0, 3, 100), ClosedFormHalf (0.5, *, *)
+_PATH_GRID = ([0.0, 0.5, 1.0], [0.5, 3.0], [0.02, 0.2, 2.0, 3.0, 100.0])
+
+
+class TestKReuse:
+    def test_grid_computes_k_once_per_pair(self, monkeypatch):
+        calls = _count_k(monkeypatch)
+        orders, zs, ts = _PATH_GRID
+        evaluate_grid(orders, zs, ts, TIGHT)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= len(orders) * len(zs)
+
+    def test_large_endpoint_evaluate_computes_k_once(self, monkeypatch):
+        calls = _count_k(monkeypatch)
+        _, dec = evaluate(ShuParams(0.0, 3.0, 100.0), TIGHT)
+        assert dec.chosen is MethodTag.ASYMPT_LARGE_T
+        assert calls == [(0.0, 3.0)]
+
+    def test_figure_sweep_computes_k_once_per_order(self, monkeypatch):
+        calls = _count_k(monkeypatch)
+        _figure_rows(5, [0.0, 1.0], 8, TIGHT)  # endpoint sweep at z = 3
+        assert sorted(calls) == [(0.0, 3.0), (1.0, 3.0)]
+
+    def test_grid_cells_equal_pointwise_evaluate(self):
+        cells = evaluate_grid(*_PATH_GRID, TIGHT)
+        assert {c.decision.chosen for c in cells} == {
+            MethodTag.ORACLE5,
+            MethodTag.SERIES_SMALL_T,
+            MethodTag.SERIES_SMALL_Z,
+            MethodTag.ASYMPT_LARGE_T,
+            MethodTag.CLOSED_FORM_HALF,
+        }
+        for c in cells:
+            assert (c.evaluation, c.decision, c.error) == _pointwise(
+                c.order, c.argument, c.endpoint
+            )
+
+    def test_failing_k_fails_the_same_cells_as_pointwise(self, monkeypatch):
+        # at (1, 0.5) the large-t gate raises, the small-z series is
+        # rejected and falls through to the oracle, and the small-t series
+        # never asks for K; a raise is not cached, so every cell that needs
+        # K tries again
+        calls = _count_k(monkeypatch, fail_at=(1.0, 0.5))
+        cells = evaluate_grid(*_PATH_GRID, TIGHT)
+        assert calls.count((1.0, 0.5)) >= 2
+        assert any(c.error for c in cells)
+        assert any(
+            (MethodTag.SERIES_SMALL_Z, "NON_CONVERGENCE") in c.decision.candidates_tried
+            for c in cells
+            if c.decision
+        )
+        for c in cells:
+            assert (c.evaluation, c.decision, c.error) == _pointwise(
+                c.order, c.argument, c.endpoint
+            )

@@ -1,10 +1,13 @@
+import contextlib
 import json
+from collections import Counter
 
 import pytest
 
+import incmac.quadrature
 import incmac.relations
 import incmac.verification
-from incmac.core import ShuParams
+from incmac.core import TIGHT, ShuParams
 from incmac.verification import IDENTITY_TOLERANCES, run_verification, summarize
 
 
@@ -101,3 +104,46 @@ def test_fail_fast_stops_after_failing_section(monkeypatch, battery):
     stopped = run_verification(fail_fast=True)
     assert len(stopped) < len(full)
     assert any(not r.passed for r in stopped)
+
+
+def _count_integrations(monkeypatch):
+    """Count oracle integrations by (point, tolerances, form)."""
+    counts = Counter()
+    for name, form in (("_oracle_y_form", 5), ("_oracle_endpoint_form", 2)):
+        real = getattr(incmac.quadrature, name)
+
+        def counted(p, tol, real=real, form=form):
+            counts[p, tol, form] += 1
+            return real(p, tol)
+
+        monkeypatch.setattr(incmac.quadrature, name, counted)
+    return counts
+
+
+def test_oracle_integrated_once_per_point_per_call(monkeypatch, battery):
+    counts = _count_integrations(monkeypatch)
+    records = run_verification("default")
+    assert records == battery
+    assert len(counts) > 1000
+    assert set(counts.values()) == {1}
+
+
+def test_oracle_memo_does_not_outlive_the_call(monkeypatch):
+    counts = _count_integrations(monkeypatch)
+    run_verification("default")
+    first = dict(counts)
+    assert first and set(first.values()) == {1}
+    run_verification("default")
+    assert counts == {key: 2 * n for key, n in first.items()}
+
+
+def test_oracle_not_memoised_outside_verification(monkeypatch):
+    counts = _count_integrations(monkeypatch)
+    p = ShuParams(0.0, 3.0, 3.0)
+    assert incmac.quadrature.shu_oracle(p, TIGHT) == incmac.quadrature.shu_oracle(p, TIGHT)
+    assert counts == {(p, TIGHT, 5): 2}
+
+
+def test_oracle_memo_leaves_records_unchanged(monkeypatch, battery):
+    monkeypatch.setattr(incmac.verification, "_oracle_memo", contextlib.nullcontext)
+    assert repr(run_verification("default")) == repr(battery)
