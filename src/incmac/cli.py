@@ -75,8 +75,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_kfun(args) -> int:
-    tol = _tolerances(args)
-    value, err, work = _macdonald_k_eval(args.nu, args.z, tol)
+    _tolerances(args)  # --tol is still validated; K is always full double precision
+    value, err, work = _macdonald_k_eval(args.nu, args.z)
     _print_eval(value, err, "MacdonaldK", work, args.json)
     return EXIT_OK
 
@@ -107,12 +107,10 @@ def _figure_rows(fig_id: int, orders, n_points: int, tol: Tolerances):
         header.append(f"S_n{o:g}")
         if overlay is not None:
             header.append(f"approx_n{o:g}")
-    k_cache = {}
-    if overlay == "large_t":
-        for o in orders:
-            k_cache[o] = _macdonald_k_eval(o, fixed, tol)[0]
     rows = [header]
-    k_memo = {}  # K_nu(z) shared by the rows of one sweep, as evaluate_grid does
+    # K_nu(z) shared by the rows of one sweep, as evaluate_grid does, and by
+    # the large-endpoint overlay
+    k_memo = {}
     for v in sweep_values:
         z, t = (fixed, v) if sweep == "t" else (v, fixed)
         row = [f"{v:.17g}"]
@@ -127,7 +125,10 @@ def _figure_rows(fig_id: int, orders, n_points: int, tol: Tolerances):
             elif overlay == "small_z":
                 row.append(f"{leading_small_z(point):.17g}")
             elif overlay == "large_t":
-                row.append(f"{k_cache[o]:.17g}")
+                key = (point.order, point.argument)
+                if key not in k_memo:
+                    k_memo[key] = _macdonald_k_eval(*key)
+                row.append(f"{k_memo[key][0]:.17g}")
             else:  # large_z, undefined at and below the z = 2t pole
                 if z > 2.0 * t:
                     with warnings.catch_warnings():
@@ -227,7 +228,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("kfun", help="evaluate the Macdonald function K")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, help="accepted for compatibility; K is always full double precision")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_kfun)
 

@@ -1,6 +1,8 @@
-"""Regression constants, computed once by the tight-tolerance quadrature
-oracle (relative 1e-12) and frozen here.  test_acceptance re-derives each
-one at session time and every evaluator path must reproduce them."""
+"""Regression constants.  The first group was computed once by the
+tight-tolerance quadrature oracle (relative 1e-12) and frozen here;
+test_acceptance re-derives each one at session time and every evaluator
+path must reproduce them.  K_REF and GAMMA_SERIES_SIDE come from
+high-precision arithmetic (see their comments); no test imports mpmath."""
 
 # S at order 0, argument 3, endpoint 3: the midpoint of the two standard
 # single-parameter sweeps
@@ -28,4 +30,33 @@ S_HALF_GRID = {
     (-0.5, 5.0, 4.0): 0.0030522223131828333,
     (0.5, 3.0, 3.0): 0.033784664574023066,
     (-0.5, 3.0, 3.0): 0.030317402485975475,
+}
+
+# Macdonald function reference values K_order(argument), computed once with
+# mpmath.besselk at 60 and 120 digits (agreeing to 1e-61) and rounded to
+# double: both sides of the z = 2 series/continued-fraction switch, mu = 0
+# and mu near +-1/2, orders up to 30, arguments from 1e-6 to 700, and a
+# large order just above the underflow threshold at z > 714
+K_REF = {
+    (0.0, 1e-06): 13.93144207362642,
+    (0.0, 700.0): 4.669776431685377e-306,
+    (0.7, 1.9999): 0.12602928657620238,
+    (0.7, 2.0): 0.12601327130661064,
+    (2.4999, 1.5): 0.9893382760419336,
+    (-3.5001, 3.0): 0.18815298882642303,
+    (-5.5, 0.3): 885431.4026941846,
+    (7.0, 0.05): 58976256383979.98,
+    (-13.0, 40.0): 6.650998713612697e-18,
+    (30.0, 0.001): 4.7468847843445486e129,
+    (-29.7, 25.0): 2.8106885101386285e-05,
+    (12.25, 699.0): 1.4141124512058263e-305,
+    (200.0, 720.0): 9.060125222145538e-303,
+}
+
+# upper incomplete gamma at positive orders with 1.5 <= x < a + 1, where the
+# Legendre continued fraction converges falsely; mpmath.gammainc at 60 digits
+GAMMA_SERIES_SIDE = {
+    (28.1, 2.84): 1.5170409745480294e28,
+    (15.0, 1.6): 87178291182.76991,
+    (10.0, 2.0): 362863.12677853776,
 }

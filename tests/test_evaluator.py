@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import incmac.cli
 import incmac.evaluator
 import incmac.expansions
 from incmac.cli import _figure_rows
@@ -17,7 +18,7 @@ from incmac.evaluator import (
 from incmac.gamma import macdonald_k
 from incmac.quadrature import shu_oracle, shu_oracle_cosh
 
-from frozen import S0_3_3, S_HALF_GRID
+from frozen import K_REF, S0_3_3, S_HALF_GRID
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -163,6 +164,34 @@ class TestDecisionProcedure:
         ref = shu_oracle_cosh(p, TIGHT)
         assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # incomplete-gamma orders a > 0 with 1.5 <= x < a + 1, where the
+            # Legendre continued fraction converges falsely: the small-endpoint
+            # series returned -5.2e6 +- 9e-8 here (true 9.38e11) ...
+            (28.1, 7.24, 4.61),
+            # ... and the small-argument series was wrong by 12 orders
+            (-17.1, 8.6e-4, 1.52),
+            # a falsely converged fraction made the small-argument series
+            # 1.41e31 here (true 2.63e20); only a loose K error estimate kept
+            # it from being returned
+            (-19.373514909901388, 0.2725981487862936, 2.06339023649976),
+        ],
+    )
+    def test_large_order_within_error_estimate_of_oracle(self, point):
+        p = ShuParams(*point)
+        ev, _ = evaluate(p, TIGHT)
+        ref = shu_oracle(p, TIGHT)
+        assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    def test_large_order_large_argument_keeps_k(self):
+        # e^-720 underflows, K_200(720) = 9.06e-303 does not
+        ev, dec = evaluate(ShuParams(200.0, 720.0, 1e4), TIGHT)
+        assert dec.chosen is MethodTag.ASYMPT_LARGE_T
+        assert ev.value > 0.0
+        assert abs(ev.value - K_REF[200.0, 720.0]) <= ev.error_estimate
+
     def test_error_estimates_calibrated_against_oracle(self):
         # every chosen path's estimate must cover the observed discrepancy
         # from a tighter oracle, and must not exceed 10x that discrepancy
@@ -267,18 +296,19 @@ class TestEvaluateGrid:
 
 def _count_k(monkeypatch, fail_at=None):
     """Count K evaluations by (order, argument) through every binding the
-    evaluator and the expansions use; optionally make one pair raise."""
+    evaluator, the expansions and the CLI use; optionally make one pair raise."""
     calls = []
     real = incmac.evaluator._macdonald_k_eval
 
-    def counted(order, z, tol=None):
+    def counted(order, z):
         calls.append((order, z))
         if (order, z) == fail_at:
             raise NonConvergence("forced K failure")
-        return real(order, z, tol)
+        return real(order, z)
 
     monkeypatch.setattr(incmac.evaluator, "_macdonald_k_eval", counted)
     monkeypatch.setattr(incmac.expansions, "_macdonald_k_eval", counted)
+    monkeypatch.setattr(incmac.cli, "_macdonald_k_eval", counted)
     return calls
 
 
@@ -310,9 +340,14 @@ class TestKReuse:
         assert calls == [(0.0, 3.0)]
 
     def test_figure_sweep_computes_k_once_per_order(self, monkeypatch):
+        # the large-endpoint overlay reads the sweep's K too: rows below
+        # t = 30 never ask evaluate for K, so the overlay computes it first
         calls = _count_k(monkeypatch)
-        _figure_rows(5, [0.0, 1.0], 8, TIGHT)  # endpoint sweep at z = 3
-        assert sorted(calls) == [(0.0, 3.0), (1.0, 3.0)]
+        rows = _figure_rows(5, [0.0, 1.0, 2.0, 3.0], 8, TIGHT)  # endpoint sweep at z = 3
+        assert sorted(calls) == [(0.0, 3.0), (1.0, 3.0), (2.0, 3.0), (3.0, 3.0)]
+        kvals = [macdonald_k(o, 3.0) for o in (0.0, 1.0, 2.0, 3.0)]
+        for row in rows[1:]:
+            assert [float(x) for x in row[2::2]] == kvals
 
     def test_grid_cells_equal_pointwise_evaluate(self):
         cells = evaluate_grid(*_PATH_GRID, TIGHT)

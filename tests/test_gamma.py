@@ -1,10 +1,14 @@
+import importlib
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from incmac.core import DomainError, PoleError, Tolerances
+from incmac.core import DomainError, NonConvergence, PoleError, ShuParams, Tolerances
+from incmac.expansions import series_small_z
 from incmac.gamma import (
+    _macdonald_k_eval,
     gamma,
     incomplete_gamma_asymptotic,
     macdonald_k,
@@ -13,7 +17,7 @@ from incmac.gamma import (
 )
 from incmac.quadrature import integrate_adaptive
 
-from frozen import E1_1, GAMMA_0_3, GAMMA_M15_2, K0_3
+from frozen import E1_1, GAMMA_0_3, GAMMA_M15_2, GAMMA_SERIES_SIDE, K0_3, K_REF
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -32,6 +36,27 @@ def _gamma_tail_quadrature(a, x):
     return integrate_adaptive(
         f, x, math.inf, TIGHT, points=(x + 1.0, x + 5.0, x + 25.0, max(x, a))
     ).value
+
+
+def _k_quadrature(order, z):
+    """Independent K: adaptive quadrature of the even cosh representation
+    integral over u in (0, inf) of e^(-z cosh u) cosh(order u); returns
+    (value, error estimate)."""
+    a = abs(order)
+    hi = 1.0
+    while z * math.cosh(hi) - a * hi < 780.0:
+        hi += 0.5
+
+    def f(u):
+        zc = z * math.cosh(u)
+        return 0.5 * (math.exp(-zc + a * u) + math.exp(-zc - a * u))
+
+    pts = [u for u in (math.asinh(a / z), 0.25 * hi, 0.5 * hi, 0.75 * hi) if 0.0 < u < hi]
+    res = integrate_adaptive(
+        f, 0.0, hi, Tolerances(abs_tol=5e-324, rel_tol=1e-13, max_depth=100), points=pts
+    )
+    assert res.converged
+    return res.value, res.error_estimate
 
 
 class TestGamma:
@@ -97,6 +122,11 @@ class TestUpperIncompleteGamma:
             lambda tau: math.exp((a - 1.0) * math.log(tau) - tau), 1e-300, x, TIGHT
         ).value
         assert _rel(upper_incomplete_gamma(a, x) + lower, gamma(a)) < 1e-10
+
+    @pytest.mark.parametrize("a,x", sorted(GAMMA_SERIES_SIDE))
+    def test_positive_order_below_a_plus_one(self, a, x):
+        # 1.5 <= x < a + 1: the continued fraction converges falsely here
+        assert _rel(upper_incomplete_gamma(a, x), GAMMA_SERIES_SIDE[a, x]) < 1e-13
 
     def test_strictly_decreasing_in_x(self):
         for a in (-1.5, 0.0, 2.0):
@@ -175,5 +205,48 @@ class TestMacdonaldK:
         assert macdonald_k(0.0, 800.0) == 0.0
 
     def test_small_argument_blowup(self):
-        # K grows like -ln z at order 0; quadrature must still track it
+        # K grows like -ln z at order 0
         assert _rel(macdonald_k(0.0, 1e-6), 13.931442073626419) < 1e-11
+
+    @pytest.mark.parametrize("order,z", sorted(K_REF))
+    def test_frozen_reference_within_error_estimate(self, order, z):
+        value, err, work = _macdonald_k_eval(order, z)
+        want = K_REF[order, z]
+        assert abs(value - want) <= err
+        if abs(order) <= 30.0:
+            assert err <= 1e-13 * want
+        assert work >= 1
+
+    def test_differential_against_cosh_quadrature(self):
+        rng = random.Random(20260418)
+        for _ in range(150):
+            order = rng.uniform(-30.0, 30.0)
+            z = math.exp(rng.uniform(math.log(1e-6), math.log(700.0)))
+            value, err, _ = _macdonald_k_eval(order, z)
+            ref, ref_err = _k_quadrature(order, z)
+            assert abs(value - ref) <= err + ref_err + 1e-13 * abs(ref), (order, z)
+
+    @pytest.mark.parametrize("order", [400.0, -1e300])
+    def test_order_beyond_double_range_overflows(self, order):
+        with pytest.raises(OverflowError):
+            macdonald_k(order, 1.0)
+        # and the small-argument series candidate reports it, so evaluate
+        # rejects that candidate
+        with pytest.raises(OverflowError):
+            series_small_z(ShuParams(order, 1.0, 1.0))
+
+    def test_tolerance_does_not_change_k(self):
+        loose = Tolerances(rel_tol=1e-3)
+        assert macdonald_k(2.3, 0.7, loose) == macdonald_k(2.3, 0.7)
+
+    def test_no_quadrature_in_gamma(self):
+        # the package namespace binds the gamma function under the module's name
+        module = importlib.import_module("incmac.gamma")
+        assert not hasattr(module, "integrate_adaptive")
+
+    def test_recurrence_cap_raises(self, monkeypatch):
+        # a huge order whose K is in range would otherwise recur for ~order steps
+        monkeypatch.setattr(importlib.import_module("incmac.gamma"), "_MAX_STEPS", 10)
+        with pytest.raises(NonConvergence):
+            macdonald_k(20.0, 3.0)
+        assert macdonald_k(10.0, 3.0) > 0.0
