@@ -26,7 +26,6 @@ from .core import (
 from .evaluator import (
     GridCell,
     RegimeDecision,
-    RegimeThresholds,
     closed_form_half,
     evaluate,
     evaluate_grid,

@@ -14,7 +14,7 @@ import json
 import sys
 import warnings
 
-from .core import TIGHT, DomainError, NearPoleWarning, NonConvergence, ShuParams, Tolerances, validate
+from .core import TIGHT, DomainError, NearPoleWarning, NonConvergence, ShuParams, Tolerances, shared, shared_work, validate
 from .evaluator import evaluate, evaluate_grid
 from .expansions import asympt_large_t, leading_large_z, leading_small_t, leading_small_z, series_small_t, series_small_z
 from .gamma import _macdonald_k_eval
@@ -75,7 +75,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_kfun(args) -> int:
-    _tolerances(args)  # --tol is still validated; K is always full double precision
     value, err, work = _macdonald_k_eval(args.nu, args.z)
     _print_eval(value, err, "MacdonaldK", work, args.json)
     return EXIT_OK
@@ -108,36 +107,33 @@ def _figure_rows(fig_id: int, orders, n_points: int, tol: Tolerances):
         if overlay is not None:
             header.append(f"approx_n{o:g}")
     rows = [header]
-    # K_nu(z) shared by the rows of one sweep, as evaluate_grid does, and by
-    # the large-endpoint overlay
-    k_memo = {}
-    for v in sweep_values:
-        z, t = (fixed, v) if sweep == "t" else (v, fixed)
-        row = [f"{v:.17g}"]
-        for o in orders:
-            point = ShuParams(o, z, t)
-            ev, _ = evaluate(point, tol, _k_memo=k_memo)
-            row.append(f"{ev.value:.17g}")
-            if overlay is None:
-                continue
-            if overlay == "small_t":
-                row.append(f"{leading_small_t(point):.17g}")
-            elif overlay == "small_z":
-                row.append(f"{leading_small_z(point):.17g}")
-            elif overlay == "large_t":
-                key = (point.order, point.argument)
-                if key not in k_memo:
-                    k_memo[key] = _macdonald_k_eval(*key)
-                row.append(f"{k_memo[key][0]:.17g}")
-            else:  # large_z, undefined at and below the z = 2t pole
-                if z > 2.0 * t:
-                    with warnings.catch_warnings():
-                        # the sweep knowingly enters the near-pole band
-                        warnings.simplefilter("ignore", NearPoleWarning)
-                        row.append(f"{leading_large_z(point):.17g}")
-                else:
-                    row.append("")
-        rows.append(row)
+    # one block for the whole sweep, as evaluate_grid opens: its rows and
+    # the large-endpoint overlay share K_nu(z)
+    with shared_work():
+        for v in sweep_values:
+            z, t = (fixed, v) if sweep == "t" else (v, fixed)
+            row = [f"{v:.17g}"]
+            for o in orders:
+                point = ShuParams(o, z, t)
+                ev, _ = evaluate(point, tol)
+                row.append(f"{ev.value:.17g}")
+                if overlay is None:
+                    continue
+                if overlay == "small_t":
+                    row.append(f"{leading_small_t(point):.17g}")
+                elif overlay == "small_z":
+                    row.append(f"{leading_small_z(point):.17g}")
+                elif overlay == "large_t":
+                    row.append(f"{shared(_macdonald_k_eval, point.order, point.argument)[0]:.17g}")
+                else:  # large_z, undefined at and below the z = 2t pole
+                    if z > 2.0 * t:
+                        with warnings.catch_warnings():
+                            # the sweep knowingly enters the near-pole band
+                            warnings.simplefilter("ignore", NearPoleWarning)
+                            row.append(f"{leading_large_z(point):.17g}")
+                    else:
+                        row.append("")
+            rows.append(row)
     return rows
 
 
@@ -228,7 +224,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("kfun", help="evaluate the Macdonald function K")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--tol", type=float, help="accepted for compatibility; K is always full double precision")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_kfun)
 

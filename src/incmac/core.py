@@ -6,6 +6,7 @@ endpoint.  The types here carry evaluation points, accuracy targets, and
 results between the quadrature, series, and identity-checking modules.
 """
 
+import contextvars
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +30,8 @@ __all__ = [
     "LOG_TINY",
     "EXP_FLOOR",
     "underflow_to_zero",
+    "shared_work",
+    "shared",
     "validate",
     "sgn",
 ]
@@ -91,10 +94,6 @@ class MethodTag(Enum):
     SERIES_SMALL_T = "SeriesSmallT"
     SERIES_SMALL_Z = "SeriesSmallZ"
     ASYMPT_LARGE_T = "AsymptLargeT"
-    LEADING_SMALL_T = "LeadingSmallT"
-    LEADING_SMALL_Z = "LeadingSmallZ"
-    LEADING_LARGE_T = "LeadingLargeT"
-    LEADING_LARGE_Z = "LeadingLargeZ"
     CLOSED_FORM_HALF = "ClosedFormHalf"
 
 
@@ -202,6 +201,37 @@ def underflow_to_zero(value: float, err: float, flags: tuple = ()):
     if 0.0 < abs(value) < TINY:
         return 0.0, 0.0, flags + (FLAG_UNDERFLOW,)
     return value, err, flags
+
+
+# Values computed inside the outermost open shared_work block, by (fn, args).
+_SHARED = contextvars.ContextVar("incmac_shared_work", default=None)
+
+
+class shared_work:
+    """Work sharing within one public call, never across calls: inside the
+    block, shared(fn, *args) computes each distinct fn(*args) once and a
+    raise is not stored; a nested block reuses the enclosing one, and
+    nothing outlives the outermost block."""
+
+    __slots__ = ("_token",)
+
+    def __enter__(self):
+        self._token = _SHARED.set({}) if _SHARED.get() is None else None
+
+    def __exit__(self, *exc):
+        if self._token is not None:
+            _SHARED.reset(self._token)
+
+
+def shared(fn, *args):
+    """fn(*args), computed once per distinct call inside a shared_work
+    block; a plain call outside any block."""
+    memo = _SHARED.get()
+    if memo is None:
+        return fn(*args)
+    if (fn, args) not in memo:
+        memo[fn, args] = fn(*args)
+    return memo[fn, args]
 
 
 def sgn(y: float) -> int:

@@ -23,6 +23,8 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    shared,
+    shared_work,
     underflow_to_zero,
     validate,
 )
@@ -31,7 +33,6 @@ from .gamma import _macdonald_k_eval
 from .quadrature import shu_oracle
 
 __all__ = [
-    "RegimeThresholds",
     "RegimeDecision",
     "GridCell",
     "closed_form_half",
@@ -41,17 +42,10 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Switching boundaries; calibration defaults, overridable per call."""
-
-    large_t_min: float = 30.0  # endpoint at which asymptotics are considered
-    small_t_exponent: float = 2.0  # required z^2/(4t) for the small-t series
-    small_z_max: float = 1.0  # largest argument for the small-z series
-
-
-DEFAULT_THRESHOLDS = RegimeThresholds()
+# Switching boundaries (calibration values)
+_LARGE_T_MIN = 30.0  # endpoint at which asymptotics are considered
+_SMALL_T_EXPONENT = 2.0  # required z^2/(4t) for the small-t series
+_SMALL_Z_MAX = 1.0  # largest argument for the small-z series
 
 
 @dataclass(frozen=True)
@@ -151,13 +145,7 @@ def _verdict(run, tol: Tolerances):
     return ev, None
 
 
-def evaluate(
-    p: ShuParams,
-    tol: Tolerances = None,
-    thresholds: RegimeThresholds = None,
-    *,
-    _k_memo: dict = None,
-) -> tuple[Evaluation, RegimeDecision]:
+def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDecision]:
     """Evaluate S with the regime-switching decision procedure.
 
     Returns the evaluation together with the decision record (chosen
@@ -167,81 +155,73 @@ def evaluate(
     oracle is the fallback.  The procedure is deterministic and never
     returns a leading-term approximant.
 
-    K_nu(z) is computed at most once per call, only when the
-    large-endpoint gate or the small-argument series needs it, and shared
-    by the gate and both K-based expansions.
+    The call runs in a core.shared_work block, so K_nu(z) is computed at
+    most once, only when the large-endpoint gate or a K-based expansion
+    needs it, and shared by all three.
     """
     tol = tol or DEFAULT_TOLERANCES
-    th = thresholds or DEFAULT_THRESHOLDS
-    nu, z, t = p.order, p.argument, p.endpoint
-    tried = []
-    # evaluate_grid passes one memo for the whole sweep; a raise stores nothing
-    k_memo = {} if _k_memo is None else _k_memo
+    with shared_work():
+        nu, z, t = p.order, p.argument, p.endpoint
+        tried = []
 
-    def k():
-        if (nu, z) not in k_memo:
-            k_memo[nu, z] = _macdonald_k_eval(nu, z)
-        return k_memo[nu, z]
+        if t >= _LARGE_T_MIN:
+            e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
+            if math.exp(e) < tol.target(shared(_macdonald_k_eval, nu, z)[0]):
+                ev, rejection = _verdict(lambda: asympt_large_t(p, tol), tol)
+                if ev is not None:
+                    return ev, RegimeDecision(MethodTag.ASYMPT_LARGE_T, "LARGE_T", tuple(tried))
+            else:
+                rejection = "CORRECTION_TOO_LARGE"
+            tried.append((MethodTag.ASYMPT_LARGE_T, rejection))
 
-    if t >= th.large_t_min:
-        e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
-        if math.exp(e) < tol.target(k()[0]):
-            ev, rejection = _verdict(lambda: asympt_large_t(p, tol, k_eval=k()), tol)
-            if ev is not None:
-                return ev, RegimeDecision(MethodTag.ASYMPT_LARGE_T, "LARGE_T", tuple(tried))
-        else:
-            rejection = "CORRECTION_TOO_LARGE"
-        tried.append((MethodTag.ASYMPT_LARGE_T, rejection))
+        if abs(nu) == 0.5:
+            if _closed_form_half_validated():
+                v = closed_form_half(p)
+                v, err, flags = underflow_to_zero(v, 8.0 * EPS * abs(v))
+                ev = Evaluation(v, err, MethodTag.CLOSED_FORM_HALF, 1, flags)
+                return ev, RegimeDecision(
+                    MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM", tuple(tried)
+                )
+            tried.append((MethodTag.CLOSED_FORM_HALF, "VALIDATION_FAILED"))
 
-    if abs(nu) == 0.5:
-        if _closed_form_half_validated():
-            v = closed_form_half(p)
-            v, err, flags = underflow_to_zero(v, 8.0 * EPS * abs(v))
-            ev = Evaluation(v, err, MethodTag.CLOSED_FORM_HALF, 1, flags)
-            return ev, RegimeDecision(
-                MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM", tuple(tried)
-            )
-        tried.append((MethodTag.CLOSED_FORM_HALF, "VALIDATION_FAILED"))
+        # named here rather than in a module-level table, so looked up at call time
+        for tag, reason, applies, run in (
+            (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED",
+             0.25 * z * z / t >= _SMALL_T_EXPONENT, lambda: series_small_t(p, tol)),
+            (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED",
+             z <= _SMALL_Z_MAX, lambda: series_small_z(p, tol)),
+        ):
+            if applies:
+                ev, rejection = _verdict(run, tol)
+                if ev is not None:
+                    return ev, RegimeDecision(tag, reason, tuple(tried))
+                tried.append((tag, rejection))
 
-    # named here rather than in a module-level table, so looked up at call time
-    for tag, reason, applies, run in (
-        (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED",
-         0.25 * z * z / t >= th.small_t_exponent, lambda: series_small_t(p, tol)),
-        (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED",
-         z <= th.small_z_max, lambda: series_small_z(p, tol, k_eval=k())),
-    ):
-        if applies:
-            ev, rejection = _verdict(run, tol)
-            if ev is not None:
-                return ev, RegimeDecision(tag, reason, tuple(tried))
-            tried.append((tag, rejection))
-
-    ev = shu_oracle(p, tol)
-    return ev, RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))
+        ev = shu_oracle(p, tol)
+        return ev, RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))
 
 
-def evaluate_grid(orders, zs, ts, tol=None, thresholds=None) -> list:
+def evaluate_grid(orders, zs, ts, tol=None) -> list:
     """Row-major sweep over the Cartesian product of the three lists.
 
     Cells are independent (identical to pointwise evaluate); a failed cell
-    carries an error marker and never aborts the sweep.  K_nu(z) is
-    computed once per (order, argument) pair that needs it and shared by
-    that pair's cells; the memo lives for this call only, and a K that
-    raises is retried, so it fails exactly the cells pointwise evaluate
-    would.
+    carries an error marker and never aborts the sweep.  The sweep is one
+    core.shared_work block: K_nu(z) is computed once per (order, argument)
+    pair that needs it, each oracle value once, and a K that raises is
+    retried, so it fails exactly the cells pointwise evaluate would.
     """
-    k_memo = {}
     cells = []
-    for nu in orders:
-        for z in zs:
-            for t in ts:
-                try:
-                    p = validate(nu, z, t)
-                    ev, dec = evaluate(p, tol, thresholds, _k_memo=k_memo)
-                except (DomainError, NonConvergence, OverflowError) as exc:
-                    cells.append(
-                        GridCell(nu, z, t, None, None, f"{type(exc).__name__}: {exc}")
-                    )
-                else:
-                    cells.append(GridCell(nu, z, t, ev, dec))
+    with shared_work():
+        for nu in orders:
+            for z in zs:
+                for t in ts:
+                    try:
+                        p = validate(nu, z, t)
+                        ev, dec = evaluate(p, tol)
+                    except (DomainError, NonConvergence, OverflowError) as exc:
+                        cells.append(
+                            GridCell(nu, z, t, None, None, f"{type(exc).__name__}: {exc}")
+                        )
+                    else:
+                        cells.append(GridCell(nu, z, t, ev, dec))
     return cells

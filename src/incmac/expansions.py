@@ -16,6 +16,7 @@ from .core import (
     EPS,
     EXP_FLOOR,
     FLAG_CANCELLATION,
+    LOG_TINY,
     TINY,
     DomainError,
     Evaluation,
@@ -24,6 +25,7 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    shared,
     underflow_to_zero,
 )
 from .gamma import _macdonald_k_eval, upper_incomplete_gamma
@@ -52,6 +54,19 @@ class TruncatedSum:
     tail_bound: float
 
 
+def _lost_term_bound(coef: float, a: float, x: float) -> float:
+    """Bound on |coef * Gamma(a, x)| for a Gamma(a, x) that underflowed to 0.0.
+
+    For x > a - 1 the integrand t^(a-1) e^-t lies below the exponential of
+    its logarithm's tangent at t = x, so Gamma(a, x) <= x^(a-1) e^-x
+    max(1, x/(x - a + 1)); at x <= a - 1 Gamma(a, x) never underflows.  A
+    bound below the smallest normal double counts as 0."""
+    if coef == 0.0 or x <= a - 1.0:
+        return 0.0
+    log_bound = math.log(abs(coef)) + (a - 1.0) * math.log(x) - x + max(0.0, math.log(x / (x - a + 1.0)))
+    return math.exp(log_bound) if log_bound > LOG_TINY else 0.0
+
+
 def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
     """Shared loop for the two convergent expansions.
 
@@ -59,8 +74,8 @@ def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
     Stops only after two consecutive terms fall below the target; alternating
     sums can produce an accidentally tiny single term.  Subnormal gamma
     factors only carry absolute 5e-324 quantization, which the growing
-    coefficients amplify; that loss is tracked and returned so callers can
-    report it.
+    coefficients amplify, and a zero factor loses its whole term (the first
+    omitted one too); that loss is tracked and returned for the callers.
     """
     total = 0.0
     peak = 0.0
@@ -71,6 +86,8 @@ def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
         g = upper_incomplete_gamma(order_at(k), x)
         if 0.0 < abs(g) < TINY:
             qerr += abs(coef) * 5e-324
+        elif g == 0.0:
+            qerr += _lost_term_bound(coef, order_at(k), x)
         term = coef * g
         total += term
         terms += 1
@@ -79,7 +96,8 @@ def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
         if abs(term) < tol.target(total):
             streak += 1
             if streak >= 2:
-                tail = abs(coef * upper_incomplete_gamma(order_at(terms), x))
+                g = upper_incomplete_gamma(order_at(terms), x)
+                tail = abs(coef * g) if g != 0.0 else _lost_term_bound(coef, order_at(terms), x)
                 return TruncatedSum(total, terms, abs(term), tail), peak, qerr
         else:
             streak = 0
@@ -110,17 +128,16 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, summed.terms_used, flags)
 
 
-def series_small_z(p: ShuParams, tol: Tolerances = None, *, k_eval=None) -> Evaluation:
+def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """K minus the convergent expansion in incomplete gammas of argument t.
 
     Mathematically valid everywhere; numerically hostile at small t where
     the summands alternate with large magnitude, which is reported through
-    the severe-cancellation flag.  k_eval, when given, is the precomputed
-    _macdonald_k_eval(order, argument) triple (value, error, work).
+    the severe-cancellation flag.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
-    kval, kerr, kwork = k_eval or _macdonald_k_eval(nu, z)
+    kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
     coef0 = 0.5 * (0.5 * z) ** nu
     summed, peak, qerr = _series_core(coef0, -0.25 * z * z, lambda k: -nu - k, t, tol)
     value = kval - summed.value
@@ -132,19 +149,18 @@ def series_small_z(p: ShuParams, tol: Tolerances = None, *, k_eval=None) -> Eval
     return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, summed.terms_used, flags)
 
 
-def asympt_large_t(p: ShuParams, tol: Tolerances = None, *, k_eval=None) -> Evaluation:
+def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """K minus the doubly truncated large-endpoint correction.
 
     The inner sum (powers of 1/t) is asymptotic and truncated at its
     smallest term; the outer sum (powers of (z/2)^2/t) is convergent and
     truncated on term smallness.  The reported tail bound is the largest
     first-omitted inner term over the retained outer terms, plus the first
-    omitted outer term.  k_eval, when given, is the precomputed
-    _macdonald_k_eval(order, argument) triple (value, error, work).
+    omitted outer term.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
-    kval, kerr, kwork = k_eval or _macdonald_k_eval(nu, z)
+    kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
     e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
     if e <= EXP_FLOOR:
         # correction is far below double resolution of K

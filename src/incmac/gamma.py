@@ -12,7 +12,7 @@ import math
 import sys
 
 from .core import (
-    EPS, EXP_FLOOR, LOG_TINY, DomainError, NonConvergence, PoleError, Tolerances, underflow_to_zero
+    EPS, EXP_FLOOR, LOG_TINY, DomainError, NonConvergence, PoleError, underflow_to_zero
 )
 
 __all__ = [
@@ -345,13 +345,12 @@ def _macdonald_k_eval(order: float, z: float):
     return value, err, work
 
 
-def macdonald_k(order: float, z: float, tol: Tolerances = None) -> float:
+def macdonald_k(order: float, z: float) -> float:
     """K_order(z), the Macdonald function (modified Bessel function of the
     second kind), to full double precision.
 
     Computed by Temme's series or Steed's continued fraction and forward
-    recurrence in order (see _macdonald_k_eval); tol is accepted for
-    compatibility and does not change the value.  Returns an exact 0.0
+    recurrence in order (see _macdonald_k_eval).  Returns an exact 0.0
     when the true value lies below the smallest normal double
     (underflow-to-zero policy) and raises OverflowError when it exceeds
     the double range.

@@ -8,8 +8,6 @@ reflected y-representation on (z^2/4t, inf); the last is the default
 oracle because its integrand is smooth with plain exponential decay.
 """
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
 
@@ -24,6 +22,7 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    shared,
     underflow_to_zero,
 )
 
@@ -225,22 +224,6 @@ def _finish(res: QuadratureResult, tag: MethodTag) -> Evaluation:
     return Evaluation(value, err, tag, res.subdivisions, flags)
 
 
-# Oracle values by (point, tolerances, form), set only inside an
-# _oracle_memo() block so that no value outlives the call that opened it.
-_ORACLE_MEMO = contextvars.ContextVar("incmac_oracle_memo", default=None)
-
-
-@contextlib.contextmanager
-def _oracle_memo():
-    """Within the block, shu_oracle integrates each distinct
-    (point, tolerances, form) once; a raise is not stored."""
-    token = _ORACLE_MEMO.set({})
-    try:
-        yield
-    finally:
-        _ORACLE_MEMO.reset(token)
-
-
 def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluation:
     """Reference value of S by adaptive quadrature.
 
@@ -251,6 +234,8 @@ def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluatio
     (0, t] as an independent cross-check; its left end is clamped where the
     essential factor e^(-z^2/4tau) alone is far below the smallest double,
     which provably contributes less than any representable tolerance.
+    Inside a core.shared_work block (evaluate, evaluate_grid, the figure
+    sweeps, run_verification) each distinct (p, tol, form) is integrated once.
     """
     tol = tol or DEFAULT_TOLERANCES
     if form == 5:
@@ -259,13 +244,7 @@ def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluatio
         oracle = _oracle_endpoint_form
     else:
         raise ValueError("form must be 2 or 5")
-    memo = _ORACLE_MEMO.get()
-    if memo is None:
-        return oracle(p, tol)
-    key = (p, tol, form)
-    if key not in memo:
-        memo[key] = oracle(p, tol)
-    return memo[key]
+    return shared(oracle, p, tol)
 
 
 def _oracle_y_form(p: ShuParams, tol: Tolerances) -> Evaluation:

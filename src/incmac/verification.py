@@ -10,7 +10,7 @@ the same records.
 import math
 from dataclasses import dataclass
 
-from .core import EPS, TIGHT, ShuParams
+from .core import EPS, TIGHT, ShuParams, shared_work
 from .expansions import (
     leading_imb_large_z,
     leading_large_z,
@@ -18,7 +18,7 @@ from .expansions import (
     leading_small_z,
 )
 from .gamma import macdonald_k
-from .quadrature import _oracle_memo, integrate_adaptive, shu_oracle, shu_oracle_cosh
+from .quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
 from .relations import (
     dS_dt,
     dS_dz,
@@ -331,13 +331,13 @@ def run_verification(grid: str = "default", fail_fast: bool = False) -> list:
     """Run the battery and return one VerifyRecord per identity per point.
 
     With fail_fast, stops after the first section containing a failure.
-    Each distinct shu_oracle value (point, tolerances, form) is integrated
-    once per call and reused by every check that asks for it; nothing is
-    kept after the call returns.
+    The call is one core.shared_work block: each distinct shu_oracle value
+    (point, tolerances, form) is integrated once and reused by every check
+    that asks for it; nothing is kept after the call returns.
     """
     three, ident = _grids(grid)
     records = []
-    with _oracle_memo():
+    with shared_work():
         for section in (
             lambda r: _three_form(r, three),
             lambda r: _identities(r, ident),

@@ -1,3 +1,4 @@
+import contextvars
 import importlib
 import math
 import pkgutil
@@ -14,6 +15,8 @@ from incmac.core import (
     ShuParams,
     Tolerances,
     sgn,
+    shared,
+    shared_work,
     validate,
 )
 
@@ -116,7 +119,6 @@ class TestEvaluation:
         assert {m.value for m in MethodTag} == {
             "Oracle2", "Oracle4", "Oracle5",
             "SeriesSmallT", "SeriesSmallZ", "AsymptLargeT",
-            "LeadingSmallT", "LeadingSmallZ", "LeadingLargeT", "LeadingLargeZ",
             "ClosedFormHalf",
         }
 
@@ -127,18 +129,87 @@ def test_params_are_immutable():
         p.argument = 5.0
 
 
+def _modules():
+    return [incmac] + [
+        importlib.import_module(f"incmac.{m.name}") for m in pkgutil.iter_modules(incmac.__path__)
+    ]
+
+
 def test_numeric_policy_lives_in_core():
     # every module imports the shared constants from core instead of
     # binding an equal copy of its own
     policy = (core.EPS, core.TINY, core.LOG_TINY, core.EXP_FLOOR, core.TIGHT)
-    modules = [incmac] + [
-        importlib.import_module(f"incmac.{m.name}") for m in pkgutil.iter_modules(incmac.__path__)
-    ]
     copies = [
         f"{mod.__name__}.{name}"
-        for mod in modules
+        for mod in _modules()
         for name, value in vars(mod).items()
         if isinstance(value, (float, Tolerances))
         and any(value == want and value is not want for want in policy)
     ]
     assert copies == []
+
+
+def test_only_core_binds_a_context_variable():
+    # the one work-sharing scope lives in core; no module keeps its own memo
+    bound = [
+        f"{mod.__name__}.{name}"
+        for mod in _modules()
+        for name, value in vars(mod).items()
+        if isinstance(value, contextvars.ContextVar)
+    ]
+    assert bound == ["incmac.core._SHARED"]
+
+
+class TestSharedWork:
+    @staticmethod
+    def _counter():
+        calls = []
+
+        def fn(*args):
+            calls.append(args)
+            return len(calls)
+
+        return fn, calls
+
+    def test_plain_call_outside_a_block(self):
+        fn, calls = self._counter()
+        assert (shared(fn, 1), shared(fn, 1)) == (1, 2)
+        assert calls == [(1,), (1,)]
+
+    def test_each_distinct_call_once_inside_a_block(self):
+        fn, calls = self._counter()
+        with shared_work():
+            assert [shared(fn, 1), shared(fn, 2), shared(fn, 1)] == [1, 2, 1]
+        assert calls == [(1,), (2,)]
+
+    def test_nested_block_reuses_the_enclosing_one(self):
+        fn, calls = self._counter()
+        with shared_work():
+            shared(fn, 1)
+            with shared_work():
+                assert shared(fn, 1) == 1
+            assert shared(fn, 1) == 1
+        assert calls == [(1,)]
+
+    def test_nothing_outlives_the_outermost_block(self):
+        fn, calls = self._counter()
+        for _ in range(2):
+            with shared_work():
+                shared(fn, 1)
+        assert calls == [(1,), (1,)]
+
+    def test_raise_is_not_stored(self):
+        calls = []
+
+        def flaky(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise ArithmeticError("first call fails")
+            return x
+
+        with shared_work():
+            with pytest.raises(ArithmeticError):
+                shared(flaky, 7)
+            assert shared(flaky, 7) == 7
+            assert shared(flaky, 7) == 7
+        assert calls == [7, 7]

@@ -6,10 +6,10 @@ import pytest
 import incmac.cli
 import incmac.evaluator
 import incmac.expansions
+import incmac.quadrature
 from incmac.cli import _figure_rows
 from incmac.core import FLAG_UNDERFLOW, DomainError, MethodTag, NonConvergence, ShuParams, Tolerances
 from incmac.evaluator import (
-    RegimeThresholds,
     _erfcx,
     closed_form_half,
     evaluate,
@@ -73,24 +73,19 @@ class TestDecisionProcedure:
         assert a == b
 
     def test_never_returns_leading_approximant(self):
-        leading = {
-            MethodTag.LEADING_SMALL_T,
-            MethodTag.LEADING_SMALL_Z,
-            MethodTag.LEADING_LARGE_T,
-            MethodTag.LEADING_LARGE_Z,
+        paths = {
+            MethodTag.ORACLE5,
+            MethodTag.SERIES_SMALL_T,
+            MethodTag.SERIES_SMALL_Z,
+            MethodTag.ASYMPT_LARGE_T,
+            MethodTag.CLOSED_FORM_HALF,
         }
         for nu in (-1.0, 0.0, 0.5, 2.0):
             for z in (0.3, 3.0, 15.0):
                 for t in (0.05, 2.0, 50.0):
                     ev, dec = evaluate(ShuParams(nu, z, t))
-                    assert ev.method not in leading
-                    assert dec.chosen not in leading
-
-    def test_thresholds_are_overridable(self):
-        # raising the small-t bar pushes the same point to the fallback
-        p = ShuParams(1.0, 3.0, 0.2)
-        _, dec = evaluate(p, TIGHT, RegimeThresholds(small_t_exponent=100.0, small_z_max=0.0))
-        assert dec.chosen is MethodTag.ORACLE5
+                    assert ev.method in paths
+                    assert dec.chosen in paths
 
     def test_cross_path_consistency(self):
         targets = []
@@ -184,6 +179,30 @@ class TestDecisionProcedure:
         ev, _ = evaluate(p, TIGHT)
         ref = shu_oracle(p, TIGHT)
         assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # every incomplete gamma of the small-endpoint series underflows
+            # to 0.0 here, and the series returned 0.0 +- 0.0 for an S of
+            # 3.18e-297, 1.33e-307 and 1.34e-286
+            (-25.517296979498347, 45.25141063150784, 0.8655368185527998),
+            (-19.02178089671522, 55.98546266713453, 1.226843953874012),
+            (-29.963652409842208, 51.2832099354792, 1.1788820666918924),
+        ],
+    )
+    def test_underflowed_gamma_factors_count_in_error(self, point):
+        # an absolute target below these values, so that 0.0 is no answer;
+        # the two quadrature forms agree only to the relative target here
+        # (at the third point form 4 is 1.2e-13 off a 40-digit value while
+        # claiming 2.8e-14), so that is allowed on top
+        tol = Tolerances(abs_tol=5e-324, rel_tol=1e-12, max_depth=120)
+        p = ShuParams(*point)
+        ev, _ = evaluate(p, tol)
+        for oracle in (shu_oracle, shu_oracle_cosh):
+            ref = oracle(p, tol)
+            slack = ev.error_estimate + ref.error_estimate + 1e-12 * abs(ref.value)
+            assert abs(ev.value - ref.value) <= slack
 
     def test_large_order_large_argument_keeps_k(self):
         # e^-720 underflows, K_200(720) = 9.06e-303 does not
@@ -338,6 +357,27 @@ class TestKReuse:
         _, dec = evaluate(ShuParams(0.0, 3.0, 100.0), TIGHT)
         assert dec.chosen is MethodTag.ASYMPT_LARGE_T
         assert calls == [(0.0, 3.0)]
+
+    def test_successive_evaluate_calls_compute_k_again(self, monkeypatch):
+        # work is shared within one call, never across calls
+        calls = _count_k(monkeypatch)
+        first = evaluate(ShuParams(0.0, 3.0, 100.0), TIGHT)
+        assert evaluate(ShuParams(0.0, 3.0, 100.0), TIGHT) == first
+        assert calls == [(0.0, 3.0), (0.0, 3.0)]
+
+    def test_repeated_grid_cell_integrates_oracle_once(self, monkeypatch):
+        counts = []
+        real = incmac.quadrature._oracle_y_form
+
+        def counted(p, tol):
+            counts.append(p)
+            return real(p, tol)
+
+        monkeypatch.setattr(incmac.quadrature, "_oracle_y_form", counted)
+        cells = evaluate_grid([0.0], [3.0], [3.0, 3.0], TIGHT)  # Oracle5 path
+        assert counts == [ShuParams(0.0, 3.0, 3.0)]
+        assert cells[0].evaluation == cells[1].evaluation
+        assert cells[0].decision.chosen is MethodTag.ORACLE5
 
     def test_figure_sweep_computes_k_once_per_order(self, monkeypatch):
         # the large-endpoint overlay reads the sweep's K too: rows below

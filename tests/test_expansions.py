@@ -10,6 +10,7 @@ from incmac.core import (
     Tolerances,
 )
 from incmac.expansions import (
+    _series_core,
     asympt_large_t,
     leading_imb_large_z,
     leading_large_z,
@@ -59,6 +60,21 @@ class TestSeriesSmallT:
     def test_work_reported(self):
         ev = series_small_t(ShuParams(1.0, 3.0, 0.2), TIGHT)
         assert 0 < ev.work <= TIGHT.max_terms
+
+    def test_underflowed_gamma_factors_bound_lost_terms(self):
+        # Gamma(-k, 800) underflows to 0.0 at every k, yet the terms
+        # 1e300 (800^k/k!) Gamma(-k, 800) are normal doubles: the two summed
+        # terms count in the quantization error and the first omitted one
+        # in the tail bound.  Each term is at least half of
+        # 1e300 e^-800 / (800 k!), since Gamma(-k, x) ~ x^(-k-1) e^-x.
+        assert upper_incomplete_gamma(0.0, 800.0) == 0.0
+        summed, _, qerr = _series_core(1e300, 800.0, lambda k: -float(k), 800.0, TIGHT)
+        assert (summed.value, summed.terms_used) == (0.0, 2)
+        lost = [math.exp(math.log(0.5e300 / math.factorial(k)) - math.log(800.0) - 800.0)
+                for k in range(3)]
+        assert lost[2] > 1e-60
+        assert qerr >= lost[0] + lost[1]
+        assert summed.tail_bound >= lost[2]
 
 
 class TestSeriesSmallZ:

@@ -235,10 +235,6 @@ class TestMacdonaldK:
         with pytest.raises(OverflowError):
             series_small_z(ShuParams(order, 1.0, 1.0))
 
-    def test_tolerance_does_not_change_k(self):
-        loose = Tolerances(rel_tol=1e-3)
-        assert macdonald_k(2.3, 0.7, loose) == macdonald_k(2.3, 0.7)
-
     def test_no_quadrature_in_gamma(self):
         # the package namespace binds the gamma function under the module's name
         module = importlib.import_module("incmac.gamma")

@@ -145,5 +145,5 @@ def test_oracle_not_memoised_outside_verification(monkeypatch):
 
 
 def test_oracle_memo_leaves_records_unchanged(monkeypatch, battery):
-    monkeypatch.setattr(incmac.verification, "_oracle_memo", contextlib.nullcontext)
+    monkeypatch.setattr(incmac.verification, "shared_work", contextlib.nullcontext)
     assert repr(run_verification("default")) == repr(battery)
