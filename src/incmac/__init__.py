@@ -31,7 +31,6 @@ from .evaluator import (
     evaluate_grid,
 )
 from .expansions import (
-    TruncatedSum,
     asympt_large_t,
     leading_imb_large_z,
     leading_large_z,

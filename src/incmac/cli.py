@@ -11,6 +11,7 @@ non-convergence or overflow, 4 verification failure.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 
@@ -55,6 +56,8 @@ def _tolerances(args) -> Tolerances:
     if getattr(args, "tol", None) is None:
         return TIGHT
     rel = args.tol
+    if not math.isfinite(rel):
+        raise DomainError("tol", rel, "must be finite")
     if rel <= 0.0:
         raise DomainError("tol", rel, "must be strictly positive")
     return dataclasses.replace(TIGHT, rel_tol=rel)

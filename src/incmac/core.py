@@ -134,24 +134,21 @@ def validate(order, argument, endpoint) -> ShuParams:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Accuracy targets and work caps shared by all iterative evaluators.
+    """Accuracy targets and the quadrature work cap.
 
     abs_tol and rel_tol are combined as max(abs_tol, rel_tol * |value|);
-    max_terms caps series length, max_depth caps quadrature bisections.
+    max_depth caps quadrature bisections.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_terms: int = 200
     max_depth: int = 60
 
     def __post_init__(self):
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise ValueError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
         if self.max_depth < 1:
             raise ValueError("max_depth must be a positive integer")
 

@@ -1,9 +1,10 @@
 """Regime-switching front end: one entry point with an error estimate.
 
-The decision order is fixed: large-endpoint asymptotics when its leading
-correction is already below target, the half-order closed form (once
-self-validated against the oracle), the small-endpoint series, the
-small-argument series, then the quadrature oracle as universal fallback.
+The decision order is one table, _CANDIDATES: large-endpoint asymptotics
+when its leading correction is already below target, the half-order
+closed form (once self-validated against the oracle), the small-endpoint
+series, the small-argument series, then the quadrature oracle as universal
+fallback.  Every candidate that runs is judged by the same rule.
 Leading-term approximants are never substituted silently; they live in
 expansions and must be called explicitly.
 """
@@ -129,11 +130,56 @@ def _closed_form_half_validated() -> bool:
     return True
 
 
-def _verdict(run, tol: Tolerances):
-    """Run one candidate (a no-argument call): (evaluation, None) when it
-    meets the target, otherwise (None, reason code)."""
+def _closed_form_half_evaluation(p: ShuParams, tol: Tolerances) -> Evaluation:
+    v = closed_form_half(p)
+    v, err, flags = underflow_to_zero(v, 8.0 * EPS * abs(v))
+    return Evaluation(v, err, MethodTag.CLOSED_FORM_HALF, 1, flags)
+
+
+_SKIP = "SKIP"  # a gate's answer for a candidate that does not apply; not recorded
+
+
+def _large_t_gate(p: ShuParams, tol: Tolerances):
+    """Run where the leading correction is below the target K_nu(z) sets."""
+    nu, z, t = p.order, p.argument, p.endpoint
+    if t < _LARGE_T_MIN:
+        return _SKIP
+    e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
+    if math.exp(e) < tol.target(shared(_macdonald_k_eval, nu, z)[0]):
+        return None
+    return "CORRECTION_TOO_LARGE"
+
+
+def _half_order_gate(p: ShuParams, tol: Tolerances):
+    if abs(p.order) != 0.5:
+        return _SKIP
+    return None if _closed_form_half_validated() else "VALIDATION_FAILED"
+
+
+# The candidates in decision order: (tag, reason, gate, run).  gate(p, tol)
+# returns None to run the candidate, _SKIP or a rejection reason code; what
+# runs is judged by _verdict.  The lambdas look a callee up when it runs,
+# so a rebound module name (a test's stand-in) takes effect.
+_CANDIDATES = (
+    (MethodTag.ASYMPT_LARGE_T, "LARGE_T", _large_t_gate,
+     lambda p, tol: asympt_large_t(p, tol)),
+    (MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM", _half_order_gate,
+     _closed_form_half_evaluation),
+    (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED",
+     lambda p, tol: None if 0.25 * p.argument * p.argument / p.endpoint >= _SMALL_T_EXPONENT
+     else _SKIP,
+     lambda p, tol: series_small_t(p, tol)),
+    (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED",
+     lambda p, tol: None if p.argument <= _SMALL_Z_MAX else _SKIP,
+     lambda p, tol: series_small_z(p, tol)),
+)
+
+
+def _verdict(run, p: ShuParams, tol: Tolerances):
+    """Run one candidate: (evaluation, None) when it meets the target,
+    otherwise (None, reason code)."""
     try:
-        ev = run()
+        ev = run(p, tol)
     except NonConvergence:
         return None, "NON_CONVERGENCE"
     except OverflowError:
@@ -149,11 +195,12 @@ def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDe
     """Evaluate S with the regime-switching decision procedure.
 
     Returns the evaluation together with the decision record (chosen
-    method, reason code, and any candidates tried and rejected).  A
-    candidate that does not converge, overflows, cancels or misses the
-    target (a NaN error estimate included) is rejected, and the quadrature
-    oracle is the fallback.  The procedure is deterministic and never
-    returns a leading-term approximant.
+    method, reason code, and any candidates tried and rejected).  Each
+    candidate in _CANDIDATES passes its gate first, and a gate that raises
+    propagates.  A candidate that then does not converge, overflows,
+    cancels or misses the target (a NaN error estimate included) is
+    rejected, and the quadrature oracle is the fallback.  The procedure is
+    deterministic and never returns a leading-term approximant.
 
     The call runs in a core.shared_work block, so K_nu(z) is computed at
     most once, only when the large-endpoint gate or a K-based expansion
@@ -161,42 +208,16 @@ def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDe
     """
     tol = tol or DEFAULT_TOLERANCES
     with shared_work():
-        nu, z, t = p.order, p.argument, p.endpoint
         tried = []
-
-        if t >= _LARGE_T_MIN:
-            e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
-            if math.exp(e) < tol.target(shared(_macdonald_k_eval, nu, z)[0]):
-                ev, rejection = _verdict(lambda: asympt_large_t(p, tol), tol)
-                if ev is not None:
-                    return ev, RegimeDecision(MethodTag.ASYMPT_LARGE_T, "LARGE_T", tuple(tried))
-            else:
-                rejection = "CORRECTION_TOO_LARGE"
-            tried.append((MethodTag.ASYMPT_LARGE_T, rejection))
-
-        if abs(nu) == 0.5:
-            if _closed_form_half_validated():
-                v = closed_form_half(p)
-                v, err, flags = underflow_to_zero(v, 8.0 * EPS * abs(v))
-                ev = Evaluation(v, err, MethodTag.CLOSED_FORM_HALF, 1, flags)
-                return ev, RegimeDecision(
-                    MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM", tuple(tried)
-                )
-            tried.append((MethodTag.CLOSED_FORM_HALF, "VALIDATION_FAILED"))
-
-        # named here rather than in a module-level table, so looked up at call time
-        for tag, reason, applies, run in (
-            (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED",
-             0.25 * z * z / t >= _SMALL_T_EXPONENT, lambda: series_small_t(p, tol)),
-            (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED",
-             z <= _SMALL_Z_MAX, lambda: series_small_z(p, tol)),
-        ):
-            if applies:
-                ev, rejection = _verdict(run, tol)
+        for tag, reason, gate, run in _CANDIDATES:
+            rejection = gate(p, tol)
+            if rejection == _SKIP:
+                continue
+            if rejection is None:
+                ev, rejection = _verdict(run, p, tol)
                 if ev is not None:
                     return ev, RegimeDecision(tag, reason, tuple(tried))
-                tried.append((tag, rejection))
-
+            tried.append((tag, rejection))
         ev = shu_oracle(p, tol)
         return ev, RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))
 

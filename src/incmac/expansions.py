@@ -9,7 +9,6 @@ control, exposed for the ratio-law checks and figure overlays.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_TOLERANCES,
@@ -31,7 +30,6 @@ from .core import (
 from .gamma import _macdonald_k_eval, upper_incomplete_gamma
 
 __all__ = [
-    "TruncatedSum",
     "series_small_t",
     "leading_small_t",
     "series_small_z",
@@ -42,16 +40,7 @@ __all__ = [
 ]
 
 _CANCEL_LIMIT = 1e6
-
-
-@dataclass(frozen=True)
-class TruncatedSum:
-    """A truncated series: value, terms used, last included term, tail bound."""
-
-    value: float
-    terms_used: int
-    last_term: float
-    tail_bound: float
+_MAX_TERMS = 200  # cap on the terms of every series and asymptotic sum
 
 
 def _lost_term_bound(coef: float, a: float, x: float) -> float:
@@ -76,13 +65,14 @@ def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
     factors only carry absolute 5e-324 quantization, which the growing
     coefficients amplify, and a zero factor loses its whole term (the first
     omitted one too); that loss is tracked and returned for the callers.
+    Returns (value, terms used, tail bound, peak partial sum, that loss).
     """
     total = 0.0
     peak = 0.0
     qerr = 0.0
     streak = 0
     terms = 0
-    for k in range(tol.max_terms):
+    for k in range(_MAX_TERMS):
         g = upper_incomplete_gamma(order_at(k), x)
         if 0.0 < abs(g) < TINY:
             qerr += abs(coef) * 5e-324
@@ -98,11 +88,11 @@ def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
             if streak >= 2:
                 g = upper_incomplete_gamma(order_at(terms), x)
                 tail = abs(coef * g) if g != 0.0 else _lost_term_bound(coef, order_at(terms), x)
-                return TruncatedSum(total, terms, abs(term), tail), peak, qerr
+                return total, terms, tail, peak, qerr
         else:
             streak = 0
     raise NonConvergence(
-        f"series did not converge within {tol.max_terms} terms",
+        f"series did not converge within {_MAX_TERMS} terms",
         partial=total,
         error_estimate=abs(term),
     )
@@ -119,13 +109,13 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     nu, z, t = p.order, p.argument, p.endpoint
     x0 = 0.25 * z * z / t
     coef0 = 0.5 * (0.5 * z) ** (-nu)
-    summed, peak, qerr = _series_core(coef0, -0.25 * z * z, lambda k: nu - k, x0, tol)
+    summed, terms, tail, peak, qerr = _series_core(coef0, -0.25 * z * z, lambda k: nu - k, x0, tol)
     flags = ()
-    if peak > _CANCEL_LIMIT * abs(summed.value):
+    if peak > _CANCEL_LIMIT * abs(summed):
         flags = (FLAG_CANCELLATION,)
-    err = summed.tail_bound + 32.0 * EPS * peak + qerr
-    value, err, flags = underflow_to_zero(summed.value, err, flags)
-    return Evaluation(value, err, MethodTag.SERIES_SMALL_T, summed.terms_used, flags)
+    err = tail + 32.0 * EPS * peak + qerr
+    value, err, flags = underflow_to_zero(summed, err, flags)
+    return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms, flags)
 
 
 def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
@@ -139,14 +129,14 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     nu, z, t = p.order, p.argument, p.endpoint
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
     coef0 = 0.5 * (0.5 * z) ** nu
-    summed, peak, qerr = _series_core(coef0, -0.25 * z * z, lambda k: -nu - k, t, tol)
-    value = kval - summed.value
+    summed, terms, tail, peak, qerr = _series_core(coef0, -0.25 * z * z, lambda k: -nu - k, t, tol)
+    value = kval - summed
     flags = ()
-    if max(abs(summed.value), peak) > _CANCEL_LIMIT * abs(value):
+    if max(abs(summed), peak) > _CANCEL_LIMIT * abs(value):
         flags = (FLAG_CANCELLATION,)
-    err = summed.tail_bound + kerr + 32.0 * EPS * max(peak, abs(kval)) + qerr
+    err = tail + kerr + 32.0 * EPS * max(peak, abs(kval)) + qerr
     value, err, flags = underflow_to_zero(value, err, flags)
-    return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, summed.terms_used, flags)
+    return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms, flags)
 
 
 def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
@@ -173,11 +163,11 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     kfac = 1.0
     streak = 0
     converged = False
-    for k in range(tol.max_terms):
+    for k in range(_MAX_TERMS):
         msum = 0.0
         mterm = 1.0
         omitted = None
-        for m in range(tol.max_terms + 1):
+        for m in range(_MAX_TERMS + 1):
             msum += mterm
             work += 1
             nxt = mterm * (-(nu + k + 1.0 + m) / t)
@@ -188,7 +178,7 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         if omitted is None:
             if abs(mterm) > tol.target(kval):
                 raise NonConvergence(
-                    f"no asymptotic truncation point within {tol.max_terms} terms at t={t}",
+                    f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}",
                     partial=kval - corr,
                 )
             omitted = abs(mterm)

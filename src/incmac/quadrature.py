@@ -70,7 +70,7 @@ class QuadratureResult:
 
 
 def _gk15(f, a, b):
-    """One Gauss-Kronrod 7/15 panel; returns (value, error, resabs)."""
+    """One Gauss-Kronrod 7/15 panel; returns (value, error)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
@@ -99,7 +99,7 @@ def _gk15(f, a, b):
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > TINY / (50.0 * EPS):
         err = max(EPS * 50.0 * resabs, err)
-    return value, err, resabs
+    return value, err
 
 
 def integrate_adaptive(f, a, b, tol: Tolerances = None, *, points=()) -> QuadratureResult:
@@ -154,7 +154,7 @@ def integrate_adaptive(f, a, b, tol: Tolerances = None, *, points=()) -> Quadrat
     edges = [a] + breaks + [b]
     panels = []  # [lo, hi, value, err, refinable]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, _ = _gk15(f, lo, hi)
+        val, err = _gk15(f, lo, hi)
         panels.append([lo, hi, val, err, True])
 
     subdivisions = 0
@@ -186,8 +186,8 @@ def integrate_adaptive(f, a, b, tol: Tolerances = None, *, points=()) -> Quadrat
         if not (lo < mid < hi):
             worst[4] = False  # panel at floating-point resolution
             continue
-        val1, err1, _ = _gk15(f, lo, mid)
-        val2, err2, _ = _gk15(f, mid, hi)
+        val1, err1 = _gk15(f, lo, mid)
+        val2, err2 = _gk15(f, mid, hi)
         worst[:] = [lo, mid, val1, err1, True]
         panels.append([mid, hi, val2, err2, True])
         subdivisions += 1

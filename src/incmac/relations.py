@@ -6,13 +6,15 @@ Each *_residual operation evaluates one identity left-minus-right at a
 point, normalized by the largest additive term.  Anti-circularity policy:
 the second recurrence and the finite-difference PDE mode use raw central
 differences of the quadrature oracle, never the order-shift derivative
-formula, so a sign error in that formula cannot certify itself.
+formula, so a sign error in that formula cannot certify itself.  Every
+oracle value here is taken at core.TIGHT, so that oracle noise sits well
+under the identity thresholds; no function takes a tolerance.
 """
 
 import math
 from dataclasses import dataclass
 
-from .core import TIGHT, TINY, DomainError, ShuParams, StepTooCoarse, Tolerances
+from .core import TIGHT, TINY, DomainError, ShuParams, StepTooCoarse
 from .quadrature import shu_oracle
 
 __all__ = [
@@ -57,8 +59,8 @@ class ResidualReport:
         return abs(self.residual) / self.scale
 
 
-def _S(nu: float, z: float, t: float, tol: Tolerances) -> float:
-    return shu_oracle(ShuParams(nu, z, t), tol).value
+def _S(nu: float, z: float, t: float) -> float:
+    return shu_oracle(ShuParams(nu, z, t), TIGHT).value
 
 
 def dS_dt(p: ShuParams) -> float:
@@ -77,43 +79,40 @@ def _d2S_dt2(p: ShuParams) -> float:
     return dS_dt(p) * (-1.0 + 0.25 * z * z / (t * t) - (nu + 1.0) / t)
 
 
-def dS_dz(p: ShuParams, tol: Tolerances = None) -> float:
+def dS_dz(p: ShuParams) -> float:
     """Argument derivative through the order-shift formula
     (nu/z) S_nu - S_(nu+1), both terms from the quadrature oracle."""
-    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
-    return (nu / z) * _S(nu, z, t, tol) - _S(nu + 1.0, z, t, tol)
+    return (nu / z) * _S(nu, z, t) - _S(nu + 1.0, z, t)
 
 
 def _scale(*terms: float) -> float:
     return max(max(abs(x) for x in terms), TINY)
 
 
-def recurrence1_residual(p: ShuParams, tol: Tolerances = None) -> ResidualReport:
+def recurrence1_residual(p: ShuParams) -> ResidualReport:
     """First recurrence: dS_(nu-1)/dt + S_(nu-1) - S_(nu+1) + (2 nu/z) S_nu."""
-    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     dt_term = dS_dt(ShuParams(nu - 1.0, z, t))
-    s_lo = _S(nu - 1.0, z, t, tol)
-    s_hi = _S(nu + 1.0, z, t, tol)
-    s_mid = (2.0 * nu / z) * _S(nu, z, t, tol)
+    s_lo = _S(nu - 1.0, z, t)
+    s_hi = _S(nu + 1.0, z, t)
+    s_mid = (2.0 * nu / z) * _S(nu, z, t)
     residual = dt_term + s_lo - s_hi + s_mid
     return ResidualReport("Rec1", p, residual, _scale(dt_term, s_lo, s_hi, s_mid))
 
 
-def recurrence2_residual(p: ShuParams, tol: Tolerances = None) -> ResidualReport:
+def recurrence2_residual(p: ShuParams) -> ResidualReport:
     """Second recurrence: dS_(nu-1)/dt + S_(nu-1) + S_(nu+1) + 2 dS_nu/dz.
 
     The z-derivative is a central finite difference of the oracle (step
     1e-5 z), deliberately not the order-shift formula.
     """
-    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     dt_term = dS_dt(ShuParams(nu - 1.0, z, t))
-    s_lo = _S(nu - 1.0, z, t, tol)
-    s_hi = _S(nu + 1.0, z, t, tol)
+    s_lo = _S(nu - 1.0, z, t)
+    s_hi = _S(nu + 1.0, z, t)
     h = 1e-5 * z
-    dz_fd = (_S(nu, z + h, t, tol) - _S(nu, z - h, t, tol)) / (2.0 * h)
+    dz_fd = (_S(nu, z + h, t) - _S(nu, z - h, t)) / (2.0 * h)
     residual = dt_term + s_lo + s_hi + 2.0 * dz_fd
     return ResidualReport("Rec2", p, residual, _scale(dt_term, s_lo, s_hi, 2.0 * dz_fd))
 
@@ -158,50 +157,48 @@ def _radial_lhs_with_check(g, z: float, k: int, rhs: float):
     return (4.0 * half - full) / 3.0
 
 
-def diff_relation1_residual(p: ShuParams, k: int, tol: Tolerances = None) -> ResidualReport:
+def diff_relation1_residual(p: ShuParams, k: int) -> ResidualReport:
     """k-fold radial derivative of z^nu S_nu against (-1)^k (1 + d/dt)^k
     applied to z^(nu-k) S_(nu-k); k in {0, 1, 2}."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
-    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     if k == 0:
-        val = z**nu * _S(nu, z, t, tol)
+        val = z**nu * _S(nu, z, t)
         return ResidualReport("Diff1", p, 0.0, _scale(val), k=0)
 
     def g(zz):
-        return zz**nu * _S(nu, zz, t, tol)
+        return zz**nu * _S(nu, zz, t)
 
     down = ShuParams(nu - k, z, t)
     if k == 1:
-        rhs = -(z ** (nu - 1.0)) * (_S(nu - 1.0, z, t, tol) + dS_dt(down))
+        rhs = -(z ** (nu - 1.0)) * (_S(nu - 1.0, z, t) + dS_dt(down))
     else:
         rhs = z ** (nu - 2.0) * (
-            _S(nu - 2.0, z, t, tol) + 2.0 * dS_dt(down) + _d2S_dt2(down)
+            _S(nu - 2.0, z, t) + 2.0 * dS_dt(down) + _d2S_dt2(down)
         )
     lhs = _radial_lhs_with_check(g, z, k, rhs)
     return ResidualReport("Diff1", p, lhs - rhs, _scale(lhs, rhs), k=k)
 
 
-def diff_relation2_residual(p: ShuParams, k: int, tol: Tolerances = None) -> ResidualReport:
+def diff_relation2_residual(p: ShuParams, k: int) -> ResidualReport:
     """k-fold radial derivative of S_nu / z^nu against (-1)^k S_(nu+k)/z^(nu+k)."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
-    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
     if k == 0:
-        val = _S(nu, z, t, tol) / z**nu
+        val = _S(nu, z, t) / z**nu
         return ResidualReport("Diff2", p, 0.0, _scale(val), k=0)
 
     def g(zz):
-        return _S(nu, zz, t, tol) / zz**nu
+        return _S(nu, zz, t) / zz**nu
 
-    rhs = (-1.0) ** k * _S(nu + k, z, t, tol) / z ** (nu + k)
+    rhs = (-1.0) ** k * _S(nu + k, z, t) / z ** (nu + k)
     lhs = _radial_lhs_with_check(g, z, k, rhs)
     return ResidualReport("Diff2", p, lhs - rhs, _scale(lhs, rhs), k=k)
 
 
-def pde_residual(p: ShuParams, mode: str = "exact", tol: Tolerances = None) -> ResidualReport:
+def pde_residual(p: ShuParams, mode: str = "exact") -> ResidualReport:
     """Residual of z^2 S'' + z S' - (z^2 + nu^2) S - z^2 dS/dt.
 
     mode="exact" composes the z-derivatives from the order-shift ladder
@@ -212,21 +209,20 @@ def pde_residual(p: ShuParams, mode: str = "exact", tol: Tolerances = None) -> R
     mode = mode.lower()
     if mode not in ("exact", "fd"):
         raise ValueError("mode must be 'exact' or 'fd'")
-    tol = tol or TIGHT
     nu, z, t = p.order, p.argument, p.endpoint
-    s0 = _S(nu, z, t, tol)
+    s0 = _S(nu, z, t)
     if mode == "exact":
-        ds = dS_dz(p, tol)
-        s1 = _S(nu + 1.0, z, t, tol)
-        s2 = _S(nu + 2.0, z, t, tol)
+        ds = dS_dz(p)
+        s1 = _S(nu + 1.0, z, t)
+        s2 = _S(nu + 2.0, z, t)
         d2s = -(nu / (z * z)) * s0 + (nu / z) * ds - (((nu + 1.0) / z) * s1 - s2)
     else:
         h1 = 1e-5 * z
-        ds = (_S(nu, z + h1, t, tol) - _S(nu, z - h1, t, tol)) / (2.0 * h1)
+        ds = (_S(nu, z + h1, t) - _S(nu, z - h1, t)) / (2.0 * h1)
         h2 = 1e-3 * z
-        d2_full = (_S(nu, z + h2, t, tol) - 2.0 * s0 + _S(nu, z - h2, t, tol)) / (h2 * h2)
+        d2_full = (_S(nu, z + h2, t) - 2.0 * s0 + _S(nu, z - h2, t)) / (h2 * h2)
         hh = 0.5 * h2
-        d2_half = (_S(nu, z + hh, t, tol) - 2.0 * s0 + _S(nu, z - hh, t, tol)) / (hh * hh)
+        d2_half = (_S(nu, z + hh, t) - 2.0 * s0 + _S(nu, z - hh, t)) / (hh * hh)
         d2s = (4.0 * d2_half - d2_full) / 3.0  # one Richardson step, h^4 accurate
     terms = (
         z * z * d2s,
@@ -237,19 +233,17 @@ def pde_residual(p: ShuParams, mode: str = "exact", tol: Tolerances = None) -> R
     return ResidualReport("PDE", p, math.fsum(terms), _scale(*terms), mode=mode)
 
 
-def gen_incomplete_gamma(a: float, t_g: float, z_g: float, tol: Tolerances = None) -> float:
+def gen_incomplete_gamma(a: float, t_g: float, z_g: float) -> float:
     """Generalized incomplete gamma: integral over tau in (t_g, inf) of
     tau^(a-1) e^(-tau - z_g/tau), computed as 2 z_g^(a/2) S_a(2 sqrt(z_g), z_g/t_g)."""
     if not (math.isfinite(t_g) and t_g > 0.0):
         raise DomainError("t", t_g, "must be strictly positive")
     if not (math.isfinite(z_g) and z_g > 0.0):
         raise DomainError("z", z_g, "must be strictly positive")
-    tol = tol or TIGHT
-    s = shu_oracle(ShuParams(a, 2.0 * math.sqrt(z_g), z_g / t_g), tol).value
-    return 2.0 * z_g ** (0.5 * a) * s
+    return 2.0 * z_g ** (0.5 * a) * _S(a, 2.0 * math.sqrt(z_g), z_g / t_g)
 
 
-def leaky_aquifer(a: float, z_l: float, t_l: float, tol: Tolerances = None) -> float:
+def leaky_aquifer(a: float, z_l: float, t_l: float) -> float:
     """Leaky aquifer function: integral over tau in (1, inf) of
     e^(-z_l tau - t_l/tau) / tau^(a+1), computed as
     2 (z_l/t_l)^(a/2) S_(-a)(2 sqrt(z_l t_l), t_l)."""
@@ -257,12 +251,10 @@ def leaky_aquifer(a: float, z_l: float, t_l: float, tol: Tolerances = None) -> f
         raise DomainError("z", z_l, "must be strictly positive")
     if not (math.isfinite(t_l) and t_l > 0.0):
         raise DomainError("t", t_l, "must be strictly positive")
-    tol = tol or TIGHT
-    s = shu_oracle(ShuParams(-a, 2.0 * math.sqrt(z_l * t_l), t_l), tol).value
-    return 2.0 * (z_l / t_l) ** (0.5 * a) * s
+    return 2.0 * (z_l / t_l) ** (0.5 * a) * _S(-a, 2.0 * math.sqrt(z_l * t_l), t_l)
 
 
-def incomplete_modified_bessel(a: float, z: float, t_imb: float, tol: Tolerances = None) -> float:
+def incomplete_modified_bessel(a: float, z: float, t_imb: float) -> float:
     """Truncated cosh integral (1/2) integral over tau in (t_imb, inf) of
     e^(-z cosh tau) cosh(a tau), computed as the symmetric combination
     (1/2)(S_a + S_(-a)) at endpoint z e^(-t_imb)/2."""
@@ -270,10 +262,7 @@ def incomplete_modified_bessel(a: float, z: float, t_imb: float, tol: Tolerances
         raise DomainError("z", z, "must be strictly positive")
     if not (math.isfinite(t_imb) and t_imb > 0.0):
         raise DomainError("t_imb", t_imb, "must be strictly positive")
-    tol = tol or TIGHT
     endpoint = 0.5 * z * math.exp(-t_imb)
     if endpoint == 0.0:
         return 0.0  # truncation point beyond any representable contribution
-    s_pos = shu_oracle(ShuParams(a, z, endpoint), tol).value
-    s_neg = shu_oracle(ShuParams(-a, z, endpoint), tol).value
-    return 0.5 * (s_pos + s_neg)
+    return 0.5 * (_S(a, z, endpoint) + _S(-a, z, endpoint))

@@ -136,18 +136,18 @@ def _identities(records, grid):
             for t in ts:
                 p = ShuParams(nu, z, t)
                 for rep in (
-                    recurrence1_residual(p, TIGHT),
-                    recurrence2_residual(p, TIGHT),
-                    diff_relation1_residual(p, 1, TIGHT),
-                    diff_relation1_residual(p, 2, TIGHT),
-                    diff_relation2_residual(p, 1, TIGHT),
-                    diff_relation2_residual(p, 2, TIGHT),
+                    recurrence1_residual(p),
+                    recurrence2_residual(p),
+                    diff_relation1_residual(p, 1),
+                    diff_relation1_residual(p, 2),
+                    diff_relation2_residual(p, 1),
+                    diff_relation2_residual(p, 2),
                 ):
                     name = rep.identity if rep.k is None else f"{rep.identity}_k{rep.k}"
                     records.append(_rec(name, nu, z, t, rep.residual, rep.scale))
-                rep = pde_residual(p, "exact", TIGHT)
+                rep = pde_residual(p, "exact")
                 records.append(_rec("PDE_exact", nu, z, t, rep.residual, rep.scale))
-                rep = pde_residual(p, "fd", TIGHT)
+                rep = pde_residual(p, "fd")
                 records.append(_rec("PDE_fd", nu, z, t, rep.residual, rep.scale))
 
                 s0 = shu_oracle(p, TIGHT).value
@@ -158,7 +158,7 @@ def _identities(records, grid):
                     shu_oracle(ShuParams(nu, z + h, t), TIGHT).value
                     - shu_oracle(ShuParams(nu, z - h, t), TIGHT).value
                 ) / (2.0 * h)
-                exact = dS_dz(p, TIGHT)
+                exact = dS_dz(p)
                 records.append(
                     _rec("dSdz", nu, z, t, exact - fd, max(abs(exact), abs(fd)))
                 )
@@ -202,7 +202,7 @@ def _round_trips(records):
     for a in (-0.5, 0.5, 2.0):
         for tg in (0.5, 1.0, 3.0):
             for zg in (0.5, 2.0, 5.0):
-                via_s = gen_incomplete_gamma(a, tg, zg, TIGHT)
+                via_s = gen_incomplete_gamma(a, tg, zg)
 
                 def f(u, a=a, zg=zg):
                     return math.exp((a - 1.0) * math.log(u) - u - zg / u)
@@ -216,7 +216,7 @@ def _round_trips(records):
     for a in (-0.5, 0.5, 2.0):
         for zl in (0.3, 1.0, 2.0):
             for tl in (0.5, 1.0, 3.0):
-                via_s = leaky_aquifer(a, zl, tl, TIGHT)
+                via_s = leaky_aquifer(a, zl, tl)
 
                 def f(u, a=a, zl=zl, tl=tl):
                     return math.exp(-zl * u - tl / u - (a + 1.0) * math.log(u))
@@ -230,7 +230,7 @@ def _round_trips(records):
     for a in (0.0, 1.0, 2.5):
         for z in (1.0, 3.0, 6.0):
             for ti in (0.3, 1.0, 2.0):
-                via_s = incomplete_modified_bessel(a, z, ti, TIGHT)
+                via_s = incomplete_modified_bessel(a, z, ti)
 
                 def f(u, a=a, z=z):
                     zc = z * math.cosh(u)
@@ -251,12 +251,12 @@ def _round_trips(records):
                 p = ShuParams(nu, z, t)
                 want = shu_oracle(p, TIGHT).value
                 got = 0.5 * (2.0 / z) ** nu * gen_incomplete_gamma(
-                    nu, 0.25 * z * z / t, 0.25 * z * z, TIGHT
+                    nu, 0.25 * z * z / t, 0.25 * z * z
                 )
                 records.append(
                     _rec("GenGammaInv", nu, z, t, got - want, max(abs(got), abs(want)))
                 )
-                got = 0.5 * (0.5 * z / t) ** nu * leaky_aquifer(-nu, 0.25 * z * z / t, t, TIGHT)
+                got = 0.5 * (0.5 * z / t) ** nu * leaky_aquifer(-nu, 0.25 * z * z / t, t)
                 records.append(
                     _rec("LeakyInv", nu, z, t, got - want, max(abs(got), abs(want)))
                 )

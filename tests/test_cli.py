@@ -70,10 +70,11 @@ class TestEval:
         )
         assert code == 0
         assert abs(json.loads(out)["value"] - S0_3_3) < 1e-7 * S0_3_3
-        code, _, err = _run(
-            capsys, "eval", "--nu", "0", "--z", "3", "--t", "3", "--tol", "-1"
-        )
-        assert code == 2
+        for bad in ("-1", "nan", "inf"):
+            code, _, err = _run(
+                capsys, "eval", "--nu", "0", "--z", "3", "--t", "3", "--tol", bad
+            )
+            assert code == 2, bad
 
     def test_nonconvergence_exit_three(self, capsys):
         code, out, err = _run(

@@ -85,7 +85,6 @@ class TestTolerances:
         tol = Tolerances()
         assert tol.abs_tol == 1e-12
         assert tol.rel_tol == 1e-10
-        assert tol.max_terms == 200
         assert tol.max_depth == 60
 
     def test_needs_one_positive_tolerance(self):
@@ -96,8 +95,11 @@ class TestTolerances:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Tolerances(abs_tol=-1e-3)
-        with pytest.raises(ValueError):
-            Tolerances(max_terms=0)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Tolerances(abs_tol=value)
+            with pytest.raises(ValueError):
+                Tolerances(rel_tol=value)
         with pytest.raises(ValueError):
             Tolerances(max_depth=0)
 

@@ -62,6 +62,16 @@ class TestDecisionProcedure:
         assert (MethodTag.ASYMPT_LARGE_T, "CORRECTION_TOO_LARGE") in dec.candidates_tried
         assert dec.chosen is not MethodTag.ASYMPT_LARGE_T
 
+    @pytest.mark.parametrize("rel_tol", [1e-16, 1e-12, 1e-8])
+    def test_every_returned_candidate_meets_its_target(self, rel_tol):
+        # one rule for every candidate: below 8 EPS relative the closed
+        # form's own estimate misses the target, so it steps aside too
+        tol = Tolerances(abs_tol=5e-324, rel_tol=rel_tol, max_depth=120)
+        for c in evaluate_grid(*_PATH_GRID, tol):
+            ev = c.evaluation
+            if ev is not None and ev.method is not MethodTag.ORACLE5:
+                assert ev.error_estimate <= tol.target(ev.value), (c.order, c.argument, c.endpoint)
+
     def test_chosen_never_among_rejections(self):
         for args in ((0.0, 3.0, 100.0), (1.0, 3.0, 0.2), (0.0, 3.0, 3.0), (0.0, 20.0, 30.0)):
             _, dec = evaluate(ShuParams(*args), TIGHT)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from incmac.core import DomainError, ShuParams, StepTooCoarse, Tolerances
+from incmac.core import TIGHT, DomainError, ShuParams, StepTooCoarse
 from incmac.gamma import upper_incomplete_gamma
 from incmac.quadrature import integrate_adaptive, shu_oracle
 from incmac.relations import (
@@ -17,8 +17,6 @@ from incmac.relations import (
     recurrence1_residual,
     recurrence2_residual,
 )
-
-TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
 
 def _rel(a, b):
@@ -59,19 +57,19 @@ class TestArgumentDerivative:
 
     def test_order_zero_reduces_to_shifted_value(self):
         p = ShuParams(0.0, 3.0, 3.0)
-        assert dS_dz(p, TIGHT) == -_oracle(1, 3, 3)
+        assert dS_dz(p) == -_oracle(1, 3, 3)
 
 
 class TestRecurrences:
     @pytest.mark.parametrize("nu,z,t", [(1.0, 3.0, 2.0), (0.0, 3.0, 2.0), (-0.5, 1.0, 0.5)])
     def test_first_recurrence(self, nu, z, t):
-        rep = recurrence1_residual(ShuParams(nu, z, t), TIGHT)
+        rep = recurrence1_residual(ShuParams(nu, z, t))
         assert rep.identity == "Rec1"
         assert rep.relative_residual <= 1e-8
 
     @pytest.mark.parametrize("nu,z,t", [(1.0, 3.0, 2.0), (2.0, 8.0, 1.0)])
     def test_second_recurrence(self, nu, z, t):
-        rep = recurrence2_residual(ShuParams(nu, z, t), TIGHT)
+        rep = recurrence2_residual(ShuParams(nu, z, t))
         assert rep.identity == "Rec2"
         assert rep.relative_residual <= 1e-6
 
@@ -79,12 +77,12 @@ class TestRecurrences:
         # half the difference of the two residuals is the order-shift
         # derivative formula minus the finite difference
         p = ShuParams(1.0, 3.0, 2.0)
-        r1 = recurrence1_residual(p, TIGHT)
-        r2 = recurrence2_residual(p, TIGHT)
+        r1 = recurrence1_residual(p)
+        r2 = recurrence2_residual(p)
         h = 1e-5 * p.argument
         fd = (_oracle(1, 3 + h, 2) - _oracle(1, 3 - h, 2)) / (2.0 * h)
         combo = 0.5 * (r1.residual - r2.residual)
-        assert _rel(combo, dS_dz(p, TIGHT) - fd) < 1e-6 or abs(combo) < 1e-12
+        assert _rel(combo, dS_dz(p) - fd) < 1e-6 or abs(combo) < 1e-12
 
 
 class TestDifferentialRelations:
@@ -95,12 +93,12 @@ class TestDifferentialRelations:
         assert rep.residual == 0.0
 
     def test_first_relation(self):
-        assert diff_relation1_residual(ShuParams(2.0, 3.0, 2.0), 1, TIGHT).relative_residual <= 1e-6
-        assert diff_relation1_residual(ShuParams(2.0, 3.0, 2.0), 2, TIGHT).relative_residual <= 1e-4
+        assert diff_relation1_residual(ShuParams(2.0, 3.0, 2.0), 1).relative_residual <= 1e-6
+        assert diff_relation1_residual(ShuParams(2.0, 3.0, 2.0), 2).relative_residual <= 1e-4
 
     def test_second_relation(self):
-        assert diff_relation2_residual(ShuParams(0.0, 3.0, 3.0), 1, TIGHT).relative_residual <= 1e-6
-        assert diff_relation2_residual(ShuParams(1.0, 5.0, 1.0), 2, TIGHT).relative_residual <= 1e-4
+        assert diff_relation2_residual(ShuParams(0.0, 3.0, 3.0), 1).relative_residual <= 1e-6
+        assert diff_relation2_residual(ShuParams(1.0, 5.0, 1.0), 2).relative_residual <= 1e-4
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -110,25 +108,25 @@ class TestDifferentialRelations:
         # z/2t = 40 makes the stated second-difference step fail its
         # halving check rather than return a silently wrong residual
         with pytest.raises(StepTooCoarse):
-            diff_relation1_residual(ShuParams(0.0, 8.0, 0.1), 2, TIGHT)
+            diff_relation1_residual(ShuParams(0.0, 8.0, 0.1), 2)
 
 
 class TestPde:
     def test_exact_mode(self):
-        rep = pde_residual(ShuParams(0.0, 3.0, 3.0), "exact", TIGHT)
+        rep = pde_residual(ShuParams(0.0, 3.0, 3.0), "exact")
         assert rep.identity == "PDE"
         assert rep.mode == "exact"
         assert rep.relative_residual <= 1e-8
 
     def test_fd_mode_confirms_independently(self):
-        rep = pde_residual(ShuParams(0.0, 3.0, 3.0), "fd", TIGHT)
+        rep = pde_residual(ShuParams(0.0, 3.0, 3.0), "fd")
         assert rep.relative_residual <= 1e-5
 
     def test_exact_mode_grid(self):
         worst = 0.0
         for nu in (-0.5, 0.0, 2.0):
             for z, t in ((1.0, 0.5), (3.0, 2.0), (8.0, 10.0)):
-                rep = pde_residual(ShuParams(nu, z, t), "exact", TIGHT)
+                rep = pde_residual(ShuParams(nu, z, t), "exact")
                 worst = max(worst, rep.relative_residual)
         assert worst <= 1e-7
 
@@ -207,6 +205,6 @@ class TestIncompleteModifiedBessel:
 
 
 def test_residual_report_invariants():
-    rep = recurrence1_residual(ShuParams(1.0, 3.0, 2.0), TIGHT)
+    rep = recurrence1_residual(ShuParams(1.0, 3.0, 2.0))
     assert rep.scale > 0.0
     assert rep.relative_residual == abs(rep.residual) / rep.scale

@@ -72,14 +72,12 @@ def test_sign_fault_is_localized(monkeypatch, battery):
     the checks that compare against raw finite differences, while the
     recurrence checks that never use the formula keep passing."""
 
-    def broken(p: ShuParams, tol=None):
-        from incmac.core import TIGHT
+    def broken(p: ShuParams):
         from incmac.relations import _S
 
         nu, z, t = p.order, p.argument, p.endpoint
-        tol = tol or TIGHT
         # flipped sign on the shifted-order term
-        return (nu / z) * _S(nu, z, t, tol) + _S(nu + 1.0, z, t, tol)
+        return (nu / z) * _S(nu, z, t) + _S(nu + 1.0, z, t)
 
     monkeypatch.setattr(incmac.relations, "dS_dz", broken)
     monkeypatch.setattr(incmac.verification, "dS_dz", broken)
