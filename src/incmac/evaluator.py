@@ -30,7 +30,7 @@ from .core import (
     validate,
 )
 from .expansions import asympt_large_t, series_small_t, series_small_z
-from .gamma import _macdonald_k_eval
+from .gamma import _legendre_cf, _macdonald_k_eval
 from .quadrature import shu_oracle
 
 __all__ = [
@@ -71,50 +71,47 @@ class GridCell:
 
 
 def _erfcx(x: float) -> float:
-    """Scaled complementary error function e^(x^2) erfc(x) for x >= 0."""
+    """Scaled complementary error function e^(x^2) erfc(x) for x >= 0, from
+    erfc(x) = Gamma(1/2, x^2)/sqrt(pi) at x >= 2.5.  Above 1e8 (x^2
+    overflows past 1.3e154) the correction 1/(2x^2) to 1/(x sqrt(pi)) is
+    below EPS."""
     if x < 2.5:
         return math.exp(x * x) * math.erfc(x)
-    # Laplace continued fraction, modified Lentz; ~20 terms at x = 2.5
-    tiny = 1e-300
-    b = x
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    n = 0.0
-    for _ in range(200):
-        n += 0.5
-        d = n * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + n / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= EPS:
-            break
-    return h / _SQRT_PI
+    if x > 1e8:
+        return 1.0 / (x * _SQRT_PI)
+    return x * _legendre_cf(0.5, x * x) / _SQRT_PI
 
 
-def closed_form_half(p: ShuParams) -> float:
-    """Closed form for order +-1/2 in terms of erfc.
-
-    Scaled-erfc evaluation keeps both terms alive when the plain product
-    e^z erfc(z/(2 sqrt t) + sqrt t) would underflow.
-    """
+def _closed_form_half_eval(p: ShuParams):
+    """The order +-1/2 closed form and an absolute bound on its rounding:
+    a few EPS per erfc, square root and prefactor; 1.5 EPS |e| from the
+    exponent e, common to the terms built on e^e; and 1.5 EPS xp from xm,
+    times erfc's relative slope min(1.5, 1/|xm|)."""
     nu, z, t = p.order, p.argument, p.endpoint
     if abs(nu) != 0.5:
         raise ValueError(f"closed form only holds at order +-1/2, got {nu}")
     st = math.sqrt(t)
     xm = 0.5 * z / st - st
     xp = 0.5 * z / st + st
-    shared = math.exp(-0.25 * z * z / t - t)  # equals e^(-z - xm^2) and e^(z - xp^2)
+    e = -0.25 * z * z / t - t
+    shared = math.exp(e)  # equals e^(-z - xm^2) and e^(z - xp^2)
     term_m = shared * _erfcx(xm) if xm >= 0.0 else math.exp(-z) * math.erfc(xm)
     term_p = shared * _erfcx(xp)
     if nu > 0.0:
-        return 0.5 * math.sqrt(0.5 * z) * (_SQRT_PI / z) * (term_m + term_p)
-    return 0.5 * math.sqrt(2.0 / z) * (0.5 * _SQRT_PI) * (term_m - term_p)
+        pref = 0.5 * math.sqrt(0.5 * z) * (_SQRT_PI / z)
+        both = term_m + term_p
+    else:
+        pref = 0.5 * math.sqrt(2.0 / z) * (0.5 * _SQRT_PI)
+        both = term_m - term_p
+    on_e = abs(both) if xm >= 0.0 else term_p
+    err = 16.0 * (term_m + term_p) + 2.0 * abs(e) * on_e + 3.0 * xp / max(1.0, abs(xm)) * term_m
+    return pref * both, EPS * pref * err
+
+
+def closed_form_half(p: ShuParams) -> float:
+    """Closed form for order +-1/2 in terms of erfc; scaled erfc keeps both
+    terms alive where e^z erfc(z/(2 sqrt t) + sqrt t) would underflow."""
+    return _closed_form_half_eval(p)[0]
 
 
 @lru_cache(maxsize=1)
@@ -131,8 +128,7 @@ def _closed_form_half_validated() -> bool:
 
 
 def _closed_form_half_evaluation(p: ShuParams, tol: Tolerances) -> Evaluation:
-    v = closed_form_half(p)
-    v, err, flags = underflow_to_zero(v, 8.0 * EPS * abs(v))
+    v, err, flags = underflow_to_zero(*_closed_form_half_eval(p))
     return Evaluation(v, err, MethodTag.CLOSED_FORM_HALF, 1, flags)
 
 

@@ -27,7 +27,7 @@ from .core import (
     shared,
     underflow_to_zero,
 )
-from .gamma import _macdonald_k_eval, upper_incomplete_gamma
+from .gamma import _asymptotic_sum, _macdonald_k_eval, upper_incomplete_gamma
 
 __all__ = [
     "series_small_t",
@@ -56,10 +56,10 @@ def _lost_term_bound(coef: float, a: float, x: float) -> float:
     return math.exp(log_bound) if log_bound > LOG_TINY else 0.0
 
 
-def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
+def _series_core(coef: float, step: float, a0: float, x: float, tol: Tolerances):
     """Shared loop for the two convergent expansions.
 
-    Terms are coef_k * Gamma(order_at(k), x) with coef_{k+1} = coef_k * step/(k+1).
+    Terms are coef_k * Gamma(a0 - k, x) with coef_{k+1} = coef_k * step/(k+1).
     Stops only after two consecutive terms fall below the target; alternating
     sums can produce an accidentally tiny single term.  Subnormal gamma
     factors only carry absolute 5e-324 quantization, which the growing
@@ -73,11 +73,11 @@ def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
     streak = 0
     terms = 0
     for k in range(_MAX_TERMS):
-        g = upper_incomplete_gamma(order_at(k), x)
+        g = upper_incomplete_gamma(a0 - k, x)
         if 0.0 < abs(g) < TINY:
             qerr += abs(coef) * 5e-324
         elif g == 0.0:
-            qerr += _lost_term_bound(coef, order_at(k), x)
+            qerr += _lost_term_bound(coef, a0 - k, x)
         term = coef * g
         total += term
         terms += 1
@@ -86,8 +86,8 @@ def _series_core(coef: float, step: float, order_at, x: float, tol: Tolerances):
         if abs(term) < tol.target(total):
             streak += 1
             if streak >= 2:
-                g = upper_incomplete_gamma(order_at(terms), x)
-                tail = abs(coef * g) if g != 0.0 else _lost_term_bound(coef, order_at(terms), x)
+                g = upper_incomplete_gamma(a0 - terms, x)
+                tail = abs(coef * g) if g != 0.0 else _lost_term_bound(coef, a0 - terms, x)
                 return total, terms, tail, peak, qerr
         else:
             streak = 0
@@ -109,7 +109,7 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     nu, z, t = p.order, p.argument, p.endpoint
     x0 = 0.25 * z * z / t
     coef0 = 0.5 * (0.5 * z) ** (-nu)
-    summed, terms, tail, peak, qerr = _series_core(coef0, -0.25 * z * z, lambda k: nu - k, x0, tol)
+    summed, terms, tail, peak, qerr = _series_core(coef0, -0.25 * z * z, nu, x0, tol)
     flags = ()
     if peak > _CANCEL_LIMIT * abs(summed):
         flags = (FLAG_CANCELLATION,)
@@ -129,7 +129,7 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     nu, z, t = p.order, p.argument, p.endpoint
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
     coef0 = 0.5 * (0.5 * z) ** nu
-    summed, terms, tail, peak, qerr = _series_core(coef0, -0.25 * z * z, lambda k: -nu - k, t, tol)
+    summed, terms, tail, peak, qerr = _series_core(coef0, -0.25 * z * z, -nu, t, tol)
     value = kval - summed
     flags = ()
     if max(abs(summed), peak) > _CANCEL_LIMIT * abs(value):
@@ -144,8 +144,9 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
 
     The inner sum (powers of 1/t) is asymptotic and truncated at its
     smallest term; the outer sum (powers of (z/2)^2/t) is convergent and
-    truncated on term smallness.  The reported tail bound is the largest
-    first-omitted inner term over the retained outer terms, plus the first
+    truncated on term smallness.  The reported tail bound is the sum over
+    the retained outer terms of their first omitted inner terms (the
+    inner truncation errors add up in the correction), plus the first
     omitted outer term.
     """
     tol = tol or DEFAULT_TOLERANCES
@@ -162,38 +163,26 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     work = 0
     kfac = 1.0
     streak = 0
-    converged = False
     for k in range(_MAX_TERMS):
-        msum = 0.0
-        mterm = 1.0
-        omitted = None
-        for m in range(_MAX_TERMS + 1):
-            msum += mterm
-            work += 1
-            nxt = mterm * (-(nu + k + 1.0 + m) / t)
-            if abs(nxt) >= abs(mterm):
-                omitted = abs(nxt)
-                break
-            mterm = nxt
-        if omitted is None:
-            if abs(mterm) > tol.target(kval):
-                raise NonConvergence(
-                    f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}",
-                    partial=kval - corr,
-                )
-            omitted = abs(mterm)
+        # Gamma(-nu-k, t) t^(nu+k+1) e^t, truncated at its smallest term
+        msum, mterms, omitted, smallest = _asymptotic_sum(nu + k + 1.0, t, _MAX_TERMS + 1)
+        work += mterms
+        if not smallest and omitted > tol.target(kval):
+            raise NonConvergence(
+                f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}",
+                partial=kval - corr,
+            )
         kterm = base * kfac * msum
         corr += kterm
-        tail = max(tail, base * abs(kfac) * omitted)
+        tail += base * abs(kfac) * omitted
         kfac *= -0.25 * z * z / ((k + 1.0) * t)
         if abs(kterm) < tol.target(kval - corr):
             streak += 1
             if streak >= 2:
-                converged = True
                 break
         else:
             streak = 0
-    if not converged:
+    else:
         raise NonConvergence("outer expansion did not converge", partial=kval - corr)
     value = kval - corr
     err = kerr + tail + base * abs(kfac) + 16.0 * EPS * (abs(kval) + abs(corr))

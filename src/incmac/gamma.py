@@ -4,8 +4,9 @@ Provides the gamma function, the (non-regularized) upper incomplete gamma
 function at any real order, its large-argument asymptotic sum, Pochhammer
 products, and the Macdonald function K to full double precision by
 Temme's series, Steed's continued fraction and forward recurrence in
-order.  Nothing here integrates: the quadrature oracle stays an
-independent check on every value.
+order.  No other module evaluates an incomplete gamma.  Nothing here
+integrates: the quadrature oracle stays an independent check on every
+value.
 """
 
 import math
@@ -101,10 +102,10 @@ def _e1_series(x: float) -> float:
     raise NonConvergence(f"E1 series stalled at x={x}", partial=total)
 
 
-def _upper_cf(a: float, x: float) -> float:
-    # Legendre continued fraction in modified Lentz form; valid for any real
-    # order once x is away from 0, including the negative orders the series
-    # expansions request
+def _legendre_cf(a: float, x: float) -> float:
+    # Legendre continued fraction h with Gamma(a, x) = x^a e^-x h, modified
+    # Lentz form; valid for any real order once x is away from 0.  The
+    # caller applies the prefactor; erfc uses it at a = 1/2
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -123,10 +124,7 @@ def _upper_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) <= EPS:
-            e = a * math.log(x) - x
-            if e < EXP_FLOOR:
-                return 0.0
-            return math.exp(e) * h
+            return h
     raise NonConvergence(f"incomplete gamma continued fraction stalled at a={a}, x={x}")
 
 
@@ -151,7 +149,10 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     if a > 0.0 and (x < _X_SPLIT or x < a + 1.0):
         return _upper_from_series(a, x)
     if x >= _X_SPLIT:
-        return _upper_cf(a, x)
+        e = a * math.log(x) - x
+        if e < EXP_FLOOR:
+            return 0.0
+        return math.exp(e) * _legendre_cf(a, x)
     frac = a - math.floor(a)
     if frac == 0.0:
         g = _e1_series(x)
@@ -167,6 +168,21 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     return g
 
 
+def _asymptotic_sum(b: float, x: float, cap: int):
+    """sum_m (-1)^m (b)_m x^-m ~ Gamma(1-b, x) x^b e^x for large x, divergent,
+    so stopped at its smallest term or after cap terms.  Returns (sum,
+    terms, |first omitted term|, whether it stopped at the smallest term)."""
+    total = 0.0
+    term = 1.0
+    for m in range(cap):
+        total += term
+        nxt = term * (-(b + m) / x)
+        if abs(nxt) >= abs(term):
+            return total, m + 1, abs(nxt), True
+        term = nxt
+    return total, cap, abs(term), False
+
+
 def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
     """Large-argument asymptotic sum for Gamma(a, x).
 
@@ -179,18 +195,10 @@ def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
         raise DomainError("x", x, "must be strictly positive")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    total = 1.0
-    term = 1.0
-    for m in range(1, m_max + 1):
-        nxt = term * (-(1.0 - a + (m - 1)) / x)
-        if abs(nxt) >= abs(term):
-            break  # past the optimal truncation point
-        total += nxt
-        term = nxt
     e = (a - 1.0) * math.log(x) - x
     if e < EXP_FLOOR:
         return 0.0
-    return math.exp(e) * total
+    return math.exp(e) * _asymptotic_sum(1.0 - a, x, m_max + 1)[0]
 
 
 def pochhammer(a: float, m: int) -> float:

@@ -60,3 +60,16 @@ GAMMA_SERIES_SIDE = {
     (15.0, 1.6): 87178291182.76991,
     (10.0, 2.0): 362863.12677853776,
 }
+
+# S at the order +-1/2 pair where the closed form's erfc difference cancels
+# most on the grid-table sweeps, and at two large-endpoint points.  The
+# first two are the closed form in mpmath at 50 and 70 digits, the last
+# two K minus the integral beyond t in mpmath at 40 and 60 digits; each
+# agreed to 20 digits with Gauss-Legendre quadrature of the defining
+# integral over [0, t], and is rounded to double
+S_HIGH_PRECISION = {
+    (-0.5, 12.48897467349754, 0.06231727387915222): 1.330913971771554e-276,
+    (0.5, 12.48897467349754, 0.06231727387915222): 1.3357655934115015e-274,
+    (-2.551122338010126, 29.859251913644236, 37.407779231001925): 2.7388098892207012e-14,
+    (-0.20319671806813133, 23.093510210467603, 35.76121889206547): 2.4266610059155894e-11,
+}

@@ -18,7 +18,7 @@ from incmac.evaluator import (
 from incmac.gamma import macdonald_k
 from incmac.quadrature import shu_oracle, shu_oracle_cosh
 
-from frozen import K_REF, S0_3_3, S_HALF_GRID
+from frozen import K_REF, S0_3_3, S_HALF_GRID, S_HIGH_PRECISION
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -265,6 +265,20 @@ class TestClosedFormHalf:
         x = 100.0
         asym = (1.0 - 0.5 / x**2 + 0.75 / x**4 - 1.875 / x**6) / (x * math.sqrt(math.pi))
         assert _rel(_erfcx(x), asym) < 1e-12
+
+    def test_scaled_erfc_beyond_square_overflow(self):
+        # x^2 overflows past about 1.3e154; the leading term holds there
+        for x in (1e8, 1e200):
+            assert math.isfinite(_erfcx(x))
+            assert _rel(_erfcx(x), 1.0 / (x * math.sqrt(math.pi))) < 1e-15
+
+    @pytest.mark.parametrize("point", [p for p in S_HIGH_PRECISION if abs(p[0]) == 0.5])
+    def test_error_estimate_covers_cancellation(self, point):
+        # the rounding of the exponent -z^2/4t - t (626 here) and the
+        # hundredfold cancellation of the order -1/2 difference both count
+        ev, dec = evaluate(ShuParams(*point), TIGHT)
+        assert dec.chosen is MethodTag.CLOSED_FORM_HALF
+        assert abs(ev.value - S_HIGH_PRECISION[point]) <= ev.error_estimate
 
     @pytest.mark.parametrize(
         "point",

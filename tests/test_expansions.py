@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ from incmac.expansions import (
 from incmac.gamma import macdonald_k, upper_incomplete_gamma
 from incmac.quadrature import integrate_adaptive, shu_oracle
 
-from frozen import S0_3_3
+from frozen import S0_3_3, S_HIGH_PRECISION
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -68,7 +69,7 @@ class TestSeriesSmallT:
         # in the tail bound.  Each term is at least half of
         # 1e300 e^-800 / (800 k!), since Gamma(-k, x) ~ x^(-k-1) e^-x.
         assert upper_incomplete_gamma(0.0, 800.0) == 0.0
-        value, terms, tail, _, qerr = _series_core(1e300, 800.0, lambda k: -float(k), 800.0, TIGHT)
+        value, terms, tail, _, qerr = _series_core(1e300, 800.0, 0.0, 800.0, TIGHT)
         assert (value, terms) == (0.0, 2)
         lost = [math.exp(math.log(0.5e300 / math.factorial(k)) - math.log(800.0) - 800.0)
                 for k in range(3)]
@@ -114,6 +115,22 @@ class TestAsymptLargeT:
         assert _rel(ev.value, oracle) < 5e-9
         assert abs(ev.value - oracle) < abs(kval - oracle)
         assert abs(ev.value - oracle) <= 3.0 * ev.error_estimate
+
+    @pytest.mark.parametrize("point", [p for p in S_HIGH_PRECISION if p[2] >= 30.0])
+    def test_tail_bound_against_high_precision(self, point):
+        # the inner truncation errors of all outer terms add up
+        ev = asympt_large_t(ShuParams(*point), TIGHT)
+        assert abs(ev.value - S_HIGH_PRECISION[point]) <= ev.error_estimate
+
+    def test_agrees_with_small_argument_series(self):
+        # both sum (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu-k, t), the
+        # small-argument series exactly and this path asymptotically in t,
+        # so at t >= 30 they agree within their joint error
+        rng = random.Random(2020)
+        for _ in range(300):
+            p = ShuParams(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 30.0), rng.uniform(30.0, 40.0))
+            a, b = asympt_large_t(p, TIGHT), series_small_z(p, TIGHT)
+            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, p
 
     def test_leading_correction_scale(self):
         # the first correction term dominates the K - S gap within factor 2

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from incmac.core import DomainError, NonConvergence, PoleError, ShuParams, Tolerances
 from incmac.expansions import series_small_z
 from incmac.gamma import (
+    _asymptotic_sum,
     _macdonald_k_eval,
     gamma,
     incomplete_gamma_asymptotic,
@@ -162,6 +163,22 @@ class TestIncompleteGammaAsymptotic:
     def test_domain(self):
         with pytest.raises(DomainError):
             incomplete_gamma_asymptotic(1.0, -1.0, 4)
+
+    def test_sum_stops_before_its_smallest_term_grows(self):
+        # terms (-1)^m (1/2)_m 10^-m shrink while (1/2 + m)/10 < 1, so the
+        # sum keeps m = 0..10 and the first omitted term is 1.05 times the last
+        terms = [1.0]
+        for m in range(11):
+            terms.append(terms[-1] * -(0.5 + m) / 10.0)
+        total, used, omitted, smallest = _asymptotic_sum(0.5, 10.0, 50)
+        assert (used, smallest) == (11, True)
+        assert _rel(total, sum(terms[:11])) < 1e-15
+        assert _rel(omitted, abs(terms[11])) < 1e-15
+        # a cap reached first reports the next term, which is not smallest
+        total, used, omitted, smallest = _asymptotic_sum(0.5, 10.0, 3)
+        assert (used, smallest) == (3, False)
+        assert _rel(total, sum(terms[:3])) < 1e-15
+        assert _rel(omitted, abs(terms[3])) < 1e-15
 
 
 class TestPochhammer:
