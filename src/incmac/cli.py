@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 
-from .core import TIGHT, DomainError, NearPoleWarning, NonConvergence, ShuParams, Tolerances, shared, shared_work, validate
+from .core import EPS, TIGHT, DomainError, NearPoleWarning, NonConvergence, ShuParams, Tolerances, shared, shared_work, validate
 from .evaluator import evaluate, evaluate_grid
 from .expansions import asympt_large_t, leading_large_z, leading_small_t, leading_small_z, series_small_t, series_small_z
 from .gamma import _macdonald_k_eval
@@ -60,6 +60,9 @@ def _tolerances(args) -> Tolerances:
         raise DomainError("tol", rel, "must be finite")
     if rel <= 0.0:
         raise DomainError("tol", rel, "must be strictly positive")
+    if rel < EPS:
+        # no path resolves a value more finely; the oracle would only fail to converge
+        raise DomainError("tol", rel, f"must be at least the double resolution {EPS:.3g}")
     return dataclasses.replace(TIGHT, rel_tol=rel)
 
 

@@ -26,7 +26,7 @@ from .core import (
     underflow_to_zero,
 )
 
-__all__ = ["QuadratureResult", "integrate_adaptive", "shu_oracle", "shu_oracle_cosh"]
+__all__ = ["QuadratureResult", "integrate_adaptive", "require_converged", "shu_oracle", "shu_oracle_cosh"]
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
 # Nodes in descending order; the Gauss nodes are indices 1, 3, 5 and the
@@ -193,6 +193,18 @@ def integrate_adaptive(f, a, b, tol: Tolerances = None, *, points=()) -> Quadrat
         subdivisions += 1
 
 
+def require_converged(res: QuadratureResult) -> QuadratureResult:
+    """res itself once it has converged; otherwise raises NonConvergence
+    carrying its partial value, so no reference integral is used unchecked."""
+    if not res.converged:
+        raise NonConvergence(
+            f"quadrature did not converge (error estimate {res.error_estimate:.3e})",
+            partial=res.value,
+            error_estimate=res.error_estimate,
+        )
+    return res
+
+
 def _log_value_bound(p: ShuParams) -> float:
     """Log-scale bound on the function value, from the y-form integrand peak."""
     nu, z = p.order, p.argument
@@ -204,53 +216,7 @@ def _log_value_bound(p: ShuParams) -> float:
     return log_pref + (nu - 1.0) * math.log(y) - y - c / y
 
 
-def _underflows(p: ShuParams) -> bool:
-    # peak * generous-width still below the smallest normal
-    return _log_value_bound(p) + 12.0 < LOG_TINY
-
-
-def _zero_eval(tag: MethodTag) -> Evaluation:
-    return Evaluation(0.0, 0.0, tag, 0, flags=(FLAG_UNDERFLOW,))
-
-
-def _finish(res: QuadratureResult, tag: MethodTag) -> Evaluation:
-    if not res.converged:
-        raise NonConvergence(
-            f"quadrature did not converge (error estimate {res.error_estimate:.3e})",
-            partial=res.value,
-            error_estimate=res.error_estimate,
-        )
-    value, err, flags = underflow_to_zero(res.value, res.error_estimate)
-    return Evaluation(value, err, tag, res.subdivisions, flags)
-
-
-def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluation:
-    """Reference value of S by adaptive quadrature.
-
-    form=5 (default) integrates the reflected representation
-    (1/2)(2/z)^nu * integral over y in (z^2/4t, inf) of y^(nu-1) e^(-y - z^2/4y);
-    its integrand is smooth with plain e^-y decay and the moving endpoint is
-    interior-safe.  form=2 integrates the defining endpoint representation on
-    (0, t] as an independent cross-check; its left end is clamped where the
-    essential factor e^(-z^2/4tau) alone is far below the smallest double,
-    which provably contributes less than any representable tolerance.
-    Inside a core.shared_work block (evaluate, evaluate_grid, the figure
-    sweeps, run_verification) each distinct (p, tol, form) is integrated once.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    if form == 5:
-        oracle = _oracle_y_form
-    elif form == 2:
-        oracle = _oracle_endpoint_form
-    else:
-        raise ValueError("form must be 2 or 5")
-    return shared(oracle, p, tol)
-
-
-def _oracle_y_form(p: ShuParams, tol: Tolerances) -> Evaluation:
-    nu, z, t = p.order, p.argument, p.endpoint
-    if _underflows(p):
-        return _zero_eval(MethodTag.ORACLE5)
+def _y_form(nu, z, t):
     c = 0.25 * z * z
     y0 = c / t
     log_pref = nu * math.log(2.0 / z) - math.log(2.0)
@@ -259,15 +225,11 @@ def _oracle_y_form(p: ShuParams, tol: Tolerances) -> Evaluation:
         return math.exp(log_pref + (nu - 1.0) * math.log(y) - y - c / y)
 
     ystar = 0.5 * ((nu - 1.0) + math.hypot(nu - 1.0, 2.0 * math.sqrt(c)))
-    pts = [y for y in (ystar, y0 + 0.5, y0 + 2.0, y0 + 10.0, y0 + 50.0) if y > y0]
-    res = integrate_adaptive(f, y0, math.inf, tol, points=pts)
-    return _finish(res, MethodTag.ORACLE5)
+    return f, y0, math.inf, (ystar, y0 + 0.5, y0 + 2.0, y0 + 10.0, y0 + 50.0)
 
 
-def _oracle_endpoint_form(p: ShuParams, tol: Tolerances) -> Evaluation:
-    nu, z, t = p.order, p.argument, p.endpoint
-    if _underflows(p):
-        return _zero_eval(MethodTag.ORACLE2)
+def _endpoint_form(nu, z, t):
+    # (1/2)(z/2)^nu * integral over tau in (0, t] of tau^(-nu-1) e^(-tau - z^2/4tau)
     c = 0.25 * z * z
     log_pref = nu * math.log(0.5 * z) - math.log(2.0)
 
@@ -277,29 +239,16 @@ def _oracle_endpoint_form(p: ShuParams, tol: Tolerances) -> Evaluation:
     tau_lo = c / 760.0  # e^(-z^2/4tau) alone is ~1e-330 left of here
     tau_hi = min(t, 775.0)  # e^-tau alone underflows right of here
     if tau_lo >= tau_hi:  # only possible deep in the underflow region
-        return _zero_eval(MethodTag.ORACLE2)
+        return None
     taustar = 0.5 * (-(nu + 1.0) + math.hypot(nu + 1.0, 2.0 * math.sqrt(c)))
     ratio = tau_hi / tau_lo
-    pts = [tau_lo * ratio**0.25, tau_lo * ratio**0.5, tau_lo * ratio**0.75, taustar]
-    pts = [x for x in pts if tau_lo < x < tau_hi]
-    res = integrate_adaptive(f, tau_lo, tau_hi, tol, points=pts)
-    return _finish(res, MethodTag.ORACLE2)
+    return f, tau_lo, tau_hi, (tau_lo * ratio**0.25, tau_lo * ratio**0.5, tau_lo * ratio**0.75, taustar)
 
 
-def shu_oracle_cosh(p: ShuParams, tol: Tolerances = None) -> Evaluation:
-    """S through the cosh representation (1/2) integral over w in
-    (ln(z/2t), inf) of e^(-z cosh w + nu w); independent cross-check of
-    shu_oracle.
-
-    The lower endpoint may be negative (z < 2t); the integrand stays
-    integrable because cosh dominates the linear term.  Both tails are
-    truncated where the exponent is far below the underflow threshold.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    nu, z, t = p.order, p.argument, p.endpoint
-    if _underflows(p):
-        return _zero_eval(MethodTag.ORACLE4)
-
+def _cosh_form(nu, z, t):
+    # (1/2) * integral over w in (ln(z/2t), inf) of e^(-z cosh w + nu w); the
+    # lower end may be negative, and both tails are truncated where the
+    # exponent is far below the underflow threshold
     def f(w):
         return math.exp(nu * w - z * math.cosh(w) - math.log(2.0))
 
@@ -313,7 +262,53 @@ def shu_oracle_cosh(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         while z * math.cosh(v) + nu * v < 780.0:
             v += 1.0
         lo = max(w0, -v)
-    wstar = math.asinh(nu / z)
-    pts = [w for w in (wstar, 0.0, lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)) if lo < w < hi]
-    res = integrate_adaptive(f, lo, hi, tol, points=pts)
-    return _finish(res, MethodTag.ORACLE4)
+    return f, lo, hi, (math.asinh(nu / z), 0.0, lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo))
+
+
+# form -> (method tag, setup); a setup maps (nu, z, t) to (integrand, lo, hi,
+# breakpoints), or to None where its interval is empty
+_FORMS = {
+    5: (MethodTag.ORACLE5, _y_form),
+    2: (MethodTag.ORACLE2, _endpoint_form),
+    4: (MethodTag.ORACLE4, _cosh_form),
+}
+
+
+def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluation:
+    """Reference value of S by adaptive quadrature of one of its integral forms.
+
+    form=5 (default) integrates the reflected representation
+    (1/2)(2/z)^nu * integral over y in (z^2/4t, inf) of y^(nu-1) e^(-y - z^2/4y);
+    its integrand is smooth with plain e^-y decay and the moving endpoint is
+    interior-safe.  form=2 integrates the defining endpoint representation on
+    (0, t] as an independent cross-check; its left end is clamped where the
+    essential factor e^(-z^2/4tau) alone is far below the smallest double,
+    which provably contributes less than any representable tolerance.
+    form=4 integrates the cosh representation (see shu_oracle_cosh).
+    A value below the smallest normal double is returned as 0.0 flagged
+    underflow_to_zero; a quadrature that does not converge raises
+    NonConvergence.  Inside a core.shared_work block (evaluate,
+    evaluate_grid, the figure sweeps, run_verification) each distinct
+    (p, tol, form) is integrated once.
+    """
+    if form not in _FORMS:
+        raise ValueError("form must be 2, 4 or 5")
+    return shared(_oracle, p, tol or DEFAULT_TOLERANCES, form)
+
+
+def shu_oracle_cosh(p: ShuParams, tol: Tolerances = None) -> Evaluation:
+    """S through the cosh representation (1/2) integral over w in
+    (ln(z/2t), inf) of e^(-z cosh w + nu w): shu_oracle(p, tol, form=4)."""
+    return shared(_oracle, p, tol or DEFAULT_TOLERANCES, 4)
+
+
+def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:
+    tag, setup = _FORMS[form]
+    # peak times a generous width still below the smallest normal
+    span = None if _log_value_bound(p) + 12.0 < LOG_TINY else setup(p.order, p.argument, p.endpoint)
+    if span is None:
+        return Evaluation(0.0, 0.0, tag, 0, flags=(FLAG_UNDERFLOW,))
+    f, lo, hi, pts = span
+    res = require_converged(integrate_adaptive(f, lo, hi, tol, points=pts))
+    value, err, flags = underflow_to_zero(res.value, res.error_estimate)
+    return Evaluation(value, err, tag, res.subdivisions, flags)

@@ -18,8 +18,10 @@ from .expansions import (
     leading_small_z,
 )
 from .gamma import macdonald_k
-from .quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
+from .quadrature import integrate_adaptive, require_converged, shu_oracle
 from .relations import (
+    _S,
+    _scale,
     dS_dt,
     dS_dz,
     diff_relation1_residual,
@@ -112,7 +114,7 @@ def _tail_gap(nu: float, z: float, t: float) -> float:
 
     hi = min(t + 740.0, 1e30)
     pts = (t + 1.0, t + 5.0, t + 25.0, t + 125.0)
-    return integrate_adaptive(f, t, hi, TIGHT, points=pts).value
+    return require_converged(integrate_adaptive(f, t, hi, TIGHT, points=pts)).value
 
 
 def _three_form(records, grid):
@@ -121,12 +123,11 @@ def _three_form(records, grid):
         for z in zs:
             for t in ts:
                 p = ShuParams(nu, z, t)
-                v5 = shu_oracle(p, TIGHT).value
+                v5 = _S(nu, z, t)
                 v2 = shu_oracle(p, TIGHT, form=2).value
-                v4 = shu_oracle_cosh(p, TIGHT).value
+                v4 = shu_oracle(p, TIGHT, form=4).value
                 worst = max(abs(v5 - v2), abs(v5 - v4), abs(v2 - v4))
-                scale = max(abs(v5), abs(v2), abs(v4), 2.3e-308)
-                records.append(_rec("ThreeForm", nu, z, t, worst, scale))
+                records.append(_rec("ThreeForm", nu, z, t, worst, _scale(v5, v2, v4)))
 
 
 def _identities(records, grid):
@@ -150,35 +151,24 @@ def _identities(records, grid):
                 rep = pde_residual(p, "fd")
                 records.append(_rec("PDE_fd", nu, z, t, rep.residual, rep.scale))
 
-                s0 = shu_oracle(p, TIGHT).value
+                s0 = _S(nu, z, t)
 
                 # order-shift z-derivative against a raw central difference
                 h = 1e-5 * z
-                fd = (
-                    shu_oracle(ShuParams(nu, z + h, t), TIGHT).value
-                    - shu_oracle(ShuParams(nu, z - h, t), TIGHT).value
-                ) / (2.0 * h)
+                fd = (_S(nu, z + h, t) - _S(nu, z - h, t)) / (2.0 * h)
                 exact = dS_dz(p)
-                records.append(
-                    _rec("dSdz", nu, z, t, exact - fd, max(abs(exact), abs(fd)))
-                )
+                records.append(_rec("dSdz", nu, z, t, exact - fd, _scale(exact, fd)))
 
                 # endpoint derivative against a Richardson-combined central
                 # difference; the pass threshold keeps the eps|S|/h difference
                 # resolution in view, which dominates where the derivative has
                 # saturated to e^-t scale against S itself
                 ht = 1e-5 * t
-                fd_full = (
-                    shu_oracle(ShuParams(nu, z, t + ht), TIGHT).value
-                    - shu_oracle(ShuParams(nu, z, t - ht), TIGHT).value
-                ) / (2.0 * ht)
-                fd_half = (
-                    shu_oracle(ShuParams(nu, z, t + 0.5 * ht), TIGHT).value
-                    - shu_oracle(ShuParams(nu, z, t - 0.5 * ht), TIGHT).value
-                ) / ht
+                fd_full = (_S(nu, z, t + ht) - _S(nu, z, t - ht)) / (2.0 * ht)
+                fd_half = (_S(nu, z, t + 0.5 * ht) - _S(nu, z, t - 0.5 * ht)) / ht
                 fd_t = (4.0 * fd_half - fd_full) / 3.0
                 exact_t = dS_dt(p)
-                scale_t = max(abs(exact_t), abs(fd_t))
+                scale_t = _scale(exact_t, fd_t)
                 floor = 6.0 * EPS * abs(s0) / ht
                 resid_t = exact_t - fd_t
                 records.append(
@@ -189,12 +179,10 @@ def _identities(records, grid):
                 )
 
                 # sum of the two recurrences: -dS/dz - (nu/z)S = S_(nu-1) + dS_(nu-1)/dt
-                s_lo = shu_oracle(ShuParams(nu - 1.0, z, t), TIGHT).value
+                s_lo = _S(nu - 1.0, z, t)
                 dt_lo = dS_dt(ShuParams(nu - 1.0, z, t))
                 terms = (-fd, -(nu / z) * s0, -s_lo, -dt_lo)
-                records.append(
-                    _rec("RecSum", nu, z, t, math.fsum(terms), max(abs(x) for x in terms))
-                )
+                records.append(_rec("RecSum", nu, z, t, math.fsum(terms), _scale(*terms)))
 
 
 def _round_trips(records):
@@ -207,12 +195,10 @@ def _round_trips(records):
                 def f(u, a=a, zg=zg):
                     return math.exp((a - 1.0) * math.log(u) - u - zg / u)
 
-                direct = integrate_adaptive(
-                    f, tg, math.inf, TIGHT, points=(tg + 1.0, tg + 5.0, tg + 25.0)
+                direct = require_converged(
+                    integrate_adaptive(f, tg, math.inf, TIGHT, points=(tg + 1.0, tg + 5.0, tg + 25.0))
                 ).value
-                records.append(
-                    _rec("GenGammaDef", a, zg, tg, via_s - direct, max(abs(via_s), abs(direct)))
-                )
+                records.append(_rec("GenGammaDef", a, zg, tg, via_s - direct, _scale(via_s, direct)))
     for a in (-0.5, 0.5, 2.0):
         for zl in (0.3, 1.0, 2.0):
             for tl in (0.5, 1.0, 3.0):
@@ -221,12 +207,10 @@ def _round_trips(records):
                 def f(u, a=a, zl=zl, tl=tl):
                     return math.exp(-zl * u - tl / u - (a + 1.0) * math.log(u))
 
-                direct = integrate_adaptive(
-                    f, 1.0, math.inf, TIGHT, points=(2.0, 5.0, 25.0)
+                direct = require_converged(
+                    integrate_adaptive(f, 1.0, math.inf, TIGHT, points=(2.0, 5.0, 25.0))
                 ).value
-                records.append(
-                    _rec("LeakyDef", a, zl, tl, via_s - direct, max(abs(via_s), abs(direct)))
-                )
+                records.append(_rec("LeakyDef", a, zl, tl, via_s - direct, _scale(via_s, direct)))
     for a in (0.0, 1.0, 2.5):
         for z in (1.0, 3.0, 6.0):
             for ti in (0.3, 1.0, 2.0):
@@ -239,27 +223,20 @@ def _round_trips(records):
                 hi = ti + 1.0
                 while z * math.cosh(hi) - a * hi < 760.0:
                     hi += 1.0
-                direct = integrate_adaptive(f, ti, hi, TIGHT).value
-                records.append(
-                    _rec("ImbDef", a, z, ti, via_s - direct, max(abs(via_s), abs(direct)))
-                )
+                direct = require_converged(integrate_adaptive(f, ti, hi, TIGHT)).value
+                records.append(_rec("ImbDef", a, z, ti, via_s - direct, _scale(via_s, direct)))
 
     # inverse relations reproduce the oracle
     for nu in (-0.5, 0.0, 1.5):
         for z in (1.0, 3.0):
             for t in (0.7, 3.0):
-                p = ShuParams(nu, z, t)
-                want = shu_oracle(p, TIGHT).value
+                want = _S(nu, z, t)
                 got = 0.5 * (2.0 / z) ** nu * gen_incomplete_gamma(
                     nu, 0.25 * z * z / t, 0.25 * z * z
                 )
-                records.append(
-                    _rec("GenGammaInv", nu, z, t, got - want, max(abs(got), abs(want)))
-                )
+                records.append(_rec("GenGammaInv", nu, z, t, got - want, _scale(got, want)))
                 got = 0.5 * (0.5 * z / t) ** nu * leaky_aquifer(-nu, 0.25 * z * z / t, t)
-                records.append(
-                    _rec("LeakyInv", nu, z, t, got - want, max(abs(got), abs(want)))
-                )
+                records.append(_rec("LeakyInv", nu, z, t, got - want, _scale(got, want)))
 
 
 def _trends(records):
@@ -267,7 +244,7 @@ def _trends(records):
     # leading correction within a factor 2
     for nu in (0.0, 1.0, 2.0):
         K = macdonald_k(nu, 3.0)
-        s = shu_oracle(ShuParams(nu, 3.0, 40.0), TIGHT).value
+        s = _S(nu, 3.0, 40.0)
         records.append(_rec("LargeTLimit", nu, 3.0, 40.0, s - K, abs(K)))
         for t in (15.0, 20.0, 30.0):
             gap = _tail_gap(nu, 3.0, t)
@@ -277,7 +254,7 @@ def _trends(records):
     # small endpoint ratio law at (2, 3): first-order shrink per halving,
     # and better agreement at higher order
     def dev_small_t(nu, t):
-        s = shu_oracle(ShuParams(nu, 3.0, t), TIGHT).value
+        s = _S(nu, 3.0, t)
         return abs(s / leading_small_t(ShuParams(nu, 3.0, t)) - 1.0)
 
     d1, d2, d3 = dev_small_t(2.0, 0.1), dev_small_t(2.0, 0.05), dev_small_t(2.0, 0.025)
@@ -290,26 +267,20 @@ def _trends(records):
     # small argument: log-law improvement at order 0, absolute gap growing
     # with order
     def dev0(z):
-        s = shu_oracle(ShuParams(0.0, z, 3.0), TIGHT).value
+        s = _S(0.0, z, 3.0)
         return abs(s / (-math.log(z)) - 1.0)
 
     records.append(_window("SmallZTrend", 0.0, 1e-4, 3.0, dev0(1e-4) / dev0(1e-2), 0.0, 1.0))
-    gap1 = abs(
-        shu_oracle(ShuParams(1.0, 1e-2, 3.0), TIGHT).value
-        - leading_small_z(ShuParams(1.0, 1e-2, 3.0))
-    )
-    gap3 = abs(
-        shu_oracle(ShuParams(3.0, 1e-2, 3.0), TIGHT).value
-        - leading_small_z(ShuParams(3.0, 1e-2, 3.0))
-    )
+    gap1 = abs(_S(1.0, 1e-2, 3.0) - leading_small_z(ShuParams(1.0, 1e-2, 3.0)))
+    gap3 = abs(_S(3.0, 1e-2, 3.0) - leading_small_z(ShuParams(3.0, 1e-2, 3.0)))
     records.append(_window("SmallZOrder", 1.0, 1e-2, 3.0, gap1 / gap3, 0.0, 1.0))
 
     # large argument: approximant within 10% at z = 12, improving with z
     def dev_large_z(z):
-        s = shu_oracle(ShuParams(0.0, z, 1.0), TIGHT).value
+        s = _S(0.0, z, 1.0)
         return abs(s / leading_large_z(ShuParams(0.0, z, 1.0)) - 1.0)
 
-    s12 = shu_oracle(ShuParams(0.0, 12.0, 1.0), TIGHT).value
+    s12 = _S(0.0, 12.0, 1.0)
     ratio12 = s12 / leading_large_z(ShuParams(0.0, 12.0, 1.0))
     records.append(_window("LargeZWindow", 0.0, 12.0, 1.0, ratio12, 0.9, 1.1))
     records.append(_window("LargeZTrend", 0.0, 20.0, 1.0, dev_large_z(20.0) / dev_large_z(12.0), 0.0, 1.0))
@@ -319,7 +290,7 @@ def _trends(records):
         def f(u, z=z):
             return 0.5 * math.exp(-z * math.cosh(u))
 
-        direct = integrate_adaptive(f, 1.0, 8.0, TIGHT).value
+        direct = require_converged(integrate_adaptive(f, 1.0, 8.0, TIGHT)).value
         return leading_imb_large_z(0.0, z, 1.0) / direct
 
     records.append(

@@ -70,11 +70,12 @@ class TestEval:
         )
         assert code == 0
         assert abs(json.loads(out)["value"] - S0_3_3) < 1e-7 * S0_3_3
-        for bad in ("-1", "nan", "inf"):
+        for bad in ("-1", "nan", "inf", "1e-16"):
             code, _, err = _run(
                 capsys, "eval", "--nu", "0", "--z", "3", "--t", "3", "--tol", bad
             )
             assert code == 2, bad
+            assert "--tol" in err, bad
 
     def test_nonconvergence_exit_three(self, capsys):
         code, out, err = _run(

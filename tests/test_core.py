@@ -1,5 +1,7 @@
+import ast
 import contextvars
 import importlib
+import inspect
 import math
 import pkgutil
 
@@ -149,6 +151,20 @@ def test_numeric_policy_lives_in_core():
         and any(value == want and value is not want for want in policy)
     ]
     assert copies == []
+
+
+def test_no_near_copy_of_a_policy_literal():
+    # a literal within 10% of EPS or TINY outside core is a hand-written
+    # copy of the shared policy (2.3e-308 for TINY, say)
+    near = [
+        f"{mod.__name__}:{node.lineno}: {node.value!r}"
+        for mod in _modules()
+        if mod is not core
+        for node in ast.walk(ast.parse(inspect.getsource(mod)))
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and any(abs(node.value - want) <= 0.1 * want for want in (core.EPS, core.TINY))
+    ]
+    assert near == []
 
 
 def test_only_core_binds_a_context_variable():

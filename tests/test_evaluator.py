@@ -391,13 +391,13 @@ class TestKReuse:
 
     def test_repeated_grid_cell_integrates_oracle_once(self, monkeypatch):
         counts = []
-        real = incmac.quadrature._oracle_y_form
+        real = incmac.quadrature._oracle
 
-        def counted(p, tol):
+        def counted(p, tol, form):
             counts.append(p)
-            return real(p, tol)
+            return real(p, tol, form)
 
-        monkeypatch.setattr(incmac.quadrature, "_oracle_y_form", counted)
+        monkeypatch.setattr(incmac.quadrature, "_oracle", counted)
         cells = evaluate_grid([0.0], [3.0], [3.0, 3.0], TIGHT)  # Oracle5 path
         assert counts == [ShuParams(0.0, 3.0, 3.0)]
         assert cells[0].evaluation == cells[1].evaluation

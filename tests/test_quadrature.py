@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from incmac.core import FLAG_UNDERFLOW, NonConvergence, ShuParams, Tolerances
+import incmac.quadrature
+from incmac.core import FLAG_UNDERFLOW, NonConvergence, ShuParams, Tolerances, shared_work
 from incmac.gamma import macdonald_k
 from incmac.quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
 
@@ -84,7 +85,28 @@ class TestShuOracle:
 
     def test_rejects_unknown_form(self):
         with pytest.raises(ValueError):
-            shu_oracle(ShuParams(0.0, 3.0, 3.0), TIGHT, form=4)
+            shu_oracle(ShuParams(0.0, 3.0, 3.0), TIGHT, form=3)
+
+    def test_form_four_is_the_cosh_form(self):
+        p = ShuParams(0.0, 3.0, 3.0)
+        v4 = shu_oracle(p, TIGHT, form=4)
+        assert v4 == shu_oracle_cosh(p, TIGHT)
+        assert v4.method.value == "Oracle4"
+
+    def test_cosh_form_integrated_once_per_block(self, monkeypatch):
+        counts = []
+        real = incmac.quadrature._oracle
+
+        def counted(p, tol, form):
+            counts.append((p, tol, form))
+            return real(p, tol, form)
+
+        monkeypatch.setattr(incmac.quadrature, "_oracle", counted)
+        p = ShuParams(0.0, 3.0, 3.0)
+        with shared_work():
+            assert shu_oracle_cosh(p, TIGHT) == shu_oracle_cosh(p, TIGHT)
+            assert shu_oracle(p, TIGHT, form=4) == shu_oracle_cosh(p, TIGHT)
+        assert counts == [(p, TIGHT, 4)]
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.0])
     def test_three_forms_at_one_point(self, nu):

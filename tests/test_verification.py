@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 import incmac.quadrature
 import incmac.relations
 import incmac.verification
-from incmac.core import TIGHT, ShuParams
+from incmac.core import TIGHT, NonConvergence, ShuParams
 from incmac.verification import IDENTITY_TOLERANCES, run_verification, summarize
 
 
@@ -107,14 +108,13 @@ def test_fail_fast_stops_after_failing_section(monkeypatch, battery):
 def _count_integrations(monkeypatch):
     """Count oracle integrations by (point, tolerances, form)."""
     counts = Counter()
-    for name, form in (("_oracle_y_form", 5), ("_oracle_endpoint_form", 2)):
-        real = getattr(incmac.quadrature, name)
+    real = incmac.quadrature._oracle
 
-        def counted(p, tol, real=real, form=form):
-            counts[p, tol, form] += 1
-            return real(p, tol)
+    def counted(p, tol, form):
+        counts[p, tol, form] += 1
+        return real(p, tol, form)
 
-        monkeypatch.setattr(incmac.quadrature, name, counted)
+    monkeypatch.setattr(incmac.quadrature, "_oracle", counted)
     return counts
 
 
@@ -140,6 +140,31 @@ def test_oracle_not_memoised_outside_verification(monkeypatch):
     p = ShuParams(0.0, 3.0, 3.0)
     assert incmac.quadrature.shu_oracle(p, TIGHT) == incmac.quadrature.shu_oracle(p, TIGHT)
     assert counts == {(p, TIGHT, 5): 2}
+
+
+def test_direct_integrals_must_converge(monkeypatch):
+    # each kind of direct integral that hits the bisection cap raises, as
+    # an oracle value does, instead of becoming a reference
+    real = incmac.verification.integrate_adaptive
+    integrands = []
+
+    def recording(f, *args, **kwargs):
+        if f.__code__ not in integrands:
+            integrands.append(f.__code__)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(incmac.verification, "integrate_adaptive", recording)
+    run_verification()
+    assert len(integrands) == 5  # three round trips, the tail gap, the cosh trend
+    for code in integrands:
+
+        def capped(f, *args, code=code, **kwargs):
+            res = real(f, *args, **kwargs)
+            return dataclasses.replace(res, converged=res.converged and f.__code__ is not code)
+
+        monkeypatch.setattr(incmac.verification, "integrate_adaptive", capped)
+        with pytest.raises(NonConvergence):
+            run_verification()
 
 
 def test_oracle_memo_leaves_records_unchanged(monkeypatch, battery):
