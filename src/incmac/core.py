@@ -171,7 +171,8 @@ class Evaluation:
     work counts quadrature subdivisions or series terms, whichever the
     method used.  flags may carry FLAG_UNDERFLOW (true value below the
     smallest normal double, 0.0 returned) or FLAG_CANCELLATION (the
-    partial sums exceeded 1e6 times the final value).
+    partial sums exceeded 1e6 times the final value).  Construction
+    applies underflow_to_zero, so no path sets FLAG_UNDERFLOW itself.
     """
 
     value: float
@@ -185,18 +186,23 @@ class Evaluation:
             raise ValueError("error_estimate must be nonnegative")
         if self.work < 0:
             raise ValueError("work must be nonnegative")
+        if abs(self.value) < TINY:
+            for name, v in zip(("value", "error_estimate", "flags"),
+                               underflow_to_zero(self.value, self.error_estimate, self.flags)):
+                object.__setattr__(self, name, v)
 
 
 def underflow_to_zero(value: float, err: float, flags: tuple = ()):
     """The underflow-to-zero policy for a computed value and its error.
 
-    A nonzero value below the smallest normal double becomes an exact 0.0
-    with zero error and FLAG_UNDERFLOW appended to flags, never subnormal
-    noise; anything else is returned unchanged.  Returns (value, err,
-    flags); the caller keeps its own work count.
+    S is positive, so a subnormal value, or an exact 0.0 whose error is
+    below the smallest normal double too, means S underflowed: it becomes
+    an exact 0.0 with zero error and FLAG_UNDERFLOW in flags, added once.
+    Anything else, 0.0 with a larger or NaN error included, is returned
+    unchanged.  Returns (value, err, flags).
     """
-    if 0.0 < abs(value) < TINY:
-        return 0.0, 0.0, flags + (FLAG_UNDERFLOW,)
+    if abs(value) < TINY and (value != 0.0 or err < TINY):
+        return 0.0, 0.0, flags if FLAG_UNDERFLOW in flags else flags + (FLAG_UNDERFLOW,)
     return value, err, flags
 
 

@@ -26,7 +26,6 @@ from .core import (
     Tolerances,
     shared,
     shared_work,
-    underflow_to_zero,
     validate,
 )
 from .expansions import asympt_large_t, series_small_t, series_small_z
@@ -128,8 +127,7 @@ def _closed_form_half_validated() -> bool:
 
 
 def _closed_form_half_evaluation(p: ShuParams, tol: Tolerances) -> Evaluation:
-    v, err, flags = underflow_to_zero(*_closed_form_half_eval(p))
-    return Evaluation(v, err, MethodTag.CLOSED_FORM_HALF, 1, flags)
+    return Evaluation(*_closed_form_half_eval(p), MethodTag.CLOSED_FORM_HALF, 1)
 
 
 _SKIP = "SKIP"  # a gate's answer for a candidate that does not apply; not recorded

@@ -25,7 +25,6 @@ from .core import (
     ShuParams,
     Tolerances,
     shared,
-    underflow_to_zero,
 )
 from .gamma import _asymptotic_sum, _macdonald_k_eval, upper_incomplete_gamma
 
@@ -114,8 +113,7 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     if peak > _CANCEL_LIMIT * abs(summed):
         flags = (FLAG_CANCELLATION,)
     err = tail + 32.0 * EPS * peak + qerr
-    value, err, flags = underflow_to_zero(summed, err, flags)
-    return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms, flags)
+    return Evaluation(summed, err, MethodTag.SERIES_SMALL_T, terms, flags)
 
 
 def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
@@ -135,7 +133,6 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     if max(abs(summed), peak) > _CANCEL_LIMIT * abs(value):
         flags = (FLAG_CANCELLATION,)
     err = tail + kerr + 32.0 * EPS * max(peak, abs(kval)) + qerr
-    value, err, flags = underflow_to_zero(value, err, flags)
     return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms, flags)
 
 
@@ -184,10 +181,8 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
             streak = 0
     else:
         raise NonConvergence("outer expansion did not converge", partial=kval - corr)
-    value = kval - corr
     err = kerr + tail + base * abs(kfac) + 16.0 * EPS * (abs(kval) + abs(corr))
-    value, err, flags = underflow_to_zero(value, err)
-    return Evaluation(value, err, MethodTag.ASYMPT_LARGE_T, kwork + work, flags)
+    return Evaluation(kval - corr, err, MethodTag.ASYMPT_LARGE_T, kwork + work)
 
 
 def leading_small_t(p: ShuParams) -> float:

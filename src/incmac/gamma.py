@@ -336,6 +336,8 @@ def _macdonald_k_eval(order: float, z: float):
     log_k = math.log(m) + e * _LN2 - scale
     if log_k > _LOG_HUGE:
         raise OverflowError(f"K_{order}({z}) exceeds the double range")
+    # K underflows; returning here also bounds the e^-scale loop below, whose
+    # ~scale/700 steps would never end at z = 1e300
     if log_k < LOG_TINY:
         return 0.0, 0.0, work
     # e^-scale as k factors e^(-scale/k), k a power of two so that scale/k

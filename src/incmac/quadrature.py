@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .core import (
     DEFAULT_TOLERANCES,
     EPS,
-    FLAG_UNDERFLOW,
     LOG_TINY,
     TINY,
     Evaluation,
@@ -23,7 +22,6 @@ from .core import (
     ShuParams,
     Tolerances,
     shared,
-    underflow_to_zero,
 )
 
 __all__ = ["QuadratureResult", "integrate_adaptive", "require_converged", "shu_oracle", "shu_oracle_cosh"]
@@ -238,8 +236,10 @@ def _endpoint_form(nu, z, t):
 
     tau_lo = c / 760.0  # e^(-z^2/4tau) alone is ~1e-330 left of here
     tau_hi = min(t, 775.0)  # e^-tau alone underflows right of here
-    if tau_lo >= tau_hi:  # only possible deep in the underflow region
-        return None
+    if tau_lo >= tau_hi:
+        # the prefactor can outweigh e^-760; f rises on (0, tau_hi/2], where
+        # c/tau >= 1520 > tau + nu + 1, and f(tau_hi/2)/f(tau_hi) <= 2^(nu+1) e^-372
+        tau_lo = 0.5 * tau_hi
     taustar = 0.5 * (-(nu + 1.0) + math.hypot(nu + 1.0, 2.0 * math.sqrt(c)))
     ratio = tau_hi / tau_lo
     return f, tau_lo, tau_hi, (tau_lo * ratio**0.25, tau_lo * ratio**0.5, tau_lo * ratio**0.75, taustar)
@@ -266,7 +266,7 @@ def _cosh_form(nu, z, t):
 
 
 # form -> (method tag, setup); a setup maps (nu, z, t) to (integrand, lo, hi,
-# breakpoints), or to None where its interval is empty
+# breakpoints)
 _FORMS = {
     5: (MethodTag.ORACLE5, _y_form),
     2: (MethodTag.ORACLE2, _endpoint_form),
@@ -283,7 +283,7 @@ def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluatio
     interior-safe.  form=2 integrates the defining endpoint representation on
     (0, t] as an independent cross-check; its left end is clamped where the
     essential factor e^(-z^2/4tau) alone is far below the smallest double,
-    which provably contributes less than any representable tolerance.
+    which contributes less than any representable tolerance.
     form=4 integrates the cosh representation (see shu_oracle_cosh).
     A value below the smallest normal double is returned as 0.0 flagged
     underflow_to_zero; a quadrature that does not converge raises
@@ -305,10 +305,8 @@ def shu_oracle_cosh(p: ShuParams, tol: Tolerances = None) -> Evaluation:
 def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:
     tag, setup = _FORMS[form]
     # peak times a generous width still below the smallest normal
-    span = None if _log_value_bound(p) + 12.0 < LOG_TINY else setup(p.order, p.argument, p.endpoint)
-    if span is None:
-        return Evaluation(0.0, 0.0, tag, 0, flags=(FLAG_UNDERFLOW,))
-    f, lo, hi, pts = span
+    if _log_value_bound(p) + 12.0 < LOG_TINY:
+        return Evaluation(0.0, 0.0, tag, 0)
+    f, lo, hi, pts = setup(p.order, p.argument, p.endpoint)
     res = require_converged(integrate_adaptive(f, lo, hi, tol, points=pts))
-    value, err, flags = underflow_to_zero(res.value, res.error_estimate)
-    return Evaluation(value, err, tag, res.subdivisions, flags)
+    return Evaluation(res.value, res.error_estimate, tag, res.subdivisions)

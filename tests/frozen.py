@@ -73,3 +73,23 @@ S_HIGH_PRECISION = {
     (-2.551122338010126, 29.859251913644236, 37.407779231001925): 2.7388098892207012e-14,
     (-0.20319671806813133, 23.093510210467603, 35.76121889206547): 2.4266610059155894e-11,
 }
+
+# S where form 2's clamped interval (tau > z^2/3040) used to be empty although
+# S is a normal double: the prefactor (z/2)^nu tau^(-nu-1) outweighs
+# e^(-z^2/4tau).  The small-endpoint series in mpmath at 60 and 80 digits,
+# agreeing to 25 digits with the y-form and endpoint integrals in mpmath at 50
+# digits (each scaled to O(1), since mpmath's quadrature tests its error
+# absolutely), rounded to double
+S_FORM2_CLAMP = {
+    (26.504583450738707, 2.077974653052133, 0.0013578072839012679): 9.313056694464083e-273,
+}
+
+# S at small argument and negative order, where the y-form oracle (form 5)
+# returns 2-9x too little: K minus the integral beyond t in mpmath at 50
+# digits, agreeing to 22 digits with the small-argument series in mpmath at
+# 60 digits, rounded to double
+S_SMALL_Z_NEGATIVE_ORDER = {
+    (-4.434559218710991, 3.4031986150386595e-06, 320.01580148302554): 2.0369447689193523e26,
+    (-2.151407141735234, 1.4691631968044169e-05, 120.38082138382366): 59582919079.8882,
+    (-22.746602411651615, 0.0014223045930853047, 24.80997912675126): 7.117599164838689e91,
+}

@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 import incmac
 from incmac import core
 from incmac.core import (
+    FLAG_CANCELLATION,
+    FLAG_UNDERFLOW,
     DomainError,
     Evaluation,
     MethodTag,
@@ -119,6 +121,37 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             Evaluation(1.0, 0.0, MethodTag.ORACLE5, -1)
 
+    @staticmethod
+    def _fields(ev):
+        return ev.value, ev.error_estimate, ev.flags
+
+    def test_subnormal_value_becomes_flagged_zero(self):
+        ev = Evaluation(1e-310, 1e-320, MethodTag.SERIES_SMALL_T, 3)
+        assert self._fields(ev) == (0.0, 0.0, (FLAG_UNDERFLOW,))
+        assert ev.work == 3
+
+    def test_exact_zero_with_zero_error_is_flagged(self):
+        ev = Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 3, (FLAG_CANCELLATION,))
+        assert self._fields(ev) == (0.0, 0.0, (FLAG_CANCELLATION, FLAG_UNDERFLOW))
+
+    def test_zero_with_larger_error_is_unchanged(self):
+        # an unresolved value, not an underflow
+        ev = Evaluation(0.0, 1e-296, MethodTag.SERIES_SMALL_T, 3)
+        assert self._fields(ev) == (0.0, 1e-296, ())
+
+    def test_flag_added_once(self):
+        ev = Evaluation(0.0, 0.0, MethodTag.ORACLE5, 0, (FLAG_UNDERFLOW,))
+        again = Evaluation(ev.value, ev.error_estimate, ev.method, ev.work, ev.flags)
+        assert ev.flags == again.flags == (FLAG_UNDERFLOW,)
+
+    def test_nan_estimate_untouched(self):
+        ev = Evaluation(0.0, math.nan, MethodTag.ASYMPT_LARGE_T, 1)
+        assert ev.value == 0.0 and math.isnan(ev.error_estimate) and ev.flags == ()
+
+    def test_normal_value_untouched(self):
+        ev = Evaluation(core.TINY, 0.0, MethodTag.ORACLE5, 0)
+        assert self._fields(ev) == (core.TINY, 0.0, ())
+
     def test_method_tags_cover_all_paths(self):
         assert {m.value for m in MethodTag} == {
             "Oracle2", "Oracle4", "Oracle5",
@@ -176,6 +209,22 @@ def test_only_core_binds_a_context_variable():
         if isinstance(value, contextvars.ContextVar)
     ]
     assert bound == ["incmac.core._SHARED"]
+
+
+def test_only_core_names_the_underflow_flag():
+    # Evaluation applies the underflow rule, so no other module builds the
+    # flag by hand; the package only re-exports it
+    named = [
+        f"{mod.__name__}:{node.lineno}"
+        for mod in _modules()
+        if mod not in (incmac, core)
+        for node in ast.walk(ast.parse(inspect.getsource(mod)))
+        if (isinstance(node, ast.Name) and node.id == "FLAG_UNDERFLOW")
+        or (isinstance(node, ast.Attribute) and node.attr == "FLAG_UNDERFLOW")
+        or (isinstance(node, ast.alias) and node.name == "FLAG_UNDERFLOW")
+        or (isinstance(node, ast.Constant) and node.value == core.FLAG_UNDERFLOW)
+    ]
+    assert named == []
 
 
 class TestSharedWork:

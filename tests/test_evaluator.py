@@ -18,7 +18,7 @@ from incmac.evaluator import (
 from incmac.gamma import macdonald_k
 from incmac.quadrature import shu_oracle, shu_oracle_cosh
 
-from frozen import K_REF, S0_3_3, S_HALF_GRID, S_HIGH_PRECISION
+from frozen import K_REF, S0_3_3, S_HALF_GRID, S_HIGH_PRECISION, S_SMALL_Z_NEGATIVE_ORDER
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -243,6 +243,15 @@ class TestDecisionProcedure:
             floor = max(d, ref.error_estimate, 8.0 * eps * abs(ev.value))
             assert ev.error_estimate <= 10.0 * floor, (nu, z, t)
 
+    @pytest.mark.parametrize(
+        "point,path",
+        zip(S_SMALL_Z_NEGATIVE_ORDER, ("AsymptLargeT", "AsymptLargeT", "SeriesSmallZ")),
+    )
+    def test_small_argument_negative_order(self, point, path):
+        ev, dec = evaluate(ShuParams(*point), TIGHT)
+        assert dec.chosen.value == path
+        assert abs(ev.value - S_SMALL_Z_NEGATIVE_ORDER[point]) <= ev.error_estimate
+
 
 class TestClosedFormHalf:
     def test_matches_frozen_grid(self):
@@ -335,6 +344,35 @@ class TestEvaluateGrid:
             values = [c.evaluation.value for c in cells]
             assert all(a < b for a, b in zip(values, values[1:]))
             assert all(v < kval for v in values)
+
+
+def test_wide_box_zero_exactly_when_flagged():
+    # S > 0 on the whole domain, so every path returns a normal double or
+    # the underflow rule's flagged 0.0 +- 0: never subnormal noise, and
+    # never an unflagged 0.0 +- 0
+    rng = random.Random(10)
+    calls = (
+        lambda p: evaluate(p, TIGHT)[0],
+        lambda p: incmac.expansions.series_small_t(p, TIGHT),
+        lambda p: incmac.expansions.series_small_z(p, TIGHT),
+        lambda p: incmac.expansions.asympt_large_t(p, TIGHT),
+        lambda p: shu_oracle(p, TIGHT, 2),
+        lambda p: shu_oracle(p, TIGHT, 4),
+        lambda p: shu_oracle(p, TIGHT, 5),
+    )
+    for _ in range(300):
+        p = ShuParams(
+            rng.uniform(-30.0, 30.0),
+            math.exp(rng.uniform(math.log(1e-6), math.log(3e3))),
+            math.exp(rng.uniform(math.log(1e-4), math.log(3e3))),
+        )
+        for call in calls:
+            try:
+                ev = call(p)
+            except (ArithmeticError, ValueError):
+                continue
+            assert not 0.0 < abs(ev.value) < 2.2250738585072014e-308, (p, ev)
+            assert ((ev.value, ev.error_estimate) == (0.0, 0.0)) == (FLAG_UNDERFLOW in ev.flags), (p, ev)
 
 
 def _count_k(monkeypatch, fail_at=None):

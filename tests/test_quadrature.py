@@ -7,7 +7,7 @@ from incmac.core import FLAG_UNDERFLOW, NonConvergence, ShuParams, Tolerances, s
 from incmac.gamma import macdonald_k
 from incmac.quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
 
-from frozen import S0_3_3
+from frozen import S0_3_3, S_FORM2_CLAMP, S_SMALL_Z_NEGATIVE_ORDER
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -82,6 +82,21 @@ class TestShuOracle:
         assert _rel(v5.value, v2.value) < 1e-11
         assert _rel(v5.value, S0_3_3) < 1e-11
         assert _rel(v2.value, S0_3_3) < 1e-11
+
+    @pytest.mark.parametrize("form", [2, 4, 5])
+    def test_form_two_keeps_its_clamped_interval(self, form):
+        # c/760 >= t here, yet S is ~1e-272: form 2 used to return a
+        # flagged 0.0 for an empty interval
+        ((point, ref),) = S_FORM2_CLAMP.items()
+        ev = shu_oracle(ShuParams(*point), TIGHT, form)
+        assert abs(ev.value - ref) <= ev.error_estimate + 1e-12 * ref
+
+    @pytest.mark.parametrize("form", [2, 4])
+    @pytest.mark.parametrize("point", list(S_SMALL_Z_NEGATIVE_ORDER))
+    def test_small_argument_negative_order(self, point, form):
+        # form 5 misses these by 73-89% (an open fault), forms 2 and 4 hold
+        ev = shu_oracle(ShuParams(*point), TIGHT, form)
+        assert abs(ev.value - S_SMALL_Z_NEGATIVE_ORDER[point]) <= ev.error_estimate
 
     def test_rejects_unknown_form(self):
         with pytest.raises(ValueError):
