@@ -1,7 +1,9 @@
 """Series and asymptotic evaluators of S, plus the leading-term approximants.
 
 The two series (small endpoint, small argument) are convergent everywhere
-in the real domain and act as exact evaluators with tail bounds; the
+in the real domain and act as exact evaluators with tail bounds.  At
+negative non-integer order the small-argument series takes its split form,
+in lower incomplete gammas and I_-nu(z), which needs no K_nu(z).  The
 large-endpoint double sum is asymptotic and truncated at its smallest
 term.  The leading_* functions are bare approximants with no error
 control, exposed for the ratio-law checks and figure overlays.
@@ -26,7 +28,13 @@ from .core import (
     Tolerances,
     shared,
 )
-from .gamma import _asymptotic_sum, _macdonald_k_eval, upper_incomplete_gamma
+from .gamma import (
+    _asymptotic_sum,
+    _bessel_i_series,
+    _kummer_sum,
+    _macdonald_k_eval,
+    upper_incomplete_gamma,
+)
 
 __all__ = [
     "series_small_t",
@@ -116,15 +124,87 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     return Evaluation(summed, err, MethodTag.SERIES_SMALL_T, terms, flags)
 
 
-def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
-    """K minus the convergent expansion in incomplete gammas of argument t.
+def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
+    """S at order -m, m > 0 not an integer, without K, from the split form
+    (1/2)(z/2)^-m sum_k (-z^2/4)^k/k! gamma(m - k, t) - pi/(2 sin(m pi)) I_m(z).
 
-    Mathematically valid everywhere; numerically hostile at small t where
-    the summands alternate with large magnitude, which is reported through
-    the severe-cancellation flag.
+    Writing each Gamma(m - k, t) as Gamma(m - k) - gamma(m - k, t) sums the
+    Gamma(m - k) parts with K_m(z) to the I_m term (DLMF 10.27.4, 10.25.2),
+    so the large K ~ z^-m is never subtracted.  Term k is
+    (1/2)(2t/z)^m e^-t (-x0)^k/k! L_k with x0 = z^2/4t and L_k the Kummer
+    sum of gamma(m - k, t); the sum over k runs in units of that prefactor,
+    which goes through one exp together with the peak partial sum, so it
+    overflows only where the sum does.  The estimate adds the first omitted
+    term, each L_k's own bound times |coef_k|, the coefficients' rounding,
+    the summation's rounding from the peak, the exponent's rounding, the
+    I_m term's error and EPS (|sum| + |I term|) for their difference.  Near
+    integer order both parts grow like 1/sin(m pi) and cancel, which the
+    last term and the L_k bounds show.
+    """
+    x0 = 0.25 * z * z / t
+    # the sum runs in units of the prefactor, where abs_tol has no meaning;
+    # the relative stop still ends at double resolution when rel_tol is 0
+    rel = max(tol.rel_tol, EPS)
+    coef = 1.0
+    total = peak = werr = 0.0
+    streak = 0
+    for k in range(_MAX_TERMS):
+        lk, bound = _kummer_sum(m, t, k)
+        term = coef * lk
+        total += term
+        if not math.isfinite(total):
+            raise NonConvergence(f"lower gamma sums overflow at t={t}")
+        peak = max(peak, abs(total))
+        werr += abs(coef) * bound + (k + 2) * EPS * abs(term)
+        coef *= -x0 / (k + 1)
+        if abs(term) <= rel * abs(total):
+            streak += 1
+            if streak >= 2:
+                break
+        else:
+            streak = 0
+    else:
+        raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
+    terms = k + 1
+    lk, bound = _kummer_sum(m, t, terms)
+    werr += abs(coef) * (abs(lk) + bound) + terms * EPS * peak
+    # (1/2)(2t/z)^m e^-t times the peak partial sum, through one exp
+    lead = m * (math.log(t) - math.log(z) + math.log(2.0))
+    log_peak = math.log(0.5 * peak)
+    scale = math.exp(lead - t + log_peak)
+    part = scale * (total / peak)
+    # the logs' rounding times m, plus that of the four operations on them
+    exponent_err = EPS * (2.0 * m * (abs(math.log(t)) + abs(math.log(z)) + 1.0) + t + abs(log_peak) + 2.0)
+    part_err = scale * (werr / peak) + exponent_err * abs(part)
+    # pi/(2 sin(m pi)) with the argument reduced exactly
+    r = round(m)
+    half_pi_over_sin = 0.5 * math.pi / math.sin(math.pi * (m - r))
+    if r % 2:
+        half_pi_over_sin = -half_pi_over_sin
+    ival, ierr = _bessel_i_series(m, z)
+    iterm = half_pi_over_sin * ival
+    value = part - iterm
+    err = part_err + abs(half_pi_over_sin) * ierr + EPS * (4.0 * abs(iterm) + abs(part))
+    flags = ()
+    if max(scale, abs(iterm)) > _CANCEL_LIMIT * abs(value):
+        flags = (FLAG_CANCELLATION,)
+    return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms, flags)
+
+
+def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
+    """The convergent expansion in incomplete gammas of argument t.
+
+    At order nu >= 0, and at integer orders, K_nu(z) minus that expansion:
+    valid everywhere, numerically hostile at small t where the summands
+    alternate with large magnitude, which is reported through the
+    severe-cancellation flag.  At negative non-integer order, the split
+    form in lower incomplete gammas and I_-nu (see _split_small_z), which
+    needs no K and does not cancel against it at small z.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
+    if nu < 0.0 and nu != math.floor(nu):
+        return _split_small_z(-nu, z, t, tol)
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
     coef0 = 0.5 * (0.5 * z) ** nu
     summed, terms, tail, peak, qerr = _series_core(coef0, -0.25 * z * z, -nu, t, tol)

@@ -1,24 +1,27 @@
 """Gamma-family building blocks.
 
 Provides the gamma function, the (non-regularized) upper incomplete gamma
-function at any real order, its large-argument asymptotic sum, Pochhammer
-products, and the Macdonald function K to full double precision by
-Temme's series, Steed's continued fraction and forward recurrence in
-order.  No other module evaluates an incomplete gamma.  Nothing here
-integrates: the quadrature oracle stays an independent check on every
-value.
+function at any real order, the lower incomplete gamma at any non-integer
+order (the Kummer series, continued past a < 0, with a bound on its
+rounding), its large-argument asymptotic sum, Pochhammer products, the
+modified Bessel function I from its power series, and the Macdonald
+function K to full double precision by Temme's series, Steed's continued
+fraction and forward recurrence in order.  No other module evaluates an
+incomplete gamma.  Nothing here integrates: the quadrature oracle stays an
+independent check on every value.
 """
 
 import math
 import sys
 
 from .core import (
-    EPS, EXP_FLOOR, LOG_TINY, DomainError, NonConvergence, PoleError, underflow_to_zero
+    EPS, EXP_FLOOR, LOG_TINY, TINY, DomainError, NonConvergence, PoleError, underflow_to_zero
 )
 
 __all__ = [
     "gamma",
     "upper_incomplete_gamma",
+    "lower_incomplete_gamma",
     "incomplete_gamma_asymptotic",
     "pochhammer",
     "macdonald_k",
@@ -71,22 +74,62 @@ def gamma(a: float) -> float:
     return math.gamma(a)
 
 
-def _lower_series_sum(a: float, x: float) -> float:
-    # sum_n x^n / (a (a+1) ... (a+n)),  the Kummer series for the lower tail
-    term = 1.0 / a
+def _kummer_sum(a: float, x: float, shift: int = 0):
+    """The Kummer series sum_n x^n / (b (b+1) ... (b+n)) at order b = a - shift,
+    with gamma(b, x) = x^b e^-x times it for every non-integer b (DLMF 8.7.1
+    continued in the order), and an absolute bound on its rounding and tail.
+
+    Each denominator a + (n - shift) is one rounding of an exact value, so an
+    integer shift costs no accuracy.  The terms alternate in sign while
+    b + n < 0, so the rounding scales with sum |term_n|: a term's relative
+    rounding is under 1.5 (n + 1) EPS and the summation adds under
+    (terms/2) EPS sum |term_n|, so the bound is 2 (terms + 1) EPS sum |term_n|.  The sum stops at a term below EPS of
+    the total once b + n > x, where the terms fall geometrically with ratio
+    r = x/(b + n + 1) < 1, so the tail is at most |term| r/(1 - r).  For
+    b > 0 that rule stops where the EPS test alone would, since a term is
+    the largest so far while b + n <= x.
+    """
+    term = 1.0 / (a - shift)
     total = term
+    mag = abs(term)
     for n in range(1, _MAX_ITER):
-        term *= x / (a + n)
+        d = a + (n - shift)
+        term *= x / d
         total += term
-        if abs(term) <= EPS * abs(total):
-            return total
-    raise NonConvergence(f"lower gamma series stalled at a={a}, x={x}", partial=total)
+        mag += abs(term)
+        if abs(term) <= EPS * abs(total) and d > x:
+            tail = abs(term) * x / (d + 1.0 - x)
+            return total, 2.0 * (n + 2) * EPS * mag + tail
+    raise NonConvergence(f"lower gamma series stalled at a={a - shift}, x={x}", partial=total)
+
+
+def lower_incomplete_gamma(a: float, x: float):
+    """gamma(a, x), the lower tail integral of tau^(a-1) e^-tau on (0, x) for
+    a > 0, continued to every non-integer order as x^a e^-x times the Kummer
+    series (then gamma(a, x) = Gamma(a) - Gamma(a, x) still holds).
+
+    Returns (value, absolute bound on its rounding and truncation).  The
+    prefactor's exponent a ln x - x carries the rounding of ln x times a and
+    of the two operations, up to EPS (|a ln x| + x) relative, counted too.
+    Raises PoleError at a in {0, -1, -2, ...}.
+    """
+    if not math.isfinite(a):
+        raise DomainError("a", a, "must be finite")
+    if a <= 0.0 and a == math.floor(a):
+        raise PoleError(f"lower gamma pole at a={a}")
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError("x", x, "must be strictly positive")
+    total, err = _kummer_sum(a, x)
+    lead = a * math.log(x)
+    pref = math.exp(lead - x)
+    value = pref * total
+    return value, pref * err + (abs(lead) + x + 2.0) * EPS * abs(value)
 
 
 def _upper_from_series(a: float, x: float) -> float:
     # Gamma(a) - x^a e^-x * series; fine for x < 1.5, or x < a + 1, where
     # the subtraction loses at most a couple of digits
-    return math.gamma(a) - math.exp(a * math.log(x) - x) * _lower_series_sum(a, x)
+    return math.gamma(a) - math.exp(a * math.log(x) - x) * _kummer_sum(a, x)[0]
 
 
 def _e1_series(x: float) -> float:
@@ -288,6 +331,37 @@ def _k_steed(mu: float, z: float):
             k0 = math.sqrt(0.5 * math.pi / z) / s
             return k0, k0 * (mu + z + 0.5 - a1 * h) / z, i
     raise NonConvergence(f"continued fraction for K stalled at mu={mu}, z={z}")
+
+
+def _bessel_i_series(order: float, z: float):
+    """I_order(z) for order >= 0 from its power series (DLMF 10.25.2),
+    (z/2)^order / Gamma(order + 1) sum_k (z^2/4)^k / (k! (order + 1)_k), and
+    an absolute bound on its error.
+
+    The terms are positive, so the sum's relative rounding is under 2 (terms
+    + 1) EPS; the prefactor goes through one exp, whose exponent carries the
+    rounding of ln(z/2) times the order, of the product, and of lgamma.  A
+    value below the smallest normal double adds that double times the sum.  The loop runs about z
+    terms, so this is for small and moderate z.
+    """
+    if not (math.isfinite(order) and order >= 0.0):
+        raise DomainError("order", order, "must be finite and nonnegative")
+    if not (math.isfinite(z) and z > 0.0):
+        raise DomainError("z", z, "must be strictly positive")
+    q = 0.25 * z * z
+    term = total = 1.0
+    for k in range(1, _MAX_ITER):
+        term *= q / (k * (order + k))
+        total += term
+        if term <= EPS * total:
+            lead = order * math.log(0.5 * z)
+            lg = math.lgamma(order + 1.0)
+            value = math.exp(lead - lg) * total
+            err = 2.0 * (abs(lead) + order + abs(lg) + k + 2) * EPS * value
+            if value < TINY:
+                err += TINY * total
+            return value, err
+    raise NonConvergence(f"I series stalled at order={order}, z={z}", partial=total)
 
 
 def _macdonald_k_eval(order: float, z: float):

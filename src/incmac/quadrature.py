@@ -223,7 +223,15 @@ def _y_form(nu, z, t):
         return math.exp(log_pref + (nu - 1.0) * math.log(y) - y - c / y)
 
     ystar = 0.5 * ((nu - 1.0) + math.hypot(nu - 1.0, 2.0 * math.sqrt(c)))
-    return f, y0, math.inf, (ystar, y0 + 0.5, y0 + 2.0, y0 + 10.0, y0 + 50.0)
+    pts = [ystar, y0 + 0.5, y0 + 2.0, y0 + 10.0, y0 + 50.0]
+    # at tiny z the integrand lives within a few multiples of max(y0, ystar),
+    # far left of the tail map's first seed; a ladder of breakpoints in
+    # steps of 4 up to 0.25 puts panel nodes where it is nonzero
+    s = 4.0 * max(y0, ystar)
+    while s < 0.25:
+        pts.append(s)
+        s *= 4.0
+    return f, y0, math.inf, tuple(pts)
 
 
 def _endpoint_form(nu, z, t):

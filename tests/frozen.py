@@ -85,11 +85,51 @@ S_FORM2_CLAMP = {
 }
 
 # S at small argument and negative order, where the y-form oracle (form 5)
-# returns 2-9x too little: K minus the integral beyond t in mpmath at 50
+# returned 2-9x too little before its breakpoint ladder: K minus the integral beyond t in mpmath at 50
 # digits, agreeing to 22 digits with the small-argument series in mpmath at
 # 60 digits, rounded to double
 S_SMALL_Z_NEGATIVE_ORDER = {
     (-4.434559218710991, 3.4031986150386595e-06, 320.01580148302554): 2.0369447689193523e26,
     (-2.151407141735234, 1.4691631968044169e-05, 120.38082138382366): 59582919079.8882,
     (-22.746602411651615, 0.0014223045930853047, 24.80997912675126): 7.117599164838689e91,
+}
+
+# lower incomplete gamma gamma(a, x), continued to negative non-integer
+# orders: x^a e^-x times the Kummer series in mpmath at 60 digits, agreeing
+# to 60 digits with Gamma(a) - Gamma(a, x) in mpmath at 80 digits, rounded
+# to double; (-1.999, 0.5) sits next to the pole at a = -2
+LOWER_GAMMA_REF = {
+    (-2.5, 1.3): -0.9793133888802589,
+    (-0.7, 0.2): -6.4184281728831465,
+    (-5.3, 12.0): 0.019241658279241375,
+    (-1.999, 0.5): 499.57623066532267,
+    (-13.7, 0.04): -9.915632695092996e17,
+    (3.7, 2.0): 0.7768867884195582,
+}
+
+# modified Bessel function I_order(z): mpmath.besseli at 60 digits, agreeing
+# to 60 digits with its power series summed in mpmath at 80 digits, rounded
+# to double
+BESSEL_I_REF = {
+    (0.3, 0.9): 1.019616121069751,
+    (2.7, 1e-3): 2.930995217638504e-10,
+    (22.746602411651615, 0.0014223045930853047): 2.124168981065068e-94,
+    (1.9919421798402084, 0.037746421311855016): 0.00018528057329429183,
+    (4.5, 1.0): 0.0008834468773783062,
+}
+
+# S at negative non-integer order and small argument: the split form (lower
+# incomplete gammas and I_-nu) in mpmath at 60 digits, agreeing to 58 digits
+# or better with K minus the sum of upper incomplete gammas in mpmath at
+# 300-500 digits, rounded to double.  The first point is 0.008 from integer
+# order, where the two parts of the split form cancel (peak/|S| ~ 360); the
+# second gave OverflowError in the K form
+S_SMALL_Z_SPLIT = {
+    (-1.9919421798402084, 0.037746421311855016, 0.000409201433594809): 3.1796726271886955e-05,
+    (-35.79395168877865, 1.0064666361294206e-08, 3.2557370575532046e-05): 3.5612208685481444e134,
+    (-4.6, 0.8, 0.11): 4.431699235364072e-05,
+    (-12.7, 0.01, 0.3): 1.1401461122694829e21,
+    (-2.3, 0.5, 1.7): 5.441695199833771,
+    (-0.3, 0.9, 5.0): 0.5031826883692297,
+    (-7.45, 1e-4, 20.0): 9.362553407328788e34,
 }

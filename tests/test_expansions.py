@@ -3,13 +3,17 @@ import random
 
 import pytest
 
+import incmac.expansions
 from incmac.core import (
     DomainError,
     FLAG_CANCELLATION,
+    MethodTag,
     NearPoleWarning,
+    NonConvergence,
     ShuParams,
     Tolerances,
 )
+from incmac.evaluator import evaluate
 from incmac.expansions import (
     _series_core,
     asympt_large_t,
@@ -23,7 +27,7 @@ from incmac.expansions import (
 from incmac.gamma import macdonald_k, upper_incomplete_gamma
 from incmac.quadrature import integrate_adaptive, shu_oracle
 
-from frozen import S0_3_3, S_HIGH_PRECISION
+from frozen import S0_3_3, S_HIGH_PRECISION, S_SMALL_Z_SPLIT
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -99,6 +103,64 @@ class TestSeriesSmallZ:
         # evaluator must confess rather than return quiet noise
         ev = series_small_z(ShuParams(0.0, 1.0, 0.02), Tolerances())
         assert FLAG_CANCELLATION in ev.flags
+
+
+class TestSeriesSmallZNegativeOrder:
+    """The split form at negative non-integer order: no K, no cancellation
+    against it."""
+
+    NEAR_INTEGER = (-1.9919421798402084, 0.037746421311855016, 0.000409201433594809)
+
+    @pytest.mark.parametrize("point", sorted(S_SMALL_Z_SPLIT))
+    def test_frozen_within_estimate(self, point):
+        ev = series_small_z(ShuParams(*point), TIGHT)
+        assert ev.method is MethodTag.SERIES_SMALL_Z
+        assert abs(ev.value - S_SMALL_Z_SPLIT[point]) <= ev.error_estimate
+
+    def test_near_integer_order_returned_only_within_estimate(self):
+        # the sum and the I term both grow like 1/sin(m pi) here; the
+        # estimate must show their cancellation, so evaluate either returns
+        # a value that meets it or rejects the candidate
+        p = ShuParams(*self.NEAR_INTEGER)
+        ref = S_SMALL_Z_SPLIT[self.NEAR_INTEGER]
+        ev, dec = evaluate(p, TIGHT)
+        if dec.chosen is MethodTag.SERIES_SMALL_Z:
+            assert abs(ev.value - ref) <= ev.error_estimate
+        else:
+            assert any(tag is MethodTag.SERIES_SMALL_Z for tag, _ in dec.candidates_tried)
+        direct = series_small_z(p, TIGHT)
+        assert abs(direct.value - ref) <= direct.error_estimate
+
+    def test_computes_no_k(self, monkeypatch):
+        def no_k(*args):
+            raise AssertionError("K computed on the negative non-integer branch")
+
+        monkeypatch.setattr(incmac.expansions, "_macdonald_k_eval", no_k)
+        ev = series_small_z(ShuParams(-2.3, 0.5, 1.7), TIGHT)
+        assert abs(ev.value - S_SMALL_Z_SPLIT[-2.3, 0.5, 1.7]) <= ev.error_estimate
+
+    @pytest.mark.parametrize("t", [720.0, 2000.0])
+    def test_overflowing_lower_gamma_sums_raise(self, t):
+        # e^t overflows in the Kummer sums; the series must not return a value
+        with pytest.raises(NonConvergence):
+            series_small_z(ShuParams(-2.5, 0.5, t), TIGHT)
+
+    @pytest.mark.parametrize("nu", [-3.0, 0.0, 2.5])
+    def test_integer_and_nonnegative_orders_keep_k_form(self, nu, monkeypatch):
+        # these orders still subtract the sum from K_nu(z); the split form
+        # has no I_m term at integer order
+        calls = []
+        real = incmac.expansions._macdonald_k_eval
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(incmac.expansions, "_macdonald_k_eval", counted)
+        ev = series_small_z(ShuParams(nu, 0.5, 1.7), TIGHT)
+        assert calls == [(nu, 0.5)]
+        ref = shu_oracle(ShuParams(nu, 0.5, 1.7), TIGHT)
+        assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
 
 
 class TestAsymptLargeT:

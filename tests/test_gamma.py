@@ -9,16 +9,29 @@ from incmac.core import DomainError, NonConvergence, PoleError, ShuParams, Toler
 from incmac.expansions import series_small_z
 from incmac.gamma import (
     _asymptotic_sum,
+    _bessel_i_series,
     _macdonald_k_eval,
     gamma,
     incomplete_gamma_asymptotic,
+    lower_incomplete_gamma,
     macdonald_k,
     pochhammer,
     upper_incomplete_gamma,
 )
 from incmac.quadrature import integrate_adaptive
 
-from frozen import E1_1, GAMMA_0_3, GAMMA_M15_2, GAMMA_SERIES_SIDE, K0_3, K_REF
+from frozen import (
+    BESSEL_I_REF,
+    E1_1,
+    GAMMA_0_3,
+    GAMMA_M15_2,
+    GAMMA_SERIES_SIDE,
+    K0_3,
+    K_REF,
+    LOWER_GAMMA_REF,
+)
+
+EPS = 2.220446049250313e-16
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -133,6 +146,55 @@ class TestUpperIncompleteGamma:
         for a in (-1.5, 0.0, 2.0):
             values = [upper_incomplete_gamma(a, x) for x in (0.3, 1.0, 3.0, 9.0)]
             assert all(v1 > v2 for v1, v2 in zip(values, values[1:]))
+
+
+class TestLowerIncompleteGamma:
+    @pytest.mark.parametrize("a,x", sorted(LOWER_GAMMA_REF))
+    def test_frozen_within_bound(self, a, x):
+        value, bound = lower_incomplete_gamma(a, x)
+        assert abs(value - LOWER_GAMMA_REF[a, x]) <= bound
+        assert bound <= 1e-12 * abs(value)
+
+    @pytest.mark.parametrize("a", [-7.3, -2.5, -1.999, -0.7, -0.2])
+    @pytest.mark.parametrize("x", [0.05, 1.3, 12.0])
+    def test_recurrence_at_negative_order(self, a, x):
+        # gamma(a + 1, x) = a gamma(a, x) - x^a e^-x
+        g1, b1 = lower_incomplete_gamma(a + 1.0, x)
+        g0, b0 = lower_incomplete_gamma(a, x)
+        e = a * math.log(x) - x
+        power = math.exp(e)
+        slack = b1 + abs(a) * b0 + (abs(e) + 4.0) * EPS * (abs(a * g0) + power)
+        assert abs(g1 - (a * g0 - power)) <= slack
+
+    @pytest.mark.parametrize("a,x", [(-2.5, 3.0), (-1.3, 1.5), (-0.5, 2.0), (0.4, 0.7), (2.5, 1.0)])
+    def test_complement_gives_gamma(self, a, x):
+        # points where neither tail outweighs Gamma(a), so the sum cannot cancel
+        lower, bound = lower_incomplete_gamma(a, x)
+        upper = upper_incomplete_gamma(a, x)
+        assert max(abs(lower), abs(upper)) <= 2.0 * abs(gamma(a))
+        assert abs(lower + upper - gamma(a)) <= bound + 1e-13 * abs(gamma(a))
+
+    def test_poles_and_domain(self):
+        with pytest.raises(PoleError):
+            lower_incomplete_gamma(-2.0, 1.0)
+        with pytest.raises(PoleError):
+            lower_incomplete_gamma(0.0, 1.0)
+        with pytest.raises(DomainError):
+            lower_incomplete_gamma(-1.5, 0.0)
+
+
+class TestBesselISeries:
+    @pytest.mark.parametrize("order,z", sorted(BESSEL_I_REF))
+    def test_frozen_within_error(self, order, z):
+        value, err = _bessel_i_series(order, z)
+        assert abs(value - BESSEL_I_REF[order, z]) <= err
+        assert err <= 1e-12 * value
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            _bessel_i_series(-0.5, 1.0)
+        with pytest.raises(DomainError):
+            _bessel_i_series(1.5, 0.0)
 
 
 class TestIncompleteGammaAsymptotic:

@@ -91,10 +91,9 @@ class TestShuOracle:
         ev = shu_oracle(ShuParams(*point), TIGHT, form)
         assert abs(ev.value - ref) <= ev.error_estimate + 1e-12 * ref
 
-    @pytest.mark.parametrize("form", [2, 4])
+    @pytest.mark.parametrize("form", [2, 4, 5])
     @pytest.mark.parametrize("point", list(S_SMALL_Z_NEGATIVE_ORDER))
     def test_small_argument_negative_order(self, point, form):
-        # form 5 misses these by 73-89% (an open fault), forms 2 and 4 hold
         ev = shu_oracle(ShuParams(*point), TIGHT, form)
         assert abs(ev.value - S_SMALL_Z_NEGATIVE_ORDER[point]) <= ev.error_estimate
 
