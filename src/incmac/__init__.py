@@ -20,7 +20,6 @@ from .core import (
     ShuParams,
     StepTooCoarse,
     Tolerances,
-    sgn,
     validate,
 )
 from .evaluator import (
@@ -43,7 +42,6 @@ from .gamma import (
     gamma,
     incomplete_gamma_asymptotic,
     macdonald_k,
-    pochhammer,
     upper_incomplete_gamma,
 )
 from .quadrature import QuadratureResult, integrate_adaptive, shu_oracle, shu_oracle_cosh

@@ -66,17 +66,22 @@ def _tolerances(args) -> Tolerances:
     return dataclasses.replace(TIGHT, rel_tol=rel)
 
 
-def _print_eval(value, err, method, work, as_json):
+def _print_eval(value, err, method, work, as_json, flags=()):
+    # flags only when there are some: an unflagged result prints four fields
     if as_json:
-        print(json.dumps({"value": value, "error_estimate": err, "method": method, "work": work}))
+        fields = {"value": value, "error_estimate": err, "method": method, "work": work}
+        if flags:
+            fields["flags"] = list(flags)
+        print(json.dumps(fields))
     else:
-        print(f"value={value:.17g} error_estimate={err:.3e} method={method} work={work}")
+        line = f"value={value:.17g} error_estimate={err:.3e} method={method} work={work}"
+        print(f"{line} flags={','.join(flags)}" if flags else line)
 
 
 def _cmd_eval(args) -> int:
     p = validate(args.nu, args.z, args.t)
     ev = _METHODS[args.method](p, _tolerances(args))
-    _print_eval(ev.value, ev.error_estimate, ev.method.value, ev.work, args.json)
+    _print_eval(ev.value, ev.error_estimate, ev.method.value, ev.work, args.json, ev.flags)
     return EXIT_OK
 
 

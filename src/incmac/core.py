@@ -33,7 +33,6 @@ __all__ = [
     "shared_work",
     "shared",
     "validate",
-    "sgn",
 ]
 
 # Shared numeric policy; every module takes these from here.
@@ -235,10 +234,3 @@ def shared(fn, *args):
     if (fn, args) not in memo:
         memo[fn, args] = fn(*args)
     return memo[fn, args]
-
-
-def sgn(y: float) -> int:
-    """Signum: 1 for y > 0, 0 for y = 0, -1 for y < 0."""
-    if math.isnan(y):
-        raise DomainError("y", y, "sign of NaN is undefined")
-    return (y > 0) - (y < 0)

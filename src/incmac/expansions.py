@@ -63,46 +63,53 @@ def _lost_term_bound(coef: float, a: float, x: float) -> float:
     return math.exp(log_bound) if log_bound > LOG_TINY else 0.0
 
 
-def _series_core(coef: float, step: float, a0: float, x: float, tol: Tolerances):
-    """Shared loop for the two convergent expansions.
+def _series_core(coef: float, step: float, factor, target):
+    """The one loop over terms of every sum here.
 
-    Terms are coef_k * Gamma(a0 - k, x) with coef_{k+1} = coef_k * step/(k+1).
-    Stops only after two consecutive terms fall below the target; alternating
-    sums can produce an accidentally tiny single term.  Subnormal gamma
-    factors only carry absolute 5e-324 quantization, which the growing
-    coefficients amplify, and a zero factor loses its whole term (the first
-    omitted one too); that loss is tracked and returned for the callers.
-    Returns (value, terms used, tail bound, peak partial sum, that loss).
+    Term k is coef_k f_k with coef_{k+1} = coef_k * step/(k+1), where
+    (f_k, lost_k) = factor(k, coef_k) and lost_k bounds what term k loses
+    beyond the summation's rounding.  Stops only after two consecutive
+    terms fall below target(partial sum); alternating sums can produce an
+    accidentally tiny single term.  A partial sum that is not finite, or
+    _MAX_TERMS terms, raise NonConvergence.  Returns (sum, terms used, the
+    next coefficient, peak |partial sum|, sum of lost_k).
     """
-    total = 0.0
-    peak = 0.0
-    qerr = 0.0
+    total = peak = lost = 0.0
     streak = 0
-    terms = 0
     for k in range(_MAX_TERMS):
-        g = upper_incomplete_gamma(a0 - k, x)
-        if 0.0 < abs(g) < TINY:
-            qerr += abs(coef) * 5e-324
-        elif g == 0.0:
-            qerr += _lost_term_bound(coef, a0 - k, x)
-        term = coef * g
+        f, bound = factor(k, coef)
+        term = coef * f
         total += term
-        terms += 1
-        peak = max(peak, abs(total))
+        if not math.isfinite(total):
+            raise NonConvergence(f"partial sum overflows at term {k}")
+        if abs(total) > peak:  # a sixth of the cost of max() in this hot loop
+            peak = abs(total)
+        lost += bound
         coef *= step / (k + 1)
-        if abs(term) < tol.target(total):
+        if abs(term) < target(total):
             streak += 1
-            if streak >= 2:
-                g = upper_incomplete_gamma(a0 - terms, x)
-                tail = abs(coef * g) if g != 0.0 else _lost_term_bound(coef, a0 - terms, x)
-                return total, terms, tail, peak, qerr
+            if streak == 2:
+                return total, k + 1, coef, peak, lost
         else:
             streak = 0
-    raise NonConvergence(
-        f"series did not converge within {_MAX_TERMS} terms",
-        partial=total,
-        error_estimate=abs(term),
-    )
+    raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
+
+
+def _gamma_factor(a0: float, x: float):
+    """The factor of the two upper-gamma series for _series_core: Gamma(a0 -
+    k, x), and what its underflow loses of the term.  A subnormal factor
+    carries absolute 5e-324 quantization, which the coefficient amplifies;
+    a zero factor loses the whole term (_lost_term_bound)."""
+
+    def factor(k, coef):
+        g = upper_incomplete_gamma(a0 - k, x)
+        if abs(g) >= TINY:
+            return g, 0.0
+        if g == 0.0:
+            return g, _lost_term_bound(coef, a0 - k, x)
+        return g, abs(coef) * 5e-324
+
+    return factor
 
 
 def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
@@ -116,7 +123,10 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     nu, z, t = p.order, p.argument, p.endpoint
     x0 = 0.25 * z * z / t
     coef0 = 0.5 * (0.5 * z) ** (-nu)
-    summed, terms, tail, peak, qerr = _series_core(coef0, -0.25 * z * z, nu, x0, tol)
+    factor = _gamma_factor(nu, x0)
+    summed, terms, coef, peak, qerr = _series_core(coef0, -0.25 * z * z, factor, tol.target)
+    g, lost = factor(terms, coef)
+    tail = abs(coef * g) if g else lost
     flags = ()
     if peak > _CANCEL_LIMIT * abs(summed):
         flags = (FLAG_CANCELLATION,)
@@ -145,27 +155,13 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     # the sum runs in units of the prefactor, where abs_tol has no meaning;
     # the relative stop still ends at double resolution when rel_tol is 0
     rel = max(tol.rel_tol, EPS)
-    coef = 1.0
-    total = peak = werr = 0.0
-    streak = 0
-    for k in range(_MAX_TERMS):
+
+    def kummer(k, coef):
+        # L_k's own bound times |coef_k|, and the coefficient's rounding
         lk, bound = _kummer_sum(m, t, k)
-        term = coef * lk
-        total += term
-        if not math.isfinite(total):
-            raise NonConvergence(f"lower gamma sums overflow at t={t}")
-        peak = max(peak, abs(total))
-        werr += abs(coef) * bound + (k + 2) * EPS * abs(term)
-        coef *= -x0 / (k + 1)
-        if abs(term) <= rel * abs(total):
-            streak += 1
-            if streak >= 2:
-                break
-        else:
-            streak = 0
-    else:
-        raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
-    terms = k + 1
+        return lk, abs(coef) * bound + (k + 2) * EPS * abs(coef * lk)
+
+    total, terms, coef, peak, werr = _series_core(1.0, -x0, kummer, lambda s: rel * abs(s))
     lk, bound = _kummer_sum(m, t, terms)
     werr += abs(coef) * (abs(lk) + bound) + terms * EPS * peak
     # (1/2)(2t/z)^m e^-t times the peak partial sum, through one exp
@@ -207,7 +203,10 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         return _split_small_z(-nu, z, t, tol)
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
     coef0 = 0.5 * (0.5 * z) ** nu
-    summed, terms, tail, peak, qerr = _series_core(coef0, -0.25 * z * z, -nu, t, tol)
+    factor = _gamma_factor(-nu, t)
+    summed, terms, coef, peak, qerr = _series_core(coef0, -0.25 * z * z, factor, tol.target)
+    g, lost = factor(terms, coef)
+    tail = abs(coef * g) if g else lost
     value = kval - summed
     flags = ()
     if max(abs(summed), peak) > _CANCEL_LIMIT * abs(value):
@@ -224,7 +223,8 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     truncated on term smallness.  The reported tail bound is the sum over
     the retained outer terms of their first omitted inner terms (the
     inner truncation errors add up in the correction), plus the first
-    omitted outer term.
+    omitted outer term.  The outer sum alternates, so its rounding is
+    counted from its peak partial sum.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
@@ -234,34 +234,21 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         # correction is far below double resolution of K
         return Evaluation(kval, kerr, MethodTag.ASYMPT_LARGE_T, kwork)
     base = math.exp(e)
-
-    corr = 0.0
-    tail = 0.0
     work = 0
-    kfac = 1.0
-    streak = 0
-    for k in range(_MAX_TERMS):
+
+    def inner(k, coef):
         # Gamma(-nu-k, t) t^(nu+k+1) e^t, truncated at its smallest term
+        nonlocal work
         msum, mterms, omitted, smallest = _asymptotic_sum(nu + k + 1.0, t, _MAX_TERMS + 1)
         work += mterms
         if not smallest and omitted > tol.target(kval):
-            raise NonConvergence(
-                f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}",
-                partial=kval - corr,
-            )
-        kterm = base * kfac * msum
-        corr += kterm
-        tail += base * abs(kfac) * omitted
-        kfac *= -0.25 * z * z / ((k + 1.0) * t)
-        if abs(kterm) < tol.target(kval - corr):
-            streak += 1
-            if streak >= 2:
-                break
-        else:
-            streak = 0
-    else:
-        raise NonConvergence("outer expansion did not converge", partial=kval - corr)
-    err = kerr + tail + base * abs(kfac) + 16.0 * EPS * (abs(kval) + abs(corr))
+            raise NonConvergence(f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}")
+        return msum, abs(coef) * omitted
+
+    corr, _, coef, peak, tail = _series_core(
+        base, -0.25 * z * z / t, inner, lambda c: tol.target(kval - c)
+    )
+    err = kerr + tail + abs(coef) + 16.0 * EPS * (abs(kval) + peak)
     return Evaluation(kval - corr, err, MethodTag.ASYMPT_LARGE_T, kwork + work)
 
 

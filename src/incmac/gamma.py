@@ -3,10 +3,10 @@
 Provides the gamma function, the (non-regularized) upper incomplete gamma
 function at any real order, the lower incomplete gamma at any non-integer
 order (the Kummer series, continued past a < 0, with a bound on its
-rounding), its large-argument asymptotic sum, Pochhammer products, the
-modified Bessel function I from its power series, and the Macdonald
-function K to full double precision by Temme's series, Steed's continued
-fraction and forward recurrence in order.  No other module evaluates an
+rounding), its large-argument asymptotic sum, the modified Bessel
+function I from its power series, and the Macdonald function K to full
+double precision by Temme's series, Steed's continued fraction and
+forward recurrence in order.  No other module evaluates an
 incomplete gamma.  Nothing here integrates: the quadrature oracle stays an
 independent check on every value.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "upper_incomplete_gamma",
     "lower_incomplete_gamma",
     "incomplete_gamma_asymptotic",
-    "pochhammer",
     "macdonald_k",
 ]
 
@@ -242,18 +241,6 @@ def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
     if e < EXP_FLOOR:
         return 0.0
     return math.exp(e) * _asymptotic_sum(1.0 - a, x, m_max + 1)[0]
-
-
-def pochhammer(a: float, m: int) -> float:
-    """Rising factorial (a)_m = a (a+1) ... (a+m-1); (a)_0 = 1."""
-    if m < 0 or m != int(m):
-        raise ValueError("m must be a nonnegative integer")
-    result = 1.0
-    for i in range(int(m)):
-        result *= a + i
-    if math.isinf(result):
-        raise OverflowError(f"pochhammer({a}, {m}) exceeds the double range")
-    return result
 
 
 def _temme_gammas(mu: float):

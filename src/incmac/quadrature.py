@@ -312,9 +312,13 @@ def shu_oracle_cosh(p: ShuParams, tol: Tolerances = None) -> Evaluation:
 
 def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:
     tag, setup = _FORMS[form]
+    log_bound = _log_value_bound(p)
     # peak times a generous width still below the smallest normal
-    if _log_value_bound(p) + 12.0 < LOG_TINY:
+    if log_bound + 12.0 < LOG_TINY:
         return Evaluation(0.0, 0.0, tag, 0)
     f, lo, hi, pts = setup(p.order, p.argument, p.endpoint)
     res = require_converged(integrate_adaptive(f, lo, hi, tol, points=pts))
-    return Evaluation(res.value, res.error_estimate, tag, res.subdivisions)
+    # the integrand's exponent, about log_bound near its peak, rounds to EPS
+    # of itself, and so the integral to EPS |log_bound| relative
+    err = res.error_estimate + EPS * abs(log_bound) * abs(res.value)
+    return Evaluation(res.value, err, tag, res.subdivisions)

@@ -74,6 +74,28 @@ S_HIGH_PRECISION = {
     (-0.20319671806813133, 23.093510210467603, 35.76121889206547): 2.4266610059155894e-11,
 }
 
+# S at two large endpoints where the outer sum of asympt_large_t cancels
+# (its peak partial sum is 2e7 and 6e15 times the correction it sums
+# to).  The y-form and endpoint integrals and K minus the integral beyond
+# t, each in mpmath at 50 digits with its integrand scaled by the peak,
+# agreeing to 25 digits, rounded to double
+S_LARGE_T_CANCELLING = {
+    (-29.30566453422461, 43.975624187433134, 47.39947098266069): 1.4920293274770953e-16,
+    (-8.267746481048224, 164.63856228515448, 171.7367769997575): 3.7819188037854335e-73,
+}
+
+# S where the integrand's exponent, near -592 to -707, rounds to more than
+# the quadrature oracles' estimate once left out of it.  The y-form and
+# endpoint integrals in mpmath at 50 digits, each scaled by its peak,
+# agreeing to 25 digits with the small-endpoint series in mpmath at 120
+# and 160 digits, rounded to double
+S_EXPONENT_ROUNDING = {
+    (-29.963652409842208, 51.2832099354792, 1.1788820666918924): 1.3351275028728975e-286,
+    (6.866860090259657, 14.677904963797392, 0.0875726374437794): 9.480092628675543e-258,
+    (-25.517296979498347, 45.25141063150784, 0.8655368185527998): 3.182638078599481e-297,
+    (-19.02178089671522, 55.98546266713453, 1.226843953874012): 1.3341196713410222e-307,
+}
+
 # S where form 2's clamped interval (tau > z^2/3040) used to be empty although
 # S is a normal double: the prefactor (z/2)^nu tau^(-nu-1) outweighs
 # e^(-z^2/4tau).  The small-endpoint series in mpmath at 60 and 80 digits,

@@ -42,6 +42,17 @@ class TestEval:
         assert set(obj) == {"value", "error_estimate", "method", "work"}
         assert obj["method"] == "Oracle5"
 
+    def test_flags_shown_only_when_set(self, capsys):
+        # S underflows here: evaluate returns the flagged 0.0
+        _, out, _ = _run(capsys, "eval", "--nu", "3", "--z", "50", "--t", "0.01")
+        assert out.split()[-1] == "flags=underflow_to_zero"
+        _, out, _ = _run(capsys, "eval", "--nu", "3", "--z", "50", "--t", "0.01", "--json")
+        obj = json.loads(out)
+        assert (obj["value"], obj["error_estimate"]) == (0.0, 0.0)
+        assert obj["flags"] == ["underflow_to_zero"]
+        _, out, _ = _run(capsys, "eval", "--nu", "0", "--z", "3", "--t", "3")
+        assert "flags" not in out
+
     def test_domain_error_names_flag(self, capsys):
         code, out, err = _run(capsys, "eval", "--nu", "1", "--z", "-2", "--t", "1")
         assert code == 2

@@ -18,7 +18,6 @@ from incmac.core import (
     MethodTag,
     ShuParams,
     Tolerances,
-    sgn,
     shared,
     shared_work,
     validate,
@@ -66,22 +65,6 @@ class TestValidate:
         assert math.isfinite(p.order)
         assert p.argument > 0 and math.isfinite(p.argument)
         assert p.endpoint > 0 and math.isfinite(p.endpoint)
-
-
-class TestSgn:
-    @pytest.mark.parametrize("y,want", [(2.5, 1), (0.0, 0), (-0.3, -1)])
-    def test_examples(self, y, want):
-        assert sgn(y) == want
-
-    @given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda y: y != 0.0))
-    def test_odd(self, y):
-        assert sgn(y) * sgn(-y) == -1
-
-    def test_zero_and_nan(self):
-        assert sgn(0.0) == 0
-        assert sgn(-0.0) == 0
-        with pytest.raises(DomainError):
-            sgn(math.nan)
 
 
 class TestTolerances:

@@ -386,13 +386,6 @@ def test_wide_box_zero_exactly_when_flagged():
             assert ((ev.value, ev.error_estimate) == (0.0, 0.0)) == (FLAG_UNDERFLOW in ev.flags), (p, ev)
 
 
-# Where the oracles' rounding of their integrand's exponent (about EPS |e|,
-# left out of their estimates) makes form 4 miss: at this point (exponent
-# near -592) form 4 is 1.3e-13 relative off the 40-digit value of S,
-# 3.7x its claim.  Form 4 is left out here; nothing else is.
-_FORM4_EXPONENT_MISSES = {(6.866860090259657, 14.677904963797392, 0.0875726374437794)}
-
-
 def _wide_box(rng, n, nu_hi, z_hi):
     return [
         ShuParams(
@@ -414,11 +407,8 @@ def test_wide_box_differential():
     split = 0
     for p in points:
         ev, dec = evaluate(p, TIGHT)
-        refs = [shu_oracle(p, TIGHT)]
-        if (p.order, p.argument, p.endpoint) not in _FORM4_EXPONENT_MISSES:
-            refs.append(shu_oracle_cosh(p, TIGHT))
-            r5, r4 = refs
-            assert abs(r5.value - r4.value) <= r5.error_estimate + r4.error_estimate, p
+        refs = r5, r4 = shu_oracle(p, TIGHT), shu_oracle_cosh(p, TIGHT)
+        assert abs(r5.value - r4.value) <= r5.error_estimate + r4.error_estimate, p
         for ref in refs:
             assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, (p, ref.method)
         split += dec.chosen is MethodTag.SERIES_SMALL_Z and p.order < 0.0

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 
@@ -15,6 +17,7 @@ from incmac.core import (
 )
 from incmac.evaluator import evaluate
 from incmac.expansions import (
+    _gamma_factor,
     _series_core,
     asympt_large_t,
     leading_imb_large_z,
@@ -27,7 +30,7 @@ from incmac.expansions import (
 from incmac.gamma import macdonald_k, upper_incomplete_gamma
 from incmac.quadrature import integrate_adaptive, shu_oracle
 
-from frozen import S0_3_3, S_HIGH_PRECISION, S_SMALL_Z_SPLIT
+from frozen import S0_3_3, S_HIGH_PRECISION, S_LARGE_T_CANCELLING, S_SMALL_Z_SPLIT
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -73,13 +76,15 @@ class TestSeriesSmallT:
         # in the tail bound.  Each term is at least half of
         # 1e300 e^-800 / (800 k!), since Gamma(-k, x) ~ x^(-k-1) e^-x.
         assert upper_incomplete_gamma(0.0, 800.0) == 0.0
-        value, terms, tail, _, qerr = _series_core(1e300, 800.0, 0.0, 800.0, TIGHT)
+        factor = _gamma_factor(0.0, 800.0)
+        value, terms, coef, _, qerr = _series_core(1e300, 800.0, factor, TIGHT.target)
         assert (value, terms) == (0.0, 2)
         lost = [math.exp(math.log(0.5e300 / math.factorial(k)) - math.log(800.0) - 800.0)
                 for k in range(3)]
         assert lost[2] > 1e-60
         assert qerr >= lost[0] + lost[1]
-        assert tail >= lost[2]
+        g, omitted = factor(terms, coef)  # the callers' tail bound
+        assert g == 0.0 and omitted >= lost[2]
 
 
 class TestSeriesSmallZ:
@@ -97,6 +102,12 @@ class TestSeriesSmallZ:
         full = series_small_z(ShuParams(0.0, z, t), TIGHT).value
         k0_only = macdonald_k(0.0, z) - 0.5 * upper_incomplete_gamma(0.0, t)
         assert _rel(full, k0_only) < 1e-10
+
+    def test_overflowing_partial_sum_raises(self):
+        # the terms (z^2/4)^k/k! Gamma(-nu-k, t) pass the double range
+        # before a gamma factor overflows; the sum must not return
+        with pytest.raises(NonConvergence):
+            series_small_z(ShuParams(9.095578363365775, 29.841925040658623, 0.0005032682251735685), TIGHT)
 
     def test_cancellation_flag_at_small_endpoint(self):
         # at t = 0.02 the summands grow enormous before the k! wins; the
@@ -183,6 +194,13 @@ class TestAsymptLargeT:
         # the inner truncation errors of all outer terms add up
         ev = asympt_large_t(ShuParams(*point), TIGHT)
         assert abs(ev.value - S_HIGH_PRECISION[point]) <= ev.error_estimate
+
+    @pytest.mark.parametrize("point", list(S_LARGE_T_CANCELLING))
+    def test_cancelling_outer_sum_within_estimate(self, point):
+        # the outer sum's rounding scales with its peak partial sum, not
+        # with the small correction it cancels down to
+        ev = asympt_large_t(ShuParams(*point), TIGHT)
+        assert abs(ev.value - S_LARGE_T_CANCELLING[point]) <= ev.error_estimate
 
     def test_agrees_with_small_argument_series(self):
         # both sum (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu-k, t), the
@@ -347,3 +365,17 @@ def test_leading_approximants_positive_on_their_domains():
                 if z > 2.5 * t:
                     assert leading_large_z(p) > 0.0
                 assert leading_imb_large_z(nu, z, t) > 0.0
+
+
+def test_one_loop_over_terms():
+    # every series and asymptotic sum in expansions runs through _series_core
+    looping = [
+        node.name
+        for node in ast.walk(ast.parse(inspect.getsource(incmac.expansions)))
+        if isinstance(node, ast.FunctionDef)
+        for loop in ast.walk(node)
+        if isinstance(loop, ast.For)
+        and isinstance(loop.iter, ast.Call)
+        and ast.unparse(loop.iter) == "range(_MAX_TERMS)"
+    ]
+    assert looping == ["_series_core"]

@@ -15,7 +15,6 @@ from incmac.gamma import (
     incomplete_gamma_asymptotic,
     lower_incomplete_gamma,
     macdonald_k,
-    pochhammer,
     upper_incomplete_gamma,
 )
 from incmac.quadrature import integrate_adaptive
@@ -210,7 +209,7 @@ class TestIncompleteGammaAsymptotic:
         got = incomplete_gamma_asymptotic(0.5, 20.0, 5)
         want = upper_incomplete_gamma(0.5, 20.0)
         assert _rel(got, want) < 1e-5
-        first_omitted = pochhammer(0.5, 6) / 20.0**6
+        first_omitted = math.prod(0.5 + i for i in range(6)) / 20.0**6
         assert _rel(got, want) < 3.0 * first_omitted
 
     def test_order_two_closed_form(self):
@@ -241,24 +240,6 @@ class TestIncompleteGammaAsymptotic:
         assert (used, smallest) == (3, False)
         assert _rel(total, sum(terms[:3])) < 1e-15
         assert _rel(omitted, abs(terms[3])) < 1e-15
-
-
-class TestPochhammer:
-    @pytest.mark.parametrize("a,m,want", [(3.0, 2, 12.0), (-0.5, 3, -0.375), (0.0, 4, 0.0), (2.5, 0, 1.0)])
-    def test_examples(self, a, m, want):
-        assert pochhammer(a, m) == want
-
-    @given(st.floats(-10, 10), st.integers(0, 20))
-    def test_recurrence(self, a, m):
-        assert pochhammer(a, m + 1) == pytest.approx(pochhammer(a, m) * (a + m), rel=1e-12, abs=1e-300)
-
-    def test_overflow(self):
-        with pytest.raises(OverflowError):
-            pochhammer(300.0, 200)
-
-    def test_rejects_negative_m(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
 
 
 class TestMacdonaldK:

@@ -3,11 +3,12 @@ import math
 import pytest
 
 import incmac.quadrature
+from incmac import core
 from incmac.core import FLAG_UNDERFLOW, NonConvergence, ShuParams, Tolerances, shared_work
 from incmac.gamma import macdonald_k
 from incmac.quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
 
-from frozen import S0_3_3, S_FORM2_CLAMP, S_SMALL_Z_NEGATIVE_ORDER
+from frozen import S0_3_3, S_EXPONENT_ROUNDING, S_FORM2_CLAMP, S_SMALL_Z_NEGATIVE_ORDER
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -96,6 +97,14 @@ class TestShuOracle:
     def test_small_argument_negative_order(self, point, form):
         ev = shu_oracle(ShuParams(*point), TIGHT, form)
         assert abs(ev.value - S_SMALL_Z_NEGATIVE_ORDER[point]) <= ev.error_estimate
+
+    @pytest.mark.parametrize("form", [2, 4, 5])
+    @pytest.mark.parametrize("point", list(S_EXPONENT_ROUNDING))
+    def test_exponent_rounding_within_estimate(self, point, form):
+        # the integrand's exponent is near -600 here, so its rounding alone
+        # moves the integral by ~1e-13 relative; the estimate must count it
+        ev = shu_oracle(ShuParams(*point), core.TIGHT, form)
+        assert abs(ev.value - S_EXPONENT_ROUNDING[point]) <= ev.error_estimate
 
     def test_rejects_unknown_form(self):
         with pytest.raises(ValueError):
