@@ -1,9 +1,12 @@
 """Series and asymptotic evaluators of S, plus the leading-term approximants.
 
 The two series (small endpoint, small argument) are convergent everywhere
-in the real domain and act as exact evaluators with tail bounds.  At
-negative non-integer order the small-argument series takes its split form,
-in lower incomplete gammas and I_-nu(z), which needs no K_nu(z).  The
+in the real domain and act as exact evaluators with tail bounds.  Both
+are sums of upper incomplete gammas at consecutive orders, which they take
+by recurrence from gamma._upper_gamma_orders and sum in units of one
+prefactor (_upper_gamma_sum).  At negative non-integer order the
+small-argument series takes its split form, in lower incomplete gammas and
+I_-nu(z), which needs no K_nu(z).  The
 large-endpoint double sum is asymptotic and truncated at its smallest
 term.  The leading_* functions are bare approximants with no error
 control, exposed for the ratio-law checks and figure overlays.
@@ -17,8 +20,6 @@ from .core import (
     EPS,
     EXP_FLOOR,
     FLAG_CANCELLATION,
-    LOG_TINY,
-    TINY,
     DomainError,
     Evaluation,
     MethodTag,
@@ -29,11 +30,13 @@ from .core import (
     shared,
 )
 from .gamma import (
+    _LN2,
+    _LOG_HUGE,
     _asymptotic_sum,
     _bessel_i_series,
     _kummer_sum,
     _macdonald_k_eval,
-    upper_incomplete_gamma,
+    _upper_gamma_orders,
 )
 
 __all__ = [
@@ -48,19 +51,6 @@ __all__ = [
 
 _CANCEL_LIMIT = 1e6
 _MAX_TERMS = 200  # cap on the terms of every series and asymptotic sum
-
-
-def _lost_term_bound(coef: float, a: float, x: float) -> float:
-    """Bound on |coef * Gamma(a, x)| for a Gamma(a, x) that underflowed to 0.0.
-
-    For x > a - 1 the integrand t^(a-1) e^-t lies below the exponential of
-    its logarithm's tangent at t = x, so Gamma(a, x) <= x^(a-1) e^-x
-    max(1, x/(x - a + 1)); at x <= a - 1 Gamma(a, x) never underflows.  A
-    bound below the smallest normal double counts as 0."""
-    if coef == 0.0 or x <= a - 1.0:
-        return 0.0
-    log_bound = math.log(abs(coef)) + (a - 1.0) * math.log(x) - x + max(0.0, math.log(x / (x - a + 1.0)))
-    return math.exp(log_bound) if log_bound > LOG_TINY else 0.0
 
 
 def _series_core(coef: float, step: float, factor, target):
@@ -95,43 +85,72 @@ def _series_core(coef: float, step: float, factor, target):
     raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
 
 
-def _gamma_factor(a0: float, x: float):
-    """The factor of the two upper-gamma series for _series_core: Gamma(a0 -
-    k, x), and what its underflow loses of the term.  A subnormal factor
-    carries absolute 5e-324 quantization, which the coefficient amplifies;
-    a zero factor loses the whole term (_lost_term_bound)."""
+def _units_target(tol: Tolerances, log_unit: float):
+    """tol.target for a sum kept in units of e^log_unit: the absolute
+    target abs_tol e^-log_unit (inf where that overflows), the relative one
+    unchanged."""
+    e = math.log(tol.abs_tol) - log_unit if tol.abs_tol else -math.inf
+    floor = math.exp(e) if e < _LOG_HUGE else math.inf
+    rel = tol.rel_tol
+
+    def target(s):
+        t = rel * abs(s)
+        return t if t > floor else floor
+
+    return target
+
+
+def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: float, tol: Tolerances):
+    """(1/2)(z/2t)^nu e^-x sum_k step^k/k! h_k with Gamma(a0 - k, x) = x^(a0-k)
+    e^-x h_k, the sum both upper-gamma series reduce to.
+
+    The sum runs in units of the prefactor, with h_k from
+    _upper_gamma_orders, so no term underflows on its own; the prefactor
+    goes through one exp together with the peak partial sum, so the
+    exponent's rounding is counted once and the result overflows only where
+    the sum does.  The estimate adds the first omitted term, each h_k's
+    bound and its coefficient's rounding times |term k|, the summation's
+    rounding from the peak and the exponent's rounding.  Returns (value,
+    error, terms, the peak partial sum times the prefactor).
+    """
+    log_q = math.log(0.5 * z / t)
+    lead = nu * log_q - x - _LN2
+    orders = _upper_gamma_orders(a0, x)
 
     def factor(k, coef):
-        g = upper_incomplete_gamma(a0 - k, x)
-        if abs(g) >= TINY:
-            return g, 0.0
-        if g == 0.0:
-            return g, _lost_term_bound(coef, a0 - k, x)
-        return g, abs(coef) * 5e-324
+        # coef_k carries two roundings per step and k times the step's own
+        h, r = next(orders)
+        return h, abs(coef * h) * (r + (2 * k + 2) * EPS)
 
-    return factor
+    total, terms, coef, peak, werr = _series_core(1.0, step, factor, _units_target(tol, lead))
+    h, r = next(orders)
+    werr += abs(coef * h) * (1.0 + r) + terms * EPS * peak
+    log_peak = math.log(peak)
+    scale = math.exp(lead + log_peak)
+    value = scale * (total / peak)
+    # the rounding of log_q times nu, of x (two products and a quotient)
+    # and of the three sums
+    exponent_err = EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * x + abs(lead) + abs(log_peak) + 4.0)
+    return value, scale * (werr / peak) + exponent_err * abs(value), terms, scale
 
 
 def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
-    """Convergent expansion of S in incomplete gammas of argument z^2/(4t).
+    """Convergent expansion of S in incomplete gammas of argument z^2/(4t),
+    (1/2)(z/2)^-nu sum_k (-z^2/4)^k/k! Gamma(nu - k, z^2/4t).
 
     Efficient when z^2/(4t) is a few units or more, yet convergent for all
-    parameters (the k! eventually dominates).  Tail bound is the first
-    omitted term.
+    parameters (the k! eventually dominates).  Summed by _upper_gamma_sum
+    in units of (1/2)(z/2t)^nu e^(-z^2/4t), with step -t; the tail bound is
+    the first omitted term.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
     x0 = 0.25 * z * z / t
-    coef0 = 0.5 * (0.5 * z) ** (-nu)
-    factor = _gamma_factor(nu, x0)
-    summed, terms, coef, peak, qerr = _series_core(coef0, -0.25 * z * z, factor, tol.target)
-    g, lost = factor(terms, coef)
-    tail = abs(coef * g) if g else lost
+    value, err, terms, scale = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol)
     flags = ()
-    if peak > _CANCEL_LIMIT * abs(summed):
+    if scale > _CANCEL_LIMIT * abs(value):
         flags = (FLAG_CANCELLATION,)
-    err = tail + 32.0 * EPS * peak + qerr
-    return Evaluation(summed, err, MethodTag.SERIES_SMALL_T, terms, flags)
+    return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms, flags)
 
 
 def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
@@ -190,9 +209,11 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
 def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """The convergent expansion in incomplete gammas of argument t.
 
-    At order nu >= 0, and at integer orders, K_nu(z) minus that expansion:
-    valid everywhere, numerically hostile at small t where the summands
-    alternate with large magnitude, which is reported through the
+    At order nu >= 0, and at integer orders, K_nu(z) minus that expansion,
+    (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t), summed by
+    _upper_gamma_sum in units of (1/2)(z/2)^nu t^-nu e^-t with step
+    -z^2/4t: valid everywhere, numerically hostile at small t where the
+    summands alternate with large magnitude, which is reported through the
     severe-cancellation flag.  At negative non-integer order, the split
     form in lower incomplete gammas and I_-nu (see _split_small_z), which
     needs no K and does not cancel against it at small z.
@@ -202,16 +223,12 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     if nu < 0.0 and nu != math.floor(nu):
         return _split_small_z(-nu, z, t, tol)
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
-    coef0 = 0.5 * (0.5 * z) ** nu
-    factor = _gamma_factor(-nu, t)
-    summed, terms, coef, peak, qerr = _series_core(coef0, -0.25 * z * z, factor, tol.target)
-    g, lost = factor(terms, coef)
-    tail = abs(coef * g) if g else lost
-    value = kval - summed
+    part, err, terms, scale = _upper_gamma_sum(nu, z, t, -nu, t, -0.25 * z * z / t, tol)
+    value = kval - part
     flags = ()
-    if max(abs(summed), peak) > _CANCEL_LIMIT * abs(value):
+    if scale > _CANCEL_LIMIT * abs(value):
         flags = (FLAG_CANCELLATION,)
-    err = tail + kerr + 32.0 * EPS * max(peak, abs(kval)) + qerr
+    err += kerr + EPS * (abs(kval) + abs(part))
     return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms, flags)
 
 

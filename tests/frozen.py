@@ -155,3 +155,67 @@ S_SMALL_Z_SPLIT = {
     (-0.3, 0.9, 5.0): 0.5031826883692297,
     (-7.45, 1e-4, 20.0): 9.362553407328788e34,
 }
+
+# S at points of the two upper-gamma series, drawn with random.Random(13):
+# 30 small-endpoint points with z^2/4t log-uniform on [2, 700], t
+# log-uniform on [0.01, 20] and the order uniform on [-30, 30], kept where
+# S is a normal double, and 10 small-argument points of the K form (orders
+# in [0, 30] or negative integers, z in [1e-4, 1], t in [0.05, 30]), plus
+# one where that form overflowed in x**b.  The small-endpoint series
+# summed with mpmath.gammainc at 60 and 90 digits (150 and 200 where the
+# sum cancels), agreeing to 30 digits, rounded to double; seven of them
+# agree to 1e-16 with the defining integral in mpmath
+S_SERIES_SMALL_T = {
+    (11.044915080966646, 8.166598446638103, 1.8283409631631464): 0.0655088448442976,
+    (-16.166483462071916, 6.8939800370851, 0.041028068210837196): 2.0537971616550042e-160,
+    (14.04141613276638, 1.0241703959067527, 0.055369372820416464): 40968729839932.83,
+    (-17.165548170495555, 3.119775585416402, 0.5673955599559329): 5.322552744485734e-12,
+    (20.259390630197892, 3.4569111224364932, 0.2658640459204191): 1713455307412.7886,
+    (-13.449788763650599, 1.7753096174340903, 0.011159423569678566): 3.4552903048495273e-59,
+    (18.58437667266363, 11.918841030291668, 7.518600787352567): 0.5531428843782832,
+    (14.685009168132453, 69.30943882481571, 5.343880958923137): 2.4374861229684474e-91,
+    (-14.597521414278239, 93.163731824804, 4.171194082898981): 8.764343564918221e-247,
+    (15.300231076644067, 21.684184384365125, 0.40447670460932444): 5.2213161891473e-108,
+    (-8.147842486815435, 7.553927840935081, 0.261847659001069): 4.784446254467609e-36,
+    (-22.958396965572582, 3.282172372825948, 0.1085764605372888): 1.316965701305205e-40,
+    (29.14087113569221, 64.81827168067053, 4.3159430508903815): 2.1052224071835686e-85,
+    (14.904689485052728, 17.58656529929668, 0.6753327842455054): 1.9695992265682088e-36,
+    (-3.396002708684236, 5.49778446549729, 1.714779520437216): 3.186509597855712e-05,
+    (1.3615980846800504, 1.0248668008959327, 0.046652679244409426): 0.008481485662301214,
+    (6.329926675619184, 3.4049455773521866, 0.32861548078233255): 0.4321998460675128,
+    (-0.54857184736737, 1.4818961520882175, 0.027021650857076484): 5.454258302289684e-12,
+    (-18.33186297049535, 1.3804866050324864, 0.05997651597666948): 2.2328921190259763e-25,
+    (9.073906226047548, 1.0929789458654247, 0.017453620988754418): 70054.95446799316,
+    (13.132919411800202, 20.31551274579281, 0.19336340536698834): 5.618581593687253e-213,
+    (-21.49526618509267, 5.124374528924334, 0.013887775597627187): 9.948948510168836e-258,
+    (8.343330884143398, 72.49317637270897, 5.844441761944157): 6.592889325574801e-97,
+    (22.094491236483037, 2.17387172253465, 0.2317105874843616): 5.118169714937002e+18,
+    (-17.816502434584535, 80.25267917171115, 4.480177957609913): 1.369979324056144e-178,
+    (12.990665431406974, 14.320658945034683, 0.1726162191645207): 1.5578045033012076e-111,
+    (6.210000174191222, 16.94235769204204, 16.08056460636139): 3.967066532016489e-08,
+    (7.03442977781441, 5.251726648850382, 0.04998962080682968): 5.701617216440376e-51,
+    (-8.438931591946535, 14.664352431442694, 0.8946463720361701): 4.649750771413702e-37,
+    (-12.280495676603376, 8.721128497339283, 0.13389162388205): 1.5720183475502464e-83,
+}
+S_SERIES_SMALL_Z_K = {
+    (20.520938237449407, 0.0002812164412203624, 0.2116423651758173): 3.2029252874544045e+96,
+    (19.30580413232273, 0.01677304692768197, 1.6157825101377377): 9.568483744495198e+55,
+    (13.187718054359358, 0.002356330536462612, 0.09044797687796682): 1.6216379496044766e+47,
+    (29.937413180750603, 0.00030624201526558553, 0.34402599268275946): 5.8041015107314645e+144,
+    (17.91776724882601, 0.0002040370941980314, 1.0101757297885716): 4.6074171048702575e+85,
+    (25.03510148133005, 0.0001054056532726638, 0.42556296817834555): 4.4133836978224464e+130,
+    (29.093619331590858, 0.011661277768499671, 1.038559380726161): 2.1027355493211008e+94,
+    (8.89668251547408, 0.00013395504261577717, 1.2355783591478002): 2.2084970910575143e+41,
+    (-24.0, 0.0003850065526850156, 0.7597785461424894): 2.0518793526357046e+84,
+    (-7.0, 0.001081907276159657, 2.150581861111724): 1.7621402134402648e+23,
+    (37.59408476864124, 0.0024955358148473924, 1.4958339344322494e-06): 2.333068689832587e+151,
+}
+
+# S at the three scatter-wide points where the small-endpoint series, one
+# incomplete gamma per term, rounded each term's exponent near -600 to more
+# than its estimate (29x, 19x and 27x); computed as above
+S_SERIES_EXPONENT_ROUNDING = {
+    (20.850449132580025, 79.73260932023716, 2.4590508352247955): 2.3458306466051864e-260,
+    (21.646533386603018, 83.35985034449226, 2.503595474116376): 7.437183306646603e-280,
+    (26.699879315644125, 81.031692528042, 2.3090672352270647): 2.178385422153883e-280,
+}

@@ -99,9 +99,10 @@ class TestEval:
 
 
     def test_overflow_exit_three(self, capsys):
-        # the small-endpoint series overflows in x**b far outside its regime
+        # K_200(0.001) exceeds the double range, so the small-argument
+        # series that subtracts from it overflows
         code, out, err = _run(
-            capsys, "eval", "--nu", "0", "--z", "0.7", "--t", "40", "--method", "small-t"
+            capsys, "eval", "--nu", "200", "--z", "0.001", "--t", "1", "--method", "small-z"
         )
         assert code == 3
         assert out == ""

@@ -96,6 +96,16 @@ class TestTolerances:
         assert tol.target(1e-5) == 1e-12
         assert tol.target(-1.0) == 1e-10
 
+    def test_target_is_max_bit_for_bit(self):
+        # the comparison returns what max(abs_tol, rel_tol |scale|) does,
+        # abs_tol where the product is NaN (0 * inf, or a NaN scale)
+        for tol in (Tolerances(1e-12, 1e-10), Tolerances(0.0, 1e-12), Tolerances(5e-324, 0.0)):
+            for scale in (0.0, -0.0, 1e-5, -3.0, 1e300, math.inf, -math.inf, math.nan, 1e-2):
+                want = max(tol.abs_tol, tol.rel_tol * abs(scale))
+                got = tol.target(scale)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (tol, scale)
+
 
 class TestEvaluation:
     def test_invariants(self):

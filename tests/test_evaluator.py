@@ -4,6 +4,7 @@ import random
 import pytest
 
 import incmac.cli
+import incmac.core
 import incmac.evaluator
 import incmac.expansions
 import incmac.quadrature
@@ -23,6 +24,8 @@ from frozen import (
     S0_3_3,
     S_HALF_GRID,
     S_HIGH_PRECISION,
+    S_SERIES_EXPONENT_ROUNDING,
+    S_SERIES_SMALL_Z_K,
     S_SMALL_Z_NEGATIVE_ORDER,
     S_SMALL_Z_SPLIT,
 )
@@ -150,16 +153,12 @@ class TestDecisionProcedure:
                 (-7.955851591265382, 320.06426145417345, 359.1606765143919),
                 (MethodTag.ASYMPT_LARGE_T, "NON_CONVERGENCE"),
             ),
-            # the small-endpoint series returns 1.2e-22 with a NaN error
-            # estimate; the true value is 3.9e-176
+            # the small-endpoint series with step -t = -204 needs more than
+            # 200 terms here; with one incomplete gamma per term it returned
+            # 1.2e-22 with a NaN error estimate, for a true value of 3.9e-176
             (
                 (-22.21781064291803, 400.31798891392566, 204.284282851257),
-                (MethodTag.SERIES_SMALL_T, "TAIL_TOO_LARGE"),
-            ),
-            # the small-argument series overflows in x**b
-            (
-                (37.59408476864124, 0.0024955358148473924, 1.4958339344322494e-06),
-                (MethodTag.SERIES_SMALL_Z, "OVERFLOW"),
+                (MethodTag.SERIES_SMALL_T, "NON_CONVERGENCE"),
             ),
         ],
     )
@@ -171,6 +170,26 @@ class TestDecisionProcedure:
         assert rejected in dec.candidates_tried
         ref = shu_oracle_cosh(p, TIGHT)
         assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    def test_large_order_small_endpoint_no_longer_overflows(self):
+        # the K form overflowed in x**b at Gamma(-37.6 - k, 1.5e-6) ~ 1e217
+        # and fell through to the oracle; in units of its prefactor the sum
+        # stays finite and S = 2.3e151 comes from the series itself
+        point = (37.59408476864124, 0.0024955358148473924, 1.4958339344322494e-06)
+        ev, dec = evaluate(ShuParams(*point), TIGHT)
+        assert dec.chosen is MethodTag.SERIES_SMALL_Z
+        assert abs(ev.value - S_SERIES_SMALL_Z_K[point]) <= ev.error_estimate
+        ref = shu_oracle_cosh(ShuParams(*point), TIGHT)
+        assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    @pytest.mark.parametrize("point", sorted(S_SERIES_EXPONENT_ROUNDING))
+    def test_series_estimate_counts_exponent_rounding(self, point):
+        # one incomplete gamma per term rounded each term's exponent near
+        # -600 uncounted, 19-29x past the estimate; the sum in units of its
+        # prefactor counts that exponent's rounding once
+        ev, dec = evaluate(ShuParams(*point), incmac.core.TIGHT)
+        assert dec.chosen is MethodTag.SERIES_SMALL_T
+        assert abs(ev.value - S_SERIES_EXPONENT_ROUNDING[point]) <= ev.error_estimate
 
     def test_negative_order_no_longer_overflows(self):
         # the K form overflowed in x**b here and fell through to the oracle;

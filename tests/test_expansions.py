@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import math
 import random
@@ -15,10 +16,8 @@ from incmac.core import (
     ShuParams,
     Tolerances,
 )
-from incmac.evaluator import evaluate
+from incmac.evaluator import evaluate, evaluate_grid
 from incmac.expansions import (
-    _gamma_factor,
-    _series_core,
     asympt_large_t,
     leading_imb_large_z,
     leading_large_z,
@@ -30,7 +29,15 @@ from incmac.expansions import (
 from incmac.gamma import macdonald_k, upper_incomplete_gamma
 from incmac.quadrature import integrate_adaptive, shu_oracle
 
-from frozen import S0_3_3, S_HIGH_PRECISION, S_LARGE_T_CANCELLING, S_SMALL_Z_SPLIT
+from frozen import (
+    S0_3_3,
+    S_EXPONENT_ROUNDING,
+    S_HIGH_PRECISION,
+    S_LARGE_T_CANCELLING,
+    S_SERIES_SMALL_T,
+    S_SERIES_SMALL_Z_K,
+    S_SMALL_Z_SPLIT,
+)
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -70,21 +77,27 @@ class TestSeriesSmallT:
         assert 0 < ev.work <= 200
 
     def test_underflowed_gamma_factors_bound_lost_terms(self):
-        # Gamma(-k, 800) underflows to 0.0 at every k, yet the terms
-        # 1e300 (800^k/k!) Gamma(-k, 800) are normal doubles: the two summed
-        # terms count in the quantization error and the first omitted one
-        # in the tail bound.  Each term is at least half of
-        # 1e300 e^-800 / (800 k!), since Gamma(-k, x) ~ x^(-k-1) e^-x.
-        assert upper_incomplete_gamma(0.0, 800.0) == 0.0
-        factor = _gamma_factor(0.0, 800.0)
-        value, terms, coef, _, qerr = _series_core(1e300, 800.0, factor, TIGHT.target)
-        assert (value, terms) == (0.0, 2)
-        lost = [math.exp(math.log(0.5e300 / math.factorial(k)) - math.log(800.0) - 800.0)
-                for k in range(3)]
-        assert lost[2] > 1e-60
-        assert qerr >= lost[0] + lost[1]
-        g, omitted = factor(terms, coef)  # the callers' tail bound
-        assert g == 0.0 and omitted >= lost[2]
+        # every Gamma(nu - k, x0) of this sum underflows to 0.0 (x0 = 591.5),
+        # yet S = 3.2e-297 is a normal double: no term may be lost, and the
+        # value must land within its estimate of the reference, which must
+        # meet the relative target
+        point = (-25.517296979498347, 45.25141063150784, 0.8655368185527998)
+        nu, z, t = point
+        x0 = 0.25 * z * z / t
+        ev = series_small_t(ShuParams(*point), Tolerances(abs_tol=5e-324, rel_tol=1e-12))
+        assert all(upper_incomplete_gamma(nu - k, x0) == 0.0 for k in range(ev.work + 1))
+        ref = S_EXPONENT_ROUNDING[point]
+        assert abs(ev.value - ref) <= ev.error_estimate <= 1e-12 * ref
+
+    def test_estimate_covers_error_against_high_precision(self):
+        # the exponent of each per-order gamma, up to ~700 here, once
+        # rounded uncounted; now the prefactor's is counted once
+        misses = []
+        for point, ref in S_SERIES_SMALL_T.items():
+            ev = series_small_t(ShuParams(*point), TIGHT)
+            if not abs(ev.value - ref) <= ev.error_estimate:
+                misses.append((point, ev.value, ev.error_estimate))
+        assert misses == []
 
 
 class TestSeriesSmallZ:
@@ -108,6 +121,14 @@ class TestSeriesSmallZ:
         # before a gamma factor overflows; the sum must not return
         with pytest.raises(NonConvergence):
             series_small_z(ShuParams(9.095578363365775, 29.841925040658623, 0.0005032682251735685), TIGHT)
+
+    def test_k_form_estimate_covers_error_against_high_precision(self):
+        misses = []
+        for point, ref in S_SERIES_SMALL_Z_K.items():
+            ev = series_small_z(ShuParams(*point), TIGHT)
+            if not abs(ev.value - ref) <= ev.error_estimate:
+                misses.append((point, ev.value, ev.error_estimate))
+        assert misses == []
 
     def test_cancellation_flag_at_small_endpoint(self):
         # at t = 0.02 the summands grow enormous before the k! wins; the
@@ -379,3 +400,20 @@ def test_one_loop_over_terms():
         and ast.unparse(loop.iter) == "range(_MAX_TERMS)"
     ]
     assert looping == ["_series_core"]
+
+
+def test_grid_takes_few_legendre_fractions(monkeypatch):
+    # work guard, no timing: the series take consecutive orders by
+    # recurrence, one Legendre fraction per block, where one incomplete
+    # gamma per term took 1,368 on this grid, the recurrence 96
+    gamma_module = importlib.import_module("incmac.gamma")
+    calls = []
+    real = gamma_module._legendre_cf
+
+    def counted(a, x):
+        calls.append(a)
+        return real(a, x)
+
+    monkeypatch.setattr(gamma_module, "_legendre_cf", counted)
+    evaluate_grid([-2.6, -1.0, 0.0, 1.3, 3.7], [0.05, 0.6, 3.0, 9.0, 20.0], [0.04, 0.3, 1.0, 4.0, 12.0, 60.0], TIGHT)
+    assert len(calls) <= 1.2 * 96

@@ -11,6 +11,7 @@ from incmac.gamma import (
     _asymptotic_sum,
     _bessel_i_series,
     _macdonald_k_eval,
+    _upper_gamma_orders,
     gamma,
     incomplete_gamma_asymptotic,
     lower_incomplete_gamma,
@@ -145,6 +146,51 @@ class TestUpperIncompleteGamma:
         for a in (-1.5, 0.0, 2.0):
             values = [upper_incomplete_gamma(a, x) for x in (0.3, 1.0, 3.0, 9.0)]
             assert all(v1 > v2 for v1, v2 in zip(values, values[1:]))
+
+
+class TestUpperGammaOrders:
+    """The recurrence in the order against one upper_incomplete_gamma call
+    per order: each Gamma(a0 - k, x) = x^(a0-k) e^-x h_k within the bound
+    the routine carries plus the exponent rounding of one call."""
+
+    CASES = [
+        (3.7, 2.0, 40),  # positive orders above x - 1, then the 1 - x crossover
+        (28.1, 7.24, 60),  # a long first block up from order <= x - 1
+        (-5.0, 40.0, 200),  # integer orders, crossover at 1 - x = -39
+        (10.0, 640.0, 200),  # block after block, all upward
+        (12.25, 1.5, 80),  # x at the split: [1 - x, x - 1] holds one order
+        (0.0, 1.0, 60),  # below the split: E1 anchor, all downward
+        (4.0, 1.2, 40),  # below the split: upward from E1 to integer orders
+        (-2.3, 0.5, 60),  # below the split: the anchor's order is above a0
+        (6.6, 0.05, 40),  # below the split: upward from the Kummer anchor
+    ]
+
+    @staticmethod
+    def _seeded(n):
+        rng = random.Random(31)
+        for _ in range(n):
+            x = math.exp(rng.uniform(math.log(0.05), math.log(300.0)))
+            a0 = rng.uniform(-30.0, 30.0 + x)
+            if rng.random() < 0.3:
+                a0 = float(round(a0))
+            yield a0, x, rng.choice((20, 60, 200))
+
+    def test_within_bound_of_per_order_values(self):
+        checked = 0
+        for a0, x, terms in [*self.CASES, *self._seeded(40)]:
+            for k, (h, r) in zip(range(terms), _upper_gamma_orders(a0, x)):
+                # each step in its stable direction: the bound stays small
+                # (an upward run below order -x - 1 grows it past 1e8 EPS)
+                assert r <= 4096.0 * EPS, (a0, x, k)
+                a = a0 - k
+                e = a * math.log(x) - x
+                if not -700.0 < e < 700.0:  # the per-order value is not a normal double
+                    continue
+                want = upper_incomplete_gamma(a, x)
+                slack = r + EPS * (abs(a * math.log(x)) + x + 16.0)
+                assert abs(math.exp(e) * h - want) <= slack * abs(want), (a0, x, k)
+                checked += 1
+        assert checked > 3000
 
 
 class TestLowerIncompleteGamma:
