@@ -1,11 +1,16 @@
 """Adaptive Gauss-Kronrod quadrature and the reference S evaluations.
 
 The integrator is a plain 7/15 embedded pair with bisection of the worst
-panel, the same construction QUADPACK uses for smooth integrands.  The
-three reference forms of the incomplete Macdonald function are the
-defining endpoint integral on (0, t], the cosh representation, and the
-reflected y-representation on (z^2/4t, inf); the last is the default
-oracle because its integrand is smooth with plain exponential decay.
+panel, the same construction QUADPACK uses for smooth integrands.  One
+panel is straight-line code and the panels live in parallel lists, so
+that the interpreter does little besides the float operations, which are
+QUADPACK's in QUADPACK's order.  The three reference forms of the
+incomplete Macdonald function are the defining endpoint integral on
+(0, t], the cosh representation, and the reflected y-representation on
+(z^2/4t, inf); the last is the default oracle because its integrand is
+smooth with plain exponential decay.  Form 5 is set up already mapped
+onto (0, 1), so that each node is one Python call, and gives bit for bit
+what integrate_adaptive's own tail map gives for its y-integrand.
 """
 
 import math
@@ -55,6 +60,10 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# a panel's error is at least 50 EPS times the integral of |f| over it,
+# where that integral is a normal double
+_EPS50 = EPS * 50.0
+_RESABS_FLOOR = TINY / (50.0 * EPS)
 
 
 @dataclass(frozen=True)
@@ -68,36 +77,97 @@ class QuadratureResult:
 
 
 def _gk15(f, a, b):
-    """One Gauss-Kronrod 7/15 panel; returns (value, error)."""
+    """One Gauss-Kronrod 7/15 panel on (a, b), a < b; returns (value, error).
+
+    Straight-line code: the node offsets d, the values l (left of the
+    centre) and r (right) are locals, and each of the sums resk, resabs,
+    resg and resasc adds its terms one at a time, the centre first and
+    then the node pairs from the outermost in, as QUADPACK's dqk15 loop
+    does.
+    """
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    g0, g1, g2, g3 = _WG
     c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
+    h = 0.5 * (b - a)  # > 0 for a < b, so |h| = h below
+    d0 = h * x0
+    d1 = h * x1
+    d2 = h * x2
+    d3 = h * x3
+    d4 = h * x4
+    d5 = h * x5
+    d6 = h * x6
     fc = f(c)
-    resk = fc * _WGK[7]
-    resabs = abs(resk)
-    fv = []
-    for j in range(7):
-        dx = h * _XGK[j]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        fv.append((f1, f2))
-        resk += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-    resg = fc * _WG[3]
-    for i, j in enumerate((1, 3, 5)):
-        resg += _WG[i] * (fv[j][0] + fv[j][1])
-    reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for j in range(7):
-        resasc += _WGK[j] * (abs(fv[j][0] - reskh) + abs(fv[j][1] - reskh))
-    value = resk * h
-    resabs *= abs(h)
-    resasc *= abs(h)
+    l0 = f(c - d0)
+    r0 = f(c + d0)
+    l1 = f(c - d1)
+    r1 = f(c + d1)
+    l2 = f(c - d2)
+    r2 = f(c + d2)
+    l3 = f(c - d3)
+    r3 = f(c + d3)
+    l4 = f(c - d4)
+    r4 = f(c + d4)
+    l5 = f(c - d5)
+    r5 = f(c + d5)
+    l6 = f(c - d6)
+    r6 = f(c + d6)
+    s1 = l1 + r1
+    s3 = l3 + r3
+    s5 = l5 + r5
+    resk = (
+        fc * w7
+        + w0 * (l0 + r0)
+        + w1 * s1
+        + w2 * (l2 + r2)
+        + w3 * s3
+        + w4 * (l4 + r4)
+        + w5 * s5
+        + w6 * (l6 + r6)
+    )
+    resabs = (
+        abs(fc * w7)
+        + w0 * (abs(l0) + abs(r0))
+        + w1 * (abs(l1) + abs(r1))
+        + w2 * (abs(l2) + abs(r2))
+        + w3 * (abs(l3) + abs(r3))
+        + w4 * (abs(l4) + abs(r4))
+        + w5 * (abs(l5) + abs(r5))
+        + w6 * (abs(l6) + abs(r6))
+    )
+    resg = fc * g3 + g0 * s1 + g1 * s3 + g2 * s5
+    m = 0.5 * resk
+    resasc = (
+        w7 * abs(fc - m)
+        + w0 * (abs(l0 - m) + abs(r0 - m))
+        + w1 * (abs(l1 - m) + abs(r1 - m))
+        + w2 * (abs(l2 - m) + abs(r2 - m))
+        + w3 * (abs(l3 - m) + abs(r3 - m))
+        + w4 * (abs(l4 - m) + abs(r4 - m))
+        + w5 * (abs(l5 - m) + abs(r5 - m))
+        + w6 * (abs(l6 - m) + abs(r6 - m))
+    )
+    resabs *= h
+    resasc *= h
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > TINY / (50.0 * EPS):
-        err = max(EPS * 50.0 * resabs, err)
-    return value, err
+        scale = (200.0 * err / resasc) ** 1.5
+        err = resasc * (scale if scale < 1.0 else 1.0)
+    if resabs > _RESABS_FLOOR:
+        floor = _EPS50 * resabs
+        if not err > floor:
+            err = floor
+    return resk * h, err
+
+
+def _tail_seeds(base, points):
+    """Breakpoints on (0, 1) for the tail map y = base + u/(1 - u): the
+    quarter points and the image of every finite point beyond base."""
+    seeds = {0.25, 0.5, 0.75}
+    for p in points:
+        if p > base and math.isfinite(p):
+            seeds.add((p - base) / (1.0 + (p - base)))
+    return tuple(sorted(s for s in seeds if 0.0 < s < 1.0))
 
 
 def integrate_adaptive(f, a, b, tol: Tolerances = None, *, points=()) -> QuadratureResult:
@@ -140,27 +210,30 @@ def integrate_adaptive(f, a, b, tol: Tolerances = None, *, points=()) -> Quadrat
             w = 1.0 - u
             return raw(base + u / w) / (w * w)
 
-        seeds = {0.25, 0.5, 0.75}
-        for p in points:
-            if p > base and math.isfinite(p):
-                seeds.add((p - base) / (1.0 + (p - base)))
+        breaks = _tail_seeds(base, points)
         a, b = 0.0, 1.0
-        breaks = sorted(s for s in seeds if a < s < b)
     else:
         breaks = sorted(p for p in set(points) if a < p < b)
 
-    edges = [a] + breaks + [b]
-    panels = []  # [lo, hi, value, err, refinable]
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    # the panels as parallel lists; key is the error, or -1.0 where the
+    # error is NaN or the panel is at floating-point resolution, so that
+    # the first panel with the largest key is the one to bisect
+    los = [a, *breaks]
+    his = [*breaks, b]
+    vals = []
+    errs = []
+    for lo, hi in zip(los, his):
         val, err = _gk15(f, lo, hi)
-        panels.append([lo, hi, val, err, True])
+        vals.append(val)
+        errs.append(err)
+    keys = [err if err >= 0.0 else -1.0 for err in errs]
 
     subdivisions = 0
     while True:
-        total = math.fsum(p[2] for p in panels)
-        toterr = math.fsum(p[3] for p in panels)
+        total = math.fsum(vals)
+        toterr = math.fsum(errs)
         if not math.isfinite(total):
-            finite = math.fsum(p[2] for p in panels if math.isfinite(p[2]))
+            finite = math.fsum(v for v in vals if math.isfinite(v))
             raise NonConvergence(
                 "integrand produced a non-finite panel value",
                 partial=finite,
@@ -171,23 +244,27 @@ def integrate_adaptive(f, a, b, tol: Tolerances = None, *, points=()) -> Quadrat
         if subdivisions >= tol.max_depth:
             return QuadratureResult(total, toterr, subdivisions, False)
 
-        worst = None
-        worst_err = -1.0
-        for p in panels:
-            if p[4] and p[3] > worst_err:
-                worst_err = p[3]
-                worst = p
-        if worst is None:
+        worst = max(keys)
+        if worst < 0.0:
             return QuadratureResult(total, toterr, subdivisions, False)
-        lo, hi = worst[0], worst[1]
+        i = keys.index(worst)
+        lo = los[i]
+        hi = his[i]
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
-            worst[4] = False  # panel at floating-point resolution
+            keys[i] = -1.0
             continue
         val1, err1 = _gk15(f, lo, mid)
         val2, err2 = _gk15(f, mid, hi)
-        worst[:] = [lo, mid, val1, err1, True]
-        panels.append([mid, hi, val2, err2, True])
+        his[i] = mid
+        vals[i] = val1
+        errs[i] = err1
+        keys[i] = err1 if err1 >= 0.0 else -1.0
+        los.append(mid)
+        his.append(hi)
+        vals.append(val2)
+        errs.append(err2)
+        keys.append(err2 if err2 >= 0.0 else -1.0)
         subdivisions += 1
 
 
@@ -215,14 +292,24 @@ def _log_value_bound(p: ShuParams) -> float:
 
 
 def _y_form(nu, z, t):
+    """Form 5 in the tail map's variable: y = y0 + u/(1 - u) takes u in
+    (0, 1) onto y in (y0, inf), so the setup returns the y-integrand times
+    dy/du = 1/(1 - u)^2 on (0, 1), with the y breakpoints mapped by the
+    same _tail_seeds that integrate_adaptive applies to an infinite upper
+    bound.  Each node is one Python call, and every value is the float the
+    generic map computes from the y-integrand."""
     c = 0.25 * z * z
     y0 = c / t
     log_pref = nu * math.log(2.0 / z) - math.log(2.0)
+    nm1 = nu - 1.0
+    exp, log = math.exp, math.log
 
-    def f(y):
-        return math.exp(log_pref + (nu - 1.0) * math.log(y) - y - c / y)
+    def f(u):
+        w = 1.0 - u
+        y = y0 + u / w
+        return exp(log_pref + nm1 * log(y) - y - c / y) / (w * w)
 
-    ystar = 0.5 * ((nu - 1.0) + math.hypot(nu - 1.0, 2.0 * math.sqrt(c)))
+    ystar = 0.5 * (nm1 + math.hypot(nm1, 2.0 * math.sqrt(c)))
     pts = [ystar, y0 + 0.5, y0 + 2.0, y0 + 10.0, y0 + 50.0]
     # at tiny z the integrand lives within a few multiples of max(y0, ystar),
     # far left of the tail map's first seed; a ladder of breakpoints in
@@ -231,16 +318,18 @@ def _y_form(nu, z, t):
     while s < 0.25:
         pts.append(s)
         s *= 4.0
-    return f, y0, math.inf, tuple(pts)
+    return f, 0.0, 1.0, _tail_seeds(y0, pts)
 
 
 def _endpoint_form(nu, z, t):
     # (1/2)(z/2)^nu * integral over tau in (0, t] of tau^(-nu-1) e^(-tau - z^2/4tau)
     c = 0.25 * z * z
     log_pref = nu * math.log(0.5 * z) - math.log(2.0)
+    nu1 = nu + 1.0
+    exp, log = math.exp, math.log
 
     def f(tau):
-        return math.exp(log_pref - tau - c / tau - (nu + 1.0) * math.log(tau))
+        return exp(log_pref - tau - c / tau - nu1 * log(tau))
 
     tau_lo = c / 760.0  # e^(-z^2/4tau) alone is ~1e-330 left of here
     tau_hi = min(t, 775.0)  # e^-tau alone underflows right of here
@@ -248,7 +337,7 @@ def _endpoint_form(nu, z, t):
         # the prefactor can outweigh e^-760; f rises on (0, tau_hi/2], where
         # c/tau >= 1520 > tau + nu + 1, and f(tau_hi/2)/f(tau_hi) <= 2^(nu+1) e^-372
         tau_lo = 0.5 * tau_hi
-    taustar = 0.5 * (-(nu + 1.0) + math.hypot(nu + 1.0, 2.0 * math.sqrt(c)))
+    taustar = 0.5 * (-nu1 + math.hypot(nu1, 2.0 * math.sqrt(c)))
     ratio = tau_hi / tau_lo
     return f, tau_lo, tau_hi, (tau_lo * ratio**0.25, tau_lo * ratio**0.5, tau_lo * ratio**0.75, taustar)
 
@@ -257,8 +346,11 @@ def _cosh_form(nu, z, t):
     # (1/2) * integral over w in (ln(z/2t), inf) of e^(-z cosh w + nu w); the
     # lower end may be negative, and both tails are truncated where the
     # exponent is far below the underflow threshold
+    ln2 = math.log(2.0)
+    exp, cosh = math.exp, math.cosh
+
     def f(w):
-        return math.exp(nu * w - z * math.cosh(w) - math.log(2.0))
+        return exp(nu * w - z * cosh(w) - ln2)
 
     w0 = math.log(0.5 * z / t)
     hi = max(w0, 0.0) + 1.0
@@ -312,6 +404,9 @@ def shu_oracle_cosh(p: ShuParams, tol: Tolerances = None) -> Evaluation:
 
 def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:
     tag, setup = _FORMS[form]
+    if 0.25 * p.argument * p.argument == 0.0:
+        # the value bound and forms 2 and 5 need z^2/4 > 0
+        raise NonConvergence(f"z^2/4 underflows to 0 at z = {p.argument!r}; no quadrature form applies")
     log_bound = _log_value_bound(p)
     # peak times a generous width still below the smallest normal
     if log_bound + 12.0 < LOG_TINY:

@@ -219,3 +219,40 @@ S_SERIES_EXPONENT_ROUNDING = {
     (21.646533386603018, 83.35985034449226, 2.503595474116376): 7.437183306646603e-280,
     (26.699879315644125, 81.031692528042, 2.3090672352270647): 2.178385422153883e-280,
 }
+
+# Exact outputs of the quadrature kernel, frozen before its straight-line
+# rewrite so that any change to a float operation of the GK15 panel or the
+# bisection loop shows: float.hex of value and error estimate, then the
+# subdivision count (and for integrate_adaptive whether it converged).
+# QUADRATURE_KERNEL is keyed by the integrands of test_quadrature's
+# KERNEL_INTEGRANDS; ORACLE_KERNEL by (point, form) at core.TIGHT
+QUADRATURE_KERNEL = {
+    "bump_breakpoints": ("0x1.73b5e43c0de58p-13", "0x1.2ecad61996357p-59", 12, True),
+    "oscillating_error_floor": ("-0x1.f9cd3eeaa05d4p-14", "0x1.b8d73ba216e79p-48", 120, False),
+    "exp_tail": ("0x1.0000000000000p+0", "0x1.23c00436304b6p-41", 3, True),
+    "gamma_tail_breakpoints": ("0x1.d6e2bc3b82b05p+0", "0x1.9e7475d1da8f6p-44", 4, True),
+    "depth_capped": ("0x1.7ce98890d302dp+0", "0x1.dfa4bf25b541bp-4", 6, False),
+}
+ORACLE_KERNEL = {
+    ((0.0, 3.0, 3.0), 2): ("0x1.fedd942ac8000p-6", "0x1.8e64df665e4a8p-46", 3),
+    ((0.0, 3.0, 3.0), 4): ("0x1.fedd942ac7fffp-6", "0x1.0ca31605aea76p-46", 4),
+    ((0.0, 3.0, 3.0), 5): ("0x1.fedd942ac8001p-6", "0x1.4f2b7ad4aad06p-51", 2),
+    ((-0.5, 1.0, 0.7), 2): ("0x1.c0c152a7acdc6p-3", "0x1.3337e680f379cp-46", 4),
+    ((-0.5, 1.0, 0.7), 4): ("0x1.c0c152a7acdc6p-3", "0x1.8d03908687774p-43", 3),
+    ((-0.5, 1.0, 0.7), 5): ("0x1.c0c152a7acdc9p-3", "0x1.65325eb084e1dp-49", 2),
+    ((2.0, 8.0, 3.0), 2): ("0x1.584a90dcddcbfp-14", "0x1.99b72b75efa3ap-60", 3),
+    ((2.0, 8.0, 3.0), 4): ("0x1.584a90dcddcc2p-14", "0x1.329c7f5599b45p-54", 4),
+    ((2.0, 8.0, 3.0), 5): ("0x1.584a90dcddcc0p-14", "0x1.ad5c1aa09a241p-56", 2),
+    ((4.5, 0.3, 40.0), 2): ("0x1.cc818942e3ed8p+14", "0x1.73d837bb951efp-26", 17),
+    ((4.5, 0.3, 40.0), 4): ("0x1.cc818942e3edap+14", "0x1.fef685aa1c97cp-28", 10),
+    ((4.5, 0.3, 40.0), 5): ("0x1.cc818942e3ee1p+14", "0x1.7e3b22af4d40ap-26", 4),
+    ((-4.434559218710991, 3.4031986150386595e-06, 320.01580148302554), 2): ("0x1.50fbf76fdc2d9p+87", "0x1.9a94fee4aa3a5p+43", 13),
+    ((-4.434559218710991, 3.4031986150386595e-06, 320.01580148302554), 4): ("0x1.50fbf76fdc2e3p+87", "0x1.f9e7809e4f459p+46", 12),
+    ((-4.434559218710991, 3.4031986150386595e-06, 320.01580148302554), 5): ("0x1.50fbf76fdc2a2p+87", "0x1.008ce16358613p+46", 15),
+    ((-29.963652409842208, 51.2832099354792, 1.1788820666918924), 2): ("0x1.4547ea4f0e95cp-950", "0x1.b18a9a4a31d9ap-992", 6),
+    ((-29.963652409842208, 51.2832099354792, 1.1788820666918924), 4): ("0x1.4547ea4f0ed18p-950", "0x1.f24aa3af691b3p-993", 8),
+    ((-29.963652409842208, 51.2832099354792, 1.1788820666918924), 5): ("0x1.4547ea4f0e97dp-950", "0x1.ea0fc08551f7ap-993", 2),
+    ((26.504583450738707, 2.077974653052133, 0.0013578072839012679), 2): ("0x1.427085aa74216p-904", "0x1.19706432c74c8p-946", 7),
+    ((26.504583450738707, 2.077974653052133, 0.0013578072839012679), 4): ("0x1.427085aa742e2p-904", "0x1.cf75b8d58a30fp-945", 8),
+    ((26.504583450738707, 2.077974653052133, 0.0013578072839012679), 5): ("0x1.427085aa741cbp-904", "0x1.0d2aa218c42f1p-946", 2),
+}

@@ -97,6 +97,14 @@ class TestEval:
         if code == 3:
             assert "converge" in err.lower()
 
+    def test_oracle_underflowed_argument_exit_three(self, capsys):
+        # z^2/4 is 0.0 in doubles; the oracle refuses before any setup
+        code, out, err = _run(
+            capsys, "eval", "--nu=-1", "--z", "1e-170", "--t", "1", "--method", "oracle"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "incmac: did not converge: z^2/4 underflows to 0 at z = 1e-170; no quadrature form applies\n"
 
     def test_overflow_exit_three(self, capsys):
         # K_200(0.001) exceeds the double range, so the small-argument

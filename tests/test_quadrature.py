@@ -8,9 +8,34 @@ from incmac.core import FLAG_UNDERFLOW, NonConvergence, ShuParams, Tolerances, s
 from incmac.gamma import macdonald_k
 from incmac.quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
 
-from frozen import S0_3_3, S_EXPONENT_ROUNDING, S_FORM2_CLAMP, S_SMALL_Z_NEGATIVE_ORDER
+from frozen import (
+    ORACLE_KERNEL,
+    QUADRATURE_KERNEL,
+    S0_3_3,
+    S_EXPONENT_ROUNDING,
+    S_FORM2_CLAMP,
+    S_SMALL_Z_NEGATIVE_ORDER,
+)
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
+# a target no sum of panel errors reaches: only the exits that give up remain
+UNREACHABLE = Tolerances(abs_tol=5e-324, rel_tol=1e-300, max_depth=120)
+
+_W = 1e-4
+# name -> (integrand, a, b, tol, points) behind frozen.QUADRATURE_KERNEL
+KERNEL_INTEGRANDS = {
+    "bump_breakpoints": (lambda x: math.exp(-(((x - 1e-3) / _W) ** 2)), 0.0, 1.0, core.TIGHT, (2e-4, 1e-3, 1.8e-3)),
+    "oscillating_error_floor": (lambda x: math.cos(30.0 * x) * math.exp(-x), 0.0, 2.0, core.TIGHT, ()),
+    "exp_tail": (lambda x: math.exp(-x), 0.0, math.inf, core.TIGHT, ()),
+    "gamma_tail_breakpoints": (lambda x: x * x * math.exp(-x), 1.0, math.inf, core.TIGHT, (2.0, 5.0, 25.0)),
+    "depth_capped": (
+        lambda x: math.exp(-x) / math.sqrt(x + 1e-12),
+        0.0,
+        1.0,
+        Tolerances(abs_tol=5e-324, rel_tol=1e-14, max_depth=6),
+        (),
+    ),
+}
 
 
 def _rel(a, b):
@@ -59,6 +84,166 @@ class TestIntegrateAdaptive:
         r = integrate_adaptive(lambda x: math.sin(x), 0.0, math.pi, Tolerances(rel_tol=1e-6))
         assert abs(r.value - 2.0) <= max(3.0 * r.error_estimate, 1e-14)
 
+    def test_bisects_first_panel_with_largest_error(self, monkeypatch):
+        # a stand-in panel whose error is its width, NaN left of 0.25: equal
+        # errors tie, the first in panel order is bisected and the NaN never
+        calls = []
+
+        def panel(f, a, b):
+            calls.append((a, b))
+            return b - a, math.nan if a < 0.25 else b - a
+
+        monkeypatch.setattr(incmac.quadrature, "_gk15", panel)
+        tol = Tolerances(abs_tol=5e-324, rel_tol=1e-300, max_depth=4)
+        r = integrate_adaptive(lambda x: 0.0, 0.0, 1.0, tol, points=(0.25, 0.5, 0.75))
+        assert (r.value, r.subdivisions, r.converged) == (1.0, 4, False)
+        assert calls[4:] == [
+            (0.25, 0.375), (0.375, 0.5),
+            (0.5, 0.625), (0.625, 0.75),
+            (0.75, 0.875), (0.875, 1.0),
+            (0.25, 0.3125), (0.3125, 0.375),
+        ]
+
+
+class TestKernelBitExact:
+    @pytest.mark.parametrize("name", list(KERNEL_INTEGRANDS))
+    def test_integrate_adaptive_frozen(self, name):
+        f, a, b, tol, pts = KERNEL_INTEGRANDS[name]
+        r = integrate_adaptive(f, a, b, tol, points=pts)
+        assert (r.value.hex(), r.error_estimate.hex(), r.subdivisions, r.converged) == QUADRATURE_KERNEL[name]
+
+    @pytest.mark.parametrize("point,form", list(ORACLE_KERNEL))
+    def test_shu_oracle_frozen(self, point, form):
+        ev = shu_oracle(ShuParams(*point), core.TIGHT, form)
+        assert (ev.value.hex(), ev.error_estimate.hex(), ev.work) == ORACLE_KERNEL[point, form]
+
+
+class TestResolutionExits:
+    def test_no_panel_can_be_refined(self):
+        # (1, 1 + 2 ulp) bisects once; neither half has a float inside it
+        ulp = math.ulp(1.0)
+        r = integrate_adaptive(lambda x: 1.0, 1.0, 1.0 + 2.0 * ulp, UNREACHABLE)
+        assert r == incmac.quadrature.QuadratureResult(2.0 * ulp, 4.930380657631324e-30, 1, False)
+
+    def test_unrefinable_panel_then_depth_cap(self):
+        # the panel holding the jump reaches floating-point resolution and is
+        # set aside; the loop then spends its depth on the others
+        r = integrate_adaptive(lambda x: 0.0 if x < 0.3 else 1.0, 0.0, 1.0, UNREACHABLE)
+        assert r == incmac.quadrature.QuadratureResult(0.7000000000000001, 7.87197101183674e-15, 120, False)
+
+
+# (nu, z, t) for the form 5 checks: ordinary points, a large order, and tiny
+# arguments at negative order, where the breakpoint ladder is long
+Y_FORM_POINTS = [
+    (0.0, 3.0, 3.0),
+    (2.0, 8.0, 0.3),
+    (26.504583450738707, 2.077974653052133, 0.0013578072839012679),
+    (-4.434559218710991, 3.4031986150386595e-06, 320.01580148302554),
+    (-22.746602411651615, 0.0014223045930853047, 24.80997912675126),
+    (-0.7, 1e-12, 2.0),
+]
+
+
+@pytest.mark.parametrize("point", Y_FORM_POINTS)
+def test_y_form_matches_generic_tail_map(point, monkeypatch):
+    # form 5 integrates in the tail map's variable u; the plain y-integrand
+    # through integrate_adaptive's own map over (y0, inf) is its reference
+    nu, z, t = point
+    y_points = []
+    real = incmac.quadrature._tail_seeds
+
+    def recording(base, pts):
+        y_points.append(tuple(pts))
+        return real(base, pts)
+
+    monkeypatch.setattr(incmac.quadrature, "_tail_seeds", recording)
+    fu, lo, hi, seeds = incmac.quadrature._y_form(nu, z, t)
+    c = 0.25 * z * z
+    y0 = c / t
+    log_pref = nu * math.log(2.0 / z) - math.log(2.0)
+
+    def fy(y):
+        return math.exp(log_pref + (nu - 1.0) * math.log(y) - y - c / y)
+
+    mapped = integrate_adaptive(fu, lo, hi, core.TIGHT, points=seeds)
+    (pts,) = y_points
+    generic = integrate_adaptive(fy, y0, math.inf, core.TIGHT, points=pts)
+    assert (lo, hi) == (0.0, 1.0)
+    assert mapped == generic
+    assert mapped.value.hex() == generic.value.hex()
+
+
+def _gk15_loop(f, a, b):
+    """QUADPACK's dqk15 as a loop over the node pairs: the reference the
+    straight-line panel must reproduce bit for bit."""
+    xgk, wgk, wg = incmac.quadrature._XGK, incmac.quadrature._WGK, incmac.quadrature._WG
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    resk = fc * wgk[7]
+    resabs = abs(resk)
+    fv = []
+    for j in range(7):
+        dx = h * xgk[j]
+        f1 = f(c - dx)
+        f2 = f(c + dx)
+        fv.append((f1, f2))
+        resk += wgk[j] * (f1 + f2)
+        resabs += wgk[j] * (abs(f1) + abs(f2))
+    resg = fc * wg[3]
+    for i, j in enumerate((1, 3, 5)):
+        resg += wg[i] * (fv[j][0] + fv[j][1])
+    reskh = 0.5 * resk
+    resasc = wgk[7] * abs(fc - reskh)
+    for j in range(7):
+        resasc += wgk[j] * (abs(fv[j][0] - reskh) + abs(fv[j][1] - reskh))
+    resabs *= abs(h)
+    resasc *= abs(h)
+    err = abs((resk - resg) * h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > core.TINY / (50.0 * core.EPS):
+        err = max(core.EPS * 50.0 * resabs, err)
+    return resk * h, err
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: 1.0 / (1.0 + 25.0 * x * x),
+        lambda x: math.sqrt(abs(x)),
+        lambda x: math.sin(10.0 * x),
+        lambda x: math.exp(-x),
+        lambda x: math.exp(-(((x - 0.37) / 0.05) ** 2)),
+        lambda x: math.log(abs(x) + 1e-3),
+        lambda x: 1.0 if x < 0.3 else 0.0,
+        lambda x: 1e-320 * x,
+    ],
+)
+@pytest.mark.parametrize("a,b", [(-1.0, 1.0), (0.0, 0.01), (1e-3, 7.0), (0.29, 0.31), (-3.0, 250.0)])
+def test_panel_matches_loop_reference(f, a, b):
+    assert incmac.quadrature._gk15(f, a, b) == _gk15_loop(f, a, b)
+
+
+@pytest.mark.parametrize("form", [2, 4, 5])
+def test_panel_counter_sees_every_panel(form, monkeypatch):
+    # perfbench counts panels by wrapping quadrature._gk15 by name; a
+    # kernel that bound _gk15 early would hide its panels from the count
+    panels = []
+    real = incmac.quadrature._gk15
+
+    def counting(f, a, b):
+        panels.append((a, b))
+        return real(f, a, b)
+
+    monkeypatch.setattr(incmac.quadrature, "_gk15", counting)
+    nu, z, t = 0.3, 2.0, 1.5
+    _, lo, hi, pts = incmac.quadrature._FORMS[form][1](nu, z, t)
+    initial = 1 + len({p for p in pts if lo < p < hi})
+    ev = shu_oracle(ShuParams(nu, z, t), core.TIGHT, form)
+    assert ev.work > 0
+    assert len(panels) == initial + 2 * ev.work
+
 
 class TestShuOracle:
     def test_large_endpoint_approaches_macdonald(self):
@@ -105,6 +290,14 @@ class TestShuOracle:
         # moves the integral by ~1e-13 relative; the estimate must count it
         ev = shu_oracle(ShuParams(*point), core.TIGHT, form)
         assert abs(ev.value - S_EXPONENT_ROUNDING[point]) <= ev.error_estimate
+
+    @pytest.mark.parametrize("form", [2, 4, 5])
+    @pytest.mark.parametrize("nu", [-1.0, 0.5, 2.0])
+    def test_underflowed_argument_square_raises(self, nu, form):
+        # 0.25 z^2 == 0.0 here: the value bound would take log(0) and form 2
+        # divide by its empty clamp
+        with pytest.raises(NonConvergence, match=r"z\^2/4 underflows"):
+            shu_oracle(ShuParams(nu, 1e-170, 1.0), core.TIGHT, form)
 
     def test_rejects_unknown_form(self):
         with pytest.raises(ValueError):
