@@ -6,7 +6,8 @@ are sums of upper incomplete gammas at consecutive orders, which they take
 by recurrence from gamma._upper_gamma_orders and sum in units of one
 prefactor (_upper_gamma_sum).  At negative non-integer order the
 small-argument series takes its split form, in lower incomplete gammas and
-I_-nu(z), which needs no K_nu(z).  The
+I_-nu(z), which needs no K_nu(z); its lower gammas come the same way, by
+recurrence from gamma._lower_gamma_orders.  The
 large-endpoint double sum is asymptotic and truncated at its smallest
 term.  The leading_* functions are bare approximants with no error
 control, exposed for the ratio-law checks and figure overlays.
@@ -34,7 +35,7 @@ from .gamma import (
     _LOG_HUGE,
     _asymptotic_sum,
     _bessel_i_series,
-    _kummer_sum,
+    _lower_gamma_orders,
     _macdonald_k_eval,
     _upper_gamma_orders,
 )
@@ -146,6 +147,9 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
     x0 = 0.25 * z * z / t
+    if x0 == 0.0:
+        # the incomplete gammas at argument 0 are Gamma(nu - k) or infinite
+        raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; the small-t series has no terms")
     value, err, terms, scale = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol)
     flags = ()
     if scale > _CANCEL_LIMIT * abs(value):
@@ -160,10 +164,12 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     Writing each Gamma(m - k, t) as Gamma(m - k) - gamma(m - k, t) sums the
     Gamma(m - k) parts with K_m(z) to the I_m term (DLMF 10.27.4, 10.25.2),
     so the large K ~ z^-m is never subtracted.  Term k is
-    (1/2)(2t/z)^m e^-t (-x0)^k/k! L_k with x0 = z^2/4t and L_k the Kummer
-    sum of gamma(m - k, t); the sum over k runs in units of that prefactor,
-    which goes through one exp together with the peak partial sum, so it
-    overflows only where the sum does.  The estimate adds the first omitted
+    (1/2)(2t/z)^m e^-t (-x0)^k/k! L_k with x0 = z^2/4t and gamma(m - k, t)
+    = t^(m-k) e^-t L_k; the L_k and their bounds come from
+    gamma._lower_gamma_orders, one Kummer sum and steps down in the order.
+    The sum over k runs in units of that prefactor, which goes through one
+    exp together with the peak partial sum, so it overflows only where the
+    sum does.  The estimate adds the first omitted
     term, each L_k's own bound times |coef_k|, the coefficients' rounding,
     the summation's rounding from the peak, the exponent's rounding, the
     I_m term's error and EPS (|sum| + |I term|) for their difference.  Near
@@ -175,13 +181,15 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     # the relative stop still ends at double resolution when rel_tol is 0
     rel = max(tol.rel_tol, EPS)
 
-    def kummer(k, coef):
+    lowers = _lower_gamma_orders(m, t)
+
+    def lower(k, coef):
         # L_k's own bound times |coef_k|, and the coefficient's rounding
-        lk, bound = _kummer_sum(m, t, k)
+        lk, bound = next(lowers)
         return lk, abs(coef) * bound + (k + 2) * EPS * abs(coef * lk)
 
-    total, terms, coef, peak, werr = _series_core(1.0, -x0, kummer, lambda s: rel * abs(s))
-    lk, bound = _kummer_sum(m, t, terms)
+    total, terms, coef, peak, werr = _series_core(1.0, -x0, lower, lambda s: rel * abs(s))
+    lk, bound = next(lowers)
     werr += abs(coef) * (abs(lk) + bound) + terms * EPS * peak
     # (1/2)(2t/z)^m e^-t times the peak partial sum, through one exp
     lead = m * (math.log(t) - math.log(z) + math.log(2.0))

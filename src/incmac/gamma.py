@@ -1,11 +1,11 @@
 """Gamma-family building blocks.
 
 Provides the gamma function, the (non-regularized) upper incomplete gamma
-function at any real order, the same at consecutive orders a0 - k by
-recurrence in the order (_upper_gamma_orders, which the series of S use),
-the lower incomplete gamma at any non-integer
+function at any real order, the lower incomplete gamma at any non-integer
 order (the Kummer series, continued past a < 0, with a bound on its
-rounding), its large-argument asymptotic sum, the modified Bessel
+rounding), both at consecutive orders a0 - k by recurrence in the order
+(_upper_gamma_orders and _lower_gamma_orders, which the series of S use),
+the upper one's large-argument asymptotic sum, the modified Bessel
 function I from its power series, and the Macdonald function K to full
 double precision by Temme's series, Steed's continued fraction and
 forward recurrence in order.  No other module evaluates an
@@ -80,33 +80,57 @@ def gamma(a: float) -> float:
     return math.gamma(a)
 
 
-def _kummer_sum(a: float, x: float, shift: int = 0):
-    """The Kummer series sum_n x^n / (b (b+1) ... (b+n)) at order b = a - shift,
-    with gamma(b, x) = x^b e^-x times it for every non-integer b (DLMF 8.7.1
-    continued in the order), and an absolute bound on its rounding and tail.
+def _kummer_sum(a: float, x: float):
+    """The Kummer series sum_n x^n / (a (a+1) ... (a+n)), with gamma(a, x) =
+    x^a e^-x times it for every non-integer a (DLMF 8.7.1 continued in the
+    order), and an absolute bound on its rounding and tail.
 
-    Each denominator a + (n - shift) is one rounding of an exact value, so an
-    integer shift costs no accuracy.  The terms alternate in sign while
-    b + n < 0, so the rounding scales with sum |term_n|: a term's relative
-    rounding is under 1.5 (n + 1) EPS and the summation adds under
-    (terms/2) EPS sum |term_n|, so the bound is 2 (terms + 1) EPS sum |term_n|.  The sum stops at a term below EPS of
-    the total once b + n > x, where the terms fall geometrically with ratio
-    r = x/(b + n + 1) < 1, so the tail is at most |term| r/(1 - r).  For
-    b > 0 that rule stops where the EPS test alone would, since a term is
-    the largest so far while b + n <= x.
+    The terms alternate in sign while a + n < 0, so the rounding scales with
+    sum |term_n|: a term's relative rounding is under 1.5 (n + 1) EPS and
+    the summation adds under (terms/2) EPS sum |term_n|, so the bound is
+    2 (terms + 1) EPS sum |term_n|.  The sum stops at a term below EPS of
+    the total once a + n > x, where the terms fall geometrically with ratio
+    r = x/(a + n + 1) < 1, so the tail is at most |term| r/(1 - r).  For
+    a > 0 that rule stops where the EPS test alone would, since a term is
+    the largest so far while a + n <= x.
     """
-    term = 1.0 / (a - shift)
+    term = 1.0 / a
     total = term
     mag = abs(term)
     for n in range(1, _MAX_ITER):
-        d = a + (n - shift)
+        d = a + n
         term *= x / d
         total += term
         mag += abs(term)
         if abs(term) <= EPS * abs(total) and d > x:
             tail = abs(term) * x / (d + 1.0 - x)
             return total, 2.0 * (n + 2) * EPS * mag + tail
-    raise NonConvergence(f"lower gamma series stalled at a={a - shift}, x={x}", partial=total)
+    raise NonConvergence(f"lower gamma series stalled at a={a}, x={x}", partial=total)
+
+
+def _lower_gamma_orders(a0: float, x: float):
+    """Yields (L_k, e_k) for k = 0, 1, 2, ...: gamma(a0 - k, x) = x^(a0-k)
+    e^-x L_k for non-integer a0, and an absolute bound e_k on the error of
+    L_k.  The prefactor is left to the caller, as in _upper_gamma_orders.
+
+    L_0 is one Kummer sum; the orders below it come by the recurrence
+    b L(b) = 1 + x L(b+1), downward, the stable direction for the lower
+    gamma.  A step divides the carried error by |b| after multiplying it by
+    x, rounds x L and 1 + x L to EPS of themselves, and rounds the quotient
+    (with b = a0 - k, one rounding of an exact value) to EPS of itself.
+    Where 1 + x L cancels, near a zero of gamma(b, x), the bound stays
+    absolute and so stays honest.
+    """
+    lk, err = _kummer_sum(a0, x)
+    k = 0
+    while True:
+        yield lk, err
+        k += 1
+        b = a0 - k
+        xl = x * lk
+        d = 1.0 + xl
+        lk = d / b
+        err = (x * err + EPS * (abs(xl) + abs(d))) / abs(b) + EPS * abs(lk)
 
 
 def lower_incomplete_gamma(a: float, x: float):

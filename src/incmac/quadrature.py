@@ -332,6 +332,9 @@ def _endpoint_form(nu, z, t):
         return exp(log_pref - tau - c / tau - nu1 * log(tau))
 
     tau_lo = c / 760.0  # e^(-z^2/4tau) alone is ~1e-330 left of here
+    if tau_lo == 0.0:
+        # z^2/4 is subnormal, and no positive double lies left of the clamp
+        raise NonConvergence(f"z^2/4/760 underflows to 0 at z = {z!r}; form 2 has no left end")
     tau_hi = min(t, 775.0)  # e^-tau alone underflows right of here
     if tau_lo >= tau_hi:
         # the prefactor can outweigh e^-760; f rises on (0, tau_hi/2], where

@@ -106,6 +106,16 @@ class TestEval:
         assert out == ""
         assert err == "incmac: did not converge: z^2/4 underflows to 0 at z = 1e-170; no quadrature form applies\n"
 
+    @pytest.mark.parametrize("nu", ["-1", "0.5", "2"])
+    def test_small_t_underflowed_argument_exit_three(self, capsys, nu):
+        # z^2/4t is 0.0 in doubles; the series refuses before any gamma
+        code, out, err = _run(
+            capsys, "eval", f"--nu={nu}", "--z", "1e-170", "--t", "1", "--method", "small-t"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "incmac: did not converge: z^2/4t underflows to 0 at z = 1e-170, t = 1.0; the small-t series has no terms\n"
+
     def test_overflow_exit_three(self, capsys):
         # K_200(0.001) exceeds the double range, so the small-argument
         # series that subtracts from it overflows

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import math
 import random
+import sys
 
 import pytest
 
@@ -37,6 +38,7 @@ from frozen import (
     S_SERIES_SMALL_T,
     S_SERIES_SMALL_Z_K,
     S_SMALL_Z_SPLIT,
+    S_SPLIT_SEEDED,
 )
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
@@ -148,6 +150,14 @@ class TestSeriesSmallZNegativeOrder:
         ev = series_small_z(ShuParams(*point), TIGHT)
         assert ev.method is MethodTag.SERIES_SMALL_Z
         assert abs(ev.value - S_SMALL_Z_SPLIT[point]) <= ev.error_estimate
+
+    @pytest.mark.parametrize("point", sorted(S_SPLIT_SEEDED))
+    def test_seeded_within_estimate(self, point):
+        # orders up to 30 and endpoints down to 1e-4, where the lower
+        # gammas step down from one Kummer sum past order 0
+        ev = series_small_z(ShuParams(*point), TIGHT)
+        assert ev.method is MethodTag.SERIES_SMALL_Z
+        assert abs(ev.value - S_SPLIT_SEEDED[point]) <= ev.error_estimate
 
     def test_near_integer_order_returned_only_within_estimate(self):
         # the sum and the I term both grow like 1/sin(m pi) here; the
@@ -417,3 +427,32 @@ def test_grid_takes_few_legendre_fractions(monkeypatch):
     monkeypatch.setattr(gamma_module, "_legendre_cf", counted)
     evaluate_grid([-2.6, -1.0, 0.0, 1.3, 3.7], [0.05, 0.6, 3.0, 9.0, 20.0], [0.04, 0.3, 1.0, 4.0, 12.0, 60.0], TIGHT)
     assert len(calls) <= 1.2 * 96
+
+
+def test_grid_takes_one_kummer_sum_per_split_form(monkeypatch):
+    # work guard, no timing: each split-form call takes one Kummer sum and
+    # steps down in the order from it (42 on this grid; one per term took
+    # 423).  Kummer calls are counted by their code object, whatever name
+    # calls them; those of the upper-gamma anchors below x = 1.5 are left out
+    gamma_module = importlib.import_module("incmac.gamma")
+    kummer = gamma_module._kummer_sum.__code__
+    anchor = gamma_module._upper_gamma_orders.__code__
+    counts = {"kummer": 0, "split": 0}
+    real = incmac.expansions._split_small_z
+
+    def counted(*args):
+        counts["split"] += 1
+        return real(*args)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is kummer and frame.f_back.f_code is not anchor:
+            counts["kummer"] += 1
+
+    monkeypatch.setattr(incmac.expansions, "_split_small_z", counted)
+    sys.setprofile(profile)
+    try:
+        evaluate_grid([-3.3, -2.6, -0.4], [0.05, 0.3, 0.9], [0.04, 0.3, 1.0, 4.0, 12.0], TIGHT)
+    finally:
+        sys.setprofile(None)
+    assert counts["split"] > 30
+    assert counts["kummer"] <= counts["split"]

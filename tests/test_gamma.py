@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import random
 
@@ -10,6 +11,8 @@ from incmac.expansions import series_small_z
 from incmac.gamma import (
     _asymptotic_sum,
     _bessel_i_series,
+    _kummer_sum,
+    _lower_gamma_orders,
     _macdonald_k_eval,
     _upper_gamma_orders,
     gamma,
@@ -191,6 +194,40 @@ class TestUpperGammaOrders:
                 assert abs(math.exp(e) * h - want) <= slack * abs(want), (a0, x, k)
                 checked += 1
         assert checked > 3000
+
+
+class TestLowerGammaOrders:
+    """The downward recurrence in the order against one Kummer sum per
+    order: each gamma(a0 - k, x) = x^(a0-k) e^-x L_k within the sum of the
+    two bounds.  The orders are dyadic, so every a0 - k is exact and both
+    sides sum at the same order; 3.0078125, 2.9921875, 7.0078125 and
+    0.00390625 pass within 0.01 of every integer below them."""
+
+    ORDERS = (5.3125, 0.5, 3.0078125, 2.9921875, 7.0078125, 25.6875, 0.00390625)
+    # gamma(b, x) has a zero at x = 0.00775170 for b = -1.0078125, 0.292021
+    # for b = -1.5 and 5.01937 for b = -19.5; each x pair straddles one
+    XS = (1e-4, 0.0077, 0.0078, 0.29, 0.2921, 1.0, 5.0, 5.04, 10.0, 100.0, 700.0)
+
+    def test_within_bounds_of_per_order_sums(self):
+        checked = negative = 0
+        for a0 in self.ORDERS:
+            for x in self.XS:
+                for k, (lk, err) in zip(range(201), _lower_gamma_orders(a0, x)):
+                    want, bound = _kummer_sum(a0 - k, x)
+                    if not math.isfinite(want):  # e^x x^-b past the double range, at x = 700
+                        break
+                    assert abs(lk - want) <= err + bound, (a0, x, k)
+                    checked += 1
+                    negative += a0 - k < 0.0
+        assert checked > 13000
+        assert negative > 12000
+
+    @pytest.mark.parametrize("a0,k,below,above", [(2.9921875, 4, 0.0077, 0.0078), (0.5, 2, 0.29, 0.2921), (0.5, 20, 5.0, 5.04)])
+    def test_cases_straddle_zeros(self, a0, k, below, above):
+        def lk(x):
+            return next(itertools.islice(_lower_gamma_orders(a0, x), k, None))[0]
+
+        assert lk(below) * lk(above) < 0.0
 
 
 class TestLowerIncompleteGamma:

@@ -299,6 +299,13 @@ class TestShuOracle:
         with pytest.raises(NonConvergence, match=r"z\^2/4 underflows"):
             shu_oracle(ShuParams(nu, 1e-170, 1.0), core.TIGHT, form)
 
+    @pytest.mark.parametrize("nu", [-1.0, 0.5, 2.0])
+    def test_underflowed_endpoint_clamp_raises(self, nu):
+        # 0.25 z^2 is subnormal and its 1/760 is 0.0: form 2 has no left
+        # end and must not divide by it
+        with pytest.raises(NonConvergence, match=r"z\^2/4/760 underflows"):
+            shu_oracle(ShuParams(nu, 3e-161, 1.0), core.TIGHT, 2)
+
     def test_rejects_unknown_form(self):
         with pytest.raises(ValueError):
             shu_oracle(ShuParams(0.0, 3.0, 3.0), TIGHT, form=3)
