@@ -184,6 +184,17 @@ class Evaluation:
     work: int
     flags: tuple = ()
 
+    def rejection(self, tol: Tolerances):
+        """Why this value fails tol, or None: "CANCELLATION" when flagged
+        severe cancellation, "TAIL_TOO_LARGE" when the error estimate
+        exceeds tol.target(value), a NaN estimate included.  The one
+        acceptance rule for a series or closed-form candidate."""
+        if FLAG_CANCELLATION in self.flags:
+            return "CANCELLATION"
+        if not self.error_estimate <= tol.target(self.value):
+            return "TAIL_TOO_LARGE"
+        return None
+
     def __post_init__(self):
         if self.error_estimate < 0.0:
             raise ValueError("error_estimate must be nonnegative")

@@ -3,8 +3,13 @@
 The decision order is one table, _CANDIDATES: large-endpoint asymptotics
 when its leading correction is already below target, the half-order
 closed form (once self-validated against the oracle), the small-endpoint
-series, the small-argument series, then the quadrature oracle as universal
-fallback.  Every candidate that runs is judged by the same rule.
+series where x0 = z^2/4t >= 2, the small-argument series where x0 < 2,
+then the quadrature oracle as universal fallback.  The small-argument
+terms fall like x0^k/k!, so one boundary in x0 splits the two series and
+no limit in z is needed (DLMF 8.7.1, 10.27.4); at negative non-integer
+order the series chooses between its K form and its split form itself.
+Every candidate that runs is judged by the same rule,
+Evaluation.rejection.
 Leading-term approximants are never substituted silently; they live in
 expansions and must be called explicitly.
 """
@@ -16,7 +21,6 @@ from functools import lru_cache
 from .core import (
     DEFAULT_TOLERANCES,
     EPS,
-    FLAG_CANCELLATION,
     TIGHT,
     DomainError,
     Evaluation,
@@ -44,8 +48,9 @@ _SQRT_PI = math.sqrt(math.pi)
 
 # Switching boundaries (calibration values)
 _LARGE_T_MIN = 30.0  # endpoint at which asymptotics are considered
-_SMALL_T_EXPONENT = 2.0  # required z^2/(4t) for the small-t series
-_SMALL_Z_MAX = 1.0  # largest argument for the small-z series
+# z^2/(4t) at and above which the small-t series runs, and below which the
+# small-z series runs, whose terms fall like (z^2/4t)^k/k!
+_SMALL_T_EXPONENT = 2.0
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,8 @@ _CANDIDATES = (
      else _SKIP,
      lambda p, tol: series_small_t(p, tol)),
     (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED",
-     lambda p, tol: None if p.argument <= _SMALL_Z_MAX else _SKIP,
+     lambda p, tol: None if 0.25 * p.argument * p.argument / p.endpoint < _SMALL_T_EXPONENT
+     else _SKIP,
      lambda p, tol: series_small_z(p, tol)),
 )
 
@@ -178,11 +184,8 @@ def _verdict(run, p: ShuParams, tol: Tolerances):
         return None, "NON_CONVERGENCE"
     except OverflowError:
         return None, "OVERFLOW"
-    if FLAG_CANCELLATION in ev.flags:
-        return None, "CANCELLATION"
-    if not ev.error_estimate <= tol.target(ev.value):  # a NaN estimate fails too
-        return None, "TAIL_TOO_LARGE"
-    return ev, None
+    rejection = ev.rejection(tol)
+    return (None, rejection) if rejection else (ev, None)
 
 
 def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDecision]:

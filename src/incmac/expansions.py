@@ -7,7 +7,8 @@ by recurrence from gamma._upper_gamma_orders and sum in units of one
 prefactor (_upper_gamma_sum).  At negative non-integer order the
 small-argument series takes its split form, in lower incomplete gammas and
 I_-nu(z), which needs no K_nu(z); its lower gammas come the same way, by
-recurrence from gamma._lower_gamma_orders.  The
+recurrence from gamma._lower_gamma_orders.  Past z = 1 it tries the K
+form first and the split form second.  The
 large-endpoint double sum is asymptotic and truncated at its smallest
 term.  The leading_* functions are bare approximants with no error
 control, exposed for the ratio-law checks and figure overlays.
@@ -157,6 +158,38 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms, flags)
 
 
+def _split_tail(m: float, t: float, x0: float, n: int, coef: float, u: float) -> float:
+    """A bound on sum_(j >= n) |coef_j L_j|, the terms the split form leaves
+    out after n, with |coef_(j+1)| = |coef_j| x0/(j+1) from coef_n = coef
+    and |L_n| <= u.
+
+    The recurrence (m - j - 1) L_(j+1) = 1 + t L_j bounds every later L by
+    U_(j+1) = (1 + t U_j)/|m - j - 1| >= |L_(j+1)|, exactly while m - j - 1
+    > 0, where L > 0.  Since U_j >= 1/|m - j| (taken so at j = n), the ratio
+    of consecutive bounds is at most x0 (|m - j| + t)/((j + 1)|m - j - 1|),
+    and for every later step at most r_j: x0/(j + 1) (1 + (1 + t)/g) while
+    the pole at m - j = 0 lies ahead, g the distance from m to the nearest
+    integer; x0/(j + 1) max(1, (t + |m - j|)/(1 + |m - j|)) after it.  The
+    bounds are summed one by one until r_j < 1/2 and closed by a geometric
+    rest.  Before the pole the terms may fall and rise again by far more
+    than the first omitted one shows, as L grows about t/(m - j) a step.
+    """
+    f = m - math.floor(m)
+    ahead = 1.0 + (1.0 + t) / min(f, 1.0 - f)
+    c = abs(coef)
+    u = max(u, 1.0 / abs(m - n))
+    tail = 0.0
+    for j in range(n, n + _MAX_TERMS):
+        b = m - j
+        r = x0 / (j + 1) * (ahead if b > 0.0 else max(1.0, (t - b) / (1.0 - b)))
+        if r < 0.5:
+            return tail + c * u / (1.0 - r)
+        tail += c * u
+        c *= x0 / (j + 1)
+        u = (1.0 + t * u) / abs(b - 1.0)
+    raise NonConvergence(f"split-form tail bound still growing after {_MAX_TERMS} terms")
+
+
 def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     """S at order -m, m > 0 not an integer, without K, from the split form
     (1/2)(z/2)^-m sum_k (-z^2/4)^k/k! gamma(m - k, t) - pi/(2 sin(m pi)) I_m(z).
@@ -169,8 +202,9 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     gamma._lower_gamma_orders, one Kummer sum and steps down in the order.
     The sum over k runs in units of that prefactor, which goes through one
     exp together with the peak partial sum, so it overflows only where the
-    sum does.  The estimate adds the first omitted
-    term, each L_k's own bound times |coef_k|, the coefficients' rounding,
+    sum does.  The estimate adds _split_tail's bound on the omitted terms,
+    which may rise again towards the pole at k = m past z = 1, each L_k's
+    own bound times |coef_k|, the coefficients' rounding,
     the summation's rounding from the peak, the exponent's rounding, the
     I_m term's error and EPS (|sum| + |I term|) for their difference.  Near
     integer order both parts grow like 1/sin(m pi) and cancel, which the
@@ -190,14 +224,16 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
 
     total, terms, coef, peak, werr = _series_core(1.0, -x0, lower, lambda s: rel * abs(s))
     lk, bound = next(lowers)
-    werr += abs(coef) * (abs(lk) + bound) + terms * EPS * peak
+    werr += _split_tail(m, t, x0, terms, coef, abs(lk) + bound) + terms * EPS * peak
     # (1/2)(2t/z)^m e^-t times the peak partial sum, through one exp
-    lead = m * (math.log(t) - math.log(z) + math.log(2.0))
+    log_t = math.log(t)
+    log_z = math.log(z)
+    lead = m * (log_t - log_z + _LN2)
     log_peak = math.log(0.5 * peak)
     scale = math.exp(lead - t + log_peak)
     part = scale * (total / peak)
     # the logs' rounding times m, plus that of the four operations on them
-    exponent_err = EPS * (2.0 * m * (abs(math.log(t)) + abs(math.log(z)) + 1.0) + t + abs(log_peak) + 2.0)
+    exponent_err = EPS * (2.0 * m * (abs(log_t) + abs(log_z) + 1.0) + t + abs(log_peak) + 2.0)
     part_err = scale * (werr / peak) + exponent_err * abs(part)
     # pi/(2 sin(m pi)) with the argument reduced exactly
     r = round(m)
@@ -214,22 +250,8 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms, flags)
 
 
-def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
-    """The convergent expansion in incomplete gammas of argument t.
-
-    At order nu >= 0, and at integer orders, K_nu(z) minus that expansion,
-    (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t), summed by
-    _upper_gamma_sum in units of (1/2)(z/2)^nu t^-nu e^-t with step
-    -z^2/4t: valid everywhere, numerically hostile at small t where the
-    summands alternate with large magnitude, which is reported through the
-    severe-cancellation flag.  At negative non-integer order, the split
-    form in lower incomplete gammas and I_-nu (see _split_small_z), which
-    needs no K and does not cancel against it at small z.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    nu, z, t = p.order, p.argument, p.endpoint
-    if nu < 0.0 and nu != math.floor(nu):
-        return _split_small_z(-nu, z, t, tol)
+def _k_small_z(nu: float, z: float, t: float, tol: Tolerances) -> Evaluation:
+    """K_nu(z) minus (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t)."""
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
     part, err, terms, scale = _upper_gamma_sum(nu, z, t, -nu, t, -0.25 * z * z / t, tol)
     value = kval - part
@@ -238,6 +260,42 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         flags = (FLAG_CANCELLATION,)
     err += kerr + EPS * (abs(kval) + abs(part))
     return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms, flags)
+
+
+def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
+    """The convergent expansion in incomplete gammas of argument t.
+
+    At order nu >= 0, and at integer orders, K_nu(z) minus that expansion,
+    (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t), summed by
+    _upper_gamma_sum in units of (1/2)(z/2)^nu t^-nu e^-t with step
+    -z^2/4t: valid everywhere, numerically hostile at small t where the
+    summands alternate with large magnitude, which is reported through the
+    severe-cancellation flag.  At negative non-integer order and z <= 1,
+    the split form in lower incomplete gammas and I_-nu (see
+    _split_small_z), which needs no K and does not cancel against it at
+    small z.  Past z = 1 the K form first, which takes most points there;
+    where it raises or misses tol (Evaluation.rejection), the split form,
+    which takes some of the rest; where both miss, the split form's result,
+    or the K form's where the split form raises.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    nu, z, t = p.order, p.argument, p.endpoint
+    if nu >= 0.0 or nu == math.floor(nu):
+        return _k_small_z(nu, z, t, tol)
+    if z <= 1.0:
+        return _split_small_z(-nu, z, t, tol)
+    try:
+        kform = _k_small_z(nu, z, t, tol)
+    except (NonConvergence, OverflowError):
+        kform = None
+    if kform is not None and kform.rejection(tol) is None:
+        return kform
+    try:
+        return _split_small_z(-nu, z, t, tol)
+    except (NonConvergence, OverflowError):
+        if kform is None:
+            raise
+        return kform
 
 
 def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:

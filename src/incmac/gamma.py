@@ -92,7 +92,8 @@ def _kummer_sum(a: float, x: float):
     the total once a + n > x, where the terms fall geometrically with ratio
     r = x/(a + n + 1) < 1, so the tail is at most |term| r/(1 - r).  For
     a > 0 that rule stops where the EPS test alone would, since a term is
-    the largest so far while a + n <= x.
+    the largest so far while a + n <= x.  Terms past the double range,
+    near e^x at x beyond about 700, raise NonConvergence.
     """
     term = 1.0 / a
     total = term
@@ -103,9 +104,11 @@ def _kummer_sum(a: float, x: float):
         total += term
         mag += abs(term)
         if abs(term) <= EPS * abs(total) and d > x:
+            if mag == math.inf:
+                break
             tail = abs(term) * x / (d + 1.0 - x)
             return total, 2.0 * (n + 2) * EPS * mag + tail
-    raise NonConvergence(f"lower gamma series stalled at a={a}, x={x}", partial=total)
+    raise NonConvergence(f"lower gamma series stalled or overflowed at a={a}, x={x}", partial=total)
 
 
 def _lower_gamma_orders(a0: float, x: float):

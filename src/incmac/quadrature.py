@@ -389,10 +389,10 @@ def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluatio
     which contributes less than any representable tolerance.
     form=4 integrates the cosh representation (see shu_oracle_cosh).
     A value below the smallest normal double is returned as 0.0 flagged
-    underflow_to_zero; a quadrature that does not converge raises
-    NonConvergence.  Inside a core.shared_work block (evaluate,
-    evaluate_grid, the figure sweeps, run_verification) each distinct
-    (p, tol, form) is integrated once.
+    underflow_to_zero; a quadrature that does not converge, or whose
+    integrand passes the double range, raises NonConvergence.  Inside a
+    core.shared_work block (evaluate, evaluate_grid, the figure sweeps,
+    run_verification) each distinct (p, tol, form) is integrated once.
     """
     if form not in _FORMS:
         raise ValueError("form must be 2, 4 or 5")
@@ -415,7 +415,11 @@ def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:
     if log_bound + 12.0 < LOG_TINY:
         return Evaluation(0.0, 0.0, tag, 0)
     f, lo, hi, pts = setup(p.order, p.argument, p.endpoint)
-    res = require_converged(integrate_adaptive(f, lo, hi, tol, points=pts))
+    try:
+        res = require_converged(integrate_adaptive(f, lo, hi, tol, points=pts))
+    except OverflowError:
+        # the integrand's peak can pass the double range where S does not
+        raise NonConvergence(f"the form-{form} integrand exceeds the double range at {p}") from None
     # the integrand's exponent, about log_bound near its peak, rounds to EPS
     # of itself, and so the integral to EPS |log_bound| relative
     err = res.error_estimate + EPS * abs(log_bound) * abs(res.value)

@@ -188,6 +188,25 @@ S_SPLIT_SEEDED = {
     (-0.6562943902295082, 0.4954755946165267, 28.999948548084284): 1.207959476657026,
 }
 
+# S at negative non-integer order past z = 1, where the split form's terms
+# fall below target and then rise again as the pole of gamma(m - k, t) at
+# k = m nears: the split form and K minus the upper-gamma sum in mpmath at
+# 50 and 80 digits, all four agreeing to 47 digits or better, rounded to
+# double.  Stopping at the first small terms left out 4.2x, 1.5x and 1.7x
+# the estimate
+S_SPLIT_TAIL = {
+    (-23.016653505678356, 6.816216540820189, 8.768421039888455): 3577.1909085967727,
+    (-20.7332, 6.12, 8.6461): 4853.87218086159,
+    (-23.6853, 9.4602, 59.0428): 189335.99479453245,
+}
+
+# S at order 0, argument 6, endpoint 3 (z^2/4t = 3), a point where the
+# small-endpoint series misses the tight target and the oracle is the
+# fallback: K minus the upper-gamma sum, the small-endpoint series and the
+# defining integral in mpmath at 50 and 80 digits, agreeing to 50 digits,
+# rounded to double
+S0_6_3 = 0.0006219971640065616
+
 # S at points of the two upper-gamma series, drawn with random.Random(13):
 # 30 small-endpoint points with z^2/4t log-uniform on [2, 700], t
 # log-uniform on [0.01, 20] and the order uniform on [-30, 30], kept where

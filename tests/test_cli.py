@@ -8,7 +8,7 @@ from incmac.cli import main
 from incmac.gamma import macdonald_k
 from incmac.verification import run_verification
 
-from frozen import S0_3_3
+from frozen import S0_3_3, S_SPLIT_TAIL
 
 
 def _run(capsys, *argv):
@@ -36,11 +36,22 @@ class TestEval:
         assert abs(float(digits) - S0_3_3) < 1e-11 * S0_3_3
 
     def test_json_object_schema(self, capsys):
-        code, out, _ = _run(capsys, "eval", "--nu", "0", "--z", "3", "--t", "3", "--json")
+        # the small-endpoint series misses the target here and the oracle runs
+        code, out, _ = _run(capsys, "eval", "--nu", "0", "--z", "6", "--t", "3", "--json")
         assert code == 0
         obj = json.loads(out)
         assert set(obj) == {"value", "error_estimate", "method", "work"}
         assert obj["method"] == "Oracle5"
+
+    @pytest.mark.parametrize("point", sorted(S_SPLIT_TAIL))
+    def test_small_argument_estimate_covers_reference(self, capsys, point):
+        # the split form's terms rise again towards the pole at k = -nu here
+        nu, z, t = point
+        code, out, _ = _run(capsys, "eval", f"--nu={nu!r}", "--z", repr(z), "--t", repr(t), "--method", "small-z", "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["method"] == "SeriesSmallZ"
+        assert abs(obj["value"] - S_SPLIT_TAIL[point]) <= obj["error_estimate"]
 
     def test_flags_shown_only_when_set(self, capsys):
         # S underflows here: evaluate returns the flagged 0.0
@@ -115,6 +126,15 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert err == "incmac: did not converge: z^2/4t underflows to 0 at z = 1e-170, t = 1.0; the small-t series has no terms\n"
+
+    def test_oracle_integrand_past_double_range_exit_three(self, capsys):
+        # form 5's integrand passes the double range here while S does not
+        code, out, err = _run(
+            capsys, "eval", "--nu=-1", "--z", "3e-161", "--t", "1", "--method", "oracle"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("incmac: did not converge: the form-5 integrand exceeds the double range")
 
     def test_overflow_exit_three(self, capsys):
         # K_200(0.001) exceeds the double range, so the small-argument

@@ -22,6 +22,7 @@ from incmac.quadrature import shu_oracle, shu_oracle_cosh
 from frozen import (
     K_REF,
     S0_3_3,
+    S0_6_3,
     S_HALF_GRID,
     S_HIGH_PRECISION,
     S_SERIES_EXPONENT_ROUNDING,
@@ -59,11 +60,19 @@ class TestDecisionProcedure:
         assert dec.chosen is MethodTag.SERIES_SMALL_Z
         assert dec.reason == "SMALL_Z_CONVERGED"
 
-    def test_fallback_oracle(self):
+    def test_small_argument_series_past_z_one(self):
+        # z^2/4t = 0.75 < 2: the small-argument series runs past z = 1
         ev, dec = evaluate(ShuParams(0.0, 3.0, 3.0), TIGHT)
+        assert dec.chosen is MethodTag.SERIES_SMALL_Z
+        assert _rel(ev.value, S0_3_3) < 1e-9
+
+    def test_fallback_oracle(self):
+        # z^2/4t = 3: the small-endpoint series runs and misses the target
+        ev, dec = evaluate(ShuParams(0.0, 6.0, 3.0), TIGHT)
         assert dec.chosen is MethodTag.ORACLE5
         assert dec.reason == "FALLBACK_ORACLE"
-        assert _rel(ev.value, S0_3_3) < 1e-9
+        assert dec.candidates_tried == ((MethodTag.SERIES_SMALL_T, "TAIL_TOO_LARGE"),)
+        assert _rel(ev.value, S0_6_3) < 1e-9
 
     def test_large_t_rejected_when_correction_visible(self):
         # K(20) ~ 5.7e-10 makes the relative target smaller than the
@@ -262,7 +271,8 @@ class TestDecisionProcedure:
             (0.5, 2.0, 1.0), (-0.5, 3.0, 3.0),         # closed form
             (1.0, 3.0, 0.2), (2.0, 8.0, 1.0),          # small-endpoint series
             (1.0, 0.5, 2.0), (0.0, 0.3, 1.0),          # small-argument series
-            (0.0, 3.0, 3.0), (5.0, 1.0, 0.9),          # oracle fallback
+            (0.0, 3.0, 3.0), (-2.3, 3.0, 3.0),         # the same past z = 1
+            (0.0, 6.0, 3.0), (5.0, 1.0, 0.9),          # oracle fallback
         ]
         for nu, z, t in calibration:
             p = ShuParams(nu, z, t)
@@ -452,6 +462,66 @@ def test_negative_order_small_argument_stays_off_the_oracle():
     assert fallbacks == 0
 
 
+def _block_points(rng, n):
+    """n seeded points of the transition block z > 1, t < 30, z^2/4t < 2,
+    with nu uniform on [-25, 25], z log-uniform on (1, 15.5) and t
+    log-uniform on [1e-4, 30)."""
+    points = []
+    while len(points) < n:
+        nu = rng.uniform(-25.0, 25.0)
+        z = math.exp(rng.uniform(0.0, math.log(15.5)))
+        t = math.exp(rng.uniform(math.log(1e-4), math.log(30.0)))
+        if 0.25 * z * z / t < 2.0:
+            points.append(ShuParams(nu, z, t))
+    return points
+
+
+def test_transition_block_differential():
+    # every value returned in the block agrees with both quadrature forms
+    # under the benchmark's rule: within 10 times its estimate plus the
+    # reference's estimate and 1e-12 relative.  Half the orders are
+    # negative non-integers, where the K form and the split form share
+    # the block
+    rng = random.Random(16)
+    points = _block_points(rng, 150)
+    assert sum(p.order < 0.0 for p in points) >= 60
+    series = 0
+    for p in points:
+        ev, dec = evaluate(p, TIGHT)
+        for ref in (shu_oracle(p, TIGHT), shu_oracle_cosh(p, TIGHT)):
+            slack = 10.0 * ev.error_estimate + ref.error_estimate + 1e-12 * abs(ref.value)
+            assert abs(ev.value - ref.value) <= slack, (p, dec.chosen, ref.method)
+        series += dec.chosen is MethodTag.SERIES_SMALL_Z
+    assert series >= 0.8 * len(points)
+
+
+# grid-table's seed-1 sweep: 8 orders x 12 z x 20 t
+_GRID_TABLE_SEED_1 = (
+    [-3.577090503925066, -1.7683775087085118, -0.5, -0.4908169206822577,
+     0.5, 0.5033793504929474, 1.9969567247279603, 3.2996607098591584],
+    [0.014401026716190559, 0.027131842607373037, 0.05111697226723776,
+     0.09630546998158877, 0.18144156699826938, 0.3418397962346389,
+     0.6440334936638533, 1.2133728884982256, 2.286020495870304,
+     4.3069115496779595, 8.114313555044259, 15.287540435906578],
+    [0.026315021013746685, 0.04028582124602968, 0.061673801917894976,
+     0.09441678797556124, 0.1445432189098673, 0.22128206837785758,
+     0.3387620267133829, 0.5186127894782554, 0.7939473854841949,
+     1.2154587463054034, 1.8607529805886782, 2.8486377388736694,
+     4.360996355769948, 6.676275103537186, 10.220749026569875,
+     15.647005110496853, 23.954092629753195, 36.67146202501464,
+     56.14055801812046, 85.9459121765052],
+)
+
+
+def test_grid_table_stays_off_the_oracle():
+    # work-count guard, no timing: with the small-argument series stopped
+    # at z = 1, 235 of these 1,920 cells fell through to the quadrature
+    # oracle, 180 of them in z > 1, t < 30, z^2/4t < 2; now 60 do
+    cells = evaluate_grid(*_GRID_TABLE_SEED_1, incmac.core.TIGHT)
+    assert all(c.evaluation is not None for c in cells)
+    assert sum(c.decision.chosen is MethodTag.ORACLE5 for c in cells) <= 70
+
+
 def _count_k(monkeypatch, fail_at=None):
     """Count K evaluations by (order, argument) through every binding the
     evaluator, the expansions and the CLI use; optionally make one pair raise."""
@@ -478,9 +548,10 @@ def _pointwise(nu, z, t):
     return ev, dec, None
 
 
-# every path: Oracle5 (0, 3, 3), SeriesSmallT (1, 3, 0.2), SeriesSmallZ
-# (1, 0.5, 2), AsymptLargeT (0, 3, 100), ClosedFormHalf (0.5, *, *)
-_PATH_GRID = ([0.0, 0.5, 1.0], [0.5, 3.0], [0.02, 0.2, 2.0, 3.0, 100.0])
+# every path: Oracle5 (0, 6, 3), SeriesSmallT (1, 3, 0.2), SeriesSmallZ
+# (1, 0.5, 2) and (0, 3, 3), AsymptLargeT (0, 3, 100), ClosedFormHalf
+# (0.5, *, *)
+_PATH_GRID = ([0.0, 0.5, 1.0], [0.5, 3.0, 6.0], [0.02, 0.2, 2.0, 3.0, 100.0])
 
 
 class TestKReuse:
@@ -513,8 +584,8 @@ class TestKReuse:
             return real(p, tol, form)
 
         monkeypatch.setattr(incmac.quadrature, "_oracle", counted)
-        cells = evaluate_grid([0.0], [3.0], [3.0, 3.0], TIGHT)  # Oracle5 path
-        assert counts == [ShuParams(0.0, 3.0, 3.0)]
+        cells = evaluate_grid([0.0], [6.0], [3.0, 3.0], TIGHT)  # Oracle5 path
+        assert counts == [ShuParams(0.0, 6.0, 3.0)]
         assert cells[0].evaluation == cells[1].evaluation
         assert cells[0].decision.chosen is MethodTag.ORACLE5
 

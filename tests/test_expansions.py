@@ -39,6 +39,7 @@ from frozen import (
     S_SERIES_SMALL_Z_K,
     S_SMALL_Z_SPLIT,
     S_SPLIT_SEEDED,
+    S_SPLIT_TAIL,
 )
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
@@ -172,6 +173,17 @@ class TestSeriesSmallZNegativeOrder:
             assert any(tag is MethodTag.SERIES_SMALL_Z for tag, _ in dec.candidates_tried)
         direct = series_small_z(p, TIGHT)
         assert abs(direct.value - ref) <= direct.error_estimate
+
+    @pytest.mark.parametrize("point", sorted(S_SPLIT_TAIL))
+    def test_tail_bound_covers_terms_rising_towards_the_pole(self, point):
+        # past z = 1 the terms fell below target and rose again as m - k
+        # neared 0; stopping there left out 1.5-4.2x the estimate
+        p = ShuParams(*point)
+        ref = S_SPLIT_TAIL[point]
+        split = incmac.expansions._split_small_z(-p.order, p.argument, p.endpoint, TIGHT)
+        assert abs(split.value - ref) <= split.error_estimate
+        ev = series_small_z(p, TIGHT)
+        assert abs(ev.value - ref) <= ev.error_estimate
 
     def test_computes_no_k(self, monkeypatch):
         def no_k(*args):

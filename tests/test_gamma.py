@@ -213,8 +213,9 @@ class TestLowerGammaOrders:
         for a0 in self.ORDERS:
             for x in self.XS:
                 for k, (lk, err) in zip(range(201), _lower_gamma_orders(a0, x)):
-                    want, bound = _kummer_sum(a0 - k, x)
-                    if not math.isfinite(want):  # e^x x^-b past the double range, at x = 700
+                    try:
+                        want, bound = _kummer_sum(a0 - k, x)
+                    except NonConvergence:  # e^x x^-b past the double range, at x = 700
                         break
                     assert abs(lk - want) <= err + bound, (a0, x, k)
                     checked += 1
@@ -255,6 +256,13 @@ class TestLowerIncompleteGamma:
         upper = upper_incomplete_gamma(a, x)
         assert max(abs(lower), abs(upper)) <= 2.0 * abs(gamma(a))
         assert abs(lower + upper - gamma(a)) <= bound + 1e-13 * abs(gamma(a))
+
+    @pytest.mark.parametrize("a,x", [(-1.5, 712.0), (-1.5, 720.0), (0.5, 750.0)])
+    def test_sum_past_double_range_raises(self, a, x):
+        # the Kummer terms pass the double range near e^x; the sum returned
+        # (inf, inf) or, times an underflowed prefactor, (nan, nan)
+        with pytest.raises(NonConvergence):
+            lower_incomplete_gamma(a, x)
 
     def test_poles_and_domain(self):
         with pytest.raises(PoleError):

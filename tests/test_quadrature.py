@@ -306,6 +306,13 @@ class TestShuOracle:
         with pytest.raises(NonConvergence, match=r"z\^2/4/760 underflows"):
             shu_oracle(ShuParams(nu, 3e-161, 1.0), core.TIGHT, 2)
 
+    def test_integrand_past_double_range_raises(self):
+        # z^2/4t ~ 2e-322: form 5's integrand peaks near e^1110 there, past
+        # the double range, though S = 2.1e160 is not; a typed error, not a
+        # bare OverflowError
+        with pytest.raises(NonConvergence, match="form-5 integrand exceeds the double range"):
+            shu_oracle(ShuParams(-1.0, 3e-161, 1.0), core.TIGHT, 5)
+
     def test_rejects_unknown_form(self):
         with pytest.raises(ValueError):
             shu_oracle(ShuParams(0.0, 3.0, 3.0), TIGHT, form=3)
