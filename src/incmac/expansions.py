@@ -9,9 +9,11 @@ small-argument series takes its split form, in lower incomplete gammas and
 I_-nu(z), which needs no K_nu(z); its lower gammas come the same way, by
 recurrence from gamma._lower_gamma_orders.  Past z = 1 it tries the K
 form first and the split form second.  The
-large-endpoint double sum is asymptotic and truncated at its smallest
-term.  The leading_* functions are bare approximants with no error
-control, exposed for the ratio-law checks and figure overlays.
+large-endpoint double sum is asymptotic; its inner sums stop at their
+smallest term or where their first omitted term, which bounds the rest,
+is within the accuracy the target leaves them.  The leading_* functions
+are bare approximants with no error control, exposed for the ratio-law
+checks and figure overlays.
 """
 
 import math
@@ -301,13 +303,17 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
 def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """K minus the doubly truncated large-endpoint correction.
 
-    The inner sum (powers of 1/t) is asymptotic and truncated at its
-    smallest term; the outer sum (powers of (z/2)^2/t) is convergent and
-    truncated on term smallness.  The reported tail bound is the sum over
-    the retained outer terms of their first omitted inner terms (the
-    inner truncation errors add up in the correction), plus the first
-    omitted outer term.  The outer sum alternates, so its rounding is
-    counted from its peak partial sum.
+    The inner sum (powers of 1/t) is asymptotic.  It stops at its smallest
+    term, or earlier, once it has at least -b = -(nu + k + 1) terms, at the
+    first omitted term whose size times |coef_k| is below
+    tol.target(K)/(2 _MAX_TERMS), so that all the inner stops together
+    leave out under half the target: past -b terms the first omitted term
+    bounds the remainder (DLMF 8.11(i)).  The outer sum (powers of
+    (z/2)^2/t) is convergent and truncated on term smallness.  The
+    reported tail bound is the sum over the retained outer terms of their
+    first omitted inner terms (the inner truncation errors add up in the
+    correction), plus the first omitted outer term.  The outer sum
+    alternates, so its rounding is counted from its peak partial sum.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
@@ -317,14 +323,17 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         # correction is far below double resolution of K
         return Evaluation(kval, kerr, MethodTag.ASYMPT_LARGE_T, kwork)
     base = math.exp(e)
+    budget = tol.target(kval) / (2 * _MAX_TERMS)
     work = 0
 
     def inner(k, coef):
-        # Gamma(-nu-k, t) t^(nu+k+1) e^t, truncated at its smallest term
+        # Gamma(-nu-k, t) t^(nu+k+1) e^t, stopped at its smallest term or
+        # within this outer term's share of the budget
         nonlocal work
-        msum, mterms, omitted, smallest = _asymptotic_sum(nu + k + 1.0, t, _MAX_TERMS + 1)
+        limit = budget / abs(coef) if coef else math.inf
+        msum, mterms, omitted, stopped = _asymptotic_sum(nu + k + 1.0, t, _MAX_TERMS + 1, limit)
         work += mterms
-        if not smallest and omitted > tol.target(kval):
+        if not stopped and omitted > tol.target(kval):
             raise NonConvergence(f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}")
         return msum, abs(coef) * omitted
 

@@ -23,7 +23,6 @@ from .core import (
 __all__ = [
     "gamma",
     "upper_incomplete_gamma",
-    "lower_incomplete_gamma",
     "incomplete_gamma_asymptotic",
     "macdonald_k",
 ]
@@ -134,29 +133,6 @@ def _lower_gamma_orders(a0: float, x: float):
         d = 1.0 + xl
         lk = d / b
         err = (x * err + EPS * (abs(xl) + abs(d))) / abs(b) + EPS * abs(lk)
-
-
-def lower_incomplete_gamma(a: float, x: float):
-    """gamma(a, x), the lower tail integral of tau^(a-1) e^-tau on (0, x) for
-    a > 0, continued to every non-integer order as x^a e^-x times the Kummer
-    series (then gamma(a, x) = Gamma(a) - Gamma(a, x) still holds).
-
-    Returns (value, absolute bound on its rounding and truncation).  The
-    prefactor's exponent a ln x - x carries the rounding of ln x times a and
-    of the two operations, up to EPS (|a ln x| + x) relative, counted too.
-    Raises PoleError at a in {0, -1, -2, ...}.
-    """
-    if not math.isfinite(a):
-        raise DomainError("a", a, "must be finite")
-    if a <= 0.0 and a == math.floor(a):
-        raise PoleError(f"lower gamma pole at a={a}")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError("x", x, "must be strictly positive")
-    total, err = _kummer_sum(a, x)
-    lead = a * math.log(x)
-    pref = math.exp(lead - x)
-    value = pref * total
-    return value, pref * err + (abs(lead) + x + 2.0) * EPS * abs(value)
 
 
 def _upper_from_series(a: float, x: float) -> float:
@@ -310,17 +286,22 @@ def _upward(a0: float, x: float, k: int, b: int, h: float, r: float):
     return zip(hs, rs)
 
 
-def _asymptotic_sum(b: float, x: float, cap: int):
+def _asymptotic_sum(b: float, x: float, cap: int, budget: float = 0.0):
     """sum_m (-1)^m (b)_m x^-m ~ Gamma(1-b, x) x^b e^x for large x, divergent,
-    so stopped at its smallest term or after cap terms.  Returns (sum,
-    terms, |first omitted term|, whether it stopped at the smallest term)."""
+    so stopped at its smallest term, at the first omitted term below budget
+    once at least -b terms are kept, or after cap terms.  For x > 0 and
+    real b, after n >= -b terms the remainder is bounded in magnitude by
+    the first omitted term (DLMF 8.11(i), n >= a - 1 for Gamma(a, x) with
+    a = 1 - b), so the budget stop ends no earlier than that.  Returns (sum,
+    terms, |first omitted term|, whether it stopped before the cap)."""
     total = 0.0
     term = 1.0
     for m in range(cap):
         total += term
         nxt = term * (-(b + m) / x)
-        if abs(nxt) >= abs(term):
-            return total, m + 1, abs(nxt), True
+        size = abs(nxt)
+        if size >= abs(term) or (size < budget and m + 1 >= -b):
+            return total, m + 1, size, True
         term = nxt
     return total, cap, abs(term), False
 

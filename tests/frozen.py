@@ -84,6 +84,19 @@ S_LARGE_T_CANCELLING = {
     (-8.267746481048224, 164.63856228515448, 171.7367769997575): 3.7819188037854335e-73,
 }
 
+# S at four scatter-wide points where each inner asymptotic sum of
+# asympt_large_t ran to its 201-term cap before its smallest term, so
+# evaluate fell through to the oracle.  The small-endpoint series in
+# mpmath, its terms cancelling from about e^t, at 420 and 520 digits, or
+# at 720 and 850 for the last (at 420 and 520 its two values disagree),
+# each pair agreeing to 30 digits, rounded to double
+S_LARGE_T_INNER_STOP = {
+    (-7.955851591265382, 320.06426145417345, 359.1606765143919): 7.691360326704222e-141,
+    (17.62730571110437, 234.04968198971753, 330.3785809315047): 3.5828129771581513e-103,
+    (5.939455967679649, 326.07199276210355, 435.8067825059122): 1.7923631843050177e-143,
+    (-21.506817930732307, 596.2118953757137, 690.7547054398525): 8.851906424130292e-261,
+}
+
 # S where the integrand's exponent, near -592 to -707, rounds to more than
 # the quadrature oracles' estimate once left out of it.  The y-form and
 # endpoint integrals in mpmath at 50 digits, each scaled by its peak,

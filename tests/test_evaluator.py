@@ -25,6 +25,7 @@ from frozen import (
     S0_6_3,
     S_HALF_GRID,
     S_HIGH_PRECISION,
+    S_LARGE_T_INNER_STOP,
     S_SERIES_EXPONENT_ROUNDING,
     S_SERIES_SMALL_Z_K,
     S_SMALL_Z_NEGATIVE_ORDER,
@@ -157,11 +158,6 @@ class TestDecisionProcedure:
     @pytest.mark.parametrize(
         "point, rejected",
         [
-            # the large-endpoint sum finds no truncation point
-            (
-                (-7.955851591265382, 320.06426145417345, 359.1606765143919),
-                (MethodTag.ASYMPT_LARGE_T, "NON_CONVERGENCE"),
-            ),
             # the small-endpoint series with step -t = -204 needs more than
             # 200 terms here; with one incomplete gamma per term it returned
             # 1.2e-22 with a NaN error estimate, for a true value of 3.9e-176
@@ -179,6 +175,16 @@ class TestDecisionProcedure:
         assert rejected in dec.candidates_tried
         ref = shu_oracle_cosh(p, TIGHT)
         assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    @pytest.mark.parametrize("point", sorted(S_LARGE_T_INNER_STOP))
+    def test_large_endpoint_inner_sums_stop_within_budget(self, point):
+        # each inner asymptotic sum ran to its cap before its smallest term
+        # here, and the point fell through to the oracle; stopped where its
+        # first omitted term, which bounds the rest, is within budget, the
+        # large-endpoint sum takes it within its estimate
+        ev, dec = evaluate(ShuParams(*point), incmac.core.TIGHT)
+        assert dec.chosen is MethodTag.ASYMPT_LARGE_T
+        assert abs(ev.value - S_LARGE_T_INNER_STOP[point]) <= ev.error_estimate
 
     def test_large_order_small_endpoint_no_longer_overflows(self):
         # the K form overflowed in x**b at Gamma(-37.6 - k, 1.5e-6) ~ 1e217
@@ -495,6 +501,39 @@ def test_transition_block_differential():
     assert series >= 0.8 * len(points)
 
 
+def test_large_endpoint_differential():
+    # 300 seeded points with t log-uniform on [30, 3e3], |nu| <= 30 and z
+    # log-uniform on [1e-6, 3e3]: every value the large-endpoint sum
+    # returns, at three targets, agrees with both quadrature forms at the
+    # tight target under the benchmark's rule.  Its inner sums stop where
+    # their first omitted term is within the target's budget, which the
+    # looser targets make largest
+    rng = random.Random(17)
+    tols = (
+        incmac.core.TIGHT,
+        incmac.core.DEFAULT_TOLERANCES,
+        Tolerances(abs_tol=5e-324, rel_tol=1e-8, max_depth=120),
+    )
+    taken = [0] * len(tols)
+    for _ in range(300):
+        p = ShuParams(
+            rng.uniform(-30.0, 30.0),
+            math.exp(rng.uniform(math.log(1e-6), math.log(3e3))),
+            math.exp(rng.uniform(math.log(30.0), math.log(3e3))),
+        )
+        refs = None
+        for i, tol in enumerate(tols):
+            ev, dec = evaluate(p, tol)
+            if dec.chosen is not MethodTag.ASYMPT_LARGE_T:
+                continue
+            taken[i] += 1
+            refs = refs or (shu_oracle(p, incmac.core.TIGHT), shu_oracle_cosh(p, incmac.core.TIGHT))
+            for ref in refs:
+                slack = 10.0 * ev.error_estimate + ref.error_estimate + 1e-12 * abs(ref.value)
+                assert abs(ev.value - ref.value) <= slack, (p, tol, ref.method)
+    assert min(taken) >= 200
+
+
 # grid-table's seed-1 sweep: 8 orders x 12 z x 20 t
 _GRID_TABLE_SEED_1 = (
     [-3.577090503925066, -1.7683775087085118, -0.5, -0.4908169206822577,
@@ -520,6 +559,25 @@ def test_grid_table_stays_off_the_oracle():
     cells = evaluate_grid(*_GRID_TABLE_SEED_1, incmac.core.TIGHT)
     assert all(c.evaluation is not None for c in cells)
     assert sum(c.decision.chosen is MethodTag.ORACLE5 for c in cells) <= 70
+
+
+def test_grid_table_inner_sums_stop_early(monkeypatch):
+    # work-count guard, no timing: run to their smallest term, the inner
+    # asymptotic sums of the large-endpoint cells took 33,769 iterations
+    # over this sweep; stopped within the target's budget, 676
+    iterations = 0
+    asymptotic_sum = incmac.expansions._asymptotic_sum
+
+    def counted(*args):
+        nonlocal iterations
+        result = asymptotic_sum(*args)
+        iterations += result[1]
+        return result
+
+    monkeypatch.setattr(incmac.expansions, "_asymptotic_sum", counted)
+    cells = evaluate_grid(*_GRID_TABLE_SEED_1, incmac.core.TIGHT)
+    assert sum(c.decision.chosen is MethodTag.ASYMPT_LARGE_T for c in cells) >= 250
+    assert iterations <= 2000
 
 
 def _count_k(monkeypatch, fail_at=None):

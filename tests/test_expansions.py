@@ -245,6 +245,13 @@ class TestAsymptLargeT:
         ev = asympt_large_t(ShuParams(*point), TIGHT)
         assert abs(ev.value - S_LARGE_T_CANCELLING[point]) <= ev.error_estimate
 
+    def test_outer_coefficient_underflowing_to_zero(self):
+        # the second outer coefficient, e^-716 times -z^2/4t = -1.9e-15,
+        # underflows to 0.0; its inner sum gets an unbounded budget instead
+        # of dividing by it, and S is K to far below the estimate
+        ev = asympt_large_t(ShuParams(30.0, 1e-6, 130.0), TIGHT)
+        assert abs(ev.value - macdonald_k(30.0, 1e-6)) <= ev.error_estimate
+
     def test_agrees_with_small_argument_series(self):
         # both sum (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu-k, t), the
         # small-argument series exactly and this path asymptotically in t,

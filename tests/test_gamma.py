@@ -17,7 +17,6 @@ from incmac.gamma import (
     _upper_gamma_orders,
     gamma,
     incomplete_gamma_asymptotic,
-    lower_incomplete_gamma,
     macdonald_k,
     upper_incomplete_gamma,
 )
@@ -231,10 +230,25 @@ class TestLowerGammaOrders:
         assert lk(below) * lk(above) < 0.0
 
 
+def _lower_gamma(a, x):
+    """gamma(a, x) for non-integer a as x^a e^-x times the Kummer sum, and
+    an absolute bound on its error: the sum's bound times the prefactor,
+    plus the rounding of the exponent a ln x - x (of ln x times a and of
+    the two operations), up to EPS (|a ln x| + x + 2) relative."""
+    total, err = _kummer_sum(a, x)
+    lead = a * math.log(x)
+    pref = math.exp(lead - x)
+    value = pref * total
+    return value, pref * err + (abs(lead) + x + 2.0) * EPS * abs(value)
+
+
 class TestLowerIncompleteGamma:
+    """The lower incomplete gamma as the series use it: one Kummer sum
+    times its prefactor."""
+
     @pytest.mark.parametrize("a,x", sorted(LOWER_GAMMA_REF))
     def test_frozen_within_bound(self, a, x):
-        value, bound = lower_incomplete_gamma(a, x)
+        value, bound = _lower_gamma(a, x)
         assert abs(value - LOWER_GAMMA_REF[a, x]) <= bound
         assert bound <= 1e-12 * abs(value)
 
@@ -242,8 +256,8 @@ class TestLowerIncompleteGamma:
     @pytest.mark.parametrize("x", [0.05, 1.3, 12.0])
     def test_recurrence_at_negative_order(self, a, x):
         # gamma(a + 1, x) = a gamma(a, x) - x^a e^-x
-        g1, b1 = lower_incomplete_gamma(a + 1.0, x)
-        g0, b0 = lower_incomplete_gamma(a, x)
+        g1, b1 = _lower_gamma(a + 1.0, x)
+        g0, b0 = _lower_gamma(a, x)
         e = a * math.log(x) - x
         power = math.exp(e)
         slack = b1 + abs(a) * b0 + (abs(e) + 4.0) * EPS * (abs(a * g0) + power)
@@ -252,7 +266,7 @@ class TestLowerIncompleteGamma:
     @pytest.mark.parametrize("a,x", [(-2.5, 3.0), (-1.3, 1.5), (-0.5, 2.0), (0.4, 0.7), (2.5, 1.0)])
     def test_complement_gives_gamma(self, a, x):
         # points where neither tail outweighs Gamma(a), so the sum cannot cancel
-        lower, bound = lower_incomplete_gamma(a, x)
+        lower, bound = _lower_gamma(a, x)
         upper = upper_incomplete_gamma(a, x)
         assert max(abs(lower), abs(upper)) <= 2.0 * abs(gamma(a))
         assert abs(lower + upper - gamma(a)) <= bound + 1e-13 * abs(gamma(a))
@@ -262,15 +276,7 @@ class TestLowerIncompleteGamma:
         # the Kummer terms pass the double range near e^x; the sum returned
         # (inf, inf) or, times an underflowed prefactor, (nan, nan)
         with pytest.raises(NonConvergence):
-            lower_incomplete_gamma(a, x)
-
-    def test_poles_and_domain(self):
-        with pytest.raises(PoleError):
-            lower_incomplete_gamma(-2.0, 1.0)
-        with pytest.raises(PoleError):
-            lower_incomplete_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            lower_incomplete_gamma(-1.5, 0.0)
+            _kummer_sum(a, x)
 
 
 class TestBesselISeries:
@@ -331,6 +337,48 @@ class TestIncompleteGammaAsymptotic:
         assert (used, smallest) == (3, False)
         assert _rel(total, sum(terms[:3])) < 1e-15
         assert _rel(omitted, abs(terms[3])) < 1e-15
+
+    def test_sum_stops_at_first_term_within_budget(self):
+        # terms (-1)^m (1/2)_m 10^-m: 1, -0.05, 7.5e-3, -1.875e-3, 6.56e-4;
+        # the fifth is the first below 1e-3, so four are kept
+        terms = [1.0]
+        for m in range(5):
+            terms.append(terms[-1] * -(0.5 + m) / 10.0)
+        assert abs(terms[3]) >= 1e-3 > abs(terms[4])
+        total, used, omitted, stopped = _asymptotic_sum(0.5, 10.0, 50, 1e-3)
+        assert (used, stopped) == (4, True)
+        assert _rel(total, sum(terms[:4])) < 1e-15
+        assert _rel(omitted, abs(terms[4])) < 1e-15
+        # no budget: the smallest-term stop, as before
+        assert _asymptotic_sum(0.5, 10.0, 50, 0.0)[:2] == _asymptotic_sum(0.5, 10.0, 50)[:2]
+
+    def test_budget_stop_keeps_at_least_minus_b_terms(self):
+        # at b = -3.5 every term is below a budget of 1, but the first
+        # omitted term bounds the rest only after n >= -b terms (DLMF
+        # 8.11(i)), so the sum keeps four
+        total, used, omitted, stopped = _asymptotic_sum(-3.5, 40.0, 50, 1.0)
+        assert (used, stopped) == (4, True)
+        terms = [1.0]
+        for m in range(4):
+            terms.append(terms[-1] * -(-3.5 + m) / 40.0)
+        assert _rel(total, sum(terms[:4])) < 1e-15
+        assert _rel(omitted, abs(terms[4])) < 1e-15
+        exact = upper_incomplete_gamma(4.5, 40.0) * math.exp(40.0 - 3.5 * math.log(40.0))
+        assert abs(total - exact) <= omitted
+
+    def test_budget_stop_omits_at_most_its_first_omitted_term(self):
+        # the remainder after a budget stop is within the first omitted term,
+        # against Gamma(1 - b, x) x^b e^x from upper_incomplete_gamma
+        checked = 0
+        for b in (-29.5, -12.25, -3.5, -0.75, 0.5, 1.0, 4.3, 17.0, 31.0):
+            for x in (30.0, 45.0, 120.0, 300.0):
+                for budget in (1e-3, 1e-8, 1e-13):
+                    total, used, omitted, stopped = _asymptotic_sum(b, x, 201, budget)
+                    assert stopped and used >= -b
+                    exact = upper_incomplete_gamma(1.0 - b, x) * math.exp(x + b * math.log(x))
+                    assert abs(total - exact) <= omitted + 1e-13 * abs(exact), (b, x, budget)
+                    checked += 1
+        assert checked == 108
 
 
 class TestMacdonaldK:
