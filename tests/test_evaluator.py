@@ -158,6 +158,11 @@ class TestDecisionProcedure:
     @pytest.mark.parametrize(
         "point, rejected",
         [
+            # the large-endpoint sum finds no truncation point with z near t
+            (
+                (18.589669083686715, 356.49257978239893, 367.05542657706394),
+                (MethodTag.ASYMPT_LARGE_T, "NON_CONVERGENCE"),
+            ),
             # the small-endpoint series with step -t = -204 needs more than
             # 200 terms here; with one incomplete gamma per term it returned
             # 1.2e-22 with a NaN error estimate, for a true value of 3.9e-176
