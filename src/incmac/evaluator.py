@@ -158,7 +158,9 @@ def _half_order_gate(p: ShuParams, tol: Tolerances):
 # The candidates in decision order: (tag, reason, gate, run).  gate(p, tol)
 # returns None to run the candidate, _SKIP or a rejection reason code; what
 # runs is judged by _verdict.  The lambdas look a callee up when it runs,
-# so a rebound module name (a test's stand-in) takes effect.
+# so a rebound module name (a test's stand-in) takes effect.  The
+# small-endpoint series raises NonConvergence as soon as it can no longer
+# meet tol (_give_up), which _verdict would otherwise find at its end.
 _CANDIDATES = (
     (MethodTag.ASYMPT_LARGE_T, "LARGE_T", _large_t_gate,
      lambda p, tol: asympt_large_t(p, tol)),
@@ -167,7 +169,7 @@ _CANDIDATES = (
     (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED",
      lambda p, tol: None if 0.25 * p.argument * p.argument / p.endpoint >= _SMALL_T_EXPONENT
      else _SKIP,
-     lambda p, tol: series_small_t(p, tol)),
+     lambda p, tol: series_small_t(p, tol, _give_up=True)),
     (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED",
      lambda p, tol: None if 0.25 * p.argument * p.argument / p.endpoint < _SMALL_T_EXPONENT
      else _SKIP,

@@ -11,7 +11,12 @@ recurrence from gamma._lower_gamma_orders.  Past z = 1 it tries the K
 form first and the split form second.  The
 large-endpoint double sum is asymptotic; its inner sums stop at their
 smallest term or where their first omitted term, which bounds the rest,
-is within the accuracy the target leaves them.  The leading_* functions
+is within the accuracy the target leaves them.  Every sum is one loop,
+_series_core, which reads each factor and its error bound straight from
+those generators, or from a generator of the inner sums, with no call
+back per term.  For the evaluator the small-endpoint series also gives up
+as soon as its lost accuracy exceeds what its first term, a ceiling on
+S, lets the target allow.  The leading_* functions
 are bare approximants with no error control, exposed for the ratio-law
 checks and figure overlays.
 """
@@ -57,54 +62,71 @@ _CANCEL_LIMIT = 1e6
 _MAX_TERMS = 200  # cap on the terms of every series and asymptotic sum
 
 
-def _series_core(coef: float, step: float, factor, target):
+def _series_core(coef: float, step: float, factors, rel: float, floor: float,
+                 offset: float = 0.0, rounding=None, give_up: bool = False):
     """The one loop over terms of every sum here.
 
-    Term k is coef_k f_k with coef_{k+1} = coef_k * step/(k+1), where
-    (f_k, lost_k) = factor(k, coef_k) and lost_k bounds what term k loses
-    beyond the summation's rounding.  Stops only after two consecutive
-    terms fall below target(partial sum); alternating sums can produce an
-    accidentally tiny single term.  A partial sum that is not finite, or
-    _MAX_TERMS terms, raise NonConvergence.  Returns (sum, terms used, the
-    next coefficient, peak |partial sum|, sum of lost_k).
+    Term k is coef_k f_k with coef_(k+1) = coef_k * step/(k+1), where
+    (f_k, e_k) = next(factors).  The bound lost_k on what term k loses
+    beyond the summation's rounding comes from e_k in one of two modes:
+    relative (rounding None), |term k| (e_k + (2k + 2) EPS), with e_k a
+    bound on the relative error of f_k and coef_k carrying two roundings
+    per step and k times the step's own; absolute (rounding (c1, c0)),
+    |coef_k| e_k + (c1 k + c0) EPS |term k|, with e_k a bound on the
+    absolute error of f_k.  Stops only after two consecutive terms fall
+    below the target max(floor, rel |offset - partial sum|); alternating
+    sums can produce an accidentally tiny single term.  A partial sum that
+    is not finite, or _MAX_TERMS terms, raise NonConvergence.
+
+    With give_up and rel < 1/2, a sum whose first term bounds it, |sum| <=
+    |term 0| = cap, also raises NonConvergence once lost_0 + ... + lost_k
+    + k EPS peak, which the caller's estimate can only exceed, passes
+    4 max(floor, rel cap): an accepted value with an honest estimate has
+    an error of at most rel |sum|/(1 - rel) <= 2 rel cap, and the other 2x
+    covers the prefactor's rounding.  Returns (sum, terms used, the next
+    coefficient, peak |partial sum|, sum of lost_k); the first omitted
+    term's factor is the next one in factors.
     """
     total = peak = lost = 0.0
     streak = 0
+    inf = math.inf
+    # -1 makes the check below set the give-up limit after term 0
+    limit = -1.0 if give_up and rel < 0.5 else inf
+    if rounding is not None:
+        c1, c0 = rounding
     for k in range(_MAX_TERMS):
-        f, bound = factor(k, coef)
+        f, e = next(factors)
         term = coef * f
         total += term
-        if not math.isfinite(total):
+        # comparisons, not max() or math.isfinite, in this hot loop
+        mag = abs(total)
+        if not mag < inf:
             raise NonConvergence(f"partial sum overflows at term {k}")
-        if abs(total) > peak:  # a sixth of the cost of max() in this hot loop
-            peak = abs(total)
-        lost += bound
+        if mag > peak:
+            peak = mag
+        size = abs(term)
+        if rounding is None:
+            lost += size * (e + (2 * k + 2) * EPS)
+        else:
+            lost += abs(coef) * e + (c1 * k + c0) * EPS * size
         coef *= step / (k + 1)
-        if abs(term) < target(total):
+        target = rel * abs(offset - total)
+        if size < (target if target > floor else floor):
             streak += 1
             if streak == 2:
                 return total, k + 1, coef, peak, lost
         else:
             streak = 0
+        if lost + k * EPS * peak > limit:
+            if k:
+                raise NonConvergence(f"series cannot meet its target; lost {lost!r} by term {k}")
+            rel_cap = rel * size
+            limit = 4.0 * (rel_cap if rel_cap > floor else floor)
     raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
 
 
-def _units_target(tol: Tolerances, log_unit: float):
-    """tol.target for a sum kept in units of e^log_unit: the absolute
-    target abs_tol e^-log_unit (inf where that overflows), the relative one
-    unchanged."""
-    e = math.log(tol.abs_tol) - log_unit if tol.abs_tol else -math.inf
-    floor = math.exp(e) if e < _LOG_HUGE else math.inf
-    rel = tol.rel_tol
-
-    def target(s):
-        t = rel * abs(s)
-        return t if t > floor else floor
-
-    return target
-
-
-def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: float, tol: Tolerances):
+def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: float, tol: Tolerances,
+                     give_up: bool = False):
     """(1/2)(z/2t)^nu e^-x sum_k step^k/k! h_k with Gamma(a0 - k, x) = x^(a0-k)
     e^-x h_k, the sum both upper-gamma series reduce to.
 
@@ -119,14 +141,11 @@ def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: f
     """
     log_q = math.log(0.5 * z / t)
     lead = nu * log_q - x - _LN2
+    # abs_tol in units of e^lead, inf where that overflows
+    e = math.log(tol.abs_tol) - lead if tol.abs_tol else -math.inf
+    floor = math.exp(e) if e < _LOG_HUGE else math.inf
     orders = _upper_gamma_orders(a0, x)
-
-    def factor(k, coef):
-        # coef_k carries two roundings per step and k times the step's own
-        h, r = next(orders)
-        return h, abs(coef * h) * (r + (2 * k + 2) * EPS)
-
-    total, terms, coef, peak, werr = _series_core(1.0, step, factor, _units_target(tol, lead))
+    total, terms, coef, peak, werr = _series_core(1.0, step, orders, tol.rel_tol, floor, give_up=give_up)
     h, r = next(orders)
     werr += abs(coef * h) * (1.0 + r) + terms * EPS * peak
     log_peak = math.log(peak)
@@ -138,14 +157,19 @@ def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: f
     return value, scale * (werr / peak) + exponent_err * abs(value), terms, scale
 
 
-def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
+def series_small_t(p: ShuParams, tol: Tolerances = None, *, _give_up: bool = False) -> Evaluation:
     """Convergent expansion of S in incomplete gammas of argument z^2/(4t),
     (1/2)(z/2)^-nu sum_k (-z^2/4)^k/k! Gamma(nu - k, z^2/4t).
 
     Efficient when z^2/(4t) is a few units or more, yet convergent for all
     parameters (the k! eventually dominates).  Summed by _upper_gamma_sum
     in units of (1/2)(z/2t)^nu e^(-z^2/4t), with step -t; the tail bound is
-    the first omitted term.
+    the first omitted term.  Its first term bounds it: with x0 = z^2/4t,
+    S = (1/2)(z/2)^-nu int_x0^inf e^-y e^(-z^2/4y) y^(nu-1) dy, and
+    e^(-z^2/4y) <= 1 leaves (1/2)(z/2)^-nu Gamma(nu, x0).  The evaluator's
+    candidate passes _give_up, which raises NonConvergence as soon as the
+    sum's accumulated error shows that it can no longer meet tol against
+    that ceiling (see _series_core); a direct call runs the sum to its end.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
@@ -153,7 +177,7 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     if x0 == 0.0:
         # the incomplete gammas at argument 0 are Gamma(nu - k) or infinite
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; the small-t series has no terms")
-    value, err, terms, scale = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol)
+    value, err, terms, scale = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol, _give_up)
     flags = ()
     if scale > _CANCEL_LIMIT * abs(value):
         flags = (FLAG_CANCELLATION,)
@@ -218,13 +242,8 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     rel = max(tol.rel_tol, EPS)
 
     lowers = _lower_gamma_orders(m, t)
-
-    def lower(k, coef):
-        # L_k's own bound times |coef_k|, and the coefficient's rounding
-        lk, bound = next(lowers)
-        return lk, abs(coef) * bound + (k + 2) * EPS * abs(coef * lk)
-
-    total, terms, coef, peak, werr = _series_core(1.0, -x0, lower, lambda s: rel * abs(s))
+    # L_k's own bound times |coef_k|, and the coefficient's rounding
+    total, terms, coef, peak, werr = _series_core(1.0, -x0, lowers, rel, 0.0, rounding=(1, 2))
     lk, bound = next(lowers)
     werr += _split_tail(m, t, x0, terms, coef, abs(lk) + bound) + terms * EPS * peak
     # (1/2)(2t/z)^m e^-t times the peak partial sum, through one exp
@@ -300,6 +319,20 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         return kform
 
 
+def _inner_ceiling(b: float, t: float) -> float:
+    """A ceiling on I(b) = Gamma(1 - b, t) t^b e^t = int_0^inf e^-u (1 +
+    u/t)^-b du, the value of the large-endpoint inner sum at b, which falls
+    as b grows: 1 for b >= 0; t/(t + b) for -t < b < 0, from (1 + u/t)^-b
+    <= e^(-b u/t); Gamma(1 - b) t^b e^t below, where Gamma(1 - b, t) <=
+    Gamma(1 - b)."""
+    if b >= 0.0:
+        return 1.0
+    if t + b > 0.0:
+        return t / (t + b)
+    e = math.lgamma(1.0 - b) + b * math.log(t) + t
+    return math.exp(e) if e < _LOG_HUGE else math.inf
+
+
 def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """K minus the doubly truncated large-endpoint correction.
 
@@ -312,8 +345,12 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     (z/2)^2/t) is convergent and truncated on term smallness.  The
     reported tail bound is the sum over the retained outer terms of their
     first omitted inner terms (the inner truncation errors add up in the
-    correction), plus the first omitted outer term.  The outer sum
-    alternates, so its rounding is counted from its peak partial sum.
+    correction), plus the first omitted outer term with its own inner sum
+    at its ceiling (_inner_ceiling; above 1 where b < 0), which bounds all
+    the omitted outer terms together: they sum to the remainder of an
+    exponential series in -(z/2)^2/(t + u), under the integral of I.  The
+    outer sum alternates, so its rounding is counted from its peak partial
+    sum.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
@@ -323,24 +360,36 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         # correction is far below double resolution of K
         return Evaluation(kval, kerr, MethodTag.ASYMPT_LARGE_T, kwork)
     base = math.exp(e)
+    step = -0.25 * z * z / t
     budget = tol.target(kval) / (2 * _MAX_TERMS)
     work = 0
 
-    def inner(k, coef):
-        # Gamma(-nu-k, t) t^(nu+k+1) e^t, stopped at its smallest term or
-        # within this outer term's share of the budget
+    def inner_sums():
+        # Gamma(-nu-k, t) t^(nu+k+1) e^t and its first omitted term, stopped
+        # at its smallest term or within outer term k's share of the budget;
+        # coef_k by _series_core's own operations
         nonlocal work
-        limit = budget / abs(coef) if coef else math.inf
-        msum, mterms, omitted, stopped = _asymptotic_sum(nu + k + 1.0, t, _MAX_TERMS + 1, limit)
-        work += mterms
-        if not stopped and omitted > tol.target(kval):
-            raise NonConvergence(f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}")
-        return msum, abs(coef) * omitted
+        coef = base
+        k = 0
+        while True:
+            limit = budget / abs(coef) if coef else math.inf
+            msum, mterms, omitted, stopped = _asymptotic_sum(nu + k + 1.0, t, _MAX_TERMS + 1, limit)
+            work += mterms
+            if not stopped and omitted > tol.target(kval):
+                raise NonConvergence(f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}")
+            yield msum, omitted
+            coef *= step / (k + 1)
+            k += 1
 
-    corr, _, coef, peak, tail = _series_core(
-        base, -0.25 * z * z / t, inner, lambda c: tol.target(kval - c)
+    corr, terms, coef, peak, tail = _series_core(
+        base, step, inner_sums(), tol.rel_tol, tol.abs_tol, kval, rounding=(0, 0)
     )
-    err = kerr + tail + abs(coef) + 16.0 * EPS * (abs(kval) + peak)
+    # the omitted outer terms sum to base int_0^inf e^-u (1 + u/t)^-(nu+1)
+    # R(-w) du with w = (z/2)^2/(t + u), R(-w) the remainder of e^-w after
+    # `terms` terms, at most w^terms/terms! in magnitude: so at most |coef|
+    # times the first omitted term's own inner sum, which may exceed 1
+    outer = abs(coef) * _inner_ceiling(nu + terms + 1.0, t)
+    err = kerr + tail + outer + 16.0 * EPS * (abs(kval) + peak)
     return Evaluation(kval - corr, err, MethodTag.ASYMPT_LARGE_T, kwork + work)
 
 

@@ -320,3 +320,100 @@ ORACLE_KERNEL = {
     ((26.504583450738707, 2.077974653052133, 0.0013578072839012679), 4): ("0x1.427085aa742e2p-904", "0x1.cf75b8d58a30fp-945", 8),
     ((26.504583450738707, 2.077974653052133, 0.0013578072839012679), 5): ("0x1.427085aa741cbp-904", "0x1.0d2aa218c42f1p-946", 2),
 }
+
+# Exact outputs of the series kernel, frozen before its loop took the
+# factors straight from the order generators, so that any change to a
+# float operation of the sums shows: float.hex of value and error
+# estimate, the work count and the flags, keyed by (expansions function,
+# point, tolerance name in core).  Seeded points (random.Random(18)) of
+# the small-endpoint series, the small-argument series' K form and split
+# form, and the large-endpoint sum, plus four fixed ones: a cancelling
+# small-endpoint sum, a cancelling K form, and two points past z = 1 where
+# the split form follows the K form.  The large-endpoint points at nu =
+# -21.6 and -22.25 have b = nu + n + 1 < 0 at the first omitted outer term,
+# so their estimates were raised afterwards, when that term took its inner
+# sum's ceiling: from 0x1.10858a18694c7p+1 (TIGHT), 0x1.47180c7c8bb9cp+1
+# (DEFAULT_TOLERANCES) and 0x1.3a956d28edaa1p-27 (both); values and work
+# are the frozen ones
+SERIES_KERNEL = {
+    ('series_small_t', (6.210000174191222, 16.94235769204204, 16.08056460636139), 'TIGHT'): ('0x1.54c4d2038425ap-25', '0x1.5673334a96626p-40', 69, ('severe_cancellation',)),
+    ('series_small_t', (6.210000174191222, 16.94235769204204, 16.08056460636139), 'DEFAULT_TOLERANCES'): ('0x1.54c4de360091cp-25', '0x1.5b57226e1fdfap-40', 57, ('severe_cancellation',)),
+    ('series_small_z', (0.0, 1.0, 0.02), 'TIGHT'): ('0x1.2455eac400000p-23', '0x1.4fe76f3eaedccp-34', 54, ('severe_cancellation',)),
+    ('series_small_z', (0.0, 1.0, 0.02), 'DEFAULT_TOLERANCES'): ('0x1.2456e9ec00000p-23', '0x1.5741ab48bfd6ap-34', 50, ('severe_cancellation',)),
+    ('series_small_z', (-0.4908169206822577, 2.286020495870304, 0.7939473854841949), 'TIGHT'): ('0x1.04d93aa196100p-6', '0x1.c37a1031592f2p-44', 18, ()),
+    ('series_small_z', (-0.4908169206822577, 2.286020495870304, 0.7939473854841949), 'DEFAULT_TOLERANCES'): ('0x1.04d93aa195cacp-6', '0x1.a7b9f0af0a8d7p-45', 18, ()),
+    ('series_small_z', (-3.577090503925066, 1.2133728884982256, 0.22128206837785758), 'TIGHT'): ('0x1.90260ebcb1040p-12', '0x1.6128b4e38288ep-51', 19, ()),
+    ('series_small_z', (-3.577090503925066, 1.2133728884982256, 0.22128206837785758), 'DEFAULT_TOLERANCES'): ('0x1.90260ebc7c780p-12', '0x1.0b04fa5757779p-46', 17, ()),
+    ('series_small_t', (-18.123623750248775, 1.4813245042916559, 0.05080282250549155), 'TIGHT'): ('0x1.554aa27d473e4p-92', '0x1.94a2470a332b9p-136', 9, ()),
+    ('series_small_t', (-18.123623750248775, 1.4813245042916559, 0.05080282250549155), 'DEFAULT_TOLERANCES'): ('0x1.54dd7d09731a9p-92', '0x1.bbc7f12355054p-102', 2, ()),
+    ('series_small_t', (-1.2136475911114104, 0.9303925083352805, 0.0028110239294096024), 'TIGHT'): ('0x1.996be8485c689p-128', '0x1.b34ed7e438c7cp-172', 7, ()),
+    ('series_small_t', (-1.2136475911114104, 0.9303925083352805, 0.0028110239294096024), 'DEFAULT_TOLERANCES'): ('0x1.996b80a99a612p-128', '0x1.9edd484ccfe84p-146', 2, ()),
+    ('series_small_t', (-17.034229017962318, 0.08636381190299143, 0.00010876612999534513), 'TIGHT'): ('0x1.110b0098272efp-178', '0x1.f5e0d32ca0f27p-222', 5, ()),
+    ('series_small_t', (-17.034229017962318, 0.08636381190299143, 0.00010876612999534513), 'DEFAULT_TOLERANCES'): ('0x1.110b007e837efp-178', '0x1.9a40a7c97aac9p-206', 2, ()),
+    ('series_small_t', (2.273837482593592, 6.981182106934517, 0.07673539286375226), 'TIGHT'): ('0x1.070a19140799cp-225', '0x1.0893992ece370p-268', 10, ()),
+    ('series_small_t', (2.273837482593592, 6.981182106934517, 0.07673539286375226), 'DEFAULT_TOLERANCES'): ('0x1.063c123a4078cp-225', '0x1.a6981b653dba0p-234', 2, ()),
+    ('series_small_t', (24.62141980988264, 12.000574587783975, 2.181619402547348), 'TIGHT'): ('0x1.68d696ec95967p+10', '0x1.185d7388a08b2p-32', 22, ()),
+    ('series_small_t', (24.62141980988264, 12.000574587783975, 2.181619402547348), 'DEFAULT_TOLERANCES'): ('0x1.68d696ec952e8p+10', '0x1.6eb585961c921p-31', 20, ()),
+    ('series_small_t', (-19.118532217139837, 0.4966192901201329, 0.0030455030060106735), 'TIGHT'): ('0x1.0eb294fce6149p-157', '0x1.ca14ffa293b95p-201', 7, ()),
+    ('series_small_t', (-19.118532217139837, 0.4966192901201329, 0.0030455030060106735), 'DEFAULT_TOLERANCES'): ('0x1.0eb24671b76f7p-157', '0x1.3a7c83c21ba6dp-175', 2, ()),
+    ('series_small_t', (-4.416671094726578, 2.147590362313051, 0.11477605418323157), 'TIGHT'): ('0x1.22b3f60168348p-34', '0x1.fb426dbd59a8dp-80', 10, ()),
+    ('series_small_t', (-4.416671094726578, 2.147590362313051, 0.11477605418323157), 'DEFAULT_TOLERANCES'): ('0x1.22b37e5f8c309p-34', '0x1.e903fecabce9ap-52', 4, ()),
+    ('series_small_t', (16.22060727657057, 0.5411657256912366, 0.016303933897426105), 'TIGHT'): ('0x1.a20fa2569e163p+70', '0x1.7804c0f2fad64p+26', 7, ()),
+    ('series_small_t', (16.22060727657057, 0.5411657256912366, 0.016303933897426105), 'DEFAULT_TOLERANCES'): ('0x1.a20fa2569e163p+70', '0x1.76c417fb5ab84p+26', 6, ()),
+    ('series_small_t', (6.626981448399796, 1.1405146472160255, 0.018826756595098196), 'TIGHT'): ('0x1.0da6cd92fb361p+3', '0x1.efd09152cd4d2p-43', 8, ()),
+    ('series_small_t', (6.626981448399796, 1.1405146472160255, 0.018826756595098196), 'DEFAULT_TOLERANCES'): ('0x1.0da6cd92fb362p+3', '0x1.ed9aafbe23d94p-43', 7, ()),
+    ('series_small_z', (-11.0, 4.120136162645642e-05, 4.756176521365465), 'TIGHT'): ('0x1.46dc8c8650f00p+185', '0x1.1cb6b67476609p+149', 4, ()),
+    ('series_small_z', (-11.0, 4.120136162645642e-05, 4.756176521365465), 'DEFAULT_TOLERANCES'): ('0x1.46dc8c8650f00p+185', '0x1.1c3586da1f302p+149', 3, ()),
+    ('series_small_z', (11.055548056274265, 0.03225711537615664, 0.051897014821535206), 'TIGHT'): ('0x1.bfe9bd312d608p+86', '0x1.56eef4d9a6bdep+41', 7, ()),
+    ('series_small_z', (11.055548056274265, 0.03225711537615664, 0.051897014821535206), 'DEFAULT_TOLERANCES'): ('0x1.bfe9bd312d608p+86', '0x1.56eef4d9a6bdep+41', 5, ()),
+    ('series_small_z', (2.8096423141945026, 0.0003360601455676629, 0.09083517734005113), 'TIGHT'): ('0x1.fb7ed612957bfp+34', '0x1.256553c2be6bap-11', 4, ()),
+    ('series_small_z', (2.8096423141945026, 0.0003360601455676629, 0.09083517734005113), 'DEFAULT_TOLERANCES'): ('0x1.fb7ed612957bfp+34', '0x1.256553c2be6bap-11', 3, ()),
+    ('series_small_z', (25.748344553341216, 1.2129998471811086e-05, 0.0014381530318261255), 'TIGHT'): ('0x1.af9bbf1a0325ep+527', '0x1.e22fff7f0f845p+482', 4, ()),
+    ('series_small_z', (25.748344553341216, 1.2129998471811086e-05, 0.0014381530318261255), 'DEFAULT_TOLERANCES'): ('0x1.af9bbf1a0325ep+527', '0x1.e22fff7f0f845p+482', 2, ()),
+    ('series_small_z', (-10.0, 1.05679410319135, 0.6707688780075725), 'TIGHT'): ('0x1.7cdc640000000p-3', '0x1.1d9f4c8e62792p-18', 9, ('severe_cancellation',)),
+    ('series_small_z', (-10.0, 1.05679410319135, 0.6707688780075725), 'DEFAULT_TOLERANCES'): ('0x1.7cdc840000000p-3', '0x1.2b371abca2c92p-18', 8, ('severe_cancellation',)),
+    ('series_small_z', (3.909946812752346, 0.00014233284641845988, 0.16461477863494642), 'TIGHT'): ('0x1.3a649c7b8a2bcp+55', '0x1.7a410c44a23cap+9', 4, ()),
+    ('series_small_z', (3.909946812752346, 0.00014233284641845988, 0.16461477863494642), 'DEFAULT_TOLERANCES'): ('0x1.3a649c7b8a2bcp+55', '0x1.7a410c44a23cap+9', 2, ()),
+    ('series_small_z', (9.854971711816475, 0.021229693800186748, 13.526382583615762), 'TIGHT'): ('0x1.8b258b3aa4127p+81', '0x1.2545dd5585c5bp+36', 5, ()),
+    ('series_small_z', (9.854971711816475, 0.021229693800186748, 13.526382583615762), 'DEFAULT_TOLERANCES'): ('0x1.8b258b3aa4127p+81', '0x1.2545dd5585c5bp+36', 2, ()),
+    ('series_small_z', (11.897515810815472, 0.0008457259735485334, 0.06442192863587676), 'TIGHT'): ('0x1.2c97da80bba94p+157', '0x1.da5fa4d328271p+111', 5, ()),
+    ('series_small_z', (11.897515810815472, 0.0008457259735485334, 0.06442192863587676), 'DEFAULT_TOLERANCES'): ('0x1.2c97da80bba94p+157', '0x1.da5fa4d328271p+111', 2, ()),
+    ('series_small_z', (29.866675818460017, 1.1999621946532426e-06, 11.727860732380442), 'TIGHT'): ('0x1.5e87c2ebe6436p+718', '0x1.a8786609a8d59p+673', 3, ()),
+    ('series_small_z', (29.866675818460017, 1.1999621946532426e-06, 11.727860732380442), 'DEFAULT_TOLERANCES'): ('0x1.5e87c2ebe6436p+718', '0x1.a8786609a8d59p+673', 2, ()),
+    ('series_small_z', (-5.92215595853413, 1.8802408046328562e-06, 0.0025350333399989985), 'TIGHT'): ('0x1.e5fee0d678a2cp+63', '0x1.f5b47dc9693dep+19', 4, ()),
+    ('series_small_z', (-5.92215595853413, 1.8802408046328562e-06, 0.0025350333399989985), 'DEFAULT_TOLERANCES'): ('0x1.e5fee0d678a2cp+63', '0x1.f5b47dc9693dep+19', 4, ()),
+    ('series_small_z', (-21.794826666346907, 1.9650090389083425e-05, 0.0007744238046283426), 'TIGHT'): ('0x1.d46b98cf490c8p+131', '0x1.86345a360e5aap+89', 4, ()),
+    ('series_small_z', (-21.794826666346907, 1.9650090389083425e-05, 0.0007744238046283426), 'DEFAULT_TOLERANCES'): ('0x1.d46b98cf490c8p+131', '0x1.86345a360e5aap+89', 4, ()),
+    ('series_small_z', (-25.909241282718938, 0.011361786883219684, 0.025006010985392835), 'TIGHT'): ('0x1.95a6e541fe877p+49', '0x1.90e3266b51281p+6', 6, ()),
+    ('series_small_z', (-25.909241282718938, 0.011361786883219684, 0.025006010985392835), 'DEFAULT_TOLERANCES'): ('0x1.95a6e541fe877p+49', '0x1.90e3266b51281p+6', 6, ()),
+    ('series_small_z', (-26.78745841456457, 0.11491449451238565, 3.751660183174196), 'TIGHT'): ('0x1.76b0bc4bdc097p+150', '0x1.b2a96a430fb6bp+106', 6, ()),
+    ('series_small_z', (-26.78745841456457, 0.11491449451238565, 3.751660183174196), 'DEFAULT_TOLERANCES'): ('0x1.76b0bc4bdc097p+150', '0x1.b2a96a430fb6bp+106', 6, ()),
+    ('series_small_z', (-22.195467625898363, 0.09515537736543722, 1.7730957528082998), 'TIGHT'): ('0x1.eacba4f16a3a8p+107', '0x1.a7585534c3532p+63', 6, ()),
+    ('series_small_z', (-22.195467625898363, 0.09515537736543722, 1.7730957528082998), 'DEFAULT_TOLERANCES'): ('0x1.eacba4f16a3a8p+107', '0x1.a7585534c3532p+63', 6, ()),
+    ('series_small_z', (-14.092867618941122, 3.3688562095344726e-06, 0.764189066275116), 'TIGHT'): ('0x1.f886c7df8945ap+258', '0x1.a9adea953bf5dp+215', 4, ()),
+    ('series_small_z', (-14.092867618941122, 3.3688562095344726e-06, 0.764189066275116), 'DEFAULT_TOLERANCES'): ('0x1.f886c7df8945ap+258', '0x1.a8b1a7314c2cdp+215', 3, ()),
+    ('series_small_z', (-3.7615917323084673, 0.20961570528410725, 15.963358656777485), 'TIGHT'): ('0x1.51c5625d57dd1p+13', '0x1.f6f03a84eed3ep-32', 8, ()),
+    ('series_small_z', (-3.7615917323084673, 0.20961570528410725, 15.963358656777485), 'DEFAULT_TOLERANCES'): ('0x1.51c5625d57dd1p+13', '0x1.f44b78dcc2496p-32', 7, ()),
+    ('series_small_z', (-19.0883155475869, 0.0017132343931079038, 0.3157797466258711), 'TIGHT'): ('0x1.0afc8499a1ab1p+157', '0x1.78cac7a08c0dep+113', 5, ()),
+    ('series_small_z', (-19.0883155475869, 0.0017132343931079038, 0.3157797466258711), 'DEFAULT_TOLERANCES'): ('0x1.0afc8499a1ab1p+157', '0x1.77bfcaf1202d9p+113', 4, ()),
+    ('series_small_z', (-14.110327861281013, 0.2769631914993399, 1.7455569628090182), 'TIGHT'): ('0x1.53982a546de70p+44', '0x1.604bef1fff10bp-1', 8, ()),
+    ('series_small_z', (-14.110327861281013, 0.2769631914993399, 1.7455569628090182), 'DEFAULT_TOLERANCES'): ('0x1.53982a546de70p+44', '0x1.5db7e37134121p-1', 7, ()),
+    ('asympt_large_t', (21.542408646573023, 5.086753154584397, 85.62406276274619), 'TIGHT'): ('0x1.fbea05bdb6188p+32', '0x1.21ab774631da0p-12', 57, ()),
+    ('asympt_large_t', (21.542408646573023, 5.086753154584397, 85.62406276274619), 'DEFAULT_TOLERANCES'): ('0x1.fbea05bdb6188p+32', '0x1.21ab774631da0p-12', 57, ()),
+    ('asympt_large_t', (-28.762799571955288, 3.4956873647348905, 258.6053729685098), 'TIGHT'): ('0x1.62a28204c543fp+72', '0x1.ceb005a2395eap+27', 132, ()),
+    ('asympt_large_t', (-28.762799571955288, 3.4956873647348905, 258.6053729685098), 'DEFAULT_TOLERANCES'): ('0x1.62a28204c543fp+72', '0x1.ceb005a2395eap+27', 132, ()),
+    ('asympt_large_t', (-6.1736638868060965, 12.96211336390082, 155.0830445629563), 'TIGHT'): ('0x1.b7133784f651bp-19', '0x1.502ab681cc968p-64', 37, ()),
+    ('asympt_large_t', (-6.1736638868060965, 12.96211336390082, 155.0830445629563), 'DEFAULT_TOLERANCES'): ('0x1.b7133784f651bp-19', '0x1.502ab681cc968p-64', 37, ()),
+    ('asympt_large_t', (4.640394604011981, 0.034367669349219775, 52.9113015278271), 'TIGHT'): ('0x1.057401bea0ca4p+30', '0x1.84183296f6ac3p-16', 12, ()),
+    ('asympt_large_t', (4.640394604011981, 0.034367669349219775, 52.9113015278271), 'DEFAULT_TOLERANCES'): ('0x1.057401bea0ca4p+30', '0x1.84183296f6ac3p-16', 12, ()),
+    ('asympt_large_t', (-21.600308099586314, 3.411895792639228, 31.292343540912043), 'TIGHT'): ('0x1.c22d021206ebap+45', '0x1.109bc7940fe42p+1', 223, ()),
+    ('asympt_large_t', (-21.600308099586314, 3.411895792639228, 31.292343540912043), 'DEFAULT_TOLERANCES'): ('0x1.c22d021206efap+45', '0x1.50b6de9449080p+1', 209, ()),
+    ('asympt_large_t', (-22.24614714235848, 8.45427442852141, 83.8486185057424), 'TIGHT'): ('0x1.13af55f426b6ap+18', '0x1.3a9f631033a71p-27', 90, ()),
+    ('asympt_large_t', (-22.24614714235848, 8.45427442852141, 83.8486185057424), 'DEFAULT_TOLERANCES'): ('0x1.13af55f426b6ap+18', '0x1.3a9f631033a71p-27', 90, ()),
+    ('asympt_large_t', (-28.97068327957397, 0.21105814275657597, 252.30639880026757), 'TIGHT'): ('0x1.bb01bf428d773p+190', '0x1.20fe23c46a48cp+146', 90, ()),
+    ('asympt_large_t', (-28.97068327957397, 0.21105814275657597, 252.30639880026757), 'DEFAULT_TOLERANCES'): ('0x1.bb01bf428d773p+190', '0x1.20fe23c46a48cp+146', 90, ()),
+    ('asympt_large_t', (0.7054715603507979, 0.02955867321981475, 41.110689217318374), 'TIGHT'): ('0x1.9035e4c1121c2p+3', '0x1.0382f2553e6e3p-42', 8, ()),
+    ('asympt_large_t', (0.7054715603507979, 0.02955867321981475, 41.110689217318374), 'DEFAULT_TOLERANCES'): ('0x1.9035e4c1121c2p+3', '0x1.0382f2553e6e3p-42', 8, ()),
+    ('asympt_large_t', (-0.03552960782830894, 0.021262484532364654, 56.49746754273435), 'TIGHT'): ('0x1.fdf63d2e777e4p+1', '0x1.3eb9e63d0aaf3p-44', 6, ()),
+    ('asympt_large_t', (-0.03552960782830894, 0.021262484532364654, 56.49746754273435), 'DEFAULT_TOLERANCES'): ('0x1.fdf63d2e777e4p+1', '0x1.3eb9e63d0aaf3p-44', 6, ()),
+}

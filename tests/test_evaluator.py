@@ -539,6 +539,68 @@ def test_large_endpoint_differential():
     assert min(taken) >= 200
 
 
+def test_small_endpoint_early_exit_keeps_every_accepted_value():
+    # 400 seeded points of the wide box with z^2/4t >= 2, at three targets:
+    # wherever the small-endpoint series run to its end meets the target,
+    # the early exit evaluate asks for must not end it, and evaluate returns
+    # that value unless a candidate before it took the point.  The exit
+    # must fire somewhere, or this shows nothing
+    rng = random.Random(18)
+    tols = (
+        incmac.core.TIGHT,
+        incmac.core.DEFAULT_TOLERANCES,
+        Tolerances(abs_tol=5e-324, rel_tol=1e-8, max_depth=120),
+    )
+    points = [p for p in _wide_box(rng, 1500, 30.0, 3e3) if 0.25 * p.argument * p.argument / p.endpoint >= 2.0]
+    assert len(points) >= 400
+    exits = 0
+    for p in points[:400]:
+        for tol in tols:
+            try:
+                full = incmac.expansions.series_small_t(p, tol)
+            except (NonConvergence, OverflowError):
+                continue
+            try:
+                early = incmac.expansions.series_small_t(p, tol, _give_up=True)
+            except NonConvergence:
+                early = None
+            if full.rejection(tol) is not None:
+                exits += early is None
+                continue
+            assert early == full, (p, tol)
+            ev, dec = evaluate(p, tol)
+            assert MethodTag.SERIES_SMALL_T not in [tag for tag, _ in dec.candidates_tried], (p, tol)
+            if dec.chosen is MethodTag.SERIES_SMALL_T:
+                assert ev == full, (p, tol)
+    assert exits >= 20
+
+
+def test_scatter_wide_takes_few_gamma_orders(monkeypatch):
+    # work guard, no timing: the incomplete-gamma orders the series take
+    # over scatter-wide's seed-1 points; 17,182 when the small-endpoint
+    # series ran to its end where it could no longer meet the target,
+    # 10,392 with the early exit
+    taken = 0
+
+    def counted(orders):
+        def wrapper(*args):
+            nonlocal taken
+            for item in orders(*args):
+                taken += 1
+                yield item
+
+        return wrapper
+
+    for name in ("_upper_gamma_orders", "_lower_gamma_orders"):
+        monkeypatch.setattr(incmac.expansions, name, counted(getattr(incmac.expansions, name)))
+    for p in _wide_box(random.Random(1), 2000, 30.0, 3e3):  # scatter-wide's seed 1
+        try:
+            evaluate(p, incmac.core.TIGHT)
+        except (ArithmeticError, ValueError):
+            pass
+    assert taken <= 12000
+
+
 # grid-table's seed-1 sweep: 8 orders x 12 z x 20 t
 _GRID_TABLE_SEED_1 = (
     [-3.577090503925066, -1.7683775087085118, -0.5, -0.4908169206822577,

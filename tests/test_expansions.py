@@ -32,6 +32,7 @@ from incmac.quadrature import integrate_adaptive, shu_oracle
 
 from frozen import (
     S0_3_3,
+    SERIES_KERNEL,
     S_EXPONENT_ROUNDING,
     S_HIGH_PRECISION,
     S_LARGE_T_CANCELLING,
@@ -101,6 +102,27 @@ class TestSeriesSmallT:
             if not abs(ev.value - ref) <= ev.error_estimate:
                 misses.append((point, ev.value, ev.error_estimate))
         assert misses == []
+
+    def test_first_term_bounds_the_sum(self):
+        # e^(-z^2/4y) <= 1 under the integral over y >= x0 = z^2/4t leaves
+        # S <= (1/2)(z/2)^-nu Gamma(nu, x0), the series' first term, the
+        # ceiling its early exit in evaluate measures the lost accuracy by
+        rng = random.Random(18)
+        checked = 0
+        while checked < 60:
+            nu = rng.uniform(-30.0, 30.0)
+            z = math.exp(rng.uniform(math.log(1e-3), math.log(100.0)))
+            t = math.exp(rng.uniform(math.log(1e-4), math.log(30.0)))
+            x0 = 0.25 * z * z / t
+            if not 2.0 <= x0 <= 400.0:
+                continue
+            gamma_part = upper_incomplete_gamma(nu, x0)
+            ref = shu_oracle(ShuParams(nu, z, t), TIGHT)
+            if not (gamma_part > 1e-290 and ref.value > 1e-290):
+                continue
+            cap = math.exp(-nu * math.log(0.5 * z) - math.log(2.0) + math.log(gamma_part))
+            assert ref.value - ref.error_estimate <= cap * (1.0 + 1e-12), (nu, z, t)
+            checked += 1
 
 
 class TestSeriesSmallZ:
@@ -244,6 +266,17 @@ class TestAsymptLargeT:
         # with the small correction it cancels down to
         ev = asympt_large_t(ShuParams(*point), TIGHT)
         assert abs(ev.value - S_LARGE_T_CANCELLING[point]) <= ev.error_estimate
+
+    def test_outer_tail_counts_the_inner_sum_above_one(self):
+        # the outer sum stops after 2 terms; the first omitted term's inner
+        # sum, at b = nu + 3 = -2.6, is 1.087, which counting |coef_2| alone
+        # missed: the value was 1.07x its estimate off both reference forms
+        p = ShuParams(-5.59751630241308, 2.4913205667508254, 31.256334059703725)
+        ev = asympt_large_t(p, Tolerances(abs_tol=5e-324, rel_tol=1e-8))
+        r5, r4 = shu_oracle(p, TIGHT, 5), shu_oracle(p, TIGHT, 4)
+        assert abs(r5.value - r4.value) <= r5.error_estimate + r4.error_estimate
+        for ref in (r5, r4):
+            assert abs(ev.value - ref.value) <= ev.error_estimate
 
     def test_outer_coefficient_underflowing_to_zero(self):
         # the second outer coefficient, e^-716 times -z^2/4t = -1.9e-15,
@@ -415,6 +448,12 @@ def test_leading_approximants_positive_on_their_domains():
                 if z > 2.5 * t:
                     assert leading_large_z(p) > 0.0
                 assert leading_imb_large_z(nu, z, t) > 0.0
+
+
+@pytest.mark.parametrize("name,point,tol", list(SERIES_KERNEL))
+def test_series_kernel_frozen(name, point, tol):
+    ev = getattr(incmac.expansions, name)(ShuParams(*point), getattr(incmac.core, tol))
+    assert (ev.value.hex(), ev.error_estimate.hex(), ev.work, ev.flags) == SERIES_KERNEL[name, point, tol]
 
 
 def test_one_loop_over_terms():
