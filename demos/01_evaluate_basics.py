@@ -9,7 +9,7 @@ from incmac import ShuParams, Tolerances, evaluate, macdonald_k
 points = [
     (0.0, 3.0, 0.2),    # small endpoint: expansion in incomplete gammas
     (0.0, 3.0, 3.0),    # z^2/4t < 2 past z = 1: K minus convergent series
-    (0.0, 15.0, 10.0),  # near z = 2t, the small-endpoint series cancels: quadrature oracle
+    (0.0, 15.0, 10.0),  # near z = 2t the small-endpoint series cancels, and its estimate shows it
     (0.5, 2.0, 1.0),    # half order: erfc closed form
     (1.0, 0.5, 2.0),    # small argument: K minus convergent series
     (0.0, 3.0, 60.0),   # large endpoint: asymptotic correction to K

@@ -9,7 +9,6 @@ and truncated cosh-integral forms, and a verification battery.
 
 from .core import (
     DEFAULT_TOLERANCES,
-    FLAG_CANCELLATION,
     FLAG_UNDERFLOW,
     DomainError,
     Evaluation,

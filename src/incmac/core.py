@@ -18,7 +18,6 @@ __all__ = [
     "StepTooCoarse",
     "NearPoleWarning",
     "FLAG_UNDERFLOW",
-    "FLAG_CANCELLATION",
     "MethodTag",
     "ShuParams",
     "Tolerances",
@@ -79,9 +78,8 @@ class NearPoleWarning(UserWarning):
     """A large-argument approximant was evaluated close to its z = 2t pole."""
 
 
-# Flags carried on Evaluation.flags.
+# The flag carried on Evaluation.flags.
 FLAG_UNDERFLOW = "underflow_to_zero"
-FLAG_CANCELLATION = "severe_cancellation"
 
 
 class MethodTag(Enum):
@@ -173,9 +171,11 @@ class Evaluation:
 
     work counts quadrature subdivisions or series terms, whichever the
     method used.  flags may carry FLAG_UNDERFLOW (true value below the
-    smallest normal double, 0.0 returned) or FLAG_CANCELLATION (the
-    partial sums exceeded 1e6 times the final value).  Construction
-    applies underflow_to_zero, so no path sets FLAG_UNDERFLOW itself.
+    smallest normal double, 0.0 returned).  Construction applies
+    underflow_to_zero, so no path sets FLAG_UNDERFLOW itself.  A sum that
+    cancels shows it in error_estimate, which every series counts from its
+    peak partial sum; under an absolute target a value below abs_tol may
+    carry either sign within that estimate.
     """
 
     value: float
@@ -185,15 +185,10 @@ class Evaluation:
     flags: tuple = ()
 
     def rejection(self, tol: Tolerances):
-        """Why this value fails tol, or None: "CANCELLATION" when flagged
-        severe cancellation, "TAIL_TOO_LARGE" when the error estimate
-        exceeds tol.target(value), a NaN estimate included.  The one
-        acceptance rule for a series or closed-form candidate."""
-        if FLAG_CANCELLATION in self.flags:
-            return "CANCELLATION"
-        if not self.error_estimate <= tol.target(self.value):
-            return "TAIL_TOO_LARGE"
-        return None
+        """Why this value fails tol, or None: "TAIL_TOO_LARGE" when the
+        error estimate exceeds tol.target(value), a NaN estimate included.
+        The one acceptance rule for a series or closed-form candidate."""
+        return None if self.error_estimate <= tol.target(self.value) else "TAIL_TOO_LARGE"
 
     def __post_init__(self):
         if self.error_estimate < 0.0:

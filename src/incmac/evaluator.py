@@ -196,10 +196,11 @@ def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDe
     Returns the evaluation together with the decision record (chosen
     method, reason code, and any candidates tried and rejected).  Each
     candidate in _CANDIDATES passes its gate first, and a gate that raises
-    propagates.  A candidate that then does not converge, overflows,
-    cancels or misses the target (a NaN error estimate included) is
-    rejected, and the quadrature oracle is the fallback.  The procedure is
-    deterministic and never returns a leading-term approximant.
+    propagates.  A candidate that then does not converge, overflows or
+    has an error estimate above the target (a NaN one included) is
+    rejected, and the quadrature oracle is the fallback; a sum that cancels
+    shows it in its estimate.  The procedure is deterministic and never
+    returns a leading-term approximant.
 
     The call runs in a core.shared_work block, so K_nu(z) is computed at
     most once, only when the large-endpoint gate or a K-based expansion

@@ -28,7 +28,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     EPS,
     EXP_FLOOR,
-    FLAG_CANCELLATION,
     DomainError,
     Evaluation,
     MethodTag,
@@ -58,7 +57,6 @@ __all__ = [
     "leading_imb_large_z",
 ]
 
-_CANCEL_LIMIT = 1e6
 _MAX_TERMS = 200  # cap on the terms of every series and asymptotic sum
 
 
@@ -137,7 +135,7 @@ def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: f
     the sum does.  The estimate adds the first omitted term, each h_k's
     bound and its coefficient's rounding times |term k|, the summation's
     rounding from the peak and the exponent's rounding.  Returns (value,
-    error, terms, the peak partial sum times the prefactor).
+    error, terms).
     """
     log_q = math.log(0.5 * z / t)
     lead = nu * log_q - x - _LN2
@@ -154,7 +152,7 @@ def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: f
     # the rounding of log_q times nu, of x (two products and a quotient)
     # and of the three sums
     exponent_err = EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * x + abs(lead) + abs(log_peak) + 4.0)
-    return value, scale * (werr / peak) + exponent_err * abs(value), terms, scale
+    return value, scale * (werr / peak) + exponent_err * abs(value), terms
 
 
 def series_small_t(p: ShuParams, tol: Tolerances = None, *, _give_up: bool = False) -> Evaluation:
@@ -177,11 +175,8 @@ def series_small_t(p: ShuParams, tol: Tolerances = None, *, _give_up: bool = Fal
     if x0 == 0.0:
         # the incomplete gammas at argument 0 are Gamma(nu - k) or infinite
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; the small-t series has no terms")
-    value, err, terms, scale = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol, _give_up)
-    flags = ()
-    if scale > _CANCEL_LIMIT * abs(value):
-        flags = (FLAG_CANCELLATION,)
-    return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms, flags)
+    value, err, terms = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol, _give_up)
+    return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms)
 
 
 def _split_tail(m: float, t: float, x0: float, n: int, coef: float, u: float) -> float:
@@ -265,22 +260,15 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     iterm = half_pi_over_sin * ival
     value = part - iterm
     err = part_err + abs(half_pi_over_sin) * ierr + EPS * (4.0 * abs(iterm) + abs(part))
-    flags = ()
-    if max(scale, abs(iterm)) > _CANCEL_LIMIT * abs(value):
-        flags = (FLAG_CANCELLATION,)
-    return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms, flags)
+    return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms)
 
 
 def _k_small_z(nu: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     """K_nu(z) minus (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t)."""
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
-    part, err, terms, scale = _upper_gamma_sum(nu, z, t, -nu, t, -0.25 * z * z / t, tol)
-    value = kval - part
-    flags = ()
-    if scale > _CANCEL_LIMIT * abs(value):
-        flags = (FLAG_CANCELLATION,)
+    part, err, terms = _upper_gamma_sum(nu, z, t, -nu, t, -0.25 * z * z / t, tol)
     err += kerr + EPS * (abs(kval) + abs(part))
-    return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms, flags)
+    return Evaluation(kval - part, err, MethodTag.SERIES_SMALL_Z, terms)
 
 
 def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
@@ -290,9 +278,9 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t), summed by
     _upper_gamma_sum in units of (1/2)(z/2)^nu t^-nu e^-t with step
     -z^2/4t: valid everywhere, numerically hostile at small t where the
-    summands alternate with large magnitude, which is reported through the
-    severe-cancellation flag.  At negative non-integer order and z <= 1,
-    the split form in lower incomplete gammas and I_-nu (see
+    summands alternate with large magnitude, which its error estimate,
+    counted from the peak partial sum, shows.  At negative non-integer
+    order and z <= 1, the split form in lower incomplete gammas and I_-nu (see
     _split_small_z), which needs no K and does not cancel against it at
     small z.  Past z = 1 the K form first, which takes most points there;
     where it raises or misses tol (Evaluation.rejection), the split form,

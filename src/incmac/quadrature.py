@@ -280,14 +280,22 @@ def require_converged(res: QuadratureResult) -> QuadratureResult:
     return res
 
 
+def _y_peak(nm1: float, c: float) -> float:
+    """The peak y* = (nm1 + hypot(nm1, 2 sqrt c))/2 of the y-form integrand
+    y^nm1 e^(-y - c/y), c = z^2/4 > 0.  Where nm1 < 0 and c is tiny that
+    difference rounds to 0, and the rationalised root 2c/(hypot - nm1)
+    keeps it positive."""
+    h = math.hypot(nm1, 2.0 * math.sqrt(c))
+    ystar = 0.5 * (nm1 + h)
+    return ystar if ystar > 0.0 else 2.0 * c / (h - nm1)
+
+
 def _log_value_bound(p: ShuParams) -> float:
     """Log-scale bound on the function value, from the y-form integrand peak."""
     nu, z = p.order, p.argument
     c = 0.25 * z * z
-    y0 = c / p.endpoint
     log_pref = nu * math.log(2.0 / z) - math.log(2.0)
-    ystar = 0.5 * ((nu - 1.0) + math.hypot(nu - 1.0, 2.0 * math.sqrt(c)))
-    y = max(y0, ystar)
+    y = max(c / p.endpoint, _y_peak(nu - 1.0, c))
     return log_pref + (nu - 1.0) * math.log(y) - y - c / y
 
 
@@ -309,7 +317,7 @@ def _y_form(nu, z, t):
         y = y0 + u / w
         return exp(log_pref + nm1 * log(y) - y - c / y) / (w * w)
 
-    ystar = 0.5 * (nm1 + math.hypot(nm1, 2.0 * math.sqrt(c)))
+    ystar = _y_peak(nm1, c)
     pts = [ystar, y0 + 0.5, y0 + 2.0, y0 + 10.0, y0 + 50.0]
     # at tiny z the integrand lives within a few multiples of max(y0, ystar),
     # far left of the tail map's first seed; a ladder of breakpoints in

@@ -136,6 +136,16 @@ class TestEval:
         assert out == ""
         assert err.startswith("incmac: did not converge: the form-5 integrand exceeds the double range")
 
+    def test_oracle_y_peak_rounding_to_zero_exit_three(self, capsys):
+        # z^2/4t underflows and the y-form peak's difference rounds to 0,
+        # where the value bound once took log(0): exit 3, not a traceback
+        code, out, err = _run(
+            capsys, "eval", "--nu=-2.5", "--z", "1e-111", "--t", "1e103", "--method", "oracle"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("incmac: did not converge: the form-5 integrand exceeds the double range")
+
     def test_overflow_exit_three(self, capsys):
         # K_200(0.001) exceeds the double range, so the small-argument
         # series that subtracts from it overflows

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 import incmac
 from incmac import core
 from incmac.core import (
-    FLAG_CANCELLATION,
     FLAG_UNDERFLOW,
     DomainError,
     Evaluation,
@@ -124,8 +123,9 @@ class TestEvaluation:
         assert ev.work == 3
 
     def test_exact_zero_with_zero_error_is_flagged(self):
-        ev = Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 3, (FLAG_CANCELLATION,))
-        assert self._fields(ev) == (0.0, 0.0, (FLAG_CANCELLATION, FLAG_UNDERFLOW))
+        # a flag already carried stays, and the underflow flag follows it
+        ev = Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 3, ("other_flag",))
+        assert self._fields(ev) == (0.0, 0.0, ("other_flag", FLAG_UNDERFLOW))
 
     def test_zero_with_larger_error_is_unchanged(self):
         # an unresolved value, not an underflow

@@ -313,6 +313,19 @@ class TestShuOracle:
         with pytest.raises(NonConvergence, match="form-5 integrand exceeds the double range"):
             shu_oracle(ShuParams(-1.0, 3e-161, 1.0), core.TIGHT, 5)
 
+    def test_integrand_past_double_range_where_y_peak_rounds_to_zero(self):
+        # z^2/4t underflows to 0 and (nu - 1) + hypot(nu - 1, z) rounds to 0
+        # at order < 1; the value bound once took log(0) here
+        with pytest.raises(NonConvergence, match="form-5 integrand exceeds the double range"):
+            shu_oracle(ShuParams(-2.5, 1e-111, 1e103), core.TIGHT, 5)
+
+    @pytest.mark.parametrize("form", [2, 4])
+    def test_y_peak_kept_positive_where_its_difference_rounds_to_zero(self, form):
+        # the same point: the y-form peak is the rationalised root, and at
+        # t = 1e103, S is K_nu(z)
+        ev = shu_oracle(ShuParams(-2.5, 1e-111, 1e103), core.TIGHT, form)
+        assert abs(ev.value - macdonald_k(-2.5, 1e-111)) <= ev.error_estimate
+
     def test_rejects_unknown_form(self):
         with pytest.raises(ValueError):
             shu_oracle(ShuParams(0.0, 3.0, 3.0), TIGHT, form=3)
