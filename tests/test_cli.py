@@ -137,8 +137,8 @@ class TestEval:
         assert err.startswith("incmac: did not converge: the form-5 integrand exceeds the double range")
 
     def test_oracle_y_peak_rounding_to_zero_exit_three(self, capsys):
-        # z^2/4t underflows and the y-form peak's difference rounds to 0,
-        # where the value bound once took log(0): exit 3, not a traceback
+        # z^2/4t underflows and the y-form peak's difference rounds to 0:
+        # exit 3, not a traceback
         code, out, err = _run(
             capsys, "eval", "--nu=-2.5", "--z", "1e-111", "--t", "1e103", "--method", "oracle"
         )

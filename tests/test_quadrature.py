@@ -315,7 +315,7 @@ class TestShuOracle:
 
     def test_integrand_past_double_range_where_y_peak_rounds_to_zero(self):
         # z^2/4t underflows to 0 and (nu - 1) + hypot(nu - 1, z) rounds to 0
-        # at order < 1; the value bound once took log(0) here
+        # at order < 1: a typed error, not log(0) in the value bound
         with pytest.raises(NonConvergence, match="form-5 integrand exceeds the double range"):
             shu_oracle(ShuParams(-2.5, 1e-111, 1e103), core.TIGHT, 5)
 
