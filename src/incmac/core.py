@@ -112,6 +112,11 @@ class ShuParams:
     endpoint: float
 
     def __post_init__(self):
+        nu, z, t = self.order, self.argument, self.endpoint
+        # finite floats with z, t > 0 are valid as given
+        if (type(nu) is float and type(z) is float and type(t) is float
+                and -math.inf < nu < math.inf and 0.0 < z < math.inf and 0.0 < t < math.inf):
+            return
         object.__setattr__(self, "order", _as_finite_real("order", self.order))
         for name in ("argument", "endpoint"):
             value = _as_finite_real(name, getattr(self, name))

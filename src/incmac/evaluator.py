@@ -175,6 +175,8 @@ _CANDIDATES = (
      else _SKIP,
      lambda p, tol: series_small_z(p, tol)),
 )
+# the decision of a candidate accepted with none rejected before it, built once
+_FIRST_CHOICE = {tag: RegimeDecision(tag, reason) for tag, reason, _, _ in _CANDIDATES}
 
 
 def _verdict(run, p: ShuParams, tol: Tolerances):
@@ -206,20 +208,24 @@ def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDe
     most once, only when the large-endpoint gate or a K-based expansion
     needs it, and shared by all three.
     """
-    tol = tol or DEFAULT_TOLERANCES
     with shared_work():
-        tried = []
-        for tag, reason, gate, run in _CANDIDATES:
-            rejection = gate(p, tol)
-            if rejection == _SKIP:
-                continue
-            if rejection is None:
-                ev, rejection = _verdict(run, p, tol)
-                if ev is not None:
-                    return ev, RegimeDecision(tag, reason, tuple(tried))
-            tried.append((tag, rejection))
-        ev = shu_oracle(p, tol)
-        return ev, RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))
+        return _evaluate(p, tol or DEFAULT_TOLERANCES)
+
+
+def _evaluate(p: ShuParams, tol: Tolerances):
+    """evaluate's decision procedure, inside the caller's shared_work block."""
+    tried = []
+    for tag, reason, gate, run in _CANDIDATES:
+        rejection = gate(p, tol)
+        if rejection == _SKIP:
+            continue
+        if rejection is None:
+            ev, rejection = _verdict(run, p, tol)
+            if ev is not None:
+                return ev, RegimeDecision(tag, reason, tuple(tried)) if tried else _FIRST_CHOICE[tag]
+        tried.append((tag, rejection))
+    ev = shu_oracle(p, tol)
+    return ev, RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))
 
 
 def evaluate_grid(orders, zs, ts, tol=None) -> list:
@@ -227,10 +233,13 @@ def evaluate_grid(orders, zs, ts, tol=None) -> list:
 
     Cells are independent (identical to pointwise evaluate); a failed cell
     carries an error marker and never aborts the sweep.  The sweep is one
-    core.shared_work block: K_nu(z) is computed once per (order, argument)
-    pair that needs it, each oracle value once, and a K that raises is
-    retried, so it fails exactly the cells pointwise evaluate would.
+    core.shared_work block: K_nu(z) and I_m(z) are computed once per
+    (order, argument) pair that needs them, the incomplete-gamma anchors
+    of the small-argument series once per (order, endpoint), each oracle
+    value once, and a value that raises is retried, so it fails exactly
+    the cells pointwise evaluate would.
     """
+    tol = tol or DEFAULT_TOLERANCES
     cells = []
     with shared_work():
         for nu in orders:
@@ -238,7 +247,7 @@ def evaluate_grid(orders, zs, ts, tol=None) -> list:
                 for t in ts:
                     try:
                         p = validate(nu, z, t)
-                        ev, dec = evaluate(p, tol)
+                        ev, dec = _evaluate(p, tol)
                     except (DomainError, NonConvergence, OverflowError) as exc:
                         cells.append(
                             GridCell(nu, z, t, None, None, f"{type(exc).__name__}: {exc}")

@@ -137,7 +137,9 @@ def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: f
     rounding from the peak and the exponent's rounding.  Returns (value,
     error, terms).
     """
-    log_q = math.log(0.5 * z / t)
+    q = 0.5 * z / t
+    # where z/2t underflows, the logs of its parts
+    log_q = math.log(q) if q else math.log(z) - math.log(t) - _LN2
     lead = nu * log_q - x - _LN2
     # abs_tol in units of e^lead, inf where that overflows
     e = math.log(tol.abs_tol) - lead if tol.abs_tol else -math.inf
@@ -229,7 +231,8 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     the summation's rounding from the peak, the exponent's rounding, the
     I_m term's error and EPS (|sum| + |I term|) for their difference.  Near
     integer order both parts grow like 1/sin(m pi) and cancel, which the
-    last term and the L_k bounds show.
+    last term and the L_k bounds show.  I_m(z) is core.shared, as K is, so
+    a sweep computes it once per (order, argument).
     """
     x0 = 0.25 * z * z / t
     # the sum runs in units of the prefactor, where abs_tol has no meaning;
@@ -256,7 +259,7 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     half_pi_over_sin = 0.5 * math.pi / math.sin(math.pi * (m - r))
     if r % 2:
         half_pi_over_sin = -half_pi_over_sin
-    ival, ierr = _bessel_i_series(m, z)
+    ival, ierr = shared(_bessel_i_series, m, z)
     iterm = half_pi_over_sin * ival
     value = part - iterm
     err = part_err + abs(half_pi_over_sin) * ierr + EPS * (4.0 * abs(iterm) + abs(part))

@@ -17,7 +17,7 @@ import math
 import sys
 
 from .core import (
-    EPS, EXP_FLOOR, LOG_TINY, TINY, DomainError, NonConvergence, PoleError, underflow_to_zero
+    EPS, EXP_FLOOR, LOG_TINY, TINY, DomainError, NonConvergence, PoleError, shared, underflow_to_zero
 )
 
 __all__ = [
@@ -121,9 +121,10 @@ def _lower_gamma_orders(a0: float, x: float):
     x, rounds x L and 1 + x L to EPS of themselves, and rounds the quotient
     (with b = a0 - k, one rounding of an exact value) to EPS of itself.
     Where 1 + x L cancels, near a zero of gamma(b, x), the bound stays
-    absolute and so stays honest.
+    absolute and so stays honest.  The Kummer sum is core.shared, once per
+    (a0, x) in a sweep.
     """
-    lk, err = _kummer_sum(a0, x)
+    lk, err = shared(_kummer_sum, a0, x)
     k = 0
     while True:
         yield lk, err
@@ -227,9 +228,10 @@ def _upper_gamma_orders(a0: float, x: float):
     bottom of a block of _BLOCK orders, or lower, at an order <= x - 1,
     where the fraction holds (the interval [1 - x, x - 1] always holds one
     of the orders); orders below 1 - x come downward from the order above.
-    For x < 1.5 the anchor is the order a0 - floor(a0) in [0, 1), from E1
-    or from Gamma minus the Kummer series; orders above it come upward and
-    orders below it downward, the growing direction there.
+    For x < 1.5 the anchor is the order a0 - floor(a0) in [0, 1)
+    (_small_x_anchor); orders above it come upward and orders below it
+    downward, the growing direction there.  Every anchor is core.shared,
+    so a sweep computes each once per (order, x).
     """
     if x >= _X_SPLIT:
         last = math.floor(a0 + x - 1.0)  # the last k with a0 - k >= 1 - x
@@ -237,25 +239,16 @@ def _upper_gamma_orders(a0: float, x: float):
         k = 0
         while k <= last:
             b = min(max(k + _BLOCK - 1, first), last)
-            h, r = _legendre_cf(a0 - b, x), _CF_ERR
+            h, r = shared(_legendre_cf, a0 - b, x), _CF_ERR
             yield from _upward(a0, x, k, b, h, r)
             k = b + 1
         if k == 0:  # a0 < 1 - x: all downward
-            h, r = _legendre_cf(a0, x), _CF_ERR
+            h, r = shared(_legendre_cf, a0, x), _CF_ERR
             yield h, r
             k = 1
     else:
         n = math.floor(a0)
-        f = a0 - n  # exact, the order of h_n
-        if f == 0.0:
-            e1, err = _e1_series(x)
-            h = math.exp(x) * e1
-            r = err / e1 + EPS * (x + 2.0)
-        else:
-            lead = math.exp(x - f * math.log(x)) * math.gamma(f)
-            kummer, err = _kummer_sum(f, x)
-            h = lead - kummer
-            r = (EPS * (f * abs(math.log(x)) + x + 4.0) * lead + err + EPS * kummer) / h
+        h, r = shared(_small_x_anchor, a0 - n, x)  # a0 - n exact
         if n >= 0:
             yield from _upward(a0, x, 0, n, h, r)
         k = n + 1  # the first step down; below 0 it leads to a0 unyielded
@@ -267,6 +260,20 @@ def _upper_gamma_orders(a0: float, x: float):
         if k >= 0:
             yield h, r
         k += 1
+
+
+def _small_x_anchor(f: float, x: float):
+    """(h, r) with Gamma(f, x) = x^f e^-x h for 0 <= f < 1 and x < 1.5, and a
+    bound r on the relative error of h: from E1 at f = 0, from Gamma(f)
+    minus the Kummer sum otherwise."""
+    if f == 0.0:
+        e1, err = _e1_series(x)
+        h = math.exp(x) * e1
+        return h, err / e1 + EPS * (x + 2.0)
+    lead = math.exp(x - f * math.log(x)) * math.gamma(f)
+    kummer, err = shared(_kummer_sum, f, x)  # the split form at order -f starts from it too
+    h = lead - kummer
+    return h, (EPS * (f * abs(math.log(x)) + x + 4.0) * lead + err + EPS * kummer) / h
 
 
 def _upward(a0: float, x: float, k: int, b: int, h: float, r: float):

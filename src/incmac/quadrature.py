@@ -363,7 +363,9 @@ def _cosh_form(nu, z, t):
     def f(w):
         return exp(nu * w - z * cosh(w) - ln2)
 
-    w0 = math.log(0.5 * z / t)
+    q = 0.5 * z / t
+    # where z/2t underflows, the logs of its parts
+    w0 = math.log(q) if q else math.log(z) - math.log(t) - ln2
     hi = max(w0, 0.0) + 1.0
     while z * math.cosh(hi) - nu * hi < 780.0:
         hi += 1.0

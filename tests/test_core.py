@@ -50,6 +50,49 @@ class TestValidate:
         with pytest.raises(DomainError):
             validate(True, 1, 1)
 
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            ((True, 1.0, 1.0), "order=True: must be a real number"),
+            ((0.0, False, 1.0), "argument=False: must be a real number"),
+            (("0", 1.0, 1.0), "order='0': must be a real number"),
+            ((math.nan, 1.0, 1.0), "order=nan: must be finite"),
+            ((0.0, math.nan, 1.0), "argument=nan: must be finite"),
+            ((0.0, 1.0, math.nan), "endpoint=nan: must be finite"),
+            ((math.inf, 1.0, 1.0), "order=inf: must be finite"),
+            ((-math.inf, 1.0, 1.0), "order=-inf: must be finite"),
+            ((0.0, math.inf, 1.0), "argument=inf: must be finite"),
+            ((0.0, 1.0, -math.inf), "endpoint=-inf: must be finite"),
+            ((0.0, -0.0, 1.0), "argument=-0.0: must be strictly positive"),
+            ((0.0, 1.0, -0.0), "endpoint=-0.0: must be strictly positive"),
+            ((0.0, 0.0, 1.0), "argument=0.0: must be strictly positive"),
+            ((0.0, 1.0, 0), "endpoint=0.0: must be strictly positive"),
+            ((0.0, -2.5, 1.0), "argument=-2.5: must be strictly positive"),
+            ((0.0, 1.0, -1), "endpoint=-1.0: must be strictly positive"),
+        ],
+    )
+    def test_invalid_input_message(self, point, message):
+        with pytest.raises(DomainError) as exc:
+            ShuParams(*point)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "point",
+        [(0.5, 1.0, 2.0), (-0.0, 5e-324, 1.7976931348623157e308), (-30.25, 1e-300, 3e3), (0.0, 1.0, 1e-308)],
+    )
+    def test_finite_floats_kept_as_given(self, point):
+        p = ShuParams(*point)
+        assert all(type(v) is float for v in (p.order, p.argument, p.endpoint))
+        assert [v.hex() for v in (p.order, p.argument, p.endpoint)] == [v.hex() for v in point]
+
+    def test_ints_and_float_subclasses_become_floats(self):
+        class Real(float):
+            pass
+
+        p = ShuParams(2, Real(1.5), 3)
+        assert (p.order, p.argument, p.endpoint) == (2.0, 1.5, 3.0)
+        assert all(type(v) is float for v in (p.order, p.argument, p.endpoint))
+
     @given(
         st.floats(allow_nan=True, allow_infinity=True),
         st.floats(allow_nan=True, allow_infinity=True),

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -407,6 +408,18 @@ class TestEvaluateGrid:
         assert cells[0].error.startswith("NonConvergence: ")
         assert [c.argument for c in cells] == [point[1], 3.0]
 
+    def test_underflowing_z_over_2t_marks_its_cell(self):
+        # z/2t underflows to 0 at the first cell, where the K form of the
+        # small-argument series and the cosh form of the oracle take its
+        # log from z and t: the point raises a typed error, the cell
+        # carries it and the sweep finishes the other cell
+        tol = Tolerances(abs_tol=1e-300, rel_tol=0.0)
+        cells = evaluate_grid([0.5], [1e-160, 1.0], [1e300], tol)
+        assert [c.argument for c in cells] == [1e-160, 1.0]
+        assert cells[0].error.startswith("NonConvergence: ")
+        for c in cells:
+            assert (c.evaluation, c.decision, c.error) == _pointwise(c.order, c.argument, c.endpoint, tol)
+
     def test_figure_one_columns_monotone_and_bounded(self):
         ts = [0.05 * (20.0 / 0.05) ** (i / 19) for i in range(20)]
         for nu in (0.0, 3.0):
@@ -685,9 +698,9 @@ def _count_k(monkeypatch, fail_at=None):
     return calls
 
 
-def _pointwise(nu, z, t):
+def _pointwise(nu, z, t, tol=TIGHT):
     try:
-        ev, dec = evaluate(ShuParams(nu, z, t), TIGHT)
+        ev, dec = evaluate(ShuParams(nu, z, t), tol)
     except NonConvergence as exc:
         return None, None, f"NonConvergence: {exc}"
     return ev, dec, None
@@ -776,3 +789,76 @@ class TestKReuse:
             assert (c.evaluation, c.decision, c.error) == _pointwise(
                 c.order, c.argument, c.endpoint
             )
+
+
+# the small-argument series at every form: the split form at z <= 1, both
+# forms past z = 1, the K form at order >= 0; endpoints on both sides of
+# 1.5, where the incomplete-gamma anchors switch from the Kummer sum or E1
+# to the Legendre fraction
+_SMALL_Z_GRID = ([-2.6, -0.4, 1.0], [0.3, 0.9, 3.0], [0.2, 1.0, 2.0, 6.0])
+
+
+class TestSeriesReuse:
+    def test_grid_takes_each_kummer_sum_and_i_series_once(self, monkeypatch):
+        # work guard, no timing: unshared, grid-table's seed-1 sweep took 610
+        # Kummer sums and 364 I series; shared, at most one per (order,
+        # endpoint) and one per (order, argument) that needs it
+        gamma_module = importlib.import_module("incmac.gamma")
+        kummer, i_series = [], []
+        real_kummer, real_i = gamma_module._kummer_sum, incmac.expansions._bessel_i_series
+
+        def counted_kummer(a, x):
+            kummer.append((a, x))
+            return real_kummer(a, x)
+
+        def counted_i(m, z):
+            i_series.append((m, z))
+            return real_i(m, z)
+
+        monkeypatch.setattr(gamma_module, "_kummer_sum", counted_kummer)
+        monkeypatch.setattr(incmac.expansions, "_bessel_i_series", counted_i)
+        orders, zs, ts = _GRID_TABLE_SEED_1
+        evaluate_grid(orders, zs, ts, incmac.core.TIGHT)
+        assert len(kummer) == len(set(kummer)) <= 100
+        assert {x for _, x in kummer} <= set(ts)
+        assert len(i_series) == len(set(i_series)) <= 30
+        assert {(-m, z) for m, z in i_series} <= {(nu, z) for nu in orders for z in zs}
+
+    def test_grid_cells_equal_pointwise_across_both_forms(self, monkeypatch):
+        endpoints = {"split": set(), "k": set()}
+        for name, key in (("_split_small_z", "split"), ("_k_small_z", "k")):
+            real = getattr(incmac.expansions, name)
+
+            def counted(nu, z, t, tol, real=real, key=key):
+                endpoints[key].add(t >= 1.5)
+                return real(nu, z, t, tol)
+
+            monkeypatch.setattr(incmac.expansions, name, counted)
+        cells = evaluate_grid(*_SMALL_Z_GRID, TIGHT)
+        assert endpoints == {"split": {False, True}, "k": {False, True}}
+        for c in cells:
+            assert (c.evaluation, c.decision, c.error) == _pointwise(c.order, c.argument, c.endpoint)
+
+    def test_failing_kummer_sum_fails_the_same_cells_as_pointwise(self, monkeypatch):
+        # the split form at order -2.6 and endpoint 1 steps down from this
+        # sum; a raise is not cached, so every cell that needs it tries again
+        gamma_module = importlib.import_module("incmac.gamma")
+        calls = []
+        real = gamma_module._kummer_sum
+
+        def failing(a, x):
+            calls.append((a, x))
+            if (a, x) == (2.6, 1.0):
+                raise NonConvergence("forced Kummer failure")
+            return real(a, x)
+
+        monkeypatch.setattr(gamma_module, "_kummer_sum", failing)
+        cells = evaluate_grid(*_SMALL_Z_GRID, TIGHT)
+        assert calls.count((2.6, 1.0)) >= 2
+        assert any(
+            (MethodTag.SERIES_SMALL_Z, "NON_CONVERGENCE") in c.decision.candidates_tried
+            for c in cells
+            if c.decision
+        )
+        for c in cells:
+            assert (c.evaluation, c.decision, c.error) == _pointwise(c.order, c.argument, c.endpoint)

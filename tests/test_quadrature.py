@@ -319,6 +319,13 @@ class TestShuOracle:
         with pytest.raises(NonConvergence, match="form-5 integrand exceeds the double range"):
             shu_oracle(ShuParams(-2.5, 1e-111, 1e103), core.TIGHT, 5)
 
+    @pytest.mark.parametrize("order", [0.5, -1.5])
+    def test_cosh_form_where_z_over_2t_underflows(self, order):
+        # z/2t underflows to 0, so the lower end ln(z/2t) comes from the
+        # logs of z and t; at t = 1e300, S is K_nu(z)
+        ev = shu_oracle(ShuParams(order, 1e-160, 1e300), core.TIGHT, 4)
+        assert abs(ev.value - macdonald_k(order, 1e-160)) <= ev.error_estimate
+
     @pytest.mark.parametrize("form", [2, 4])
     def test_y_peak_kept_positive_where_its_difference_rounds_to_zero(self, form):
         # the same point: the y-form peak is the rationalised root, and at
