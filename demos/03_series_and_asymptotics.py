@@ -15,6 +15,7 @@ from incmac import (
     series_small_z,
     shu_oracle,
 )
+from incmac.expansions import _tricomi_small_t
 
 tol = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
@@ -29,6 +30,16 @@ for t in (0.05, 0.2, 1.0):
     ref = oracle(1.0, 3.0, t)
     print(f"  t={t:>5}: {ev.work:>3} terms, tail {ev.error_estimate:.1e}, "
           f"vs oracle {abs(ev.value - ref) / ref:.1e}")
+
+# at (0, 6, 3) the alternating sum misses the tight target; the evaluator
+# then sums the same series in positive terms, t^n U(n+1, nu+1, z^2/4t)
+p = ShuParams(0.0, 6.0, 3.0)
+ref = oracle(0.0, 6.0, 3.0)
+print("\nsmall-endpoint series at (0, 6, 3), summed two ways:")
+for name, ev in (("alternating", series_small_t(p, tol)), ("positive terms", _tricomi_small_t(p, tol))):
+    verdict = "meets" if ev.rejection(tol) is None else "misses"
+    print(f"  {name:>14}: work {ev.work:>3}, estimate {ev.error_estimate / ev.value:.1e}, "
+          f"vs oracle {abs(ev.value - ref) / ref:.1e}, {verdict} the target")
 
 print("\nsmall-argument series at (1, z, 2):")
 for z in (0.05, 0.3, 1.0):

@@ -11,14 +11,26 @@ recurrence from gamma._lower_gamma_orders.  Past z = 1 it tries the K
 form first and the split form second.  The
 large-endpoint double sum is asymptotic; its inner sums stop at their
 smallest term or where their first omitted term, which bounds the rest,
-is within the accuracy the target leaves them.  Every sum is one loop,
-_series_core, which reads each factor and its error bound straight from
-those generators, or from a generator of the inner sums, with no call
-back per term.  For the evaluator the small-endpoint series also gives up
-as soon as its lost accuracy exceeds what its first term, a ceiling on
-S, lets the target allow.  The leading_* functions
-are bare approximants with no error control, exposed for the ratio-law
-checks and figure overlays.
+is within the accuracy the target leaves them.  Each of these sums is one
+loop, _series_core, which reads each factor and its error bound straight
+from those generators, or from a generator of the inner sums, with no
+call back per term.  For the evaluator the small-endpoint series also
+gives up as soon as its lost accuracy exceeds what its first term, a
+ceiling on S, lets the target allow.
+
+The small-endpoint series alternates.  Where it misses, the evaluator sums
+the same series in positive terms (_tricomi_small_t),
+S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0), x0 = z^2/4t.
+Its terms come from one backward recurrence for U in its first
+parameter, run alongside the sum and normalised by U(1, nu+1, x0) = h_0,
+the first value of gamma._upper_gamma_orders(nu, x0).  Its estimate adds
+three parts: the half-width of a bracket that holds the recurrence's
+truncation and the omitted tail, the rounding carried step by step
+through the recurrence and the sums, and h_0's and the prefactor's
+rounding.
+
+The leading_* functions are bare approximants with no error control,
+exposed for the ratio-law checks and figure overlays.
 """
 
 import math
@@ -28,6 +40,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     EPS,
     EXP_FLOOR,
+    LOG_TINY,
     DomainError,
     Evaluation,
     MethodTag,
@@ -58,6 +71,7 @@ __all__ = [
 ]
 
 _MAX_TERMS = 200  # cap on the terms of every series and asymptotic sum
+_MAX_START = 1024  # cap on the start index of the U recurrence
 
 
 def _series_core(coef: float, step: float, factors, rel: float, floor: float,
@@ -179,6 +193,138 @@ def series_small_t(p: ShuParams, tol: Tolerances = None, *, _give_up: bool = Fal
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; the small-t series has no terms")
     value, err, terms = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol, _give_up)
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms)
+
+
+def _tricomi_bracket(nu: float, x: float, t: float, start: int):
+    """Bounds sl <= sum_n t^n U_n/U_0 <= sh, U_n = U(n + 1, nu + 1, x), from
+    the backward recurrence U_(n-1) = A_n U_n - B_n U_(n+1) (DLMF 13.3.7),
+    A_n = 2n + 1 + x - nu, B_n = (n + 1)(n + 1 - nu), run on the ratios
+    r_n = U_n/U_(n-1) = 1/(A_n - B_n r_(n+1)) from index start, with the
+    sums S_(n-1) = 1 + t r_n S_n alongside; an absolute bound on the
+    rounding of sh; and the steps taken.  Where a denominator's bracket
+    reaches 0, too wide or too rounded to bound r_n, the sums are None.
+
+    U(a, b, x) is a mean over int_0^inf e^(-xs) s^(a-1) (1+s)^(b-a-1) ds
+    (DLMF 13.4.4), so U(a+1)/U(a) = <s/(1+s)>/a, which is at most 1/(a + x)
+    for a >= b - 1 (a factor falling in s moves the mean of s below a/x,
+    then Jensen) and 1/a always.  The ratio starts at 0 and at that bound,
+    so r_n, whose map is monotone, stays bracketed; below n + 1 = nu it
+    falls in r_(n+1), so the two ends swap.  The upper sum starts at the
+    geometric bound on the omitted tail, t/(start + 1 + x) (or
+    t/(start + 1)) a term, which the caller keeps below 1.  A step's
+    rounding: A_n, B_n and B_n r to a few EPS, and the carried relative
+    bound rho times |B_n r_(n+1)| r_n, which exceeds 1 where n + 1 < nu
+    and A_n < 0, so that there the bound grows as the rounding does.
+    """
+    ceiling = 1.0 / (start + 1 + x) if start + 1 >= nu else 1.0 / (start + 1)
+    rl, rh = 0.0, ceiling
+    sl, sh = 1.0, 1.0 / (1.0 - t * ceiling)
+    rho = err = 0.0
+    e2 = 2.0 * EPS
+    e3 = 3.0 * EPS
+    c = x + 1.0 - nu
+    # the rounding of A_n: of c, carried into every A_n, and of c + 2n
+    local = EPS * (x + 1.0 + 2.0 * abs(c)) + e2 * start
+    m = start + 1.0
+    for n in range(start, 0, -1):
+        a = c + 2 * n  # afresh: a running a -= 2 would carry A_start's rounding down
+        b = m * (m - nu)
+        dl = a - b * rl
+        dh = a - b * rh
+        # the smaller denominator is at the end where b r is larger
+        if b < 0.0:
+            if not dl > 0.0:
+                return None, None, None, start - n
+            rl = 1.0 / dh
+            rh = 1.0 / dl
+            br = dh - a
+        else:
+            if not dh > 0.0:
+                return None, None, None, start - n
+            rl = 1.0 / dl
+            rh = 1.0 / dh
+            br = a - dh
+        rho = (local + br * (rho + e3)) * rh + e2
+        tr = t * rh
+        u = tr * sh
+        sh = 1.0 + u
+        err = tr * err + u * (rho + e2) + EPS * sh
+        sl = 1.0 + t * rl * sl
+        m -= 1.0
+        local -= e2
+    return sl, sh, err, start
+
+
+def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
+    """The small-endpoint series with positive terms,
+    S = (1/2)(z/2t)^nu e^(-x0 - t) sum_n t^n U(n + 1, nu + 1, x0), x0 = z^2/4t.
+
+    With y = x0 (1 + s) in S = (1/2)(z/2)^-nu int_x0^inf e^(-y - z^2/4y)
+    y^(nu-1) dy, z^2/4y = t - t s/(1+s); expanding e^(ts/(1+s)) and
+    integrating each term by DLMF 13.4.4 gives the sum.  It is the
+    alternating series of series_small_t, summed by its binomial
+    transform, so nothing cancels.  U is the minimal solution of its
+    recurrence in a, so the sum comes from one backward recurrence
+    (_tricomi_bracket), normalised by U(1, nu + 1, x0) = h_0 of
+    gamma._upper_gamma_orders(nu, x0) (Gautschi, SIAM Rev. 9:24, 1967).
+    The recurrence's ratios converge like e^(-4 sqrt(a x0)) (DLMF 13.8.8),
+    and the sum reaches to about n = t, so it starts at (sqrt(t) +
+    ln(4/rel)/(4 sqrt(x0)))^2, past where the tail's bound falls, and
+    doubles the start, up to _MAX_START, while the bracket's half-width,
+    which holds both the recurrence's truncation and the omitted tail,
+    keeps the estimate off the target and the rounding alone does not.
+    A start above _MAX_START raises NonConvergence.  The estimate adds
+    that half-width, the carried rounding of the upper sum, which bounds
+    the lower's too, so that S lies within both from the computed
+    midpoint, h_0's bound and the exponent's rounding.  Where a bound on
+    S from the y-form integral lies below the smallest normal double, the
+    value is the underflow rule's 0.0 and no recurrence runs.  work counts
+    the recurrence steps plus the terms summed, over every start tried.
+    """
+    nu, z, t = p.order, p.argument, p.endpoint
+    c = 0.25 * z * z
+    x = c / t
+    if x == 0.0:
+        raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; U(a, b, 0) is not finite")
+    reach = 0.25 * math.log(4.0 / max(tol.rel_tol, EPS)) / math.sqrt(x)
+    first = (math.sqrt(t) + reach) ** 2
+    if not first < _MAX_START:  # first >= t, so t < _MAX_START below
+        raise NonConvergence(f"the U recurrence needs a start index above {_MAX_START} at x0 = {x!r}, t = {t!r}")
+    start = int(first) + 1
+    # the tail's ratio bound, t/(start + 1 + x) or t/(start + 1), below 1
+    start = max(start, int(t - x) + 1 if start + 1 >= nu else int(t) + 1)
+    # S <= (z/2)^-nu e^(-x0/2) max_(y >= x0) y^(nu-1) e^(-y/2 - c/y), c = z^2/4,
+    # taking e^(-y/2) out of the y-form integral; the maximum is at x0 or
+    # at the root y of y^2/2 - (nu - 1) y - c, rationalised where nu < 1
+    nm1 = nu - 1.0
+    h = math.hypot(nm1, math.sqrt(2.0 * c))
+    y = max(x, nm1 + h if nm1 >= 0.0 else 2.0 * c / (h - nm1))
+    if nm1 * math.log(y) - nu * math.log(0.5 * z) - 0.5 * (x + y) - c / y + 1.0 < LOG_TINY:
+        return Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 0)
+    h0, r0 = next(_upper_gamma_orders(nu, x))
+    q = 0.5 * z / t
+    log_q = math.log(q) if q else math.log(z) - math.log(t) - _LN2
+    lead = nu * log_q - x - t - _LN2 + math.log(h0)
+    fixed = r0 + EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * (x + t) + abs(lead) + 6.0)
+    work = 0
+    while True:
+        sl, sh, serr, steps = _tricomi_bracket(nu, x, t, start)
+        work += 2 * steps
+        if sl is None:
+            # a denominator's bracket reached 0: too wide, or its rounding
+            if 2 * start > _MAX_START:
+                raise NonConvergence(f"U recurrence bracket lost its sign from start index {start}")
+            start *= 2
+            continue
+        s = 0.5 * (sl + sh)
+        log_s = math.log(s)
+        value = math.exp(lead + log_s)
+        rounding = value * (serr / s + fixed + EPS * abs(log_s))
+        err = 0.5 * (sh - sl) / s * value + rounding
+        target = tol.target(value)
+        if err <= target or rounding >= target or 2 * start > _MAX_START:
+            return Evaluation(value, err, MethodTag.SERIES_SMALL_T, work)
+        start *= 2
 
 
 def _split_tail(m: float, t: float, x0: float, n: int, coef: float, u: float) -> float:

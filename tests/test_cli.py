@@ -36,8 +36,11 @@ class TestEval:
         assert abs(float(digits) - S0_3_3) < 1e-11 * S0_3_3
 
     def test_json_object_schema(self, capsys):
-        # the small-endpoint series misses the target here and the oracle runs
-        code, out, _ = _run(capsys, "eval", "--nu", "0", "--z", "6", "--t", "3", "--json")
+        # both series miss the target here and the oracle runs
+        code, out, _ = _run(
+            capsys, "eval", "--nu=-1.9919421798402084", "--z", "0.037746421311855016", "--t", "0.000409201433594809",
+            "--json",
+        )
         assert code == 0
         obj = json.loads(out)
         assert set(obj) == {"value", "error_estimate", "method", "work"}

@@ -36,6 +36,11 @@ from frozen import (
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
+# a point of scatter-wide's seed 1 at z^2/4t = 0.87, near order -2, that
+# falls through to the quadrature oracle: the small-argument series and the
+# small-endpoint series in positive terms both miss the target there
+_ORACLE_CELL = (-1.9919421798402084, 0.037746421311855016, 0.000409201433594809)
+
 
 def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b))
@@ -70,12 +75,29 @@ class TestDecisionProcedure:
         assert _rel(ev.value, S0_3_3) < 1e-9
 
     def test_fallback_oracle(self):
-        # z^2/4t = 3: the small-endpoint series runs and misses the target
-        ev, dec = evaluate(ShuParams(0.0, 6.0, 3.0), TIGHT)
+        # z^2/4t = 0.87: the small-argument series runs, then the
+        # small-endpoint series in positive terms, and both estimates miss
+        # the target
+        p = ShuParams(*_ORACLE_CELL)
+        ev, dec = evaluate(p, TIGHT)
         assert dec.chosen is MethodTag.ORACLE5
         assert dec.reason == "FALLBACK_ORACLE"
-        assert dec.candidates_tried == ((MethodTag.SERIES_SMALL_T, "TAIL_TOO_LARGE"),)
-        assert _rel(ev.value, S0_6_3) < 1e-9
+        assert dec.candidates_tried == (
+            (MethodTag.SERIES_SMALL_Z, "TAIL_TOO_LARGE"),
+            (MethodTag.SERIES_SMALL_T, "TAIL_TOO_LARGE"),
+        )
+        ref = shu_oracle_cosh(p, TIGHT)
+        assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    def test_small_endpoint_miss_taken_by_positive_terms(self):
+        # z^2/4t = 3: the alternating small-endpoint series misses the
+        # target, and the same series in positive terms meets it
+        ev, dec = evaluate(ShuParams(0.0, 6.0, 3.0), TIGHT)
+        assert dec.chosen is MethodTag.SERIES_SMALL_T
+        assert dec.reason == "SMALL_T_CONVERGED"
+        assert dec.candidates_tried == ()
+        assert abs(ev.value - S0_6_3) <= ev.error_estimate
+        assert incmac.expansions.series_small_t(ShuParams(0.0, 6.0, 3.0), TIGHT).rejection(TIGHT)
 
     def test_large_t_rejected_when_correction_visible(self):
         # K(20) ~ 5.7e-10 makes the relative target smaller than the
@@ -160,17 +182,18 @@ class TestDecisionProcedure:
     @pytest.mark.parametrize(
         "point, rejected",
         [
-            # the large-endpoint sum finds no truncation point with z near t
+            # the large-endpoint sum finds no truncation point with z near t,
+            # and at t = 533 the rounding the positive-term sum carries puts
+            # its estimate just above the target
             (
-                (18.589669083686715, 356.49257978239893, 367.05542657706394),
+                (-21.614086612393162, 488.37084093944395, 532.9864915597317),
                 (MethodTag.ASYMPT_LARGE_T, "NON_CONVERGENCE"),
             ),
-            # the small-endpoint series with step -t = -204 needs more than
-            # 200 terms here; with one incomplete gamma per term it returned
-            # 1.2e-22 with a NaN error estimate, for a true value of 3.9e-176
+            # order 29 at z^2/4t = 13: the positive-term sum's backward
+            # recurrence loses more than the target to rounding
             (
-                (-22.21781064291803, 400.31798891392566, 204.284282851257),
-                (MethodTag.SERIES_SMALL_T, "NON_CONVERGENCE"),
+                (29.484563027425665, 15.60342761027974, 4.56465312964024),
+                (MethodTag.SERIES_SMALL_T, "TAIL_TOO_LARGE"),
             ),
         ],
     )
@@ -180,6 +203,31 @@ class TestDecisionProcedure:
         assert dec.chosen is MethodTag.ORACLE5
         assert ev.method is MethodTag.ORACLE5
         assert rejected in dec.candidates_tried
+        ref = shu_oracle_cosh(p, TIGHT)
+        assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    @pytest.mark.parametrize(
+        "point, rejected",
+        [
+            # the large-endpoint sum finds no truncation point with z near t
+            ((18.589669083686715, 356.49257978239893, 367.05542657706394),
+             ((MethodTag.ASYMPT_LARGE_T, "NON_CONVERGENCE"),)),
+            # the alternating small-endpoint series with step -t = -204 needs
+            # more than 200 terms here; with one incomplete gamma per term it
+            # returned 1.2e-22 with a NaN error estimate, for a true value of
+            # 3.9e-176
+            ((-22.21781064291803, 400.31798891392566, 204.284282851257),
+             ((MethodTag.ASYMPT_LARGE_T, "CORRECTION_TOO_LARGE"),)),
+        ],
+    )
+    def test_positive_terms_take_former_fallbacks(self, point, rejected):
+        # both fell through to the oracle before the positive-term sum
+        p = ShuParams(*point)
+        with pytest.raises(NonConvergence):
+            incmac.expansions.series_small_t(p, TIGHT)
+        ev, dec = evaluate(p, TIGHT)
+        assert dec.chosen is MethodTag.SERIES_SMALL_T
+        assert dec.candidates_tried == rejected
         ref = shu_oracle_cosh(p, TIGHT)
         assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
 
@@ -293,7 +341,8 @@ class TestDecisionProcedure:
             (1.0, 3.0, 0.2), (2.0, 8.0, 1.0),          # small-endpoint series
             (1.0, 0.5, 2.0), (0.0, 0.3, 1.0),          # small-argument series
             (0.0, 3.0, 3.0), (-2.3, 3.0, 3.0),         # the same past z = 1
-            (0.0, 6.0, 3.0), (5.0, 1.0, 0.9),          # oracle fallback
+            (0.0, 6.0, 3.0), (5.0, 1.0, 0.9),          # positive terms; small argument
+            _ORACLE_CELL,                              # oracle fallback
         ]
         for nu, z, t in calibration:
             p = ShuParams(nu, z, t)
@@ -612,7 +661,9 @@ def test_scatter_wide_takes_few_gamma_orders(monkeypatch):
     # work guard, no timing: the incomplete-gamma orders the series take
     # over scatter-wide's seed-1 points; 17,182 when the small-endpoint
     # series ran to its end where it could no longer meet the target,
-    # 10,392 with the early exit
+    # 10,392 with the early exit, 10,463 with the positive-term sum, which
+    # takes one order, h_0, in 71 of its 75 calls here (the other four
+    # return the underflow rule's 0.0 before it)
     taken = 0
 
     def counted(orders):
@@ -655,10 +706,12 @@ _GRID_TABLE_SEED_1 = (
 def test_grid_table_stays_off_the_oracle():
     # work-count guard, no timing: with the small-argument series stopped
     # at z = 1, 235 of these 1,920 cells fell through to the quadrature
-    # oracle, 180 of them in z > 1, t < 30, z^2/4t < 2; now 60 do
+    # oracle, 180 of them in z > 1, t < 30, z^2/4t < 2; with the series
+    # run there, 60, 46 of them at z^2/4t >= 2; with the small-endpoint
+    # series also summed in positive terms, none
     cells = evaluate_grid(*_GRID_TABLE_SEED_1, incmac.core.TIGHT)
     assert all(c.evaluation is not None for c in cells)
-    assert sum(c.decision.chosen is MethodTag.ORACLE5 for c in cells) <= 70
+    assert sum(c.decision.chosen is MethodTag.ORACLE5 for c in cells) <= 5
 
 
 def test_grid_table_inner_sums_stop_early(monkeypatch):
@@ -706,10 +759,14 @@ def _pointwise(nu, z, t, tol=TIGHT):
     return ev, dec, None
 
 
-# every path: Oracle5 (0, 6, 3), SeriesSmallT (1, 3, 0.2), SeriesSmallZ
-# (1, 0.5, 2) and (0, 3, 3), AsymptLargeT (0, 3, 100), ClosedFormHalf
-# (0.5, *, *)
-_PATH_GRID = ([0.0, 0.5, 1.0], [0.5, 3.0, 6.0], [0.02, 0.2, 2.0, 3.0, 100.0])
+# every path: Oracle5 _ORACLE_CELL, SeriesSmallT (1, 3, 0.2) and (0, 6, 3),
+# SeriesSmallZ (1, 0.5, 2) and (0, 3, 3), AsymptLargeT (0, 3, 100),
+# ClosedFormHalf (0.5, *, *)
+_PATH_GRID = (
+    [_ORACLE_CELL[0], 0.0, 0.5, 1.0],
+    [0.5, _ORACLE_CELL[1], 3.0, 6.0],
+    [0.02, 0.2, _ORACLE_CELL[2], 2.0, 3.0, 100.0],
+)
 
 
 class TestKReuse:
@@ -742,8 +799,9 @@ class TestKReuse:
             return real(p, tol, form)
 
         monkeypatch.setattr(incmac.quadrature, "_oracle", counted)
-        cells = evaluate_grid([0.0], [6.0], [3.0, 3.0], TIGHT)  # Oracle5 path
-        assert counts == [ShuParams(0.0, 6.0, 3.0)]
+        nu, z, t = _ORACLE_CELL
+        cells = evaluate_grid([nu], [z], [t, t], TIGHT)  # Oracle5 path
+        assert counts == [ShuParams(nu, z, t)]
         assert cells[0].evaluation == cells[1].evaluation
         assert cells[0].decision.chosen is MethodTag.ORACLE5
 
@@ -820,7 +878,9 @@ class TestSeriesReuse:
         orders, zs, ts = _GRID_TABLE_SEED_1
         evaluate_grid(orders, zs, ts, incmac.core.TIGHT)
         assert len(kummer) == len(set(kummer)) <= 100
-        assert {x for _, x in kummer} <= set(ts)
+        # at endpoints for the small-argument series, and at z^2/4t below 1.5
+        # for h_0 of the small-endpoint series in positive terms
+        assert {x for _, x in kummer} <= set(ts) | {0.25 * z * z / t for z in zs for t in ts}
         assert len(i_series) == len(set(i_series)) <= 30
         assert {(-m, z) for m, z in i_series} <= {(nu, z) for nu in orders for z in zs}
 

@@ -17,6 +17,7 @@ from incmac.core import (
 )
 from incmac.evaluator import evaluate, evaluate_grid
 from incmac.expansions import (
+    _tricomi_small_t,
     asympt_large_t,
     leading_imb_large_z,
     leading_large_z,
@@ -26,7 +27,7 @@ from incmac.expansions import (
     series_small_z,
 )
 from incmac.gamma import macdonald_k, upper_incomplete_gamma
-from incmac.quadrature import integrate_adaptive, shu_oracle
+from incmac.quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
 
 from frozen import (
     S0_3_3,
@@ -39,6 +40,7 @@ from frozen import (
     S_SMALL_Z_SPLIT,
     S_SPLIT_SEEDED,
     S_SPLIT_TAIL,
+    S_TRICOMI,
 )
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
@@ -121,6 +123,60 @@ class TestSeriesSmallT:
             cap = math.exp(-nu * math.log(0.5 * z) - math.log(2.0) + math.log(gamma_part))
             assert ref.value - ref.error_estimate <= cap * (1.0 + 1e-12), (nu, z, t)
             checked += 1
+
+
+class TestTricomiSmallT:
+    @pytest.mark.parametrize("point", sorted(S_TRICOMI))
+    def test_within_estimate_of_reference(self, point):
+        # every former oracle fallback meets the tight target; at order
+        # 28.102 the backward recurrence loses about 3e-10 to rounding,
+        # which the estimate carries, so it rejects the point itself
+        ev = _tricomi_small_t(ShuParams(*point), TIGHT)
+        assert abs(ev.value - S_TRICOMI[point]) <= ev.error_estimate
+        if point == (28.102, 6.969, 4.465):
+            assert ev.rejection(TIGHT) == "TAIL_TOO_LARGE"
+        else:
+            assert ev.rejection(TIGHT) is None
+
+    def test_within_estimate_where_the_alternating_series_meets_the_target(self):
+        for point, ref in S_SERIES_SMALL_T.items():
+            ev = _tricomi_small_t(ShuParams(*point), TIGHT)
+            assert abs(ev.value - ref) <= ev.error_estimate, point
+
+    @pytest.mark.parametrize("x0_lo, x0_hi, seed, least", [(2.0, 700.0, 21, 270), (0.01, 2.0, 22, 120)])
+    def test_wide_box_differential(self, x0_lo, x0_hi, seed, least):
+        # 300 seeded points with |nu| <= 30, z^2/4t log-uniform on [2, 700],
+        # or on [0.01, 2], where the start index grows like 1/x0, and t
+        # log-uniform on [1e-3, 200]: wherever the sum meets the target it
+        # agrees with forms 5 and 4 within its estimate plus theirs, and its
+        # estimate is never NaN.  Below x0 = 2, with A_n carried down from
+        # A_start by steps of 2, the rounding of A_start reached every step
+        # uncounted, and the estimate missed at 2 of the 300
+        rng = random.Random(seed)
+        accepted = 0
+        for _ in range(300):
+            nu = rng.uniform(-30.0, 30.0)
+            x0 = math.exp(rng.uniform(math.log(x0_lo), math.log(x0_hi)))
+            t = math.exp(rng.uniform(math.log(1e-3), math.log(200.0)))
+            p = ShuParams(nu, math.sqrt(4.0 * t * x0), t)
+            try:
+                ev = _tricomi_small_t(p, TIGHT)
+            except NonConvergence:
+                continue
+            assert not math.isnan(ev.error_estimate), p
+            if ev.rejection(TIGHT):
+                continue
+            accepted += 1
+            for ref in (shu_oracle(p, TIGHT), shu_oracle_cosh(p, TIGHT)):
+                assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, (p, ref.method)
+        assert accepted >= least
+
+    def test_work_counts_recurrence_steps_and_terms(self):
+        # one pass from start index 36, (sqrt(3) + ln(4e12)/(4 sqrt(3)))^2
+        # = 35.05 rounded up: 36 recurrence steps and 36 terms
+        ev = _tricomi_small_t(ShuParams(0.0, 6.0, 3.0), TIGHT)
+        assert ev.work == 72
+        assert ev.method is MethodTag.SERIES_SMALL_T
 
 
 class TestSeriesSmallZ:
