@@ -9,7 +9,6 @@ non-convergence or overflow, 4 verification failure.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -63,7 +62,7 @@ def _tolerances(args) -> Tolerances:
     if rel < EPS:
         # no path resolves a value more finely; the oracle would only fail to converge
         raise DomainError("tol", rel, f"must be at least the double resolution {EPS:.3g}")
-    return dataclasses.replace(TIGHT, rel_tol=rel)
+    return Tolerances(TIGHT.abs_tol, rel, TIGHT.max_depth)
 
 
 def _print_eval(value, err, method, work, as_json, flags=()):

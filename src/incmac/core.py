@@ -8,7 +8,7 @@ results between the quadrature, series, and identity-checking modules.
 
 import contextvars
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 __all__ = [
@@ -103,26 +103,32 @@ def _as_finite_real(field: str, value) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ShuParams:
+def _as_positive(field: str, value) -> float:
+    value = _as_finite_real(field, value)
+    if value <= 0.0:
+        raise DomainError(field, value, "must be strictly positive")
+    return value
+
+
+class ShuParams(namedtuple("ShuParams", "order argument endpoint")):
     """An evaluation point: real order, argument z > 0, endpoint t > 0."""
 
-    order: float
-    argument: float
-    endpoint: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        nu, z, t = self.order, self.argument, self.endpoint
+    def __new__(cls, order, argument, endpoint):
         # finite floats with z, t > 0 are valid as given
-        if (type(nu) is float and type(z) is float and type(t) is float
-                and -math.inf < nu < math.inf and 0.0 < z < math.inf and 0.0 < t < math.inf):
-            return
-        object.__setattr__(self, "order", _as_finite_real("order", self.order))
-        for name in ("argument", "endpoint"):
-            value = _as_finite_real(name, getattr(self, name))
-            if value <= 0.0:
-                raise DomainError(name, value, "must be strictly positive")
-            object.__setattr__(self, name, value)
+        if not (type(order) is float and type(argument) is float and type(endpoint) is float
+                and -math.inf < order < math.inf and 0.0 < argument < math.inf
+                and 0.0 < endpoint < math.inf):
+            order = _as_finite_real("order", order)
+            argument = _as_positive("argument", argument)
+            endpoint = _as_positive("endpoint", endpoint)
+        return tuple.__new__(cls, (order, argument, endpoint))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate as the constructor does
+        return cls(*iterable)
 
 
 def validate(order, argument, endpoint) -> ShuParams:
@@ -134,25 +140,27 @@ def validate(order, argument, endpoint) -> ShuParams:
     return ShuParams(order, argument, endpoint)
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(namedtuple("Tolerances", "abs_tol rel_tol max_depth")):
     """Accuracy targets and the quadrature work cap.
 
     abs_tol and rel_tol are combined as max(abs_tol, rel_tol * |value|);
     max_depth caps quadrature bisections.
     """
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_depth: int = 60
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
+    def __new__(cls, abs_tol=1e-12, rel_tol=1e-10, max_depth=60):
+        if not (0.0 <= abs_tol < math.inf and 0.0 <= rel_tol < math.inf):
             raise ValueError("tolerances must be finite and nonnegative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
+        if abs_tol == 0.0 and rel_tol == 0.0:
             raise ValueError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_depth < 1:
+        if max_depth < 1:
             raise ValueError("max_depth must be a positive integer")
+        return tuple.__new__(cls, (abs_tol, rel_tol, max_depth))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def target(self, scale: float) -> float:
         """Absolute convergence target for a quantity of magnitude |scale|:
@@ -170,8 +178,7 @@ DEFAULT_TOLERANCES = Tolerances()
 TIGHT = Tolerances(abs_tol=5e-324, rel_tol=1e-12, max_depth=120)
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(namedtuple("Evaluation", "value error_estimate method work flags")):
     """A computed value with an absolute error estimate and provenance.
 
     work counts quadrature subdivisions or series terms, whichever the
@@ -183,27 +190,26 @@ class Evaluation:
     carry either sign within that estimate.
     """
 
-    value: float
-    error_estimate: float
-    method: MethodTag
-    work: int
-    flags: tuple = ()
+    __slots__ = ()
+
+    def __new__(cls, value, error_estimate, method, work, flags=()):
+        if error_estimate < 0.0:
+            raise ValueError("error_estimate must be nonnegative")
+        if work < 0:
+            raise ValueError("work must be nonnegative")
+        if abs(value) < TINY:
+            value, error_estimate, flags = underflow_to_zero(value, error_estimate, flags)
+        return tuple.__new__(cls, (value, error_estimate, method, work, flags))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def rejection(self, tol: Tolerances):
         """Why this value fails tol, or None: "TAIL_TOO_LARGE" when the
         error estimate exceeds tol.target(value), a NaN estimate included.
         The one acceptance rule for a series or closed-form candidate."""
         return None if self.error_estimate <= tol.target(self.value) else "TAIL_TOO_LARGE"
-
-    def __post_init__(self):
-        if self.error_estimate < 0.0:
-            raise ValueError("error_estimate must be nonnegative")
-        if self.work < 0:
-            raise ValueError("work must be nonnegative")
-        if abs(self.value) < TINY:
-            for name, v in zip(("value", "error_estimate", "flags"),
-                               underflow_to_zero(self.value, self.error_estimate, self.flags)):
-                object.__setattr__(self, name, v)
 
 
 def underflow_to_zero(value: float, err: float, flags: tuple = ()):

@@ -25,7 +25,7 @@ expansions and must be called explicitly.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import (
@@ -63,25 +63,17 @@ _LARGE_T_MIN = 30.0  # endpoint at which asymptotics are considered
 _SMALL_T_EXPONENT = 2.0
 
 
-@dataclass(frozen=True)
-class RegimeDecision:
+class RegimeDecision(namedtuple("RegimeDecision", "chosen reason candidates_tried", defaults=((),))):
     """The chosen path, a short reason code, and rejected candidates."""
 
-    chosen: MethodTag
-    reason: str
-    candidates_tried: tuple = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GridCell:
-    """One point of a grid sweep; either an evaluation or an error marker."""
+class GridCell(namedtuple("GridCell", "order argument endpoint evaluation decision error", defaults=(None,))):
+    """One point of a grid sweep; either an evaluation (with its decision)
+    or an error marker, the other fields None."""
 
-    order: float
-    argument: float
-    endpoint: float
-    evaluation: Evaluation | None
-    decision: RegimeDecision | None
-    error: str | None = None
+    __slots__ = ()
 
 
 def _erfcx(x: float) -> float:

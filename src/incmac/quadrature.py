@@ -14,7 +14,7 @@ what integrate_adaptive's own tail map gives for its y-integrand.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     DEFAULT_TOLERANCES,
@@ -66,14 +66,10 @@ _EPS50 = EPS * 50.0
 _RESABS_FLOOR = TINY / (50.0 * EPS)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate subdivisions converged")):
     """Integral estimate with its absolute error bound and work count."""
 
-    value: float
-    error_estimate: float
-    subdivisions: int
-    converged: bool
+    __slots__ = ()
 
 
 def _gk15(f, a, b):

@@ -12,7 +12,7 @@ under the identity thresholds; no function takes a tolerance.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import TIGHT, TINY, DomainError, ShuParams, StepTooCoarse
 from .quadrature import shu_oracle
@@ -35,24 +35,23 @@ __all__ = [
 _FD_CHECK = {1: 1e-5, 2: 1e-3}
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(namedtuple("ResidualReport", "identity point residual scale k mode")):
     """Left-minus-right of one identity at one point.
 
     scale is the largest-magnitude additive term, so relative_residual is
     meaningful even where the function values themselves are tiny.
     """
 
-    identity: str
-    point: ShuParams
-    residual: float
-    scale: float
-    k: int | None = None
-    mode: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.scale > 0.0:
+    def __new__(cls, identity, point, residual, scale, k=None, mode=None):
+        if not scale > 0.0:
             raise ValueError("scale must be strictly positive")
+        return tuple.__new__(cls, (identity, point, residual, scale, k, mode))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def relative_residual(self) -> float:

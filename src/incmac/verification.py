@@ -8,7 +8,7 @@ the same records.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import EPS, TIGHT, ShuParams, shared_work
 from .expansions import (
@@ -60,17 +60,10 @@ IDENTITY_TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
+class VerifyRecord(namedtuple("VerifyRecord", "identity nu z t residual scale passed")):
     """One identity checked at one parameter point."""
 
-    identity: str
-    nu: float
-    z: float
-    t: float
-    residual: float
-    scale: float
-    passed: bool
+    __slots__ = ()
 
     @property
     def relative(self) -> float:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import json
 from collections import Counter
 
@@ -160,7 +159,7 @@ def test_direct_integrals_must_converge(monkeypatch):
 
         def capped(f, *args, code=code, **kwargs):
             res = real(f, *args, **kwargs)
-            return dataclasses.replace(res, converged=res.converged and f.__code__ is not code)
+            return res._replace(converged=res.converged and f.__code__ is not code)
 
         monkeypatch.setattr(incmac.verification, "integrate_adaptive", capped)
         with pytest.raises(NonConvergence):
