@@ -182,8 +182,10 @@ class Evaluation(namedtuple("Evaluation", "value error_estimate method work flag
     """A computed value with an absolute error estimate and provenance.
 
     work counts quadrature subdivisions or series terms, whichever the
-    method used.  flags may carry FLAG_UNDERFLOW (true value below the
-    smallest normal double, 0.0 returned).  Construction applies
+    method used; where a K-based series returns K_nu(z) alone, 0 from the
+    small-argument series and K's own work from the large-endpoint sum.
+    flags may carry FLAG_UNDERFLOW (true value below the smallest normal
+    double, 0.0 returned).  Construction applies
     underflow_to_zero, so no path sets FLAG_UNDERFLOW itself.  A sum that
     cancels shows it in error_estimate, which every series counts from its
     peak partial sum; under an absolute target a value below abs_tol may

@@ -42,7 +42,13 @@ from .core import (
     shared_work,
     validate,
 )
-from .expansions import _tricomi_small_t, asympt_large_t, series_small_t, series_small_z
+from .expansions import (
+    _log_leading_correction,
+    _tricomi_small_t,
+    asympt_large_t,
+    series_small_t,
+    series_small_z,
+)
 from .gamma import _legendre_cf, _macdonald_k_eval
 from .quadrature import shu_oracle
 
@@ -145,8 +151,7 @@ def _large_t_gate(p: ShuParams, tol: Tolerances):
     nu, z, t = p.order, p.argument, p.endpoint
     if t < _LARGE_T_MIN:
         return _SKIP
-    e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
-    if math.exp(e) < tol.target(shared(_macdonald_k_eval, nu, z)[0]):
+    if math.exp(_log_leading_correction(nu, z, t)) < tol.target(shared(_macdonald_k_eval, nu, z)[0]):
         return None
     return "CORRECTION_TOO_LARGE"
 

@@ -72,6 +72,7 @@ __all__ = [
 
 _MAX_TERMS = 200  # cap on the terms of every series and asymptotic sum
 _MAX_START = 1024  # cap on the start index of the U recurrence
+_LOG_EPS2 = 2.0 * math.log(EPS)
 
 
 def _series_core(coef: float, step: float, factors, rel: float, floor: float,
@@ -137,6 +138,21 @@ def _series_core(coef: float, step: float, factors, rel: float, floor: float,
     raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
 
 
+def _log_leading_correction(nu: float, z: float, t: float) -> float:
+    """log of (1/2)(z/2)^nu t^-(nu+1) e^-t, the leading large-endpoint
+    correction to K_nu(z): the large-endpoint gate's test, and with z^2/4t
+    added a bound on the whole correction of both K-based candidates."""
+    return nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
+
+
+def _negligible(log_bound: float, kval: float) -> bool:
+    """Whether a correction whose sum, partial sums and error bound are at
+    most e^log_bound is below EPS^2 K, with a margin of e^8: there the
+    difference K minus the correction and its estimate round to exactly K
+    and K's own estimate, so the candidate returns those unsummed."""
+    return kval > 0.0 and log_bound < math.log(kval) + _LOG_EPS2 - 8.0
+
+
 def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: float, tol: Tolerances,
                      give_up: bool = False):
     """(1/2)(z/2t)^nu e^-x sum_k step^k/k! h_k with Gamma(a0 - k, x) = x^(a0-k)
@@ -191,6 +207,8 @@ def series_small_t(p: ShuParams, tol: Tolerances = None, *, _give_up: bool = Fal
     if x0 == 0.0:
         # the incomplete gammas at argument 0 are Gamma(nu - k) or infinite
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; the small-t series has no terms")
+    if x0 == math.inf:
+        raise NonConvergence(f"x0 = z^2/4t overflows to inf at z = {z!r}, t = {t!r}; the small-t series has no terms")
     value, err, terms = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol, _give_up)
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms)
 
@@ -286,6 +304,8 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     x = c / t
     if x == 0.0:
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; U(a, b, 0) is not finite")
+    if x == math.inf:
+        raise NonConvergence(f"x0 = z^2/4t overflows to inf at z = {z!r}, t = {t!r}; U(a, b, inf) is 0")
     reach = 0.25 * math.log(4.0 / max(tol.rel_tol, EPS)) / math.sqrt(x)
     first = (math.sqrt(t) + reach) ** 2
     if not first < _MAX_START:  # first >= t, so t < _MAX_START below
@@ -413,9 +433,20 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
 
 
 def _k_small_z(nu: float, z: float, t: float, tol: Tolerances) -> Evaluation:
-    """K_nu(z) minus (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t)."""
+    """K_nu(z) minus (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t).
+
+    At nu >= -1 every order -nu - k is at most 1, where Gamma(a, t) <=
+    t^(a-1) e^-t (DLMF 8.10.1), so the terms' magnitudes sum to at most
+    (1/2)(z/2)^nu t^-(nu+1) e^(x0 - t), x0 = z^2/4t, which bounds the sum,
+    its partial sums and its estimate.  Where that is negligible against K
+    (_negligible), K is returned alone with kerr + EPS K, what the whole
+    sum would round to, and work 0: no term is summed.
+    """
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
-    part, err, terms = _upper_gamma_sum(nu, z, t, -nu, t, -0.25 * z * z / t, tol)
+    x0 = 0.25 * z * z / t
+    if nu >= -1.0 and _negligible(_log_leading_correction(nu, z, t) + x0, kval):
+        return Evaluation(kval, kerr + EPS * abs(kval), MethodTag.SERIES_SMALL_Z, 0)
+    part, err, terms = _upper_gamma_sum(nu, z, t, -nu, t, -x0, tol)
     err += kerr + EPS * (abs(kval) + abs(part))
     return Evaluation(kval - part, err, MethodTag.SERIES_SMALL_Z, terms)
 
@@ -434,7 +465,9 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     small z.  Past z = 1 the K form first, which takes most points there;
     where it raises or misses tol (Evaluation.rejection), the split form,
     which takes some of the rest; where both miss, the split form's result,
-    or the K form's where the split form raises.
+    or the K form's where the split form raises.  At nu >= -1 the K form
+    returns K alone, with work 0, where a bound on the sum is negligible
+    against K (see _k_small_z).
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
@@ -487,17 +520,30 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     the omitted outer terms together: they sum to the remainder of an
     exponential series in -(z/2)^2/(t + u), under the integral of I.  The
     outer sum alternates, so its rounding is counted from its peak partial
-    sum.
+    sum.  work counts K's own work plus the inner sums' terms.
+
+    Two exits return K alone, with work K's own: where the outer sum's
+    first coefficient (1/2)(z/2)^nu t^-(nu+1) e^-t lies below e^EXP_FLOOR
+    (an absolute test), with K's estimate; and where the bound
+    e^(x0) I(nu + 1) times that coefficient, x0 = z^2/4t, on the outer
+    partial sums is negligible against K (_negligible), with kerr +
+    16 EPS K, what the whole sum would round to.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
-    e = nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
+    e = _log_leading_correction(nu, z, t)
     if e <= EXP_FLOOR:
-        # correction is far below double resolution of K
+        # the outer sum's first coefficient e^e is subnormal or zero: an
+        # absolute test, not one against K
         return Evaluation(kval, kerr, MethodTag.ASYMPT_LARGE_T, kwork)
+    x0 = 0.25 * z * z / t
+    # |coef_k| <= e^e x0^k/k! and each inner sum is at most its ceiling,
+    # largest at k = 0, so e^(e + x0) I(nu + 1) bounds the outer partial sums
+    if _negligible(e + x0 + math.log(_inner_ceiling(nu + 1.0, t)), kval):
+        return Evaluation(kval, kerr + 16.0 * EPS * abs(kval), MethodTag.ASYMPT_LARGE_T, kwork)
     base = math.exp(e)
-    step = -0.25 * z * z / t
+    step = -x0
     budget = tol.target(kval) / (2 * _MAX_TERMS)
     work = 0
 

@@ -287,11 +287,15 @@ def _y_peak(nm1: float, c: float) -> float:
 
 
 def _log_value_bound(p: ShuParams) -> float:
-    """Log-scale bound on the function value, from the y-form integrand peak."""
+    """Log-scale bound on the function value, from the y-form integrand
+    peak; -inf where that peak's y, and so x0 = z^2/4t, overflows, since
+    e^-y then vanishes against every power of y."""
     nu, z = p.order, p.argument
     c = 0.25 * z * z
     log_pref = nu * math.log(2.0 / z) - math.log(2.0)
     y = max(c / p.endpoint, _y_peak(nu - 1.0, c))
+    if y == math.inf:
+        return -math.inf
     return log_pref + (nu - 1.0) * math.log(y) - y - c / y
 
 

@@ -517,6 +517,92 @@ def test_series_kernel_frozen(name, point, tol):
     assert (ev.value.hex(), ev.error_estimate.hex(), ev.work, ev.flags) == SERIES_KERNEL[name, point, tol]
 
 
+def _exits(monkeypatch):
+    """Record each answer of expansions._negligible."""
+    answers = []
+    real = incmac.expansions._negligible
+
+    def spy(log_bound, kval):
+        answers.append(real(log_bound, kval))
+        return answers[-1]
+
+    monkeypatch.setattr(incmac.expansions, "_negligible", spy)
+    return answers
+
+
+def _full_sum(monkeypatch, fn, *args):
+    """fn(*args) with the early exit of both K-based candidates turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(incmac.expansions, "_negligible", lambda log_bound, kval: False)
+        try:
+            return fn(*args)
+        except (NonConvergence, OverflowError):
+            return None
+
+
+def test_k_alone_exactly_where_the_correction_rounds_away(monkeypatch):
+    # K is returned alone only where the whole correction sum, with its
+    # estimate, rounds to exactly K and K's estimate
+    rng = random.Random(24)
+
+    def points(nu_lo, t_lo, t_hi):
+        return [
+            (
+                rng.uniform(nu_lo, 30.0),
+                math.exp(rng.uniform(math.log(1e-6), math.log(2.0))),
+                math.exp(rng.uniform(math.log(t_lo), math.log(t_hi))),
+            )
+            for _ in range(400)
+        ]
+
+    kform = points(-1.0, 1e-4, 30.0)
+    # negative orders too, where the inner sums' ceiling exceeds 1
+    large = points(-30.0, 30.0, 3000.0)
+    answers = _exits(monkeypatch)
+    for fn, pts in (
+        (lambda p: incmac.expansions._k_small_z(*p, incmac.core.TIGHT), kform),
+        (lambda p: asympt_large_t(ShuParams(*p), incmac.core.TIGHT), large),
+    ):
+        returned = fired = 0
+        for p in pts:
+            answers.clear()
+            try:
+                ev = fn(p)
+            except (NonConvergence, OverflowError):
+                assert not any(answers), p
+                continue
+            returned += 1
+            if any(answers):
+                fired += 1
+                full = _full_sum(monkeypatch, fn, p)
+                assert full is not None, p
+                got = (ev.value.hex(), ev.error_estimate.hex(), ev.method, ev.flags)
+                assert got == (full.value.hex(), full.error_estimate.hex(), full.method, full.flags), p
+        assert 2 * fired >= returned, (fired, returned)
+
+
+def test_k_alone_takes_no_term():
+    ev = series_small_z(ShuParams(25.748344553341216, 1.2129998471811086e-05, 0.0014381530318261255))
+    assert ev.work == 0
+    assert ev.value == macdonald_k(25.748344553341216, 1.2129998471811086e-05)
+
+
+@pytest.mark.parametrize("point", [(0.3, 0.5, 1.0), (-20.0, 1e-3, 1e-4)])
+def test_no_exit_where_the_correction_counts(point, monkeypatch):
+    # at (-20, 1e-3, 1e-4) the correction is almost all of K ~ 6e82, but
+    # the orders 20 - k exceed 1, so the bound B ~ 5e-11 does not hold
+    answers = _exits(monkeypatch)
+    ev = series_small_z(ShuParams(*point), incmac.core.TIGHT)
+    assert ev.work > 0
+    assert not any(answers)
+
+
+@pytest.mark.parametrize("fn", [series_small_t, _tricomi_small_t])
+def test_small_endpoint_sums_raise_where_x0_overflows(fn):
+    with pytest.raises(NonConvergence, match=r"x0 = z\^2/4t overflows to inf"):
+        fn(ShuParams(2.0, 3.0, 1e-310), incmac.core.TIGHT)
+
+
 def test_one_loop_over_terms():
     # every series and asymptotic sum in expansions runs through _series_core
     looping = [

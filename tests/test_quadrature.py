@@ -4,7 +4,8 @@ import pytest
 
 import incmac.quadrature
 from incmac import core
-from incmac.core import FLAG_UNDERFLOW, NonConvergence, ShuParams, Tolerances, shared_work
+from incmac.core import FLAG_UNDERFLOW, MethodTag, NonConvergence, ShuParams, Tolerances, shared_work
+from incmac.evaluator import evaluate
 from incmac.gamma import macdonald_k
 from incmac.quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
 
@@ -298,6 +299,18 @@ class TestShuOracle:
         # divide by its empty clamp
         with pytest.raises(NonConvergence, match=r"z\^2/4 underflows"):
             shu_oracle(ShuParams(nu, 1e-170, 1.0), core.TIGHT, form)
+
+    @pytest.mark.parametrize("nu", [-1.0, 0.5, 1.0, 2.0])
+    def test_overflowed_x0_underflows_to_zero(self, nu):
+        # z^2/4t overflows to inf at a subnormal endpoint, where the value
+        # bound's (nu - 1) log(y) - y would be NaN at order >= 1
+        p = ShuParams(nu, 3.0, 1e-310)
+        for form in (2, 4, 5):
+            ev = shu_oracle(p, core.TIGHT, form)
+            assert (ev.value, ev.error_estimate, ev.flags) == (0.0, 0.0, (FLAG_UNDERFLOW,))
+        ev, decision = evaluate(p, core.TIGHT)
+        assert (ev.value, ev.error_estimate, ev.flags) == (0.0, 0.0, (FLAG_UNDERFLOW,))
+        assert decision.chosen is MethodTag.ORACLE5
 
     @pytest.mark.parametrize("nu", [-1.0, 0.5, 2.0])
     def test_underflowed_endpoint_clamp_raises(self, nu):
