@@ -31,8 +31,9 @@ for t in (0.05, 0.2, 1.0):
     print(f"  t={t:>5}: {ev.work:>3} terms, tail {ev.error_estimate:.1e}, "
           f"vs oracle {abs(ev.value - ref) / ref:.1e}")
 
-# at (0, 6, 3) the alternating sum misses the tight target; the evaluator
-# then sums the same series in positive terms, t^n U(n+1, nu+1, z^2/4t)
+# the evaluator sums the small-endpoint series in positive terms,
+# t^n U(n+1, nu+1, z^2/4t), and the alternating sum only where that misses;
+# at (0, 6, 3) the alternating sum misses the tight target
 p = ShuParams(0.0, 6.0, 3.0)
 ref = oracle(0.0, 6.0, 3.0)
 print("\nsmall-endpoint series at (0, 6, 3), summed two ways:")

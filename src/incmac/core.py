@@ -28,6 +28,7 @@ __all__ = [
     "TINY",
     "LOG_TINY",
     "EXP_FLOOR",
+    "log_half_ratio",
     "underflow_to_zero",
     "shared_work",
     "shared",
@@ -42,6 +43,16 @@ LOG_TINY = math.log(TINY)
 # exact 0.0 below about -745.13, so a plain exponential needs no guard; the
 # floor is for early exits that skip the work a vanishing factor multiplies.
 EXP_FLOOR = -745.0
+_LN2 = math.log(2.0)
+
+
+def log_half_ratio(z: float, t: float = 1.0) -> float:
+    """ln(z/2t) for z, t > 0: log(z/2t) where that quotient is a normal
+    double, and from the logs of its parts where it is subnormal or 0 (at
+    a subnormal z or a huge t), since there it keeps too few bits: at
+    z = 2.5e-323 the quotient z/2 rounds to 0.8 of itself."""
+    q = 0.5 * z / t
+    return math.log(q) if q >= TINY else math.log(z) - math.log(t) - _LN2
 
 
 class DomainError(ValueError):

@@ -2,22 +2,17 @@
 
 The decision order is one table, _CANDIDATES: large-endpoint asymptotics
 when its leading correction is already below target, the half-order
-closed form (once self-validated against the oracle), the small-endpoint
-series where x0 = z^2/4t >= 2, the small-argument series where x0 < 2,
-then the quadrature oracle as universal fallback.  The small-argument
-terms fall like x0^k/k!, so one boundary in x0 splits the two series and
+closed form (once self-validated against the oracle), the small-argument
+series where x0 = z^2/4t < 2, the small-endpoint series, then the
+quadrature oracle as universal fallback.  The small-argument terms fall
+like x0^k/k!, so one boundary in x0 decides where that series runs and
 no limit in z is needed (DLMF 8.7.1, 10.27.4); at negative non-integer
 order the series chooses between its K form and its split form itself.
-The small-endpoint row likewise sums its series two ways: the paper's
-alternating sum first, then, where that misses, the same series in
-positive terms, S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0).
-Those terms come from one backward recurrence for U in its first
-parameter (DLMF 13.3.7), normalised by U(1, nu+1, x0) = h_0 of
-gamma._upper_gamma_orders, and its estimate adds three parts: the
-half-width of a bracket on the recurrence's truncation and the omitted
-tail, the rounding carried through the recurrence and the sums, and
-h_0's and the prefactor's rounding.  Where x0 < 2 the positive-term sum
-is the last row, after the small-argument series.
+The small-endpoint row likewise sums its series two ways: in positive
+terms first, S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0),
+with U from one backward recurrence in its first parameter (DLMF
+13.3.7), then, where that misses, the paper's alternating sum.  Both
+series take their sub-forms by one rule, expansions._first_to_meet.
 Every candidate that runs is judged by the same rule,
 Evaluation.rejection.
 Leading-term approximants are never substituted silently; they live in
@@ -43,6 +38,7 @@ from .core import (
     validate,
 )
 from .expansions import (
+    _first_to_meet,
     _log_leading_correction,
     _tricomi_small_t,
     asympt_large_t,
@@ -64,9 +60,9 @@ _SQRT_PI = math.sqrt(math.pi)
 
 # Switching boundaries (calibration values)
 _LARGE_T_MIN = 30.0  # endpoint at which asymptotics are considered
-# z^2/(4t) at and above which the small-t series runs, and below which the
-# small-z series runs, whose terms fall like (z^2/4t)^k/k!
-_SMALL_T_EXPONENT = 2.0
+# z^2/(4t) below which the small-z series runs, whose terms fall like
+# (z^2/4t)^k/k!
+_SMALL_Z_EXPONENT = 2.0
 
 
 class RegimeDecision(namedtuple("RegimeDecision", "chosen reason candidates_tried", defaults=((),))):
@@ -163,45 +159,34 @@ def _half_order_gate(p: ShuParams, tol: Tolerances):
 
 
 def _small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
-    """The small-endpoint candidate: the alternating series, which gives up
-    as soon as it can no longer meet tol (_give_up), then, where it raises
-    or misses tol, the same series summed in positive terms."""
-    try:
-        ev = series_small_t(p, tol, _give_up=True)
-    except (NonConvergence, OverflowError):
-        ev = None
-    if ev is not None and ev.rejection(tol) is None:
-        return ev
-    return _tricomi_small_t(p, tol)
+    """The small-endpoint candidate: the series summed in positive terms,
+    then, where that raises or misses tol, the paper's alternating sum,
+    which alone meets it at some orders from about 14 to 30 and, below
+    x0 = 2, at negative integer orders."""
+    return _first_to_meet(tol, lambda: _tricomi_small_t(p, tol), lambda: series_small_t(p, tol))
 
 
 def _small_z_gate(p: ShuParams, tol: Tolerances):
-    return None if 0.25 * p.argument * p.argument / p.endpoint < _SMALL_T_EXPONENT else _SKIP
+    return None if 0.25 * p.argument * p.argument / p.endpoint < _SMALL_Z_EXPONENT else _SKIP
 
 
 # The candidates in decision order: (tag, reason, gate, run).  gate(p, tol)
 # returns None to run the candidate, _SKIP or a rejection reason code; what
 # runs is judged by _verdict.  The lambdas look a callee up when it runs,
 # so a rebound module name (a test's stand-in) takes effect.  The
-# small-endpoint series in positive terms is the last series at every x0:
-# inside the small-endpoint row where x0 >= 2, so that no decision lists
-# its chosen tag among the rejected, and as the last row where x0 < 2.
+# small-endpoint row has no gate: where x0 < 2 it runs after the
+# small-argument series.
 _CANDIDATES = (
     (MethodTag.ASYMPT_LARGE_T, "LARGE_T", _large_t_gate,
      lambda p, tol: asympt_large_t(p, tol)),
     (MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM", _half_order_gate,
      _closed_form_half_evaluation),
-    (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED",
-     lambda p, tol: None if 0.25 * p.argument * p.argument / p.endpoint >= _SMALL_T_EXPONENT
-     else _SKIP,
-     _small_t),
     (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED", _small_z_gate,
      lambda p, tol: series_small_z(p, tol)),
-    (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", _small_z_gate,
-     lambda p, tol: _tricomi_small_t(p, tol)),
+    (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", lambda p, tol: None, _small_t),
 )
 # the decision of a candidate accepted with none rejected before it, built
-# once; both small-endpoint rows give the same one
+# once
 _FIRST_CHOICE = {tag: RegimeDecision(tag, reason) for tag, reason, _, _ in _CANDIDATES}
 
 

@@ -14,12 +14,10 @@ smallest term or where their first omitted term, which bounds the rest,
 is within the accuracy the target leaves them.  Each of these sums is one
 loop, _series_core, which reads each factor and its error bound straight
 from those generators, or from a generator of the inner sums, with no
-call back per term.  For the evaluator the small-endpoint series also
-gives up as soon as its lost accuracy exceeds what its first term, a
-ceiling on S, lets the target allow.
+call back per term.
 
-The small-endpoint series alternates.  Where it misses, the evaluator sums
-the same series in positive terms (_tricomi_small_t),
+The small-endpoint series alternates.  The evaluator sums the same series
+in positive terms first (_tricomi_small_t),
 S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0), x0 = z^2/4t.
 Its terms come from one backward recurrence for U in its first
 parameter, run alongside the sum and normalised by U(1, nu+1, x0) = h_0,
@@ -27,7 +25,8 @@ the first value of gamma._upper_gamma_orders(nu, x0).  Its estimate adds
 three parts: the half-width of a bracket that holds the recurrence's
 truncation and the omitted tail, the rounding carried step by step
 through the recurrence and the sums, and h_0's and the prefactor's
-rounding.
+rounding.  The alternating sum runs only where that misses; one rule,
+_first_to_meet, picks between the sub-forms of either series.
 
 The leading_* functions are bare approximants with no error control,
 exposed for the ratio-law checks and figure overlays.
@@ -37,6 +36,7 @@ import math
 import warnings
 
 from .core import (
+    _LN2,
     DEFAULT_TOLERANCES,
     EPS,
     EXP_FLOOR,
@@ -48,10 +48,10 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    log_half_ratio,
     shared,
 )
 from .gamma import (
-    _LN2,
     _LOG_HUGE,
     _asymptotic_sum,
     _bessel_i_series,
@@ -76,7 +76,7 @@ _LOG_EPS2 = 2.0 * math.log(EPS)
 
 
 def _series_core(coef: float, step: float, factors, rel: float, floor: float,
-                 offset: float = 0.0, rounding=None, give_up: bool = False):
+                 offset: float = 0.0, rounding=None):
     """The one loop over terms of every sum here.
 
     Term k is coef_k f_k with coef_(k+1) = coef_k * step/(k+1), where
@@ -89,22 +89,13 @@ def _series_core(coef: float, step: float, factors, rel: float, floor: float,
     absolute error of f_k.  Stops only after two consecutive terms fall
     below the target max(floor, rel |offset - partial sum|); alternating
     sums can produce an accidentally tiny single term.  A partial sum that
-    is not finite, or _MAX_TERMS terms, raise NonConvergence.
-
-    With give_up and rel < 1/2, a sum whose first term bounds it, |sum| <=
-    |term 0| = cap, also raises NonConvergence once lost_0 + ... + lost_k
-    + k EPS peak, which the caller's estimate can only exceed, passes
-    4 max(floor, rel cap): an accepted value with an honest estimate has
-    an error of at most rel |sum|/(1 - rel) <= 2 rel cap, and the other 2x
-    covers the prefactor's rounding.  Returns (sum, terms used, the next
-    coefficient, peak |partial sum|, sum of lost_k); the first omitted
-    term's factor is the next one in factors.
+    is not finite, or _MAX_TERMS terms, raise NonConvergence.  Returns
+    (sum, terms used, the next coefficient, peak |partial sum|, sum of
+    lost_k); the first omitted term's factor is the next one in factors.
     """
     total = peak = lost = 0.0
     streak = 0
     inf = math.inf
-    # -1 makes the check below set the give-up limit after term 0
-    limit = -1.0 if give_up and rel < 0.5 else inf
     if rounding is not None:
         c1, c0 = rounding
     for k in range(_MAX_TERMS):
@@ -130,19 +121,33 @@ def _series_core(coef: float, step: float, factors, rel: float, floor: float,
                 return total, k + 1, coef, peak, lost
         else:
             streak = 0
-        if lost + k * EPS * peak > limit:
-            if k:
-                raise NonConvergence(f"series cannot meet its target; lost {lost!r} by term {k}")
-            rel_cap = rel * size
-            limit = 4.0 * (rel_cap if rel_cap > floor else floor)
     raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
+
+
+def _first_to_meet(tol: Tolerances, *forms) -> Evaluation:
+    """The fallback rule between the sub-forms of one candidate, each
+    called with no arguments in turn: the first Evaluation that meets tol
+    (Evaluation.rejection); where none does, the last one returned; where
+    none returned, the last NonConvergence or OverflowError raised again."""
+    ev = error = None
+    for form in forms:
+        try:
+            ev = form()
+        except (NonConvergence, OverflowError) as exc:
+            error = exc
+            continue
+        if ev.rejection(tol) is None:
+            return ev
+    if ev is None:
+        raise error
+    return ev
 
 
 def _log_leading_correction(nu: float, z: float, t: float) -> float:
     """log of (1/2)(z/2)^nu t^-(nu+1) e^-t, the leading large-endpoint
     correction to K_nu(z): the large-endpoint gate's test, and with z^2/4t
     added a bound on the whole correction of both K-based candidates."""
-    return nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t)
+    return nu * log_half_ratio(z) - _LN2 - t - (nu + 1.0) * math.log(t)
 
 
 def _negligible(log_bound: float, kval: float) -> bool:
@@ -153,8 +158,7 @@ def _negligible(log_bound: float, kval: float) -> bool:
     return kval > 0.0 and log_bound < math.log(kval) + _LOG_EPS2 - 8.0
 
 
-def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: float, tol: Tolerances,
-                     give_up: bool = False):
+def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: float, tol: Tolerances):
     """(1/2)(z/2t)^nu e^-x sum_k step^k/k! h_k with Gamma(a0 - k, x) = x^(a0-k)
     e^-x h_k, the sum both upper-gamma series reduce to.
 
@@ -167,15 +171,13 @@ def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: f
     rounding from the peak and the exponent's rounding.  Returns (value,
     error, terms).
     """
-    q = 0.5 * z / t
-    # where z/2t underflows, the logs of its parts
-    log_q = math.log(q) if q else math.log(z) - math.log(t) - _LN2
+    log_q = log_half_ratio(z, t)
     lead = nu * log_q - x - _LN2
     # abs_tol in units of e^lead, inf where that overflows
     e = math.log(tol.abs_tol) - lead if tol.abs_tol else -math.inf
     floor = math.exp(e) if e < _LOG_HUGE else math.inf
     orders = _upper_gamma_orders(a0, x)
-    total, terms, coef, peak, werr = _series_core(1.0, step, orders, tol.rel_tol, floor, give_up=give_up)
+    total, terms, coef, peak, werr = _series_core(1.0, step, orders, tol.rel_tol, floor)
     h, r = next(orders)
     werr += abs(coef * h) * (1.0 + r) + terms * EPS * peak
     log_peak = math.log(peak)
@@ -187,19 +189,16 @@ def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: f
     return value, scale * (werr / peak) + exponent_err * abs(value), terms
 
 
-def series_small_t(p: ShuParams, tol: Tolerances = None, *, _give_up: bool = False) -> Evaluation:
+def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """Convergent expansion of S in incomplete gammas of argument z^2/(4t),
     (1/2)(z/2)^-nu sum_k (-z^2/4)^k/k! Gamma(nu - k, z^2/4t).
 
     Efficient when z^2/(4t) is a few units or more, yet convergent for all
     parameters (the k! eventually dominates).  Summed by _upper_gamma_sum
     in units of (1/2)(z/2t)^nu e^(-z^2/4t), with step -t; the tail bound is
-    the first omitted term.  Its first term bounds it: with x0 = z^2/4t,
-    S = (1/2)(z/2)^-nu int_x0^inf e^-y e^(-z^2/4y) y^(nu-1) dy, and
-    e^(-z^2/4y) <= 1 leaves (1/2)(z/2)^-nu Gamma(nu, x0).  The evaluator's
-    candidate passes _give_up, which raises NonConvergence as soon as the
-    sum's accumulated error shows that it can no longer meet tol against
-    that ceiling (see _series_core); a direct call runs the sum to its end.
+    the first omitted term.  The terms alternate, so the evaluator sums the
+    same series in positive terms first (_tricomi_small_t) and runs this
+    one only where that misses.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
@@ -209,7 +208,7 @@ def series_small_t(p: ShuParams, tol: Tolerances = None, *, _give_up: bool = Fal
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; the small-t series has no terms")
     if x0 == math.inf:
         raise NonConvergence(f"x0 = z^2/4t overflows to inf at z = {z!r}, t = {t!r}; the small-t series has no terms")
-    value, err, terms = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol, _give_up)
+    value, err, terms = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol)
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms)
 
 
@@ -319,11 +318,10 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     nm1 = nu - 1.0
     h = math.hypot(nm1, math.sqrt(2.0 * c))
     y = max(x, nm1 + h if nm1 >= 0.0 else 2.0 * c / (h - nm1))
-    if nm1 * math.log(y) - nu * math.log(0.5 * z) - 0.5 * (x + y) - c / y + 1.0 < LOG_TINY:
+    if nm1 * math.log(y) - nu * log_half_ratio(z) - 0.5 * (x + y) - c / y + 1.0 < LOG_TINY:
         return Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 0)
     h0, r0 = next(_upper_gamma_orders(nu, x))
-    q = 0.5 * z / t
-    log_q = math.log(q) if q else math.log(z) - math.log(t) - _LN2
+    log_q = log_half_ratio(z, t)
     lead = nu * log_q - x - t - _LN2 + math.log(h0)
     fixed = r0 + EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * (x + t) + abs(lead) + 6.0)
     work = 0
@@ -462,10 +460,9 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     counted from the peak partial sum, shows.  At negative non-integer
     order and z <= 1, the split form in lower incomplete gammas and I_-nu (see
     _split_small_z), which needs no K and does not cancel against it at
-    small z.  Past z = 1 the K form first, which takes most points there;
-    where it raises or misses tol (Evaluation.rejection), the split form,
-    which takes some of the rest; where both miss, the split form's result,
-    or the K form's where the split form raises.  At nu >= -1 the K form
+    small z.  Past z = 1 the K form first, which takes most points there,
+    then the split form, which takes some of the rest (_first_to_meet).
+    At nu >= -1 the K form
     returns K alone, with work 0, where a bound on the sum is negligible
     against K (see _k_small_z).
     """
@@ -475,18 +472,7 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         return _k_small_z(nu, z, t, tol)
     if z <= 1.0:
         return _split_small_z(-nu, z, t, tol)
-    try:
-        kform = _k_small_z(nu, z, t, tol)
-    except (NonConvergence, OverflowError):
-        kform = None
-    if kform is not None and kform.rejection(tol) is None:
-        return kform
-    try:
-        return _split_small_z(-nu, z, t, tol)
-    except (NonConvergence, OverflowError):
-        if kform is None:
-            raise
-        return kform
+    return _first_to_meet(tol, lambda: _k_small_z(nu, z, t, tol), lambda: _split_small_z(-nu, z, t, tol))
 
 
 def _inner_ceiling(b: float, t: float) -> float:
@@ -582,7 +568,7 @@ def leading_small_t(p: ShuParams) -> float:
     Returns an exact 0.0 when the exponential underflows.
     """
     nu, z, t = p.order, p.argument, p.endpoint
-    e = (nu - 2.0) * math.log(0.5 * z) - math.log(2.0) + (1.0 - nu) * math.log(t) - 0.25 * z * z / t
+    e = (nu - 2.0) * log_half_ratio(z) - math.log(2.0) + (1.0 - nu) * math.log(t) - 0.25 * z * z / t
     return math.exp(e)
 
 

@@ -17,7 +17,8 @@ import math
 import sys
 
 from .core import (
-    EPS, EXP_FLOOR, LOG_TINY, TINY, DomainError, NonConvergence, PoleError, shared, underflow_to_zero
+    _LN2, EPS, EXP_FLOOR, LOG_TINY, TINY, DomainError, NonConvergence, PoleError, log_half_ratio, shared,
+    underflow_to_zero,
 )
 
 __all__ = [
@@ -38,7 +39,6 @@ _EULER = 0.5772156649015328606065120900824024
 
 # K: Temme's series below this argument, Steed's continued fraction at and above
 _Z_SPLIT = 2.0
-_LN2 = math.log(2.0)
 _LOG_HUGE = math.log(sys.float_info.max)
 _RESCALE_BITS = 500
 _RESCALE_AT = 2.0**_RESCALE_BITS
@@ -353,7 +353,7 @@ def _k_temme(mu: float, z: float):
     x2 = 0.5 * z
     pimu = math.pi * mu
     fact = pimu / math.sin(pimu) if mu != 0.0 else 1.0
-    d = -math.log(x2)
+    d = -log_half_ratio(z)
     e = mu * d
     fact2 = math.sinh(e) / e if e != 0.0 else 1.0
     gam1, gam2, gampl, gammi = _temme_gammas(mu)
@@ -376,7 +376,8 @@ def _k_temme(mu: float, z: float):
         s0 += d0
         s1 += d1
         if abs(d0) <= EPS * abs(s0) and abs(d1) <= EPS * abs(s1):
-            return s0, s1 / x2, i
+            # 2 s1/z, not s1/x2: x2 is 0 or inexact at a subnormal z
+            return s0, 2.0 * s1 / z, i
     raise NonConvergence(f"Temme series for K stalled at mu={mu}, z={z}")
 
 
@@ -429,7 +430,7 @@ def _bessel_i_series(order: float, z: float):
         term *= q / (k * (order + k))
         total += term
         if term <= EPS * total:
-            lead = order * math.log(0.5 * z)
+            lead = order * log_half_ratio(z)
             lg = math.lgamma(order + 1.0)
             value = math.exp(lead - lg) * total
             err = 2.0 * (abs(lead) + order + abs(lg) + k + 2) * EPS * value

@@ -26,6 +26,7 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    log_half_ratio,
     shared,
 )
 
@@ -363,9 +364,7 @@ def _cosh_form(nu, z, t):
     def f(w):
         return exp(nu * w - z * cosh(w) - ln2)
 
-    q = 0.5 * z / t
-    # where z/2t underflows, the logs of its parts
-    w0 = math.log(q) if q else math.log(z) - math.log(t) - ln2
+    w0 = log_half_ratio(z, t)
     hi = max(w0, 0.0) + 1.0
     while z * math.cosh(hi) - nu * hi < 780.0:
         hi += 1.0

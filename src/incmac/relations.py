@@ -14,7 +14,7 @@ under the identity thresholds; no function takes a tolerance.
 import math
 from collections import namedtuple
 
-from .core import TIGHT, TINY, DomainError, ShuParams, StepTooCoarse
+from .core import TIGHT, TINY, DomainError, ShuParams, StepTooCoarse, log_half_ratio
 from .quadrature import shu_oracle
 
 __all__ = [
@@ -69,7 +69,7 @@ def dS_dt(p: ShuParams) -> float:
     Returns an exact 0.0 when the exponential underflows.
     """
     nu, z, t = p.order, p.argument, p.endpoint
-    e = nu * math.log(0.5 * z) - math.log(2.0) - t - 0.25 * z * z / t - (nu + 1.0) * math.log(t)
+    e = nu * log_half_ratio(z) - math.log(2.0) - t - 0.25 * z * z / t - (nu + 1.0) * math.log(t)
     return math.exp(e)
 
 
@@ -117,13 +117,11 @@ def recurrence2_residual(p: ShuParams) -> ResidualReport:
 
 
 def _nested_radial_derivative(g, x: float, k: int, scale: float):
-    """Apply ((1/x) d/dx)^k to g by nested central differences.
+    """Apply ((1/x) d/dx)^k, k in {1, 2}, to g by nested central differences.
 
     Inner first differences use step 1e-4*coordinate*scale, the outer
     second-level difference 1e-3*coordinate*scale.
     """
-    if k == 0:
-        return g(x)
 
     def d1(func, xx, h):
         return (func(xx + h) - func(xx - h)) / (2.0 * h)

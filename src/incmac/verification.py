@@ -18,7 +18,7 @@ from .expansions import (
     leading_small_z,
 )
 from .gamma import macdonald_k
-from .quadrature import integrate_adaptive, require_converged, shu_oracle
+from .quadrature import _endpoint_form, integrate_adaptive, require_converged, shu_oracle
 from .relations import (
     _S,
     _scale,
@@ -97,14 +97,9 @@ def _window(identity, nu, z, t, value, lo, hi):
 
 
 def _tail_gap(nu: float, z: float, t: float) -> float:
-    """K - S as the explicit tail integral; accurate even when far below
-    double resolution of K itself."""
-    c = 0.25 * z * z
-    log_pref = nu * math.log(0.5 * z) - math.log(2.0)
-
-    def f(tau):
-        return math.exp(log_pref - tau - c / tau - (nu + 1.0) * math.log(tau))
-
+    """K - S as the explicit tail integral, of form 2's integrand over
+    (t, inf); accurate even when far below double resolution of K itself."""
+    f = _endpoint_form(nu, z, t)[0]
     hi = min(t + 740.0, 1e30)
     pts = (t + 1.0, t + 5.0, t + 25.0, t + 125.0)
     return require_converged(integrate_adaptive(f, t, hi, TIGHT, points=pts)).value

@@ -72,6 +72,14 @@ class TestEval:
         assert code == 2
         assert "--z" in err
 
+    def test_subnormal_argument(self, capsys):
+        code, out, _ = _run(capsys, "eval", "--nu", "0", "--z", "5e-324", "--t", "1", "--json")
+        assert code == 0
+        assert abs(json.loads(out)["value"] - 744.44631146984191462607943659) < 1e-12 * 744.5
+        code, out, _ = _run(capsys, "kfun", "--nu", "0", "--z", "5e-324", "--json")
+        assert code == 0
+        assert abs(json.loads(out)["value"] - 744.556003437039674762918018477) < 1e-12 * 744.6
+
     def test_large_endpoint_matches_kfun(self, capsys):
         _, out_eval, _ = _run(capsys, "eval", "--nu", "0", "--z", "3", "--t", "1e6", "--json")
         _, out_k, _ = _run(capsys, "kfun", "--nu", "0", "--z", "3", "--json")

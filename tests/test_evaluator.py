@@ -99,6 +99,30 @@ class TestDecisionProcedure:
         assert abs(ev.value - S0_6_3) <= ev.error_estimate
         assert incmac.expansions.series_small_t(ShuParams(0.0, 6.0, 3.0), TIGHT).rejection(TIGHT)
 
+    def test_overflowing_candidate_recorded(self, monkeypatch):
+        def overflows(p, tol):
+            raise OverflowError("stand-in")
+
+        monkeypatch.setattr(incmac.evaluator, "asympt_large_t", overflows)
+        ev, dec = evaluate(ShuParams(0.0, 3.0, 100.0), TIGHT)
+        assert dec.candidates_tried == ((MethodTag.ASYMPT_LARGE_T, "OVERFLOW"),)
+        assert dec.chosen is MethodTag.SERIES_SMALL_Z
+        assert _rel(ev.value, macdonald_k(0.0, 3.0)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "point, want",
+        [
+            # K_nu(z) - (1/2)(z/2)^nu Gamma(-nu, t) in mpmath at 40 and 60
+            # digits, since z^2/4 underflows to 0
+            ((0.0, 5e-324, 1.0), 744.44631146984191462607943659),
+            ((0.0, 5e-324, 40.0), 744.556003437039674762866179814),
+            ((-0.3, 5e-324, 1.0), 1.65494507703605380389325746183e97),
+        ],
+    )
+    def test_subnormal_argument(self, point, want):
+        ev, _ = evaluate(ShuParams(*point))
+        assert abs(ev.value - want) <= ev.error_estimate
+
     def test_large_t_rejected_when_correction_visible(self):
         # K(20) ~ 5.7e-10 makes the relative target smaller than the
         # correction, so the asymptotic path must step aside
@@ -446,6 +470,12 @@ class TestEvaluateGrid:
         assert "DomainError" in cells[0].error
         assert cells[1].evaluation is not None
 
+    def test_subnormal_argument_never_aborts_sweep(self):
+        cells = evaluate_grid([0.0], [5e-324, 1.0], [1.0])
+        assert [c.error for c in cells] == [None, None]
+        for c in cells:
+            assert (c.evaluation, c.decision) == evaluate(ShuParams(c.order, c.argument, c.endpoint))
+
     def test_oracle_y_peak_rounding_to_zero_marks_its_cell(self):
         # every candidate misses a target of 1e-300, and the oracle, whose
         # y-form peak's difference rounds to 0 here, raises a typed error:
@@ -555,6 +585,27 @@ def test_negative_order_small_argument_stays_off_the_oracle():
     assert fallbacks == 0
 
 
+@pytest.mark.parametrize("nu", [-1.0, -2.0, -3.0])
+def test_negative_integer_order_small_argument_stays_off_the_oracle(nu):
+    # 150 seeded draws with z in [1e-6, 1], t in [1e-4, 30], of which those
+    # with z^2/4t < 2: the split form needs a non-integer order and K ~ z^nu
+    # swamps S, so the small-argument series often misses; the
+    # small-endpoint row takes every such point, most by its alternating
+    # sum after the positive-term sum misses.  51, 73 and 82 of the 138
+    # went to the oracle while that row was the positive-term sum alone
+    rng = random.Random(3)
+    for _ in range(150):
+        z = math.exp(rng.uniform(math.log(1e-6), 0.0))
+        t = math.exp(rng.uniform(math.log(1e-4), math.log(30.0)))
+        if 0.25 * z * z / t >= 2.0:
+            continue
+        p = ShuParams(nu, z, t)
+        ev, dec = evaluate(p, incmac.core.TIGHT)
+        assert dec.chosen is not MethodTag.ORACLE5, p
+        ref = shu_oracle_cosh(p, incmac.core.TIGHT)
+        assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, p
+
+
 def _block_points(rng, n):
     """n seeded points of the transition block z > 1, t < 30, z^2/4t < 2,
     with nu uniform on [-25, 25], z log-uniform on (1, 15.5) and t
@@ -621,12 +672,24 @@ def test_large_endpoint_differential():
     assert min(taken) >= 200
 
 
-def test_small_endpoint_early_exit_keeps_every_accepted_value():
+def _small_endpoint_row(p, tol):
+    # what the small-endpoint row should return: the positive-term sum
+    # where it meets the target, the alternating sum otherwise
+    try:
+        ev = incmac.expansions._tricomi_small_t(p, tol)
+    except (NonConvergence, OverflowError):
+        ev = None
+    if ev is not None and ev.rejection(tol) is None:
+        return ev, False
+    return incmac.expansions.series_small_t(p, tol), True
+
+
+def test_small_endpoint_row_falls_back_to_alternating_sum():
     # 400 seeded points of the wide box with z^2/4t >= 2, at three targets:
-    # wherever the small-endpoint series run to its end meets the target,
-    # the early exit evaluate asks for must not end it, and evaluate returns
-    # that value unless a candidate before it took the point.  The exit
-    # must fire somewhere, or this shows nothing
+    # wherever evaluate takes the small-endpoint row first, it returns the
+    # positive-term sum where that meets the target and the alternating
+    # sum otherwise, and a chosen tag is never among the rejected.  The
+    # fallback must fire, or this shows nothing
     rng = random.Random(18)
     tols = (
         incmac.core.TIGHT,
@@ -635,35 +698,30 @@ def test_small_endpoint_early_exit_keeps_every_accepted_value():
     )
     points = [p for p in _wide_box(rng, 1500, 30.0, 3e3) if 0.25 * p.argument * p.argument / p.endpoint >= 2.0]
     assert len(points) >= 400
-    exits = 0
+    fallbacks = 0
     for p in points[:400]:
         for tol in tols:
-            try:
-                full = incmac.expansions.series_small_t(p, tol)
-            except (NonConvergence, OverflowError):
-                continue
-            try:
-                early = incmac.expansions.series_small_t(p, tol, _give_up=True)
-            except NonConvergence:
-                early = None
-            if full.rejection(tol) is not None:
-                exits += early is None
-                continue
-            assert early == full, (p, tol)
             ev, dec = evaluate(p, tol)
-            assert MethodTag.SERIES_SMALL_T not in [tag for tag, _ in dec.candidates_tried], (p, tol)
-            if dec.chosen is MethodTag.SERIES_SMALL_T:
-                assert ev == full, (p, tol)
-    assert exits >= 20
+            assert dec.chosen not in [tag for tag, _ in dec.candidates_tried], (p, tol)
+            if dec.chosen is MethodTag.SERIES_SMALL_T and not dec.candidates_tried:
+                want, fell_back = _small_endpoint_row(p, tol)
+                assert ev == want, (p, tol)
+                fallbacks += fell_back
+    assert fallbacks >= 1
+    # at order 28.102 the positive-term sum's recurrence loses more than
+    # the target to rounding, and only the alternating sum meets it
+    p = ShuParams(28.102, 6.969, 4.465)
+    ev, dec = evaluate(p, incmac.core.TIGHT)
+    assert dec == (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", ())
+    assert _small_endpoint_row(p, incmac.core.TIGHT) == (ev, True)
 
 
 def test_scatter_wide_takes_few_gamma_orders(monkeypatch):
     # work guard, no timing: the incomplete-gamma orders the series take
-    # over scatter-wide's seed-1 points; 17,182 when the small-endpoint
-    # series ran to its end where it could no longer meet the target,
-    # 10,392 with the early exit, 10,463 with the positive-term sum, which
-    # takes one order, h_0, in 71 of its 75 calls here (the other four
-    # return the underflow rule's 0.0 before it)
+    # over scatter-wide's seed-1 points; 10,463 with the alternating
+    # small-endpoint sum first, 5,134 with the positive-term sum first,
+    # which takes at most one order, h_0, a call; the alternating sum
+    # runs at only 7 of the row's 641 calls
     taken = 0
 
     def counted(orders):
@@ -682,7 +740,7 @@ def test_scatter_wide_takes_few_gamma_orders(monkeypatch):
             evaluate(p, incmac.core.TIGHT)
         except (ArithmeticError, ValueError):
             pass
-    assert taken <= 12000
+    assert taken <= 6000
 
 
 # grid-table's seed-1 sweep: 8 orders x 12 z x 20 t

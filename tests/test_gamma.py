@@ -286,6 +286,12 @@ class TestBesselISeries:
         assert abs(value - BESSEL_I_REF[order, z]) <= err
         assert err <= 1e-12 * value
 
+    def test_subnormal_argument(self):
+        # mpmath at 40 and 60 digits: I_0.3(2.5e-323), where z/2 rounds to
+        # 0.8 of itself
+        value, err = _bessel_i_series(0.3, 2.5e-323)
+        assert abs(value - 1.49450414027335385607678732791e-97) <= err
+
     def test_domain(self):
         with pytest.raises(DomainError):
             _bessel_i_series(-0.5, 1.0)
@@ -401,6 +407,22 @@ class TestMacdonaldK:
     def test_small_argument_blowup(self):
         # K grows like -ln z at order 0
         assert _rel(macdonald_k(0.0, 1e-6), 13.931442073626419) < 1e-11
+
+    @pytest.mark.parametrize(
+        "order, z, want",
+        [
+            # mpmath at 40 and 60 digits; z/2 underflows to 0 at 5e-324 and
+            # rounds to 0.8 of itself at 2.5e-323, so ln(z/2) comes from ln z
+            (0.0, 5e-324, 744.556003437039674762918018477),
+            (0.5, 5e-324, 5.63855226126470991608469868095e161),
+            (0.0, 2.5e-323, 742.946565524605574388317259144),
+            (0.5, 2.5e-323, 2.52163723017460913727922019995e161),
+        ],
+    )
+    def test_subnormal_argument(self, order, z, want):
+        # 1e-13 rather than K's estimate of 67 EPS: at order 1/2 that
+        # estimate leaves out the rounding of the exponent mu ln(z/2) ~ 372
+        assert _rel(macdonald_k(order, z), want) < 1e-13
 
     @pytest.mark.parametrize("order,z", sorted(K_REF))
     def test_frozen_reference_within_error_estimate(self, order, z):

@@ -44,6 +44,10 @@ class TestEndpointDerivative:
     def test_underflow_returns_zero(self):
         assert dS_dt(ShuParams(0.0, 3.0, 1e-300)) == 0.0
 
+    def test_subnormal_argument(self):
+        # z/2 underflows to 0; at order 0 the derivative is e^-t/2t
+        assert _rel(dS_dt(ShuParams(0.0, 5e-324, 1.0)), math.exp(-1.0) / 2.0) < 1e-15
+
 
 class TestArgumentDerivative:
     def test_matches_finite_difference(self):
