@@ -8,6 +8,7 @@ results between the quadrature, series, and identity-checking modules.
 
 import contextvars
 import math
+import sys
 from collections import namedtuple
 from enum import Enum
 
@@ -27,6 +28,8 @@ __all__ = [
     "EPS",
     "TINY",
     "LOG_TINY",
+    "LOG_HUGE",
+    "LN2",
     "EXP_FLOOR",
     "log_half_ratio",
     "underflow_to_zero",
@@ -39,11 +42,12 @@ __all__ = [
 EPS = 2.220446049250313e-16  # double machine epsilon
 TINY = 2.2250738585072014e-308  # smallest normal double
 LOG_TINY = math.log(TINY)
+LOG_HUGE = math.log(sys.float_info.max)
 # Below this exponent e^e is subnormal or zero.  math.exp already returns an
 # exact 0.0 below about -745.13, so a plain exponential needs no guard; the
 # floor is for early exits that skip the work a vanishing factor multiplies.
 EXP_FLOOR = -745.0
-_LN2 = math.log(2.0)
+LN2 = math.log(2.0)
 
 
 def log_half_ratio(z: float, t: float = 1.0) -> float:
@@ -52,11 +56,11 @@ def log_half_ratio(z: float, t: float = 1.0) -> float:
     a subnormal z or a huge t), since there it keeps too few bits: at
     z = 2.5e-323 the quotient z/2 rounds to 0.8 of itself."""
     q = 0.5 * z / t
-    return math.log(q) if q >= TINY else math.log(z) - math.log(t) - _LN2
+    return math.log(q) if q >= TINY else math.log(z) - math.log(t) - LN2
 
 
 class DomainError(ValueError):
-    """A parameter lies outside the real domain (argument > 0, endpoint > 0, all finite)."""
+    """An input breaks the input rule (_as_finite_real): not a finite real, or out of its range."""
 
     def __init__(self, field: str, value, reason: str):
         self.field = field
@@ -106,18 +110,32 @@ class MethodTag(Enum):
 
 
 def _as_finite_real(field: str, value) -> float:
+    """The one input rule: value as a float, or DomainError naming field
+    where it is not a finite int or float (a bool is not one)."""
+    if type(value) is float and -math.inf < value < math.inf:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(field, value, "must be a real number")
-    value = float(value)
     if not math.isfinite(value):
         raise DomainError(field, value, "must be finite")
-    return value
+    return float(value)
 
 
 def _as_positive(field: str, value) -> float:
-    value = _as_finite_real(field, value)
-    if value <= 0.0:
-        raise DomainError(field, value, "must be strictly positive")
+    """_as_finite_real for an input that must be above 0."""
+    if not (type(value) is float and 0.0 < value < math.inf):
+        value = _as_finite_real(field, value)
+        if value <= 0.0:
+            raise DomainError(field, value, "must be strictly positive")
+    return value
+
+
+def _as_nonnegative(field: str, value) -> float:
+    """_as_finite_real for an input that must not be below 0."""
+    if not (type(value) is float and 0.0 <= value < math.inf):
+        value = _as_finite_real(field, value)
+        if value < 0.0:
+            raise DomainError(field, value, "must be nonnegative")
     return value
 
 
@@ -127,13 +145,9 @@ class ShuParams(namedtuple("ShuParams", "order argument endpoint")):
     __slots__ = ()
 
     def __new__(cls, order, argument, endpoint):
-        # finite floats with z, t > 0 are valid as given
-        if not (type(order) is float and type(argument) is float and type(endpoint) is float
-                and -math.inf < order < math.inf and 0.0 < argument < math.inf
-                and 0.0 < endpoint < math.inf):
-            order = _as_finite_real("order", order)
-            argument = _as_positive("argument", argument)
-            endpoint = _as_positive("endpoint", endpoint)
+        order = _as_finite_real("order", order)
+        argument = _as_positive("argument", argument)
+        endpoint = _as_positive("endpoint", endpoint)
         return tuple.__new__(cls, (order, argument, endpoint))
 
     @classmethod
@@ -143,11 +157,8 @@ class ShuParams(namedtuple("ShuParams", "order argument endpoint")):
 
 
 def validate(order, argument, endpoint) -> ShuParams:
-    """Check (order, argument, endpoint) and return the validated point.
-
-    Raises DomainError naming the offending field when the argument or
-    endpoint is not strictly positive, or when any input is non-finite.
-    """
+    """The point ShuParams(order, argument, endpoint), or DomainError
+    naming the first field the input rule refuses."""
     return ShuParams(order, argument, endpoint)
 
 
@@ -155,18 +166,19 @@ class Tolerances(namedtuple("Tolerances", "abs_tol rel_tol max_depth")):
     """Accuracy targets and the quadrature work cap.
 
     abs_tol and rel_tol are combined as max(abs_tol, rel_tol * |value|);
-    max_depth caps quadrature bisections.
+    max_depth caps quadrature bisections.  DomainError names a tolerance
+    that is not finite and nonnegative, or a max_depth that is not an int >= 1.
     """
 
     __slots__ = ()
 
     def __new__(cls, abs_tol=1e-12, rel_tol=1e-10, max_depth=60):
-        if not (0.0 <= abs_tol < math.inf and 0.0 <= rel_tol < math.inf):
-            raise ValueError("tolerances must be finite and nonnegative")
+        abs_tol = _as_nonnegative("abs_tol", abs_tol)
+        rel_tol = _as_nonnegative("rel_tol", rel_tol)
         if abs_tol == 0.0 and rel_tol == 0.0:
-            raise ValueError("at least one of abs_tol, rel_tol must be positive")
-        if max_depth < 1:
-            raise ValueError("max_depth must be a positive integer")
+            raise DomainError("rel_tol", rel_tol, "must be positive where abs_tol is 0")
+        if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 1:
+            raise DomainError("max_depth", max_depth, "must be a positive integer")
         return tuple.__new__(cls, (abs_tol, rel_tol, max_depth))
 
     @classmethod
@@ -220,9 +232,13 @@ class Evaluation(namedtuple("Evaluation", "value error_estimate method work flag
 
     def rejection(self, tol: Tolerances):
         """Why this value fails tol, or None: "TAIL_TOO_LARGE" when the
-        error estimate exceeds tol.target(value), a NaN estimate included.
-        The one acceptance rule for a series or closed-form candidate."""
-        return None if self.error_estimate <= tol.target(self.value) else "TAIL_TOO_LARGE"
+        error estimate exceeds tol.target(value), a NaN estimate included,
+        else "OVERFLOW" when the value or estimate is not finite.  The one
+        acceptance rule for a series or closed-form candidate."""
+        err = self.error_estimate
+        if not err <= tol.target(self.value):
+            return "TAIL_TOO_LARGE"
+        return None if err < math.inf and abs(self.value) < math.inf else "OVERFLOW"
 
 
 def underflow_to_zero(value: float, err: float, flags: tuple = ()):

@@ -8,13 +8,12 @@ quadrature oracle as universal fallback.  The small-argument terms fall
 like x0^k/k!, so one boundary in x0 decides where that series runs and
 no limit in z is needed (DLMF 8.7.1, 10.27.4); at negative non-integer
 order the series chooses between its K form and its split form itself.
-The small-endpoint row likewise sums its series two ways: in positive
-terms first, S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0),
-with U from one backward recurrence in its first parameter (DLMF
-13.3.7), then, where that misses, the paper's alternating sum.  Both
-series take their sub-forms by one rule, expansions._first_to_meet.
-Every candidate that runs is judged by the same rule,
-Evaluation.rejection.
+The small-endpoint row likewise sums its series in positive terms first
+and the paper's alternating sum where that misses (see expansions).  Both
+series take their sub-forms by one rule, expansions._first_to_meet, and
+every candidate that runs is judged by one rule, Evaluation.rejection,
+which refuses an estimate above the target and a value or an estimate
+that is not finite.
 Leading-term approximants are never substituted silently; they live in
 expansions and must be called explicitly.
 """
@@ -210,10 +209,10 @@ def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDe
     method, reason code, and any candidates tried and rejected).  Each
     candidate in _CANDIDATES passes its gate first, and a gate that raises
     propagates.  A candidate that then does not converge, overflows or
-    has an error estimate above the target (a NaN one included) is
-    rejected, and the quadrature oracle is the fallback; a sum that cancels
-    shows it in its estimate.  The procedure is deterministic and never
-    returns a leading-term approximant.
+    fails Evaluation.rejection (an estimate above the target, or a value or
+    estimate that is not finite) is rejected, and the quadrature oracle is
+    the fallback; a sum that cancels shows it in its estimate.  The
+    procedure is deterministic and never returns a leading-term approximant.
 
     The call runs in a core.shared_work block, so K_nu(z) is computed at
     most once, only when the large-endpoint gate or a K-based expansion

@@ -36,10 +36,11 @@ import math
 import warnings
 
 from .core import (
-    _LN2,
     DEFAULT_TOLERANCES,
     EPS,
     EXP_FLOOR,
+    LN2,
+    LOG_HUGE,
     LOG_TINY,
     DomainError,
     Evaluation,
@@ -48,11 +49,12 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    _as_finite_real,
+    _as_positive,
     log_half_ratio,
     shared,
 )
 from .gamma import (
-    _LOG_HUGE,
     _asymptotic_sum,
     _bessel_i_series,
     _lower_gamma_orders,
@@ -147,7 +149,7 @@ def _log_leading_correction(nu: float, z: float, t: float) -> float:
     """log of (1/2)(z/2)^nu t^-(nu+1) e^-t, the leading large-endpoint
     correction to K_nu(z): the large-endpoint gate's test, and with z^2/4t
     added a bound on the whole correction of both K-based candidates."""
-    return nu * log_half_ratio(z) - _LN2 - t - (nu + 1.0) * math.log(t)
+    return nu * log_half_ratio(z) - LN2 - t - (nu + 1.0) * math.log(t)
 
 
 def _negligible(log_bound: float, kval: float) -> bool:
@@ -172,10 +174,10 @@ def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: f
     error, terms).
     """
     log_q = log_half_ratio(z, t)
-    lead = nu * log_q - x - _LN2
+    lead = nu * log_q - x - LN2
     # abs_tol in units of e^lead, inf where that overflows
     e = math.log(tol.abs_tol) - lead if tol.abs_tol else -math.inf
-    floor = math.exp(e) if e < _LOG_HUGE else math.inf
+    floor = math.exp(e) if e < LOG_HUGE else math.inf
     orders = _upper_gamma_orders(a0, x)
     total, terms, coef, peak, werr = _series_core(1.0, step, orders, tol.rel_tol, floor)
     h, r = next(orders)
@@ -322,7 +324,7 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
         return Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 0)
     h0, r0 = next(_upper_gamma_orders(nu, x))
     log_q = log_half_ratio(z, t)
-    lead = nu * log_q - x - t - _LN2 + math.log(h0)
+    lead = nu * log_q - x - t - LN2 + math.log(h0)
     fixed = r0 + EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * (x + t) + abs(lead) + 6.0)
     work = 0
     while True:
@@ -411,7 +413,7 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     # (1/2)(2t/z)^m e^-t times the peak partial sum, through one exp
     log_t = math.log(t)
     log_z = math.log(z)
-    lead = m * (log_t - log_z + _LN2)
+    lead = m * (log_t - log_z + LN2)
     log_peak = math.log(0.5 * peak)
     scale = math.exp(lead - t + log_peak)
     part = scale * (total / peak)
@@ -486,7 +488,7 @@ def _inner_ceiling(b: float, t: float) -> float:
     if t + b > 0.0:
         return t / (t + b)
     e = math.lgamma(1.0 - b) + b * math.log(t) + t
-    return math.exp(e) if e < _LOG_HUGE else math.inf
+    return math.exp(e) if e < LOG_HUGE else math.inf
 
 
 def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
@@ -610,10 +612,9 @@ def leading_large_z(p: ShuParams) -> float:
 def leading_imb_large_z(order: float, z: float, t_imb: float) -> float:
     """Large-argument approximant of the truncated cosh integral:
     cosh(order*t) e^(-z cosh t) / (2 z sinh t), for endpoint t_imb > 0."""
-    if not (math.isfinite(t_imb) and t_imb > 0.0):
-        raise DomainError("t_imb", t_imb, "must be strictly positive (sinh pole at 0)")
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError("z", z, "must be strictly positive")
+    order = _as_finite_real("order", order)
+    t_imb = _as_positive("t_imb", t_imb)  # sinh pole at 0
+    z = _as_positive("z", z)
     a = abs(order * t_imb)
     log_cosh = a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
     return math.exp(log_cosh - z * math.cosh(t_imb) - math.log(2.0 * z * math.sinh(t_imb)))

@@ -14,11 +14,10 @@ independent check on every value.
 """
 
 import math
-import sys
 
 from .core import (
-    _LN2, EPS, EXP_FLOOR, LOG_TINY, TINY, DomainError, NonConvergence, PoleError, log_half_ratio, shared,
-    underflow_to_zero,
+    EPS, EXP_FLOOR, LN2, LOG_HUGE, LOG_TINY, TINY, NonConvergence, PoleError, _as_finite_real, _as_nonnegative,
+    _as_positive, log_half_ratio, shared, underflow_to_zero,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ _EULER = 0.5772156649015328606065120900824024
 
 # K: Temme's series below this argument, Steed's continued fraction at and above
 _Z_SPLIT = 2.0
-_LOG_HUGE = math.log(sys.float_info.max)
 _RESCALE_BITS = 500
 _RESCALE_AT = 2.0**_RESCALE_BITS
 _MAX_STEPS = 1_000_000  # forward recurrence steps in order
@@ -72,8 +70,7 @@ def gamma(a: float) -> float:
     Raises PoleError at a in {0, -1, -2, ...} and OverflowError when the
     value exceeds the double range.
     """
-    if not math.isfinite(a):
-        raise DomainError("a", a, "must be finite")
+    a = _as_finite_real("a", a)
     if a <= 0.0 and a == math.floor(a):
         raise PoleError(f"gamma pole at a={a}")
     return math.gamma(a)
@@ -198,10 +195,8 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     order; the series of S take consecutive orders from
     _upper_gamma_orders instead.
     """
-    if not math.isfinite(a):
-        raise DomainError("a", a, "must be finite")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError("x", x, "must be strictly positive")
+    a = _as_finite_real("a", a)
+    x = _as_positive("x", x)
     if a > 0.0 and (x < _X_SPLIT or x < a + 1.0):
         return _upper_from_series(a, x)
     e = a * math.log(x) - x
@@ -321,8 +316,8 @@ def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
     magnitude term when that happens before m_max; the first omitted term
     is the natural error scale.
     """
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError("x", x, "must be strictly positive")
+    a = _as_finite_real("a", a)
+    x = _as_positive("x", x)
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     e = (a - 1.0) * math.log(x) - x
@@ -420,10 +415,8 @@ def _bessel_i_series(order: float, z: float):
     value below the smallest normal double adds that double times the sum.  The loop runs about z
     terms, so this is for small and moderate z.
     """
-    if not (math.isfinite(order) and order >= 0.0):
-        raise DomainError("order", order, "must be finite and nonnegative")
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError("z", z, "must be strictly positive")
+    order = _as_nonnegative("order", order)
+    z = _as_positive("z", z)
     q = 0.25 * z * z
     term = total = 1.0
     for k in range(1, _MAX_ITER):
@@ -453,10 +446,8 @@ def _macdonald_k_eval(order: float, z: float):
     orders nor large z lose the value before the underflow and overflow
     decisions, which are taken on log(e^z K) - z.
     """
-    if not math.isfinite(order):
-        raise DomainError("order", order, "must be finite")
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError("z", z, "must be strictly positive")
+    order = _as_finite_real("order", order)
+    z = _as_positive("z", z)
     a = abs(order)  # K is even in the order
     n = int(a + 0.5)
     mu = a - n
@@ -475,7 +466,7 @@ def _macdonald_k_eval(order: float, z: float):
             k0 = math.ldexp(k0, -_RESCALE_BITS)
             k1 = math.ldexp(k1, -_RESCALE_BITS)
             shift += _RESCALE_BITS
-            if math.log(k0) + shift * _LN2 - scale > _LOG_HUGE:
+            if math.log(k0) + shift * LN2 - scale > LOG_HUGE:
                 # K grows with the order, so K_|order| overflows too
                 raise OverflowError(f"K_{order}({z}) exceeds the double range")
     if steps < n:
@@ -483,8 +474,8 @@ def _macdonald_k_eval(order: float, z: float):
     work += steps
     m, e = math.frexp(k0)
     e += shift
-    log_k = math.log(m) + e * _LN2 - scale
-    if log_k > _LOG_HUGE:
+    log_k = math.log(m) + e * LN2 - scale
+    if log_k > LOG_HUGE:
         raise OverflowError(f"K_{order}({z}) exceeds the double range")
     # K underflows; returning here also bounds the e^-scale loop below, whose
     # ~scale/700 steps would never end at z = 1e300

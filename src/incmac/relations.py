@@ -14,7 +14,7 @@ under the identity thresholds; no function takes a tolerance.
 import math
 from collections import namedtuple
 
-from .core import TIGHT, TINY, DomainError, ShuParams, StepTooCoarse, log_half_ratio
+from .core import TIGHT, TINY, ShuParams, StepTooCoarse, _as_finite_real, _as_positive, log_half_ratio
 from .quadrature import shu_oracle
 
 __all__ = [
@@ -233,10 +233,9 @@ def pde_residual(p: ShuParams, mode: str = "exact") -> ResidualReport:
 def gen_incomplete_gamma(a: float, t_g: float, z_g: float) -> float:
     """Generalized incomplete gamma: integral over tau in (t_g, inf) of
     tau^(a-1) e^(-tau - z_g/tau), computed as 2 z_g^(a/2) S_a(2 sqrt(z_g), z_g/t_g)."""
-    if not (math.isfinite(t_g) and t_g > 0.0):
-        raise DomainError("t", t_g, "must be strictly positive")
-    if not (math.isfinite(z_g) and z_g > 0.0):
-        raise DomainError("z", z_g, "must be strictly positive")
+    a = _as_finite_real("a", a)
+    t_g = _as_positive("t", t_g)
+    z_g = _as_positive("z", z_g)
     return 2.0 * z_g ** (0.5 * a) * _S(a, 2.0 * math.sqrt(z_g), z_g / t_g)
 
 
@@ -244,10 +243,9 @@ def leaky_aquifer(a: float, z_l: float, t_l: float) -> float:
     """Leaky aquifer function: integral over tau in (1, inf) of
     e^(-z_l tau - t_l/tau) / tau^(a+1), computed as
     2 (z_l/t_l)^(a/2) S_(-a)(2 sqrt(z_l t_l), t_l)."""
-    if not (math.isfinite(z_l) and z_l > 0.0):
-        raise DomainError("z", z_l, "must be strictly positive")
-    if not (math.isfinite(t_l) and t_l > 0.0):
-        raise DomainError("t", t_l, "must be strictly positive")
+    a = _as_finite_real("a", a)
+    z_l = _as_positive("z", z_l)
+    t_l = _as_positive("t", t_l)
     return 2.0 * (z_l / t_l) ** (0.5 * a) * _S(-a, 2.0 * math.sqrt(z_l * t_l), t_l)
 
 
@@ -255,10 +253,9 @@ def incomplete_modified_bessel(a: float, z: float, t_imb: float) -> float:
     """Truncated cosh integral (1/2) integral over tau in (t_imb, inf) of
     e^(-z cosh tau) cosh(a tau), computed as the symmetric combination
     (1/2)(S_a + S_(-a)) at endpoint z e^(-t_imb)/2."""
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError("z", z, "must be strictly positive")
-    if not (math.isfinite(t_imb) and t_imb > 0.0):
-        raise DomainError("t_imb", t_imb, "must be strictly positive")
+    a = _as_finite_real("a", a)
+    z = _as_positive("z", z)
+    t_imb = _as_positive("t_imb", t_imb)
     endpoint = 0.5 * z * math.exp(-t_imb)
     if endpoint == 0.0:
         return 0.0  # truncation point beyond any representable contribution

@@ -129,6 +129,17 @@ S_SMALL_Z_NEGATIVE_ORDER = {
     (-22.746602411651615, 0.0014223045930853047, 24.80997912675126): 7.117599164838689e91,
 }
 
+# S at order +-1/2 and a subnormal argument, where the closed form's
+# prefactor sqrt(pi)/z or sqrt(2/z) overflows: the closed form in mpmath at
+# 50 and 70 digits, agreeing to 50 digits and to 28 with the defining
+# integral over (0, t] (K minus the integral beyond t at order 1/2) in
+# mpmath at 50 digits, rounded to double
+S_HALF_SUBNORMAL_Z = {
+    (-0.5, 5e-324, 1.0): 4.751612461656179e161,
+    (0.5, 2.5e-323, 1.0): 2.521637230174609e161,
+    (-0.5, 2.5e-323, 1.0): 2.124985693399666e161,
+}
+
 # lower incomplete gamma gamma(a, x), continued to negative non-integer
 # orders: x^a e^-x times the Kummer series in mpmath at 60 digits, agreeing
 # to 60 digits with Gamma(a) - Gamma(a, x) in mpmath at 80 digits, rounded

@@ -188,12 +188,70 @@ class TestEvaluation:
         ev = Evaluation(core.TINY, 0.0, MethodTag.ORACLE5, 0)
         assert self._fields(ev) == (core.TINY, 0.0, ())
 
+    def test_rejection_refuses_a_nonfinite_value_or_estimate(self):
+        tol = Tolerances(abs_tol=5e-324, rel_tol=1e-12)
+        big = Tolerances(rel_tol=10.0)  # its target overflows at 1e308
+        cases = [
+            (1.0, 1e-13, tol, None),
+            (1.0, 1e-11, tol, "TAIL_TOO_LARGE"),
+            (1.0, math.nan, tol, "TAIL_TOO_LARGE"),
+            (math.inf, math.inf, tol, "OVERFLOW"),
+            (-math.inf, 0.0, tol, "OVERFLOW"),
+            (math.nan, 0.0, tol, "OVERFLOW"),
+            (1e308, math.inf, big, "OVERFLOW"),
+        ]
+        for value, err, t, want in cases:
+            assert Evaluation(value, err, MethodTag.SERIES_SMALL_Z, 1).rejection(t) == want, (value, err)
+
     def test_method_tags_cover_all_paths(self):
         assert {m.value for m in MethodTag} == {
             "Oracle2", "Oracle4", "Oracle5",
             "SeriesSmallT", "SeriesSmallZ", "AsymptLargeT",
             "ClosedFormHalf",
         }
+
+
+# Each public real-input entry point: (callable, valid arguments, {slot:
+# (field, rule)}).  One input rule, core's, raises DomainError naming the
+# field for every value it refuses.
+_ENTRY_POINTS = [
+    (incmac.gamma, (2.5,), {0: ("a", "real")}),
+    (incmac.upper_incomplete_gamma, (1.5, 2.0), {0: ("a", "real"), 1: ("x", "positive")}),
+    (incmac.incomplete_gamma_asymptotic, (1.5, 20.0, 3), {0: ("a", "real"), 1: ("x", "positive")}),
+    (incmac.macdonald_k, (0.5, 2.0), {0: ("order", "real"), 1: ("z", "positive")}),
+    (incmac.gen_incomplete_gamma, (0.5, 1.0, 1.0), {0: ("a", "real"), 1: ("t", "positive"), 2: ("z", "positive")}),
+    (incmac.leaky_aquifer, (0.5, 1.0, 1.0), {0: ("a", "real"), 1: ("z", "positive"), 2: ("t", "positive")}),
+    (incmac.incomplete_modified_bessel, (0.5, 3.0, 1.0),
+     {0: ("a", "real"), 1: ("z", "positive"), 2: ("t_imb", "positive")}),
+    (incmac.leading_imb_large_z, (0.5, 15.0, 1.0),
+     {0: ("order", "real"), 1: ("z", "positive"), 2: ("t_imb", "positive")}),
+    (Tolerances, (1e-12, 1e-10, 60),
+     {0: ("abs_tol", "nonnegative"), 1: ("rel_tol", "nonnegative"), 2: ("max_depth", "count")}),
+    (ShuParams, (0.5, 1.0, 1.0), {0: ("order", "real"), 1: ("argument", "positive"), 2: ("endpoint", "positive")}),
+]
+_REFUSED = {
+    "real": (math.nan, math.inf, -math.inf, True, "1"),
+    "positive": (math.nan, math.inf, -math.inf, True, "1", 0.0, -1.0),
+    "nonnegative": (math.nan, math.inf, -math.inf, True, "1", -1.0),
+    "count": (math.nan, math.inf, -math.inf, True, "1", 0, -1, 2.0),
+}
+
+
+@pytest.mark.parametrize(
+    "fn, args, slot, field, bad",
+    [
+        pytest.param(fn, args, slot, field, bad, id=f"{fn.__name__}-{field}-{bad!r}")
+        for fn, args, slots in _ENTRY_POINTS
+        for slot, (field, rule) in slots.items()
+        for bad in _REFUSED[rule]
+    ],
+)
+def test_every_real_input_obeys_one_rule(fn, args, slot, field, bad):
+    call = list(args)
+    call[slot] = bad
+    with pytest.raises(DomainError) as exc:
+        fn(*call)
+    assert exc.value.field == field
 
 
 def test_params_are_immutable():
@@ -211,7 +269,7 @@ def _modules():
 def test_numeric_policy_lives_in_core():
     # every module imports the shared constants from core instead of
     # binding an equal copy of its own
-    policy = (core.EPS, core.TINY, core.LOG_TINY, core.EXP_FLOOR, core.TIGHT)
+    policy = (core.EPS, core.TINY, core.LOG_TINY, core.LOG_HUGE, core.LN2, core.EXP_FLOOR, core.TIGHT)
     copies = [
         f"{mod.__name__}.{name}"
         for mod in _modules()

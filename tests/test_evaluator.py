@@ -26,6 +26,7 @@ from frozen import (
     S0_6_3,
     S_DEFAULT_SMALL_T,
     S_HALF_GRID,
+    S_HALF_SUBNORMAL_Z,
     S_HIGH_PRECISION,
     S_LARGE_T_INNER_STOP,
     S_SERIES_EXPONENT_ROUNDING,
@@ -122,6 +123,35 @@ class TestDecisionProcedure:
     def test_subnormal_argument(self, point, want):
         ev, _ = evaluate(ShuParams(*point))
         assert abs(ev.value - want) <= ev.error_estimate
+
+    @pytest.mark.parametrize("point", list(S_HALF_SUBNORMAL_Z))
+    def test_half_order_closed_form_refused_at_subnormal_argument(self, point):
+        # its prefactor overflows to inf there, and so does its estimate;
+        # the acceptance rule refuses a non-finite value and the
+        # small-argument series takes the point
+        ev, dec = evaluate(ShuParams(*point))
+        assert (MethodTag.CLOSED_FORM_HALF, "OVERFLOW") in dec.candidates_tried
+        assert dec.chosen is MethodTag.SERIES_SMALL_Z
+        assert math.isfinite(ev.value) and math.isfinite(ev.error_estimate)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (-0.5, 5e-324, 1.0),
+            pytest.param(
+                (0.5, 2.5e-323, 1.0),
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the value is K_(1/2)(z) alone, whose estimate leaves out the rounding of "
+                    "mu ln(z/2) in Temme's series; 1.01x its estimate off here",
+                ),
+            ),
+            (-0.5, 2.5e-323, 1.0),
+        ],
+    )
+    def test_half_order_at_subnormal_argument_within_estimate(self, point):
+        ev, _ = evaluate(ShuParams(*point))
+        assert abs(ev.value - S_HALF_SUBNORMAL_Z[point]) <= ev.error_estimate
 
     def test_large_t_rejected_when_correction_visible(self):
         # K(20) ~ 5.7e-10 makes the relative target smaller than the
