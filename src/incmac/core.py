@@ -60,7 +60,8 @@ def log_half_ratio(z: float, t: float = 1.0) -> float:
 
 
 class DomainError(ValueError):
-    """An input breaks the input rule (_as_finite_real): not a finite real, or out of its range."""
+    """An input breaks the input rule (_as_finite_real, or _as_count for a
+    count): not a finite real or not an int, or out of its range."""
 
     def __init__(self, field: str, value, reason: str):
         self.field = field
@@ -139,6 +140,16 @@ def _as_nonnegative(field: str, value) -> float:
     return value
 
 
+def _as_count(field: str, value, least: int) -> int:
+    """The input rule for a count: value itself, or DomainError naming
+    field where it is not an int (a bool is not one) or is below least."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(field, value, "must be an integer")
+    if value < least:
+        raise DomainError(field, value, f"must be at least {least}")
+    return value
+
+
 class ShuParams(namedtuple("ShuParams", "order argument endpoint")):
     """An evaluation point: real order, argument z > 0, endpoint t > 0."""
 
@@ -177,8 +188,7 @@ class Tolerances(namedtuple("Tolerances", "abs_tol rel_tol max_depth")):
         rel_tol = _as_nonnegative("rel_tol", rel_tol)
         if abs_tol == 0.0 and rel_tol == 0.0:
             raise DomainError("rel_tol", rel_tol, "must be positive where abs_tol is 0")
-        if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 1:
-            raise DomainError("max_depth", max_depth, "must be a positive integer")
+        max_depth = _as_count("max_depth", max_depth, 1)
         return tuple.__new__(cls, (abs_tol, rel_tol, max_depth))
 
     @classmethod

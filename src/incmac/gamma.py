@@ -16,8 +16,8 @@ independent check on every value.
 import math
 
 from .core import (
-    EPS, EXP_FLOOR, LN2, LOG_HUGE, LOG_TINY, TINY, NonConvergence, PoleError, _as_finite_real, _as_nonnegative,
-    _as_positive, log_half_ratio, shared, underflow_to_zero,
+    EPS, EXP_FLOOR, LN2, LOG_HUGE, LOG_TINY, TINY, NonConvergence, PoleError, _as_count, _as_finite_real,
+    _as_nonnegative, _as_positive, log_half_ratio, shared, underflow_to_zero,
 )
 
 __all__ = [
@@ -314,12 +314,11 @@ def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
     Evaluates x^(a-1) e^-x * sum_{m=0}^{m_max} (-1)^m (1-a)_m x^-m.  The sum
     is divergent for fixed x, so it is truncated early at the smallest-
     magnitude term when that happens before m_max; the first omitted term
-    is the natural error scale.
+    is the natural error scale.  m_max is an int >= 0.
     """
     a = _as_finite_real("a", a)
     x = _as_positive("x", x)
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+    m_max = _as_count("m_max", m_max, 0)
     e = (a - 1.0) * math.log(x) - x
     if e < EXP_FLOOR:
         return 0.0

@@ -3,19 +3,20 @@ incomplete functions (generalized incomplete gamma, leaky aquifer,
 truncated cosh integral).
 
 Each *_residual operation evaluates one identity left-minus-right at a
-point, normalized by the largest additive term.  Anti-circularity policy:
-the second recurrence and the finite-difference PDE mode use raw central
-differences of the quadrature oracle, never the order-shift derivative
-formula, so a sign error in that formula cannot certify itself.  Every
-oracle value here is taken at core.TIGHT, so that oracle noise sits well
-under the identity thresholds; no function takes a tolerance.
+point, normalized by the largest additive term.  Every value of S here is
+evaluator.evaluate's at core.TIGHT, so that its error sits well under the
+identity thresholds; no function takes a tolerance, and inside a
+core.shared_work block each distinct value is computed once.
+Anti-circularity policy: the second recurrence and the finite-difference
+PDE mode use raw central differences of evaluate, never the order-shift
+derivative formula, so a sign error in that formula cannot certify itself.
 """
 
 import math
 from collections import namedtuple
 
-from .core import TIGHT, TINY, ShuParams, StepTooCoarse, _as_finite_real, _as_positive, log_half_ratio
-from .quadrature import shu_oracle
+from .core import TIGHT, TINY, ShuParams, StepTooCoarse, _as_finite_real, _as_positive, log_half_ratio, shared
+from .evaluator import evaluate
 
 __all__ = [
     "ResidualReport",
@@ -59,7 +60,7 @@ class ResidualReport(namedtuple("ResidualReport", "identity point residual scale
 
 
 def _S(nu: float, z: float, t: float) -> float:
-    return shu_oracle(ShuParams(nu, z, t), TIGHT).value
+    return shared(evaluate, ShuParams(nu, z, t), TIGHT)[0].value
 
 
 def dS_dt(p: ShuParams) -> float:
@@ -80,7 +81,7 @@ def _d2S_dt2(p: ShuParams) -> float:
 
 def dS_dz(p: ShuParams) -> float:
     """Argument derivative through the order-shift formula
-    (nu/z) S_nu - S_(nu+1), both terms from the quadrature oracle."""
+    (nu/z) S_nu - S_(nu+1), both terms from evaluate at core.TIGHT."""
     nu, z, t = p.order, p.argument, p.endpoint
     return (nu / z) * _S(nu, z, t) - _S(nu + 1.0, z, t)
 
@@ -103,7 +104,7 @@ def recurrence1_residual(p: ShuParams) -> ResidualReport:
 def recurrence2_residual(p: ShuParams) -> ResidualReport:
     """Second recurrence: dS_(nu-1)/dt + S_(nu-1) + S_(nu+1) + 2 dS_nu/dz.
 
-    The z-derivative is a central finite difference of the oracle (step
+    The z-derivative is a central finite difference of evaluate (step
     1e-5 z), deliberately not the order-shift formula.
     """
     nu, z, t = p.order, p.argument, p.endpoint
@@ -199,8 +200,8 @@ def pde_residual(p: ShuParams, mode: str = "exact") -> ResidualReport:
     """Residual of z^2 S'' + z S' - (z^2 + nu^2) S - z^2 dS/dt.
 
     mode="exact" composes the z-derivatives from the order-shift ladder
-    (only oracle values at orders nu, nu+1, nu+2 are needed);
-    mode="fd" uses raw central differences of the oracle in z instead,
+    (only values at orders nu, nu+1, nu+2 are needed);
+    mode="fd" uses raw central differences of evaluate in z instead,
     which confirms the equation without routing through the ladder.
     """
     mode = mode.lower()

@@ -5,6 +5,11 @@ battery, the related-function round trips, and the expansion trend
 checks, returning one record per identity per grid point.  Pass
 thresholds are pinned here; the acceptance test suite asserts against
 the same records.
+
+Every value of S is evaluate's at core.TIGHT (relations._S), except in
+the two checks about the integrals themselves, which take form 5 of the
+quadrature oracle: the three-form sweep, and the large-endpoint limit,
+where evaluate returns K_nu(z) itself and the residual would read 0.
 """
 
 import math
@@ -111,7 +116,7 @@ def _three_form(records, grid):
         for z in zs:
             for t in ts:
                 p = ShuParams(nu, z, t)
-                v5 = _S(nu, z, t)
+                v5 = shu_oracle(p, TIGHT).value
                 v2 = shu_oracle(p, TIGHT, form=2).value
                 v4 = shu_oracle(p, TIGHT, form=4).value
                 worst = max(abs(v5 - v2), abs(v5 - v4), abs(v2 - v4))
@@ -214,7 +219,7 @@ def _round_trips(records):
                 direct = require_converged(integrate_adaptive(f, ti, hi, TIGHT)).value
                 records.append(_rec("ImbDef", a, z, ti, via_s - direct, _scale(via_s, direct)))
 
-    # inverse relations reproduce the oracle
+    # inverse relations reproduce S
     for nu in (-0.5, 0.0, 1.5):
         for z in (1.0, 3.0):
             for t in (0.7, 3.0):
@@ -228,11 +233,12 @@ def _round_trips(records):
 
 
 def _trends(records):
-    # large endpoint: the function pinned against K, gap bracketed by the
-    # leading correction within a factor 2
+    # large endpoint: the integral pinned against K, gap bracketed by the
+    # leading correction within a factor 2.  The limit takes form 5, since
+    # at t = 40 evaluate returns K itself and the residual would read 0
     for nu in (0.0, 1.0, 2.0):
         K = macdonald_k(nu, 3.0)
-        s = _S(nu, 3.0, 40.0)
+        s = shu_oracle(ShuParams(nu, 3.0, 40.0), TIGHT).value
         records.append(_rec("LargeTLimit", nu, 3.0, 40.0, s - K, abs(K)))
         for t in (15.0, 20.0, 30.0):
             gap = _tail_gap(nu, 3.0, t)
@@ -290,9 +296,12 @@ def run_verification(grid: str = "default", fail_fast: bool = False) -> list:
     """Run the battery and return one VerifyRecord per identity per point.
 
     With fail_fast, stops after the first section containing a failure.
-    The call is one core.shared_work block: each distinct shu_oracle value
-    (point, tolerances, form) is integrated once and reused by every check
-    that asks for it; nothing is kept after the call returns.
+    S comes from evaluate at core.TIGHT, except in ThreeForm and
+    LargeTLimit, which take the form-5 oracle.  The call is one
+    core.shared_work block: each distinct evaluate value (point,
+    tolerances) and shu_oracle value (point, tolerances, form) is computed
+    once and reused by every check that asks for it; nothing is kept
+    after the call returns.
     """
     three, ident = _grids(grid)
     records = []

@@ -146,7 +146,7 @@ def test_criterion_7_related_function_round_trips(battery, acceptance_report):
     _report(acceptance_report, 7, ok,
             f"related-function conversions match their defining integrals "
             f"(worst {max(defs.values()):.2e}, tol 1e-8) and inverse relations "
-            f"reproduce the oracle (worst {max(invs.values()):.2e}, tol 1e-9)")
+            f"reproduce S (worst {max(invs.values()):.2e}, tol 1e-9)")
     assert ok
 
 

@@ -217,7 +217,8 @@ class TestEvaluation:
 _ENTRY_POINTS = [
     (incmac.gamma, (2.5,), {0: ("a", "real")}),
     (incmac.upper_incomplete_gamma, (1.5, 2.0), {0: ("a", "real"), 1: ("x", "positive")}),
-    (incmac.incomplete_gamma_asymptotic, (1.5, 20.0, 3), {0: ("a", "real"), 1: ("x", "positive")}),
+    (incmac.incomplete_gamma_asymptotic, (1.5, 20.0, 3),
+     {0: ("a", "real"), 1: ("x", "positive"), 2: ("m_max", "count from 0")}),
     (incmac.macdonald_k, (0.5, 2.0), {0: ("order", "real"), 1: ("z", "positive")}),
     (incmac.gen_incomplete_gamma, (0.5, 1.0, 1.0), {0: ("a", "real"), 1: ("t", "positive"), 2: ("z", "positive")}),
     (incmac.leaky_aquifer, (0.5, 1.0, 1.0), {0: ("a", "real"), 1: ("z", "positive"), 2: ("t", "positive")}),
@@ -234,6 +235,7 @@ _REFUSED = {
     "positive": (math.nan, math.inf, -math.inf, True, "1", 0.0, -1.0),
     "nonnegative": (math.nan, math.inf, -math.inf, True, "1", -1.0),
     "count": (math.nan, math.inf, -math.inf, True, "1", 0, -1, 2.0),
+    "count from 0": (math.nan, math.inf, -math.inf, True, "1", -1, 2.5, 2.0),
 }
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import incmac.quadrature
 import incmac.relations
 import incmac.verification
-from incmac.core import TIGHT, NonConvergence, ShuParams
+from incmac.core import TIGHT, MethodTag, NonConvergence, ShuParams
 from incmac.verification import IDENTITY_TOLERANCES, run_verification, summarize
 
 
@@ -117,12 +118,65 @@ def _count_integrations(monkeypatch):
     return counts
 
 
+def _count_evaluations(monkeypatch):
+    """Count the battery's evaluate calls by (point, tolerances), and keep
+    the decision of each."""
+    counts = Counter()
+    decisions = []
+    real = incmac.relations.evaluate
+
+    def counted(p, tol):
+        counts[p, tol] += 1
+        ev, dec = real(p, tol)
+        decisions.append(dec)
+        return ev, dec
+
+    monkeypatch.setattr(incmac.relations, "evaluate", counted)
+    return counts, decisions
+
+
+def _only(records, *identities):
+    return [r for r in records if r.identity in identities]
+
+
 def test_oracle_integrated_once_per_point_per_call(monkeypatch, battery):
-    counts = _count_integrations(monkeypatch)
+    integrations = _count_integrations(monkeypatch)
+    evaluations, _ = _count_evaluations(monkeypatch)
     records = run_verification("default")
     assert records == battery
-    assert len(counts) > 1000
-    assert set(counts.values()) == {1}
+    assert len(evaluations) > 1000
+    assert set(evaluations.values()) == {1}
+    assert set(integrations.values()) == {1}
+    # form 5 is integrated only where a check compares the integrals
+    # themselves: the three-form sweep and the large-endpoint limit
+    form5 = {p for p, tol, form in integrations if form == 5}
+    assert form5 == {ShuParams(r.nu, r.z, r.t) for r in _only(battery, "ThreeForm", "LargeTLimit")}
+    assert len(form5) == 115
+
+
+def test_no_battery_value_falls_back_to_the_oracle(monkeypatch):
+    _, decisions = _count_evaluations(monkeypatch)
+    run_verification("default")
+    assert decisions
+    assert [d for d in decisions if d.chosen is MethodTag.ORACLE5] == []
+
+
+def test_integral_checks_do_not_take_evaluate(monkeypatch, battery):
+    """A stand-in for evaluate 1e-6 off, the sign alternating with the
+    integer part of the order, leaves the three-form sweep and the
+    large-endpoint limit as they were, and fails the first recurrence."""
+    real = incmac.relations.evaluate
+
+    def off(p, tol):
+        ev, dec = real(p, tol)
+        return ev._replace(value=ev.value * (1.0 + 1e-6 * (-1) ** math.floor(p.order))), dec
+
+    monkeypatch.setattr(incmac.relations, "evaluate", off)
+    records = run_verification("default")
+    kept = _only(battery, "ThreeForm", "LargeTLimit")
+    assert len(kept) == 115
+    assert _only(records, "ThreeForm", "LargeTLimit") == kept
+    assert not all(r.passed for r in _only(records, "Rec1"))
 
 
 def test_oracle_memo_does_not_outlive_the_call(monkeypatch):
