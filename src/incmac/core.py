@@ -265,6 +265,60 @@ def underflow_to_zero(value: float, err: float, flags: tuple = ()):
     return value, err, flags
 
 
+def _y_peak(nm1: float, c: float) -> float:
+    """The peak y* of y^nm1 e^(-y - c/y), c > 0, rationalised where it rounds to 0."""
+    h = math.hypot(nm1, 2.0 * math.sqrt(c))
+    ystar = 0.5 * (nm1 + h)
+    return ystar if ystar > 0.0 else 2.0 * c / (h - nm1)
+
+
+def _log_s_peak(p) -> float:
+    """ln of S's y-form (1/2)(2/z)^nu int_x0^inf g, g(y) = y^(nu-1) e^(-y - c/y), c = z^2/4,
+    x0 = c/t, with g at its peak on (x0, inf), max(x0, y*): the scale of S, not a bound."""
+    nu, z = p.order, p.argument
+    c = 0.25 * z * z
+    y = max(c / p.endpoint, _y_peak(nu - 1.0, c))
+    if y == math.inf:  # e^-y vanishes against every power of y
+        return -math.inf
+    return nu * math.log(2.0 / z) - LN2 + (nu - 1.0) * math.log(y) - y - c / y
+
+
+def _log_s_upper(p) -> float:
+    """An upper bound on ln S, z^2/4 > 0, x0 finite: with e^(-y/2) taken out of g, the
+    peak on y >= x0 is at _y_peak(2(nu - 1), 2c), plus 1 for the rounding."""
+    nu, z = p.order, p.argument
+    c = 0.25 * z * z
+    x = c / p.endpoint
+    y = max(x, _y_peak(2.0 * (nu - 1.0), 2.0 * c))
+    return (nu - 1.0) * math.log(y) - nu * log_half_ratio(z) - 0.5 * (x + y) - c / y + 1.0
+
+
+def _log_s_lower(p) -> float:
+    """A lower bound on ln S: g falls past Y0 = max(x0, y*), so
+    S >= (1/2)(2/z)^nu w min(g(Y0), g(Y0 + w)) for every w > 0, g(Y0) in
+    case the computed y* lies short of the peak.  The best of w in
+    (1, sqrt Y0, Y0/4, Y0), with 8 EPS times each term's size taken off
+    ln g and off the prefactor's log, and 1 off the sum; -inf, no bound,
+    where z^2/4 is subnormal, Y0 is 0 or inf, or a term passes the double
+    range."""
+    nu, z = p.order, p.argument
+    nm1 = nu - 1.0
+    c = 0.25 * z * z
+    y0 = max(c / p.endpoint, _y_peak(nm1, c)) if c >= TINY else 0.0
+    if not 0.0 < y0 < math.inf:
+        return -math.inf
+
+    def log_g(y):
+        a = nm1 * math.log(y)
+        return a - y - c / y - 8.0 * EPS * (abs(a) + abs(nm1) + y + c / y)
+
+    lead = -nu * log_half_ratio(z)
+    lead -= LN2 + 1.0 + 8.0 * EPS * abs(lead)
+    at_y0 = log_g(y0)
+    best = max(lead + math.log(w) + min(at_y0, log_g(y0 + w)) for w in (1.0, math.sqrt(y0), 0.25 * y0, y0))
+    return best if best == best else -math.inf
+
+
 # Values computed inside the outermost open shared_work block, by (fn, args).
 _SHARED = contextvars.ContextVar("incmac_shared_work", default=None)
 

@@ -4,10 +4,12 @@ The decision order is one table, _CANDIDATES: large-endpoint asymptotics
 when its leading correction is already below target, the half-order
 closed form (once self-validated against the oracle), the small-argument
 series where x0 = z^2/4t < 2, the small-endpoint series, then the
-quadrature oracle as universal fallback.  The small-argument terms fall
-like x0^k/k!, so one boundary in x0 decides where that series runs and
-no limit in z is needed (DLMF 8.7.1, 10.27.4); at negative non-integer
-order the series chooses between its K form and its split form itself.
+quadrature oracle as universal fallback, except where core._log_s_lower
+already puts S past the double range, which raises OverflowError.  The
+small-argument terms fall like x0^k/k!, so one boundary in x0 decides
+where that series runs and no limit in z is needed (DLMF 8.7.1,
+10.27.4); at negative non-integer order the series chooses between its
+K form and its split form itself.
 The small-endpoint row likewise sums its series in positive terms first
 and the paper's alternating sum where that misses (see expansions).  Both
 series take their sub-forms by one rule, expansions._first_to_meet, and
@@ -25,6 +27,7 @@ from functools import lru_cache
 from .core import (
     DEFAULT_TOLERANCES,
     EPS,
+    LOG_HUGE,
     TIGHT,
     DomainError,
     Evaluation,
@@ -32,6 +35,7 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    _log_s_lower,
     shared,
     shared_work,
     validate,
@@ -104,12 +108,14 @@ def _closed_form_half_eval(p: ShuParams):
     shared = math.exp(e)  # equals e^(-z - xm^2) and e^(z - xp^2)
     term_m = shared * _erfcx(xm) if xm >= 0.0 else math.exp(-z) * math.erfc(xm)
     term_p = shared * _erfcx(xp)
-    if nu > 0.0:
+    if 2.0 / z == math.inf:
+        # both prefactors equal sqrt(pi)/(2 sqrt(2z)), which stays finite
+        pref = 0.5 * _SQRT_PI / math.sqrt(2.0 * z)
+    elif nu > 0.0:
         pref = 0.5 * math.sqrt(0.5 * z) * (_SQRT_PI / z)
-        both = term_m + term_p
     else:
         pref = 0.5 * math.sqrt(2.0 / z) * (0.5 * _SQRT_PI)
-        both = term_m - term_p
+    both = term_m + term_p if nu > 0.0 else term_m - term_p
     on_e = abs(both) if xm >= 0.0 else term_p
     err = 16.0 * (term_m + term_p) + 2.0 * abs(e) * on_e + 3.0 * xp / max(1.0, abs(xm)) * term_m
     return pref * both, EPS * pref * err
@@ -211,7 +217,9 @@ def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDe
     propagates.  A candidate that then does not converge, overflows or
     fails Evaluation.rejection (an estimate above the target, or a value or
     estimate that is not finite) is rejected, and the quadrature oracle is
-    the fallback; a sum that cancels shows it in its estimate.  The
+    the fallback; a sum that cancels shows it in its estimate.  Before the
+    oracle, OverflowError names core's lower bound on ln S where that
+    exceeds ln DBL_MAX, so the normal path pays nothing for it.  The
     procedure is deterministic and never returns a leading-term approximant.
 
     The call runs in a core.shared_work block, so K_nu(z) is computed at
@@ -234,6 +242,9 @@ def _evaluate(p: ShuParams, tol: Tolerances):
             if ev is not None:
                 return ev, RegimeDecision(tag, reason, tuple(tried)) if tried else _FIRST_CHOICE[tag]
         tried.append((tag, rejection))
+    log_low = _log_s_lower(p)
+    if log_low > LOG_HUGE:
+        raise OverflowError(f"S exceeds the double range at {p}: ln S >= {log_low:.6g} > ln DBL_MAX")
     ev = shu_oracle(p, tol)
     return ev, RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))
 

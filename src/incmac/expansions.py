@@ -51,6 +51,7 @@ from .core import (
     Tolerances,
     _as_finite_real,
     _as_positive,
+    _log_s_upper,
     log_half_ratio,
     shared,
 )
@@ -295,14 +296,13 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     A start above _MAX_START raises NonConvergence.  The estimate adds
     that half-width, the carried rounding of the upper sum, which bounds
     the lower's too, so that S lies within both from the computed
-    midpoint, h_0's bound and the exponent's rounding.  Where a bound on
-    S from the y-form integral lies below the smallest normal double, the
-    value is the underflow rule's 0.0 and no recurrence runs.  work counts
-    the recurrence steps plus the terms summed, over every start tried.
+    midpoint, h_0's bound and the exponent's rounding.  Where
+    core._log_s_upper puts S below the smallest normal double, the value
+    is the underflow rule's 0.0 and no recurrence runs.  work counts the
+    recurrence steps plus the terms summed, over every start tried.
     """
     nu, z, t = p.order, p.argument, p.endpoint
-    c = 0.25 * z * z
-    x = c / t
+    x = 0.25 * z * z / t
     if x == 0.0:
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; U(a, b, 0) is not finite")
     if x == math.inf:
@@ -314,13 +314,7 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     start = int(first) + 1
     # the tail's ratio bound, t/(start + 1 + x) or t/(start + 1), below 1
     start = max(start, int(t - x) + 1 if start + 1 >= nu else int(t) + 1)
-    # S <= (z/2)^-nu e^(-x0/2) max_(y >= x0) y^(nu-1) e^(-y/2 - c/y), c = z^2/4,
-    # taking e^(-y/2) out of the y-form integral; the maximum is at x0 or
-    # at the root y of y^2/2 - (nu - 1) y - c, rationalised where nu < 1
-    nm1 = nu - 1.0
-    h = math.hypot(nm1, math.sqrt(2.0 * c))
-    y = max(x, nm1 + h if nm1 >= 0.0 else 2.0 * c / (h - nm1))
-    if nm1 * math.log(y) - nu * log_half_ratio(z) - 0.5 * (x + y) - c / y + 1.0 < LOG_TINY:
+    if _log_s_upper(p) < LOG_TINY:
         return Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 0)
     h0, r0 = next(_upper_gamma_orders(nu, x))
     log_q = log_half_ratio(z, t)

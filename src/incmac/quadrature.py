@@ -26,6 +26,8 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    _log_s_peak,
+    _y_peak,
     log_half_ratio,
     shared,
 )
@@ -277,29 +279,6 @@ def require_converged(res: QuadratureResult) -> QuadratureResult:
     return res
 
 
-def _y_peak(nm1: float, c: float) -> float:
-    """The peak y* = (nm1 + hypot(nm1, 2 sqrt c))/2 of the y-form integrand
-    y^nm1 e^(-y - c/y), c = z^2/4 > 0.  Where nm1 < 0 and c is tiny that
-    difference rounds to 0, and the rationalised root 2c/(hypot - nm1)
-    keeps it positive."""
-    h = math.hypot(nm1, 2.0 * math.sqrt(c))
-    ystar = 0.5 * (nm1 + h)
-    return ystar if ystar > 0.0 else 2.0 * c / (h - nm1)
-
-
-def _log_value_bound(p: ShuParams) -> float:
-    """Log-scale bound on the function value, from the y-form integrand
-    peak; -inf where that peak's y, and so x0 = z^2/4t, overflows, since
-    e^-y then vanishes against every power of y."""
-    nu, z = p.order, p.argument
-    c = 0.25 * z * z
-    log_pref = nu * math.log(2.0 / z) - math.log(2.0)
-    y = max(c / p.endpoint, _y_peak(nu - 1.0, c))
-    if y == math.inf:
-        return -math.inf
-    return log_pref + (nu - 1.0) * math.log(y) - y - c / y
-
-
 def _y_form(nu, z, t):
     """Form 5 in the tail map's variable: y = y0 + u/(1 - u) takes u in
     (0, 1) onto y in (y0, inf), so the setup returns the y-integrand times
@@ -349,9 +328,8 @@ def _endpoint_form(nu, z, t):
         # the prefactor can outweigh e^-760; f rises on (0, tau_hi/2], where
         # c/tau >= 1520 > tau + nu + 1, and f(tau_hi/2)/f(tau_hi) <= 2^(nu+1) e^-372
         tau_lo = 0.5 * tau_hi
-    taustar = 0.5 * (-nu1 + math.hypot(nu1, 2.0 * math.sqrt(c)))
     ratio = tau_hi / tau_lo
-    return f, tau_lo, tau_hi, (tau_lo * ratio**0.25, tau_lo * ratio**0.5, tau_lo * ratio**0.75, taustar)
+    return f, tau_lo, tau_hi, (tau_lo * ratio**0.25, tau_lo * ratio**0.5, tau_lo * ratio**0.75, _y_peak(-nu1, c))
 
 
 def _cosh_form(nu, z, t):
@@ -417,11 +395,11 @@ def shu_oracle_cosh(p: ShuParams, tol: Tolerances = None) -> Evaluation:
 def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:
     tag, setup = _FORMS[form]
     if 0.25 * p.argument * p.argument == 0.0:
-        # the value bound and forms 2 and 5 need z^2/4 > 0
+        # the peak and forms 2 and 5 need z^2/4 > 0
         raise NonConvergence(f"z^2/4 underflows to 0 at z = {p.argument!r}; no quadrature form applies")
-    log_bound = _log_value_bound(p)
+    log_peak = _log_s_peak(p)
     # peak times a generous width still below the smallest normal
-    if log_bound + 12.0 < LOG_TINY:
+    if log_peak + 12.0 < LOG_TINY:
         return Evaluation(0.0, 0.0, tag, 0)
     f, lo, hi, pts = setup(p.order, p.argument, p.endpoint)
     try:
@@ -429,7 +407,7 @@ def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:
     except OverflowError:
         # the integrand's peak can pass the double range where S does not
         raise NonConvergence(f"the form-{form} integrand exceeds the double range at {p}") from None
-    # the integrand's exponent, about log_bound near its peak, rounds to EPS
-    # of itself, and so the integral to EPS |log_bound| relative
-    err = res.error_estimate + EPS * abs(log_bound) * abs(res.value)
+    # the integrand's exponent, about log_peak near its peak, rounds to EPS
+    # of itself, and so the integral to EPS |log_peak| relative
+    err = res.error_estimate + EPS * abs(log_peak) * abs(res.value)
     return Evaluation(res.value, err, tag, res.subdivisions)

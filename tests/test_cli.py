@@ -157,6 +157,15 @@ class TestEval:
         assert out == ""
         assert err.startswith("incmac: did not converge: the form-5 integrand exceeds the double range")
 
+    def test_value_past_double_range_exit_three(self, capsys):
+        # S is about e^779 here: the overflow rule names the bound
+        code, out, err = _run(
+            capsys, "eval", "--nu=-68.84652357362076", "--z", "1.0155572616677997e-06", "--t", "0.0446501653030621"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("incmac: overflow") and "ln S >= " in err
+
     def test_overflow_exit_three(self, capsys):
         # K_200(0.001) exceeds the double range, so the small-argument
         # series that subtracts from it overflows
@@ -255,6 +264,13 @@ class TestFigure:
         _run(capsys, "figure", "--id", "4", "--out", str(b), "--points", "10")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_single_point_sweep(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code, _, _ = _run(capsys, "figure", "--id", "1", "--out", str(out), "--points", "1")
+        assert code == 0
+        header, rows = _parse_csv(out)
+        assert len(rows) == 1 and float(rows[0][0]) == 0.05
+
     def test_custom_orders(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
         _run(capsys, "figure", "--id", "1", "--out", str(out), "--points", "4",
@@ -317,6 +333,22 @@ class TestTable:
         _, rows = _parse_csv(out)
         assert [float(r[0]) for r in rows] == [-1.0, 0.0]
         assert all(r[5].startswith(("Series", "Oracle")) for r in rows)
+
+    @pytest.mark.parametrize("nu_list", ["zero,1", ",", ""])
+    def test_bad_order_list_names_flag(self, tmp_path, capsys, nu_list):
+        out = tmp_path / "t.csv"
+        code, _, err = _run(
+            capsys, "table", f"--nu-list={nu_list}", "--z-list", "3", "--t-list", "1", "--out", str(out)
+        )
+        assert code == 2
+        assert "--nu-list" in err
+        assert not out.exists()
+
+    def test_unwritable_output_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        code, _, err = _run(capsys, "table", "--nu-list", "0", "--z-list", "3", "--t-list", "1", "--out", str(out))
+        assert code == 1
+        assert err.startswith("incmac: i/o error")
 
     def test_values_roundtrip_through_float(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -17,10 +17,15 @@ from incmac.core import (
     MethodTag,
     ShuParams,
     Tolerances,
+    _log_s_lower,
+    _log_s_peak,
+    _log_s_upper,
     shared,
     shared_work,
     validate,
 )
+
+import frozen
 
 
 class TestValidate:
@@ -321,6 +326,60 @@ def test_only_core_names_the_underflow_flag():
         or (isinstance(node, ast.Constant) and node.value == core.FLAG_UNDERFLOW)
     ]
     assert named == []
+
+
+def test_only_core_solves_for_the_y_form_peak():
+    # the peak root y* of the y-form integrand lives in core._y_peak; a
+    # hypot anywhere else is that root written out again
+    written = [
+        f"{mod.__name__}:{node.lineno}"
+        for mod in _modules()
+        if mod is not core
+        for node in ast.walk(ast.parse(inspect.getsource(mod)))
+        if isinstance(node, ast.Attribute) and node.attr == "hypot"
+    ]
+    assert written == []
+
+
+def _frozen_values():
+    # every frozen S with its point, where it is a positive normal double
+    return [
+        (point, value)
+        for name, table in vars(frozen).items()
+        if name.startswith("S_") and isinstance(table, dict)
+        for point, value in table.items()
+        if isinstance(point, tuple) and len(point) == 3 and value > core.TINY
+    ]
+
+
+class TestSizeOfS:
+    @pytest.mark.parametrize("point,value", _frozen_values())
+    def test_bounds_hold_at_frozen_values(self, point, value):
+        p = ShuParams(*point)
+        assert _log_s_lower(p) <= math.log(value)
+        x0 = 0.25 * p.argument * p.argument / p.endpoint
+        if 0.0 < x0 < math.inf:
+            assert math.log(value) <= _log_s_upper(p)
+
+    @pytest.mark.parametrize("point", list(frozen.LOG_S_OVERFLOW))
+    def test_bounds_hold_past_the_double_range(self, point):
+        p = ShuParams(*point)
+        log_s = frozen.LOG_S_OVERFLOW[point]
+        assert core.LOG_HUGE < _log_s_lower(p) <= log_s <= _log_s_upper(p)
+        assert abs(_log_s_peak(p) - log_s) < 0.1 * log_s
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (2.0, 1e-170, 1.0),  # z^2/4 is 0
+            (2.0, 2e-154, 1.0),  # z^2/4 is subnormal
+            (2.0, 1e200, 1e-100),  # x0 overflows
+            (-1e17, 3e-154, 1e300),  # the peak and x0 underflow to 0
+            (3e305, 1e-3, 1.0),  # ln g passes the double range
+        ],
+    )
+    def test_no_lower_bound_at_the_edges(self, point):
+        assert _log_s_lower(ShuParams(*point)) == -math.inf
 
 
 class TestSharedWork:

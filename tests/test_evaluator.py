@@ -10,8 +10,18 @@ import incmac.evaluator
 import incmac.expansions
 import incmac.quadrature
 from incmac.cli import _figure_rows
-from incmac.core import FLAG_UNDERFLOW, DomainError, MethodTag, NonConvergence, ShuParams, Tolerances
+from incmac.core import (
+    FLAG_UNDERFLOW,
+    DomainError,
+    MethodTag,
+    NonConvergence,
+    ShuParams,
+    Tolerances,
+    _log_s_lower,
+)
 from incmac.evaluator import (
+    RegimeDecision,
+    _closed_form_half_eval,
     _erfcx,
     closed_form_half,
     evaluate,
@@ -22,6 +32,7 @@ from incmac.quadrature import shu_oracle, shu_oracle_cosh
 
 from frozen import (
     K_REF,
+    LOG_S_OVERFLOW,
     S0_3_3,
     S0_6_3,
     S_DEFAULT_SMALL_T,
@@ -100,6 +111,19 @@ class TestDecisionProcedure:
         assert abs(ev.value - S0_6_3) <= ev.error_estimate
         assert incmac.expansions.series_small_t(ShuParams(0.0, 6.0, 3.0), TIGHT).rejection(TIGHT)
 
+    def test_failed_half_order_self_check_recorded(self, monkeypatch):
+        # a closed form that disagrees with the oracle on the self-check
+        # grid is never trusted: the gate refuses it, the series serve
+        gate = incmac.evaluator._closed_form_half_validated
+        monkeypatch.setattr(incmac.evaluator, "closed_form_half", lambda p: 1.0)
+        gate.cache_clear()
+        try:
+            _, dec = evaluate(ShuParams(0.5, 2.0, 1.0), TIGHT)
+        finally:
+            gate.cache_clear()
+        assert dec.candidates_tried == ((MethodTag.CLOSED_FORM_HALF, "VALIDATION_FAILED"),)
+        assert dec.chosen is MethodTag.SERIES_SMALL_Z
+
     def test_overflowing_candidate_recorded(self, monkeypatch):
         def overflows(p, tol):
             raise OverflowError("stand-in")
@@ -124,33 +148,57 @@ class TestDecisionProcedure:
         ev, _ = evaluate(ShuParams(*point))
         assert abs(ev.value - want) <= ev.error_estimate
 
-    @pytest.mark.parametrize("point", list(S_HALF_SUBNORMAL_Z))
-    def test_half_order_closed_form_refused_at_subnormal_argument(self, point):
-        # its prefactor overflows to inf there, and so does its estimate;
-        # the acceptance rule refuses a non-finite value and the
-        # small-argument series takes the point
-        ev, dec = evaluate(ShuParams(*point))
-        assert (MethodTag.CLOSED_FORM_HALF, "OVERFLOW") in dec.candidates_tried
-        assert dec.chosen is MethodTag.SERIES_SMALL_Z
-        assert math.isfinite(ev.value) and math.isfinite(ev.error_estimate)
+    @pytest.mark.parametrize("point", list(LOG_S_OVERFLOW))
+    def test_overflow_raised_before_the_oracle(self, monkeypatch, point):
+        # every candidate fails here; core's lower bound on ln S passes
+        # ln DBL_MAX, so the oracle, which would raise NonConvergence after
+        # its integrand overflowed, never runs
+        def oracle(p, tol=None, form=5):
+            raise AssertionError("the oracle ran")
 
-    @pytest.mark.parametrize(
-        "point",
-        [
-            (-0.5, 5e-324, 1.0),
-            pytest.param(
-                (0.5, 2.5e-323, 1.0),
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the value is K_(1/2)(z) alone, whose estimate leaves out the rounding of "
-                    "mu ln(z/2) in Temme's series; 1.01x its estimate off here",
-                ),
-            ),
-            (-0.5, 2.5e-323, 1.0),
-        ],
-    )
+        monkeypatch.setattr(incmac.evaluator, "shu_oracle", oracle)
+        with pytest.raises(OverflowError, match=r"ln S >= \d"):
+            evaluate(ShuParams(*point), TIGHT)
+
+    def test_overflow_rule_spares_every_returned_value(self):
+        # box-A points (random.Random(102)): the rule raises only past the
+        # double range, so every value evaluate returns is one it bounds
+        rng = random.Random(102)
+        returned = 0
+        for _ in range(300):
+            p = ShuParams(
+                rng.uniform(-100.0, 100.0),
+                math.exp(rng.uniform(math.log(1e-12), math.log(1e6))),
+                math.exp(rng.uniform(math.log(1e-8), math.log(1e6))),
+            )
+            try:
+                ev, _ = evaluate(p, TIGHT)
+            except (OverflowError, NonConvergence):
+                continue
+            returned += 1
+            if ev.value > 0.0:
+                assert _log_s_lower(p) < math.log(ev.value)
+        assert returned > 150
+
+    @pytest.mark.parametrize("point", list(S_HALF_SUBNORMAL_Z))
+    def test_half_order_closed_form_at_subnormal_argument(self, point):
+        # where 2/z overflows the closed form builds its prefactor from
+        # sqrt(z), so it stays finite, meets its estimate and is chosen first
+        p = ShuParams(*point)
+        value, err = _closed_form_half_eval(p)
+        assert closed_form_half(p) == value and math.isfinite(err)
+        assert abs(value - S_HALF_SUBNORMAL_Z[point]) <= err
+        _, dec = evaluate(p)
+        assert dec == RegimeDecision(MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM")
+
+    @pytest.mark.parametrize("point", list(S_HALF_SUBNORMAL_Z))
     def test_half_order_at_subnormal_argument_within_estimate(self, point):
+        # evaluate's value, and the small-argument series that served these
+        # points while the closed form overflowed, whose K alone carries the
+        # rounding of mu ln(z/2) in its estimate
         ev, _ = evaluate(ShuParams(*point))
+        assert abs(ev.value - S_HALF_SUBNORMAL_Z[point]) <= ev.error_estimate
+        ev = incmac.expansions.series_small_z(ShuParams(*point))
         assert abs(ev.value - S_HALF_SUBNORMAL_Z[point]) <= ev.error_estimate
 
     def test_large_t_rejected_when_correction_visible(self):

@@ -30,6 +30,7 @@ from frozen import (
     GAMMA_SERIES_SIDE,
     K0_3,
     K_REF,
+    K_TINY_Z,
     LOWER_GAMMA_REF,
 )
 
@@ -328,6 +329,10 @@ class TestIncompleteGammaAsymptotic:
         with pytest.raises(DomainError):
             incomplete_gamma_asymptotic(1.0, -1.0, 4)
 
+    def test_below_exp_floor_returns_zero(self):
+        # x^(a-1) e^-x is about e^-803 here, below the exp floor
+        assert incomplete_gamma_asymptotic(0.5, 800.0, 4) == 0.0
+
     def test_sum_stops_before_its_smallest_term_grows(self):
         # terms (-1)^m (1/2)_m 10^-m shrink while (1/2 + m)/10 < 1, so the
         # sum keeps m = 0..10 and the first omitted term is 1.05 times the last
@@ -420,9 +425,23 @@ class TestMacdonaldK:
         ],
     )
     def test_subnormal_argument(self, order, z, want):
-        # 1e-13 rather than K's estimate of 67 EPS: at order 1/2 that
-        # estimate leaves out the rounding of the exponent mu ln(z/2) ~ 372
-        assert _rel(macdonald_k(order, z), want) < 1e-13
+        # at order 1/2 the estimate counts the rounding of mu ln(z/2) ~ 372
+        value, err, _ = _macdonald_k_eval(order, z)
+        assert abs(value - want) <= err
+        assert _rel(value, want) < 1e-13
+
+    @pytest.mark.parametrize("order,z", sorted(K_TINY_Z))
+    def test_tiny_argument_within_error_estimate(self, order, z):
+        value, err, _ = _macdonald_k_eval(order, z)
+        assert abs(value - K_TINY_Z[order, z]) <= err
+
+    @pytest.mark.parametrize("order,z", [(0.5, 1e-6), (-0.3, 0.01), (0.49, 1.9), (7.5, 1e-6)])
+    def test_base_estimate_kept_above_tiny_arguments(self, order, z):
+        # the rounding of mu ln(z/2) counts only past the base allowance,
+        # which it does not reach from z = 1e-6 up
+        value, err, _ = _macdonald_k_eval(order, z)
+        n = int(abs(order) + 0.5)
+        assert err == (64.0 + 3.0 * n) * EPS * value
 
     @pytest.mark.parametrize("order,z", sorted(K_REF))
     def test_frozen_reference_within_error_estimate(self, order, z):

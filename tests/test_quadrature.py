@@ -80,6 +80,8 @@ class TestIntegrateAdaptive:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate_adaptive(lambda x: x, 1.0, 0.0, TIGHT)
+        with pytest.raises(ValueError, match="lower bound must be finite"):
+            integrate_adaptive(lambda x: x, -math.inf, 0.0, TIGHT)
 
     def test_error_estimate_covers_true_error(self):
         r = integrate_adaptive(lambda x: math.sin(x), 0.0, math.pi, Tolerances(rel_tol=1e-6))

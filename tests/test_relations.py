@@ -113,6 +113,8 @@ class TestDifferentialRelations:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             diff_relation1_residual(ShuParams(1.0, 3.0, 2.0), 3)
+        with pytest.raises(ValueError):
+            diff_relation2_residual(ShuParams(1.0, 3.0, 2.0), 3)
 
     def test_step_too_coarse_detected(self):
         # z/2t = 40 makes the stated second-difference step fail its
@@ -206,6 +208,10 @@ class TestIncompleteModifiedBessel:
         got = incomplete_modified_bessel(0.0, z, 1e-8)
         want = 0.5 * (_oracle(0.0, z, 0.5 * z) + _oracle(0.0, z, 0.5 * z))
         assert _rel(got, want) < 1e-6
+
+    def test_underflowed_endpoint_is_zero(self):
+        # z e^(-t_imb)/2 underflows to 0: e^(-z cosh tau) vanishes past t_imb
+        assert incomplete_modified_bessel(2.0, 3.0, 800.0) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
