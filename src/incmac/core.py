@@ -274,12 +274,15 @@ def _y_peak(nm1: float, c: float) -> float:
 
 def _log_s_peak(p) -> float:
     """ln of S's y-form (1/2)(2/z)^nu int_x0^inf g, g(y) = y^(nu-1) e^(-y - c/y), c = z^2/4,
-    x0 = c/t, with g at its peak on (x0, inf), max(x0, y*): the scale of S, not a bound."""
+    x0 = c/t, with g at its peak on (x0, inf), max(x0, y*): the scale of S, not a bound;
+    inf where that peak underflows to 0, which needs nu < 1, so that y^(nu-1) has no bound."""
     nu, z = p.order, p.argument
     c = 0.25 * z * z
     y = max(c / p.endpoint, _y_peak(nu - 1.0, c))
     if y == math.inf:  # e^-y vanishes against every power of y
         return -math.inf
+    if y == 0.0:
+        return math.inf
     return nu * math.log(2.0 / z) - LN2 + (nu - 1.0) * math.log(y) - y - c / y
 
 

@@ -148,13 +148,20 @@ _SKIP = "SKIP"  # a gate's answer for a candidate that does not apply; not recor
 
 
 def _large_t_gate(p: ShuParams, tol: Tolerances):
-    """Run where the leading correction is below the target K_nu(z) sets."""
+    """Run where the leading correction is below the target K_nu(z) sets;
+    one past the double range is past every target.  Where K overflows,
+    the overflow rule raises if S does too, else the candidate is
+    rejected."""
     nu, z, t = p.order, p.argument, p.endpoint
     if t < _LARGE_T_MIN:
         return _SKIP
-    if math.exp(_log_leading_correction(nu, z, t)) < tol.target(shared(_macdonald_k_eval, nu, z)[0]):
-        return None
-    return "CORRECTION_TOO_LARGE"
+    try:
+        kval = shared(_macdonald_k_eval, nu, z)[0]
+    except OverflowError:
+        _overflow_rule(p)
+        return "OVERFLOW"
+    e = _log_leading_correction(nu, z, t)
+    return None if e < LOG_HUGE and math.exp(e) < tol.target(kval) else "CORRECTION_TOO_LARGE"
 
 
 def _half_order_gate(p: ShuParams, tol: Tolerances):
@@ -195,6 +202,14 @@ _CANDIDATES = (
 _FIRST_CHOICE = {tag: RegimeDecision(tag, reason) for tag, reason, _, _ in _CANDIDATES}
 
 
+def _overflow_rule(p: ShuParams):
+    """OverflowError naming core's lower bound on ln S where that exceeds
+    ln DBL_MAX."""
+    log_low = _log_s_lower(p)
+    if log_low > LOG_HUGE:
+        raise OverflowError(f"S exceeds the double range at {p}: ln S >= {log_low:.6g} > ln DBL_MAX")
+
+
 def _verdict(run, p: ShuParams, tol: Tolerances):
     """Run one candidate: (evaluation, None) when it meets the target,
     otherwise (None, reason code)."""
@@ -213,39 +228,35 @@ def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDe
 
     Returns the evaluation together with the decision record (chosen
     method, reason code, and any candidates tried and rejected).  Each
-    candidate in _CANDIDATES passes its gate first, and a gate that raises
-    propagates.  A candidate that then does not converge, overflows or
-    fails Evaluation.rejection (an estimate above the target, or a value or
-    estimate that is not finite) is rejected, and the quadrature oracle is
-    the fallback; a sum that cancels shows it in its estimate.  Before the
-    oracle, OverflowError names core's lower bound on ln S where that
-    exceeds ln DBL_MAX, so the normal path pays nothing for it.  The
-    procedure is deterministic and never returns a leading-term approximant.
+    candidate in _CANDIDATES passes its gate first.  A candidate that then
+    does not converge, overflows or fails Evaluation.rejection (an
+    estimate above the target, or a value or estimate that is not finite)
+    is rejected, and the quadrature oracle is the fallback; a sum that
+    cancels shows it in its estimate.  The overflow rule, OverflowError
+    naming core's lower bound on ln S where that exceeds ln DBL_MAX, runs
+    before the oracle and where the large-endpoint gate finds that K_nu(z)
+    overflows, so the normal path pays nothing for it.  The procedure is
+    deterministic and never returns a leading-term approximant.
 
     The call runs in a core.shared_work block, so K_nu(z) is computed at
     most once, only when the large-endpoint gate or a K-based expansion
-    needs it, and shared by all three.
+    needs it, and shared by all three; inside an enclosing block (as in
+    evaluate_grid) it shares that block's values.
     """
-    with shared_work():
-        return _evaluate(p, tol or DEFAULT_TOLERANCES)
-
-
-def _evaluate(p: ShuParams, tol: Tolerances):
-    """evaluate's decision procedure, inside the caller's shared_work block."""
+    tol = tol or DEFAULT_TOLERANCES
     tried = []
-    for tag, reason, gate, run in _CANDIDATES:
-        rejection = gate(p, tol)
-        if rejection == _SKIP:
-            continue
-        if rejection is None:
-            ev, rejection = _verdict(run, p, tol)
-            if ev is not None:
-                return ev, RegimeDecision(tag, reason, tuple(tried)) if tried else _FIRST_CHOICE[tag]
-        tried.append((tag, rejection))
-    log_low = _log_s_lower(p)
-    if log_low > LOG_HUGE:
-        raise OverflowError(f"S exceeds the double range at {p}: ln S >= {log_low:.6g} > ln DBL_MAX")
-    ev = shu_oracle(p, tol)
+    with shared_work():
+        for tag, reason, gate, run in _CANDIDATES:
+            rejection = gate(p, tol)
+            if rejection == _SKIP:
+                continue
+            if rejection is None:
+                ev, rejection = _verdict(run, p, tol)
+                if ev is not None:
+                    return ev, RegimeDecision(tag, reason, tuple(tried)) if tried else _FIRST_CHOICE[tag]
+            tried.append((tag, rejection))
+        _overflow_rule(p)
+        ev = shu_oracle(p, tol)
     return ev, RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))
 
 
@@ -267,8 +278,7 @@ def evaluate_grid(orders, zs, ts, tol=None) -> list:
             for z in zs:
                 for t in ts:
                     try:
-                        p = validate(nu, z, t)
-                        ev, dec = _evaluate(p, tol)
+                        ev, dec = evaluate(validate(nu, z, t), tol)
                     except (DomainError, NonConvergence, OverflowError) as exc:
                         cells.append(
                             GridCell(nu, z, t, None, None, f"{type(exc).__name__}: {exc}")

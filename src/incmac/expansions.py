@@ -148,9 +148,16 @@ def _first_to_meet(tol: Tolerances, *forms) -> Evaluation:
 
 def _log_leading_correction(nu: float, z: float, t: float) -> float:
     """log of (1/2)(z/2)^nu t^-(nu+1) e^-t, the leading large-endpoint
-    correction to K_nu(z): the large-endpoint gate's test, and with z^2/4t
-    added a bound on the whole correction of both K-based candidates."""
+    correction to K_nu(z) and the large-endpoint gate's test."""
     return nu * log_half_ratio(z) - LN2 - t - (nu + 1.0) * math.log(t)
+
+
+def _log_tail_bound(nu: float, z: float, t: float) -> float:
+    """B = e + ln I(nu + 1), e = _log_leading_correction, I = _inner_ceiling:
+    e^B bounds K - S = (1/2)(z/2)^nu int_t^inf s^(-nu-1) e^(-s - z^2/4s) ds,
+    and e^(B + x0), x0 = z^2/4t, the terms of either K-based sum together,
+    term k being e^e x0^k/k! I(nu + k + 1) with I falling in its order."""
+    return _log_leading_correction(nu, z, t) + math.log(_inner_ceiling(nu + 1.0, t))
 
 
 def _negligible(log_bound: float, kval: float) -> bool:
@@ -429,16 +436,13 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
 def _k_small_z(nu: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     """K_nu(z) minus (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t).
 
-    At nu >= -1 every order -nu - k is at most 1, where Gamma(a, t) <=
-    t^(a-1) e^-t (DLMF 8.10.1), so the terms' magnitudes sum to at most
-    (1/2)(z/2)^nu t^-(nu+1) e^(x0 - t), x0 = z^2/4t, which bounds the sum,
-    its partial sums and its estimate.  Where that is negligible against K
+    Where e^(_log_tail_bound + x0), x0 = z^2/4t, is negligible against K
     (_negligible), K is returned alone with kerr + EPS K, what the whole
     sum would round to, and work 0: no term is summed.
     """
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
     x0 = 0.25 * z * z / t
-    if nu >= -1.0 and _negligible(_log_leading_correction(nu, z, t) + x0, kval):
+    if _negligible(_log_tail_bound(nu, z, t) + x0, kval):
         return Evaluation(kval, kerr + EPS * abs(kval), MethodTag.SERIES_SMALL_Z, 0)
     part, err, terms = _upper_gamma_sum(nu, z, t, -nu, t, -x0, tol)
     err += kerr + EPS * (abs(kval) + abs(part))
@@ -458,9 +462,7 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     _split_small_z), which needs no K and does not cancel against it at
     small z.  Past z = 1 the K form first, which takes most points there,
     then the split form, which takes some of the rest (_first_to_meet).
-    At nu >= -1 the K form
-    returns K alone, with work 0, where a bound on the sum is negligible
-    against K (see _k_small_z).
+    The K form may return K alone, with work 0 (see _k_small_z).
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
@@ -504,26 +506,24 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     outer sum alternates, so its rounding is counted from its peak partial
     sum.  work counts K's own work plus the inner sums' terms.
 
-    Two exits return K alone, with work K's own: where the outer sum's
-    first coefficient (1/2)(z/2)^nu t^-(nu+1) e^-t lies below e^EXP_FLOOR
-    (an absolute test), with K's estimate; and where the bound
-    e^(x0) I(nu + 1) times that coefficient, x0 = z^2/4t, on the outer
-    partial sums is negligible against K (_negligible), with kerr +
-    16 EPS K, what the whole sum would round to.
+    Two exits read B = _log_tail_bound and return K alone, with work K's
+    own: B <= EXP_FLOOR, with K's estimate; e^(B + x0) negligible against
+    K (_negligible), with kerr + 16 EPS K, what the whole sum rounds to.
+    Past both, a first coefficient e^e below e^EXP_FLOOR raises NonConvergence.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
     kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
-    e = _log_leading_correction(nu, z, t)
-    if e <= EXP_FLOOR:
-        # the outer sum's first coefficient e^e is subnormal or zero: an
-        # absolute test, not one against K
+    log_tail = _log_tail_bound(nu, z, t)
+    if log_tail <= EXP_FLOOR:
+        # K - S is subnormal or zero: an absolute test, not one against K
         return Evaluation(kval, kerr, MethodTag.ASYMPT_LARGE_T, kwork)
     x0 = 0.25 * z * z / t
-    # |coef_k| <= e^e x0^k/k! and each inner sum is at most its ceiling,
-    # largest at k = 0, so e^(e + x0) I(nu + 1) bounds the outer partial sums
-    if _negligible(e + x0 + math.log(_inner_ceiling(nu + 1.0, t)), kval):
+    if _negligible(log_tail + x0, kval):
         return Evaluation(kval, kerr + 16.0 * EPS * abs(kval), MethodTag.ASYMPT_LARGE_T, kwork)
+    e = _log_leading_correction(nu, z, t)
+    if e <= EXP_FLOOR:
+        raise NonConvergence(f"the large-t sum's first coefficient e^{e:.6g} underflows; its tail bound is e^{log_tail:.6g}")
     base = math.exp(e)
     step = -x0
     budget = tol.target(kval) / (2 * _MAX_TERMS)

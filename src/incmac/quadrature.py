@@ -398,6 +398,8 @@ def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:
         # the peak and forms 2 and 5 need z^2/4 > 0
         raise NonConvergence(f"z^2/4 underflows to 0 at z = {p.argument!r}; no quadrature form applies")
     log_peak = _log_s_peak(p)
+    if log_peak == math.inf:
+        raise NonConvergence(f"the y-form peak is not finite at {p}; no quadrature form applies")
     # peak times a generous width still below the smallest normal
     if log_peak + 12.0 < LOG_TINY:
         return Evaluation(0.0, 0.0, tag, 0)

@@ -157,6 +157,30 @@ class TestEval:
         assert out == ""
         assert err.startswith("incmac: did not converge: the form-5 integrand exceeds the double range")
 
+    def test_oracle_underflowing_y_peak_exit_three(self, capsys):
+        code, out, err = _run(
+            capsys, "eval", "--nu=-1e17", "--z", "3e-154", "--t", "1e300", "--method", "oracle"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("incmac: did not converge: the y-form peak is not finite")
+
+    def test_large_t_underflowing_coefficient_exit_three(self, capsys):
+        # the large-endpoint sum's first coefficient e^-771 underflows, while
+        # its tail bound e^-349 is far from negligible: no sum of zeros
+        code, out, err = _run(
+            capsys, "eval", "--nu=-300", "--z", "700", "--t", "30", "--method", "large-t"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("incmac: did not converge: the large-t sum's first coefficient e^-771.115 underflows")
+
+    def test_large_negative_order_prints_flagged_zero(self, capsys):
+        # core's upper bound puts S below e^-4800 here
+        code, out, err = _run(capsys, "eval", "--nu=-300", "--z", "700", "--t", "30")
+        assert code == 0
+        assert out == "value=0 error_estimate=0.000e+00 method=SeriesSmallT work=0 flags=underflow_to_zero\n"
+
     def test_value_past_double_range_exit_three(self, capsys):
         # S is about e^779 here: the overflow rule names the bound
         code, out, err = _run(

@@ -17,7 +17,11 @@ from incmac.core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    EXP_FLOOR,
+    LOG_HUGE,
+    LOG_TINY,
     _log_s_lower,
+    _log_s_upper,
 )
 from incmac.evaluator import (
     RegimeDecision,
@@ -27,6 +31,7 @@ from incmac.evaluator import (
     evaluate,
     evaluate_grid,
 )
+from incmac.expansions import _log_leading_correction
 from incmac.gamma import macdonald_k
 from incmac.quadrature import shu_oracle, shu_oracle_cosh
 
@@ -465,6 +470,75 @@ class TestDecisionProcedure:
         assert abs(ev.value - S_SMALL_Z_NEGATIVE_ORDER[point]) <= ev.error_estimate
 
 
+class TestLargeNegativeOrder:
+    """Orders -1000 to -30, where the large-endpoint sum's first coefficient
+    underflows, judged by core's certified bounds on ln S."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (-300.0, 700.0, 30.0),
+            (-837.3772207169696, 523.5929992668057, 62.56999712841974),
+            # K overflows in the large-endpoint gate
+            (-838.300834390878, 227.78167530322534, 33.27752554218369),
+            # e^e overflows in the large-endpoint gate
+            (100.0, 1e6, 30.0),
+        ],
+    )
+    def test_underflowing_value_returned_as_flagged_zero(self, point):
+        p = ShuParams(*point)
+        assert _log_s_upper(p) < LOG_TINY
+        ev, _ = evaluate(p, incmac.core.TIGHT)
+        assert (ev.value, ev.flags) == (0.0, (FLAG_UNDERFLOW,))
+
+    def test_overflowing_k_rejects_the_large_endpoint_candidate(self):
+        _, dec = evaluate(ShuParams(-838.300834390878, 227.78167530322534, 33.27752554218369), incmac.core.TIGHT)
+        assert dec.candidates_tried == ((MethodTag.ASYMPT_LARGE_T, "OVERFLOW"),)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (-54.632049038861275, 2.0178424837791248e-10, 2202.0358748852013),
+            (67.35528283879992, 8.564012391050806e-08, 791.9715803358317),
+        ],
+    )
+    def test_overflowing_k_and_s_raise_before_any_candidate(self, monkeypatch, point):
+        # box-A points (random.Random(102)) where core's lower bound on ln S
+        # passes ln DBL_MAX as well as K: the gate's overflow rule raises
+        def runs(p, tol):
+            raise AssertionError("a candidate ran")
+
+        rows = tuple((tag, reason, gate, runs) for tag, reason, gate, _ in incmac.evaluator._CANDIDATES)
+        monkeypatch.setattr(incmac.evaluator, "_CANDIDATES", rows)
+        with pytest.raises(OverflowError, match=r"ln S >= \d"):
+            evaluate(ShuParams(*point), incmac.core.TIGHT)
+
+    def test_box_values_within_core_bounds(self):
+        # the first 300 points of the box with the first coefficient below
+        # e^EXP_FLOOR: no value above core's upper bound on S, no nonzero
+        # value below its lower bound, no OverflowError where S is in range
+        rng = random.Random(29)
+        points = []
+        while len(points) < 300:
+            nu = -math.exp(rng.uniform(math.log(30.0), math.log(1000.0)))
+            z = math.exp(rng.uniform(0.0, math.log(2000.0)))
+            t = math.exp(rng.uniform(math.log(30.0), math.log(1000.0)))
+            if _log_leading_correction(nu, z, t) <= EXP_FLOOR:
+                points.append(ShuParams(nu, z, t))
+        zeros = 0
+        for p in points:
+            try:
+                ev, _ = evaluate(p, incmac.core.TIGHT)
+            except OverflowError:
+                assert _log_s_upper(p) >= LOG_HUGE, p
+                continue
+            if ev.value == 0.0:
+                zeros += 1
+                continue
+            assert _log_s_lower(p) <= math.log(ev.value) <= _log_s_upper(p), p
+        assert 0 < zeros < len(points)
+
+
 class TestClosedFormHalf:
     def test_matches_frozen_grid(self):
         for (nu, z, t), frozen in S_HALF_GRID.items():
@@ -530,6 +604,20 @@ class TestEvaluateGrid:
         ev, _ = evaluate(ShuParams(0.0, 3.0, 3.0), TIGHT)
         assert len(cells) == 1
         assert cells[0].evaluation.value == ev.value
+
+    def test_cells_run_evaluate(self, monkeypatch):
+        # every cell goes through the public entry, so a wrapper of
+        # evaluate sees each one, in row-major order
+        seen = []
+        real = incmac.evaluator.evaluate
+
+        def spy(p, tol=None):
+            seen.append(tuple(p))
+            return real(p, tol)
+
+        monkeypatch.setattr(incmac.evaluator, "evaluate", spy)
+        cells = evaluate_grid([0.0, -1.5], [0.5, 3.0], [0.1, 40.0])
+        assert seen == [(c.order, c.argument, c.endpoint) for c in cells]
 
     def test_row_major_order_and_purity(self):
         cells = evaluate_grid([0.0, 1.0], [1.0, 3.0], [0.5, 2.0], TIGHT)

@@ -581,6 +581,40 @@ def test_k_alone_exactly_where_the_correction_rounds_away(monkeypatch):
         assert 2 * fired >= returned, (fired, returned)
 
 
+def test_k_alone_below_order_minus_one(monkeypatch):
+    # the tail bound holds at every order, so the K form returns K alone
+    # below order -1 too, and only where the whole sum rounds to K
+    rng = random.Random(29)
+    answers = _exits(monkeypatch)
+    fired = 0
+    for _ in range(300):
+        p = (
+            rng.uniform(-30.0, -1.0),
+            math.exp(rng.uniform(math.log(1e-6), math.log(2.0))),
+            math.exp(rng.uniform(0.0, math.log(3000.0))),
+        )
+        answers.clear()
+        try:
+            ev = incmac.expansions._k_small_z(*p, incmac.core.TIGHT)
+        except (NonConvergence, OverflowError):
+            assert not any(answers), p
+            continue
+        if any(answers):
+            fired += 1
+            full = _full_sum(monkeypatch, incmac.expansions._k_small_z, *p, incmac.core.TIGHT)
+            assert ev.work == 0 and full is not None, p
+            assert (ev.value.hex(), ev.error_estimate.hex()) == (full.value.hex(), full.error_estimate.hex()), p
+    assert fired >= 50
+
+
+def test_large_t_refuses_where_its_first_coefficient_underflows():
+    # e^e = e^-771 underflows, while the tail bound e^-349, which counts the
+    # inner sum's ceiling I(-299) ~ e^422, is far above S < e^-4800: the old
+    # sum of zeros returned K_300(700) ~ 1.5e-278
+    with pytest.raises(NonConvergence, match="first coefficient e.-771.115 underflows"):
+        asympt_large_t(ShuParams(-300.0, 700.0, 30.0), incmac.core.TIGHT)
+
+
 def test_k_alone_takes_no_term():
     ev = series_small_z(ShuParams(25.748344553341216, 1.2129998471811086e-05, 0.0014381530318261255))
     assert ev.work == 0

@@ -334,6 +334,13 @@ class TestShuOracle:
         with pytest.raises(NonConvergence, match="form-5 integrand exceeds the double range"):
             shu_oracle(ShuParams(-2.5, 1e-111, 1e103), core.TIGHT, 5)
 
+    @pytest.mark.parametrize("form", [2, 4, 5])
+    def test_underflowing_y_peak_and_endpoint_raise_typed(self, form):
+        # at order -1e17 the y-form peak and z^2/4t both round to 0, where
+        # y^(nu-1) has no bound: a typed error, not log(0) in the peak
+        with pytest.raises(NonConvergence, match="y-form peak is not finite"):
+            shu_oracle(ShuParams(-1e17, 3e-154, 1e300), core.TIGHT, form)
+
     @pytest.mark.parametrize("order", [0.5, -1.5])
     def test_cosh_form_where_z_over_2t_underflows(self, order):
         # z/2t underflows to 0, so the lower end ln(z/2t) comes from the
