@@ -221,7 +221,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--nu", type=float, required=True, help="order")
     p.add_argument("--z", type=float, required=True, help="argument (> 0)")
     p.add_argument("--t", type=float, required=True, help="endpoint (> 0)")
-    p.add_argument("--method", choices=tuple(_METHODS), default="auto")
+    p.add_argument(
+        "--method", choices=tuple(_METHODS), default="auto",
+        help="auto runs evaluate; each other method runs the candidate evaluate reports under its tag",
+    )
     p.add_argument("--tol", type=float, help="relative tolerance (default 1e-12)")
     p.add_argument("--json", action="store_true", help="emit a single JSON object")
     p.set_defaults(func=_cmd_eval)

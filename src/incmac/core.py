@@ -299,16 +299,19 @@ def _log_s_upper(p) -> float:
 def _log_s_lower(p) -> float:
     """A lower bound on ln S: g falls past Y0 = max(x0, y*), so
     S >= (1/2)(2/z)^nu w min(g(Y0), g(Y0 + w)) for every w > 0, g(Y0) in
-    case the computed y* lies short of the peak.  The best of w in
-    (1, sqrt Y0, Y0/4, Y0), with 8 EPS times each term's size taken off
-    ln g and off the prefactor's log, and 1 off the sum; -inf, no bound,
-    where z^2/4 is subnormal, Y0 is 0 or inf, or a term passes the double
-    range."""
+    case the computed y* lies short of the peak.  Where Y0 rounds to 0,
+    x0 and y* lie below TINY, so g falls past Y0 = TINY.  The best of the
+    w in (1, sqrt Y0, Y0/4, Y0) that do not round to 0, with 8 EPS times
+    each term's size taken off ln g and off the prefactor's log, and 1 off
+    the sum; -inf, no bound, where z^2/4 is subnormal, Y0 is inf, or a term
+    passes the double range."""
     nu, z = p.order, p.argument
     nm1 = nu - 1.0
     c = 0.25 * z * z
-    y0 = max(c / p.endpoint, _y_peak(nm1, c)) if c >= TINY else 0.0
-    if not 0.0 < y0 < math.inf:
+    if not c >= TINY:
+        return -math.inf
+    y0 = max(c / p.endpoint, _y_peak(nm1, c)) or TINY
+    if y0 == math.inf:
         return -math.inf
 
     def log_g(y):
@@ -318,7 +321,7 @@ def _log_s_lower(p) -> float:
     lead = -nu * log_half_ratio(z)
     lead -= LN2 + 1.0 + 8.0 * EPS * abs(lead)
     at_y0 = log_g(y0)
-    best = max(lead + math.log(w) + min(at_y0, log_g(y0 + w)) for w in (1.0, math.sqrt(y0), 0.25 * y0, y0))
+    best = max(lead + math.log(w) + min(at_y0, log_g(y0 + w)) for w in (1.0, math.sqrt(y0), 0.25 * y0, y0) if w > 0.0)
     return best if best == best else -math.inf
 
 

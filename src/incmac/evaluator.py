@@ -10,8 +10,9 @@ small-argument terms fall like x0^k/k!, so one boundary in x0 decides
 where that series runs and no limit in z is needed (DLMF 8.7.1,
 10.27.4); at negative non-integer order the series chooses between its
 K form and its split form itself.
-The small-endpoint row likewise sums its series in positive terms first
-and the paper's alternating sum where that misses (see expansions).  Both
+Each row runs its method's public function, which is what the CLI's
+--method runs; the small-endpoint series sums in positive terms first and
+the paper's alternating sum where that misses (see expansions).  Both
 series take their sub-forms by one rule, expansions._first_to_meet, and
 every candidate that runs is judged by one rule, Evaluation.rejection,
 which refuses an estimate above the target and a value or an estimate
@@ -41,9 +42,7 @@ from .core import (
     validate,
 )
 from .expansions import (
-    _first_to_meet,
     _log_leading_correction,
-    _tricomi_small_t,
     asympt_large_t,
     series_small_t,
     series_small_z,
@@ -170,14 +169,6 @@ def _half_order_gate(p: ShuParams, tol: Tolerances):
     return None if _closed_form_half_validated() else "VALIDATION_FAILED"
 
 
-def _small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
-    """The small-endpoint candidate: the series summed in positive terms,
-    then, where that raises or misses tol, the paper's alternating sum,
-    which alone meets it at some orders from about 14 to 30 and, below
-    x0 = 2, at negative integer orders."""
-    return _first_to_meet(tol, lambda: _tricomi_small_t(p, tol), lambda: series_small_t(p, tol))
-
-
 def _small_z_gate(p: ShuParams, tol: Tolerances):
     return None if 0.25 * p.argument * p.argument / p.endpoint < _SMALL_Z_EXPONENT else _SKIP
 
@@ -195,7 +186,8 @@ _CANDIDATES = (
      _closed_form_half_evaluation),
     (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED", _small_z_gate,
      lambda p, tol: series_small_z(p, tol)),
-    (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", lambda p, tol: None, _small_t),
+    (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", lambda p, tol: None,
+     lambda p, tol: series_small_t(p, tol)),
 )
 # the decision of a candidate accepted with none rejected before it, built
 # once

@@ -16,8 +16,9 @@ loop, _series_core, which reads each factor and its error bound straight
 from those generators, or from a generator of the inner sums, with no
 call back per term.
 
-The small-endpoint series alternates.  The evaluator sums the same series
-in positive terms first (_tricomi_small_t),
+The small-endpoint series alternates.  series_small_t, the candidate the
+evaluator runs, sums the same series in positive terms first
+(_tricomi_small_t),
 S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0), x0 = z^2/4t.
 Its terms come from one backward recurrence for U in its first
 parameter, run alongside the sum and normalised by U(1, nu+1, x0) = h_0,
@@ -25,8 +26,9 @@ the first value of gamma._upper_gamma_orders(nu, x0).  Its estimate adds
 three parts: the half-width of a bracket that holds the recurrence's
 truncation and the omitted tail, the rounding carried step by step
 through the recurrence and the sums, and h_0's and the prefactor's
-rounding.  The alternating sum runs only where that misses; one rule,
-_first_to_meet, picks between the sub-forms of either series.
+rounding.  The alternating sum (_alternating_small_t) runs only where that
+misses; one rule, _first_to_meet, picks between the sub-forms of either
+series.
 
 The leading_* functions are bare approximants with no error control,
 exposed for the ratio-law checks and figure overlays.
@@ -199,18 +201,12 @@ def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: f
     return value, scale * (werr / peak) + exponent_err * abs(value), terms
 
 
-def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
-    """Convergent expansion of S in incomplete gammas of argument z^2/(4t),
-    (1/2)(z/2)^-nu sum_k (-z^2/4)^k/k! Gamma(nu - k, z^2/4t).
-
-    Efficient when z^2/(4t) is a few units or more, yet convergent for all
-    parameters (the k! eventually dominates).  Summed by _upper_gamma_sum
-    in units of (1/2)(z/2t)^nu e^(-z^2/4t), with step -t; the tail bound is
-    the first omitted term.  The terms alternate, so the evaluator sums the
-    same series in positive terms first (_tricomi_small_t) and runs this
-    one only where that misses.
-    """
-    tol = tol or DEFAULT_TOLERANCES
+def _alternating_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
+    """The paper's alternating small-endpoint series, (1/2)(z/2)^-nu
+    sum_k (-z^2/4)^k/k! Gamma(nu - k, z^2/4t): convergent everywhere (the
+    k! eventually dominates), efficient where z^2/4t is a few units or
+    more.  Summed by _upper_gamma_sum in units of (1/2)(z/2t)^nu
+    e^(-z^2/4t), with step -t; the tail bound is the first omitted term."""
     nu, z, t = p.order, p.argument, p.endpoint
     x0 = 0.25 * z * z / t
     if x0 == 0.0:
@@ -289,7 +285,7 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     With y = x0 (1 + s) in S = (1/2)(z/2)^-nu int_x0^inf e^(-y - z^2/4y)
     y^(nu-1) dy, z^2/4y = t - t s/(1+s); expanding e^(ts/(1+s)) and
     integrating each term by DLMF 13.4.4 gives the sum.  It is the
-    alternating series of series_small_t, summed by its binomial
+    alternating series of _alternating_small_t, summed by its binomial
     transform, so nothing cancels.  U is the minimal solution of its
     recurrence in a, so the sum comes from one backward recurrence
     (_tricomi_bracket), normalised by U(1, nu + 1, x0) = h_0 of
@@ -346,6 +342,16 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
         if err <= target or rounding >= target or 2 * start > _MAX_START:
             return Evaluation(value, err, MethodTag.SERIES_SMALL_T, work)
         start *= 2
+
+
+def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
+    """The small-endpoint candidate evaluate runs: the series summed in
+    positive terms (_tricomi_small_t), then, where that raises or misses
+    tol, the paper's alternating sum (_alternating_small_t), which alone
+    meets it at some orders from about 14 to 30 and, below x0 = 2, at
+    negative integer orders (_first_to_meet)."""
+    tol = tol or DEFAULT_TOLERANCES
+    return _first_to_meet(tol, lambda: _tricomi_small_t(p, tol), lambda: _alternating_small_t(p, tol))
 
 
 def _split_tail(m: float, t: float, x0: float, n: int, coef: float, u: float) -> float:
@@ -509,7 +515,8 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     Two exits read B = _log_tail_bound and return K alone, with work K's
     own: B <= EXP_FLOOR, with K's estimate; e^(B + x0) negligible against
     K (_negligible), with kerr + 16 EPS K, what the whole sum rounds to.
-    Past both, a first coefficient e^e below e^EXP_FLOOR raises NonConvergence.
+    Past both, a first coefficient e^e below e^EXP_FLOOR or past the double
+    range raises NonConvergence.
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
@@ -524,6 +531,8 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     e = _log_leading_correction(nu, z, t)
     if e <= EXP_FLOOR:
         raise NonConvergence(f"the large-t sum's first coefficient e^{e:.6g} underflows; its tail bound is e^{log_tail:.6g}")
+    if e > LOG_HUGE:
+        raise NonConvergence(f"the large-t sum's first coefficient e^{e:.6g} exceeds the double range")
     base = math.exp(e)
     step = -x0
     budget = tol.target(kval) / (2 * _MAX_TERMS)

@@ -453,7 +453,10 @@ def _macdonald_k_eval(order: float, z: float):
     order = _as_finite_real("order", order)
     z = _as_positive("z", z)
     a = abs(order)  # K is even in the order
-    n = int(a + 0.5)
+    # a + 0.5 would round to even at odd a in [2^52, 2^53), leaving mu = -1
+    n = int(a)
+    if a - n >= 0.5:
+        n += 1
     mu = a - n
     base = _K_ERR_BASE
     if z < _Z_SPLIT:

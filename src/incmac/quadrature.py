@@ -409,6 +409,10 @@ def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:
     except OverflowError:
         # the integrand's peak can pass the double range where S does not
         raise NonConvergence(f"the form-{form} integrand exceeds the double range at {p}") from None
+    except ValueError:
+        # log(0): where z^2/4 is subnormal and x0 is 0, form 5's breakpoints
+        # crowd so near u = 0 that a node's y rounds to 0
+        raise NonConvergence(f"a form-{form} node reaches y = 0 at {p}") from None
     # the integrand's exponent, about log_peak near its peak, rounds to EPS
     # of itself, and so the integral to EPS |log_peak| relative
     err = res.error_estimate + EPS * abs(log_peak) * abs(res.value)

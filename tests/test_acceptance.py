@@ -22,6 +22,7 @@ from incmac.cli import main as cli_main
 from incmac.core import DomainError, ShuParams, Tolerances
 from incmac.evaluator import closed_form_half, evaluate
 from incmac.expansions import (
+    _alternating_small_t,
     asympt_large_t,
     leading_imb_large_z,
     leading_large_z,
@@ -275,6 +276,7 @@ def test_criterion_10_frozen_constants_and_paths(acceptance_report):
         "oracle_endpoint": shu_oracle(p, TIGHT, form=2).value,
         "oracle_cosh": shu_oracle_cosh(p, TIGHT).value,
         "series_small_t": series_small_t(p, TIGHT).value,
+        "alternating_small_t": _alternating_small_t(p, TIGHT).value,
         "series_small_z": series_small_z(p, TIGHT).value,
         "front_end": evaluate(p, TIGHT)[0].value,
     }

@@ -97,6 +97,20 @@ class TestEval:
         )
         assert json.loads(out)["method"] == "SeriesSmallT"
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # the alternating sum alone printed -6.4e-22 +- 3.6e-19 here
+            ("--nu=-21.938145353255926", "--z", "107.45639840020016", "--t", "51.384890733336015"),
+            # and did not converge within 200 terms here
+            ("--nu=5.254836368613567", "--z", "230.86627495607647", "--t", "212.38346551646225"),
+        ],
+    )
+    def test_small_t_method_prints_what_eval_prints(self, capsys, point):
+        code, out, _ = _run(capsys, "eval", *point)
+        assert (code, out.split(" ")[2]) == (0, "method=SeriesSmallT")
+        assert _run(capsys, "eval", *point, "--method", "small-t") == (0, out, "")
+
     def test_tol_flag_accepted(self, capsys):
         code, out, _ = _run(
             capsys, "eval", "--nu", "0", "--z", "3", "--t", "3", "--tol", "1e-8", "--json"
@@ -174,6 +188,37 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert err.startswith("incmac: did not converge: the large-t sum's first coefficient e^-771.115 underflows")
+
+    def test_large_t_overflowing_coefficient_exit_three(self, capsys):
+        # the first coefficient e^938 passes the double range, while S is
+        # below e^-8e9: exit 3 naming it, not a bare math range error
+        args = ("eval", "--nu", "100", "--z", "1e6", "--t", "30")
+        code, out, err = _run(capsys, *args, "--method", "large-t")
+        assert (code, out) == (3, "")
+        assert err.startswith("incmac: did not converge: the large-t sum's first coefficient e^938.022 exceeds the double range")
+        code, out, _ = _run(capsys, *args)
+        assert code == 0
+        assert out.endswith("flags=underflow_to_zero\n")
+
+    @pytest.mark.parametrize(
+        "argv,cause",
+        [
+            (("eval", "--nu", "7332089645225821.0", "--z", "1.210441590872863e-137", "--t", "2.0270014274809116e+56"),
+             "overflow"),
+            (("kfun", "--nu", "7332089645225821.0", "--z", "1.210441590872863e-137"), "overflow"),
+            (("eval", "--nu=-8290637012635042.0", "--z", "5.4871379322397784e-154", "--t", "9.633186336726054e+301"),
+             "overflow"),
+            (("eval", "--nu=-1e17", "--z", "3e-154", "--t", "1e300"), "overflow"),
+            (("eval", "--nu=-28.259686302983116", "--z", "2.053303216910036e-161", "--t", "1.8648865660673147e+287"),
+             "did not converge"),
+        ],
+    )
+    def test_extreme_points_exit_three(self, capsys, argv, cause):
+        # the first three raised a bare ZeroDivisionError or ValueError, a
+        # traceback and exit 1; the fourth named the oracle, not S's size
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"incmac: {cause}: ")
 
     def test_large_negative_order_prints_flagged_zero(self, capsys):
         # core's upper bound puts S below e^-4800 here

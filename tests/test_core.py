@@ -374,12 +374,24 @@ class TestSizeOfS:
             (2.0, 1e-170, 1.0),  # z^2/4 is 0
             (2.0, 2e-154, 1.0),  # z^2/4 is subnormal
             (2.0, 1e200, 1e-100),  # x0 overflows
-            (-1e17, 3e-154, 1e300),  # the peak and x0 underflow to 0
             (3e305, 1e-3, 1.0),  # ln g passes the double range
         ],
     )
     def test_no_lower_bound_at_the_edges(self, point):
         assert _log_s_lower(ShuParams(*point)) == -math.inf
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # Y0 = max(x0, y*) is subnormal, so Y0/4 rounds to 0
+            (-8290637012635042.0, 5.4871379322397784e-154, 9.633186336726054e+301),
+            # the peak and x0 underflow to 0, so Y0 is taken at TINY
+            (-1e17, 3e-154, 1e300),
+        ],
+    )
+    def test_lower_bound_where_the_peak_underflows(self, point):
+        # ln S is about |nu| (ln(2|nu|/z) - 1) here, far past ln DBL_MAX
+        assert core.LOG_HUGE < _log_s_lower(ShuParams(*point)) < math.inf
 
 
 class TestSharedWork:

@@ -114,7 +114,7 @@ class TestDecisionProcedure:
         assert dec.reason == "SMALL_T_CONVERGED"
         assert dec.candidates_tried == ()
         assert abs(ev.value - S0_6_3) <= ev.error_estimate
-        assert incmac.expansions.series_small_t(ShuParams(0.0, 6.0, 3.0), TIGHT).rejection(TIGHT)
+        assert incmac.expansions._alternating_small_t(ShuParams(0.0, 6.0, 3.0), TIGHT).rejection(TIGHT)
 
     def test_failed_half_order_self_check_recorded(self, monkeypatch):
         # a closed form that disagrees with the oracle on the self-check
@@ -331,7 +331,7 @@ class TestDecisionProcedure:
         # both fell through to the oracle before the positive-term sum
         p = ShuParams(*point)
         with pytest.raises(NonConvergence):
-            incmac.expansions.series_small_t(p, TIGHT)
+            incmac.expansions._alternating_small_t(p, TIGHT)
         ev, dec = evaluate(p, TIGHT)
         assert dec.chosen is MethodTag.SERIES_SMALL_T
         assert dec.candidates_tried == rejected
@@ -683,6 +683,7 @@ def test_wide_box_zero_exactly_when_flagged():
     calls = (
         lambda p: evaluate(p, TIGHT)[0],
         lambda p: incmac.expansions.series_small_t(p, TIGHT),
+        lambda p: incmac.expansions._alternating_small_t(p, TIGHT),
         lambda p: incmac.expansions.series_small_z(p, TIGHT),
         lambda p: incmac.expansions.asympt_large_t(p, TIGHT),
         lambda p: shu_oracle(p, TIGHT, 2),
@@ -847,7 +848,7 @@ def _small_endpoint_row(p, tol):
         ev = None
     if ev is not None and ev.rejection(tol) is None:
         return ev, False
-    return incmac.expansions.series_small_t(p, tol), True
+    return incmac.expansions._alternating_small_t(p, tol), True
 
 
 def test_small_endpoint_row_falls_back_to_alternating_sum():
@@ -880,6 +881,84 @@ def test_small_endpoint_row_falls_back_to_alternating_sum():
     ev, dec = evaluate(p, incmac.core.TIGHT)
     assert dec == (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", ())
     assert _small_endpoint_row(p, incmac.core.TIGHT) == (ev, True)
+
+
+def _ladder(lo, hi, n, phase):
+    span = math.log(hi / lo)
+    return [lo * math.exp(span * (i + phase) / n) for i in range(n)]
+
+
+def test_each_public_function_is_the_candidate_evaluate_runs():
+    # the benchmark's grid-table seed-1 grid (six seeded orders and +-1/2,
+    # 12 z, 20 t) and its first 300 scatter-wide seed-1 points, at the tight
+    # target: wherever evaluate returns a series or the large-endpoint sum,
+    # the public function of that method returns the identical Evaluation,
+    # so that incmac eval --method shows what evaluate reports under its
+    # tag.  series_small_t, when it was the alternating sum alone, did so
+    # at 75 of the 7,228 small-endpoint points of the benchmark's grids
+    rng = random.Random(1)
+    orders = sorted([-4.0 + 8.0 / 6 * (k + 0.25 + 0.5 * rng.random()) for k in range(6)] + [-0.5, 0.5])
+    zs = _ladder(0.01, 20.0, 12, 0.25 + 0.5 * rng.random())
+    ts = _ladder(0.02, 100.0, 20, 0.25 + 0.5 * rng.random())
+    points = [ShuParams(nu, z, t) for nu in orders for z in zs for t in ts]
+    points += _wide_box(random.Random(1), 300, 30.0, 3e3)
+    public = {
+        MethodTag.SERIES_SMALL_T: incmac.expansions.series_small_t,
+        MethodTag.SERIES_SMALL_Z: incmac.expansions.series_small_z,
+        MethodTag.ASYMPT_LARGE_T: incmac.expansions.asympt_large_t,
+    }
+    taken = dict.fromkeys(public, 0)
+    for p in points:
+        ev, dec = evaluate(p, incmac.core.TIGHT)
+        if dec.chosen in public:
+            assert public[dec.chosen](p, incmac.core.TIGHT) == ev, (p, dec)
+            taken[dec.chosen] += 1
+    assert min(taken.values()) >= 100, taken
+
+
+class TestTypedErrorsAtExtremePoints:
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # a + 0.5 rounds to even at this odd order in [2^52, 2^53), and
+            # K's split left mu = -1, where Temme's series divides by 0
+            (7332089645225821.0, 1.210441590872863e-137, 2.0270014274809116e+56),
+            # max(x0, y*) is subnormal, so a quarter of it rounded to 0
+            (-8290637012635042.0, 5.4871379322397784e-154, 9.633186336726054e+301),
+            # max(x0, y*) rounds to 0, and core had no lower bound on ln S
+            (-1e17, 3e-154, 1e300),
+        ],
+    )
+    def test_extreme_orders_overflow(self, point):
+        with pytest.raises(OverflowError, match=r"ln S >= \d"):
+            evaluate(ShuParams(*point), incmac.core.TIGHT)
+
+    def test_k_at_odd_order_past_2_to_52_overflows(self):
+        with pytest.raises(OverflowError, match="exceeds the double range"):
+            macdonald_k(7332089645225821.0, 1.210441590872863e-137)
+
+    def test_form_five_node_at_y_zero(self):
+        # z^2/4 is subnormal and x0 is 0, so a node's y rounds to 0
+        p = ShuParams(-28.259686302983116, 2.053303216910036e-161, 1.8648865660673147e+287)
+        for call in (evaluate, shu_oracle):
+            with pytest.raises(NonConvergence, match="a form-5 node reaches y = 0"):
+                call(p, incmac.core.TIGHT)
+
+    def test_subnormal_argument_box(self):
+        # 3,000 seeded points with z^2/4 subnormal or near it: evaluate and
+        # form 5 return or raise NonConvergence or OverflowError; 16 and 19
+        # of them raised ValueError from log(0)
+        rng = random.Random(5)
+        for _ in range(3000):
+            nu = rng.uniform(-30.0, 30.0)
+            z = math.exp(rng.uniform(math.log(1e-170), math.log(1e-150)))
+            t = math.exp(rng.uniform(math.log(1e-8), math.log(1e305)))
+            p = ShuParams(nu, z, t)
+            for call in (evaluate, shu_oracle):
+                try:
+                    call(p, incmac.core.TIGHT)
+                except (NonConvergence, OverflowError):
+                    pass
 
 
 def test_scatter_wide_takes_few_gamma_orders(monkeypatch):

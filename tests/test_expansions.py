@@ -17,6 +17,7 @@ from incmac.core import (
 )
 from incmac.evaluator import evaluate, evaluate_grid
 from incmac.expansions import (
+    _alternating_small_t,
     _tricomi_small_t,
     asympt_large_t,
     leading_imb_large_z,
@@ -56,28 +57,28 @@ def _oracle(nu, z, t):
 
 class TestSeriesSmallT:
     def test_home_regime_against_oracle(self):
-        ev = series_small_t(ShuParams(1.0, 3.0, 0.2), TIGHT)
+        ev = _alternating_small_t(ShuParams(1.0, 3.0, 0.2), TIGHT)
         assert _rel(ev.value, _oracle(1, 3, 0.2)) < 1e-9
 
     def test_frozen_midpoint(self):
-        ev = series_small_t(ShuParams(0.0, 3.0, 3.0), TIGHT)
+        ev = _alternating_small_t(ShuParams(0.0, 3.0, 3.0), TIGHT)
         assert _rel(ev.value, S0_3_3) < 1e-8
 
     def test_tail_bound_is_honest(self):
-        ev = series_small_t(ShuParams(2.0, 3.0, 0.5), TIGHT)
+        ev = _alternating_small_t(ShuParams(2.0, 3.0, 0.5), TIGHT)
         assert abs(ev.value - _oracle(2, 3, 0.5)) <= 3.0 * ev.error_estimate + 1e-15 * abs(ev.value)
 
     def test_reduces_to_leading_term_at_tiny_endpoint(self):
         # at order 1 the k = 0 term is exactly the leading small-t form;
         # the full sum differs from it by O(t)
         p = ShuParams(1.0, 3.0, 0.02)
-        ev = series_small_t(p, TIGHT)
+        ev = _alternating_small_t(p, TIGHT)
         k0_term = 0.25 * (2.0 / 3.0) * math.exp(-0.25 * 9.0 / 0.02) * 2.0  # (1/2)(2/z) e^-x0
         assert _rel(k0_term, leading_small_t(p)) < 1e-14
         assert abs(ev.value / leading_small_t(p) - 1.0) < 0.1
 
     def test_work_reported(self):
-        ev = series_small_t(ShuParams(1.0, 3.0, 0.2), TIGHT)
+        ev = _alternating_small_t(ShuParams(1.0, 3.0, 0.2), TIGHT)
         assert 0 < ev.work <= 200
 
     def test_underflowed_gamma_factors_bound_lost_terms(self):
@@ -88,7 +89,7 @@ class TestSeriesSmallT:
         point = (-25.517296979498347, 45.25141063150784, 0.8655368185527998)
         nu, z, t = point
         x0 = 0.25 * z * z / t
-        ev = series_small_t(ShuParams(*point), Tolerances(abs_tol=5e-324, rel_tol=1e-12))
+        ev = _alternating_small_t(ShuParams(*point), Tolerances(abs_tol=5e-324, rel_tol=1e-12))
         assert all(upper_incomplete_gamma(nu - k, x0) == 0.0 for k in range(ev.work + 1))
         ref = S_EXPONENT_ROUNDING[point]
         assert abs(ev.value - ref) <= ev.error_estimate <= 1e-12 * ref
@@ -98,7 +99,7 @@ class TestSeriesSmallT:
         # rounded uncounted; now the prefactor's is counted once
         misses = []
         for point, ref in S_SERIES_SMALL_T.items():
-            ev = series_small_t(ShuParams(*point), TIGHT)
+            ev = _alternating_small_t(ShuParams(*point), TIGHT)
             if not abs(ev.value - ref) <= ev.error_estimate:
                 misses.append((point, ev.value, ev.error_estimate))
         assert misses == []
@@ -487,7 +488,7 @@ def test_series_agree_with_oracle_across_full_grid():
         for z in (0.5, 1.0, 3.0, 8.0):
             for t in (0.2, 1.0, 3.0, 10.0):
                 oracle = _oracle(nu, z, t)
-                for fn in (series_small_t, series_small_z):
+                for fn in (series_small_t, _alternating_small_t, series_small_z):
                     try:
                         ev = fn(ShuParams(nu, z, t), TIGHT)
                     except NonConvergence:
@@ -615,6 +616,13 @@ def test_large_t_refuses_where_its_first_coefficient_underflows():
         asympt_large_t(ShuParams(-300.0, 700.0, 30.0), incmac.core.TIGHT)
 
 
+def test_large_t_refuses_where_its_first_coefficient_overflows():
+    # e^e = e^938 passes the double range, while S < e^-8e9: a bare
+    # OverflowError from math.exp reached the CLI as a range error
+    with pytest.raises(NonConvergence, match="first coefficient e.938.022 exceeds the double range"):
+        asympt_large_t(ShuParams(100.0, 1e6, 30.0), incmac.core.TIGHT)
+
+
 def test_k_alone_takes_no_term():
     ev = series_small_z(ShuParams(25.748344553341216, 1.2129998471811086e-05, 0.0014381530318261255))
     assert ev.work == 0
@@ -631,7 +639,7 @@ def test_no_exit_where_the_correction_counts(point, monkeypatch):
     assert not any(answers)
 
 
-@pytest.mark.parametrize("fn", [series_small_t, _tricomi_small_t])
+@pytest.mark.parametrize("fn", [series_small_t, _alternating_small_t, _tricomi_small_t])
 def test_small_endpoint_sums_raise_where_x0_overflows(fn):
     with pytest.raises(NonConvergence, match=r"x0 = z\^2/4t overflows to inf"):
         fn(ShuParams(2.0, 3.0, 1e-310), incmac.core.TIGHT)
