@@ -156,9 +156,12 @@ class ShuParams(namedtuple("ShuParams", "order argument endpoint")):
     __slots__ = ()
 
     def __new__(cls, order, argument, endpoint):
-        order = _as_finite_real("order", order)
-        argument = _as_positive("argument", argument)
-        endpoint = _as_positive("endpoint", endpoint)
+        # floats the input rule keeps as given skip its three calls
+        if not (type(order) is type(argument) is type(endpoint) is float and -math.inf < order < math.inf
+                and 0.0 < argument < math.inf and 0.0 < endpoint < math.inf):
+            order = _as_finite_real("order", order)
+            argument = _as_positive("argument", argument)
+            endpoint = _as_positive("endpoint", endpoint)
         return tuple.__new__(cls, (order, argument, endpoint))
 
     @classmethod
@@ -199,7 +202,7 @@ class Tolerances(namedtuple("Tolerances", "abs_tol rel_tol max_depth")):
         """Absolute convergence target for a quantity of magnitude |scale|:
         max(abs_tol, rel_tol |scale|), abs_tol where the product is NaN.
         A comparison, since the builtin max costs six times as much in the
-        series loops that call this once per term."""
+        series loops that call this once per term (rejection inlines it)."""
         t = self.rel_tol * abs(scale)
         return t if t > self.abs_tol else self.abs_tol
 
@@ -242,13 +245,13 @@ class Evaluation(namedtuple("Evaluation", "value error_estimate method work flag
 
     def rejection(self, tol: Tolerances):
         """Why this value fails tol, or None: "TAIL_TOO_LARGE" when the
-        error estimate exceeds tol.target(value), a NaN estimate included,
-        else "OVERFLOW" when the value or estimate is not finite.  The one
-        acceptance rule for a series or closed-form candidate."""
-        err = self.error_estimate
-        if not err <= tol.target(self.value):
+        error estimate exceeds tol.target(value) (compared term by term), a
+        NaN estimate included, else "OVERFLOW" when the value or estimate is
+        not finite.  The one acceptance rule for a series or closed-form candidate."""
+        value, err = self[0], self[1]
+        if not (err <= tol.rel_tol * abs(value) or err <= tol.abs_tol):
             return "TAIL_TOO_LARGE"
-        return None if err < math.inf and abs(self.value) < math.inf else "OVERFLOW"
+        return None if err < math.inf and abs(value) < math.inf else "OVERFLOW"
 
 
 def underflow_to_zero(value: float, err: float, flags: tuple = ()):
@@ -288,11 +291,14 @@ def _log_s_peak(p) -> float:
 
 def _log_s_upper(p) -> float:
     """An upper bound on ln S, z^2/4 > 0, x0 finite: with e^(-y/2) taken out of g, the
-    peak on y >= x0 is at _y_peak(2(nu - 1), 2c), plus 1 for the rounding."""
+    peak on y >= x0 is at _y_peak(2(nu - 1), 2c), plus 1 for the rounding; inf where
+    that peak and x0 both round to 0."""
     nu, z = p.order, p.argument
     c = 0.25 * z * z
     x = c / p.endpoint
     y = max(x, _y_peak(2.0 * (nu - 1.0), 2.0 * c))
+    if y == 0.0:
+        return math.inf
     return (nu - 1.0) * math.log(y) - nu * log_half_ratio(z) - 0.5 * (x + y) - c / y + 1.0
 
 
@@ -345,12 +351,22 @@ class shared_work:
             _SHARED.reset(self._token)
 
 
+def _in_shared_work() -> bool:
+    """Whether a shared_work block is open: evaluate enters none inside one."""
+    return _SHARED.get() is not None
+
+
+_MISSING = object()  # shared's marker of a key not in the memo
+
+
 def shared(fn, *args):
     """fn(*args), computed once per distinct call inside a shared_work
-    block; a plain call outside any block."""
+    block; a plain call outside any block.  One hash per lookup."""
     memo = _SHARED.get()
     if memo is None:
         return fn(*args)
-    if (fn, args) not in memo:
-        memo[fn, args] = fn(*args)
-    return memo[fn, args]
+    key = fn, args
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = fn(*args)
+    return value

@@ -1,6 +1,6 @@
 """Regime-switching front end: one entry point with an error estimate.
 
-The decision order is one table, _CANDIDATES: large-endpoint asymptotics
+The decision order is one function, _decide: large-endpoint asymptotics
 when its leading correction is already below target, the half-order
 closed form (once self-validated against the oracle), the small-argument
 series where x0 = z^2/4t < 2, the small-endpoint series, then the
@@ -10,7 +10,7 @@ small-argument terms fall like x0^k/k!, so one boundary in x0 decides
 where that series runs and no limit in z is needed (DLMF 8.7.1,
 10.27.4); at negative non-integer order the series chooses between its
 K form and its split form itself.
-Each row runs its method's public function, which is what the CLI's
+Each candidate runs its method's public function, which is what the CLI's
 --method runs; the small-endpoint series sums in positive terms first and
 the paper's alternating sum where that misses (see expansions).  Both
 series take their sub-forms by one rule, expansions._first_to_meet, and
@@ -36,10 +36,10 @@ from .core import (
     NonConvergence,
     ShuParams,
     Tolerances,
+    _in_shared_work,
     _log_s_lower,
     shared,
     shared_work,
-    validate,
 )
 from .expansions import (
     _log_leading_correction,
@@ -143,55 +143,11 @@ def _closed_form_half_evaluation(p: ShuParams, tol: Tolerances) -> Evaluation:
     return Evaluation(*_closed_form_half_eval(p), MethodTag.CLOSED_FORM_HALF, 1)
 
 
-_SKIP = "SKIP"  # a gate's answer for a candidate that does not apply; not recorded
-
-
-def _large_t_gate(p: ShuParams, tol: Tolerances):
-    """Run where the leading correction is below the target K_nu(z) sets;
-    one past the double range is past every target.  Where K overflows,
-    the overflow rule raises if S does too, else the candidate is
-    rejected."""
-    nu, z, t = p.order, p.argument, p.endpoint
-    if t < _LARGE_T_MIN:
-        return _SKIP
-    try:
-        kval = shared(_macdonald_k_eval, nu, z)[0]
-    except OverflowError:
-        _overflow_rule(p)
-        return "OVERFLOW"
-    e = _log_leading_correction(nu, z, t)
-    return None if e < LOG_HUGE and math.exp(e) < tol.target(kval) else "CORRECTION_TOO_LARGE"
-
-
-def _half_order_gate(p: ShuParams, tol: Tolerances):
-    if abs(p.order) != 0.5:
-        return _SKIP
-    return None if _closed_form_half_validated() else "VALIDATION_FAILED"
-
-
-def _small_z_gate(p: ShuParams, tol: Tolerances):
-    return None if 0.25 * p.argument * p.argument / p.endpoint < _SMALL_Z_EXPONENT else _SKIP
-
-
-# The candidates in decision order: (tag, reason, gate, run).  gate(p, tol)
-# returns None to run the candidate, _SKIP or a rejection reason code; what
-# runs is judged by _verdict.  The lambdas look a callee up when it runs,
-# so a rebound module name (a test's stand-in) takes effect.  The
-# small-endpoint row has no gate: where x0 < 2 it runs after the
-# small-argument series.
-_CANDIDATES = (
-    (MethodTag.ASYMPT_LARGE_T, "LARGE_T", _large_t_gate,
-     lambda p, tol: asympt_large_t(p, tol)),
-    (MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM", _half_order_gate,
-     _closed_form_half_evaluation),
-    (MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED", _small_z_gate,
-     lambda p, tol: series_small_z(p, tol)),
-    (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", lambda p, tol: None,
-     lambda p, tol: series_small_t(p, tol)),
-)
-# the decision of a candidate accepted with none rejected before it, built
-# once
-_FIRST_CHOICE = {tag: RegimeDecision(tag, reason) for tag, reason, _, _ in _CANDIDATES}
+# each candidate's decision where none was rejected before it, built once
+_LARGE_T = RegimeDecision(MethodTag.ASYMPT_LARGE_T, "LARGE_T")
+_HALF_ORDER = RegimeDecision(MethodTag.CLOSED_FORM_HALF, "HALF_ORDER_CLOSED_FORM")
+_SMALL_Z = RegimeDecision(MethodTag.SERIES_SMALL_Z, "SMALL_Z_CONVERGED")
+_SMALL_T = RegimeDecision(MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED")
 
 
 def _overflow_rule(p: ShuParams):
@@ -202,17 +158,53 @@ def _overflow_rule(p: ShuParams):
         raise OverflowError(f"S exceeds the double range at {p}: ln S >= {log_low:.6g} > ln DBL_MAX")
 
 
-def _verdict(run, p: ShuParams, tol: Tolerances):
-    """Run one candidate: (evaluation, None) when it meets the target,
-    otherwise (None, reason code)."""
+def _try(first: RegimeDecision, run, p: ShuParams, tol: Tolerances, tried: list):
+    """Run one candidate: (evaluation, decision) when it meets the target,
+    otherwise None with (its tag, the reason code) appended to tried."""
     try:
         ev = run(p, tol)
     except NonConvergence:
-        return None, "NON_CONVERGENCE"
+        reason = "NON_CONVERGENCE"
     except OverflowError:
-        return None, "OVERFLOW"
-    rejection = ev.rejection(tol)
-    return (None, rejection) if rejection else (ev, None)
+        reason = "OVERFLOW"
+    else:
+        reason = ev.rejection(tol)
+        if reason is None:
+            return ev, RegimeDecision(first.chosen, first.reason, tuple(tried)) if tried else first
+    tried.append((first.chosen, reason))
+    return None
+
+
+def _decide(p: ShuParams, tol: Tolerances):
+    """evaluate's decision, straight-line in decision order.  A callee is
+    looked up when it runs, so a rebound module name takes effect."""
+    nu, z, t = p
+    tried = []
+    if t >= _LARGE_T_MIN:
+        # runs where the leading correction is below K_nu(z)'s target, which one past
+        # the double range never is; where K overflows, the overflow rule raises if S does
+        try:
+            kval = shared(_macdonald_k_eval, nu, z)[0]
+        except OverflowError:
+            _overflow_rule(p)
+            tried.append((MethodTag.ASYMPT_LARGE_T, "OVERFLOW"))
+        else:
+            e = _log_leading_correction(nu, z, t)
+            if not (e < LOG_HUGE and math.exp(e) < tol.target(kval)):
+                tried.append((MethodTag.ASYMPT_LARGE_T, "CORRECTION_TOO_LARGE"))
+            elif found := _try(_LARGE_T, asympt_large_t, p, tol, tried):
+                return found
+    if abs(nu) == 0.5:
+        if not _closed_form_half_validated():
+            tried.append((MethodTag.CLOSED_FORM_HALF, "VALIDATION_FAILED"))
+        elif found := _try(_HALF_ORDER, _closed_form_half_evaluation, p, tol, tried):
+            return found
+    if 0.25 * z * z / t < _SMALL_Z_EXPONENT and (found := _try(_SMALL_Z, series_small_z, p, tol, tried)):
+        return found
+    if found := _try(_SMALL_T, series_small_t, p, tol, tried):
+        return found
+    _overflow_rule(p)
+    return shu_oracle(p, tol), RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))
 
 
 def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDecision]:
@@ -220,7 +212,7 @@ def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDe
 
     Returns the evaluation together with the decision record (chosen
     method, reason code, and any candidates tried and rejected).  Each
-    candidate in _CANDIDATES passes its gate first.  A candidate that then
+    candidate in _decide passes its gate first.  A candidate that then
     does not converge, overflows or fails Evaluation.rejection (an
     estimate above the target, or a value or estimate that is not finite)
     is rejected, and the quadrature oracle is the fallback; a sum that
@@ -233,23 +225,13 @@ def evaluate(p: ShuParams, tol: Tolerances = None) -> tuple[Evaluation, RegimeDe
     The call runs in a core.shared_work block, so K_nu(z) is computed at
     most once, only when the large-endpoint gate or a K-based expansion
     needs it, and shared by all three; inside an enclosing block (as in
-    evaluate_grid) it shares that block's values.
+    evaluate_grid) it shares that block's values and opens none.
     """
     tol = tol or DEFAULT_TOLERANCES
-    tried = []
+    if _in_shared_work():
+        return _decide(p, tol)
     with shared_work():
-        for tag, reason, gate, run in _CANDIDATES:
-            rejection = gate(p, tol)
-            if rejection == _SKIP:
-                continue
-            if rejection is None:
-                ev, rejection = _verdict(run, p, tol)
-                if ev is not None:
-                    return ev, RegimeDecision(tag, reason, tuple(tried)) if tried else _FIRST_CHOICE[tag]
-            tried.append((tag, rejection))
-        _overflow_rule(p)
-        ev = shu_oracle(p, tol)
-    return ev, RegimeDecision(MethodTag.ORACLE5, "FALLBACK_ORACLE", tuple(tried))
+        return _decide(p, tol)
 
 
 def evaluate_grid(orders, zs, ts, tol=None) -> list:
@@ -270,11 +252,9 @@ def evaluate_grid(orders, zs, ts, tol=None) -> list:
             for z in zs:
                 for t in ts:
                     try:
-                        ev, dec = evaluate(validate(nu, z, t), tol)
+                        ev, dec = evaluate(ShuParams(nu, z, t), tol)
                     except (DomainError, NonConvergence, OverflowError) as exc:
-                        cells.append(
-                            GridCell(nu, z, t, None, None, f"{type(exc).__name__}: {exc}")
-                        )
+                        cells.append(GridCell(nu, z, t, None, None, f"{type(exc).__name__}: {exc}"))
                     else:
-                        cells.append(GridCell(nu, z, t, ev, dec))
+                        cells.append(tuple.__new__(GridCell, (nu, z, t, ev, dec, None)))
     return cells

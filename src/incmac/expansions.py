@@ -56,6 +56,7 @@ from .core import (
     _log_s_upper,
     log_half_ratio,
     shared,
+    underflow_to_zero,
 )
 from .gamma import (
     _asymptotic_sum,
@@ -570,11 +571,11 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
 def leading_small_t(p: ShuParams) -> float:
     """Leading small-endpoint approximant (1/2)(z/2)^(nu-2) e^(-z^2/4t) t^(1-nu).
 
-    Returns an exact 0.0 when the exponential underflows.
+    Returns an exact 0.0 below the smallest normal double (core.underflow_to_zero).
     """
     nu, z, t = p.order, p.argument, p.endpoint
     e = (nu - 2.0) * log_half_ratio(z) - math.log(2.0) + (1.0 - nu) * math.log(t) - 0.25 * z * z / t
-    return math.exp(e)
+    return underflow_to_zero(math.exp(e), 0.0)[0]
 
 
 def leading_small_z(p: ShuParams) -> float:

@@ -28,6 +28,10 @@ from incmac.core import (
 import frozen
 
 
+class _Real(float):
+    pass
+
+
 class TestValidate:
     def test_in_domain_point(self):
         p = validate(0, 3, 3)
@@ -74,12 +78,43 @@ class TestValidate:
             ((0.0, 1.0, 0), "endpoint=0.0: must be strictly positive"),
             ((0.0, -2.5, 1.0), "argument=-2.5: must be strictly positive"),
             ((0.0, 1.0, -1), "endpoint=-1.0: must be strictly positive"),
+            ((0.0, 1.0, True), "endpoint=True: must be a real number"),
+            ((0.0, math.inf, math.nan), "argument=inf: must be finite"),
+            ((0.0, 1.0, math.inf), "endpoint=inf: must be finite"),
+            ((0.0, 1.0, -2.5), "endpoint=-2.5: must be strictly positive"),
+            ((_Real(1.5), _Real(-2.5), 1.0), "argument=-2.5: must be strictly positive"),
+            # the first field the rule refuses is named
+            (("0", -1.0, math.nan), "order='0': must be a real number"),
+            ((1, -1, math.nan), "argument=-1.0: must be strictly positive"),
         ],
     )
     def test_invalid_input_message(self, point, message):
         with pytest.raises(DomainError) as exc:
             ShuParams(*point)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("other", [1.0, 1], ids=["floats", "ints"])
+    @pytest.mark.parametrize("value", [_Real(1.5), 2, True, -0.0, math.nan, math.inf, -2.5])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_each_slot_takes_the_field_rule(self, slot, value, other):
+        # with float neighbours a point may take ShuParams' all-float path,
+        # with int neighbours never: both give the field's own rule, the
+        # same float or the same DomainError
+        field = ShuParams._fields[slot]
+        rule = core._as_finite_real if slot == 0 else core._as_positive
+        point = [other] * 3
+        point[slot] = value
+        try:
+            want = rule(field, value)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                ShuParams(*point)
+            assert (got.value.field, str(got.value)) == (field, str(exc))
+            return
+        p = ShuParams(*point)
+        assert [type(v) for v in p] == [float] * 3
+        assert p[slot].hex() == want.hex()
+        assert [v for i, v in enumerate(p) if i != slot] == [1.0, 1.0]
 
     @pytest.mark.parametrize(
         "point",
@@ -91,10 +126,7 @@ class TestValidate:
         assert [v.hex() for v in (p.order, p.argument, p.endpoint)] == [v.hex() for v in point]
 
     def test_ints_and_float_subclasses_become_floats(self):
-        class Real(float):
-            pass
-
-        p = ShuParams(2, Real(1.5), 3)
+        p = ShuParams(2, _Real(1.5), 3)
         assert (p.order, p.argument, p.endpoint) == (2.0, 1.5, 3.0)
         assert all(type(v) is float for v in (p.order, p.argument, p.endpoint))
 
@@ -392,6 +424,13 @@ class TestSizeOfS:
     def test_lower_bound_where_the_peak_underflows(self, point):
         # ln S is about |nu| (ln(2|nu|/z) - 1) here, far past ln DBL_MAX
         assert core.LOG_HUGE < _log_s_lower(ShuParams(*point)) < math.inf
+
+    def test_no_upper_bound_where_the_shifted_peak_and_x0_underflow(self):
+        # math.log(0) raised a bare ValueError here; inf is no bound, and
+        # stays above the lower bound (3.54e19)
+        p = ShuParams(-1e17, 3e-154, 1e300)
+        assert _log_s_upper(p) == math.inf
+        assert _log_s_lower(p) <= _log_s_upper(p)
 
 
 class TestSharedWork:

@@ -508,8 +508,8 @@ class TestLargeNegativeOrder:
         def runs(p, tol):
             raise AssertionError("a candidate ran")
 
-        rows = tuple((tag, reason, gate, runs) for tag, reason, gate, _ in incmac.evaluator._CANDIDATES)
-        monkeypatch.setattr(incmac.evaluator, "_CANDIDATES", rows)
+        for name in ("asympt_large_t", "series_small_z", "series_small_t", "_closed_form_half_evaluation"):
+            monkeypatch.setattr(incmac.evaluator, name, runs)
         with pytest.raises(OverflowError, match=r"ln S >= \d"):
             evaluate(ShuParams(*point), incmac.core.TIGHT)
 
@@ -635,6 +635,46 @@ class TestEvaluateGrid:
         assert cells[0].evaluation is None
         assert "DomainError" in cells[0].error
         assert cells[1].evaluation is not None
+
+    @pytest.mark.parametrize(
+        "grid, error",
+        [
+            (([math.nan], [3.0], [2.0]), "DomainError: order=nan: must be finite"),
+            (([True], [3.0], [2.0]), "DomainError: order=True: must be a real number"),
+            (([math.inf], [-1.0], [2.0]), "DomainError: order=inf: must be finite"),
+            (([0.0], [-1.0], [2.0]), "DomainError: argument=-1.0: must be strictly positive"),
+            (([0.0], [0], [2.0]), "DomainError: argument=0.0: must be strictly positive"),
+            (([0.0], [math.inf], [2.0]), "DomainError: argument=inf: must be finite"),
+            (([0.0], ["3"], [2.0]), "DomainError: argument='3': must be a real number"),
+            (([0.0], [3.0], [-0.0]), "DomainError: endpoint=-0.0: must be strictly positive"),
+        ],
+    )
+    def test_bad_cell_error_text(self, grid, error):
+        (cell,) = evaluate_grid(*grid, TIGHT)
+        assert (cell.evaluation, cell.decision, cell.error) == (None, None, error)
+
+    def test_mixed_grid_equals_pointwise(self):
+        # every candidate, the oracle, rejections by the large-endpoint gate
+        # and by Evaluation.rejection, a bad z and a subnormal z: each cell,
+        # work, flags and candidates tried included, is what evaluate returns
+        # or raises called alone, outside any shared_work block
+        nu, z, t = _ORACLE_CELL
+        orders = [-2.3, nu, -1.0, -0.5, 0.5, 1.7]
+        zs = [1e-3, z, 0.7, 3.0, 20.0, -1.0, 1e-310]
+        ts = [t, 0.02, 0.3, 2.0, 12.0, 35.0, 60.0]
+        cells = evaluate_grid(orders, zs, ts, TIGHT)
+        assert len(cells) == len(orders) * len(zs) * len(ts)
+        chosen = {c.decision.chosen for c in cells if c.decision}
+        assert chosen == set(MethodTag) - {MethodTag.ORACLE2, MethodTag.ORACLE4}
+        tried = {reason for c in cells if c.decision for _, reason in c.decision.candidates_tried}
+        assert {"CORRECTION_TOO_LARGE", "TAIL_TOO_LARGE"} <= tried
+        assert {c.error.split(":")[0] for c in cells if c.error} == {"DomainError", "NonConvergence"}
+        for c in cells:
+            try:
+                want = evaluate(ShuParams(c.order, c.argument, c.endpoint), TIGHT) + (None,)
+            except (DomainError, NonConvergence, OverflowError) as exc:
+                want = (None, None, f"{type(exc).__name__}: {exc}")
+            assert (c.evaluation, c.decision, c.error) == want, c
 
     def test_subnormal_argument_never_aborts_sweep(self):
         cells = evaluate_grid([0.0], [5e-324, 1.0], [1.0])

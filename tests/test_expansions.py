@@ -395,8 +395,10 @@ class TestLeadingSmallT:
         assert 1.5 <= dev(0.1) / dev(0.05) <= 2.5
         assert 1.5 <= dev(0.05) / dev(0.025) <= 2.5
 
-    def test_underflow_returns_zero(self):
-        assert leading_small_t(ShuParams(0.0, 3.0, 1e-300)) == 0.0
+    # the exponential underflows to 0, or to a subnormal (1.72e-320 here)
+    @pytest.mark.parametrize("point", [(0.0, 3.0, 1e-300), (0.0, 54.0, 1.0)])
+    def test_underflow_returns_zero(self, point):
+        assert leading_small_t(ShuParams(*point)) == 0.0
 
 
 class TestLeadingSmallZ:

@@ -47,8 +47,10 @@ class TestEndpointDerivative:
     def test_positive(self, nu, z, t):
         assert dS_dt(ShuParams(nu, z, t)) > 0.0
 
-    def test_underflow_returns_zero(self):
-        assert dS_dt(ShuParams(0.0, 3.0, 1e-300)) == 0.0
+    # the exponential underflows to 0, or to a subnormal (1.41e-316 here)
+    @pytest.mark.parametrize("point", [(0.0, 3.0, 1e-300), (0.0, 1.0, 720.0)])
+    def test_underflow_returns_zero(self, point):
+        assert dS_dt(ShuParams(*point)) == 0.0
 
     def test_subnormal_argument(self):
         # z/2 underflows to 0; at order 0 the derivative is e^-t/2t
