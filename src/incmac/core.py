@@ -223,8 +223,8 @@ class Evaluation(namedtuple("Evaluation", "value error_estimate method work flag
     flags may carry FLAG_UNDERFLOW (true value below the smallest normal
     double, 0.0 returned).  Construction applies
     underflow_to_zero, so no path sets FLAG_UNDERFLOW itself.  A sum that
-    cancels shows it in error_estimate, which every series counts from its
-    peak partial sum; under an absolute target a value below abs_tol may
+    cancels shows it in error_estimate, whose rounding every series bounds
+    from its partial sums (_sum_rounding); under an absolute target a value below abs_tol may
     carry either sign within that estimate.
     """
 
@@ -268,6 +268,24 @@ def underflow_to_zero(value: float, err: float, flags: tuple = ()):
     return value, err, flags
 
 
+def _sum_rounding(c: float, plain: float, stepped: float) -> float:
+    """The one rounding bound of a sum formed term by term (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., §3.3): term k, a
+    coefficient after k steps of c roundings each times a factor, adds EPS
+    (1 + c k) |term_k| and EPS |s_k| for its addition to the partial sum s_k.
+    plain = sum |term_k| + |s_k| and stepped = sum k |term_k| are the loop's
+    running sums, as is |coef_k| times each factor's own absolute bound."""
+    return EPS * (plain + c * stepped)
+
+
+def _exp_value(log_value: float, p) -> float:
+    """e^log_value, a closed form's value at p: 0.0 below the smallest normal
+    double (underflow_to_zero), OverflowError naming p past the double range."""
+    if log_value > LOG_HUGE:
+        raise OverflowError(f"the value exceeds the double range at {p}: ln = {log_value:.6g} > ln DBL_MAX")
+    return underflow_to_zero(math.exp(log_value), 0.0)[0]
+
+
 def _y_peak(nm1: float, c: float) -> float:
     """The peak y* of y^nm1 e^(-y - c/y), c > 0, rationalised where it rounds to 0."""
     h = math.hypot(nm1, 2.0 * math.sqrt(c))
@@ -309,13 +327,12 @@ def _log_s_lower(p) -> float:
     x0 and y* lie below TINY, so g falls past Y0 = TINY.  The best of the
     w in (1, sqrt Y0, Y0/4, Y0) that do not round to 0, with 8 EPS times
     each term's size taken off ln g and off the prefactor's log, and 1 off
-    the sum; -inf, no bound, where z^2/4 is subnormal, Y0 is inf, or a term
-    passes the double range."""
+    the sum; -inf, no bound, where Y0 is inf or a term passes the double
+    range.  Where z^2/4 is subnormal, c = TINY stands in for it: a larger c
+    only lowers g and shortens the range, so the bound stays a lower bound."""
     nu, z = p.order, p.argument
     nm1 = nu - 1.0
-    c = 0.25 * z * z
-    if not c >= TINY:
-        return -math.inf
+    c = max(0.25 * z * z, TINY)
     y0 = max(c / p.endpoint, _y_peak(nm1, c)) or TINY
     if y0 == math.inf:
         return -math.inf

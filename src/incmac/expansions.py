@@ -2,33 +2,26 @@
 
 The two series (small endpoint, small argument) are convergent everywhere
 in the real domain and act as exact evaluators with tail bounds.  Both
-are sums of upper incomplete gammas at consecutive orders, which they take
-by recurrence from gamma._upper_gamma_orders and sum in units of one
+are sums of upper incomplete gammas at consecutive orders, taken by
+recurrence from gamma._upper_gamma_orders and summed in units of one
 prefactor (_upper_gamma_sum).  At negative non-integer order the
-small-argument series takes its split form, in lower incomplete gammas and
-I_-nu(z), which needs no K_nu(z); its lower gammas come the same way, by
-recurrence from gamma._lower_gamma_orders.  Past z = 1 it tries the K
-form first and the split form second.  The
-large-endpoint double sum is asymptotic; its inner sums stop at their
-smallest term or where their first omitted term, which bounds the rest,
-is within the accuracy the target leaves them.  Each of these sums is one
-loop, _series_core, which reads each factor and its error bound straight
-from those generators, or from a generator of the inner sums, with no
-call back per term.
+small-argument series takes its split form, in lower incomplete gammas
+(gamma._lower_gamma_orders) and I_-nu(z), which needs no K_nu(z); past
+z = 1 it tries the K form first.  The large-endpoint double sum is
+asymptotic; its inner sums stop at their smallest term or where their
+first omitted term, which bounds the rest, is within the accuracy the
+target leaves them.  Each of these sums is one loop, _series_core, which
+reads each factor and its absolute error bound straight from those
+generators and bounds its rounding by core._sum_rounding, the one rule
+of every sum formed term by term.
 
 The small-endpoint series alternates.  series_small_t, the candidate the
-evaluator runs, sums the same series in positive terms first
-(_tricomi_small_t),
-S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0), x0 = z^2/4t.
-Its terms come from one backward recurrence for U in its first
-parameter, run alongside the sum and normalised by U(1, nu+1, x0) = h_0,
-the first value of gamma._upper_gamma_orders(nu, x0).  Its estimate adds
-three parts: the half-width of a bracket that holds the recurrence's
-truncation and the omitted tail, the rounding carried step by step
-through the recurrence and the sums, and h_0's and the prefactor's
-rounding.  The alternating sum (_alternating_small_t) runs only where that
-misses; one rule, _first_to_meet, picks between the sub-forms of either
-series.
+evaluator runs, sums it in positive terms first (_tricomi_small_t),
+S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0), x0 = z^2/4t,
+from one backward recurrence for U in its first parameter normalised by
+U(1, nu+1, x0) = h_0 of gamma._upper_gamma_orders(nu, x0), and the
+alternating sum (_alternating_small_t) only where that misses; one rule,
+_first_to_meet, picks between the sub-forms of either series.
 
 The leading_* functions are bare approximants with no error control,
 exposed for the ratio-law checks and figure overlays.
@@ -53,10 +46,11 @@ from .core import (
     Tolerances,
     _as_finite_real,
     _as_positive,
+    _exp_value,
     _log_s_upper,
+    _sum_rounding,
     log_half_ratio,
     shared,
-    underflow_to_zero,
 )
 from .gamma import (
     _asymptotic_sum,
@@ -82,28 +76,22 @@ _LOG_EPS2 = 2.0 * math.log(EPS)
 
 
 def _series_core(coef: float, step: float, factors, rel: float, floor: float,
-                 offset: float = 0.0, rounding=None):
+                 offset: float = 0.0, step_roundings: int = 0):
     """The one loop over terms of every sum here.
 
     Term k is coef_k f_k with coef_(k+1) = coef_k * step/(k+1), where
-    (f_k, e_k) = next(factors).  The bound lost_k on what term k loses
-    beyond the summation's rounding comes from e_k in one of two modes:
-    relative (rounding None), |term k| (e_k + (2k + 2) EPS), with e_k a
-    bound on the relative error of f_k and coef_k carrying two roundings
-    per step and k times the step's own; absolute (rounding (c1, c0)),
-    |coef_k| e_k + (c1 k + c0) EPS |term k|, with e_k a bound on the
-    absolute error of f_k.  Stops only after two consecutive terms fall
-    below the target max(floor, rel |offset - partial sum|); alternating
-    sums can produce an accidentally tiny single term.  A partial sum that
-    is not finite, or _MAX_TERMS terms, raise NonConvergence.  Returns
-    (sum, terms used, the next coefficient, peak |partial sum|, sum of
-    lost_k); the first omitted term's factor is the next one in factors.
+    (f_k, e_k) = next(factors), e_k an absolute bound.  Stops only after two
+    consecutive terms fall below max(floor, rel |offset - partial sum|),
+    since alternating sums can produce an accidentally tiny single term; a
+    partial sum that is not finite, or _MAX_TERMS terms, raise
+    NonConvergence.  Returns (sum, terms used, the next coefficient, peak
+    |partial sum|, the sum of |coef_k| e_k plus core._sum_rounding's bound,
+    a step rounding twice plus step_roundings times in step itself, 2 for
+    x0 = z^2/4t); the first omitted term's factor is next in factors.
     """
-    total = peak = lost = 0.0
+    total = peak = lost = plain = stepped = 0.0
     streak = 0
     inf = math.inf
-    if rounding is not None:
-        c1, c0 = rounding
     for k in range(_MAX_TERMS):
         f, e = next(factors)
         term = coef * f
@@ -115,16 +103,15 @@ def _series_core(coef: float, step: float, factors, rel: float, floor: float,
         if mag > peak:
             peak = mag
         size = abs(term)
-        if rounding is None:
-            lost += size * (e + (2 * k + 2) * EPS)
-        else:
-            lost += abs(coef) * e + (c1 * k + c0) * EPS * size
+        lost += abs(coef) * e
+        plain += size + mag
+        stepped += k * size
         coef *= step / (k + 1)
         target = rel * abs(offset - total)
         if size < (target if target > floor else floor):
             streak += 1
             if streak == 2:
-                return total, k + 1, coef, peak, lost
+                return total, k + 1, coef, peak, lost + _sum_rounding(2 + step_roundings, plain, stepped)
         else:
             streak = 0
     raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
@@ -171,28 +158,24 @@ def _negligible(log_bound: float, kval: float) -> bool:
     return kval > 0.0 and log_bound < math.log(kval) + _LOG_EPS2 - 8.0
 
 
-def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: float, tol: Tolerances):
+def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: float, tol: Tolerances,
+                     step_roundings: int):
     """(1/2)(z/2t)^nu e^-x sum_k step^k/k! h_k with Gamma(a0 - k, x) = x^(a0-k)
-    e^-x h_k, the sum both upper-gamma series reduce to.
-
-    The sum runs in units of the prefactor, with h_k from
-    _upper_gamma_orders, so no term underflows on its own; the prefactor
-    goes through one exp together with the peak partial sum, so the
-    exponent's rounding is counted once and the result overflows only where
-    the sum does.  The estimate adds the first omitted term, each h_k's
-    bound and its coefficient's rounding times |term k|, the summation's
-    rounding from the peak and the exponent's rounding.  Returns (value,
-    error, terms).
-    """
+    e^-x h_k, the sum both upper-gamma series reduce to, run by _series_core
+    (step_roundings as there) in units of that prefactor, so no term
+    underflows; the prefactor goes through one exp with the peak partial
+    sum, so the result overflows only where the sum does.  The estimate
+    adds the first omitted term with its bound, _series_core's bound and
+    the exponent's rounding.  Returns (value, error, terms)."""
     log_q = log_half_ratio(z, t)
     lead = nu * log_q - x - LN2
     # abs_tol in units of e^lead, inf where that overflows
     e = math.log(tol.abs_tol) - lead if tol.abs_tol else -math.inf
     floor = math.exp(e) if e < LOG_HUGE else math.inf
     orders = _upper_gamma_orders(a0, x)
-    total, terms, coef, peak, werr = _series_core(1.0, step, orders, tol.rel_tol, floor)
-    h, r = next(orders)
-    werr += abs(coef * h) * (1.0 + r) + terms * EPS * peak
+    total, terms, coef, peak, werr = _series_core(1.0, step, orders, tol.rel_tol, floor, step_roundings=step_roundings)
+    h, bound = next(orders)
+    werr += abs(coef) * (h + bound)
     log_peak = math.log(peak)
     scale = math.exp(lead + log_peak)
     value = scale * (total / peak)
@@ -215,7 +198,7 @@ def _alternating_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; the small-t series has no terms")
     if x0 == math.inf:
         raise NonConvergence(f"x0 = z^2/4t overflows to inf at z = {z!r}, t = {t!r}; the small-t series has no terms")
-    value, err, terms = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol)
+    value, err, terms = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol, 0)
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms)
 
 
@@ -299,11 +282,10 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     keeps the estimate off the target and the rounding alone does not.
     A start above _MAX_START raises NonConvergence.  The estimate adds
     that half-width, the carried rounding of the upper sum, which bounds
-    the lower's too, so that S lies within both from the computed
-    midpoint, h_0's bound and the exponent's rounding.  Where
+    the lower's too, h_0's bound and the exponent's rounding.  Where
     core._log_s_upper puts S below the smallest normal double, the value
-    is the underflow rule's 0.0 and no recurrence runs.  work counts the
-    recurrence steps plus the terms summed, over every start tried.
+    is the underflow rule's 0.0.  work counts the recurrence steps plus the
+    terms summed, over every start tried.
     """
     nu, z, t = p.order, p.argument, p.endpoint
     x = 0.25 * z * z / t
@@ -320,10 +302,10 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     start = max(start, int(t - x) + 1 if start + 1 >= nu else int(t) + 1)
     if _log_s_upper(p) < LOG_TINY:
         return Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 0)
-    h0, r0 = next(_upper_gamma_orders(nu, x))
+    h0, e0 = next(_upper_gamma_orders(nu, x))
     log_q = log_half_ratio(z, t)
     lead = nu * log_q - x - t - LN2 + math.log(h0)
-    fixed = r0 + EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * (x + t) + abs(lead) + 6.0)
+    fixed = e0 / h0 + EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * (x + t) + abs(lead) + 6.0)
     work = 0
     while True:
         sl, sh, serr, steps = _tricomi_bracket(nu, x, t, start)
@@ -395,18 +377,14 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     Gamma(m - k) parts with K_m(z) to the I_m term (DLMF 10.27.4, 10.25.2),
     so the large K ~ z^-m is never subtracted.  Term k is
     (1/2)(2t/z)^m e^-t (-x0)^k/k! L_k with x0 = z^2/4t and gamma(m - k, t)
-    = t^(m-k) e^-t L_k; the L_k and their bounds come from
-    gamma._lower_gamma_orders, one Kummer sum and steps down in the order.
-    The sum over k runs in units of that prefactor, which goes through one
-    exp together with the peak partial sum, so it overflows only where the
-    sum does.  The estimate adds _split_tail's bound on the omitted terms,
-    which may rise again towards the pole at k = m past z = 1, each L_k's
-    own bound times |coef_k|, the coefficients' rounding,
-    the summation's rounding from the peak, the exponent's rounding, the
-    I_m term's error and EPS (|sum| + |I term|) for their difference.  Near
-    integer order both parts grow like 1/sin(m pi) and cancel, which the
-    last term and the L_k bounds show.  I_m(z) is core.shared, as K is, so
-    a sweep computes it once per (order, argument).
+    = t^(m-k) e^-t L_k, L_k from gamma._lower_gamma_orders; the sum runs in
+    units of that prefactor, which goes through one exp together with the
+    peak partial sum.  The estimate adds _split_tail's bound on the omitted
+    terms, which may rise again towards the pole at k = m past z = 1,
+    _series_core's bound, the exponent's rounding, the I_m term's error and
+    EPS (|sum| + |I term|) for their difference.  Near integer order both
+    parts grow like 1/sin(m pi) and cancel, which the last term and the L_k
+    bounds show.  I_m(z) is core.shared, as K is.
     """
     x0 = 0.25 * z * z / t
     # the sum runs in units of the prefactor, where abs_tol has no meaning;
@@ -414,10 +392,9 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     rel = max(tol.rel_tol, EPS)
 
     lowers = _lower_gamma_orders(m, t)
-    # L_k's own bound times |coef_k|, and the coefficient's rounding
-    total, terms, coef, peak, werr = _series_core(1.0, -x0, lowers, rel, 0.0, rounding=(1, 2))
+    total, terms, coef, peak, werr = _series_core(1.0, -x0, lowers, rel, 0.0, step_roundings=2)
     lk, bound = next(lowers)
-    werr += _split_tail(m, t, x0, terms, coef, abs(lk) + bound) + terms * EPS * peak
+    werr += _split_tail(m, t, x0, terms, coef, abs(lk) + bound)
     # (1/2)(2t/z)^m e^-t times the peak partial sum, through one exp
     log_t = math.log(t)
     log_z = math.log(z)
@@ -451,7 +428,7 @@ def _k_small_z(nu: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     x0 = 0.25 * z * z / t
     if _negligible(_log_tail_bound(nu, z, t) + x0, kval):
         return Evaluation(kval, kerr + EPS * abs(kval), MethodTag.SERIES_SMALL_Z, 0)
-    part, err, terms = _upper_gamma_sum(nu, z, t, -nu, t, -x0, tol)
+    part, err, terms = _upper_gamma_sum(nu, z, t, -nu, t, -x0, tol, 2)
     err += kerr + EPS * (abs(kval) + abs(part))
     return Evaluation(kval - part, err, MethodTag.SERIES_SMALL_Z, terms)
 
@@ -464,7 +441,7 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     _upper_gamma_sum in units of (1/2)(z/2)^nu t^-nu e^-t with step
     -z^2/4t: valid everywhere, numerically hostile at small t where the
     summands alternate with large magnitude, which its error estimate,
-    counted from the peak partial sum, shows.  At negative non-integer
+    bounded from its partial sums, shows.  At negative non-integer
     order and z <= 1, the split form in lower incomplete gammas and I_-nu (see
     _split_small_z), which needs no K and does not cancel against it at
     small z.  Past z = 1 the K form first, which takes most points there,
@@ -502,20 +479,20 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     first omitted term whose size times |coef_k| is below
     tol.target(K)/(2 _MAX_TERMS), so that all the inner stops together
     leave out under half the target: past -b terms the first omitted term
-    bounds the remainder (DLMF 8.11(i)).  The outer sum (powers of
-    (z/2)^2/t) is convergent and truncated on term smallness.  The
-    reported tail bound is the sum over the retained outer terms of their
-    first omitted inner terms (the inner truncation errors add up in the
-    correction), plus the first omitted outer term with its own inner sum
-    at its ceiling (_inner_ceiling; above 1 where b < 0), which bounds all
-    the omitted outer terms together: they sum to the remainder of an
-    exponential series in -(z/2)^2/(t + u), under the integral of I.  The
-    outer sum alternates, so its rounding is counted from its peak partial
-    sum.  work counts K's own work plus the inner sums' terms.
+    bounds the remainder (DLMF 8.11(i)).  That term plus the inner sum's
+    rounding is its factor's bound in the outer sum (powers of
+    (z/2)^2/t), which is convergent and truncated on term smallness; its
+    first omitted term, with its inner sum at its ceiling (_inner_ceiling;
+    above 1 where b < 0), bounds all the omitted outer terms: they sum to
+    the remainder of an exponential series in -(z/2)^2/(t + u), under the
+    integral of I.  The estimate adds _series_core's bound, K's, the
+    rounding of the first coefficient's exponent, which every term
+    carries, and that of K's subtraction.  work counts K's own work plus
+    the inner sums' terms.
 
     Two exits read B = _log_tail_bound and return K alone, with work K's
     own: B <= EXP_FLOOR, with K's estimate; e^(B + x0) negligible against
-    K (_negligible), with kerr + 16 EPS K, what the whole sum rounds to.
+    K (_negligible), with kerr + EPS K, what the whole sum rounds to.
     Past both, a first coefficient e^e below e^EXP_FLOOR or past the double
     range raises NonConvergence.
     """
@@ -528,13 +505,15 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         return Evaluation(kval, kerr, MethodTag.ASYMPT_LARGE_T, kwork)
     x0 = 0.25 * z * z / t
     if _negligible(log_tail + x0, kval):
-        return Evaluation(kval, kerr + 16.0 * EPS * abs(kval), MethodTag.ASYMPT_LARGE_T, kwork)
+        return Evaluation(kval, kerr + EPS * abs(kval), MethodTag.ASYMPT_LARGE_T, kwork)
     e = _log_leading_correction(nu, z, t)
     if e <= EXP_FLOOR:
         raise NonConvergence(f"the large-t sum's first coefficient e^{e:.6g} underflows; its tail bound is e^{log_tail:.6g}")
     if e > LOG_HUGE:
         raise NonConvergence(f"the large-t sum's first coefficient e^{e:.6g} exceeds the double range")
     base = math.exp(e)
+    # the rounding of e (two logs, nu + 1, two products, three sums) and of exp
+    base_err = EPS * (4.0 * (abs(nu * log_half_ratio(z)) + abs((nu + 1.0) * math.log(t))) + t + abs(e) + 3.0)
     step = -x0
     budget = tol.target(kval) / (2 * _MAX_TERMS)
     work = 0
@@ -548,34 +527,33 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
         k = 0
         while True:
             limit = budget / abs(coef) if coef else math.inf
-            msum, mterms, omitted, stopped = _asymptotic_sum(nu + k + 1.0, t, _MAX_TERMS + 1, limit)
+            msum, mterms, omitted, stopped, rounding = _asymptotic_sum(nu + k + 1.0, t, _MAX_TERMS + 1, limit)
             work += mterms
             if not stopped and omitted > tol.target(kval):
                 raise NonConvergence(f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}")
-            yield msum, omitted
+            yield msum, omitted + rounding
             coef *= step / (k + 1)
             k += 1
 
-    corr, terms, coef, peak, tail = _series_core(
-        base, step, inner_sums(), tol.rel_tol, tol.abs_tol, kval, rounding=(0, 0)
-    )
+    corr, terms, coef, _, tail = _series_core(base, step, inner_sums(), tol.rel_tol, tol.abs_tol, kval, step_roundings=2)
     # the omitted outer terms sum to base int_0^inf e^-u (1 + u/t)^-(nu+1)
     # R(-w) du with w = (z/2)^2/(t + u), R(-w) the remainder of e^-w after
     # `terms` terms, at most w^terms/terms! in magnitude: so at most |coef|
     # times the first omitted term's own inner sum, which may exceed 1
     outer = abs(coef) * _inner_ceiling(nu + terms + 1.0, t)
-    err = kerr + tail + outer + 16.0 * EPS * (abs(kval) + peak)
+    err = kerr + tail + outer + base_err * abs(corr) + EPS * abs(kval - corr)
     return Evaluation(kval - corr, err, MethodTag.ASYMPT_LARGE_T, kwork + work)
 
 
 def leading_small_t(p: ShuParams) -> float:
     """Leading small-endpoint approximant (1/2)(z/2)^(nu-2) e^(-z^2/4t) t^(1-nu).
 
-    Returns an exact 0.0 below the smallest normal double (core.underflow_to_zero).
+    Returns an exact 0.0 below the smallest normal double and raises
+    OverflowError past the double range (core._exp_value).
     """
     nu, z, t = p.order, p.argument, p.endpoint
     e = (nu - 2.0) * log_half_ratio(z) - math.log(2.0) + (1.0 - nu) * math.log(t) - 0.25 * z * z / t
-    return underflow_to_zero(math.exp(e), 0.0)[0]
+    return _exp_value(e, p)
 
 
 def leading_small_z(p: ShuParams) -> float:

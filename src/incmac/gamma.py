@@ -17,7 +17,7 @@ import math
 
 from .core import (
     EPS, EXP_FLOOR, LN2, LOG_HUGE, LOG_TINY, TINY, NonConvergence, PoleError, _as_count, _as_finite_real,
-    _as_nonnegative, _as_positive, log_half_ratio, shared, underflow_to_zero,
+    _as_nonnegative, _as_positive, _sum_rounding, log_half_ratio, shared, underflow_to_zero,
 )
 
 __all__ = [
@@ -35,6 +35,7 @@ _BLOCK = 16  # orders per Legendre-fraction anchor in _upper_gamma_orders
 # 50-digit arithmetic
 _CF_ERR = 64.0 * EPS
 _EULER = 0.5772156649015328606065120900824024
+_SUM_UNIT = 2.0**-64  # _kummer_sum's running sums, finite where the sum nears DBL_MAX
 
 # K: Temme's series below this argument, Steed's continued fraction at and above
 _Z_SPLIT = 2.0
@@ -83,31 +84,30 @@ def gamma(a: float) -> float:
 def _kummer_sum(a: float, x: float):
     """The Kummer series sum_n x^n / (a (a+1) ... (a+n)), with gamma(a, x) =
     x^a e^-x times it for every non-integer a (DLMF 8.7.1 continued in the
-    order), and an absolute bound on its rounding and tail.
+    order), and an absolute bound on its tail and its rounding,
+    core._sum_rounding's with three roundings a step.
 
-    The terms alternate in sign while a + n < 0, so the rounding scales with
-    sum |term_n|: a term's relative rounding is under 1.5 (n + 1) EPS and
-    the summation adds under (terms/2) EPS sum |term_n|, so the bound is
-    2 (terms + 1) EPS sum |term_n|.  The sum stops at a term below EPS of
-    the total once a + n > x, where the terms fall geometrically with ratio
-    r = x/(a + n + 1) < 1, so the tail is at most |term| r/(1 - r).  For
-    a > 0 that rule stops where the EPS test alone would, since a term is
-    the largest so far while a + n <= x.  Terms past the double range,
-    near e^x at x beyond about 700, raise NonConvergence.
+    It stops at a term below EPS of the total once a + n > x, where the
+    terms fall geometrically with ratio r = x/(a + n + 1) < 1, so the tail
+    is at most |term| r/(1 - r); for a > 0 that is where the EPS test
+    alone would stop, a term being the largest so far while a + n <= x.
+    Terms past the double range, near e^x at x beyond about 700, raise
+    NonConvergence.
     """
-    term = 1.0 / a
-    total = term
-    mag = abs(term)
+    total = term = 1.0 / a
+    plain, stepped = abs(term) * _SUM_UNIT, 0.0
     for n in range(1, _MAX_ITER):
         d = a + n
         term *= x / d
         total += term
-        mag += abs(term)
-        if abs(term) <= EPS * abs(total) and d > x:
-            if mag == math.inf:
+        size = abs(term)
+        plain += (size + abs(total)) * _SUM_UNIT
+        stepped += n * size * _SUM_UNIT
+        if size <= EPS * abs(total) and d > x:
+            if plain == math.inf:
                 break
-            tail = abs(term) * x / (d + 1.0 - x)
-            return total, 2.0 * (n + 2) * EPS * mag + tail
+            tail = size * x / (d + 1.0 - x)
+            return total, _sum_rounding(3.0, plain, stepped) / _SUM_UNIT + tail
     raise NonConvergence(f"lower gamma series stalled or overflowed at a={a}, x={x}", partial=total)
 
 
@@ -116,14 +116,12 @@ def _lower_gamma_orders(a0: float, x: float):
     e^-x L_k for non-integer a0, and an absolute bound e_k on the error of
     L_k.  The prefactor is left to the caller, as in _upper_gamma_orders.
 
-    L_0 is one Kummer sum; the orders below it come by the recurrence
-    b L(b) = 1 + x L(b+1), downward, the stable direction for the lower
-    gamma.  A step divides the carried error by |b| after multiplying it by
-    x, rounds x L and 1 + x L to EPS of themselves, and rounds the quotient
-    (with b = a0 - k, one rounding of an exact value) to EPS of itself.
-    Where 1 + x L cancels, near a zero of gamma(b, x), the bound stays
-    absolute and so stays honest.  The Kummer sum is core.shared, once per
-    (a0, x) in a sweep.
+    L_0 is one Kummer sum, core.shared; the orders below it come by the
+    recurrence b L(b) = 1 + x L(b+1), downward, the stable direction for
+    the lower gamma.  A step multiplies the carried error by x/|b| and adds
+    EPS of x L, of 1 + x L and of the quotient (b = a0 - k is one rounding
+    of an exact value).  Where 1 + x L cancels, near a zero of gamma(b, x),
+    the bound stays absolute and so stays honest.
     """
     lk, err = shared(_kummer_sum, a0, x)
     k = 0
@@ -145,18 +143,21 @@ def _upper_from_series(a: float, x: float) -> float:
 
 def _e1_series(x: float):
     """E1(x) = -euler - ln x + sum (-1)^(k+1) x^k / (k k!) for x < 1.5, and an
-    absolute bound on its rounding: the terms alternate, so as in
-    _kummer_sum it scales with the sum of their magnitudes."""
-    total = -_EULER - math.log(x)
-    mag = abs(total)
-    term = 1.0
+    absolute bound on its rounding: the constant's and the logarithm's,
+    and core._sum_rounding's, term k being (-x)^k/k! after k steps of two
+    roundings each, divided by -k."""
+    log_x = math.log(x)
+    total = -_EULER - log_x
+    plain, stepped, term = abs(total), 0.0, 1.0
     for k in range(1, _MAX_ITER):
         term *= -x / k
         piece = -term / k
         total += piece
-        mag += abs(piece)
-        if abs(piece) <= EPS * abs(total):
-            return total, 2.0 * (k + 2) * EPS * mag
+        size = abs(piece)
+        plain += size + abs(total)
+        stepped += k * size
+        if size <= EPS * abs(total):
+            return total, EPS * (_EULER + abs(log_x)) + _sum_rounding(2.0, plain, stepped)
     raise NonConvergence(f"E1 series stalled at x={x}", partial=total)
 
 
@@ -213,16 +214,16 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
 
 
 def _upper_gamma_orders(a0: float, x: float):
-    """Yields (h_k, r_k) for k = 0, 1, 2, ...: Gamma(a0 - k, x) = x^(a0-k)
-    e^-x h_k, and a bound r_k on the relative error of h_k.  The prefactor
-    is left to the caller, so the rounding of its exponent is the caller's
-    to count, once, and no h_k underflows.
+    """Yields (h_k, e_k) for k = 0, 1, 2, ...: Gamma(a0 - k, x) = x^(a0-k)
+    e^-x h_k, and an absolute bound e_k on the error of h_k, as
+    _lower_gamma_orders does.  The prefactor, and so its exponent's
+    rounding, is the caller's, and no h_k underflows.
 
     The orders are reached by the recurrence x h(a+1) = a h(a) + 1, each
     way only where it is stable (Gautschi, ACM TOMS 5:466, 1979; Gil,
-    Segura & Temme, SIAM J. Sci. Comput. 34:A2965, 2012): a step multiplies
-    the relative error by |a h(a)|/|a h(a) + 1| upward and by its inverse
-    downward, which r_k carries, plus 2 EPS for the step's rounding.  For
+    Segura & Temme, SIAM J. Sci. Comput. 34:A2965, 2012): a step upward
+    multiplies the relative error by |a h(a)|/|a h(a) + 1|, a step downward
+    the absolute one by x/|a|, and each adds its rounding.  For
     x >= 1.5, orders a >= 1 - x come upward from a Legendre fraction at the
     bottom of a block of _BLOCK orders, or lower, at an order <= x - 1,
     where the fraction holds (the interval [1 - x, x - 1] always holds one
@@ -243,7 +244,7 @@ def _upper_gamma_orders(a0: float, x: float):
             k = b + 1
         if k == 0:  # a0 < 1 - x: all downward
             h, r = shared(_legendre_cf, a0, x), _CF_ERR
-            yield h, r
+            yield h, h * r
             k = 1
     else:
         n = math.floor(a0)
@@ -251,13 +252,14 @@ def _upper_gamma_orders(a0: float, x: float):
         if n >= 0:
             yield from _upward(a0, x, 0, n, h, r)
         k = n + 1  # the first step down; below 0 it leads to a0 unyielded
-    while True:  # downward: h_k from h_(k-1)
+    e = h * r
+    while True:  # downward: h_k from h_(k-1), at orders b < 0, where x h < 1
         xh = x * h
-        d = xh - 1.0
-        h = d / (a0 - k)
-        r = xh * (r + EPS) / abs(d) + 2.0 * EPS if d else math.inf
+        b = a0 - k
+        h = (xh - 1.0) / b
+        e = (x * e + EPS * xh) / -b + 2.0 * EPS * h
         if k >= 0:
-            yield h, r
+            yield h, e
         k += 1
 
 
@@ -276,20 +278,18 @@ def _small_x_anchor(f: float, x: float):
 
 
 def _upward(a0: float, x: float, k: int, b: int, h: float, r: float):
-    """(h_j, r_j) for j = k, ..., b from h_b and r_b by upward recurrence."""
-    hs = [h]
-    rs = [r]
+    """(h_j, e_j) for j = k, ..., b, e_j an absolute bound, from h_b and a
+    bound r on its relative error by upward recurrence."""
+    out = [(h, h * r)]
     for j in range(b, k, -1):
         ah = (a0 - j) * h
         h = (ah + 1.0) / x
         if h == math.inf:  # so are all orders above; stops the run early
             raise OverflowError(f"Gamma({a0 - j + 1}, {x}) x^-a e^x exceeds the double range")
         r = abs(ah) / (ah + 1.0) * (r + EPS) + 2.0 * EPS
-        hs.append(h)
-        rs.append(r)
-    hs.reverse()
-    rs.reverse()
-    return zip(hs, rs)
+        out.append((h, h * r))
+    out.reverse()
+    return out
 
 
 def _asymptotic_sum(b: float, x: float, cap: int, budget: float = 0.0):
@@ -299,17 +299,22 @@ def _asymptotic_sum(b: float, x: float, cap: int, budget: float = 0.0):
     real b, after n >= -b terms the remainder is bounded in magnitude by
     the first omitted term (DLMF 8.11(i), n >= a - 1 for Gamma(a, x) with
     a = 1 - b), so the budget stop ends no earlier than that.  Returns (sum,
-    terms, |first omitted term|, whether it stopped before the cap)."""
-    total = 0.0
-    term = 1.0
+    terms, |first omitted term|, whether it stopped before the cap, a bound
+    on the sum's rounding: core._sum_rounding's, each term the last times
+    -(b + m)/x in three roundings)."""
+    total = plain = stepped = 0.0
+    term = last = 1.0
     for m in range(cap):
         total += term
+        plain += last + abs(total)
+        stepped += m * last
         nxt = term * (-(b + m) / x)
         size = abs(nxt)
-        if size >= abs(term) or (size < budget and m + 1 >= -b):
-            return total, m + 1, size, True
+        if size >= last or (size < budget and m + 1 >= -b):
+            return total, m + 1, size, True, _sum_rounding(3.0, plain, stepped)
         term = nxt
-    return total, cap, abs(term), False
+        last = size
+    return total, cap, last, False, _sum_rounding(3.0, plain, stepped)
 
 
 def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
@@ -411,26 +416,29 @@ def _k_steed(mu: float, z: float):
 def _bessel_i_series(order: float, z: float):
     """I_order(z) for order >= 0 from its power series (DLMF 10.25.2),
     (z/2)^order / Gamma(order + 1) sum_k (z^2/4)^k / (k! (order + 1)_k), and
-    an absolute bound on its error.
-
-    The terms are positive, so the sum's relative rounding is under 2 (terms
-    + 1) EPS; the prefactor goes through one exp, whose exponent carries the
-    rounding of ln(z/2) times the order, of the product, and of lgamma.  A
-    value below the smallest normal double adds that double times the sum.  The loop runs about z
-    terms, so this is for small and moderate z.
+    an absolute bound on its error: the sum's, core._sum_rounding's with
+    five roundings a step, q = z^2/4's among them, times the prefactor,
+    whose one exp carries the rounding of ln(z/2) times the order, of the
+    product and of lgamma.  A value below the smallest normal double adds
+    that double times the sum.  The loop runs about z terms, so this is
+    for small and moderate z.
     """
     order = _as_nonnegative("order", order)
     z = _as_positive("z", z)
     q = 0.25 * z * z
     term = total = 1.0
+    plain = stepped = 0.0
     for k in range(1, _MAX_ITER):
         term *= q / (k * (order + k))
         total += term
+        plain += term + total
+        stepped += k * term
         if term <= EPS * total:
             lead = order * log_half_ratio(z)
             lg = math.lgamma(order + 1.0)
-            value = math.exp(lead - lg) * total
-            err = 2.0 * (abs(lead) + order + abs(lg) + k + 2) * EPS * value
+            pref = math.exp(lead - lg)
+            value = pref * total
+            err = 2.0 * (abs(lead) + order + abs(lg) + 1.0) * EPS * value + pref * _sum_rounding(5.0, plain, stepped)
             if value < TINY:
                 err += TINY * total
             return value, err

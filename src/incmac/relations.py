@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from .core import (
-    TIGHT, TINY, ShuParams, StepTooCoarse, _as_finite_real, _as_positive, log_half_ratio, shared, underflow_to_zero,
+    TIGHT, TINY, ShuParams, StepTooCoarse, _as_finite_real, _as_positive, _exp_value, log_half_ratio, shared,
 )
 from .evaluator import evaluate
 
@@ -69,11 +69,12 @@ def dS_dt(p: ShuParams) -> float:
     """Exact endpoint derivative (1/2)(z/2)^nu e^(-t - z^2/4t) / t^(nu+1).
 
     Fundamental-theorem derivative of the defining integral; no quadrature.
-    Returns an exact 0.0 below the smallest normal double (core.underflow_to_zero).
+    Returns an exact 0.0 below the smallest normal double and raises
+    OverflowError past the double range (core._exp_value).
     """
     nu, z, t = p.order, p.argument, p.endpoint
     e = nu * log_half_ratio(z) - math.log(2.0) - t - 0.25 * z * z / t - (nu + 1.0) * math.log(t)
-    return underflow_to_zero(math.exp(e), 0.0)[0]
+    return _exp_value(e, p)
 
 
 def _d2S_dt2(p: ShuParams) -> float:

@@ -403,14 +403,19 @@ class TestSizeOfS:
     @pytest.mark.parametrize(
         "point",
         [
-            (2.0, 1e-170, 1.0),  # z^2/4 is 0
-            (2.0, 2e-154, 1.0),  # z^2/4 is subnormal
             (2.0, 1e200, 1e-100),  # x0 overflows
             (3e305, 1e-3, 1.0),  # ln g passes the double range
         ],
     )
     def test_no_lower_bound_at_the_edges(self, point):
         assert _log_s_lower(ShuParams(*point)) == -math.inf
+
+    def test_lower_bound_where_z2_over_4_is_subnormal(self):
+        # TINY stands in for z^2/4, 0 at z = 1e-170 and subnormal at 2e-154,
+        # where the bound was -inf: S is about 2/z^2 at order 2 and t = 1,
+        # past the double range at the first point and 5e307 at the second
+        assert core.LOG_HUGE < _log_s_lower(ShuParams(2.0, 1e-170, 1.0)) <= math.log(2.0) + 340.0 * math.log(10.0)
+        assert 700.0 < _log_s_lower(ShuParams(2.0, 2e-154, 1.0)) <= math.log(5e307)
 
     @pytest.mark.parametrize(
         "point",

@@ -668,7 +668,7 @@ class TestEvaluateGrid:
         assert chosen == set(MethodTag) - {MethodTag.ORACLE2, MethodTag.ORACLE4}
         tried = {reason for c in cells if c.decision for _, reason in c.decision.candidates_tried}
         assert {"CORRECTION_TOO_LARGE", "TAIL_TOO_LARGE"} <= tried
-        assert {c.error.split(":")[0] for c in cells if c.error} == {"DomainError", "NonConvergence"}
+        assert {c.error.split(":")[0] for c in cells if c.error} == {"DomainError", "NonConvergence", "OverflowError"}
         for c in cells:
             try:
                 want = evaluate(ShuParams(c.order, c.argument, c.endpoint), TIGHT) + (None,)
@@ -978,11 +978,25 @@ class TestTypedErrorsAtExtremePoints:
             macdonald_k(7332089645225821.0, 1.210441590872863e-137)
 
     def test_form_five_node_at_y_zero(self):
-        # z^2/4 is subnormal and x0 is 0, so a node's y rounds to 0
+        # z^2/4 is subnormal and x0 is 0, so a node's y rounds to 0; S is
+        # about K ~ 1e4550, so evaluate's overflow rule raises before form 5
         p = ShuParams(-28.259686302983116, 2.053303216910036e-161, 1.8648865660673147e+287)
-        for call in (evaluate, shu_oracle):
-            with pytest.raises(NonConvergence, match="a form-5 node reaches y = 0"):
-                call(p, incmac.core.TIGHT)
+        with pytest.raises(NonConvergence, match="a form-5 node reaches y = 0"):
+            shu_oracle(p, incmac.core.TIGHT)
+        with pytest.raises(OverflowError, match="ln S >= 9605.87 > ln DBL_MAX"):
+            evaluate(p, incmac.core.TIGHT)
+
+    @pytest.mark.parametrize("nu,z", [(1.7, 5e-300), (1.7, 1e-200)])
+    def test_overflow_where_z2_over_4_underflows(self, nu, z):
+        # S ~ (2/z)^1.7 Gamma(1.7)/2 passes the double range; with no lower
+        # bound on ln S where z^2/4 is subnormal, the oracle's "z^2/4
+        # underflows to 0" NonConvergence was raised instead
+        with pytest.raises(OverflowError, match=r"ln S >= [0-9.]+ > ln DBL_MAX"):
+            evaluate(ShuParams(nu, z, 1.0), incmac.core.TIGHT)
+
+    def test_in_range_value_where_z2_over_4_underflows(self):
+        ev, dec = evaluate(ShuParams(0.3, 5e-300, 1.0), incmac.core.TIGHT)
+        assert (ev.value, dec.chosen) == (1.1362843472958225e+90, MethodTag.SERIES_SMALL_Z)
 
     def test_subnormal_argument_box(self):
         # 3,000 seeded points with z^2/4 subnormal or near it: evaluate and

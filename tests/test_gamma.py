@@ -11,6 +11,7 @@ from incmac.expansions import series_small_z
 from incmac.gamma import (
     _asymptotic_sum,
     _bessel_i_series,
+    _e1_series,
     _kummer_sum,
     _lower_gamma_orders,
     _macdonald_k_eval,
@@ -25,6 +26,7 @@ from incmac.quadrature import integrate_adaptive
 from frozen import (
     BESSEL_I_REF,
     E1_1,
+    E1_REF,
     GAMMA_0_3,
     GAMMA_M15_2,
     GAMMA_SERIES_SIDE,
@@ -181,9 +183,10 @@ class TestUpperGammaOrders:
     def test_within_bound_of_per_order_values(self):
         checked = 0
         for a0, x, terms in [*self.CASES, *self._seeded(40)]:
-            for k, (h, r) in zip(range(terms), _upper_gamma_orders(a0, x)):
+            for k, (h, e) in zip(range(terms), _upper_gamma_orders(a0, x)):
                 # each step in its stable direction: the bound stays small
                 # (an upward run below order -x - 1 grows it past 1e8 EPS)
+                r = e / h
                 assert r <= 4096.0 * EPS, (a0, x, k)
                 a = a0 - k
                 e = a * math.log(x) - x
@@ -280,6 +283,12 @@ class TestLowerIncompleteGamma:
             _kummer_sum(a, x)
 
 
+@pytest.mark.parametrize("x", sorted(E1_REF))
+def test_e1_series_within_its_bound(x):
+    value, err = _e1_series(x)
+    assert abs(value - E1_REF[x]) <= err <= 1e-13 * value
+
+
 class TestBesselISeries:
     @pytest.mark.parametrize("order,z", sorted(BESSEL_I_REF))
     def test_frozen_within_error(self, order, z):
@@ -339,12 +348,12 @@ class TestIncompleteGammaAsymptotic:
         terms = [1.0]
         for m in range(11):
             terms.append(terms[-1] * -(0.5 + m) / 10.0)
-        total, used, omitted, smallest = _asymptotic_sum(0.5, 10.0, 50)
+        total, used, omitted, smallest, _ = _asymptotic_sum(0.5, 10.0, 50)
         assert (used, smallest) == (11, True)
         assert _rel(total, sum(terms[:11])) < 1e-15
         assert _rel(omitted, abs(terms[11])) < 1e-15
         # a cap reached first reports the next term, which is not smallest
-        total, used, omitted, smallest = _asymptotic_sum(0.5, 10.0, 3)
+        total, used, omitted, smallest, _ = _asymptotic_sum(0.5, 10.0, 3)
         assert (used, smallest) == (3, False)
         assert _rel(total, sum(terms[:3])) < 1e-15
         assert _rel(omitted, abs(terms[3])) < 1e-15
@@ -356,7 +365,7 @@ class TestIncompleteGammaAsymptotic:
         for m in range(5):
             terms.append(terms[-1] * -(0.5 + m) / 10.0)
         assert abs(terms[3]) >= 1e-3 > abs(terms[4])
-        total, used, omitted, stopped = _asymptotic_sum(0.5, 10.0, 50, 1e-3)
+        total, used, omitted, stopped, _ = _asymptotic_sum(0.5, 10.0, 50, 1e-3)
         assert (used, stopped) == (4, True)
         assert _rel(total, sum(terms[:4])) < 1e-15
         assert _rel(omitted, abs(terms[4])) < 1e-15
@@ -365,7 +374,7 @@ class TestIncompleteGammaAsymptotic:
         # at b = -3.5 every term is below a budget of 1, but the first
         # omitted term bounds the rest only after n >= -b terms (DLMF
         # 8.11(i)), so the sum keeps four
-        total, used, omitted, stopped = _asymptotic_sum(-3.5, 40.0, 50, 1.0)
+        total, used, omitted, stopped, _ = _asymptotic_sum(-3.5, 40.0, 50, 1.0)
         assert (used, stopped) == (4, True)
         terms = [1.0]
         for m in range(4):
@@ -381,7 +390,7 @@ class TestIncompleteGammaAsymptotic:
         for b in (-29.5, -12.25, -3.5, -0.75, 0.5, 1.0, 4.3, 17.0, 31.0):
             for x in (30.0, 45.0, 120.0, 300.0):
                 for budget in (1e-3, 1e-8, 1e-13):
-                    total, used, omitted, stopped = _asymptotic_sum(b, x, 201, budget)
+                    total, used, omitted, stopped, _ = _asymptotic_sum(b, x, 201, budget)
                     assert stopped and used >= -b
                     exact = upper_incomplete_gamma(1.0 - b, x) * math.exp(x + b * math.log(x))
                     assert abs(total - exact) <= omitted + 1e-13 * abs(exact), (b, x, budget)

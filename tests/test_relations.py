@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
-from incmac.core import TIGHT, DomainError, ShuParams, StepTooCoarse
+from incmac.core import EPS, FLAG_UNDERFLOW, TIGHT, TINY, DomainError, ShuParams, StepTooCoarse
 from incmac.evaluator import evaluate
+from incmac.expansions import leading_small_t
 from incmac.gamma import upper_incomplete_gamma
 from incmac.quadrature import integrate_adaptive, shu_oracle
 from incmac.relations import (
@@ -57,6 +59,15 @@ class TestEndpointDerivative:
         assert _rel(dS_dt(ShuParams(0.0, 5e-324, 1.0)), math.exp(-1.0) / 2.0) < 1e-15
 
 
+    @pytest.mark.parametrize("closed_form", [dS_dt, leading_small_t])
+    def test_overflow_names_the_point(self, closed_form):
+        # one of 591 box-A draws where the exponential passed the double
+        # range, which raised a bare "math range error"
+        p = ShuParams(-76.22836712573202, 5.139145922509746e-10, 0.007043519211988444)
+        with pytest.raises(OverflowError, match=r"at ShuParams\(order=-76.2283.*: ln = [0-9.e+]+ > ln DBL_MAX"):
+            closed_form(p)
+
+
 class TestArgumentDerivative:
     def test_matches_finite_difference(self):
         p = ShuParams(0.0, 3.0, 3.0)
@@ -95,6 +106,55 @@ class TestRecurrences:
         fd = (_evaluated(1, 3 + h, 2) - _evaluated(1, 3 - h, 2)) / (2.0 * h)
         combo = 0.5 * (r1.residual - r2.residual)
         assert _rel(combo, dS_dz(p) - fd) < 1e-6 or abs(combo) < 1e-12
+
+
+def _scatter_wide_seed_1():
+    rng = random.Random(1)
+    for _ in range(2000):
+        nu = rng.uniform(-30.0, 30.0)
+        z = math.exp(rng.uniform(math.log(1e-6), math.log(3e3)))
+        yield nu, z, math.exp(rng.uniform(math.log(1e-4), math.log(3e3)))
+
+
+def _box_a():
+    rng = random.Random(102)
+    for _ in range(3000):
+        nu = rng.uniform(-100.0, 100.0)
+        z = math.exp(rng.uniform(math.log(1e-12), math.log(1e6)))
+        yield nu, z, math.exp(rng.uniform(math.log(1e-8), math.log(1e6)))
+
+
+def _box_b():
+    rng = random.Random(104)
+    for _ in range(2000):
+        nu = math.exp(rng.uniform(math.log(30.0), math.log(150.0))) * rng.choice((-1, 1))
+        z = math.exp(rng.uniform(math.log(1e-2), math.log(3e3)))
+        yield nu, z, math.exp(rng.uniform(math.log(1e-3), math.log(3e3)))
+
+
+@pytest.mark.parametrize("box", [_scatter_wide_seed_1, _box_a, _box_b])
+def test_first_recurrence_within_claimed_errors(box):
+    # no reference: dS_(nu-1)/dt + S_(nu-1) - S_(nu+1) + (2 nu/z) S_nu = 0,
+    # its three values of S often from different candidates, so each
+    # returned estimate is checked against the others.  The claim adds the
+    # three estimates, the rounding of the sum, that of the exponent of
+    # dS/dt, and TINY times the coefficient of each flagged zero
+    checked = 0
+    for nu, z, t in box():
+        try:
+            lo, hi, mid = (evaluate(ShuParams(n, z, t), TIGHT)[0] for n in (nu - 1.0, nu + 1.0, nu))
+            slope = dS_dt(ShuParams(nu - 1.0, z, t))
+        except (ArithmeticError, ValueError):
+            continue
+        c = abs(2.0 * nu / z)
+        terms = (slope, lo.value, -hi.value, (2.0 * nu / z) * mid.value)
+        exponent = abs((nu - 1.0) * math.log(0.5 * z)) + math.log(2.0) + t + 0.25 * z * z / t + abs(nu * math.log(t))
+        claim = (lo.error_estimate + hi.error_estimate + c * mid.error_estimate
+                 + 8.0 * EPS * max(map(abs, terms)) + 4.0 * EPS * (exponent + 4.0) * slope
+                 + TINY * sum(w for ev, w in ((lo, 1.0), (hi, 1.0), (mid, c)) if FLAG_UNDERFLOW in ev.flags))
+        assert abs(sum(terms)) <= claim, (nu, z, t)
+        checked += 1
+    assert checked > 1500
 
 
 class TestDifferentialRelations:
