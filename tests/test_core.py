@@ -400,22 +400,29 @@ class TestSizeOfS:
         assert core.LOG_HUGE < _log_s_lower(p) <= log_s <= _log_s_upper(p)
         assert abs(_log_s_peak(p) - log_s) < 0.1 * log_s
 
+    # the ids keep the numbering they had when the z^2/4 cases led the list
     @pytest.mark.parametrize(
         "point",
         [
-            (2.0, 1e200, 1e-100),  # x0 overflows
-            (3e305, 1e-3, 1.0),  # ln g passes the double range
+            pytest.param((2.0, 1e200, 1e-100), id="point2"),  # x0 overflows
+            pytest.param((3e305, 1e-3, 1.0), id="point3"),  # ln g passes the double range
         ],
     )
     def test_no_lower_bound_at_the_edges(self, point):
         assert _log_s_lower(ShuParams(*point)) == -math.inf
 
-    def test_lower_bound_where_z2_over_4_is_subnormal(self):
-        # TINY stands in for z^2/4, 0 at z = 1e-170 and subnormal at 2e-154,
-        # where the bound was -inf: S is about 2/z^2 at order 2 and t = 1,
-        # past the double range at the first point and 5e307 at the second
-        assert core.LOG_HUGE < _log_s_lower(ShuParams(2.0, 1e-170, 1.0)) <= math.log(2.0) + 340.0 * math.log(10.0)
-        assert 700.0 < _log_s_lower(ShuParams(2.0, 2e-154, 1.0)) <= math.log(5e307)
+    # TINY stands in for z^2/4, 0 at z = 1e-170 and subnormal at 2e-154,
+    # where the bound was -inf: S is about 2/z^2 at order 2 and t = 1,
+    # past the double range at the first point and 5e307 at the second
+    @pytest.mark.parametrize(
+        "point,low,high",
+        [
+            pytest.param((2.0, 1e-170, 1.0), core.LOG_HUGE, math.log(2.0) + 340.0 * math.log(10.0), id="zero"),
+            pytest.param((2.0, 2e-154, 1.0), 700.0, math.log(5e307), id="subnormal"),
+        ],
+    )
+    def test_lower_bound_where_z2_over_4_is_subnormal(self, point, low, high):
+        assert low < _log_s_lower(ShuParams(*point)) <= high
 
     @pytest.mark.parametrize(
         "point",
