@@ -2,18 +2,18 @@
 
 The two series (small endpoint, small argument) are convergent everywhere
 in the real domain and act as exact evaluators with tail bounds.  Both
-are sums of upper incomplete gammas at consecutive orders, taken by
-recurrence from gamma._upper_gamma_orders and summed in units of one
-prefactor (_upper_gamma_sum).  At negative non-integer order the
-small-argument series takes its split form, in lower incomplete gammas
-(gamma._lower_gamma_orders) and I_-nu(z), which needs no K_nu(z); past
-z = 1 it tries the K form first.  The large-endpoint double sum is
-asymptotic; its inner sums stop at their smallest term or where their
-first omitted term, which bounds the rest, is within the accuracy the
-target leaves them.  Each of these sums is one loop, _series_core, which
-reads each factor and its absolute error bound straight from those
-generators and bounds its rounding by core._sum_rounding, the one rule
-of every sum formed term by term.
+are sums of incomplete gammas at consecutive orders times one prefactor,
+upper gammas from gamma._upper_gamma_orders and, in the small-argument
+split form at negative non-integer order, lower ones from
+gamma._lower_gamma_orders with I_-nu(z), which needs no K_nu(z).  One
+routine, _gamma_sum, sums, stops and scales all three; each caller gives
+only its orders and its bound on the omitted terms.  The large-endpoint
+double sum is asymptotic; its inner sums stop at their smallest term or
+where their first omitted term, which bounds the rest, is within the
+accuracy the target leaves them.  Each of these sums is one loop,
+_series_core, which reads each factor and its absolute error bound
+straight from those generators and bounds its rounding by
+core._sum_rounding, the one rule of every sum formed term by term.
 
 The small-endpoint series alternates.  series_small_t, the candidate the
 evaluator runs, sums it in positive terms first (_tricomi_small_t),
@@ -24,7 +24,9 @@ alternating sum (_alternating_small_t) only where that misses; one rule,
 _first_to_meet, picks between the sub-forms of either series.
 
 The leading_* functions are bare approximants with no error control,
-exposed for the ratio-law checks and figure overlays.
+exposed for the ratio-law checks and figure overlays.  Each takes its
+exponential through core._exp_value: 0.0 below the smallest normal
+double, OverflowError naming the point past the double range.
 """
 
 import math
@@ -158,26 +160,35 @@ def _negligible(log_bound: float, kval: float) -> bool:
     return kval > 0.0 and log_bound < math.log(kval) + _LOG_EPS2 - 8.0
 
 
-def _upper_gamma_sum(nu: float, z: float, t: float, a0: float, x: float, step: float, tol: Tolerances,
-                     step_roundings: int):
-    """(1/2)(z/2t)^nu e^-x sum_k step^k/k! h_k with Gamma(a0 - k, x) = x^(a0-k)
-    e^-x h_k, the sum both upper-gamma series reduce to, run by _series_core
+def _first_omitted(nu: float, x: float, step: float, n: int, coef: float, u: float) -> float:
+    """|coef| u, the first omitted term: both upper-gamma sums' tail bound."""
+    return abs(coef) * u
+
+
+def _gamma_sum(nu: float, z: float, t: float, x: float, step: float, tol: Tolerances, step_roundings: int,
+               factors, tail):
+    """(1/2)(z/2t)^nu e^-x sum_k step^k/k! f_k, the sum of all three
+    incomplete-gamma series, with (f_k, e_k) from factors, a generator of
+    gamma._upper_gamma_orders or _lower_gamma_orders at x.  Run by _series_core
     (step_roundings as there) in units of that prefactor, so no term
-    underflows; the prefactor goes through one exp with the peak partial
-    sum, so the result overflows only where the sum does.  The estimate
-    adds the first omitted term with its bound, _series_core's bound and
-    the exponent's rounding.  Returns (value, error, terms)."""
+    underflows and abs_tol is taken in those units; the prefactor goes
+    through one exp with the peak partial sum, which raises OverflowError
+    past the double range.  The estimate adds tail(nu, x, step, n, coef_n,
+    |f_n| + e_n), the caller's bound on the omitted terms, _series_core's
+    bound and the exponent's rounding.  Returns (value, error, terms)."""
     log_q = log_half_ratio(z, t)
     lead = nu * log_q - x - LN2
     # abs_tol in units of e^lead, inf where that overflows
     e = math.log(tol.abs_tol) - lead if tol.abs_tol else -math.inf
     floor = math.exp(e) if e < LOG_HUGE else math.inf
-    orders = _upper_gamma_orders(a0, x)
-    total, terms, coef, peak, werr = _series_core(1.0, step, orders, tol.rel_tol, floor, step_roundings=step_roundings)
-    h, bound = next(orders)
-    werr += abs(coef) * (h + bound)
+    total, terms, coef, peak, werr = _series_core(1.0, step, factors, tol.rel_tol, floor, step_roundings=step_roundings)
+    f, bound = next(factors)
+    werr += tail(nu, x, step, terms, coef, abs(f) + bound)
     log_peak = math.log(peak)
-    scale = math.exp(lead + log_peak)
+    log_scale = lead + log_peak
+    if log_scale > LOG_HUGE:
+        raise OverflowError(f"the series exceeds the double range at {ShuParams(nu, z, t)}: ln = {log_scale:.6g} > ln DBL_MAX")
+    scale = math.exp(log_scale)
     value = scale * (total / peak)
     # the rounding of log_q times nu, of x (two products and a quotient)
     # and of the three sums
@@ -189,8 +200,8 @@ def _alternating_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     """The paper's alternating small-endpoint series, (1/2)(z/2)^-nu
     sum_k (-z^2/4)^k/k! Gamma(nu - k, z^2/4t): convergent everywhere (the
     k! eventually dominates), efficient where z^2/4t is a few units or
-    more.  Summed by _upper_gamma_sum in units of (1/2)(z/2t)^nu
-    e^(-z^2/4t), with step -t; the tail bound is the first omitted term."""
+    more.  Summed by _gamma_sum in units of (1/2)(z/2t)^nu e^(-z^2/4t),
+    with step -t; the tail bound is the first omitted term."""
     nu, z, t = p.order, p.argument, p.endpoint
     x0 = 0.25 * z * z / t
     if x0 == 0.0:
@@ -198,7 +209,7 @@ def _alternating_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; the small-t series has no terms")
     if x0 == math.inf:
         raise NonConvergence(f"x0 = z^2/4t overflows to inf at z = {z!r}, t = {t!r}; the small-t series has no terms")
-    value, err, terms = _upper_gamma_sum(nu, z, t, nu, x0, -t, tol, 0)
+    value, err, terms = _gamma_sum(nu, z, t, x0, -t, tol, 0, _upper_gamma_orders(nu, x0), _first_omitted)
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms)
 
 
@@ -337,10 +348,11 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     return _first_to_meet(tol, lambda: _tricomi_small_t(p, tol), lambda: _alternating_small_t(p, tol))
 
 
-def _split_tail(m: float, t: float, x0: float, n: int, coef: float, u: float) -> float:
-    """A bound on sum_(j >= n) |coef_j L_j|, the terms the split form leaves
-    out after n, with |coef_(j+1)| = |coef_j| x0/(j+1) from coef_n = coef
-    and |L_n| <= u.
+def _split_tail(nu: float, t: float, step: float, n: int, coef: float, u: float) -> float:
+    """A bound on sum_(j >= n) |coef_j L_j|, the terms the split form at
+    order nu = -m leaves out after n, with |coef_(j+1)| = |coef_j| x0/(j+1)
+    from coef_n = coef, x0 = -step, and |L_n| <= u: the tail argument of
+    _gamma_sum for _split_small_z.
 
     The recurrence (m - j - 1) L_(j+1) = 1 + t L_j bounds every later L by
     U_(j+1) = (1 + t U_j)/|m - j - 1| >= |L_(j+1)|, exactly while m - j - 1
@@ -353,6 +365,7 @@ def _split_tail(m: float, t: float, x0: float, n: int, coef: float, u: float) ->
     rest.  Before the pole the terms may fall and rise again by far more
     than the first omitted one shows, as L grows about t/(m - j) a step.
     """
+    m, x0 = -nu, -step
     f = m - math.floor(m)
     ahead = 1.0 + (1.0 + t) / min(f, 1.0 - f)
     c = abs(coef)
@@ -375,36 +388,16 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
 
     Writing each Gamma(m - k, t) as Gamma(m - k) - gamma(m - k, t) sums the
     Gamma(m - k) parts with K_m(z) to the I_m term (DLMF 10.27.4, 10.25.2),
-    so the large K ~ z^-m is never subtracted.  Term k is
-    (1/2)(2t/z)^m e^-t (-x0)^k/k! L_k with x0 = z^2/4t and gamma(m - k, t)
-    = t^(m-k) e^-t L_k, L_k from gamma._lower_gamma_orders; the sum runs in
-    units of that prefactor, which goes through one exp together with the
-    peak partial sum.  The estimate adds _split_tail's bound on the omitted
-    terms, which may rise again towards the pole at k = m past z = 1,
-    _series_core's bound, the exponent's rounding, the I_m term's error and
-    EPS (|sum| + |I term|) for their difference.  Near integer order both
-    parts grow like 1/sin(m pi) and cancel, which the last term and the L_k
-    bounds show.  I_m(z) is core.shared, as K is.
+    so the large K ~ z^-m is never subtracted.  With gamma(m - k, t) =
+    t^(m-k) e^-t L_k, L_k from gamma._lower_gamma_orders, the sum is
+    _gamma_sum's at order -m with step -x0, x0 = z^2/4t, and _split_tail's
+    bound on the omitted terms, which may rise again towards the pole at
+    k = m past z = 1.  The estimate adds the I_m term's error and EPS
+    (|sum| + 4 |I term|) for their difference.  Near integer order both
+    parts grow like 1/sin(m pi) and cancel, which the last term and the
+    L_k bounds show.  I_m(z) is core.shared, as K is.
     """
-    x0 = 0.25 * z * z / t
-    # the sum runs in units of the prefactor, where abs_tol has no meaning;
-    # the relative stop still ends at double resolution when rel_tol is 0
-    rel = max(tol.rel_tol, EPS)
-
-    lowers = _lower_gamma_orders(m, t)
-    total, terms, coef, peak, werr = _series_core(1.0, -x0, lowers, rel, 0.0, step_roundings=2)
-    lk, bound = next(lowers)
-    werr += _split_tail(m, t, x0, terms, coef, abs(lk) + bound)
-    # (1/2)(2t/z)^m e^-t times the peak partial sum, through one exp
-    log_t = math.log(t)
-    log_z = math.log(z)
-    lead = m * (log_t - log_z + LN2)
-    log_peak = math.log(0.5 * peak)
-    scale = math.exp(lead - t + log_peak)
-    part = scale * (total / peak)
-    # the logs' rounding times m, plus that of the four operations on them
-    exponent_err = EPS * (2.0 * m * (abs(log_t) + abs(log_z) + 1.0) + t + abs(log_peak) + 2.0)
-    part_err = scale * (werr / peak) + exponent_err * abs(part)
+    part, part_err, terms = _gamma_sum(-m, z, t, t, -0.25 * z * z / t, tol, 2, _lower_gamma_orders(m, t), _split_tail)
     # pi/(2 sin(m pi)) with the argument reduced exactly
     r = round(m)
     half_pi_over_sin = 0.5 * math.pi / math.sin(math.pi * (m - r))
@@ -428,7 +421,7 @@ def _k_small_z(nu: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     x0 = 0.25 * z * z / t
     if _negligible(_log_tail_bound(nu, z, t) + x0, kval):
         return Evaluation(kval, kerr + EPS * abs(kval), MethodTag.SERIES_SMALL_Z, 0)
-    part, err, terms = _upper_gamma_sum(nu, z, t, -nu, t, -x0, tol, 2)
+    part, err, terms = _gamma_sum(nu, z, t, t, -x0, tol, 2, _upper_gamma_orders(-nu, t), _first_omitted)
     err += kerr + EPS * (abs(kval) + abs(part))
     return Evaluation(kval - part, err, MethodTag.SERIES_SMALL_Z, terms)
 
@@ -438,7 +431,7 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
 
     At order nu >= 0, and at integer orders, K_nu(z) minus that expansion,
     (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t), summed by
-    _upper_gamma_sum in units of (1/2)(z/2)^nu t^-nu e^-t with step
+    _gamma_sum in units of (1/2)(z/2)^nu t^-nu e^-t with step
     -z^2/4t: valid everywhere, numerically hostile at small t where the
     summands alternate with large magnitude, which its error estimate,
     bounded from its partial sums, shows.  At negative non-integer
@@ -563,7 +556,7 @@ def leading_small_z(p: ShuParams) -> float:
     if nu == 0.0:
         return -math.log(z)
     a = abs(nu)
-    return math.exp((a - 1.0) * math.log(2.0) + math.lgamma(a) - a * math.log(z))
+    return _exp_value((a - 1.0) * math.log(2.0) + math.lgamma(a) - a * math.log(z), p)
 
 
 def leading_large_z(p: ShuParams) -> float:
@@ -582,13 +575,8 @@ def leading_large_z(p: ShuParams) -> float:
             NearPoleWarning,
             stacklevel=2,
         )
-    return math.exp(
-        nu * math.log(z)
-        - 0.25 * z * z / t
-        - t
-        - (nu - 1.0) * math.log(2.0 * t)
-        - math.log(z * z - 4.0 * t * t)
-    )
+    e = nu * math.log(z) - 0.25 * z * z / t - t - (nu - 1.0) * math.log(2.0 * t) - math.log(z * z - 4.0 * t * t)
+    return _exp_value(e, p)
 
 
 def leading_imb_large_z(order: float, z: float, t_imb: float) -> float:
@@ -599,4 +587,4 @@ def leading_imb_large_z(order: float, z: float, t_imb: float) -> float:
     z = _as_positive("z", z)
     a = abs(order * t_imb)
     log_cosh = a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
-    return math.exp(log_cosh - z * math.cosh(t_imb) - math.log(2.0 * z * math.sinh(t_imb)))
+    return _exp_value(log_cosh - z * math.cosh(t_imb) - math.log(2.0 * z * math.sinh(t_imb)), (order, z, t_imb))

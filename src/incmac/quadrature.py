@@ -29,7 +29,6 @@ from .core import (
     _log_s_peak,
     _y_peak,
     log_half_ratio,
-    shared,
 )
 
 __all__ = ["QuadratureResult", "integrate_adaptive", "require_converged", "shu_oracle", "shu_oracle_cosh"]
@@ -377,19 +376,19 @@ def shu_oracle(p: ShuParams, tol: Tolerances = None, form: int = 5) -> Evaluatio
     form=4 integrates the cosh representation (see shu_oracle_cosh).
     A value below the smallest normal double is returned as 0.0 flagged
     underflow_to_zero; a quadrature that does not converge, or whose
-    integrand passes the double range, raises NonConvergence.  Inside a
-    core.shared_work block (evaluate, evaluate_grid, the figure sweeps,
-    run_verification) each distinct (p, tol, form) is integrated once.
+    integrand passes the double range, raises NonConvergence.  Each call
+    integrates afresh, not through core.shared: its callers seldom repeat
+    a (p, tol, form).
     """
     if form not in _FORMS:
         raise ValueError("form must be 2, 4 or 5")
-    return shared(_oracle, p, tol or DEFAULT_TOLERANCES, form)
+    return _oracle(p, tol or DEFAULT_TOLERANCES, form)
 
 
 def shu_oracle_cosh(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """S through the cosh representation (1/2) integral over w in
     (ln(z/2t), inf) of e^(-z cosh w + nu w): shu_oracle(p, tol, form=4)."""
-    return shared(_oracle, p, tol or DEFAULT_TOLERANCES, 4)
+    return _oracle(p, tol or DEFAULT_TOLERANCES, 4)
 
 
 def _oracle(p: ShuParams, tol: Tolerances, form: int) -> Evaluation:

@@ -299,9 +299,9 @@ def run_verification(grid: str = "default", fail_fast: bool = False) -> list:
     S comes from evaluate at core.TIGHT, except in ThreeForm and
     LargeTLimit, which take the form-5 oracle.  The call is one
     core.shared_work block: each distinct evaluate value (point,
-    tolerances) and shu_oracle value (point, tolerances, form) is computed
-    once and reused by every check that asks for it; nothing is kept
-    after the call returns.
+    tolerances) is computed once and reused by every check that asks for
+    it, and nothing is kept after the call returns.  shu_oracle is not
+    shared: the battery asks for each (point, tolerances, form) once.
     """
     three, ident = _grids(grid)
     records = []

@@ -221,6 +221,21 @@ class TestEval:
         assert (code, out) == (3, "")
         assert err.startswith(f"incmac: {cause}: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--nu=-2.3", "--z", "1e-310", "--t", "60", "--method", "small-z"),
+            ("--nu=-40.5", "--z", "1e-12", "--t", "0.5", "--method", "small-z"),
+            ("--nu=-30", "--z", "1e-20", "--t", "1e-3", "--method", "small-t"),
+        ],
+    )
+    def test_overflowing_series_names_point_and_log(self, capsys, argv):
+        # the incomplete-gamma sums' one exp printed a bare "math range error"
+        code, out, err = _run(capsys, "eval", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("incmac: overflow: a value exceeded the double range (the series exceeds the double range at ShuParams(")
+        assert "> ln DBL_MAX)" in err
+
     def test_large_negative_order_prints_flagged_zero(self, capsys):
         # core's upper bound puts S below e^-4800 here
         code, out, err = _run(capsys, "eval", "--nu=-300", "--z", "700", "--t", "30")

@@ -1147,7 +1147,9 @@ class TestKReuse:
         assert evaluate(ShuParams(0.0, 3.0, 100.0), TIGHT) == first
         assert calls == [(0.0, 3.0), (0.0, 3.0)]
 
-    def test_repeated_grid_cell_integrates_oracle_once(self, monkeypatch):
+    def test_repeated_grid_cell_integrates_oracle_per_cell(self, monkeypatch):
+        # the oracle is not shared, since no workload asks twice for one
+        # value: a repeated cell integrates again, to the same value
         counts = []
         real = incmac.quadrature._oracle
 
@@ -1158,7 +1160,7 @@ class TestKReuse:
         monkeypatch.setattr(incmac.quadrature, "_oracle", counted)
         nu, z, t = _ORACLE_CELL
         cells = evaluate_grid([nu], [z], [t, t], TIGHT)  # Oracle5 path
-        assert counts == [ShuParams(nu, z, t)]
+        assert counts == [ShuParams(nu, z, t)] * 2
         assert cells[0].evaluation == cells[1].evaluation
         assert cells[0].decision.chosen is MethodTag.ORACLE5
 

@@ -8,6 +8,7 @@ import pytest
 
 import incmac.expansions
 from incmac.core import (
+    DEFAULT_TOLERANCES,
     DomainError,
     MethodTag,
     NearPoleWarning,
@@ -224,25 +225,45 @@ class TestSeriesSmallZ:
         assert series_small_z(ShuParams(0.0, 1.0, 0.02), tol).rejection(tol) == "TAIL_TOO_LARGE"
 
 
+def _at_both_tolerances(refs):
+    """(point, tol) over sorted(refs) at TIGHT, ids point0, point1, ...,
+    and at DEFAULT_TOLERANCES, ids point0-DEFAULT_TOLERANCES, ..."""
+    return [
+        pytest.param(point, tol, id=f"point{i}{suffix}")
+        for i, point in enumerate(sorted(refs))
+        for tol, suffix in ((TIGHT, ""), (DEFAULT_TOLERANCES, "-DEFAULT_TOLERANCES"))
+    ]
+
+
 class TestSeriesSmallZNegativeOrder:
     """The split form at negative non-integer order: no K, no cancellation
     against it."""
 
     NEAR_INTEGER = (-1.9919421798402084, 0.037746421311855016, 0.000409201433594809)
 
-    @pytest.mark.parametrize("point", sorted(S_SMALL_Z_SPLIT))
-    def test_frozen_within_estimate(self, point):
-        ev = series_small_z(ShuParams(*point), TIGHT)
+    @pytest.mark.parametrize("point,tol", _at_both_tolerances(S_SMALL_Z_SPLIT))
+    def test_frozen_within_estimate(self, point, tol):
+        ev = series_small_z(ShuParams(*point), tol)
         assert ev.method is MethodTag.SERIES_SMALL_Z
         assert abs(ev.value - S_SMALL_Z_SPLIT[point]) <= ev.error_estimate
 
-    @pytest.mark.parametrize("point", sorted(S_SPLIT_SEEDED))
-    def test_seeded_within_estimate(self, point):
+    @pytest.mark.parametrize("point,tol", _at_both_tolerances(S_SPLIT_SEEDED))
+    def test_seeded_within_estimate(self, point, tol):
         # orders up to 30 and endpoints down to 1e-4, where the lower
         # gammas step down from one Kummer sum past order 0
-        ev = series_small_z(ShuParams(*point), TIGHT)
+        ev = series_small_z(ShuParams(*point), tol)
         assert ev.method is MethodTag.SERIES_SMALL_Z
         assert abs(ev.value - S_SPLIT_SEEDED[point]) <= ev.error_estimate
+
+    def test_stops_below_abs_tol_in_units_of_its_prefactor(self):
+        # S is 7.5e-12 here, so DEFAULT_TOLERANCES' target is its abs_tol,
+        # 1e-12: the sum stops once its terms fall below abs_tol, as both
+        # upper-gamma sums do, where the relative stop alone took 6 terms;
+        # the error is 0.99 of the estimate
+        point = (-28.128896554481763, 0.0029440810421574965, 0.0006833938201624302)
+        ev = series_small_z(ShuParams(*point), DEFAULT_TOLERANCES)
+        assert ev.work <= 3
+        assert abs(ev.value - S_SPLIT_SEEDED[point]) <= ev.error_estimate <= DEFAULT_TOLERANCES.target(ev.value)
 
     def test_near_integer_order_returned_only_within_estimate(self):
         # the sum and the I term both grow like 1/sin(m pi) here; the
@@ -258,15 +279,15 @@ class TestSeriesSmallZNegativeOrder:
         direct = series_small_z(p, TIGHT)
         assert abs(direct.value - ref) <= direct.error_estimate
 
-    @pytest.mark.parametrize("point", sorted(S_SPLIT_TAIL))
-    def test_tail_bound_covers_terms_rising_towards_the_pole(self, point):
+    @pytest.mark.parametrize("point,tol", _at_both_tolerances(S_SPLIT_TAIL))
+    def test_tail_bound_covers_terms_rising_towards_the_pole(self, point, tol):
         # past z = 1 the terms fell below target and rose again as m - k
         # neared 0; stopping there left out 1.5-4.2x the estimate
         p = ShuParams(*point)
         ref = S_SPLIT_TAIL[point]
-        split = incmac.expansions._split_small_z(-p.order, p.argument, p.endpoint, TIGHT)
+        split = incmac.expansions._split_small_z(-p.order, p.argument, p.endpoint, tol)
         assert abs(split.value - ref) <= split.error_estimate
-        ev = series_small_z(p, TIGHT)
+        ev = series_small_z(p, tol)
         assert abs(ev.value - ref) <= ev.error_estimate
 
     def test_computes_no_k(self, monkeypatch):
@@ -399,6 +420,27 @@ class TestLeadingSmallT:
     @pytest.mark.parametrize("point", [(0.0, 3.0, 1e-300), (0.0, 54.0, 1.0)])
     def test_underflow_returns_zero(self, point):
         assert leading_small_t(ShuParams(*point)) == 0.0
+
+
+class TestLeadingRange:
+    """The other approximants' exponentials go through core._exp_value as
+    leading_small_t's does; each case raised a bare math range error or
+    returned a subnormal."""
+
+    @pytest.mark.parametrize(
+        "call,args",
+        [(leading_small_z, (ShuParams(200.0, 1e-5, 1.0),)), (leading_imb_large_z, (800.0, 1e-3, 2.0))],
+    )
+    def test_overflow_raises_typed_error(self, call, args):
+        with pytest.raises(OverflowError, match="exceeds the double range at .*> ln DBL_MAX"):
+            call(*args)
+
+    @pytest.mark.parametrize(
+        "call,args",
+        [(leading_large_z, (ShuParams(0.0, 53.0, 1.0),)), (leading_imb_large_z, (0.0, 462.0, 1.0))],
+    )
+    def test_underflow_returns_zero(self, call, args):
+        assert call(*args) == 0.0
 
 
 class TestLeadingSmallZ:
