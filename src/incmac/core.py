@@ -329,7 +329,14 @@ def _log_s_lower(p) -> float:
     each term's size taken off ln g and off the prefactor's log, and 1 off
     the sum; -inf, no bound, where Y0 is inf or a term passes the double
     range.  Where z^2/4 is subnormal, c = TINY stands in for it: a larger c
-    only lowers g and shortens the range, so the bound stays a lower bound."""
+    only lowers g and shortens the range, so the bound stays a lower bound.
+
+    At nu < 0, where that stand-in leaves the bound far below S, the
+    endpoint form S = (1/2)(z/2)^nu int_0^t s^(-nu-1) e^(-s - z^2/4s) ds
+    bounds it too: over s in [w/2, w], w <= t, where z^2/4s <= 1 once
+    z^2/4 <= w/2, S >= (1/2)(z/2)^nu (w/2) e^(-1-w) min((w/2)^(-nu-1),
+    w^(-nu-1)), at w = t and at w = min(t, max(1, -nu)), near the peak of
+    s^-nu e^-s, with 8 EPS times each term's size taken off."""
     nu, z = p.order, p.argument
     nm1 = nu - 1.0
     c = max(0.25 * z * z, TINY)
@@ -341,10 +348,22 @@ def _log_s_lower(p) -> float:
         a = nm1 * math.log(y)
         return a - y - c / y - 8.0 * EPS * (abs(a) + abs(nm1) + y + c / y)
 
-    lead = -nu * log_half_ratio(z)
+    log_z2 = log_half_ratio(z)
+    lead = -nu * log_z2
     lead -= LN2 + 1.0 + 8.0 * EPS * abs(lead)
     at_y0 = log_g(y0)
     best = max(lead + math.log(w) + min(at_y0, log_g(y0 + w)) for w in (1.0, math.sqrt(y0), 0.25 * y0, y0) if w > 0.0)
+    if nu < 0.0:
+        t = p.endpoint
+        pre = nu * log_z2 - LN2
+        for w in (t, min(t, max(1.0, -nu))):
+            if 0.25 * z * z <= 0.5 * w:
+                h = math.log(0.5 * w)
+                power = min(-(nu + 1.0) * h, -(nu + 1.0) * math.log(w))
+                e = pre + h - 1.0 - w + power
+                e -= 8.0 * EPS * (abs(pre) + abs(h) + 1.0 + w + abs(power))
+                if e > best:  # False at nan
+                    best = e
     return best if best == best else -math.inf
 
 

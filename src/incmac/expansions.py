@@ -18,9 +18,11 @@ core._sum_rounding, the one rule of every sum formed term by term.
 The small-endpoint series alternates.  series_small_t, the candidate the
 evaluator runs, sums it in positive terms first (_tricomi_small_t),
 S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0), x0 = z^2/4t,
-from one backward recurrence for U in its first parameter normalised by
-U(1, nu+1, x0) = h_0 of gamma._upper_gamma_orders(nu, x0), and the
-alternating sum (_alternating_small_t) only where that misses; one rule,
+from one backward recurrence for U in its first parameter, closed at
+U(0, nu+1, x0) = 1 where nu <= x0 + 1 and elsewhere, where that last step
+cancels, normalised by U(1, nu+1, x0) = h_0 of
+gamma._upper_gamma_orders(nu, x0), and the alternating sum
+(_alternating_small_t) only where that misses; one rule,
 _first_to_meet, picks between the sub-forms of either series.
 
 The leading_* functions are bare approximants with no error control,
@@ -213,14 +215,19 @@ def _alternating_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms)
 
 
-def _tricomi_bracket(nu: float, x: float, t: float, start: int):
+def _tricomi_bracket(nu: float, x: float, t: float, start: int, close: bool):
     """Bounds sl <= sum_n t^n U_n/U_0 <= sh, U_n = U(n + 1, nu + 1, x), from
     the backward recurrence U_(n-1) = A_n U_n - B_n U_(n+1) (DLMF 13.3.7),
     A_n = 2n + 1 + x - nu, B_n = (n + 1)(n + 1 - nu), run on the ratios
     r_n = U_n/U_(n-1) = 1/(A_n - B_n r_(n+1)) from index start, with the
     sums S_(n-1) = 1 + t r_n S_n alongside; an absolute bound on the
-    rounding of sh; and the steps taken.  Where a denominator's bracket
-    reaches 0, too wide or too rounded to bound r_n, the sums are None.
+    rounding of sh; and the work, steps taken plus terms summed.  Where
+    close, one more step, to n = 0, closes the recurrence at
+    U_(-1) = U(0, nu + 1, x) = 1, so that r_0 = h_0 = U(1, nu + 1, x)
+    (Miller's algorithm normalised by a known value; Gautschi, SIAM Rev.
+    9:24, 1967), and the bounds are of h_0 sum_n t^n U_n/U_0 instead.
+    Where a denominator's bracket reaches 0, too wide or too rounded to
+    bound r_n, the sums are None.
 
     U(a, b, x) is a mean over int_0^inf e^(-xs) s^(a-1) (1+s)^(b-a-1) ds
     (DLMF 13.4.4), so U(a+1)/U(a) = <s/(1+s)>/a, which is at most 1/(a + x)
@@ -232,7 +239,8 @@ def _tricomi_bracket(nu: float, x: float, t: float, start: int):
     t/(start + 1)) a term, which the caller keeps below 1.  A step's
     rounding: A_n, B_n and B_n r to a few EPS, and the carried relative
     bound rho times |B_n r_(n+1)| r_n, which exceeds 1 where n + 1 < nu
-    and A_n < 0, so that there the bound grows as the rounding does.
+    and A_n < 0, so that there the bound grows as the rounding does.  The
+    closing step, with A_0 = x + 1 - nu and B_0 = 1 - nu, is one such step.
     """
     ceiling = 1.0 / (start + 1 + x) if start + 1 >= nu else 1.0 / (start + 1)
     rl, rh = 0.0, ceiling
@@ -244,7 +252,7 @@ def _tricomi_bracket(nu: float, x: float, t: float, start: int):
     # the rounding of A_n: of c, carried into every A_n, and of c + 2n
     local = EPS * (x + 1.0 + 2.0 * abs(c)) + e2 * start
     m = start + 1.0
-    for n in range(start, 0, -1):
+    for n in range(start, -1 if close else 0, -1):
         a = c + 2 * n  # afresh: a running a -= 2 would carry A_start's rounding down
         b = m * (m - nu)
         dl = a - b * rl
@@ -252,17 +260,21 @@ def _tricomi_bracket(nu: float, x: float, t: float, start: int):
         # the smaller denominator is at the end where b r is larger
         if b < 0.0:
             if not dl > 0.0:
-                return None, None, None, start - n
+                return None, None, None, 2 * (start - n)
             rl = 1.0 / dh
             rh = 1.0 / dl
             br = dh - a
         else:
             if not dh > 0.0:
-                return None, None, None, start - n
+                return None, None, None, 2 * (start - n)
             rl = 1.0 / dl
             rh = 1.0 / dh
             br = a - dh
         rho = (local + br * (rho + e3)) * rh + e2
+        if not n:
+            # the closing step's r_0 = h_0 times the sums, and its rounding
+            ph = rh * sh
+            return rl * sl, ph, rh * err + ph * (rho + e2), 2 * start + 1
         tr = t * rh
         u = tr * sh
         sh = 1.0 + u
@@ -270,7 +282,7 @@ def _tricomi_bracket(nu: float, x: float, t: float, start: int):
         sl = 1.0 + t * rl * sl
         m -= 1.0
         local -= e2
-    return sl, sh, err, start
+    return sl, sh, err, 2 * start
 
 
 def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
@@ -283,20 +295,24 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     alternating series of _alternating_small_t, summed by its binomial
     transform, so nothing cancels.  U is the minimal solution of its
     recurrence in a, so the sum comes from one backward recurrence
-    (_tricomi_bracket), normalised by U(1, nu + 1, x0) = h_0 of
-    gamma._upper_gamma_orders(nu, x0) (Gautschi, SIAM Rev. 9:24, 1967).
-    The recurrence's ratios converge like e^(-4 sqrt(a x0)) (DLMF 13.8.8),
-    and the sum reaches to about n = t, so it starts at (sqrt(t) +
-    ln(4/rel)/(4 sqrt(x0)))^2, past where the tail's bound falls, and
-    doubles the start, up to _MAX_START, while the bracket's half-width,
-    which holds both the recurrence's truncation and the omitted tail,
-    keeps the estimate off the target and the rounding alone does not.
-    A start above _MAX_START raises NonConvergence.  The estimate adds
-    that half-width, the carried rounding of the upper sum, which bounds
-    the lower's too, h_0's bound and the exponent's rounding.  Where
-    core._log_s_upper puts S below the smallest normal double, the value
-    is the underflow rule's 0.0.  work counts the recurrence steps plus the
-    terms summed, over every start tried.
+    (_tricomi_bracket).  Where nu <= x0 + 1 its closing step gives
+    U(1, nu + 1, x0) = h_0 within the same bracket: there A_0 = x0 + 1 - nu
+    >= 0, B_0 r_1 <= (1 - nu)/(1 + x0) takes at most 1/(1 + x0) of it at
+    nu <= 1, and above that the two terms have one sign.  Where nu > x0 + 1
+    that step cancels, and the sum is normalised by h_0 of
+    gamma._upper_gamma_orders(nu, x0) instead.  The recurrence's ratios converge like e^(-4 sqrt(a x0))
+    (DLMF 13.8.8), and the sum reaches to about n = t, so it starts at
+    (sqrt(t) + ln(4/rel)/(4 sqrt(x0)))^2, past where the tail's bound
+    falls, and doubles the start, up to _MAX_START, while the bracket's
+    half-width, which holds both the recurrence's truncation and the
+    omitted tail, keeps the estimate off the target and the rounding alone
+    does not.  A start above _MAX_START raises NonConvergence.  The
+    estimate adds that half-width, the carried rounding of the upper end,
+    which bounds the lower's too, h_0's bound where h_0 is taken apart and
+    the exponent's rounding.  Where core._log_s_upper puts S below the
+    smallest normal double, the value is the underflow rule's 0.0.  work
+    counts the recurrence steps plus the terms summed, over every start
+    tried.
     """
     nu, z, t = p.order, p.argument, p.endpoint
     x = 0.25 * z * z / t
@@ -313,14 +329,19 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     start = max(start, int(t - x) + 1 if start + 1 >= nu else int(t) + 1)
     if _log_s_upper(p) < LOG_TINY:
         return Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 0)
-    h0, e0 = next(_upper_gamma_orders(nu, x))
+    close = nu <= x + 1.0
     log_q = log_half_ratio(z, t)
-    lead = nu * log_q - x - t - LN2 + math.log(h0)
-    fixed = e0 / h0 + EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * (x + t) + abs(lead) + 6.0)
+    lead = nu * log_q - x - t - LN2
+    fixed = 0.0
+    if not close:
+        h0, e0 = next(_upper_gamma_orders(nu, x))
+        lead += math.log(h0)
+        fixed = e0 / h0
+    fixed += EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * (x + t) + abs(lead) + 6.0)
     work = 0
     while True:
-        sl, sh, serr, steps = _tricomi_bracket(nu, x, t, start)
-        work += 2 * steps
+        sl, sh, serr, steps = _tricomi_bracket(nu, x, t, start, close)
+        work += steps
         if sl is None:
             # a denominator's bracket reached 0: too wide, or its rounding
             if 2 * start > _MAX_START:

@@ -342,6 +342,43 @@ S_TRICOMI = {
     (0.0, 6.0, 3.0): 0.0006219971640065616,
 }
 
+# S at the eight cells that left the oracle for the small-endpoint series
+# when its positive-term sum took h_0 = U(1, nu + 1, x0) from its own
+# recurrence: grid-table seed 2's four at order -0.962, held-out grid-table
+# seed 3's three at order -1.971 and scatter-wide seed 1's one at -1.992,
+# x0 from 0.87 to 1.24.  (1/2)(z/2t)^nu e^(-x0 - t) sum_n t^n U(n + 1,
+# nu + 1, x0) with mpmath.hyperu, and the y-form integral in s = y - x0,
+# scaled by its value at s = 0 or 1, with mpmath.quad over breakpoints at
+# powers of two from 1/64 to 64, each at 30 and 50 digits, all four within
+# 3e-31 relative, rounded to double
+S_CLOSED_RECURRENCE = {
+    (-0.9622990881821276, 0.3438090432309485, 0.023755370516108293): 0.007721401614249714,
+    (-0.9622990881821276, 0.64774359715938, 0.08523290861628523): 0.013963736032289707,
+    (-0.9622990881821276, 1.22036280290374, 0.305810793658888): 0.02242113919078239,
+    (-0.9622990881821276, 2.2991896442391617, 1.097231609674415): 0.02380665121766614,
+    (-1.9705138498026988, 0.5261355170227562, 0.06231727387915222): 0.0026550992282292525,
+    (-1.9705138498026988, 0.9912505767357098, 0.22359080891439395): 0.008457812558809332,
+    (-1.9705138498026988, 1.8675373056717228, 0.8022310142760881): 0.019530161837674236,
+    (-1.9919421798402084, 0.037746421311855016, 0.000409201433594809): 3.1796726271886955e-05,
+}
+
+# Exact outputs of expansions._tricomi_small_t at core.TIGHT where
+# nu > x0 + 1, the points whose sum stays normalised by h_0 of
+# gamma._upper_gamma_orders, since there the recurrence's step to n = 0
+# cancels: float.hex of value and estimate, then the work, frozen before
+# the other points took h_0 from that step.  Drawn with random.Random(35):
+# x0 log-uniform on [0.01, 30], the order uniform on [x0 + 1, 30], t
+# log-uniform on [0.001, 30]; three have x0 < 1.5, where h_0 comes from the
+# small-x anchor
+TRICOMI_GAMMA_NORMALISED = {
+    (22.967467013578798, 2.6783063716820963, 2.217087544070892): ("0x1.fc0aef25c7565p+58", "0x1.21fa32e1944f4p+30", 184),
+    (16.56275818986593, 29.272235361140385, 21.037057727973046): ("0x1.1c2fbcdcdfc98p-38", "0x1.03fdcd0ed8d79p-81", 288),
+    (22.91037288766078, 2.9938328143805513, 2.3975700029594886): ("0x1.08471f1ed4119p+55", "0x1.07101b0b7dd17p+26", 164),
+    (21.303284713842938, 1.7266516996320633, 0.04379356622828772): ("0x1.80f4a4d851a1ep+65", "0x1.9a00650546874p+21", 120),
+    (19.267892457137954, 5.344669916127055, 2.2881682422385836): ("0x1.b07637e3fe02fp+24", "0x1.289a178e1c8afp-11", 64),
+    (28.71012200898102, 0.02881464663944988, 0.0011232692042206116): ("0x1.1f5bf6dbee5ebp+271", "0x1.365d960d9a8ffp+239", 572),
+}
+
 # S at points of the two upper-gamma series, drawn with random.Random(13):
 # 30 small-endpoint points with z^2/4t log-uniform on [2, 700], t
 # log-uniform on [0.01, 20] and the order uniform on [-30, 30], kept where

@@ -38,7 +38,7 @@ class TestEval:
     def test_json_object_schema(self, capsys):
         # both series miss the target here and the oracle runs
         code, out, _ = _run(
-            capsys, "eval", "--nu=-1.9919421798402084", "--z", "0.037746421311855016", "--t", "0.000409201433594809",
+            capsys, "eval", "--nu=-0.0035698091700417933", "--z", "0.7888472780221482", "--t", "7.084354778849424",
             "--json",
         )
         assert code == 0

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -423,6 +424,21 @@ class TestSizeOfS:
     )
     def test_lower_bound_where_z2_over_4_is_subnormal(self, point, low, high):
         assert low < _log_s_lower(ShuParams(*point)) <= high
+
+    def test_endpoint_bound_at_negative_order(self):
+        # at nu < 0, e^(-z^2/4s) <= 1 leaves S <= (1/2)(z/2)^nu gamma(-nu, t),
+        # at most Gamma(-nu) and t^-nu/-nu: at 2,000 seeded points with
+        # z^2/4 from 0 to normal, where the endpoint form's bound may be the
+        # larger, the lower bound stays below that
+        rng = random.Random(34)
+        for _ in range(2000):
+            nu = -math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+            z = math.exp(rng.uniform(math.log(1e-320), math.log(1e-140)))
+            t = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            p = ShuParams(nu, z, t)
+            ceiling = nu * core.log_half_ratio(z) - core.LN2 + min(math.lgamma(-nu), -nu * math.log(t) - math.log(-nu))
+            low = _log_s_lower(p)
+            assert low <= ceiling + 1e-12 * abs(ceiling), p
 
     @pytest.mark.parametrize(
         "point",

@@ -40,6 +40,7 @@ from frozen import (
     LOG_S_OVERFLOW,
     S0_3_3,
     S0_6_3,
+    S_CLOSED_RECURRENCE,
     S_DEFAULT_SMALL_T,
     S_HALF_GRID,
     S_HALF_SUBNORMAL_Z,
@@ -53,10 +54,13 @@ from frozen import (
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
-# a point of scatter-wide's seed 1 at z^2/4t = 0.87, near order -2, that
-# falls through to the quadrature oracle: the small-argument series and the
-# small-endpoint series in positive terms both miss the target there
-_ORACLE_CELL = (-1.9919421798402084, 0.037746421311855016, 0.000409201433594809)
+# a point near order 0 at z^2/4t = 0.022 that falls through to the
+# quadrature oracle: the small-argument series and the small-endpoint series
+# in positive terms both miss the target there
+_ORACLE_CELL = (-0.0035698091700417933, 0.7888472780221482, 7.084354778849424)
+# the oracle cell of scatter-wide's seed 1 at z^2/4t = 0.87, near order -2,
+# until the positive-term sum took h_0 from its own recurrence
+_FORMER_ORACLE_CELL = (-1.9919421798402084, 0.037746421311855016, 0.000409201433594809)
 
 
 def _rel(a, b):
@@ -92,7 +96,7 @@ class TestDecisionProcedure:
         assert _rel(ev.value, S0_3_3) < 1e-9
 
     def test_fallback_oracle(self):
-        # z^2/4t = 0.87: the small-argument series runs, then the
+        # z^2/4t = 0.022: the small-argument series runs, then the
         # small-endpoint series in positive terms, and both estimates miss
         # the target
         p = ShuParams(*_ORACLE_CELL)
@@ -105,6 +109,23 @@ class TestDecisionProcedure:
         )
         ref = shu_oracle_cosh(p, TIGHT)
         assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    def test_former_fallback_taken_by_positive_terms(self):
+        # h_0 from the sum's own recurrence, not from the small-x anchor,
+        # which cancelled: the positive-term sum meets the target, within
+        # forms 4 and 5
+        p = ShuParams(*_FORMER_ORACLE_CELL)
+        ev, dec = evaluate(p, TIGHT)
+        assert dec.chosen is MethodTag.SERIES_SMALL_T
+        assert dec.candidates_tried == ((MethodTag.SERIES_SMALL_Z, "TAIL_TOO_LARGE"),)
+        for ref in (shu_oracle(p, TIGHT), shu_oracle_cosh(p, TIGHT)):
+            assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, ref.method
+
+    @pytest.mark.parametrize("point", sorted(S_CLOSED_RECURRENCE))
+    def test_cells_that_left_the_oracle_within_estimate(self, point):
+        ev, dec = evaluate(ShuParams(*point), TIGHT)
+        assert dec.chosen is MethodTag.SERIES_SMALL_T
+        assert abs(ev.value - S_CLOSED_RECURRENCE[point]) <= ev.error_estimate
 
     def test_small_endpoint_miss_taken_by_positive_terms(self):
         # z^2/4t = 3: the alternating small-endpoint series misses the
@@ -979,11 +1000,12 @@ class TestTypedErrorsAtExtremePoints:
 
     def test_form_five_node_at_y_zero(self):
         # z^2/4 is subnormal and x0 is 0, so a node's y rounds to 0; S is
-        # about K ~ 1e4550, so evaluate's overflow rule raises before form 5
+        # about K ~ 1e4578 (ln K = 10540.3), so evaluate's overflow rule
+        # raises before form 5, with the endpoint form's bound on ln S
         p = ShuParams(-28.259686302983116, 2.053303216910036e-161, 1.8648865660673147e+287)
         with pytest.raises(NonConvergence, match="a form-5 node reaches y = 0"):
             shu_oracle(p, incmac.core.TIGHT)
-        with pytest.raises(OverflowError, match="ln S >= 9605.87 > ln DBL_MAX"):
+        with pytest.raises(OverflowError, match="ln S >= 10520.5 > ln DBL_MAX"):
             evaluate(p, incmac.core.TIGHT)
 
     @pytest.mark.parametrize("nu,z", [(1.7, 5e-300), (1.7, 1e-200)])
@@ -993,6 +1015,24 @@ class TestTypedErrorsAtExtremePoints:
         # underflows to 0" NonConvergence was raised instead
         with pytest.raises(OverflowError, match=r"ln S >= [0-9.]+ > ln DBL_MAX"):
             evaluate(ShuParams(nu, z, 1.0), incmac.core.TIGHT)
+
+    @pytest.mark.parametrize("nu", [-2.3, -1.99, -1.0])
+    def test_overflow_at_negative_order_where_z2_over_4_underflows(self, nu):
+        # S ~ (1/2)(z/2)^nu Gamma(-nu) passes the double range (ln S about
+        # 1643, 1421 and 714); with TINY standing in for z^2/4 the y-form
+        # bound read ln S >= -16.9 at order -2.3, and the oracle's "z^2/4
+        # underflows to 0" NonConvergence was raised instead
+        with pytest.raises(OverflowError, match=r"ln S >= [0-9.]+ > ln DBL_MAX"):
+            evaluate(ShuParams(nu, 1e-310, 60.0), incmac.core.TIGHT)
+
+    def test_no_overflow_where_s_is_in_range(self):
+        # S is about 3.96e297 here, so the endpoint form's bound stays below
+        # ln DBL_MAX and no OverflowError may be raised; no form returns
+        # this value yet, so the oracle's NonConvergence still may be
+        try:
+            evaluate(ShuParams(-1.0, 5e-300, 0.02), incmac.core.TIGHT)
+        except NonConvergence:
+            pass
 
     def test_in_range_value_where_z2_over_4_underflows(self):
         ev, dec = evaluate(ShuParams(0.3, 5e-300, 1.0), incmac.core.TIGHT)

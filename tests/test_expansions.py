@@ -19,6 +19,7 @@ from incmac.core import (
 from incmac.evaluator import evaluate, evaluate_grid
 from incmac.expansions import (
     _alternating_small_t,
+    _tricomi_bracket,
     _tricomi_small_t,
     asympt_large_t,
     leading_imb_large_z,
@@ -28,7 +29,7 @@ from incmac.expansions import (
     series_small_t,
     series_small_z,
 )
-from incmac.gamma import macdonald_k, upper_incomplete_gamma
+from incmac.gamma import _upper_gamma_orders, macdonald_k, upper_incomplete_gamma
 from incmac.quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
 
 from frozen import (
@@ -43,6 +44,7 @@ from frozen import (
     S_SPLIT_SEEDED,
     S_SPLIT_TAIL,
     S_TRICOMI,
+    TRICOMI_GAMMA_NORMALISED,
 )
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
@@ -173,11 +175,43 @@ class TestTricomiSmallT:
                 assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, (p, ref.method)
         assert accepted >= least
 
+    def test_closing_step_brackets_h0(self):
+        # 300 seeded points with |nu| <= 30 and x0 log-uniform on [0.01,
+        # 700], kept where nu <= x0 + 1: at t = 0 the sums are 1, so the
+        # recurrence closed at U(0, nu + 1, x0) = 1 brackets h_0 = U(1, nu +
+        # 1, x0) alone; that bracket, widened by its rounding, holds the
+        # first value of gamma._upper_gamma_orders within that value's bound
+        rng = random.Random(34)
+        checked = 0
+        while checked < 300:
+            nu = rng.uniform(-30.0, 30.0)
+            x0 = math.exp(rng.uniform(math.log(0.01), math.log(700.0)))
+            if nu > x0 + 1.0:
+                continue
+            h0, e0 = next(_upper_gamma_orders(nu, x0))
+            start = 8
+            while True:
+                hl, hh, rounding, work = _tricomi_bracket(nu, x0, 0.0, start, True)
+                assert work == 2 * start + 1
+                if hh - hl <= 1e-13 * hh or start > 1 << 14:
+                    break
+                start *= 2
+            assert hl - rounding - e0 <= h0 <= hh + rounding + e0, (nu, x0, start)
+            checked += 1
+
+    @pytest.mark.parametrize("point", sorted(TRICOMI_GAMMA_NORMALISED))
+    def test_gamma_normalised_points_bit_identical(self, point):
+        # where nu > x0 + 1 the closing step cancels, so the sum keeps the
+        # h_0 of gamma._upper_gamma_orders and every bit it had
+        ev = _tricomi_small_t(ShuParams(*point), incmac.core.TIGHT)
+        assert (ev.value.hex(), ev.error_estimate.hex(), ev.work) == TRICOMI_GAMMA_NORMALISED[point]
+
     def test_work_counts_recurrence_steps_and_terms(self):
         # one pass from start index 36, (sqrt(3) + ln(4e12)/(4 sqrt(3)))^2
-        # = 35.05 rounded up: 36 recurrence steps and 36 terms
+        # = 35.05 rounded up: 36 recurrence steps and 36 terms, and the
+        # step to n = 0 that gives h_0 (order 0 <= x0 + 1 = 4), counted once
         ev = _tricomi_small_t(ShuParams(0.0, 6.0, 3.0), TIGHT)
-        assert ev.work == 72
+        assert ev.work == 73
         assert ev.method is MethodTag.SERIES_SMALL_T
 
 
