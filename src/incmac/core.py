@@ -30,7 +30,6 @@ __all__ = [
     "LOG_TINY",
     "LOG_HUGE",
     "LN2",
-    "EXP_FLOOR",
     "log_half_ratio",
     "underflow_to_zero",
     "shared_work",
@@ -43,10 +42,6 @@ EPS = 2.220446049250313e-16  # double machine epsilon
 TINY = 2.2250738585072014e-308  # smallest normal double
 LOG_TINY = math.log(TINY)
 LOG_HUGE = math.log(sys.float_info.max)
-# Below this exponent e^e is subnormal or zero.  math.exp already returns an
-# exact 0.0 below about -745.13, so a plain exponential needs no guard; the
-# floor is for early exits that skip the work a vanishing factor multiplies.
-EXP_FLOOR = -745.0
 LN2 = math.log(2.0)
 
 
@@ -218,8 +213,8 @@ class Evaluation(namedtuple("Evaluation", "value error_estimate method work flag
     """A computed value with an absolute error estimate and provenance.
 
     work counts quadrature subdivisions or series terms, whichever the
-    method used; where a K-based series returns K_nu(z) alone, 0 from the
-    small-argument series and K's own work from the large-endpoint sum.
+    method used; where the K form of either K-based candidate returns
+    K_nu(z) alone, 0.
     flags may carry FLAG_UNDERFLOW (true value below the smallest normal
     double, 0.0 returned).  Construction applies
     underflow_to_zero, so no path sets FLAG_UNDERFLOW itself.  A sum that

@@ -1,18 +1,21 @@
 """Regime-switching front end: one entry point with an error estimate.
 
-The decision order is one function, _decide: large-endpoint asymptotics
-when its leading correction is already below target, the half-order
-closed form (once self-validated against the oracle), the small-argument
-series where x0 = z^2/4t < 2, the small-endpoint series, then the
-quadrature oracle as universal fallback, except where core._log_s_lower
-already puts S past the double range, which raises OverflowError.  The
+The decision order is one function, _decide: the large-endpoint
+expansion when its leading correction is already below target, the
+half-order closed form (once self-validated against the oracle), the
+small-argument series where x0 = z^2/4t < 2, the small-endpoint series,
+then the quadrature oracle as universal fallback, except where
+core._log_s_lower already puts S past the double range, which raises
+OverflowError.  The
 small-argument terms fall like x0^k/k!, so one boundary in x0 decides
 where that series runs and no limit in z is needed (DLMF 8.7.1,
 10.27.4); at negative non-integer order the series chooses between its
 K form and its split form itself.
 Each candidate runs its method's public function, which is what the CLI's
 --method runs; the small-endpoint series sums in positive terms first and
-the paper's alternating sum where that misses (see expansions).  Both
+the paper's alternating sum where that misses, and the large-endpoint
+expansion is the small-argument series' K form under its own tag, so that
+each path's count keeps its meaning (see expansions).  Both
 series take their sub-forms by one rule, expansions._first_to_meet, and
 every candidate that runs is judged by one rule, Evaluation.rejection,
 which refuses an estimate above the target and a value or an estimate

@@ -1,4 +1,4 @@
-"""Series and asymptotic evaluators of S, plus the leading-term approximants.
+"""Series evaluators of S, plus the leading-term approximants.
 
 The two series (small endpoint, small argument) are convergent everywhere
 in the real domain and act as exact evaluators with tail bounds.  Both
@@ -7,13 +7,14 @@ upper gammas from gamma._upper_gamma_orders and, in the small-argument
 split form at negative non-integer order, lower ones from
 gamma._lower_gamma_orders with I_-nu(z), which needs no K_nu(z).  One
 routine, _gamma_sum, sums, stops and scales all three; each caller gives
-only its orders and its bound on the omitted terms.  The large-endpoint
-double sum is asymptotic; its inner sums stop at their smallest term or
-where their first omitted term, which bounds the rest, is within the
-accuracy the target leaves them.  Each of these sums is one loop,
-_series_core, which reads each factor and its absolute error bound
-straight from those generators and bounds its rounding by
-core._sum_rounding, the one rule of every sum formed term by term.
+only its orders and its bound on the omitted terms.  The paper's
+large-endpoint expansion is the same sum as the small-argument K form,
+K_nu(z) minus it, so both candidates run one function, _k_form, which
+stops against K minus its partial sum, and differ only in their tag.
+Each of these sums is one loop, _series_core, which reads each factor
+and its absolute error bound straight from those generators and bounds
+its rounding by core._sum_rounding, the one rule of every sum formed term
+by term.
 
 The small-endpoint series alternates.  series_small_t, the candidate the
 evaluator runs, sums it in positive terms first (_tricomi_small_t),
@@ -37,7 +38,6 @@ import warnings
 from .core import (
     DEFAULT_TOLERANCES,
     EPS,
-    EXP_FLOOR,
     LN2,
     LOG_HUGE,
     LOG_TINY,
@@ -57,7 +57,6 @@ from .core import (
     shared,
 )
 from .gamma import (
-    _asymptotic_sum,
     _bessel_i_series,
     _lower_gamma_orders,
     _macdonald_k_eval,
@@ -147,18 +146,31 @@ def _log_leading_correction(nu: float, z: float, t: float) -> float:
 
 
 def _log_tail_bound(nu: float, z: float, t: float) -> float:
-    """B = e + ln I(nu + 1), e = _log_leading_correction, I = _inner_ceiling:
-    e^B bounds K - S = (1/2)(z/2)^nu int_t^inf s^(-nu-1) e^(-s - z^2/4s) ds,
-    and e^(B + x0), x0 = z^2/4t, the terms of either K-based sum together,
-    term k being e^e x0^k/k! I(nu + k + 1) with I falling in its order."""
-    return _log_leading_correction(nu, z, t) + math.log(_inner_ceiling(nu + 1.0, t))
+    """B = e + ln I, e = _log_leading_correction and I a ceiling on
+    Gamma(-nu, t) t^b e^t = int_0^inf e^-u (1 + u/t)^-b du, b = nu + 1,
+    which falls as b grows: 1 for b >= 0; t/(t + b) for -t < b < 0, from
+    (1 + u/t)^-b <= e^(-b u/t); Gamma(1 - b) t^b e^t below, where
+    Gamma(1 - b, t) <= Gamma(1 - b), and inf past the double range.  e^B
+    bounds K - S = (1/2)(z/2)^nu int_t^inf s^(-nu-1) e^(-s - z^2/4s) ds,
+    and e^(B + x0), x0 = z^2/4t, the K form's terms together, term k being
+    at most e^e x0^k/k! times that ceiling at b = nu + k + 1."""
+    b = nu + 1.0
+    if b >= 0.0:
+        log_i = 0.0
+    elif t + b > 0.0:
+        log_i = math.log(t / (t + b))
+    else:
+        log_i = math.lgamma(1.0 - b) + b * math.log(t) + t
+        if not log_i < LOG_HUGE:
+            return math.inf
+    return _log_leading_correction(nu, z, t) + log_i
 
 
 def _negligible(log_bound: float, kval: float) -> bool:
     """Whether a correction whose sum, partial sums and error bound are at
     most e^log_bound is below EPS^2 K, with a margin of e^8: there the
     difference K minus the correction and its estimate round to exactly K
-    and K's own estimate, so the candidate returns those unsummed."""
+    and K's own estimate, so the K form returns those unsummed."""
     return kval > 0.0 and log_bound < math.log(kval) + _LOG_EPS2 - 8.0
 
 
@@ -168,22 +180,29 @@ def _first_omitted(nu: float, x: float, step: float, n: int, coef: float, u: flo
 
 
 def _gamma_sum(nu: float, z: float, t: float, x: float, step: float, tol: Tolerances, step_roundings: int,
-               factors, tail):
+               factors, tail, kval: float = 0.0):
     """(1/2)(z/2t)^nu e^-x sum_k step^k/k! f_k, the sum of all three
     incomplete-gamma series, with (f_k, e_k) from factors, a generator of
     gamma._upper_gamma_orders or _lower_gamma_orders at x.  Run by _series_core
     (step_roundings as there) in units of that prefactor, so no term
     underflows and abs_tol is taken in those units; the prefactor goes
     through one exp with the peak partial sum, which raises OverflowError
-    past the double range.  The estimate adds tail(nu, x, step, n, coef_n,
-    |f_n| + e_n), the caller's bound on the omitted terms, _series_core's
-    bound and the exponent's rounding.  Returns (value, error, terms)."""
+    past the double range.  A sum subtracted from kval stops relative to
+    kval minus its partial sum, kval in those units as _series_core's
+    offset (inf past the double range).  The estimate adds tail(nu, x,
+    step, n, coef_n, |f_n| + e_n), the caller's bound on the omitted terms,
+    _series_core's bound and the exponent's rounding.  Returns (value,
+    error, terms)."""
     log_q = log_half_ratio(z, t)
     lead = nu * log_q - x - LN2
-    # abs_tol in units of e^lead, inf where that overflows
+    # abs_tol and kval in units of e^lead, inf where that overflows
     e = math.log(tol.abs_tol) - lead if tol.abs_tol else -math.inf
     floor = math.exp(e) if e < LOG_HUGE else math.inf
-    total, terms, coef, peak, werr = _series_core(1.0, step, factors, tol.rel_tol, floor, step_roundings=step_roundings)
+    offset = 0.0
+    if kval:
+        e = math.log(kval) - lead
+        offset = math.exp(e) if e < LOG_HUGE else math.inf
+    total, terms, coef, peak, werr = _series_core(1.0, step, factors, tol.rel_tol, floor, offset, step_roundings)
     f, bound = next(factors)
     werr += tail(nu, x, step, terms, coef, abs(f) + bound)
     log_peak = math.log(peak)
@@ -310,9 +329,10 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     estimate adds that half-width, the carried rounding of the upper end,
     which bounds the lower's too, h_0's bound where h_0 is taken apart and
     the exponent's rounding.  Where core._log_s_upper puts S below the
-    smallest normal double, the value is the underflow rule's 0.0.  work
-    counts the recurrence steps plus the terms summed, over every start
-    tried.
+    smallest normal double, the value is the underflow rule's 0.0; where
+    the sum, about e^t, passes the double range, NonConvergence names the
+    point.  work counts the recurrence steps plus the terms summed, over
+    every start tried.
     """
     nu, z, t = p.order, p.argument, p.endpoint
     x = 0.25 * z * z / t
@@ -348,6 +368,9 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
                 raise NonConvergence(f"U recurrence bracket lost its sign from start index {start}")
             start *= 2
             continue
+        if sh == math.inf:
+            # the sum grows like e^t, and a later start cannot shrink it
+            raise NonConvergence(f"the U recurrence's sum exceeds the double range at {p}")
         s = 0.5 * (sl + sh)
         log_s = math.log(s)
         value = math.exp(lead + log_s)
@@ -431,132 +454,68 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     return Evaluation(value, err, MethodTag.SERIES_SMALL_Z, terms)
 
 
-def _k_small_z(nu: float, z: float, t: float, tol: Tolerances) -> Evaluation:
-    """K_nu(z) minus (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t).
+def _k_form(nu: float, z: float, t: float, tol: Tolerances, tag: MethodTag = MethodTag.SERIES_SMALL_Z) -> Evaluation:
+    """K_nu(z) minus (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t),
+    the one sum of both K-based candidates, tagged with the caller's tag.
 
-    Where e^(_log_tail_bound + x0), x0 = z^2/4t, is negligible against K
+    Summed by _gamma_sum in units of (1/2)(z/2)^nu t^-nu e^-t with step
+    -x0, x0 = z^2/4t, each Gamma(-nu - k, t) exact from
+    gamma._upper_gamma_orders(-nu, t), and stopped against the value it
+    returns, K minus the partial sum, not against the sum itself: where x0
+    is large the terms rise to about e^x0 times the correction before they
+    fall, and the value is K to many digits.  The first omitted term
+    bounds the rest at every n: under Gamma's integral the omitted terms
+    are the remainder of e^(-z^2/4s) after n terms of its power series,
+    which by Lagrange's form is at most the first omitted power, so the
+    omitted terms are at most (z^2/4)^n/n! Gamma(-nu - n, t), the first
+    omitted term's size, and an early stop keeps the estimate honest.  The
+    estimate adds K's, EPS (K + |sum|) for the subtraction and
+    _gamma_sum's.
+
+    Where e^(B + x0), B = _log_tail_bound, is negligible against K
     (_negligible), K is returned alone with kerr + EPS K, what the whole
     sum would round to, and work 0: no term is summed.
     """
-    kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
+    kval, kerr, _ = shared(_macdonald_k_eval, nu, z)
     x0 = 0.25 * z * z / t
     if _negligible(_log_tail_bound(nu, z, t) + x0, kval):
-        return Evaluation(kval, kerr + EPS * abs(kval), MethodTag.SERIES_SMALL_Z, 0)
-    part, err, terms = _gamma_sum(nu, z, t, t, -x0, tol, 2, _upper_gamma_orders(-nu, t), _first_omitted)
+        return Evaluation(kval, kerr + EPS * abs(kval), tag, 0)
+    part, err, terms = _gamma_sum(nu, z, t, t, -x0, tol, 2, _upper_gamma_orders(-nu, t), _first_omitted, kval)
     err += kerr + EPS * (abs(kval) + abs(part))
-    return Evaluation(kval - part, err, MethodTag.SERIES_SMALL_Z, terms)
+    return Evaluation(kval - part, err, tag, terms)
 
 
 def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """The convergent expansion in incomplete gammas of argument t.
 
-    At order nu >= 0, and at integer orders, K_nu(z) minus that expansion,
-    (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu - k, t), summed by
-    _gamma_sum in units of (1/2)(z/2)^nu t^-nu e^-t with step
-    -z^2/4t: valid everywhere, numerically hostile at small t where the
-    summands alternate with large magnitude, which its error estimate,
-    bounded from its partial sums, shows.  At negative non-integer
-    order and z <= 1, the split form in lower incomplete gammas and I_-nu (see
+    At order nu >= 0, and at integer orders, the K form (_k_form): valid
+    everywhere, numerically hostile at small t where the summands
+    alternate with large magnitude, which its error estimate, bounded
+    from its partial sums, shows.  At negative non-integer order and
+    z <= 1, the split form in lower incomplete gammas and I_-nu (see
     _split_small_z), which needs no K and does not cancel against it at
     small z.  Past z = 1 the K form first, which takes most points there,
     then the split form, which takes some of the rest (_first_to_meet).
-    The K form may return K alone, with work 0 (see _k_small_z).
     """
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
     if nu >= 0.0 or nu == math.floor(nu):
-        return _k_small_z(nu, z, t, tol)
+        return _k_form(nu, z, t, tol)
     if z <= 1.0:
         return _split_small_z(-nu, z, t, tol)
-    return _first_to_meet(tol, lambda: _k_small_z(nu, z, t, tol), lambda: _split_small_z(-nu, z, t, tol))
-
-
-def _inner_ceiling(b: float, t: float) -> float:
-    """A ceiling on I(b) = Gamma(1 - b, t) t^b e^t = int_0^inf e^-u (1 +
-    u/t)^-b du, the value of the large-endpoint inner sum at b, which falls
-    as b grows: 1 for b >= 0; t/(t + b) for -t < b < 0, from (1 + u/t)^-b
-    <= e^(-b u/t); Gamma(1 - b) t^b e^t below, where Gamma(1 - b, t) <=
-    Gamma(1 - b)."""
-    if b >= 0.0:
-        return 1.0
-    if t + b > 0.0:
-        return t / (t + b)
-    e = math.lgamma(1.0 - b) + b * math.log(t) + t
-    return math.exp(e) if e < LOG_HUGE else math.inf
+    return _first_to_meet(tol, lambda: _k_form(nu, z, t, tol), lambda: _split_small_z(-nu, z, t, tol))
 
 
 def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
-    """K minus the doubly truncated large-endpoint correction.
-
-    The inner sum (powers of 1/t) is asymptotic.  It stops at its smallest
-    term, or earlier, once it has at least -b = -(nu + k + 1) terms, at the
-    first omitted term whose size times |coef_k| is below
-    tol.target(K)/(2 _MAX_TERMS), so that all the inner stops together
-    leave out under half the target: past -b terms the first omitted term
-    bounds the remainder (DLMF 8.11(i)).  That term plus the inner sum's
-    rounding is its factor's bound in the outer sum (powers of
-    (z/2)^2/t), which is convergent and truncated on term smallness; its
-    first omitted term, with its inner sum at its ceiling (_inner_ceiling;
-    above 1 where b < 0), bounds all the omitted outer terms: they sum to
-    the remainder of an exponential series in -(z/2)^2/(t + u), under the
-    integral of I.  The estimate adds _series_core's bound, K's, the
-    rounding of the first coefficient's exponent, which every term
-    carries, and that of K's subtraction.  work counts K's own work plus
-    the inner sums' terms.
-
-    Two exits read B = _log_tail_bound and return K alone, with work K's
-    own: B <= EXP_FLOOR, with K's estimate; e^(B + x0) negligible against
-    K (_negligible), with kerr + EPS K, what the whole sum rounds to.
-    Past both, a first coefficient e^e below e^EXP_FLOOR or past the double
-    range raises NonConvergence.
+    """The paper's large-endpoint expansion, K_nu(z) - (1/2)(z/2)^nu
+    sum_k (-z^2/4)^k/k! Gamma(-nu - k, t): the K form of the small-argument
+    series (_k_form), tagged AsymptLargeT, at every order.  The evaluator
+    runs it first at t >= 30 where the leading correction is below K's
+    target, at any x0 = z^2/4t; there the sum stops against K within a
+    few terms, or returns K alone with work 0.
     """
     tol = tol or DEFAULT_TOLERANCES
-    nu, z, t = p.order, p.argument, p.endpoint
-    kval, kerr, kwork = shared(_macdonald_k_eval, nu, z)
-    log_tail = _log_tail_bound(nu, z, t)
-    if log_tail <= EXP_FLOOR:
-        # K - S is subnormal or zero: an absolute test, not one against K
-        return Evaluation(kval, kerr, MethodTag.ASYMPT_LARGE_T, kwork)
-    x0 = 0.25 * z * z / t
-    if _negligible(log_tail + x0, kval):
-        return Evaluation(kval, kerr + EPS * abs(kval), MethodTag.ASYMPT_LARGE_T, kwork)
-    e = _log_leading_correction(nu, z, t)
-    if e <= EXP_FLOOR:
-        raise NonConvergence(f"the large-t sum's first coefficient e^{e:.6g} underflows; its tail bound is e^{log_tail:.6g}")
-    if e > LOG_HUGE:
-        raise NonConvergence(f"the large-t sum's first coefficient e^{e:.6g} exceeds the double range")
-    base = math.exp(e)
-    # the rounding of e (two logs, nu + 1, two products, three sums) and of exp
-    base_err = EPS * (4.0 * (abs(nu * log_half_ratio(z)) + abs((nu + 1.0) * math.log(t))) + t + abs(e) + 3.0)
-    step = -x0
-    budget = tol.target(kval) / (2 * _MAX_TERMS)
-    work = 0
-
-    def inner_sums():
-        # Gamma(-nu-k, t) t^(nu+k+1) e^t and its first omitted term, stopped
-        # at its smallest term or within outer term k's share of the budget;
-        # coef_k by _series_core's own operations
-        nonlocal work
-        coef = base
-        k = 0
-        while True:
-            limit = budget / abs(coef) if coef else math.inf
-            msum, mterms, omitted, stopped, rounding = _asymptotic_sum(nu + k + 1.0, t, _MAX_TERMS + 1, limit)
-            work += mterms
-            if not stopped and omitted > tol.target(kval):
-                raise NonConvergence(f"no asymptotic truncation point within {_MAX_TERMS} terms at t={t}")
-            yield msum, omitted + rounding
-            coef *= step / (k + 1)
-            k += 1
-
-    corr, terms, coef, _, tail = _series_core(base, step, inner_sums(), tol.rel_tol, tol.abs_tol, kval, step_roundings=2)
-    # the omitted outer terms sum to base int_0^inf e^-u (1 + u/t)^-(nu+1)
-    # R(-w) du with w = (z/2)^2/(t + u), R(-w) the remainder of e^-w after
-    # `terms` terms, at most w^terms/terms! in magnitude: so at most |coef|
-    # times the first omitted term's own inner sum, which may exceed 1
-    outer = abs(coef) * _inner_ceiling(nu + terms + 1.0, t)
-    err = kerr + tail + outer + base_err * abs(corr) + EPS * abs(kval - corr)
-    return Evaluation(kval - corr, err, MethodTag.ASYMPT_LARGE_T, kwork + work)
+    return _k_form(p.order, p.argument, p.endpoint, tol, MethodTag.ASYMPT_LARGE_T)
 
 
 def leading_small_t(p: ShuParams) -> float:

@@ -5,10 +5,10 @@ function at any real order, the lower incomplete gamma at any non-integer
 order (the Kummer series, continued past a < 0, with a bound on its
 rounding), both at consecutive orders a0 - k by recurrence in the order
 (_upper_gamma_orders and _lower_gamma_orders, which the series of S use),
-the upper one's large-argument asymptotic sum, the modified Bessel
-function I from its power series, and the Macdonald function K to full
-double precision by Temme's series, Steed's continued fraction and
-forward recurrence in order.  No other module evaluates an
+the upper one's large-argument asymptotic sum, which no series of S
+uses, the modified Bessel function I from its power series, and the
+Macdonald function K to full double precision by Temme's series, Steed's
+continued fraction and forward recurrence in order.  No other module evaluates an
 incomplete gamma.  Nothing here integrates: the quadrature oracle stays an
 independent check on every value.
 """
@@ -16,7 +16,7 @@ independent check on every value.
 import math
 
 from .core import (
-    EPS, EXP_FLOOR, LN2, LOG_HUGE, LOG_TINY, TINY, NonConvergence, PoleError, _as_count, _as_finite_real,
+    EPS, LN2, LOG_HUGE, LOG_TINY, TINY, NonConvergence, PoleError, _as_count, _as_finite_real,
     _as_nonnegative, _as_positive, _sum_rounding, log_half_ratio, shared, underflow_to_zero,
 )
 
@@ -198,7 +198,8 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     orders below x = 1.5 take the first value of _upper_gamma_orders,
     which steps down from an E1 or Kummer anchor.  One call computes one
     order; the series of S take consecutive orders from
-    _upper_gamma_orders instead.
+    _upper_gamma_orders instead.  A value below the smallest normal double
+    is an exact 0.0 (core.underflow_to_zero), as for K.
     """
     a = _as_finite_real("a", a)
     x = _as_positive("x", x)
@@ -206,11 +207,15 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
         return _upper_from_series(a, x)
     e = a * math.log(x) - x
     if x >= _X_SPLIT:
-        if e < EXP_FLOOR:
+        # the fraction h = int_0^inf e^-u (1 + u/x)^(a-1) du / x is at most
+        # 1/x for a <= 1 and 1/(x + 1 - a) for x >= a + 1, so below 1 here:
+        # e^e below the smallest normal double puts the value there too
+        if e < LOG_TINY:
             return 0.0
-        return math.exp(e) * _legendre_cf(a, x)
-    h, _ = next(_upper_gamma_orders(a, x))
-    return math.exp(e) * h
+        h = _legendre_cf(a, x)
+    else:
+        h, _ = next(_upper_gamma_orders(a, x))
+    return underflow_to_zero(math.exp(e) * h, 0.0)[0]
 
 
 def _upper_gamma_orders(a0: float, x: float):
@@ -292,46 +297,29 @@ def _upward(a0: float, x: float, k: int, b: int, h: float, r: float):
     return out
 
 
-def _asymptotic_sum(b: float, x: float, cap: int, budget: float = 0.0):
-    """sum_m (-1)^m (b)_m x^-m ~ Gamma(1-b, x) x^b e^x for large x, divergent,
-    so stopped at its smallest term, at the first omitted term below budget
-    once at least -b terms are kept, or after cap terms.  For x > 0 and
-    real b, after n >= -b terms the remainder is bounded in magnitude by
-    the first omitted term (DLMF 8.11(i), n >= a - 1 for Gamma(a, x) with
-    a = 1 - b), so the budget stop ends no earlier than that.  Returns (sum,
-    terms, |first omitted term|, whether it stopped before the cap, a bound
-    on the sum's rounding: core._sum_rounding's, each term the last times
-    -(b + m)/x in three roundings)."""
-    total = plain = stepped = 0.0
-    term = last = 1.0
-    for m in range(cap):
-        total += term
-        plain += last + abs(total)
-        stepped += m * last
-        nxt = term * (-(b + m) / x)
-        size = abs(nxt)
-        if size >= last or (size < budget and m + 1 >= -b):
-            return total, m + 1, size, True, _sum_rounding(3.0, plain, stepped)
-        term = nxt
-        last = size
-    return total, cap, last, False, _sum_rounding(3.0, plain, stepped)
-
-
 def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
     """Large-argument asymptotic sum for Gamma(a, x).
 
     Evaluates x^(a-1) e^-x * sum_{m=0}^{m_max} (-1)^m (1-a)_m x^-m.  The sum
-    is divergent for fixed x, so it is truncated early at the smallest-
-    magnitude term when that happens before m_max; the first omitted term
-    is the natural error scale.  m_max is an int >= 0.
+    is divergent for fixed x, so it is truncated early, before its first
+    term that is no smaller than the last, when that happens before m_max;
+    the first omitted term is the natural error scale (DLMF 8.11(i)).
+    m_max is an int >= 0.  A value below the smallest normal double is an
+    exact 0.0 (core.underflow_to_zero).
     """
     a = _as_finite_real("a", a)
     x = _as_positive("x", x)
     m_max = _as_count("m_max", m_max, 0)
-    e = (a - 1.0) * math.log(x) - x
-    if e < EXP_FLOOR:
-        return 0.0
-    return math.exp(e) * _asymptotic_sum(1.0 - a, x, m_max + 1)[0]
+    b = 1.0 - a
+    total = 0.0
+    term = last = 1.0
+    for m in range(m_max + 1):
+        total += term
+        term *= -(b + m) / x
+        if abs(term) >= last:
+            break
+        last = abs(term)
+    return underflow_to_zero(math.exp((a - 1.0) * math.log(x) - x) * total, 0.0)[0]
 
 
 def _temme_gammas(mu: float):

@@ -74,9 +74,9 @@ S_HIGH_PRECISION = {
     (-0.20319671806813133, 23.093510210467603, 35.76121889206547): 2.4266610059155894e-11,
 }
 
-# S at two large endpoints where the outer sum of asympt_large_t cancels
-# (its peak partial sum is 2e7 and 6e15 times the correction it sums
-# to).  The y-form and endpoint integrals and K minus the integral beyond
+# S at two large endpoints where the outer sum of the former asymptotic
+# large-endpoint sum cancelled (its peak partial sum was 2e7 and 6e15
+# times the correction it summed to).  The y-form and endpoint integrals and K minus the integral beyond
 # t, each in mpmath at 50 digits with its integrand scaled by the peak,
 # agreeing to 25 digits, rounded to double
 S_LARGE_T_CANCELLING = {
@@ -84,9 +84,9 @@ S_LARGE_T_CANCELLING = {
     (-8.267746481048224, 164.63856228515448, 171.7367769997575): 3.7819188037854335e-73,
 }
 
-# S at four scatter-wide points where each inner asymptotic sum of
-# asympt_large_t ran to its 201-term cap before its smallest term, so
-# evaluate fell through to the oracle.  The small-endpoint series in
+# S at four scatter-wide points where each inner asymptotic sum of the
+# former large-endpoint sum ran to its 201-term cap before its smallest
+# term, so evaluate fell through to the oracle.  The small-endpoint series in
 # mpmath, its terms cancelling from about e^t, at 420 and 520 digits, or
 # at 720 and 850 for the last (at 420 and 520 its two values disagree),
 # each pair agreeing to 30 digits, rounded to double
@@ -95,6 +95,20 @@ S_LARGE_T_INNER_STOP = {
     (17.62730571110437, 234.04968198971753, 330.3785809315047): 3.5828129771581513e-103,
     (5.939455967679649, 326.07199276210355, 435.8067825059122): 1.7923631843050177e-143,
     (-21.506817930732307, 596.2118953757137, 690.7547054398525): 8.851906424130292e-261,
+}
+
+# S at the four points whose TIGHT decision moved to the large-endpoint
+# candidate when it became the small-argument K form: the first three
+# from the small-endpoint series (grid-table and scatter-wide sweeps),
+# the last from the oracle (random.Random(102)).  The y-form integral,
+# scaled by its peak, in mpmath at 30 and 50 digits, agreeing to 29
+# digits, and K minus the incomplete-gamma sum in mpmath at 50 digits,
+# agreeing with it to 41; rounded to double
+S_LARGE_T_K_FORM = {
+    (17.837088751445748, 51.1528918675001, 58.677766577590965): 2.2507904221547646e-22,
+    (26.046909917244122, 65.55868417552276, 67.72172814463552): 8.325019650376291e-28,
+    (24.89360846681935, 79.81578200069673, 83.48405853209965): 1.3979258821374325e-34,
+    (90.8937509854548, 61.256863408024664, 30.20612258966773): 0.019179511532114495,
 }
 
 # S where the integrand's exponent, near -592 to -707, rounds to more than
@@ -541,16 +555,32 @@ ORACLE_KERNEL = {
 # 1.542/1.542, -22.195 1.547/1.547, -14.093 1.453/1.454, -3.762
 # 1.167/1.168, -19.088 1.149/1.149, -14.110 1.491/1.495.  Three values
 # moved, each by at most 0.17 of its new estimate: -3.577 by 128 ulps at
-# both tolerances, -25.909 by 50 and -14.110 by 22; work is unchanged
+# both tolerances, -25.909 by 50 and -14.110 by 22; work is unchanged.
+# 30 entries of the K-based candidates were re-frozen when asympt_large_t
+# became the small-argument K form (expansions._k_form), stopped against
+# K minus its partial sum.  asympt_large_t: the K-alone exits at 21.542,
+# -28.763, -6.174, 4.640 and -28.971 keep their bits, work now 0; -22.246,
+# 0.705 and -0.036 keep their bits, work now 2; at -21.600 new/old
+# estimate 0.946 (TIGHT) and 0.832 (DEFAULT_TOLERANCES), work 223 and 209
+# now 9 and 8, value moved by 3 and 20 ulps, at most 0.13 of the new
+# estimate.  series_small_z, new/old estimate and work: order 0 TIGHT
+# 1.000, 54 now 63, and DEFAULT_TOLERANCES 0.983, 50 now 53; -0.491
+# DEFAULT_TOLERANCES 0.661, 18 now 19; -3.577 DEFAULT_TOLERANCES 21.85,
+# 17 now 18, the K form now meeting the target before the split form;
+# -11 DEFAULT_TOLERANCES 1.002, 3 now 4; -10 TIGHT 1.026, 9 now 14, and
+# DEFAULT_TOLERANCES 0.974, 8 now 13; 11.056 at both tolerances, 2.810 at
+# both and 3.910 TIGHT keep their bits, work now 2.  The largest move is
+# 0.56 of the new estimate (-0.491), and every value lies within its
+# estimate plus that of forms 4 and 5 at TIGHT
 SERIES_KERNEL = {
     ('_alternating_small_t', (6.210000174191222, 16.94235769204204, 16.08056460636139), 'TIGHT'): ('0x1.54c4d2038425ap-25', '0x1.4386a93c6f8a0p-40', 69, ()),
     ('_alternating_small_t', (6.210000174191222, 16.94235769204204, 16.08056460636139), 'DEFAULT_TOLERANCES'): ('0x1.54c4de360091cp-25', '0x1.4b4a9f2ab3c4fp-40', 57, ()),
-    ('series_small_z', (0.0, 1.0, 0.02), 'TIGHT'): ('0x1.2455eac400000p-23', '0x1.14227c6eb994cp-33', 54, ()),
-    ('series_small_z', (0.0, 1.0, 0.02), 'DEFAULT_TOLERANCES'): ('0x1.2456e9ec00000p-23', '0x1.191528f63ab14p-33', 50, ()),
+    ('series_small_z', (0.0, 1.0, 0.02), 'TIGHT'): ('0x1.2455e9fc00000p-23', '0x1.141f2cd5390cbp-33', 63, ()),
+    ('series_small_z', (0.0, 1.0, 0.02), 'DEFAULT_TOLERANCES'): ('0x1.2455e69a00000p-23', '0x1.142f4e7fd7228p-33', 53, ()),
     ('series_small_z', (-0.4908169206822577, 2.286020495870304, 0.7939473854841949), 'TIGHT'): ('0x1.04d93aa196100p-6', '0x1.781b5e8476c08p-44', 18, ()),
-    ('series_small_z', (-0.4908169206822577, 2.286020495870304, 0.7939473854841949), 'DEFAULT_TOLERANCES'): ('0x1.04d93aa195cacp-6', '0x1.32c0d6e928bdap-45', 18, ()),
+    ('series_small_z', (-0.4908169206822577, 2.286020495870304, 0.7939473854841949), 'DEFAULT_TOLERANCES'): ('0x1.04d93aa194e7cp-6', '0x1.9593695cc3127p-46', 19, ()),
     ('series_small_z', (-3.577090503925066, 1.2133728884982256, 0.22128206837785758), 'TIGHT'): ('0x1.90260ebcb10c0p-12', '0x1.659ee09227abep-51', 19, ()),
-    ('series_small_z', (-3.577090503925066, 1.2133728884982256, 0.22128206837785758), 'DEFAULT_TOLERANCES'): ('0x1.90260ebc7c800p-12', '0x1.0b28da840efbcp-46', 17, ()),
+    ('series_small_z', (-3.577090503925066, 1.2133728884982256, 0.22128206837785758), 'DEFAULT_TOLERANCES'): ('0x1.90260ebcb0000p-12', '0x1.6ce5bd27ceb4cp-42', 18, ()),
     ('_alternating_small_t', (-18.123623750248775, 1.4813245042916559, 0.05080282250549155), 'TIGHT'): ('0x1.554aa27d473e4p-92', '0x1.929fc853cf4a8p-136', 9, ()),
     ('_alternating_small_t', (-18.123623750248775, 1.4813245042916559, 0.05080282250549155), 'DEFAULT_TOLERANCES'): ('0x1.54dd7d09731a9p-92', '0x1.bbc7f12354a2ap-102', 2, ()),
     ('_alternating_small_t', (-1.2136475911114104, 0.9303925083352805, 0.0028110239294096024), 'TIGHT'): ('0x1.996be8485c689p-128', '0x1.b1ac4f8f825f9p-172', 7, ()),
@@ -570,16 +600,16 @@ SERIES_KERNEL = {
     ('_alternating_small_t', (6.626981448399796, 1.1405146472160255, 0.018826756595098196), 'TIGHT'): ('0x1.0da6cd92fb361p+3', '0x1.eaee1067ee695p-43', 8, ()),
     ('_alternating_small_t', (6.626981448399796, 1.1405146472160255, 0.018826756595098196), 'DEFAULT_TOLERANCES'): ('0x1.0da6cd92fb362p+3', '0x1.e8cb39feed2ccp-43', 7, ()),
     ('series_small_z', (-11.0, 4.120136162645642e-05, 4.756176521365465), 'TIGHT'): ('0x1.46dc8c8650f00p+185', '0x1.1c3586da1f01bp+149', 4, ()),
-    ('series_small_z', (-11.0, 4.120136162645642e-05, 4.756176521365465), 'DEFAULT_TOLERANCES'): ('0x1.46dc8c8650f00p+185', '0x1.1bb4573fc7e88p+149', 3, ()),
-    ('series_small_z', (11.055548056274265, 0.03225711537615664, 0.051897014821535206), 'TIGHT'): ('0x1.bfe9bd312d608p+86', '0x1.56eef4d9a6bdep+41', 7, ()),
-    ('series_small_z', (11.055548056274265, 0.03225711537615664, 0.051897014821535206), 'DEFAULT_TOLERANCES'): ('0x1.bfe9bd312d608p+86', '0x1.56eef4d9a6bdep+41', 5, ()),
-    ('series_small_z', (2.8096423141945026, 0.0003360601455676629, 0.09083517734005113), 'TIGHT'): ('0x1.fb7ed612957bfp+34', '0x1.256553c2be6bap-11', 4, ()),
-    ('series_small_z', (2.8096423141945026, 0.0003360601455676629, 0.09083517734005113), 'DEFAULT_TOLERANCES'): ('0x1.fb7ed612957bfp+34', '0x1.256553c2be6bap-11', 3, ()),
+    ('series_small_z', (-11.0, 4.120136162645642e-05, 4.756176521365465), 'DEFAULT_TOLERANCES'): ('0x1.46dc8c8650f00p+185', '0x1.1c3586da1f01bp+149', 4, ()),
+    ('series_small_z', (11.055548056274265, 0.03225711537615664, 0.051897014821535206), 'TIGHT'): ('0x1.bfe9bd312d608p+86', '0x1.56eef4d9a6bdep+41', 2, ()),
+    ('series_small_z', (11.055548056274265, 0.03225711537615664, 0.051897014821535206), 'DEFAULT_TOLERANCES'): ('0x1.bfe9bd312d608p+86', '0x1.56eef4d9a6bdep+41', 2, ()),
+    ('series_small_z', (2.8096423141945026, 0.0003360601455676629, 0.09083517734005113), 'TIGHT'): ('0x1.fb7ed612957bfp+34', '0x1.256553c2be6bap-11', 2, ()),
+    ('series_small_z', (2.8096423141945026, 0.0003360601455676629, 0.09083517734005113), 'DEFAULT_TOLERANCES'): ('0x1.fb7ed612957bfp+34', '0x1.256553c2be6bap-11', 2, ()),
     ('series_small_z', (25.748344553341216, 1.2129998471811086e-05, 0.0014381530318261255), 'TIGHT'): ('0x1.af9bbf1a0325ep+527', '0x1.e22fff7f0f845p+482', 0, ()),
     ('series_small_z', (25.748344553341216, 1.2129998471811086e-05, 0.0014381530318261255), 'DEFAULT_TOLERANCES'): ('0x1.af9bbf1a0325ep+527', '0x1.e22fff7f0f845p+482', 0, ()),
-    ('series_small_z', (-10.0, 1.05679410319135, 0.6707688780075725), 'TIGHT'): ('0x1.7cdc640000000p-3', '0x1.1bb0fc427658ap-18', 9, ()),
-    ('series_small_z', (-10.0, 1.05679410319135, 0.6707688780075725), 'DEFAULT_TOLERANCES'): ('0x1.7cdc840000000p-3', '0x1.29553a5e92d02p-18', 8, ()),
-    ('series_small_z', (3.909946812752346, 0.00014233284641845988, 0.16461477863494642), 'TIGHT'): ('0x1.3a649c7b8a2bcp+55', '0x1.7a410c44a23cap+9', 4, ()),
+    ('series_small_z', (-10.0, 1.05679410319135, 0.6707688780075725), 'TIGHT'): ('0x1.7cdc640000000p-3', '0x1.2320e9dcf5742p-18', 14, ()),
+    ('series_small_z', (-10.0, 1.05679410319135, 0.6707688780075725), 'DEFAULT_TOLERANCES'): ('0x1.7cdc640000000p-3', '0x1.21956ad963fb6p-18', 13, ()),
+    ('series_small_z', (3.909946812752346, 0.00014233284641845988, 0.16461477863494642), 'TIGHT'): ('0x1.3a649c7b8a2bcp+55', '0x1.7a410c44a23cap+9', 2, ()),
     ('series_small_z', (3.909946812752346, 0.00014233284641845988, 0.16461477863494642), 'DEFAULT_TOLERANCES'): ('0x1.3a649c7b8a2bcp+55', '0x1.7a410c44a23cap+9', 2, ()),
     ('series_small_z', (9.854971711816475, 0.021229693800186748, 13.526382583615762), 'TIGHT'): ('0x1.8b258b3aa4127p+81', '0x1.2545dd5585c5bp+36', 0, ()),
     ('series_small_z', (9.854971711816475, 0.021229693800186748, 13.526382583615762), 'DEFAULT_TOLERANCES'): ('0x1.8b258b3aa4127p+81', '0x1.2545dd5585c5bp+36', 0, ()),
@@ -605,22 +635,22 @@ SERIES_KERNEL = {
     ('series_small_z', (-19.0883155475869, 0.0017132343931079038, 0.3157797466258711), 'DEFAULT_TOLERANCES'): ('0x1.0afc8499a1ab1p+157', '0x1.a0567a2308925p+113', 4, ()),
     ('series_small_z', (-14.110327861281013, 0.2769631914993399, 1.7455569628090182), 'TIGHT'): ('0x1.53982a546de5ap+44', '0x1.c2719579c3787p-1', 8, ()),
     ('series_small_z', (-14.110327861281013, 0.2769631914993399, 1.7455569628090182), 'DEFAULT_TOLERANCES'): ('0x1.53982a546de5ap+44', '0x1.bfe5b0bc4b03dp-1', 7, ()),
-    ('asympt_large_t', (21.542408646573023, 5.086753154584397, 85.62406276274619), 'TIGHT'): ('0x1.fbea05bdb6188p+32', '0x1.03e8c0f0142e9p-12', 55, ()),
-    ('asympt_large_t', (21.542408646573023, 5.086753154584397, 85.62406276274619), 'DEFAULT_TOLERANCES'): ('0x1.fbea05bdb6188p+32', '0x1.03e8c0f0142e9p-12', 55, ()),
-    ('asympt_large_t', (-28.762799571955288, 3.4956873647348905, 258.6053729685098), 'TIGHT'): ('0x1.62a28204c543fp+72', '0x1.a520fa65aa40ap+27', 77, ()),
-    ('asympt_large_t', (-28.762799571955288, 3.4956873647348905, 258.6053729685098), 'DEFAULT_TOLERANCES'): ('0x1.62a28204c543fp+72', '0x1.a520fa65aa40ap+27', 77, ()),
-    ('asympt_large_t', (-6.1736638868060965, 12.96211336390082, 155.0830445629563), 'TIGHT'): ('0x1.b7133784f651bp-19', '0x1.1cb6760037b8fp-64', 26, ()),
-    ('asympt_large_t', (-6.1736638868060965, 12.96211336390082, 155.0830445629563), 'DEFAULT_TOLERANCES'): ('0x1.b7133784f651bp-19', '0x1.1cb6760037b8fp-64', 26, ()),
-    ('asympt_large_t', (4.640394604011981, 0.034367669349219775, 52.9113015278271), 'TIGHT'): ('0x1.057401bea0ca4p+30', '0x1.46d1022e48fcdp-16', 10, ()),
-    ('asympt_large_t', (4.640394604011981, 0.034367669349219775, 52.9113015278271), 'DEFAULT_TOLERANCES'): ('0x1.057401bea0ca4p+30', '0x1.46d1022e48fcdp-16', 10, ()),
-    ('asympt_large_t', (-21.600308099586314, 3.411895792639228, 31.292343540912043), 'TIGHT'): ('0x1.c22d021206ebap+45', '0x1.0be4c2c81f9eep+1', 223, ()),
-    ('asympt_large_t', (-21.600308099586314, 3.411895792639228, 31.292343540912043), 'DEFAULT_TOLERANCES'): ('0x1.c22d021206efap+45', '0x1.4be2cf9d88303p+1', 209, ()),
-    ('asympt_large_t', (-22.24614714235848, 8.45427442852141, 83.8486185057424), 'TIGHT'): ('0x1.13af55f426b6ap+18', '0x1.1a50d6fd971eap-27', 90, ()),
-    ('asympt_large_t', (-22.24614714235848, 8.45427442852141, 83.8486185057424), 'DEFAULT_TOLERANCES'): ('0x1.13af55f426b6ap+18', '0x1.1a50d6fd971eap-27', 90, ()),
-    ('asympt_large_t', (-28.97068327957397, 0.21105814275657597, 252.30639880026757), 'TIGHT'): ('0x1.bb01bf428d773p+190', '0x1.0709098f83fecp+146', 35, ()),
-    ('asympt_large_t', (-28.97068327957397, 0.21105814275657597, 252.30639880026757), 'DEFAULT_TOLERANCES'): ('0x1.bb01bf428d773p+190', '0x1.0709098f83fecp+146', 35, ()),
-    ('asympt_large_t', (0.7054715603507979, 0.02955867321981475, 41.110689217318374), 'TIGHT'): ('0x1.9035e4c1121c2p+3', '0x1.a939430d3c9dcp-43', 8, ()),
-    ('asympt_large_t', (0.7054715603507979, 0.02955867321981475, 41.110689217318374), 'DEFAULT_TOLERANCES'): ('0x1.9035e4c1121c2p+3', '0x1.a939430d3c9dcp-43', 8, ()),
-    ('asympt_large_t', (-0.03552960782830894, 0.021262484532364654, 56.49746754273435), 'TIGHT'): ('0x1.fdf63d2e777e4p+1', '0x1.02f70b1198ae6p-44', 6, ()),
-    ('asympt_large_t', (-0.03552960782830894, 0.021262484532364654, 56.49746754273435), 'DEFAULT_TOLERANCES'): ('0x1.fdf63d2e777e4p+1', '0x1.02f70b1198ae6p-44', 6, ()),
+    ('asympt_large_t', (21.542408646573023, 5.086753154584397, 85.62406276274619), 'TIGHT'): ('0x1.fbea05bdb6188p+32', '0x1.03e8c0f0142e9p-12', 0, ()),
+    ('asympt_large_t', (21.542408646573023, 5.086753154584397, 85.62406276274619), 'DEFAULT_TOLERANCES'): ('0x1.fbea05bdb6188p+32', '0x1.03e8c0f0142e9p-12', 0, ()),
+    ('asympt_large_t', (-28.762799571955288, 3.4956873647348905, 258.6053729685098), 'TIGHT'): ('0x1.62a28204c543fp+72', '0x1.a520fa65aa40ap+27', 0, ()),
+    ('asympt_large_t', (-28.762799571955288, 3.4956873647348905, 258.6053729685098), 'DEFAULT_TOLERANCES'): ('0x1.62a28204c543fp+72', '0x1.a520fa65aa40ap+27', 0, ()),
+    ('asympt_large_t', (-6.1736638868060965, 12.96211336390082, 155.0830445629563), 'TIGHT'): ('0x1.b7133784f651bp-19', '0x1.1cb6760037b8fp-64', 0, ()),
+    ('asympt_large_t', (-6.1736638868060965, 12.96211336390082, 155.0830445629563), 'DEFAULT_TOLERANCES'): ('0x1.b7133784f651bp-19', '0x1.1cb6760037b8fp-64', 0, ()),
+    ('asympt_large_t', (4.640394604011981, 0.034367669349219775, 52.9113015278271), 'TIGHT'): ('0x1.057401bea0ca4p+30', '0x1.46d1022e48fcdp-16', 0, ()),
+    ('asympt_large_t', (4.640394604011981, 0.034367669349219775, 52.9113015278271), 'DEFAULT_TOLERANCES'): ('0x1.057401bea0ca4p+30', '0x1.46d1022e48fcdp-16', 0, ()),
+    ('asympt_large_t', (-21.600308099586314, 3.411895792639228, 31.292343540912043), 'TIGHT'): ('0x1.c22d021206ec0p+45', '0x1.faa08e8fdaf16p+0', 9, ()),
+    ('asympt_large_t', (-21.600308099586314, 3.411895792639228, 31.292343540912043), 'DEFAULT_TOLERANCES'): ('0x1.c22d021206ed7p+45', '0x1.1433a5cadbf2dp+1', 8, ()),
+    ('asympt_large_t', (-22.24614714235848, 8.45427442852141, 83.8486185057424), 'TIGHT'): ('0x1.13af55f426b6ap+18', '0x1.1a50a5e823864p-27', 2, ()),
+    ('asympt_large_t', (-22.24614714235848, 8.45427442852141, 83.8486185057424), 'DEFAULT_TOLERANCES'): ('0x1.13af55f426b6ap+18', '0x1.1a50a5e823864p-27', 2, ()),
+    ('asympt_large_t', (-28.97068327957397, 0.21105814275657597, 252.30639880026757), 'TIGHT'): ('0x1.bb01bf428d773p+190', '0x1.0709098f83fecp+146', 0, ()),
+    ('asympt_large_t', (-28.97068327957397, 0.21105814275657597, 252.30639880026757), 'DEFAULT_TOLERANCES'): ('0x1.bb01bf428d773p+190', '0x1.0709098f83fecp+146', 0, ()),
+    ('asympt_large_t', (0.7054715603507979, 0.02955867321981475, 41.110689217318374), 'TIGHT'): ('0x1.9035e4c1121c2p+3', '0x1.a939430d233dep-43', 2, ()),
+    ('asympt_large_t', (0.7054715603507979, 0.02955867321981475, 41.110689217318374), 'DEFAULT_TOLERANCES'): ('0x1.9035e4c1121c2p+3', '0x1.a939430d233dep-43', 2, ()),
+    ('asympt_large_t', (-0.03552960782830894, 0.021262484532364654, 56.49746754273435), 'TIGHT'): ('0x1.fdf63d2e777e4p+1', '0x1.02f70b1198ae2p-44', 2, ()),
+    ('asympt_large_t', (-0.03552960782830894, 0.021262484532364654, 56.49746754273435), 'DEFAULT_TOLERANCES'): ('0x1.fdf63d2e777e4p+1', '0x1.02f70b1198ae2p-44', 2, ()),
 }

@@ -291,7 +291,7 @@ def test_criterion_10_frozen_constants_and_paths(acceptance_report):
             _rel(evaluate(pt, TIGHT)[0].value, want),
         )
 
-    # the asymptotic path reproduces the Macdonald constant at large endpoint
+    # the large-endpoint path reproduces the Macdonald constant at large endpoint
     k_paths = _rel(asympt_large_t(ShuParams(0.0, 3.0, 1e3), TIGHT).value, K0_3)
 
     ok = (

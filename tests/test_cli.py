@@ -180,25 +180,38 @@ class TestEval:
         assert err.startswith("incmac: did not converge: the y-form peak is not finite")
 
     def test_large_t_underflowing_coefficient_exit_three(self, capsys):
-        # the large-endpoint sum's first coefficient e^-771 underflows, while
-        # its tail bound e^-349 is far from negligible: no sum of zeros
+        # the leading correction e^-771 underflows, while the tail bound
+        # e^-349 is far from negligible: no sum of zeros, and the K form's
+        # partial sums pass the double range
         code, out, err = _run(
             capsys, "eval", "--nu=-300", "--z", "700", "--t", "30", "--method", "large-t"
         )
         assert code == 3
         assert out == ""
-        assert err.startswith("incmac: did not converge: the large-t sum's first coefficient e^-771.115 underflows")
+        assert err == "incmac: did not converge: partial sum overflows at term 120\n"
 
     def test_large_t_overflowing_coefficient_exit_three(self, capsys):
-        # the first coefficient e^938 passes the double range, while S is
-        # below e^-8e9: exit 3 naming it, not a bare math range error
+        # the leading correction e^938 passes the double range, while S is
+        # below e^-8e9: exit 3, not a bare math range error
         args = ("eval", "--nu", "100", "--z", "1e6", "--t", "30")
         code, out, err = _run(capsys, *args, "--method", "large-t")
         assert (code, out) == (3, "")
-        assert err.startswith("incmac: did not converge: the large-t sum's first coefficient e^938.022 exceeds the double range")
+        assert err == "incmac: did not converge: partial sum overflows at term 36\n"
         code, out, _ = _run(capsys, *args)
         assert code == 0
         assert out.endswith("flags=underflow_to_zero\n")
+
+    def test_small_t_overflowing_sum_exit_three(self, capsys):
+        # the sum in positive terms, about e^t, passes the double range and
+        # the alternating sum does not converge: exit 3, where the JSON
+        # printed Infinity and exited 0
+        args = ("eval", "--nu", "29.45003793017056", "--z", "202.59283805234966", "--t", "881.9254053650693")
+        code, out, err = _run(capsys, *args, "--method", "small-t", "--json")
+        assert (code, out) == (3, "")
+        assert err.startswith("incmac: did not converge: ")
+        code, out, _ = _run(capsys, *args, "--json")
+        assert code == 0
+        assert json.loads(out)["method"] == "AsymptLargeT"
 
     @pytest.mark.parametrize(
         "argv,cause",

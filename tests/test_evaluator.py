@@ -17,7 +17,6 @@ from incmac.core import (
     NonConvergence,
     ShuParams,
     Tolerances,
-    EXP_FLOOR,
     LOG_HUGE,
     LOG_TINY,
     _log_s_lower,
@@ -46,6 +45,7 @@ from frozen import (
     S_HALF_SUBNORMAL_Z,
     S_HIGH_PRECISION,
     S_LARGE_T_INNER_STOP,
+    S_LARGE_T_K_FORM,
     S_SERIES_EXPONENT_ROUNDING,
     S_SERIES_SMALL_Z_K,
     S_SMALL_Z_NEGATIVE_ORDER,
@@ -229,7 +229,7 @@ class TestDecisionProcedure:
 
     def test_large_t_rejected_when_correction_visible(self):
         # K(20) ~ 5.7e-10 makes the relative target smaller than the
-        # correction, so the asymptotic path must step aside
+        # correction, so the large-endpoint path must step aside
         ev, dec = evaluate(ShuParams(0.0, 20.0, 30.0), TIGHT)
         assert (MethodTag.ASYMPT_LARGE_T, "CORRECTION_TOO_LARGE") in dec.candidates_tried
         assert dec.chosen is not MethodTag.ASYMPT_LARGE_T
@@ -361,13 +361,21 @@ class TestDecisionProcedure:
 
     @pytest.mark.parametrize("point", sorted(S_LARGE_T_INNER_STOP))
     def test_large_endpoint_inner_sums_stop_within_budget(self, point):
-        # each inner asymptotic sum ran to its cap before its smallest term
-        # here, and the point fell through to the oracle; stopped where its
-        # first omitted term, which bounds the rest, is within budget, the
-        # large-endpoint sum takes it within its estimate
+        # each inner asymptotic sum of the former large-endpoint sum ran to
+        # its cap before its smallest term here, and the point fell through
+        # to the oracle; the K form, stopped against K, takes it within its
+        # estimate
         ev, dec = evaluate(ShuParams(*point), incmac.core.TIGHT)
         assert dec.chosen is MethodTag.ASYMPT_LARGE_T
         assert abs(ev.value - S_LARGE_T_INNER_STOP[point]) <= ev.error_estimate
+
+    @pytest.mark.parametrize("point", sorted(S_LARGE_T_K_FORM))
+    def test_large_endpoint_k_form_takes_moved_decisions(self, point):
+        # the first three went to the small-endpoint series and the last to
+        # the oracle while the large-endpoint sum was asymptotic in t
+        ev, dec = evaluate(ShuParams(*point), incmac.core.TIGHT)
+        assert (dec.chosen, dec.candidates_tried) == (MethodTag.ASYMPT_LARGE_T, ())
+        assert abs(ev.value - S_LARGE_T_K_FORM[point]) <= ev.error_estimate
 
     @pytest.mark.parametrize("point", sorted(S_DEFAULT_SMALL_T))
     def test_cancelling_small_endpoint_sum_judged_by_its_estimate(self, point):
@@ -536,7 +544,7 @@ class TestLargeNegativeOrder:
 
     def test_box_values_within_core_bounds(self):
         # the first 300 points of the box with the first coefficient below
-        # e^EXP_FLOOR: no value above core's upper bound on S, no nonzero
+        # e^-745: no value above core's upper bound on S, no nonzero
         # value below its lower bound, no OverflowError where S is in range
         rng = random.Random(29)
         points = []
@@ -544,7 +552,7 @@ class TestLargeNegativeOrder:
             nu = -math.exp(rng.uniform(math.log(30.0), math.log(1000.0)))
             z = math.exp(rng.uniform(0.0, math.log(2000.0)))
             t = math.exp(rng.uniform(math.log(30.0), math.log(1000.0)))
-            if _log_leading_correction(nu, z, t) <= EXP_FLOOR:
+            if _log_leading_correction(nu, z, t) <= -745.0:
                 points.append(ShuParams(nu, z, t))
         zeros = 0
         for p in points:
@@ -871,9 +879,8 @@ def test_large_endpoint_differential():
     # 300 seeded points with t log-uniform on [30, 3e3], |nu| <= 30 and z
     # log-uniform on [1e-6, 3e3]: every value the large-endpoint sum
     # returns, at three targets, agrees with both quadrature forms at the
-    # tight target under the benchmark's rule.  Its inner sums stop where
-    # their first omitted term is within the target's budget, which the
-    # looser targets make largest
+    # tight target under the benchmark's rule.  Its sum stops against K
+    # minus its partial sum, earliest at the loosest target
     rng = random.Random(17)
     tols = (
         incmac.core.TIGHT,
@@ -1111,23 +1118,15 @@ def test_grid_table_stays_off_the_oracle():
     assert sum(c.decision.chosen is MethodTag.ORACLE5 for c in cells) <= 5
 
 
-def test_grid_table_inner_sums_stop_early(monkeypatch):
-    # work-count guard, no timing: run to their smallest term, the inner
-    # asymptotic sums of the large-endpoint cells took 33,769 iterations
-    # over this sweep; stopped within the target's budget, 676
-    iterations = 0
-    asymptotic_sum = incmac.expansions._asymptotic_sum
-
-    def counted(*args):
-        nonlocal iterations
-        result = asymptotic_sum(*args)
-        iterations += result[1]
-        return result
-
-    monkeypatch.setattr(incmac.expansions, "_asymptotic_sum", counted)
+def test_grid_table_large_t_work():
+    # work-count guard, no timing: the large-endpoint cells of this sweep
+    # took 384 terms of the K form in all, stopped against K; the former
+    # asymptotic double sum reported 4,725, K's own work with its inner
+    # sums' terms
     cells = evaluate_grid(*_GRID_TABLE_SEED_1, incmac.core.TIGHT)
-    assert sum(c.decision.chosen is MethodTag.ASYMPT_LARGE_T for c in cells) >= 250
-    assert iterations <= 2000
+    large = [c.evaluation.work for c in cells if c.decision.chosen is MethodTag.ASYMPT_LARGE_T]
+    assert len(large) >= 250
+    assert sum(large) <= 500
 
 
 def _count_k(monkeypatch, fail_at=None):
@@ -1285,7 +1284,7 @@ class TestSeriesReuse:
 
     def test_grid_cells_equal_pointwise_across_both_forms(self, monkeypatch):
         endpoints = {"split": set(), "k": set()}
-        for name, key in (("_split_small_z", "split"), ("_k_small_z", "k")):
+        for name, key in (("_split_small_z", "split"), ("_k_form", "k")):
             real = getattr(incmac.expansions, name)
 
             def counted(nu, z, t, tol, real=real, key=key):

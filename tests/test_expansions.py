@@ -206,6 +206,13 @@ class TestTricomiSmallT:
         ev = _tricomi_small_t(ShuParams(*point), incmac.core.TIGHT)
         assert (ev.value.hex(), ev.error_estimate.hex(), ev.work) == TRICOMI_GAMMA_NORMALISED[point]
 
+    def test_overflowing_sum_raises_naming_the_point(self):
+        # sum_n t^n U_n/U_0, about e^t, passes the double range at t = 882:
+        # the value was inf with a NaN estimate after 2,026 steps
+        p = ShuParams(29.45003793017056, 202.59283805234966, 881.9254053650693)
+        with pytest.raises(NonConvergence, match=r"sum exceeds the double range at ShuParams\(order=29.45003793017056, "):
+            _tricomi_small_t(p, TIGHT)
+
     def test_work_counts_recurrence_steps_and_terms(self):
         # one pass from start index 36, (sqrt(3) + ln(4e12)/(4 sqrt(3)))^2
         # = 35.05 rounded up: 36 recurrence steps and 36 terms, and the
@@ -365,29 +372,28 @@ class TestAsymptLargeT:
         ev = asympt_large_t(ShuParams(0.0, 3.0, 12.0), TIGHT)
         oracle = _oracle(0, 3, 12)
         kval = macdonald_k(0.0, 3.0)
-        # optimal truncation of the divergent inner sum floors the accuracy
-        # near e^-t (t/e)^-t scale, a few 1e-10 relative here
+        # the K form converges at any endpoint, so this bound, set when
+        # the sum was asymptotic in t, is loose
         assert _rel(ev.value, oracle) < 5e-9
         assert abs(ev.value - oracle) < abs(kval - oracle)
         assert abs(ev.value - oracle) <= 3.0 * ev.error_estimate
 
     @pytest.mark.parametrize("point", [p for p in S_HIGH_PRECISION if p[2] >= 30.0])
     def test_tail_bound_against_high_precision(self, point):
-        # the inner truncation errors of all outer terms add up
         ev = asympt_large_t(ShuParams(*point), TIGHT)
         assert abs(ev.value - S_HIGH_PRECISION[point]) <= ev.error_estimate
 
     @pytest.mark.parametrize("point", list(S_LARGE_T_CANCELLING))
     def test_cancelling_outer_sum_within_estimate(self, point):
-        # the outer sum's rounding scales with its peak partial sum, not
-        # with the small correction it cancels down to
+        # the sum's rounding scales with its peak partial sum, not with the
+        # small correction it cancels down to
         ev = asympt_large_t(ShuParams(*point), TIGHT)
         assert abs(ev.value - S_LARGE_T_CANCELLING[point]) <= ev.error_estimate
 
     def test_outer_tail_counts_the_inner_sum_above_one(self):
-        # the outer sum stops after 2 terms; the first omitted term's inner
-        # sum, at b = nu + 3 = -2.6, is 1.087, which counting |coef_2| alone
-        # missed: the value was 1.07x its estimate off both reference forms
+        # the former asymptotic sum stopped after 2 outer terms here, and
+        # counting |coef_2| alone for the omitted ones put the value 1.07x
+        # its estimate off both reference forms
         p = ShuParams(-5.59751630241308, 2.4913205667508254, 31.256334059703725)
         ev = asympt_large_t(p, Tolerances(abs_tol=5e-324, rel_tol=1e-8))
         r5, r4 = shu_oracle(p, TIGHT, 5), shu_oracle(p, TIGHT, 4)
@@ -396,16 +402,40 @@ class TestAsymptLargeT:
             assert abs(ev.value - ref.value) <= ev.error_estimate
 
     def test_outer_coefficient_underflowing_to_zero(self):
-        # the second outer coefficient, e^-716 times -z^2/4t = -1.9e-15,
-        # underflows to 0.0; its inner sum gets an unbounded budget instead
-        # of dividing by it, and S is K to far below the estimate
+        # the second coefficient of the former asymptotic sum, e^-716 times
+        # -z^2/4t = -1.9e-15, underflowed to 0.0; S is K to far below the
+        # estimate
         ev = asympt_large_t(ShuParams(30.0, 1e-6, 130.0), TIGHT)
         assert abs(ev.value - macdonald_k(30.0, 1e-6)) <= ev.error_estimate
 
+    def test_one_implementation_with_the_k_form(self):
+        # where both candidates run the K form, at order >= 0 or an integer,
+        # they agree bit for bit in value, estimate and work, or raise the
+        # same error, and differ only in their tag; 107 of these points sum
+        # terms, the rest return K alone
+        rng = random.Random(35)
+        for _ in range(300):
+            nu = rng.uniform(0.0, 30.0) if rng.random() < 0.5 else float(rng.randint(-30, 30))
+            t = math.exp(rng.uniform(math.log(30.0), math.log(100.0)))
+            x0 = math.exp(rng.uniform(math.log(1e-8), math.log(2.0)))
+            p = ShuParams(nu, math.sqrt(4.0 * t * x0), t)
+            got = []
+            for fn in (asympt_large_t, series_small_z):
+                try:
+                    ev = fn(p, TIGHT)
+                except (NonConvergence, OverflowError) as exc:
+                    got.append((type(exc), str(exc)))
+                else:
+                    got.append((ev.value.hex(), ev.error_estimate.hex(), ev.work, ev.flags, ev.method))
+            if len(got[0]) == 5:
+                assert got[0][4] is MethodTag.ASYMPT_LARGE_T and got[1][4] is MethodTag.SERIES_SMALL_Z, p
+                got = [g[:4] for g in got]
+            assert got[0] == got[1], p
+
     def test_agrees_with_small_argument_series(self):
-        # both sum (1/2)(z/2)^nu sum_k (-z^2/4)^k/k! Gamma(-nu-k, t), the
-        # small-argument series exactly and this path asymptotically in t,
-        # so at t >= 30 they agree within their joint error
+        # at negative non-integer order and z <= 1 the small-argument series
+        # takes its split form, which needs no K; at t >= 30 the two forms
+        # agree within their joint error
         rng = random.Random(2020)
         for _ in range(300):
             p = ShuParams(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 30.0), rng.uniform(30.0, 40.0))
@@ -635,11 +665,11 @@ def test_k_alone_exactly_where_the_correction_rounds_away(monkeypatch):
         ]
 
     kform = points(-1.0, 1e-4, 30.0)
-    # negative orders too, where the inner sums' ceiling exceeds 1
+    # negative orders too, where the ceiling in the tail bound exceeds 1
     large = points(-30.0, 30.0, 3000.0)
     answers = _exits(monkeypatch)
     for fn, pts in (
-        (lambda p: incmac.expansions._k_small_z(*p, incmac.core.TIGHT), kform),
+        (lambda p: incmac.expansions._k_form(*p, incmac.core.TIGHT), kform),
         (lambda p: asympt_large_t(ShuParams(*p), incmac.core.TIGHT), large),
     ):
         returned = fired = 0
@@ -674,30 +704,32 @@ def test_k_alone_below_order_minus_one(monkeypatch):
         )
         answers.clear()
         try:
-            ev = incmac.expansions._k_small_z(*p, incmac.core.TIGHT)
+            ev = incmac.expansions._k_form(*p, incmac.core.TIGHT)
         except (NonConvergence, OverflowError):
             assert not any(answers), p
             continue
         if any(answers):
             fired += 1
-            full = _full_sum(monkeypatch, incmac.expansions._k_small_z, *p, incmac.core.TIGHT)
+            full = _full_sum(monkeypatch, incmac.expansions._k_form, *p, incmac.core.TIGHT)
             assert ev.work == 0 and full is not None, p
             assert (ev.value.hex(), ev.error_estimate.hex()) == (full.value.hex(), full.error_estimate.hex()), p
     assert fired >= 50
 
 
 def test_large_t_refuses_where_its_first_coefficient_underflows():
-    # e^e = e^-771 underflows, while the tail bound e^-349, which counts the
-    # inner sum's ceiling I(-299) ~ e^422, is far above S < e^-4800: the old
-    # sum of zeros returned K_300(700) ~ 1.5e-278
-    with pytest.raises(NonConvergence, match="first coefficient e.-771.115 underflows"):
+    # the leading correction e^-771 underflows, while the tail bound e^-349,
+    # which counts the ceiling of Gamma(300, 30) 30^-299 e^30 ~ e^422, is far
+    # above S < e^-4800: a sum of zeros once returned K_300(700) ~ 1.5e-278.
+    # The K form's terms, about x0^k/k! at x0 = 4083, pass the double range
+    with pytest.raises(NonConvergence, match="partial sum overflows at term 120"):
         asympt_large_t(ShuParams(-300.0, 700.0, 30.0), incmac.core.TIGHT)
 
 
 def test_large_t_refuses_where_its_first_coefficient_overflows():
-    # e^e = e^938 passes the double range, while S < e^-8e9: a bare
-    # OverflowError from math.exp reached the CLI as a range error
-    with pytest.raises(NonConvergence, match="first coefficient e.938.022 exceeds the double range"):
+    # the leading correction e^938 passes the double range, while
+    # S < e^-8e9: a bare OverflowError from math.exp once reached the CLI
+    # as a range error
+    with pytest.raises(NonConvergence, match="partial sum overflows at term 36"):
         asympt_large_t(ShuParams(100.0, 1e6, 30.0), incmac.core.TIGHT)
 
 
@@ -724,7 +756,7 @@ def test_small_endpoint_sums_raise_where_x0_overflows(fn):
 
 
 def test_one_loop_over_terms():
-    # every series and asymptotic sum in expansions runs through _series_core
+    # every series in expansions runs through _series_core
     looping = [
         node.name
         for node in ast.walk(ast.parse(inspect.getsource(incmac.expansions)))

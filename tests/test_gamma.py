@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from incmac.core import DomainError, NonConvergence, PoleError, ShuParams, Tolerances
 from incmac.expansions import series_small_z
 from incmac.gamma import (
-    _asymptotic_sum,
     _bessel_i_series,
     _e1_series,
     _kummer_sum,
@@ -338,62 +337,28 @@ class TestIncompleteGammaAsymptotic:
         with pytest.raises(DomainError):
             incomplete_gamma_asymptotic(1.0, -1.0, 4)
 
-    def test_below_exp_floor_returns_zero(self):
-        # x^(a-1) e^-x is about e^-803 here, below the exp floor
-        assert incomplete_gamma_asymptotic(0.5, 800.0, 4) == 0.0
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            # x^(a-1) e^-x is about e^-803 at x = 800; at x = 720 the value
+            # was the subnormal 7.568428454e-315 from both functions
+            (incomplete_gamma_asymptotic, (0.5, 800.0, 4)),
+            (incomplete_gamma_asymptotic, (0.5, 720.0, 4)),
+            (upper_incomplete_gamma, (0.5, 720.0)),
+        ],
+    )
+    def test_below_smallest_normal_returns_zero(self, fn, args):
+        assert fn(*args) == 0.0
 
     def test_sum_stops_before_its_smallest_term_grows(self):
         # terms (-1)^m (1/2)_m 10^-m shrink while (1/2 + m)/10 < 1, so the
-        # sum keeps m = 0..10 and the first omitted term is 1.05 times the last
+        # sum keeps m = 0..10; a cap reached first keeps m = 0..m_max
         terms = [1.0]
         for m in range(11):
             terms.append(terms[-1] * -(0.5 + m) / 10.0)
-        total, used, omitted, smallest, _ = _asymptotic_sum(0.5, 10.0, 50)
-        assert (used, smallest) == (11, True)
-        assert _rel(total, sum(terms[:11])) < 1e-15
-        assert _rel(omitted, abs(terms[11])) < 1e-15
-        # a cap reached first reports the next term, which is not smallest
-        total, used, omitted, smallest, _ = _asymptotic_sum(0.5, 10.0, 3)
-        assert (used, smallest) == (3, False)
-        assert _rel(total, sum(terms[:3])) < 1e-15
-        assert _rel(omitted, abs(terms[3])) < 1e-15
-
-    def test_sum_stops_at_first_term_within_budget(self):
-        # terms (-1)^m (1/2)_m 10^-m: 1, -0.05, 7.5e-3, -1.875e-3, 6.56e-4;
-        # the fifth is the first below 1e-3, so four are kept
-        terms = [1.0]
-        for m in range(5):
-            terms.append(terms[-1] * -(0.5 + m) / 10.0)
-        assert abs(terms[3]) >= 1e-3 > abs(terms[4])
-        total, used, omitted, stopped, _ = _asymptotic_sum(0.5, 10.0, 50, 1e-3)
-        assert (used, stopped) == (4, True)
-        assert _rel(total, sum(terms[:4])) < 1e-15
-        assert _rel(omitted, abs(terms[4])) < 1e-15
-
-    def test_budget_stop_keeps_at_least_minus_b_terms(self):
-        # at b = -3.5 every term is below a budget of 1, but the first
-        # omitted term bounds the rest only after n >= -b terms (DLMF
-        # 8.11(i)), so the sum keeps four
-        total, used, omitted, stopped, _ = _asymptotic_sum(-3.5, 40.0, 50, 1.0)
-        assert (used, stopped) == (4, True)
-        terms = [1.0]
-        for m in range(4):
-            terms.append(terms[-1] * -(-3.5 + m) / 40.0)
-        assert _rel(total, sum(terms[:4])) < 1e-15
-        assert _rel(omitted, abs(terms[4])) < 1e-15
-        exact = upper_incomplete_gamma(4.5, 40.0) * math.exp(40.0 - 3.5 * math.log(40.0))
-        assert abs(total - exact) <= omitted
-
-    def test_budget_stop_omits_at_most_its_first_omitted_term(self):
-        # the remainder after a budget stop is within the first omitted term,
-        # against Gamma(1 - b, x) x^b e^x from upper_incomplete_gamma
-        for b in (-29.5, -12.25, -3.5, -0.75, 0.5, 1.0, 4.3, 17.0, 31.0):
-            for x in (30.0, 45.0, 120.0, 300.0):
-                for budget in (1e-3, 1e-8, 1e-13):
-                    total, used, omitted, stopped, _ = _asymptotic_sum(b, x, 201, budget)
-                    assert stopped and used >= -b
-                    exact = upper_incomplete_gamma(1.0 - b, x) * math.exp(x + b * math.log(x))
-                    assert abs(total - exact) <= omitted + 1e-13 * abs(exact), (b, x, budget)
+        scale = 10.0**-0.5 * math.exp(-10.0)
+        assert _rel(incomplete_gamma_asymptotic(0.5, 10.0, 49), scale * sum(terms[:11])) < 1e-15
+        assert _rel(incomplete_gamma_asymptotic(0.5, 10.0, 2), scale * sum(terms[:3])) < 1e-15
 
 
 class TestMacdonaldK:
