@@ -1,12 +1,12 @@
 """Regime-switching front end: one entry point with an error estimate.
 
 The decision order is one function, _decide: the large-endpoint
-expansion when its leading correction is already below target, the
-half-order closed form (once self-validated against the oracle), the
-small-argument series where x0 = z^2/4t < 2, the small-endpoint series,
-then the quadrature oracle as universal fallback, except where
-core._log_s_lower already puts S past the double range, which raises
-OverflowError.  The
+expansion at t >= 30 where expansions._log_tail_bound, the one bound on
+K - S, is already below K_nu(z)'s target, the half-order closed form
+(once self-validated against the oracle), the small-argument series
+where x0 = z^2/4t < 2, the small-endpoint series, then the quadrature
+oracle as universal fallback, except where core._log_s_lower already
+puts S past the double range, which raises OverflowError.  The
 small-argument terms fall like x0^k/k!, so one boundary in x0 decides
 where that series runs and no limit in z is needed (DLMF 8.7.1,
 10.27.4); at negative non-integer order the series chooses between its
@@ -45,7 +45,7 @@ from .core import (
     shared_work,
 )
 from .expansions import (
-    _log_leading_correction,
+    _log_tail_bound,
     asympt_large_t,
     series_small_t,
     series_small_z,
@@ -184,7 +184,7 @@ def _decide(p: ShuParams, tol: Tolerances):
     nu, z, t = p
     tried = []
     if t >= _LARGE_T_MIN:
-        # runs where the leading correction is below K_nu(z)'s target, which one past
+        # runs where the bound on K - S is below K_nu(z)'s target, which one past
         # the double range never is; where K overflows, the overflow rule raises if S does
         try:
             kval = shared(_macdonald_k_eval, nu, z)[0]
@@ -192,7 +192,7 @@ def _decide(p: ShuParams, tol: Tolerances):
             _overflow_rule(p)
             tried.append((MethodTag.ASYMPT_LARGE_T, "OVERFLOW"))
         else:
-            e = _log_leading_correction(nu, z, t)
+            e = _log_tail_bound(nu, z, t)
             if not (e < LOG_HUGE and math.exp(e) < tol.target(kval)):
                 tried.append((MethodTag.ASYMPT_LARGE_T, "CORRECTION_TOO_LARGE"))
             elif found := _try(_LARGE_T, asympt_large_t, p, tol, tried):

@@ -11,6 +11,9 @@ only its orders and its bound on the omitted terms.  The paper's
 large-endpoint expansion is the same sum as the small-argument K form,
 K_nu(z) minus it, so both candidates run one function, _k_form, which
 stops against K minus its partial sum, and differ only in their tag.
+One proven bound on K - S, _log_tail_bound, says how far S can be from
+K: the evaluator's large-endpoint gate tests it against K's target, and
+_k_form returns K alone where it is negligible against K.
 Each of these sums is one loop, _series_core, which reads each factor
 and its absolute error bound straight from those generators and bounds
 its rounding by core._sum_rounding, the one rule of every sum formed term
@@ -124,13 +127,14 @@ def _first_to_meet(tol: Tolerances, *forms) -> Evaluation:
     """The fallback rule between the sub-forms of one candidate, each
     called with no arguments in turn: the first Evaluation that meets tol
     (Evaluation.rejection); where none does, the last one returned; where
-    none returned, the last NonConvergence or OverflowError raised again."""
+    none returned, the first NonConvergence or OverflowError raised again,
+    which names why the preferred sub-form failed."""
     ev = error = None
     for form in forms:
         try:
             ev = form()
         except (NonConvergence, OverflowError) as exc:
-            error = exc
+            error = error or exc
             continue
         if ev.rejection(tol) is None:
             return ev
@@ -139,48 +143,45 @@ def _first_to_meet(tol: Tolerances, *forms) -> Evaluation:
     return ev
 
 
-def _log_leading_correction(nu: float, z: float, t: float) -> float:
-    """log of (1/2)(z/2)^nu t^-(nu+1) e^-t, the leading large-endpoint
-    correction to K_nu(z) and the large-endpoint gate's test."""
-    return nu * log_half_ratio(z) - LN2 - t - (nu + 1.0) * math.log(t)
-
-
 def _log_tail_bound(nu: float, z: float, t: float) -> float:
-    """B = e + ln I, e = _log_leading_correction and I a ceiling on
-    Gamma(-nu, t) t^b e^t = int_0^inf e^-u (1 + u/t)^-b du, b = nu + 1,
-    which falls as b grows: 1 for b >= 0; t/(t + b) for -t < b < 0, from
-    (1 + u/t)^-b <= e^(-b u/t); Gamma(1 - b) t^b e^t below, where
-    Gamma(1 - b, t) <= Gamma(1 - b), and inf past the double range.  e^B
-    bounds K - S = (1/2)(z/2)^nu int_t^inf s^(-nu-1) e^(-s - z^2/4s) ds,
-    and e^(B + x0), x0 = z^2/4t, the K form's terms together, term k being
-    at most e^e x0^k/k! times that ceiling at b = nu + k + 1."""
+    """ln of a bound on K - S = (1/2)(z/2)^nu int_t^inf s^(-nu-1)
+    e^(-s - z^2/4s) ds, the one answer to how far S can be from K: the
+    large-endpoint gate and _k_form's K-alone exit both test it.
+
+    With b = nu + 1, it is e + ln I, e the log of (1/2)(z/2)^nu t^-b e^-t
+    and I a ceiling on Gamma(-nu, t) t^b e^t = int_0^inf e^-u (1 + u/t)^-b du,
+    the tail with e^(-z^2/4s) <= 1, which falls as b grows: 1 for b >= 0;
+    t/(t + b) for -t < b < 0, from (1 + u/t)^-b <= e^(-b u/t);
+    Gamma(1 - b) t^b e^t below, where Gamma(1 - b, t) <= Gamma(1 - b), and
+    inf past the double range.  Where b >= 0 and x0 = z^2/4t < t it is the
+    smaller of that and the tangent-line bound e - x0 - ln(1 - x0/t):
+    s^-b <= t^-b for s >= t, and the convex s + z^2/4s lies above its
+    tangent at t, t + x0 + (1 - x0/t)(s - t), so the tail is at most
+    (1/2)(z/2)^nu t^-b e^(-t - x0)/(1 - x0/t)."""
     b = nu + 1.0
+    e = nu * log_half_ratio(z) - LN2 - t - b * math.log(t)
     if b >= 0.0:
-        log_i = 0.0
-    elif t + b > 0.0:
-        log_i = math.log(t / (t + b))
-    else:
-        log_i = math.lgamma(1.0 - b) + b * math.log(t) + t
-        if not log_i < LOG_HUGE:
-            return math.inf
-    return _log_leading_correction(nu, z, t) + log_i
+        x0 = 0.25 * z * z / t
+        if x0 < t:
+            tangent = -x0 - math.log1p(-x0 / t)
+            if tangent < 0.0:
+                return e + tangent
+        return e
+    if t + b > 0.0:
+        return e + math.log(t / (t + b))
+    log_i = math.lgamma(1.0 - b) + b * math.log(t) + t
+    return e + log_i if log_i < LOG_HUGE else math.inf
 
 
 def _negligible(log_bound: float, kval: float) -> bool:
-    """Whether a correction whose sum, partial sums and error bound are at
-    most e^log_bound is below EPS^2 K, with a margin of e^8: there the
-    difference K minus the correction and its estimate round to exactly K
-    and K's own estimate, so the K form returns those unsummed."""
+    """Whether e^log_bound, a bound on K - S, is below EPS^2 K with a
+    margin of e^8: there S is K far below K's own rounding, so the K form
+    returns K with kerr + EPS K unsummed."""
     return kval > 0.0 and log_bound < math.log(kval) + _LOG_EPS2 - 8.0
 
 
-def _first_omitted(nu: float, x: float, step: float, n: int, coef: float, u: float) -> float:
-    """|coef| u, the first omitted term: both upper-gamma sums' tail bound."""
-    return abs(coef) * u
-
-
 def _gamma_sum(nu: float, z: float, t: float, x: float, step: float, tol: Tolerances, step_roundings: int,
-               factors, tail, kval: float = 0.0):
+               factors, kval: float = 0.0, tail=None):
     """(1/2)(z/2t)^nu e^-x sum_k step^k/k! f_k, the sum of all three
     incomplete-gamma series, with (f_k, e_k) from factors, a generator of
     gamma._upper_gamma_orders or _lower_gamma_orders at x.  Run by _series_core
@@ -189,8 +190,9 @@ def _gamma_sum(nu: float, z: float, t: float, x: float, step: float, tol: Tolera
     through one exp with the peak partial sum, which raises OverflowError
     past the double range.  A sum subtracted from kval stops relative to
     kval minus its partial sum, kval in those units as _series_core's
-    offset (inf past the double range).  The estimate adds tail(nu, x,
-    step, n, coef_n, |f_n| + e_n), the caller's bound on the omitted terms,
+    offset (inf past the double range).  The estimate adds a bound on the
+    omitted terms, the first omitted term |coef_n| u, u = |f_n| + e_n,
+    unless the caller gives tail(nu, x, step, n, coef_n, u), then
     _series_core's bound and the exponent's rounding.  Returns (value,
     error, terms)."""
     log_q = log_half_ratio(z, t)
@@ -204,7 +206,8 @@ def _gamma_sum(nu: float, z: float, t: float, x: float, step: float, tol: Tolera
         offset = math.exp(e) if e < LOG_HUGE else math.inf
     total, terms, coef, peak, werr = _series_core(1.0, step, factors, tol.rel_tol, floor, offset, step_roundings)
     f, bound = next(factors)
-    werr += tail(nu, x, step, terms, coef, abs(f) + bound)
+    u = abs(f) + bound
+    werr += abs(coef) * u if tail is None else tail(nu, x, step, terms, coef, u)
     log_peak = math.log(peak)
     log_scale = lead + log_peak
     if log_scale > LOG_HUGE:
@@ -230,7 +233,7 @@ def _alternating_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
         raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; the small-t series has no terms")
     if x0 == math.inf:
         raise NonConvergence(f"x0 = z^2/4t overflows to inf at z = {z!r}, t = {t!r}; the small-t series has no terms")
-    value, err, terms = _gamma_sum(nu, z, t, x0, -t, tol, 0, _upper_gamma_orders(nu, x0), _first_omitted)
+    value, err, terms = _gamma_sum(nu, z, t, x0, -t, tol, 0, _upper_gamma_orders(nu, x0))
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms)
 
 
@@ -441,7 +444,7 @@ def _split_small_z(m: float, z: float, t: float, tol: Tolerances) -> Evaluation:
     parts grow like 1/sin(m pi) and cancel, which the last term and the
     L_k bounds show.  I_m(z) is core.shared, as K is.
     """
-    part, part_err, terms = _gamma_sum(-m, z, t, t, -0.25 * z * z / t, tol, 2, _lower_gamma_orders(m, t), _split_tail)
+    part, part_err, terms = _gamma_sum(-m, z, t, t, -0.25 * z * z / t, tol, 2, _lower_gamma_orders(m, t), tail=_split_tail)
     # pi/(2 sin(m pi)) with the argument reduced exactly
     r = round(m)
     half_pi_over_sin = 0.5 * math.pi / math.sin(math.pi * (m - r))
@@ -472,15 +475,14 @@ def _k_form(nu: float, z: float, t: float, tol: Tolerances, tag: MethodTag = Met
     estimate adds K's, EPS (K + |sum|) for the subtraction and
     _gamma_sum's.
 
-    Where e^(B + x0), B = _log_tail_bound, is negligible against K
-    (_negligible), K is returned alone with kerr + EPS K, what the whole
-    sum would round to, and work 0: no term is summed.
+    Where _log_tail_bound's bound on K - S is negligible against K
+    (_negligible), |K - S| is below EPS^2 K e^-8, far inside kerr + EPS K,
+    so K is returned alone with that estimate and work 0.
     """
     kval, kerr, _ = shared(_macdonald_k_eval, nu, z)
-    x0 = 0.25 * z * z / t
-    if _negligible(_log_tail_bound(nu, z, t) + x0, kval):
+    if _negligible(_log_tail_bound(nu, z, t), kval):
         return Evaluation(kval, kerr + EPS * abs(kval), tag, 0)
-    part, err, terms = _gamma_sum(nu, z, t, t, -x0, tol, 2, _upper_gamma_orders(-nu, t), _first_omitted, kval)
+    part, err, terms = _gamma_sum(nu, z, t, t, -0.25 * z * z / t, tol, 2, _upper_gamma_orders(-nu, t), kval)
     err += kerr + EPS * (abs(kval) + abs(part))
     return Evaluation(kval - part, err, tag, terms)
 
@@ -510,9 +512,9 @@ def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """The paper's large-endpoint expansion, K_nu(z) - (1/2)(z/2)^nu
     sum_k (-z^2/4)^k/k! Gamma(-nu - k, t): the K form of the small-argument
     series (_k_form), tagged AsymptLargeT, at every order.  The evaluator
-    runs it first at t >= 30 where the leading correction is below K's
-    target, at any x0 = z^2/4t; there the sum stops against K within a
-    few terms, or returns K alone with work 0.
+    runs it first at t >= 30 where _log_tail_bound's bound on K - S is
+    below K's target, at any x0 = z^2/4t; there the sum stops against K
+    within a few terms, or returns K alone with work 0.
     """
     tol = tol or DEFAULT_TOLERANCES
     return _k_form(p.order, p.argument, p.endpoint, tol, MethodTag.ASYMPT_LARGE_T)

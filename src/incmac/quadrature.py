@@ -8,9 +8,8 @@ QUADPACK's in QUADPACK's order.  The three reference forms of the
 incomplete Macdonald function are the defining endpoint integral on
 (0, t], the cosh representation, and the reflected y-representation on
 (z^2/4t, inf); the last is the default oracle because its integrand is
-smooth with plain exponential decay.  Form 5 is set up already mapped
-onto (0, 1), so that each node is one Python call, and gives bit for bit
-what integrate_adaptive's own tail map gives for its y-integrand.
+smooth with plain exponential decay.  Form 5 goes through
+integrate_adaptive's own map of an infinite upper bound onto (0, 1).
 """
 
 import math
@@ -279,22 +278,16 @@ def require_converged(res: QuadratureResult) -> QuadratureResult:
 
 
 def _y_form(nu, z, t):
-    """Form 5 in the tail map's variable: y = y0 + u/(1 - u) takes u in
-    (0, 1) onto y in (y0, inf), so the setup returns the y-integrand times
-    dy/du = 1/(1 - u)^2 on (0, 1), with the y breakpoints mapped by the
-    same _tail_seeds that integrate_adaptive applies to an infinite upper
-    bound.  Each node is one Python call, and every value is the float the
-    generic map computes from the y-integrand."""
+    # (1/2)(2/z)^nu * integral over y in (z^2/4t, inf) of y^(nu-1) e^(-y - z^2/4y),
+    # through integrate_adaptive's own map of the infinite upper bound
     c = 0.25 * z * z
     y0 = c / t
     log_pref = nu * math.log(2.0 / z) - math.log(2.0)
     nm1 = nu - 1.0
     exp, log = math.exp, math.log
 
-    def f(u):
-        w = 1.0 - u
-        y = y0 + u / w
-        return exp(log_pref + nm1 * log(y) - y - c / y) / (w * w)
+    def f(y):
+        return exp(log_pref + nm1 * log(y) - y - c / y)
 
     ystar = _y_peak(nm1, c)
     pts = [ystar, y0 + 0.5, y0 + 2.0, y0 + 10.0, y0 + 50.0]
@@ -305,7 +298,7 @@ def _y_form(nu, z, t):
     while s < 0.25:
         pts.append(s)
         s *= 4.0
-    return f, 0.0, 1.0, _tail_seeds(y0, pts)
+    return f, y0, math.inf, pts
 
 
 def _endpoint_form(nu, z, t):

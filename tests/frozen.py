@@ -111,6 +111,27 @@ S_LARGE_T_K_FORM = {
     (90.8937509854548, 61.256863408024664, 30.20612258966773): 0.019179511532114495,
 }
 
+# S at the points that left the oracle for the large-endpoint candidate
+# when its gate and the K form's K-alone exit took one bound on K - S
+# that keeps e^(-z^2/4s) (expansions._log_tail_bound): scatter-wide seed
+# 2's (23.61, 35.56, 30.99), seed 9's (8.72, 650.51, 616.06),
+# random.Random(102)'s (52.38, 49.20, 30.32) and random.Random(104)'s
+# (69.92, 607.50, 568.66); and (18.59, 356.49, 367.06), which left the
+# small-endpoint series.  Where that bound is below 1e-30 of K (the
+# second, fourth and fifth) S is mpmath.besselk at 30 and 50 digits; at
+# the other two (1/2)(z/2t)^nu e^(-x0 - t) sum_n t^n U(n + 1, nu + 1, x0)
+# with mpmath.hyperu and the y-form integral in s = y - x0, scaled by its
+# peak, with mpmath.quad over breakpoints at powers of two from 1/64 to
+# 2048, each at 30 and 50 digits.  At every point all of these agree
+# within 2e-29 relative; rounded to double
+S_LARGE_T_TANGENT = {
+    (23.614292194979306, 35.56234462018066, 30.9892096389584): 1.3536827096567097e-13,
+    (8.72044315900196, 650.5129936677802, 616.0556729876891): 1.5940797626463775e-284,
+    (52.37680485444983, 49.20433422215594, 30.322670527752773): 1.0685212320209864e-11,
+    (69.92058896880462, 607.5005132738306, 568.6615616984353): 4.132676741682186e-264,
+    (18.589669083686715, 356.49257978239893, 367.05542657706394): 1.6191175362553357e-156,
+}
+
 # S where the integrand's exponent, near -592 to -707, rounds to more than
 # the quadrature oracles' estimate once left out of it.  The y-form and
 # endpoint integrals in mpmath at 50 digits, each scaled by its peak,
@@ -519,6 +540,11 @@ ORACLE_KERNEL = {
     ((26.504583450738707, 2.077974653052133, 0.0013578072839012679), 2): ("0x1.427085aa74216p-904", "0x1.19706432c74c8p-946", 7),
     ((26.504583450738707, 2.077974653052133, 0.0013578072839012679), 4): ("0x1.427085aa742e2p-904", "0x1.cf75b8d58a30fp-945", 8),
     ((26.504583450738707, 2.077974653052133, 0.0013578072839012679), 5): ("0x1.427085aa741cbp-904", "0x1.0d2aa218c42f1p-946", 2),
+    # form 5 at an ordinary point, and at tiny z at negative order, where
+    # its ladder of breakpoints is long
+    ((2.0, 8.0, 0.3), 5): ("0x1.50ac830470084p-77", "0x1.75c38285b8ef0p-121", 2),
+    ((-22.746602411651615, 0.0014223045930853047, 24.80997912675126), 5): ("0x1.178715ccc4d52p+305", "0x1.e99395ccb97e2p+263", 7),
+    ((-0.7, 1e-12, 2.0), 5): ("0x1.d29fd583e701bp+27", "0x1.c2da31675e95ap-13", 28),
 }
 
 # Exact outputs of the series kernel, frozen before its loop took the

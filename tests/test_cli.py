@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from incmac.cli import main
+from incmac.core import TIGHT, ShuParams
+from incmac.expansions import _alternating_small_t
 from incmac.gamma import macdonald_k
 from incmac.verification import run_verification
 
@@ -144,13 +146,14 @@ class TestEval:
 
     @pytest.mark.parametrize("nu", ["-1", "0.5", "2"])
     def test_small_t_underflowed_argument_exit_three(self, capsys, nu):
-        # z^2/4t is 0.0 in doubles; the series refuses before any gamma
+        # z^2/4t is 0.0 in doubles; both sums refuse before any gamma, and
+        # the positive-term sum's error, the first raised, is printed
         code, out, err = _run(
             capsys, "eval", f"--nu={nu}", "--z", "1e-170", "--t", "1", "--method", "small-t"
         )
         assert code == 3
         assert out == ""
-        assert err == "incmac: did not converge: z^2/4t underflows to 0 at z = 1e-170, t = 1.0; the small-t series has no terms\n"
+        assert err == "incmac: did not converge: z^2/4t underflows to 0 at z = 1e-170, t = 1.0; U(a, b, 0) is not finite\n"
 
     def test_oracle_integrand_past_double_range_exit_three(self, capsys):
         # form 5's integrand passes the double range here while S does not
@@ -208,7 +211,11 @@ class TestEval:
         args = ("eval", "--nu", "29.45003793017056", "--z", "202.59283805234966", "--t", "881.9254053650693")
         code, out, err = _run(capsys, *args, "--method", "small-t", "--json")
         assert (code, out) == (3, "")
-        assert err.startswith("incmac: did not converge: ")
+        # the positive-term sum's own error, not the alternating sum's
+        assert err == (
+            "incmac: did not converge: the U recurrence's sum exceeds the double range at ShuParams(order="
+            "29.45003793017056, argument=202.59283805234966, endpoint=881.9254053650693)\n"
+        )
         code, out, _ = _run(capsys, *args, "--json")
         assert code == 0
         assert json.loads(out)["method"] == "AsymptLargeT"
@@ -239,7 +246,6 @@ class TestEval:
         [
             ("--nu=-2.3", "--z", "1e-310", "--t", "60", "--method", "small-z"),
             ("--nu=-40.5", "--z", "1e-12", "--t", "0.5", "--method", "small-z"),
-            ("--nu=-30", "--z", "1e-20", "--t", "1e-3", "--method", "small-t"),
         ],
     )
     def test_overflowing_series_names_point_and_log(self, capsys, argv):
@@ -248,6 +254,20 @@ class TestEval:
         assert (code, out) == (3, "")
         assert err.startswith("incmac: overflow: a value exceeded the double range (the series exceeds the double range at ShuParams(")
         assert "> ln DBL_MAX)" in err
+
+    def test_small_t_prints_the_first_sum_error(self, capsys):
+        # both small-endpoint sums raise here: the positive-term sum's error
+        # is printed, and the alternating sum's overflow still names the
+        # point and its log
+        argv = ("eval", "--nu=-30", "--z", "1e-20", "--t", "1e-3", "--method", "small-t")
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "incmac: did not converge: the U recurrence needs a start index above 1024 at "
+            "x0 = 2.4999999999999996e-38, t = 0.001\n"
+        )
+        with pytest.raises(OverflowError, match=r"the series exceeds the double range at ShuParams\(.*> ln DBL_MAX"):
+            _alternating_small_t(ShuParams(-30.0, 1e-20, 1e-3), TIGHT)
 
     def test_large_negative_order_prints_flagged_zero(self, capsys):
         # core's upper bound puts S below e^-4800 here

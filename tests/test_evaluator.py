@@ -30,7 +30,6 @@ from incmac.evaluator import (
     evaluate,
     evaluate_grid,
 )
-from incmac.expansions import _log_leading_correction
 from incmac.gamma import macdonald_k
 from incmac.quadrature import shu_oracle, shu_oracle_cosh
 
@@ -46,6 +45,7 @@ from frozen import (
     S_HIGH_PRECISION,
     S_LARGE_T_INNER_STOP,
     S_LARGE_T_K_FORM,
+    S_LARGE_T_TANGENT,
     S_SERIES_EXPONENT_ROUNDING,
     S_SERIES_SMALL_Z_K,
     S_SMALL_Z_NEGATIVE_ORDER,
@@ -337,8 +337,10 @@ class TestDecisionProcedure:
     @pytest.mark.parametrize(
         "point, rejected",
         [
-            # the large-endpoint sum finds no truncation point with z near t
-            ((18.589669083686715, 356.49257978239893, 367.05542657706394),
+            # the K form finds no truncation point with z near t (scatter-wide
+            # seed 8); the former point here, (18.59, 356.49, 367.06), is
+            # now K alone (S_LARGE_T_TANGENT)
+            ((16.975111654600944, 315.28200070192787, 268.52945573071923),
              ((MethodTag.ASYMPT_LARGE_T, "NON_CONVERGENCE"),)),
             # the alternating small-endpoint series with step -t = -204 needs
             # more than 200 terms here; with one incomplete gamma per term it
@@ -376,6 +378,14 @@ class TestDecisionProcedure:
         ev, dec = evaluate(ShuParams(*point), incmac.core.TIGHT)
         assert (dec.chosen, dec.candidates_tried) == (MethodTag.ASYMPT_LARGE_T, ())
         assert abs(ev.value - S_LARGE_T_K_FORM[point]) <= ev.error_estimate
+
+    @pytest.mark.parametrize("point", sorted(S_LARGE_T_TANGENT))
+    def test_tail_bound_gate_takes_former_fallbacks(self, point):
+        # the gate tested the leading correction, without e^(-z^2/4s), and
+        # rejected the K form here; the first four fell to the oracle
+        ev, dec = evaluate(ShuParams(*point), incmac.core.TIGHT)
+        assert (dec.chosen, dec.candidates_tried) == (MethodTag.ASYMPT_LARGE_T, ())
+        assert abs(ev.value - S_LARGE_T_TANGENT[point]) <= ev.error_estimate
 
     @pytest.mark.parametrize("point", sorted(S_DEFAULT_SMALL_T))
     def test_cancelling_small_endpoint_sum_judged_by_its_estimate(self, point):
@@ -543,16 +553,17 @@ class TestLargeNegativeOrder:
             evaluate(ShuParams(*point), incmac.core.TIGHT)
 
     def test_box_values_within_core_bounds(self):
-        # the first 300 points of the box with the first coefficient below
-        # e^-745: no value above core's upper bound on S, no nonzero
-        # value below its lower bound, no OverflowError where S is in range
+        # the first 300 points of the box with the leading large-endpoint
+        # correction (1/2)(z/2)^nu t^-(nu+1) e^-t below e^-745: no value
+        # above core's upper bound on S, no nonzero value below its lower
+        # bound, no OverflowError where S is in range
         rng = random.Random(29)
         points = []
         while len(points) < 300:
             nu = -math.exp(rng.uniform(math.log(30.0), math.log(1000.0)))
             z = math.exp(rng.uniform(0.0, math.log(2000.0)))
             t = math.exp(rng.uniform(math.log(30.0), math.log(1000.0)))
-            if _log_leading_correction(nu, z, t) <= -745.0:
+            if nu * math.log(0.5 * z) - math.log(2.0) - t - (nu + 1.0) * math.log(t) <= -745.0:
                 points.append(ShuParams(nu, z, t))
         zeros = 0
         for p in points:

@@ -19,6 +19,7 @@ from incmac.core import (
 from incmac.evaluator import evaluate, evaluate_grid
 from incmac.expansions import (
     _alternating_small_t,
+    _log_tail_bound,
     _tricomi_bracket,
     _tricomi_small_t,
     asympt_large_t,
@@ -31,6 +32,7 @@ from incmac.expansions import (
 )
 from incmac.gamma import _upper_gamma_orders, macdonald_k, upper_incomplete_gamma
 from incmac.quadrature import integrate_adaptive, shu_oracle, shu_oracle_cosh
+from incmac.verification import _tail_gap
 
 from frozen import (
     S0_3_3,
@@ -650,8 +652,9 @@ def _full_sum(monkeypatch, fn, *args):
 
 
 def test_k_alone_exactly_where_the_correction_rounds_away(monkeypatch):
-    # K is returned alone only where the whole correction sum, with its
-    # estimate, rounds to exactly K and K's estimate
+    # K is returned alone only where the bound on K - S is negligible: there
+    # the whole correction sum, with its estimate, rounds to exactly K and
+    # K's estimate, and K lies within its estimate of forms 4 and 5
     rng = random.Random(24)
 
     def points(nu_lo, t_lo, t_hi):
@@ -687,6 +690,8 @@ def test_k_alone_exactly_where_the_correction_rounds_away(monkeypatch):
                 assert full is not None, p
                 got = (ev.value.hex(), ev.error_estimate.hex(), ev.method, ev.flags)
                 assert got == (full.value.hex(), full.error_estimate.hex(), full.method, full.flags), p
+                for ref in (shu_oracle(ShuParams(*p), TIGHT), shu_oracle_cosh(ShuParams(*p), TIGHT)):
+                    assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, p
         assert 2 * fired >= returned, (fired, returned)
 
 
@@ -714,6 +719,37 @@ def test_k_alone_below_order_minus_one(monkeypatch):
             assert ev.work == 0 and full is not None, p
             assert (ev.value.hex(), ev.error_estimate.hex()) == (full.value.hex(), full.error_estimate.hex()), p
     assert fired >= 50
+
+
+def _tail_bound_point(rng, branch):
+    # a seeded (nu, z, t) on one branch of _log_tail_bound: nu >= -1 with
+    # x0 = z^2/4t below t, nu >= -1 with x0 >= t, -t < nu + 1 < 0, and
+    # nu + 1 <= -t
+    while True:
+        t = math.exp(rng.uniform(math.log(0.05), math.log(60.0)))
+        z = math.exp(rng.uniform(math.log(1e-3), math.log(80.0)))
+        x0 = 0.25 * z * z / t
+        if branch < 2:
+            nu = rng.uniform(-1.0, 30.0)
+            if (x0 < t) == (branch == 0):
+                return nu, z, t
+        elif branch == 2:
+            nu = rng.uniform(-1.0 - t, -1.0)
+            if -t < nu + 1.0 < 0.0:
+                return nu, z, t
+        elif t < 29.0:
+            return rng.uniform(-30.0, -1.0 - t), z, t
+
+
+@pytest.mark.parametrize("branch", range(4))
+def test_tail_bound_holds_on_each_branch(branch):
+    # K - S, integrated directly over (t, inf), never exceeds the bound the
+    # large-endpoint gate and the K form's K-alone exit both test
+    rng = random.Random(36 + branch)
+    for _ in range(100):
+        p = _tail_bound_point(rng, branch)
+        gap = _tail_gap(*p)
+        assert 0.0 < gap <= math.exp(_log_tail_bound(*p)), p
 
 
 def test_large_t_refuses_where_its_first_coefficient_underflows():
