@@ -243,10 +243,10 @@ def evaluate_grid(orders, zs, ts, tol=None) -> list:
     Cells are independent (identical to pointwise evaluate); a failed cell
     carries an error marker and never aborts the sweep.  The sweep is one
     core.shared_work block: K_nu(z) and I_m(z) are computed once per
-    (order, argument) pair that needs them and the incomplete-gamma
-    anchors of the small-argument series once per (order, endpoint); a
-    value that raises is retried, so it fails exactly the cells pointwise
-    evaluate would.  An oracle fallback integrates for each cell.
+    (order, argument) pair that needs them, and each incomplete-gamma
+    anchor and Legendre-anchored block of orders once per (order,
+    endpoint); a value that raises is retried, so it fails exactly the
+    cells pointwise evaluate would.  An oracle fallback integrates for each cell.
     """
     tol = tol or DEFAULT_TOLERANCES
     cells = []

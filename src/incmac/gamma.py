@@ -4,13 +4,14 @@ Provides the gamma function, the (non-regularized) upper incomplete gamma
 function at any real order, the lower incomplete gamma at any non-integer
 order (the Kummer series, continued past a < 0, with a bound on its
 rounding), both at consecutive orders a0 - k by recurrence in the order
-(_upper_gamma_orders and _lower_gamma_orders, which the series of S use),
-the upper one's large-argument asymptotic sum, which no series of S
-uses, the modified Bessel function I from its power series, and the
-Macdonald function K to full double precision by Temme's series, Steed's
-continued fraction and forward recurrence in order.  No other module evaluates an
-incomplete gamma.  Nothing here integrates: the quadrature oracle stays an
-independent check on every value.
+(_upper_gamma_orders and _lower_gamma_orders, which the series of S use;
+a sweep shares every anchor and every Legendre-anchored block of upper
+orders through core.shared), the upper one's large-argument asymptotic
+sum, which no series of S uses, the modified Bessel function I from its
+power series, and the Macdonald function K to full double precision by
+Temme's series, Steed's continued fraction and forward recurrence in
+order.  No other module evaluates an incomplete gamma.  Nothing here
+integrates: the quadrature oracle stays an independent check on every value.
 """
 
 import math
@@ -232,32 +233,34 @@ def _upper_gamma_orders(a0: float, x: float):
     x >= 1.5, orders a >= 1 - x come upward from a Legendre fraction at the
     bottom of a block of _BLOCK orders, or lower, at an order <= x - 1,
     where the fraction holds (the interval [1 - x, x - 1] always holds one
-    of the orders); orders below 1 - x come downward from the order above.
+    of the orders); orders below 1 - x come downward from the order above,
+    or from a0's own fraction where a0 < 1 - x.
     For x < 1.5 the anchor is the order a0 - floor(a0) in [0, 1)
     (_small_x_anchor); orders above it come upward and orders below it
-    downward, the growing direction there.  Every anchor is core.shared,
-    so a sweep computes each once per (order, x).
+    downward, the growing direction there.  Every Legendre-anchored block
+    (_legendre_block) and every x < 1.5 anchor is core.shared, so a sweep
+    builds each once per (order, x).  The x < 1.5 upward run and the steps
+    downward stay per call: replayed from stored lists they measured slower
+    than stepping again, on sweeps and on one-off calls alike.
     """
     if x >= _X_SPLIT:
-        last = math.floor(a0 + x - 1.0)  # the last k with a0 - k >= 1 - x
+        # the last k with a0 - k >= 1 - x, or 0: a0 < 1 - x is a one-order block
+        last = max(math.floor(a0 + x - 1.0), 0)
         first = math.ceil(a0 - x + 1.0)  # the first k with a0 - k <= x - 1
         k = 0
         while k <= last:
             b = min(max(k + _BLOCK - 1, first), last)
-            h, r = shared(_legendre_cf, a0 - b, x), _CF_ERR
-            yield from _upward(a0, x, k, b, h, r)
+            block = shared(_legendre_block, a0, x, k, b)
+            yield from block
             k = b + 1
-        if k == 0:  # a0 < 1 - x: all downward
-            h, r = shared(_legendre_cf, a0, x), _CF_ERR
-            yield h, h * r
-            k = 1
+        h, e = block[-1]  # the last block's anchor, order a0 - k + 1
     else:
         n = math.floor(a0)
         h, r = shared(_small_x_anchor, a0 - n, x)  # a0 - n exact
         if n >= 0:
             yield from _upward(a0, x, 0, n, h, r)
         k = n + 1  # the first step down; below 0 it leads to a0 unyielded
-    e = h * r
+        e = h * r
     while True:  # downward: h_k from h_(k-1), at orders b < 0, where x h < 1
         xh = x * h
         b = a0 - k
@@ -280,6 +283,11 @@ def _small_x_anchor(f: float, x: float):
     kummer, err = shared(_kummer_sum, f, x)  # the split form at order -f starts from it too
     h = lead - kummer
     return h, (EPS * (f * abs(math.log(x)) + x + 4.0) * lead + err + EPS * kummer) / h
+
+
+def _legendre_block(a0: float, x: float, k: int, b: int):
+    """_upward's (h_j, e_j), j = k, ..., b, from the Legendre fraction at a0 - b."""
+    return _upward(a0, x, k, b, _legendre_cf(a0 - b, x), _CF_ERR)
 
 
 def _upward(a0: float, x: float, k: int, b: int, h: float, r: float):

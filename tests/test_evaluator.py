@@ -1140,6 +1140,48 @@ def test_grid_table_large_t_work():
     assert sum(large) <= 500
 
 
+def test_grid_table_builds_each_legendre_block_once(monkeypatch):
+    # work-count guard, no timing: the sweep shares each Legendre-anchored
+    # block of incomplete-gamma orders, the fraction and the upward run
+    # from it, by (order, endpoint, block): 60 blocks and 4 one-order
+    # anchors of all-downward runs, where the cells' own upward runs from
+    # shared fractions made 443
+    gamma_module = importlib.import_module("incmac.gamma")
+    builds = []
+    real = gamma_module._legendre_block
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gamma_module, "_legendre_block", counted)
+    evaluate_grid(*_GRID_TABLE_SEED_1, incmac.core.TIGHT)
+    assert len(set(builds)) == len(builds) <= 64
+    assert sum(a0 >= 1.0 - x for a0, x, _, _ in builds) <= 60
+
+
+def test_one_off_evaluate_adds_no_shared_lookups(monkeypatch):
+    # work-count guard, no timing: a generator start makes one core.shared
+    # lookup per block, of the block where it was of its fraction, so
+    # scatter-wide's first 200 seed-1 points make the same 268 lookups
+    lookups = 0
+    real = incmac.core.shared
+
+    def counted(fn, *args):
+        nonlocal lookups
+        lookups += 1
+        return real(fn, *args)
+
+    for name in ("gamma", "expansions", "evaluator", "relations", "cli"):
+        monkeypatch.setattr(importlib.import_module(f"incmac.{name}"), "shared", counted)
+    for p in _wide_box(random.Random(1), 2000, 30.0, 3e3)[:200]:  # scatter-wide's seed 1
+        try:
+            evaluate(p, incmac.core.TIGHT)
+        except (ArithmeticError, ValueError):
+            pass
+    assert lookups == 268
+
+
 def _count_k(monkeypatch, fail_at=None):
     """Count K evaluations by (order, argument) through every binding the
     evaluator, the expansions and the CLI use; optionally make one pair raise."""

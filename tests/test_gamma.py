@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from incmac.core import DomainError, NonConvergence, PoleError, ShuParams, Tolerances
+from incmac.core import DomainError, NonConvergence, PoleError, ShuParams, Tolerances, shared_work
 from incmac.expansions import series_small_z
 from incmac.gamma import (
     _bessel_i_series,
@@ -196,6 +196,39 @@ class TestUpperGammaOrders:
                 assert abs(math.exp(e) * h - want) <= slack * abs(want), (a0, x, k)
                 checked += 1
         assert checked > 3000
+
+    def test_replayed_blocks_are_bit_identical(self):
+        # a sweep replays each Legendre-anchored block from core.shared:
+        # two reads inside one shared_work block equal a read outside any,
+        # bit for bit, also past the last block and where no block runs
+        rng = random.Random(37)
+        kinds = {"downward only": 0, "clamped at first": 0, "clamped at last": 0, "steps down after": 0}
+        for _ in range(300):
+            x = math.exp(rng.uniform(math.log(1.5), math.log(200.0)))
+            a0 = rng.uniform(-40.0, 40.0)
+            if rng.random() < 0.2:
+                a0 = float(round(a0))
+            last, first = math.floor(a0 + x - 1.0), math.ceil(a0 - x + 1.0)
+            kinds["downward only"] += last < 0
+            kinds["clamped at first"] += 16 <= first <= last  # the first block runs past 16 orders
+            kinds["clamped at last"] += 0 <= last < 15  # the only block is shorter than 16
+            kinds["steps down after"] += 0 <= last < 39  # the 40 reads pass the last block
+            fresh = repr(list(itertools.islice(_upper_gamma_orders(a0, x), 40)))
+            with shared_work():
+                reads = [repr(list(itertools.islice(_upper_gamma_orders(a0, x), 40))) for _ in range(2)]
+            assert reads == [fresh, fresh], (a0, x)
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_overflowing_block_is_not_stored(self):
+        # a block whose upward run overflows raises at every start inside
+        # one shared_work block, as outside it: a raise is not stored
+        with pytest.raises(OverflowError) as outside:
+            next(_upper_gamma_orders(200.0, 2.0))
+        with shared_work():
+            for _ in range(3):
+                with pytest.raises(OverflowError) as inside:
+                    next(_upper_gamma_orders(200.0, 2.0))
+                assert str(inside.value) == str(outside.value)
 
 
 class TestLowerGammaOrders:
