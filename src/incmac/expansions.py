@@ -6,18 +6,17 @@ are sums of incomplete gammas at consecutive orders times one prefactor,
 upper gammas from gamma._upper_gamma_orders and, in the small-argument
 split form at negative non-integer order, lower ones from
 gamma._lower_gamma_orders with I_-nu(z), which needs no K_nu(z).  One
-routine, _gamma_sum, sums, stops and scales all three; each caller gives
-only its orders and its bound on the omitted terms.  The paper's
+routine, _gamma_sum, sums, stops and scales all three in one loop over
+terms, which reads each factor and its absolute error bound straight
+from those generators and bounds its rounding by core._sum_rounding, the
+one rule of every sum formed term by term; each caller gives only its
+orders and its bound on the omitted terms.  The paper's
 large-endpoint expansion is the same sum as the small-argument K form,
 K_nu(z) minus it, so both candidates run one function, _k_form, which
 stops against K minus its partial sum, and differ only in their tag.
 One proven bound on K - S, _log_tail_bound, says how far S can be from
 K: the evaluator's large-endpoint gate tests it against K's target, and
 _k_form returns K alone where it is negligible against K.
-Each of these sums is one loop, _series_core, which reads each factor
-and its absolute error bound straight from those generators and bounds
-its rounding by core._sum_rounding, the one rule of every sum formed term
-by term.
 
 The small-endpoint series alternates.  series_small_t, the candidate the
 evaluator runs, sums it in positive terms first (_tricomi_small_t),
@@ -81,48 +80,6 @@ _MAX_START = 1024  # cap on the start index of the U recurrence
 _LOG_EPS2 = 2.0 * math.log(EPS)
 
 
-def _series_core(coef: float, step: float, factors, rel: float, floor: float,
-                 offset: float = 0.0, step_roundings: int = 0):
-    """The one loop over terms of every sum here.
-
-    Term k is coef_k f_k with coef_(k+1) = coef_k * step/(k+1), where
-    (f_k, e_k) = next(factors), e_k an absolute bound.  Stops only after two
-    consecutive terms fall below max(floor, rel |offset - partial sum|),
-    since alternating sums can produce an accidentally tiny single term; a
-    partial sum that is not finite, or _MAX_TERMS terms, raise
-    NonConvergence.  Returns (sum, terms used, the next coefficient, peak
-    |partial sum|, the sum of |coef_k| e_k plus core._sum_rounding's bound,
-    a step rounding twice plus step_roundings times in step itself, 2 for
-    x0 = z^2/4t); the first omitted term's factor is next in factors.
-    """
-    total = peak = lost = plain = stepped = 0.0
-    streak = 0
-    inf = math.inf
-    for k in range(_MAX_TERMS):
-        f, e = next(factors)
-        term = coef * f
-        total += term
-        # comparisons, not max() or math.isfinite, in this hot loop
-        mag = abs(total)
-        if not mag < inf:
-            raise NonConvergence(f"partial sum overflows at term {k}")
-        if mag > peak:
-            peak = mag
-        size = abs(term)
-        lost += abs(coef) * e
-        plain += size + mag
-        stepped += k * size
-        coef *= step / (k + 1)
-        target = rel * abs(offset - total)
-        if size < (target if target > floor else floor):
-            streak += 1
-            if streak == 2:
-                return total, k + 1, coef, peak, lost + _sum_rounding(2 + step_roundings, plain, stepped)
-        else:
-            streak = 0
-    raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
-
-
 def _first_to_meet(tol: Tolerances, *forms) -> Evaluation:
     """The fallback rule between the sub-forms of one candidate, each
     called with no arguments in turn: the first Evaluation that meets tol
@@ -183,18 +140,23 @@ def _negligible(log_bound: float, kval: float) -> bool:
 def _gamma_sum(nu: float, z: float, t: float, x: float, step: float, tol: Tolerances, step_roundings: int,
                factors, kval: float = 0.0, tail=None):
     """(1/2)(z/2t)^nu e^-x sum_k step^k/k! f_k, the sum of all three
-    incomplete-gamma series, with (f_k, e_k) from factors, a generator of
-    gamma._upper_gamma_orders or _lower_gamma_orders at x.  Run by _series_core
-    (step_roundings as there) in units of that prefactor, so no term
-    underflows and abs_tol is taken in those units; the prefactor goes
-    through one exp with the peak partial sum, which raises OverflowError
-    past the double range.  A sum subtracted from kval stops relative to
-    kval minus its partial sum, kval in those units as _series_core's
-    offset (inf past the double range).  The estimate adds a bound on the
-    omitted terms, the first omitted term |coef_n| u, u = |f_n| + e_n,
-    unless the caller gives tail(nu, x, step, n, coef_n, u), then
-    _series_core's bound and the exponent's rounding.  Returns (value,
-    error, terms)."""
+    incomplete-gamma series, in the one loop over terms here: term k is
+    coef_k f_k, coef_0 = 1 and coef_(k+1) = coef_k * step/(k+1), with
+    (f_k, e_k) = next(factors), e_k an absolute bound, from
+    gamma._upper_gamma_orders or _lower_gamma_orders at x.  Summed in units
+    of the prefactor, so no term underflows; abs_tol, the floor, and kval,
+    the offset (inf past the double range), are taken in those units.  Stops
+    only after two consecutive terms fall below max(floor, rel_tol |offset -
+    partial sum|), since alternating sums can produce an accidentally tiny
+    single term, so a sum subtracted from kval stops relative to kval minus
+    it.  A partial sum that is not finite, or _MAX_TERMS terms, raise
+    NonConvergence; the prefactor goes through one exp with the peak partial
+    sum, which raises OverflowError past the double range.  The estimate is
+    the sum of |coef_k| e_k, core._sum_rounding's bound (a step rounds twice,
+    plus step_roundings times in step itself, 2 for x0 = z^2/4t), a bound on
+    the omitted terms, the first omitted term |coef_n| u, u = |f_n| + e_n,
+    unless the caller gives tail(nu, x, step, n, coef_n, u), and the
+    exponent's rounding.  Returns (value, error, terms)."""
     log_q = log_half_ratio(z, t)
     lead = nu * log_q - x - LN2
     # abs_tol and kval in units of e^lead, inf where that overflows
@@ -204,10 +166,39 @@ def _gamma_sum(nu: float, z: float, t: float, x: float, step: float, tol: Tolera
     if kval:
         e = math.log(kval) - lead
         offset = math.exp(e) if e < LOG_HUGE else math.inf
-    total, terms, coef, peak, werr = _series_core(1.0, step, factors, tol.rel_tol, floor, offset, step_roundings)
+    rel = tol.rel_tol
+    coef = 1.0
+    total = peak = lost = plain = stepped = 0.0
+    streak = 0
+    inf = math.inf
+    for k in range(_MAX_TERMS):
+        f, e = next(factors)
+        term = coef * f
+        total += term
+        # comparisons, not max() or math.isfinite, in this hot loop
+        mag = abs(total)
+        if not mag < inf:
+            raise NonConvergence(f"partial sum overflows at term {k}")
+        if mag > peak:
+            peak = mag
+        size = abs(term)
+        lost += abs(coef) * e
+        plain += size + mag
+        stepped += k * size
+        coef *= step / (k + 1)
+        target = rel * abs(offset - total)
+        if size < (target if target > floor else floor):
+            streak += 1
+            if streak == 2:
+                break
+        else:
+            streak = 0
+    else:
+        raise NonConvergence(f"series did not converge within {_MAX_TERMS} terms")
+    werr = lost + _sum_rounding(2 + step_roundings, plain, stepped)
     f, bound = next(factors)
     u = abs(f) + bound
-    werr += abs(coef) * u if tail is None else tail(nu, x, step, terms, coef, u)
+    werr += abs(coef) * u if tail is None else tail(nu, x, step, k + 1, coef, u)
     log_peak = math.log(peak)
     log_scale = lead + log_peak
     if log_scale > LOG_HUGE:
@@ -217,7 +208,7 @@ def _gamma_sum(nu: float, z: float, t: float, x: float, step: float, tol: Tolera
     # the rounding of log_q times nu, of x (two products and a quotient)
     # and of the three sums
     exponent_err = EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * x + abs(lead) + abs(log_peak) + 4.0)
-    return value, scale * (werr / peak) + exponent_err * abs(value), terms
+    return value, scale * (werr / peak) + exponent_err * abs(value), k + 1
 
 
 def _alternating_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:

@@ -89,6 +89,12 @@ def dS_dz(p: ShuParams) -> float:
     return (nu / z) * _S(nu, z, t) - _S(nu + 1.0, z, t)
 
 
+def _dS_dz_fd(nu: float, z: float, t: float) -> float:
+    """dS/dz as a raw central difference of evaluate, step 1e-5 z."""
+    h = 1e-5 * z
+    return (_S(nu, z + h, t) - _S(nu, z - h, t)) / (2.0 * h)
+
+
 def _scale(*terms: float) -> float:
     return max(max(abs(x) for x in terms), TINY)
 
@@ -114,8 +120,7 @@ def recurrence2_residual(p: ShuParams) -> ResidualReport:
     dt_term = dS_dt(ShuParams(nu - 1.0, z, t))
     s_lo = _S(nu - 1.0, z, t)
     s_hi = _S(nu + 1.0, z, t)
-    h = 1e-5 * z
-    dz_fd = (_S(nu, z + h, t) - _S(nu, z - h, t)) / (2.0 * h)
+    dz_fd = _dS_dz_fd(nu, z, t)
     residual = dt_term + s_lo + s_hi + 2.0 * dz_fd
     return ResidualReport("Rec2", p, residual, _scale(dt_term, s_lo, s_hi, 2.0 * dz_fd))
 
@@ -218,8 +223,7 @@ def pde_residual(p: ShuParams, mode: str = "exact") -> ResidualReport:
         s2 = _S(nu + 2.0, z, t)
         d2s = -(nu / (z * z)) * s0 + (nu / z) * ds - (((nu + 1.0) / z) * s1 - s2)
     else:
-        h1 = 1e-5 * z
-        ds = (_S(nu, z + h1, t) - _S(nu, z - h1, t)) / (2.0 * h1)
+        ds = _dS_dz_fd(nu, z, t)
         h2 = 1e-3 * z
         d2_full = (_S(nu, z + h2, t) - 2.0 * s0 + _S(nu, z - h2, t)) / (h2 * h2)
         hh = 0.5 * h2

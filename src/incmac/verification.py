@@ -26,6 +26,7 @@ from .gamma import macdonald_k
 from .quadrature import _endpoint_form, integrate_adaptive, require_converged, shu_oracle
 from .relations import (
     _S,
+    _dS_dz_fd,
     _scale,
     dS_dt,
     dS_dz,
@@ -147,8 +148,7 @@ def _identities(records, grid):
                 s0 = _S(nu, z, t)
 
                 # order-shift z-derivative against a raw central difference
-                h = 1e-5 * z
-                fd = (_S(nu, z + h, t) - _S(nu, z - h, t)) / (2.0 * h)
+                fd = _dS_dz_fd(nu, z, t)
                 exact = dS_dz(p)
                 records.append(_rec("dSdz", nu, z, t, exact - fd, _scale(exact, fd)))
 

@@ -680,3 +680,14 @@ SERIES_KERNEL = {
     ('asympt_large_t', (-0.03552960782830894, 0.021262484532364654, 56.49746754273435), 'TIGHT'): ('0x1.fdf63d2e777e4p+1', '0x1.02f70b1198ae2p-44', 2, ()),
     ('asympt_large_t', (-0.03552960782830894, 0.021262484532364654, 56.49746754273435), 'DEFAULT_TOLERANCES'): ('0x1.fdf63d2e777e4p+1', '0x1.02f70b1198ae2p-44', 2, ()),
 }
+
+# sha256 of the outputs of the benchmark's first seeds at core.TIGHT, one
+# repr a line joined by newlines, and their paths: every cell of
+# evaluate_grid over grid-table's seed-1 sweep, and evaluate at each of
+# scatter-wide's seed-1 points, where a point that raises gives
+# "ExceptionName: message".  A change meant to move any output re-freezes
+# these and says why.
+GRID_TABLE_SEED_1_DIGEST = "12d6c3e37357e0eb6e50abd70d68c622b959e1b7f15c5dbf694734806e048e4f"
+GRID_TABLE_SEED_1_PATHS = {"AsymptLargeT": 280, "ClosedFormHalf": 410, "SeriesSmallT": 352, "SeriesSmallZ": 878}
+SCATTER_WIDE_SEED_1_DIGEST = "2e57d78cbe136e697bb2ed971148b0ded3d0e19b2a94c691971463bb4f6ce7e9"
+SCATTER_WIDE_SEED_1_PATHS = {"AsymptLargeT": 455, "Oracle5": 1, "SeriesSmallT": 636, "SeriesSmallZ": 908}

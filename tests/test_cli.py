@@ -389,6 +389,15 @@ class TestFigure:
         header, rows = _parse_csv(out)
         assert len(rows) == 1 and float(rows[0][0]) == 0.05
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_rejects_fewer_than_one_point(self, tmp_path, capsys, points):
+        out = tmp_path / "f.csv"
+        code, stdout, err = _run(capsys, "figure", "--id", "1", "--out", str(out), f"--points={points}")
+        assert code == 2
+        assert stdout == ""
+        assert err == f"incmac: domain error: --points: points={points}: must be at least 1\n"
+        assert not out.exists()
+
     def test_custom_orders(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
         _run(capsys, "figure", "--id", "1", "--out", str(out), "--points", "4",

@@ -1,6 +1,8 @@
+import hashlib
 import importlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,6 +36,8 @@ from incmac.gamma import macdonald_k
 from incmac.quadrature import shu_oracle, shu_oracle_cosh
 
 from frozen import (
+    GRID_TABLE_SEED_1_DIGEST,
+    GRID_TABLE_SEED_1_PATHS,
     K_REF,
     LOG_S_OVERFLOW,
     S0_3_3,
@@ -50,6 +54,8 @@ from frozen import (
     S_SERIES_SMALL_Z_K,
     S_SMALL_Z_NEGATIVE_ORDER,
     S_SMALL_Z_SPLIT,
+    SCATTER_WIDE_SEED_1_DIGEST,
+    SCATTER_WIDE_SEED_1_PATHS,
 )
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
@@ -1158,6 +1164,32 @@ def test_grid_table_builds_each_legendre_block_once(monkeypatch):
     evaluate_grid(*_GRID_TABLE_SEED_1, incmac.core.TIGHT)
     assert len(set(builds)) == len(builds) <= 64
     assert sum(a0 >= 1.0 - x for a0, x, _, _ in builds) <= 60
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_grid_table_seed_1_outputs_frozen():
+    cells = evaluate_grid(*_GRID_TABLE_SEED_1, incmac.core.TIGHT)
+    paths = [c.decision.chosen.value if c.error is None else c.error.split(":")[0] for c in cells]
+    assert Counter(paths) == GRID_TABLE_SEED_1_PATHS
+    assert _digest(map(repr, cells)) == GRID_TABLE_SEED_1_DIGEST
+
+
+def test_scatter_wide_seed_1_outputs_frozen():
+    lines, paths = [], []
+    for p in _wide_box(random.Random(1), 2000, 30.0, 3e3):  # scatter-wide's seed 1
+        try:
+            out = evaluate(p, incmac.core.TIGHT)
+        except (ArithmeticError, ValueError) as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+            paths.append(type(exc).__name__)
+        else:
+            lines.append(repr(out))
+            paths.append(out[1].chosen.value)
+    assert Counter(paths) == SCATTER_WIDE_SEED_1_PATHS
+    assert _digest(lines) == SCATTER_WIDE_SEED_1_DIGEST
 
 
 def test_one_off_evaluate_adds_no_shared_lookups(monkeypatch):

@@ -792,7 +792,7 @@ def test_small_endpoint_sums_raise_where_x0_overflows(fn):
 
 
 def test_one_loop_over_terms():
-    # every series in expansions runs through _series_core
+    # every series in expansions runs through _gamma_sum
     looping = [
         node.name
         for node in ast.walk(ast.parse(inspect.getsource(incmac.expansions)))
@@ -802,7 +802,7 @@ def test_one_loop_over_terms():
         and isinstance(loop.iter, ast.Call)
         and ast.unparse(loop.iter) == "range(_MAX_TERMS)"
     ]
-    assert looping == ["_series_core"]
+    assert looping == ["_gamma_sum"]
 
 
 def test_grid_takes_few_legendre_fractions(monkeypatch):
