@@ -14,7 +14,8 @@ import sys
 import warnings
 
 from .core import (
-    EPS, TIGHT, DomainError, NearPoleWarning, NonConvergence, ShuParams, Tolerances, _as_count, shared, shared_work, validate,
+    EPS, TIGHT, DomainError, NearPoleWarning, NonConvergence, ShuParams, Tolerances, _as_count, _as_finite_real, shared,
+    shared_work, validate,
 )
 from .evaluator import evaluate, evaluate_grid
 from .expansions import asympt_large_t, leading_large_z, leading_small_t, leading_small_z, series_small_t, series_small_z
@@ -145,7 +146,8 @@ def _figure_rows(fig_id: int, orders, n_points: int, tol: Tolerances):
 
 
 def _cmd_figure(args) -> int:
-    orders = _parse_list(args.orders, "--orders")
+    # each order under its own flag: a ShuParams would name it --nu
+    orders = [_as_finite_real("orders", o) for o in _parse_list(args.orders, "--orders")]
     tol = _tolerances(args)
     rows = _figure_rows(args.id, orders, _as_count("points", args.points, 1), tol)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

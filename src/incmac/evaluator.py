@@ -12,14 +12,14 @@ where that series runs and no limit in z is needed (DLMF 8.7.1,
 10.27.4); at negative non-integer order the series chooses between its
 K form and its split form itself.
 Each candidate runs its method's public function, which is what the CLI's
---method runs; the small-endpoint series sums in positive terms first and
-the paper's alternating sum where that misses, and the large-endpoint
-expansion is the small-argument series' K form under its own tag, so that
-each path's count keeps its meaning (see expansions).  Both
-series take their sub-forms by one rule, expansions._first_to_meet, and
-every candidate that runs is judged by one rule, Evaluation.rejection,
-which refuses an estimate above the target and a value or an estimate
-that is not finite.
+--method runs; the small-endpoint series sums in positive terms and as
+the paper's alternating sum, the latter first above nu = x0 + 1, and
+the large-endpoint expansion is the small-argument series' K form under
+its own tag, so that each path's count keeps its meaning (see
+expansions).  Both series take their sub-forms by one rule,
+expansions._first_to_meet, and every candidate that runs is judged by
+one rule, Evaluation.rejection, which refuses an estimate above the
+target and a value or an estimate that is not finite.
 Leading-term approximants are never substituted silently; they live in
 expansions and must be called explicitly.
 """

@@ -19,14 +19,14 @@ K: the evaluator's large-endpoint gate tests it against K's target, and
 _k_form returns K alone where it is negligible against K.
 
 The small-endpoint series alternates.  series_small_t, the candidate the
-evaluator runs, sums it in positive terms first (_tricomi_small_t),
-S = (1/2)(z/2t)^nu e^(-x0-t) sum_n t^n U(n+1, nu+1, x0), x0 = z^2/4t,
-from one backward recurrence for U in its first parameter, closed at
-U(0, nu+1, x0) = 1 where nu <= x0 + 1 and elsewhere, where that last step
-cancels, normalised by U(1, nu+1, x0) = h_0 of
-gamma._upper_gamma_orders(nu, x0), and the alternating sum
-(_alternating_small_t) only where that misses; one rule,
-_first_to_meet, picks between the sub-forms of either series.
+evaluator runs, holds two sums of it: the paper's (_alternating_small_t)
+and one in positive terms (_tricomi_small_t), S = (1/2)(z/2t)^nu
+e^(-x0-t) sum_n t^n U(n+1, nu+1, x0), x0 = z^2/4t, from one backward
+recurrence for U in its first parameter closed at U(0, nu+1, x0) = 1.
+Above nu = x0 + 1, where that step cancels, the positive-term sum is read
+at the reflected point, K_nu(z) - S_-nu(z, x0), and runs second; below,
+it runs first.  One rule, _first_to_meet, picks between the sub-forms of
+either series.
 
 The leading_* functions are bare approximants with no error control,
 exposed for the ratio-law checks and figure overlays.  Each takes its
@@ -43,6 +43,7 @@ from .core import (
     LN2,
     LOG_HUGE,
     LOG_TINY,
+    TINY,
     DomainError,
     Evaluation,
     MethodTag,
@@ -228,19 +229,16 @@ def _alternating_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     return Evaluation(value, err, MethodTag.SERIES_SMALL_T, terms)
 
 
-def _tricomi_bracket(nu: float, x: float, t: float, start: int, close: bool):
-    """Bounds sl <= sum_n t^n U_n/U_0 <= sh, U_n = U(n + 1, nu + 1, x), from
-    the backward recurrence U_(n-1) = A_n U_n - B_n U_(n+1) (DLMF 13.3.7),
-    A_n = 2n + 1 + x - nu, B_n = (n + 1)(n + 1 - nu), run on the ratios
-    r_n = U_n/U_(n-1) = 1/(A_n - B_n r_(n+1)) from index start, with the
-    sums S_(n-1) = 1 + t r_n S_n alongside; an absolute bound on the
-    rounding of sh; and the work, steps taken plus terms summed.  Where
-    close, one more step, to n = 0, closes the recurrence at
-    U_(-1) = U(0, nu + 1, x) = 1, so that r_0 = h_0 = U(1, nu + 1, x)
-    (Miller's algorithm normalised by a known value; Gautschi, SIAM Rev.
-    9:24, 1967), and the bounds are of h_0 sum_n t^n U_n/U_0 instead.
-    Where a denominator's bracket reaches 0, too wide or too rounded to
-    bound r_n, the sums are None.
+def _tricomi_bracket(nu: float, x: float, t: float, start: int):
+    """Bounds sl <= h_0 sum_n t^n U_n/U_0 <= sh, U_n = U(n + 1, nu + 1, x),
+    h_0 = U_0, from the backward recurrence U_(n-1) = A_n U_n - B_n U_(n+1)
+    (DLMF 13.3.7), A_n = 2n + 1 + x - nu, B_n = (n + 1)(n + 1 - nu), on the
+    ratios r_n = U_n/U_(n-1) = 1/(A_n - B_n r_(n+1)) from index start, with
+    the sums S_(n-1) = 1 + t r_n S_n alongside, closed at U_(-1) = U(0, nu
+    + 1, x) = 1, so r_0 = h_0 (Miller's algorithm normalised by a known
+    value; Gautschi, SIAM Rev. 9:24, 1967); an absolute bound on the
+    rounding of sh; and the work, steps plus terms.  Where a denominator's
+    bracket reaches 0, too wide or too rounded to bound r_n, sums are None.
 
     U(a, b, x) is a mean over int_0^inf e^(-xs) s^(a-1) (1+s)^(b-a-1) ds
     (DLMF 13.4.4), so U(a+1)/U(a) = <s/(1+s)>/a, which is at most 1/(a + x)
@@ -265,7 +263,7 @@ def _tricomi_bracket(nu: float, x: float, t: float, start: int, close: bool):
     # the rounding of A_n: of c, carried into every A_n, and of c + 2n
     local = EPS * (x + 1.0 + 2.0 * abs(c)) + e2 * start
     m = start + 1.0
-    for n in range(start, -1 if close else 0, -1):
+    for n in range(start, -1, -1):
         a = c + 2 * n  # afresh: a running a -= 2 would carry A_start's rounding down
         b = m * (m - nu)
         dl = a - b * rl
@@ -295,7 +293,6 @@ def _tricomi_bracket(nu: float, x: float, t: float, start: int, close: bool):
         sl = 1.0 + t * rl * sl
         m -= 1.0
         local -= e2
-    return sl, sh, err, 2 * start
 
 
 def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
@@ -308,32 +305,37 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     alternating series of _alternating_small_t, summed by its binomial
     transform, so nothing cancels.  U is the minimal solution of its
     recurrence in a, so the sum comes from one backward recurrence
-    (_tricomi_bracket).  Where nu <= x0 + 1 its closing step gives
-    U(1, nu + 1, x0) = h_0 within the same bracket: there A_0 = x0 + 1 - nu
+    (_tricomi_bracket), whose closing step gives U(1, nu + 1, x0) = h_0
+    within the same bracket where nu <= x0 + 1: there A_0 = x0 + 1 - nu
     >= 0, B_0 r_1 <= (1 - nu)/(1 + x0) takes at most 1/(1 + x0) of it at
-    nu <= 1, and above that the two terms have one sign.  Where nu > x0 + 1
-    that step cancels, and the sum is normalised by h_0 of
-    gamma._upper_gamma_orders(nu, x0) instead.  The recurrence's ratios converge like e^(-4 sqrt(a x0))
-    (DLMF 13.8.8), and the sum reaches to about n = t, so it starts at
-    (sqrt(t) + ln(4/rel)/(4 sqrt(x0)))^2, past where the tail's bound
-    falls, and doubles the start, up to _MAX_START, while the bracket's
-    half-width, which holds both the recurrence's truncation and the
-    omitted tail, keeps the estimate off the target and the rounding alone
-    does not.  A start above _MAX_START raises NonConvergence.  The
-    estimate adds that half-width, the carried rounding of the upper end,
-    which bounds the lower's too, h_0's bound where h_0 is taken apart and
-    the exponent's rounding.  Where core._log_s_upper puts S below the
-    smallest normal double, the value is the underflow rule's 0.0; where
-    the sum, about e^t, passes the double range, NonConvergence names the
-    point.  work counts the recurrence steps plus the terms summed, over
-    every start tried.
+    nu <= 1, and above that the two terms have one sign.  Above x0 + 1
+    that step cancels, so S is read at the reflected point, S_nu(z, t) =
+    K_nu(z) - S_-nu(z, x0), where -nu < t + 1, with K's estimate (K is
+    core.shared), EPS (K + S_-nu) and TINY for a flagged-zero S_-nu or K
+    added.  The ratios converge like e^(-4 sqrt(a x0)) (DLMF 13.8.8) and
+    the sum reaches to about n = t, so the start is (sqrt(t) +
+    ln(4/rel)/(4 sqrt(x0)))^2, past where the tail's bound falls, doubled
+    up to _MAX_START while the bracket's half-width (truncation and
+    omitted tail) keeps the estimate off the target and the rounding alone
+    does not; a start above _MAX_START, or an x0 below the smallest normal
+    double, where the start overflows, raises NonConvergence.  The
+    estimate adds that half-width, the upper end's carried rounding, which
+    bounds the lower's, and the exponent's.  S below the smallest normal
+    double by core._log_s_upper is the underflow rule's 0.0; a sum, about
+    e^t, past the double range raises NonConvergence naming the point.
+    work counts recurrence steps plus terms summed over every start.
     """
     nu, z, t = p.order, p.argument, p.endpoint
     x = 0.25 * z * z / t
-    if x == 0.0:
-        raise NonConvergence(f"z^2/4t underflows to 0 at z = {z!r}, t = {t!r}; U(a, b, 0) is not finite")
+    if x < TINY:
+        raise NonConvergence(f"z^2/4t underflows to {x:.3g} at z = {z!r}, t = {t!r}; the U recurrence needs a normal x0")
     if x == math.inf:
         raise NonConvergence(f"x0 = z^2/4t overflows to inf at z = {z!r}, t = {t!r}; U(a, b, inf) is 0")
+    if nu > x + 1.0:
+        ref = _tricomi_small_t(ShuParams(-nu, z, x), tol)
+        kval, kerr, _ = shared(_macdonald_k_eval, nu, z)
+        err = ref.error_estimate + kerr + EPS * (kval + ref.value) + (TINY if ref.flags or not kval else 0.0)
+        return Evaluation(kval - ref.value, err, MethodTag.SERIES_SMALL_T, ref.work)
     reach = 0.25 * math.log(4.0 / max(tol.rel_tol, EPS)) / math.sqrt(x)
     first = (math.sqrt(t) + reach) ** 2
     if not first < _MAX_START:  # first >= t, so t < _MAX_START below
@@ -343,18 +345,12 @@ def _tricomi_small_t(p: ShuParams, tol: Tolerances) -> Evaluation:
     start = max(start, int(t - x) + 1 if start + 1 >= nu else int(t) + 1)
     if _log_s_upper(p) < LOG_TINY:
         return Evaluation(0.0, 0.0, MethodTag.SERIES_SMALL_T, 0)
-    close = nu <= x + 1.0
     log_q = log_half_ratio(z, t)
     lead = nu * log_q - x - t - LN2
-    fixed = 0.0
-    if not close:
-        h0, e0 = next(_upper_gamma_orders(nu, x))
-        lead += math.log(h0)
-        fixed = e0 / h0
-    fixed += EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * (x + t) + abs(lead) + 6.0)
+    fixed = EPS * (2.0 * abs(nu) * (abs(log_q) + 1.0) + 2.0 * (x + t) + abs(lead) + 6.0)
     work = 0
     while True:
-        sl, sh, serr, steps = _tricomi_bracket(nu, x, t, start, close)
+        sl, sh, serr, steps = _tricomi_bracket(nu, x, t, start)
         work += steps
         if sl is None:
             # a denominator's bracket reached 0: too wide, or its rounding
@@ -380,10 +376,14 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     """The small-endpoint candidate evaluate runs: the series summed in
     positive terms (_tricomi_small_t), then, where that raises or misses
     tol, the paper's alternating sum (_alternating_small_t), which alone
-    meets it at some orders from about 14 to 30 and, below x0 = 2, at
-    negative integer orders (_first_to_meet)."""
+    meets it at negative integer orders below x0 = 2 (_first_to_meet).
+    Above nu = x0 + 1 the alternating sum runs first: the positive-term
+    sum's reflected start grows as t falls."""
     tol = tol or DEFAULT_TOLERANCES
-    return _first_to_meet(tol, lambda: _tricomi_small_t(p, tol), lambda: _alternating_small_t(p, tol))
+    forms = lambda: _tricomi_small_t(p, tol), lambda: _alternating_small_t(p, tol)
+    if p.order > 0.25 * p.argument * p.argument / p.endpoint + 1.0:
+        forms = forms[::-1]
+    return _first_to_meet(tol, *forms)
 
 
 def _split_tail(nu: float, t: float, step: float, n: int, coef: float, u: float) -> float:

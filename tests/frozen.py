@@ -353,7 +353,7 @@ S0_6_3 = 0.0006219971640065616
 # oracle: five cells of grid-table's seed-1 sweep and eight points of
 # scatter-wide's seed 1, both signs of the order, z^2/4t from 2.4 to 515;
 # then (28.102, 6.969, 4.465), where the positive-term sum's backward
-# recurrence loses about 3e-10 to rounding, and (0, 6, 3), equal to
+# recurrence at the order itself lost about 3e-10 to rounding, and (0, 6, 3), equal to
 # S0_6_3.  Each is (1/2)(z/2t)^nu e^(-x0 - t) sum_n t^n U(n + 1, nu + 1, x0)
 # summed with mpmath.hyperu at 40 and 60 digits, and the alternating series
 # sum_k (-z^2/4)^k/k! Gamma(nu - k, x0) with mpmath.gammainc at 60 + t/2.3
@@ -397,21 +397,21 @@ S_CLOSED_RECURRENCE = {
     (-1.9919421798402084, 0.037746421311855016, 0.000409201433594809): 3.1796726271886955e-05,
 }
 
-# Exact outputs of expansions._tricomi_small_t at core.TIGHT where
-# nu > x0 + 1, the points whose sum stays normalised by h_0 of
-# gamma._upper_gamma_orders, since there the recurrence's step to n = 0
-# cancels: float.hex of value and estimate, then the work, frozen before
-# the other points took h_0 from that step.  Drawn with random.Random(35):
-# x0 log-uniform on [0.01, 30], the order uniform on [x0 + 1, 30], t
-# log-uniform on [0.001, 30]; three have x0 < 1.5, where h_0 comes from the
-# small-x anchor
-TRICOMI_GAMMA_NORMALISED = {
-    (22.967467013578798, 2.6783063716820963, 2.217087544070892): ("0x1.fc0aef25c7565p+58", "0x1.21fa32e1944f4p+30", 184),
-    (16.56275818986593, 29.272235361140385, 21.037057727973046): ("0x1.1c2fbcdcdfc98p-38", "0x1.03fdcd0ed8d79p-81", 288),
-    (22.91037288766078, 2.9938328143805513, 2.3975700029594886): ("0x1.08471f1ed4119p+55", "0x1.07101b0b7dd17p+26", 164),
-    (21.303284713842938, 1.7266516996320633, 0.04379356622828772): ("0x1.80f4a4d851a1ep+65", "0x1.9a00650546874p+21", 120),
-    (19.267892457137954, 5.344669916127055, 2.2881682422385836): ("0x1.b07637e3fe02fp+24", "0x1.289a178e1c8afp-11", 64),
-    (28.71012200898102, 0.02881464663944988, 0.0011232692042206116): ("0x1.1f5bf6dbee5ebp+271", "0x1.365d960d9a8ffp+239", 572),
+# S at six points with nu > x0 + 1, where the positive-term sum's step to
+# n = 0 cancels, so the sum is read at the reflected point: drawn with
+# random.Random(35), x0 log-uniform on [0.01, 30], the order uniform on
+# [x0 + 1, 30], t log-uniform on [0.001, 30].  The alternating series
+# sum_k (-z^2/4)^k/k! Gamma(nu - k, x0) with mpmath.gammainc at 60 and 80
+# digits, and (1/2)(z/2t)^nu e^(-x0 - t) sum_n t^n U(n + 1, nu + 1, x0)
+# with mpmath.hyperu at 50 and 70, all four agreeing to 48 digits or
+# better, rounded to double
+S_ABOVE_X0_PLUS_1 = {
+    (22.967467013578798, 2.6783063716820963, 2.217087544070892): 5.7200524167264544e17,
+    (16.56275818986593, 29.272235361140385, 21.037057727973046): 4.038532716314633e-12,
+    (22.91037288766078, 2.9938328143805513, 2.3975700029594886): 3.719379641918674e16,
+    (21.303284713842938, 1.7266516996320633, 0.04379356622828772): 5.547795450774258e19,
+    (19.267892457137954, 5.344669916127055, 2.2881682422385836): 28341815.89060478,
+    (28.71012200898102, 0.02881464663944988, 0.0011232692042206116): 4.259062559071233e81,
 }
 
 # S at points of the two upper-gamma series, drawn with random.Random(13):
@@ -686,8 +686,11 @@ SERIES_KERNEL = {
 # evaluate_grid over grid-table's seed-1 sweep, and evaluate at each of
 # scatter-wide's seed-1 points, where a point that raises gives
 # "ExceptionName: message".  A change meant to move any output re-freezes
-# these and says why.
+# these and says why: the scatter-wide digest moved when the positive-term
+# small-endpoint sum above nu = x0 + 1 was read at the reflected point and
+# the alternating sum put first there (25 outputs; its one Oracle5 point
+# became SeriesSmallT).
 GRID_TABLE_SEED_1_DIGEST = "12d6c3e37357e0eb6e50abd70d68c622b959e1b7f15c5dbf694734806e048e4f"
 GRID_TABLE_SEED_1_PATHS = {"AsymptLargeT": 280, "ClosedFormHalf": 410, "SeriesSmallT": 352, "SeriesSmallZ": 878}
-SCATTER_WIDE_SEED_1_DIGEST = "2e57d78cbe136e697bb2ed971148b0ded3d0e19b2a94c691971463bb4f6ce7e9"
-SCATTER_WIDE_SEED_1_PATHS = {"AsymptLargeT": 455, "Oracle5": 1, "SeriesSmallT": 636, "SeriesSmallZ": 908}
+SCATTER_WIDE_SEED_1_DIGEST = "52f79f8890f8c1dc34d37f97ef2e6f39524b91a52554732dd56084cafe240cfd"
+SCATTER_WIDE_SEED_1_PATHS = {"AsymptLargeT": 455, "SeriesSmallT": 637, "SeriesSmallZ": 908}

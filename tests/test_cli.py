@@ -144,16 +144,27 @@ class TestEval:
         assert out == ""
         assert err == "incmac: did not converge: z^2/4 underflows to 0 at z = 1e-170; no quadrature form applies\n"
 
-    @pytest.mark.parametrize("nu", ["-1", "0.5", "2"])
-    def test_small_t_underflowed_argument_exit_three(self, capsys, nu):
-        # z^2/4t is 0.0 in doubles; both sums refuse before any gamma, and
-        # the positive-term sum's error, the first raised, is printed
+    @pytest.mark.parametrize(
+        "nu, z, why",
+        [
+            ("-1", "1e-170", "0 at z = 1e-170, t = 1.0; the U recurrence needs a normal x0"),
+            ("0.5", "1e-170", "0 at z = 1e-170, t = 1.0; the U recurrence needs a normal x0"),
+            # above x0 + 1 the alternating sum runs first
+            ("2", "1e-170", "0 at z = 1e-170, t = 1.0; the small-t series has no terms"),
+            # a subnormal z^2/4t: the positive-term sum raised a bare
+            # OverflowError, which named no point
+            ("1", "1e-161", "2.47e-323 at z = 1e-161, t = 1.0; the U recurrence needs a normal x0"),
+        ],
+    )
+    def test_small_t_underflowed_argument_exit_three(self, capsys, nu, z, why):
+        # z^2/4t is 0.0 or subnormal in doubles; both sums refuse, and the
+        # error of the sum run first is printed
         code, out, err = _run(
-            capsys, "eval", f"--nu={nu}", "--z", "1e-170", "--t", "1", "--method", "small-t"
+            capsys, "eval", f"--nu={nu}", "--z", z, "--t", "1", "--method", "small-t"
         )
         assert code == 3
         assert out == ""
-        assert err == "incmac: did not converge: z^2/4t underflows to 0 at z = 1e-170, t = 1.0; U(a, b, 0) is not finite\n"
+        assert err == f"incmac: did not converge: z^2/4t underflows to {why}\n"
 
     def test_oracle_integrand_past_double_range_exit_three(self, capsys):
         # form 5's integrand passes the double range here while S does not
@@ -205,20 +216,27 @@ class TestEval:
         assert out.endswith("flags=underflow_to_zero\n")
 
     def test_small_t_overflowing_sum_exit_three(self, capsys):
-        # the sum in positive terms, about e^t, passes the double range and
-        # the alternating sum does not converge: exit 3, where the JSON
-        # printed Infinity and exited 0
-        args = ("eval", "--nu", "29.45003793017056", "--z", "202.59283805234966", "--t", "881.9254053650693")
+        # the sum in positive terms, about e^t, passes the double range at
+        # nu <= x0 + 1 = 9.0: exit 3, where the JSON printed Infinity and
+        # exited 0
+        args = ("eval", "--nu", "8.5", "--z", "165", "--t", "850")
         code, out, err = _run(capsys, *args, "--method", "small-t", "--json")
         assert (code, out) == (3, "")
-        # the positive-term sum's own error, not the alternating sum's
         assert err == (
             "incmac: did not converge: the U recurrence's sum exceeds the double range at ShuParams(order="
-            "29.45003793017056, argument=202.59283805234966, endpoint=881.9254053650693)\n"
+            "8.5, argument=165.0, endpoint=850.0)\n"
         )
         code, out, _ = _run(capsys, *args, "--json")
         assert code == 0
         assert json.loads(out)["method"] == "AsymptLargeT"
+        # the sum passed the double range here too, at order 29.45; above
+        # x0 + 1 = 12.6 the reflected point's sum is a flagged zero and the
+        # value K, which AsymptLargeT returns alone
+        args = ("eval", "--nu", "29.45003793017056", "--z", "202.59283805234966", "--t", "881.9254053650693")
+        code, out, _ = _run(capsys, *args, "--method", "small-t", "--json")
+        assert code == 0
+        auto = _run(capsys, *args, "--json")[1]
+        assert json.loads(out)["value"] == json.loads(auto)["value"]
 
     @pytest.mark.parametrize(
         "argv,cause",
@@ -396,6 +414,15 @@ class TestFigure:
         assert code == 2
         assert stdout == ""
         assert err == f"incmac: domain error: --points: points={points}: must be at least 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["nan", "inf"])
+    def test_rejects_a_non_finite_order_naming_orders(self, tmp_path, capsys, order):
+        # the message named --nu, the flag of eval's order
+        out = tmp_path / "f.csv"
+        code, stdout, err = _run(capsys, "figure", "--id", "1", "--out", str(out), "--points", "3", f"--orders={order}")
+        assert (code, stdout) == (2, "")
+        assert err == f"incmac: domain error: --orders: orders={float(order)!r}: must be finite\n"
         assert not out.exists()
 
     def test_custom_orders(self, tmp_path, capsys):

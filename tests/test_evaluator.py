@@ -323,10 +323,11 @@ class TestDecisionProcedure:
                 (-21.614086612393162, 488.37084093944395, 532.9864915597317),
                 (MethodTag.ASYMPT_LARGE_T, "NON_CONVERGENCE"),
             ),
-            # order 29 at z^2/4t = 13: the positive-term sum's backward
-            # recurrence loses more than the target to rounding
+            # order 114 at z^2/4t = 1,364 (box B): the rounding bound of the
+            # positive-term sum's exponent alone, 1.1e-12 of the value, is
+            # above the target
             (
-                (29.484563027425665, 15.60342761027974, 4.56465312964024),
+                (113.79044784392529, 4.613260925580231, 0.0038993356972277906),
                 (MethodTag.SERIES_SMALL_T, "TAIL_TOO_LARGE"),
             ),
         ],
@@ -337,6 +338,18 @@ class TestDecisionProcedure:
         assert dec.chosen is MethodTag.ORACLE5
         assert ev.method is MethodTag.ORACLE5
         assert rejected in dec.candidates_tried
+        ref = shu_oracle_cosh(p, TIGHT)
+        assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    def test_reflected_positive_terms_take_a_former_fallback(self):
+        # order 29 at z^2/4t = 13: the positive-term sum's recurrence at the
+        # order itself lost more than the target to rounding, and the point
+        # fell through to the oracle; above x0 + 1 it is read at the
+        # reflected point, K_nu(z) - S_-nu(z, x0), whose recurrence closes
+        p = ShuParams(29.484563027425665, 15.60342761027974, 4.56465312964024)
+        ev, dec = evaluate(p, TIGHT)
+        assert dec == (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", ())
+        assert ev == incmac.expansions._tricomi_small_t(p, TIGHT)
         ref = shu_oracle_cosh(p, TIGHT)
         assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
 
@@ -925,23 +938,28 @@ def test_large_endpoint_differential():
 
 
 def _small_endpoint_row(p, tol):
-    # what the small-endpoint row should return: the positive-term sum
-    # where it meets the target, the alternating sum otherwise
+    # what the small-endpoint row should return: of the positive-term sum
+    # and the alternating sum, the alternating first above nu = x0 + 1, the
+    # first that meets the target, else the second; and whether the second
+    # was taken
+    forms = [incmac.expansions._tricomi_small_t, incmac.expansions._alternating_small_t]
+    if p.order > 0.25 * p.argument * p.argument / p.endpoint + 1.0:
+        forms.reverse()
     try:
-        ev = incmac.expansions._tricomi_small_t(p, tol)
+        ev = forms[0](p, tol)
     except (NonConvergence, OverflowError):
         ev = None
     if ev is not None and ev.rejection(tol) is None:
         return ev, False
-    return incmac.expansions._alternating_small_t(p, tol), True
+    return forms[1](p, tol), True
 
 
-def test_small_endpoint_row_falls_back_to_alternating_sum():
+def test_small_endpoint_row_falls_back_to_its_second_sum():
     # 400 seeded points of the wide box with z^2/4t >= 2, at three targets:
-    # wherever evaluate takes the small-endpoint row first, it returns the
-    # positive-term sum where that meets the target and the alternating
-    # sum otherwise, and a chosen tag is never among the rejected.  The
-    # fallback must fire, or this shows nothing
+    # wherever evaluate takes the small-endpoint row first, it returns its
+    # first sum where that meets the target and its second otherwise, and
+    # a chosen tag is never among the rejected.  The fallback must fire, or
+    # this shows nothing
     rng = random.Random(18)
     tols = (
         incmac.core.TIGHT,
@@ -960,12 +978,13 @@ def test_small_endpoint_row_falls_back_to_alternating_sum():
                 assert ev == want, (p, tol)
                 fallbacks += fell_back
     assert fallbacks >= 1
-    # at order 28.102 the positive-term sum's recurrence loses more than
-    # the target to rounding, and only the alternating sum meets it
+    # at order 28.102, above x0 + 1 = 3.72, the alternating sum runs first
+    # and meets the target
     p = ShuParams(28.102, 6.969, 4.465)
     ev, dec = evaluate(p, incmac.core.TIGHT)
     assert dec == (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", ())
-    assert _small_endpoint_row(p, incmac.core.TIGHT) == (ev, True)
+    assert _small_endpoint_row(p, incmac.core.TIGHT) == (ev, False)
+    assert ev == incmac.expansions._alternating_small_t(p, incmac.core.TIGHT)
 
 
 def _ladder(lo, hi, n, phase):
@@ -1082,9 +1101,9 @@ class TestTypedErrorsAtExtremePoints:
 def test_scatter_wide_takes_few_gamma_orders(monkeypatch):
     # work guard, no timing: the incomplete-gamma orders the series take
     # over scatter-wide's seed-1 points; 10,463 with the alternating
-    # small-endpoint sum first, 5,134 with the positive-term sum first,
-    # which takes at most one order, h_0, a call; the alternating sum
-    # runs at only 7 of the row's 641 calls
+    # small-endpoint sum first everywhere, 5,240 with the positive-term
+    # sum, which takes none, first up to nu = x0 + 1: the alternating sum
+    # runs at 30 calls
     taken = 0
 
     def counted(orders):
@@ -1195,7 +1214,7 @@ def test_scatter_wide_seed_1_outputs_frozen():
 def test_one_off_evaluate_adds_no_shared_lookups(monkeypatch):
     # work-count guard, no timing: a generator start makes one core.shared
     # lookup per block, of the block where it was of its fraction, so
-    # scatter-wide's first 200 seed-1 points make the same 268 lookups
+    # scatter-wide's first 200 seed-1 points make 267 lookups
     lookups = 0
     real = incmac.core.shared
 
@@ -1211,7 +1230,7 @@ def test_one_off_evaluate_adds_no_shared_lookups(monkeypatch):
             evaluate(p, incmac.core.TIGHT)
         except (ArithmeticError, ValueError):
             pass
-    assert lookups == 268
+    assert lookups == 267
 
 
 def _count_k(monkeypatch, fail_at=None):

@@ -14,6 +14,7 @@ from incmac.core import (
     NearPoleWarning,
     NonConvergence,
     ShuParams,
+    TINY,
     Tolerances,
 )
 from incmac.evaluator import evaluate, evaluate_grid
@@ -37,6 +38,7 @@ from incmac.verification import _tail_gap
 from frozen import (
     S0_3_3,
     SERIES_KERNEL,
+    S_ABOVE_X0_PLUS_1,
     S_EXPONENT_ROUNDING,
     S_HIGH_PRECISION,
     S_LARGE_T_CANCELLING,
@@ -46,7 +48,6 @@ from frozen import (
     S_SPLIT_SEEDED,
     S_SPLIT_TAIL,
     S_TRICOMI,
-    TRICOMI_GAMMA_NORMALISED,
 )
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
@@ -135,19 +136,30 @@ class TestTricomiSmallT:
     @pytest.mark.parametrize("point", sorted(S_TRICOMI))
     def test_within_estimate_of_reference(self, point):
         # every former oracle fallback meets the tight target; at order
-        # 28.102 the backward recurrence loses about 3e-10 to rounding,
-        # which the estimate carries, so it rejects the point itself
+        # 28.102, above x0 + 1 = 3.72, the recurrence run at the order
+        # itself lost about 3e-10 to rounding and rejected the point, which
+        # the reflected point's closed recurrence now meets
         ev = _tricomi_small_t(ShuParams(*point), TIGHT)
         assert abs(ev.value - S_TRICOMI[point]) <= ev.error_estimate
-        if point == (28.102, 6.969, 4.465):
-            assert ev.rejection(TIGHT) == "TAIL_TOO_LARGE"
-        else:
-            assert ev.rejection(TIGHT) is None
+        assert ev.rejection(TIGHT) is None
 
     def test_within_estimate_where_the_alternating_series_meets_the_target(self):
+        # wherever it returns; at (14.04, 1.02, 0.055), above x0 + 1 = 5.74,
+        # the reflected point's start, (sqrt(x0) + ln(4/rel)/(4 sqrt t))^2,
+        # passes _MAX_START, and series_small_t, which runs the alternating
+        # sum first there, meets the target
+        raised = []
         for point, ref in S_SERIES_SMALL_T.items():
-            ev = _tricomi_small_t(ShuParams(*point), TIGHT)
+            p = ShuParams(*point)
+            try:
+                ev = _tricomi_small_t(p, TIGHT)
+            except NonConvergence as exc:
+                assert "needs a start index above 1024" in str(exc)
+                raised.append(point)
+                ev = series_small_t(p, TIGHT)
+                assert ev.rejection(TIGHT) is None, point
             assert abs(ev.value - ref) <= ev.error_estimate, point
+        assert raised == [(14.04141613276638, 1.0241703959067527, 0.055369372820416464)]
 
     @pytest.mark.parametrize("x0_lo, x0_hi, seed, least", [(2.0, 700.0, 21, 270), (0.01, 2.0, 22, 120)])
     def test_wide_box_differential(self, x0_lo, x0_hi, seed, least):
@@ -193,7 +205,7 @@ class TestTricomiSmallT:
             h0, e0 = next(_upper_gamma_orders(nu, x0))
             start = 8
             while True:
-                hl, hh, rounding, work = _tricomi_bracket(nu, x0, 0.0, start, True)
+                hl, hh, rounding, work = _tricomi_bracket(nu, x0, 0.0, start)
                 assert work == 2 * start + 1
                 if hh - hl <= 1e-13 * hh or start > 1 << 14:
                     break
@@ -201,19 +213,71 @@ class TestTricomiSmallT:
             assert hl - rounding - e0 <= h0 <= hh + rounding + e0, (nu, x0, start)
             checked += 1
 
-    @pytest.mark.parametrize("point", sorted(TRICOMI_GAMMA_NORMALISED))
-    def test_gamma_normalised_points_bit_identical(self, point):
-        # where nu > x0 + 1 the closing step cancels, so the sum keeps the
-        # h_0 of gamma._upper_gamma_orders and every bit it had
-        ev = _tricomi_small_t(ShuParams(*point), incmac.core.TIGHT)
-        assert (ev.value.hex(), ev.error_estimate.hex(), ev.work) == TRICOMI_GAMMA_NORMALISED[point]
+    @pytest.mark.parametrize("point", sorted(S_ABOVE_X0_PLUS_1))
+    def test_above_x0_plus_1_within_estimate_of_reference(self, point):
+        # where nu > x0 + 1 the closing step cancels, so the sum is read at
+        # the reflected point, K_nu(z) - S_-nu(z, x0): series_small_t meets
+        # the tight target within its estimate of the reference, and so does
+        # the positive-term sum wherever it returns; at t = 0.044 and 0.0011
+        # the reflected start, which grows as t falls, passes _MAX_START
+        p = ShuParams(*point)
+        ref = S_ABOVE_X0_PLUS_1[point]
+        ev = series_small_t(p, incmac.core.TIGHT)
+        assert ev.rejection(incmac.core.TIGHT) is None
+        assert abs(ev.value - ref) <= ev.error_estimate
+        try:
+            ev = _tricomi_small_t(p, incmac.core.TIGHT)
+        except NonConvergence as exc:
+            assert p.endpoint < 0.05 and "needs a start index above 1024" in str(exc)
+        else:
+            assert ev.rejection(incmac.core.TIGHT) is None
+            assert abs(ev.value - ref) <= ev.error_estimate
+
+    def test_above_x0_plus_1_agrees_with_form_4(self):
+        # 200 seeded points with nu > x0 + 1, x0 log-uniform on [0.01, 30]
+        # and t on [1e-3, 100]: wherever series_small_t, which runs the
+        # alternating sum first there, or the reflected positive-term sum
+        # meets the target, it agrees with form 4 within both estimates
+        rng = random.Random(39)
+        accepted = {series_small_t: 0, _tricomi_small_t: 0}
+        for _ in range(200):
+            x0 = math.exp(rng.uniform(math.log(0.01), math.log(30.0)))
+            t = math.exp(rng.uniform(math.log(1e-3), math.log(100.0)))
+            p = ShuParams(rng.uniform(x0 + 1.0, 30.0), math.sqrt(4.0 * t * x0), t)
+            ref = shu_oracle_cosh(p, TIGHT)
+            for fn in accepted:
+                try:
+                    ev = fn(p, TIGHT)
+                except NonConvergence:
+                    continue
+                if ev.rejection(TIGHT):
+                    continue
+                accepted[fn] += 1
+                assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, (p, fn)
+        assert accepted[series_small_t] == 200
+        assert accepted[_tricomi_small_t] >= 120
 
     def test_overflowing_sum_raises_naming_the_point(self):
-        # sum_n t^n U_n/U_0, about e^t, passes the double range at t = 882:
-        # the value was inf with a NaN estimate after 2,026 steps
-        p = ShuParams(29.45003793017056, 202.59283805234966, 881.9254053650693)
-        with pytest.raises(NonConvergence, match=r"sum exceeds the double range at ShuParams\(order=29.45003793017056, "):
+        # sum_n t^n U_n/U_0, about e^t, passes the double range at t = 850,
+        # nu <= x0 + 1 = 9.0: the value was inf with a NaN estimate
+        p = ShuParams(8.5, 165.0, 850.0)
+        with pytest.raises(NonConvergence, match=r"sum exceeds the double range at ShuParams\(order=8.5, "):
             _tricomi_small_t(p, TIGHT)
+
+    def test_reflected_point_past_the_underflow_returns_k(self):
+        # at t = 882 the sum at the order itself passed the double range;
+        # above x0 + 1 = 12.6 the reflected S_-nu(z, x0) is a flagged zero,
+        # so the value is K_nu(z), with TINY added to the estimate
+        p = ShuParams(29.45003793017056, 202.59283805234966, 881.9254053650693)
+        ev = _tricomi_small_t(p, TIGHT)
+        assert ev.value == macdonald_k(p.order, p.argument)
+        assert ev.rejection(TIGHT) is None
+        assert abs(ev.value - asympt_large_t(p, TIGHT).value) <= ev.error_estimate
+
+    def test_subnormal_x0_raises_naming_the_point(self):
+        # x0 = 1.4e-320: (sqrt(t) + reach)^2 raised a bare OverflowError
+        with pytest.raises(NonConvergence, match=r"z\^2/4t underflows to .* at z = 2.8e-161, t = 0.0142;"):
+            _tricomi_small_t(ShuParams(-1.0, 2.8e-161, 0.0142), TIGHT)
 
     def test_work_counts_recurrence_steps_and_terms(self):
         # one pass from start index 36, (sqrt(3) + ln(4e12)/(4 sqrt(3)))^2
@@ -783,6 +847,27 @@ def test_no_exit_where_the_correction_counts(point, monkeypatch):
     ev = series_small_z(ShuParams(*point), incmac.core.TIGHT)
     assert ev.work > 0
     assert not any(answers)
+
+
+@pytest.mark.parametrize("tol", [incmac.core.TIGHT, DEFAULT_TOLERANCES], ids=["TIGHT", "DEFAULT"])
+def test_alternating_sum_at_subnormal_x0(tol):
+    # at order -1, z in [1e-161, 1e-158] and t in [1e-7, 0.02], x0 = z^2/4t
+    # is subnormal, so the positive-term sum refuses and the alternating sum
+    # takes the small-endpoint row; there e^(-z^2/4s) = 1 in doubles, and
+    # S = (1/z) int_0^t e^-s ds = -expm1(-t)/z exactly
+    rng = random.Random(39)
+    taken = 0
+    for _ in range(100):
+        z = math.exp(rng.uniform(math.log(1e-161), math.log(1e-158)))
+        t = math.exp(rng.uniform(math.log(1e-7), math.log(0.02)))
+        p = ShuParams(-1.0, z, t)
+        assert 0.0 < 0.25 * z * z / t < TINY
+        ev, dec = evaluate(p, tol)
+        assert abs(ev.value + math.expm1(-t) / z) <= ev.error_estimate, (p, dec)
+        if dec.chosen is MethodTag.SERIES_SMALL_T:
+            assert ev == _alternating_small_t(p, tol)
+            taken += 1
+    assert taken >= 80
 
 
 @pytest.mark.parametrize("fn", [series_small_t, _alternating_small_t, _tricomi_small_t])
