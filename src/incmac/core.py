@@ -47,10 +47,10 @@ LN2 = math.log(2.0)
 
 def log_half_ratio(z: float, t: float = 1.0) -> float:
     """ln(z/2t) for z, t > 0: log(z/2t) where that quotient is a normal
-    double, and from the logs of its parts where it is subnormal or 0 (at
-    a subnormal z or a huge t), since there it keeps too few bits: at
-    z = 2.5e-323 the quotient z/2 rounds to 0.8 of itself."""
-    q = 0.5 * z / t
+    double, rounded once as z/(t + t), not (z/2)/t (at z = 2.5e-323 z/2
+    rounds to 0.8 of itself), and from the logs of its parts where it is
+    subnormal or 0 (at a subnormal z or a huge t)."""
+    q = z / (t + t)
     return math.log(q) if q >= TINY else math.log(z) - math.log(t) - LN2
 
 

@@ -18,7 +18,7 @@ import math
 
 from .core import (
     EPS, LN2, LOG_HUGE, LOG_TINY, TINY, NonConvergence, PoleError, _as_count, _as_finite_real,
-    _as_nonnegative, _as_positive, _sum_rounding, log_half_ratio, shared, underflow_to_zero,
+    _as_nonnegative, _as_positive, _exp_value, _sum_rounding, log_half_ratio, shared, underflow_to_zero,
 )
 
 __all__ = [
@@ -79,7 +79,10 @@ def gamma(a: float) -> float:
     a = _as_finite_real("a", a)
     if a <= 0.0 and a == math.floor(a):
         raise PoleError(f"gamma pole at a={a}")
-    return math.gamma(a)
+    try:
+        return math.gamma(a)
+    except OverflowError:
+        raise OverflowError(f"the value exceeds the double range at a={a!r}: ln = {math.lgamma(a):.6g} > ln DBL_MAX") from None
 
 
 def _kummer_sum(a: float, x: float):
@@ -137,9 +140,13 @@ def _lower_gamma_orders(a0: float, x: float):
 
 
 def _upper_from_series(a: float, x: float) -> float:
-    # Gamma(a) - x^a e^-x * series; fine for x < 1.5, or x < a + 1, where
-    # the subtraction loses at most a couple of digits
-    return math.gamma(a) - math.exp(a * math.log(x) - x) * _kummer_sum(a, x)[0]
+    # Gamma(a) - x^a e^-x * series; fine for x < 1.5, or x < a + 1, where the
+    # subtraction loses at most a couple of digits; in logs past the double range
+    try:
+        return math.gamma(a) - math.exp(a * math.log(x) - x) * _kummer_sum(a, x)[0]
+    except OverflowError:
+        lg = math.lgamma(a)
+        return _exp_value(lg + math.log1p(-math.exp(a * math.log(x) - x - lg) * _kummer_sum(a, x)[0]), f"a={a!r}, x={x!r}")
 
 
 def _e1_series(x: float):
@@ -216,6 +223,8 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
         h = _legendre_cf(a, x)
     else:
         h, _ = next(_upper_gamma_orders(a, x))
+    if e > LOG_HUGE:  # e^e overflows where the value, e^(e + ln h), may not
+        return _exp_value(e + math.log(h), f"a={a!r}, x={x!r}")
     return underflow_to_zero(math.exp(e) * h, 0.0)[0]
 
 
@@ -279,7 +288,7 @@ def _small_x_anchor(f: float, x: float):
         e1, err = _e1_series(x)
         h = math.exp(x) * e1
         return h, err / e1 + EPS * (x + 2.0)
-    lead = math.exp(x - f * math.log(x)) * math.gamma(f)
+    lead = _exp_value(x - f * math.log(x), (f, x)) * math.gamma(f)
     kummer, err = shared(_kummer_sum, f, x)  # the split form at order -f starts from it too
     h = lead - kummer
     return h, (EPS * (f * abs(math.log(x)) + x + 4.0) * lead + err + EPS * kummer) / h
@@ -327,7 +336,10 @@ def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
         if abs(term) >= last:
             break
         last = abs(term)
-    return underflow_to_zero(math.exp((a - 1.0) * math.log(x) - x) * total, 0.0)[0]
+    e = (a - 1.0) * math.log(x) - x
+    if e > LOG_HUGE:  # the sum is positive: its terms fall from 1 and alternate past m = a - 1
+        return _exp_value(e + math.log(total), f"a={a!r}, x={x!r}")
+    return underflow_to_zero(math.exp(e) * total, 0.0)[0]
 
 
 def _temme_gammas(mu: float):

@@ -215,6 +215,16 @@ class TestEval:
         assert code == 0
         assert out.endswith("flags=underflow_to_zero\n")
 
+    def test_small_t_value_past_double_range_names_point(self, capsys):
+        # S itself passes the double range: the positive-term sum left
+        # through its own exp, which printed a bare "math range error"
+        code, out, err = _run(capsys, "eval", "--nu=-600", "--z", "100", "--t", "500", "--method", "small-t")
+        assert (code, out) == (3, "")
+        assert err == (
+            "incmac: overflow: a value exceeded the double range (the series exceeds the double range at "
+            "ShuParams(order=-600.0, argument=100.0, endpoint=500.0): ln = 871.163 > ln DBL_MAX)\n"
+        )
+
     def test_small_t_overflowing_sum_exit_three(self, capsys):
         # the sum in positive terms, about e^t, passes the double range at
         # nu <= x0 + 1 = 9.0: exit 3, where the JSON printed Infinity and

@@ -514,3 +514,14 @@ class TestSharedWork:
             assert shared(flaky, 7) == 7
             assert shared(flaky, 7) == 7
         assert calls == [7, 7]
+
+
+def test_log_half_ratio_where_half_z_is_subnormal():
+    # at z = 2.5e-323 the half z/2 rounds to 0.8 of itself while z/2t =
+    # 1.2e-303 is normal; evaluate returned S 11.8% high there with an
+    # estimate of 2.3e-13.  The reference, (1/2)(2/z)^0.5 gamma(0.5, t)
+    # with mpmath.gammainc and mpmath.quad of the tau-form, agreeing to
+    # 1e-23, rounded to double (e^(-z^2/4s) is 1 but below s ~ z^2)
+    assert core.log_half_ratio(2.5e-323, 1e-20) == math.log(2.5e-323 / 2e-20)
+    ev, _ = incmac.evaluate(ShuParams(-0.5, 2.5e-323, 1e-20), core.TIGHT)
+    assert abs(ev.value - 2.845362917501461e151) <= ev.error_estimate

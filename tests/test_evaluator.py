@@ -47,6 +47,7 @@ from frozen import (
     S_HALF_GRID,
     S_HALF_SUBNORMAL_Z,
     S_HIGH_PRECISION,
+    S_LARGE_X0,
     S_LARGE_T_INNER_STOP,
     S_LARGE_T_K_FORM,
     S_LARGE_T_TANGENT,
@@ -317,17 +318,20 @@ class TestDecisionProcedure:
         "point, rejected",
         [
             # the large-endpoint sum finds no truncation point with z near t,
-            # and at t = 533 the rounding the positive-term sum carries puts
-            # its estimate just above the target
+            # and at t = 625 the positive-term sum's rounding, 6.0e-13 of the
+            # value in its recurrence and 4.6e-13 in its exponent, is above
+            # the target (the former point here, at t = 533, now meets it
+            # under the one exponent rule)
             (
-                (-21.614086612393162, 488.37084093944395, 532.9864915597317),
+                (-4.203714960157761, 593.4627623303013, 624.5600019434393),
                 (MethodTag.ASYMPT_LARGE_T, "NON_CONVERGENCE"),
             ),
-            # order 114 at z^2/4t = 1,364 (box B): the rounding bound of the
-            # positive-term sum's exponent alone, 1.1e-12 of the value, is
-            # above the target
+            # at t = 632 the positive-term sum's rounding, 5.7e-13 of the
+            # value in its recurrence and 4.7e-13 in its exponent, is above
+            # the target (the former point here, box B's order 114 at x0 =
+            # 1,364, now returns SeriesSmallT)
             (
-                (113.79044784392529, 4.613260925580231, 0.0038993356972277906),
+                (-23.787774377380543, 618.7870618100164, 631.5469845752979),
                 (MethodTag.SERIES_SMALL_T, "TAIL_TOO_LARGE"),
             ),
         ],
@@ -340,6 +344,17 @@ class TestDecisionProcedure:
         assert rejected in dec.candidates_tried
         ref = shu_oracle_cosh(p, TIGHT)
         assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate
+
+    @pytest.mark.parametrize("point", list(S_LARGE_X0)[:2])
+    def test_large_x0_positive_terms_take_former_fallbacks(self, point):
+        # box B's two points at x0 = 1,364 and 1,338: the positive-term
+        # sum's old exponent bound alone was 1.1e-12 of the value, above the
+        # target, and the points fell to the oracle; under the one derived
+        # rule (_sum_exit) it meets the target within its estimate
+        p = ShuParams(*point)
+        ev, dec = evaluate(p, TIGHT)
+        assert dec == (MethodTag.SERIES_SMALL_T, "SMALL_T_CONVERGED", ())
+        assert abs(ev.value - S_LARGE_X0[point]) <= ev.error_estimate
 
     def test_reflected_positive_terms_take_a_former_fallback(self):
         # order 29 at z^2/4t = 13: the positive-term sum's recurrence at the

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -39,6 +40,7 @@ from frozen import (
     S0_3_3,
     SERIES_KERNEL,
     S_ABOVE_X0_PLUS_1,
+    S_LARGE_X0,
     S_EXPONENT_ROUNDING,
     S_HIGH_PRECISION,
     S_LARGE_T_CANCELLING,
@@ -232,6 +234,21 @@ class TestTricomiSmallT:
         else:
             assert ev.rejection(incmac.core.TIGHT) is None
             assert abs(ev.value - ref) <= ev.error_estimate
+
+    @pytest.mark.parametrize("tol", [incmac.core.TIGHT, DEFAULT_TOLERANCES], ids=["TIGHT", "DEFAULT"])
+    def test_large_x0_within_estimate_of_reference(self, tol):
+        # x0 in [100, 2000] and |nu| <= 150, where the exponent's rounding
+        # is most of the estimate: each small-endpoint sum lies within its
+        # estimate of the reference; at box B's two points, where the old
+        # bound on that rounding alone was 1.1e-12 of the value, the
+        # positive-term sum meets the tight target
+        for point, ref in S_LARGE_X0.items():
+            p = ShuParams(*point)
+            for fn in (series_small_t, _tricomi_small_t, _alternating_small_t):
+                ev = fn(p, tol)
+                assert abs(ev.value - ref) <= ev.error_estimate, (point, fn)
+        for point in list(S_LARGE_X0)[:2]:
+            assert _tricomi_small_t(ShuParams(*point), tol).rejection(tol) is None
 
     def test_above_x0_plus_1_agrees_with_form_4(self):
         # 200 seeded points with nu > x0 + 1, x0 log-uniform on [0.01, 30]
@@ -888,6 +905,41 @@ def test_one_loop_over_terms():
         and ast.unparse(loop.iter) == "range(_MAX_TERMS)"
     ]
     assert looping == ["_gamma_sum"]
+
+
+def test_one_exit_scales_every_sum():
+    # the prefactor of every sum of S is exponentiated in one place,
+    # _sum_exit, which _gamma_sum and the positive-term sum leave through;
+    # _gamma_sum's two exps take abs_tol and K into the prefactor's units,
+    # and leading_imb_large_z's is an approximant's log1p(e^-2a)
+    exps, exits = Counter(), []
+    for fn in ast.parse(inspect.getsource(incmac.expansions)).body:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "math.exp":
+                exps[fn.name] += 1
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_sum_exit":
+                exits.append(fn.name)
+    assert exps == {"_sum_exit": 1, "_gamma_sum": 2, "leading_imb_large_z": 1}
+    assert sorted(exits) == ["_gamma_sum", "_tricomi_small_t"]
+
+
+@pytest.mark.parametrize(
+    "point, error, match",
+    [
+        # x0 subnormal above order x0 + 1: Gamma(f, x0) x0^-f e^x0 at the
+        # anchor order f = 0.99 passes the double range
+        ((297.99246897779165, 1.867417084085715e-76, 9.409070757099329e163), OverflowError,
+         r"double range at \(0.99246897779164\d*, 9.265651e-317\): ln = 722.213 > ln DBL_MAX"),
+        # x0 just above the smallest normal double: the start index overflowed
+        ((-0.4314027619136356, 1.7672285292962838e-126, 3.4400190413545953e55), NonConvergence,
+         r"the U recurrence needs a start index above 1024 at x0 = 2.26967978753"),
+    ],
+)
+def test_small_endpoint_sums_name_the_bound_they_pass(point, error, match):
+    # both raised a bare OverflowError ("math range error", "Numerical
+    # result out of range")
+    with pytest.raises(error, match=match):
+        series_small_t(ShuParams(*point), incmac.core.TIGHT)
 
 
 def test_grid_takes_few_legendre_fractions(monkeypatch):

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +98,32 @@ class TestGamma:
     def test_overflow(self):
         with pytest.raises(OverflowError):
             gamma(200.0)
+
+
+class TestDoubleRange:
+    @pytest.mark.parametrize(
+        "call, args, ln",
+        [
+            (gamma, (200.0,), "857.934"),
+            (upper_incomplete_gamma, (200.0, 0.5), "857.934"),
+            (upper_incomplete_gamma, (1000.0, 1000.0), "5904.52"),
+            (upper_incomplete_gamma, (-800.0, 1e-3), "5519.52"),
+            (incomplete_gamma_asymptotic, (2000.0, 2.0, 3), "1383.6"),
+        ],
+    )
+    def test_overflow_names_inputs_and_ln(self, call, args, ln):
+        # each raised a bare "math range error" from math.gamma or math.exp
+        where = ", ".join(f"{name}={value!r}" for name, value in zip(("a", "x"), args))
+        with pytest.raises(OverflowError, match=re.escape(f"double range at {where}: ln = {ln} > ln DBL_MAX")):
+            call(*args)
+
+    @pytest.mark.parametrize("a, x, ref", [(171.7, 171.7, 1.299202422888688117e308), (248.0, 1000.0, 6.7380563351433012356e306)])
+    def test_value_in_range_where_a_factor_is_not(self, a, x, ref):
+        # Gamma(171.7) and 1000^248 e^-1000 pass the double range where
+        # Gamma(a, x) does not (mpmath.gammainc, and mpmath.quad of the
+        # defining integral, agreeing to 20 digits): taken in logs, where
+        # both raised a bare "math range error"
+        assert _rel(upper_incomplete_gamma(a, x), ref) < 1e-12
 
 
 class TestUpperIncompleteGamma:
