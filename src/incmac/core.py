@@ -273,12 +273,21 @@ def _sum_rounding(c: float, plain: float, stepped: float) -> float:
     return EPS * (plain + c * stepped)
 
 
-def _exp_value(log_value: float, p) -> float:
-    """e^log_value, a closed form's value at p: 0.0 below the smallest normal
-    double (underflow_to_zero), OverflowError naming p past the double range."""
-    if log_value > LOG_HUGE:
-        raise OverflowError(f"the value exceeds the double range at {p}: ln = {log_value:.6g} > ln DBL_MAX")
-    return underflow_to_zero(math.exp(log_value), 0.0)[0]
+def _exp_value(log_value: float, p, mantissa: float = 1.0) -> float:
+    """mantissa e^log_value, mantissa >= 0, a closed form's value at p: 0.0
+    below the smallest normal double (underflow_to_zero), OverflowError
+    naming p past the double range.  Where e^log_value alone leaves the
+    double range, ln mantissa joins the exponent, so the value is lost only
+    where it leaves the range itself; a mantissa of 0.0, an S flagged
+    underflow_to_zero, gives 0.0."""
+    if log_value > LOG_HUGE or log_value < LOG_TINY:
+        if not mantissa:
+            return 0.0
+        log_value += math.log(mantissa)
+        mantissa = 1.0
+        if log_value > LOG_HUGE:
+            raise OverflowError(f"the value exceeds the double range at {p}: ln = {log_value:.6g} > ln DBL_MAX")
+    return underflow_to_zero(math.exp(log_value) * mantissa, 0.0)[0]
 
 
 def _y_peak(nm1: float, c: float) -> float:

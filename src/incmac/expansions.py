@@ -74,15 +74,16 @@ _LOG_EPS2 = 2.0 * math.log(EPS)
 
 
 def _first_to_meet(tol: Tolerances, *forms) -> Evaluation:
-    """The fallback rule between the sub-forms of one candidate, each
-    called with no arguments in turn: the first Evaluation that meets tol
-    (Evaluation.rejection); where none does, the last one returned; where
-    none returned, the first NonConvergence or OverflowError raised again,
-    which names why the preferred sub-form failed."""
+    """The fallback rule between the sub-forms of one candidate, each a
+    (function, arguments) pair called in turn: the first Evaluation that
+    meets tol (Evaluation.rejection); where none does, the last one
+    returned; where none returned, the first NonConvergence or
+    OverflowError raised again, which names why the preferred sub-form
+    failed."""
     ev = error = None
-    for form in forms:
+    for form, args in forms:
         try:
-            ev = form()
+            ev = form(*args)
         except (NonConvergence, OverflowError) as exc:
             error = error or exc
             continue
@@ -391,7 +392,7 @@ def series_small_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:
     x0 = 2 (_first_to_meet); above nu = x0 + 1 the alternating sum first, as
     the positive-term sum's reflected start grows as t falls."""
     tol = tol or DEFAULT_TOLERANCES
-    forms = lambda: _tricomi_small_t(p, tol), lambda: _alternating_small_t(p, tol)
+    forms = (_tricomi_small_t, (p, tol)), (_alternating_small_t, (p, tol))
     if p.order > 0.25 * p.argument * p.argument / p.endpoint + 1.0:
         forms = forms[::-1]
     return _first_to_meet(tol, *forms)
@@ -480,17 +481,18 @@ def series_small_z(p: ShuParams, tol: Tolerances = None) -> Evaluation:
 
     At order nu >= 0, and at integer orders, the K form (_k_form): valid
     everywhere, hostile at small t where the summands alternate with large
-    magnitude, which its estimate shows.  At negative non-integer order and
-    z <= 1, the split form (_split_small_z), which needs no K and does not
-    cancel against it; past z = 1 the K form first, which takes most
-    points, then the split form (_first_to_meet)."""
+    magnitude, which its estimate shows.  At negative non-integer order
+    both, by _first_to_meet: at z <= 1 the split form (_split_small_z)
+    first, which needs no K and does not cancel against it, then the K
+    form, which takes the points where the split form's Kummer sum passes
+    the double range, past t of about 700; past z = 1 the K form first,
+    which takes most points, then the split form."""
     tol = tol or DEFAULT_TOLERANCES
     nu, z, t = p.order, p.argument, p.endpoint
     if nu >= 0.0 or nu == math.floor(nu):
         return _k_form(nu, z, t, tol)
-    if z <= 1.0:
-        return _split_small_z(-nu, z, t, tol)
-    return _first_to_meet(tol, lambda: _k_form(nu, z, t, tol), lambda: _split_small_z(-nu, z, t, tol))
+    forms = (_k_form, (nu, z, t, tol)), (_split_small_z, (-nu, z, t, tol))
+    return _first_to_meet(tol, *(forms[::-1] if z <= 1.0 else forms))
 
 
 def asympt_large_t(p: ShuParams, tol: Tolerances = None) -> Evaluation:

@@ -3,18 +3,23 @@
 Provides the gamma function, the (non-regularized) upper incomplete gamma
 function at any real order, the lower incomplete gamma at any non-integer
 order (the Kummer series, continued past a < 0, with a bound on its
-rounding), both at consecutive orders a0 - k by recurrence in the order
+rounding), both at consecutive orders a0 - k by one recurrence in the
+order, x h(a+1) = a h(a) + 1 for the upper and with -1 for the lower
 (_upper_gamma_orders and _lower_gamma_orders, which the series of S use;
-a sweep shares every anchor and every Legendre-anchored block of upper
-orders through core.shared), the upper one's large-argument asymptotic
-sum, which no series of S uses, the modified Bessel function I from its
-power series, and the Macdonald function K to full double precision by
-Temme's series, Steed's continued fraction and forward recurrence in
-order.  No other module evaluates an incomplete gamma.  Nothing here
-integrates: the quadrature oracle stays an independent check on every value.
+both step downward through one generator, _downward, and a sweep shares
+every anchor and every Legendre-anchored block of upper orders through
+core.shared), the upper one's large-argument asymptotic sum, which no
+series of S uses, the modified Bessel function I from its power series,
+and the Macdonald function K to full double precision by Temme's series,
+Steed's continued fraction and forward recurrence in order.
+upper_incomplete_gamma and incomplete_gamma_asymptotic take their
+prefactor through core._exp_value's one double-range rule.  No other
+module evaluates an incomplete gamma.  Nothing here integrates: the
+quadrature oracle stays an independent check on every value.
 """
 
 import math
+from itertools import count
 
 from .core import (
     EPS, LN2, LOG_HUGE, LOG_TINY, TINY, NonConvergence, PoleError, _as_count, _as_finite_real,
@@ -33,7 +38,8 @@ _MAX_ITER = 1000
 _BLOCK = 16  # orders per Legendre-fraction anchor in _upper_gamma_orders
 # relative error bound of a Legendre fraction: the worst of 15,000 random
 # orders <= x - 1 was 29 EPS, at x near 1.5, against the same fraction in
-# 50-digit arithmetic
+# 50-digit arithmetic; the fraction is U(1, a + 1, x), and the tests hold
+# it within this of expansions._tricomi_bracket's proven bracket at t = 0
 _CF_ERR = 64.0 * EPS
 _EULER = 0.5772156649015328606065120900824024
 _SUM_UNIT = 2.0**-64  # _kummer_sum's running sums, finite where the sum nears DBL_MAX
@@ -116,27 +122,42 @@ def _kummer_sum(a: float, x: float):
 
 
 def _lower_gamma_orders(a0: float, x: float):
-    """Yields (L_k, e_k) for k = 0, 1, 2, ...: gamma(a0 - k, x) = x^(a0-k)
-    e^-x L_k for non-integer a0, and an absolute bound e_k on the error of
-    L_k.  The prefactor is left to the caller, as in _upper_gamma_orders.
-
-    L_0 is one Kummer sum, core.shared; the orders below it come by the
-    recurrence b L(b) = 1 + x L(b+1), downward, the stable direction for
-    the lower gamma.  A step multiplies the carried error by x/|b| and adds
-    EPS of x L, of 1 + x L and of the quotient (b = a0 - k is one rounding
-    of an exact value).  Where 1 + x L cancels, near a zero of gamma(b, x),
-    the bound stays absolute and so stays honest.
+    """(L_k, e_k) for k = 0, 1, 2, ..., an iterator: gamma(a0 - k, x) =
+    x^(a0-k) e^-x L_k for non-integer a0, and an absolute bound e_k on the
+    error of L_k.  The prefactor is left to the caller, as in
+    _upper_gamma_orders.  L_0 is one Kummer sum, core.shared; the orders
+    below it come by _downward's step b L(b) = x L(b+1) + 1, the stable
+    direction for the lower gamma.
     """
-    lk, err = shared(_kummer_sum, a0, x)
-    k = 0
-    while True:
-        yield lk, err
-        k += 1
+    first = lk, err = shared(_kummer_sum, a0, x)
+    return _downward(a0, x, 1.0, 1, lk, err, (first,))
+
+
+def _downward(a0: float, x: float, one: float, k: int, h: float, e: float, head=()):
+    """Yields the pairs of head, then (h_j, e_j) for j = k, k + 1, ...: h at
+    the order b = a0 - j by the recurrence b h(b) = x h(b+1) + one, stepped
+    down from h = h_(k-1) with absolute bound e; the one downward step of
+    both incomplete gammas.  one is -1 for the upper gamma's h, Gamma(b, x)
+    = x^b e^-x h(b), and +1 for the lower gamma's L: the two sum to
+    Gamma(b) x^-b e^x, which solves the recurrence without the 1.  head,
+    the orders above k where the caller has them at the start, is yielded
+    first, so that a read passes through no other generator.
+
+    A step multiplies the carried bound by x/|b| and adds its rounding, to
+    first order EPS/2 |x h|/|b| for the product, carried through the
+    quotient, and EPS/2 |h_j| each for the sum, the quotient and b (one
+    rounding of an exact value): within EPS |x h|/|b| + 2 EPS |h_j|.  Where
+    x h + one cancels, near a zero of gamma(b, x), the bound stays absolute
+    and so stays honest.
+    """
+    yield from head
+    eps, eps2 = EPS, 2.0 * EPS  # locals and comparisons, not globals and abs(), in this hot loop
+    for k in count(k):
+        xh = x * h
         b = a0 - k
-        xl = x * lk
-        d = 1.0 + xl
-        lk = d / b
-        err = (x * err + EPS * (abs(xl) + abs(d))) / abs(b) + EPS * abs(lk)
+        h = (xh + one) / b
+        e = (x * e + eps * (-xh if xh < 0.0 else xh)) / (b if b > 0.0 else -b) + eps2 * (-h if h < 0.0 else h)
+        yield h, e
 
 
 def _upper_from_series(a: float, x: float) -> float:
@@ -223,27 +244,26 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
         h = _legendre_cf(a, x)
     else:
         h, _ = next(_upper_gamma_orders(a, x))
-    if e > LOG_HUGE:  # e^e overflows where the value, e^(e + ln h), may not
-        return _exp_value(e + math.log(h), f"a={a!r}, x={x!r}")
-    return underflow_to_zero(math.exp(e) * h, 0.0)[0]
+    return _exp_value(e, f"a={a!r}, x={x!r}", h)  # in logs where e^e alone overflows
 
 
 def _upper_gamma_orders(a0: float, x: float):
-    """Yields (h_k, e_k) for k = 0, 1, 2, ...: Gamma(a0 - k, x) = x^(a0-k)
-    e^-x h_k, and an absolute bound e_k on the error of h_k, as
-    _lower_gamma_orders does.  The prefactor, and so its exponent's
+    """(h_k, e_k) for k = 0, 1, 2, ..., an iterator: Gamma(a0 - k, x) =
+    x^(a0-k) e^-x h_k, and an absolute bound e_k on the error of h_k, as
+    _lower_gamma_orders gives.  The prefactor, and so its exponent's
     rounding, is the caller's, and no h_k underflows.
 
     The orders are reached by the recurrence x h(a+1) = a h(a) + 1, each
     way only where it is stable (Gautschi, ACM TOMS 5:466, 1979; Gil,
     Segura & Temme, SIAM J. Sci. Comput. 34:A2965, 2012): a step upward
-    multiplies the relative error by |a h(a)|/|a h(a) + 1|, a step downward
-    the absolute one by x/|a|, and each adds its rounding.  For
-    x >= 1.5, orders a >= 1 - x come upward from a Legendre fraction at the
-    bottom of a block of _BLOCK orders, or lower, at an order <= x - 1,
-    where the fraction holds (the interval [1 - x, x - 1] always holds one
-    of the orders); orders below 1 - x come downward from the order above,
-    or from a0's own fraction where a0 < 1 - x.
+    (_upward) multiplies the relative error by |a h(a)|/|a h(a) + 1|, a
+    step downward (_downward, the lower gamma's too) the absolute one by
+    x/|a|, and each adds its rounding.  For x >= 1.5, orders a >= 1 - x
+    come upward from a Legendre fraction at the bottom of a block of
+    _BLOCK orders, or lower, at an order <= x - 1, where the fraction holds
+    (the interval [1 - x, x - 1] always holds one of the orders); orders
+    below 1 - x come downward from the order above, or from a0's own
+    fraction where a0 < 1 - x.
     For x < 1.5 the anchor is the order a0 - floor(a0) in [0, 1)
     (_small_x_anchor); orders above it come upward and orders below it
     downward, the growing direction there.  Every Legendre-anchored block
@@ -253,31 +273,30 @@ def _upper_gamma_orders(a0: float, x: float):
     than stepping again, on sweeps and on one-off calls alike.
     """
     if x >= _X_SPLIT:
-        # the last k with a0 - k >= 1 - x, or 0: a0 < 1 - x is a one-order block
-        last = max(math.floor(a0 + x - 1.0), 0)
-        first = math.ceil(a0 - x + 1.0)  # the first k with a0 - k <= x - 1
-        k = 0
-        while k <= last:
-            b = min(max(k + _BLOCK - 1, first), last)
-            block = shared(_legendre_block, a0, x, k, b)
-            yield from block
-            k = b + 1
-        h, e = block[-1]  # the last block's anchor, order a0 - k + 1
-    else:
-        n = math.floor(a0)
-        h, r = shared(_small_x_anchor, a0 - n, x)  # a0 - n exact
-        if n >= 0:
-            yield from _upward(a0, x, 0, n, h, r)
-        k = n + 1  # the first step down; below 0 it leads to a0 unyielded
-        e = h * r
-    while True:  # downward: h_k from h_(k-1), at orders b < 0, where x h < 1
-        xh = x * h
-        b = a0 - k
-        h = (xh - 1.0) / b
-        e = (x * e + EPS * xh) / -b + 2.0 * EPS * h
-        if k >= 0:
-            yield h, e
-        k += 1
+        return _legendre_orders(a0, x)
+    n = math.floor(a0)
+    h, r = shared(_small_x_anchor, a0 - n, x)  # a0 - n exact
+    down = _downward(a0, x, -1.0, n + 1, h, h * r, _upward(a0, x, 0, n, h, r) if n >= 0 else ())
+    for _ in range(-1 - n):  # below 0 the first steps lead from the anchor down to a0
+        next(down)
+    return down
+
+
+def _legendre_orders(a0: float, x: float):
+    """_upper_gamma_orders at x >= 1.5: each Legendre-anchored block in
+    turn, then the orders below 1 - x, stepped down from the last one's
+    anchor."""
+    # the last k with a0 - k >= 1 - x, or 0: a0 < 1 - x is a one-order block
+    last = max(math.floor(a0 + x - 1.0), 0)
+    first = math.ceil(a0 - x + 1.0)  # the first k with a0 - k <= x - 1
+    k = 0
+    while k <= last:
+        b = min(max(k + _BLOCK - 1, first), last)
+        block = shared(_legendre_block, a0, x, k, b)
+        yield from block
+        k = b + 1
+    h, e = block[-1]  # the last block's anchor, order a0 - k + 1
+    yield from _downward(a0, x, -1.0, k, h, e)  # orders b < 1 - x, where x h < 1
 
 
 def _small_x_anchor(f: float, x: float):
@@ -336,10 +355,8 @@ def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
         if abs(term) >= last:
             break
         last = abs(term)
-    e = (a - 1.0) * math.log(x) - x
-    if e > LOG_HUGE:  # the sum is positive: its terms fall from 1 and alternate past m = a - 1
-        return _exp_value(e + math.log(total), f"a={a!r}, x={x!r}")
-    return underflow_to_zero(math.exp(e) * total, 0.0)[0]
+    # the sum is positive: its terms fall from 1 and alternate past m = a - 1
+    return _exp_value((a - 1.0) * math.log(x) - x, f"a={a!r}, x={x!r}", total)
 
 
 def _temme_gammas(mu: float):

@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from .core import (
-    TIGHT, TINY, ShuParams, StepTooCoarse, _as_finite_real, _as_positive, _exp_value, log_half_ratio, shared,
+    LN2, TIGHT, TINY, ShuParams, StepTooCoarse, _as_finite_real, _as_positive, _exp_value, log_half_ratio, shared,
 )
 from .evaluator import evaluate
 
@@ -240,21 +240,27 @@ def pde_residual(p: ShuParams, mode: str = "exact") -> ResidualReport:
 
 def gen_incomplete_gamma(a: float, t_g: float, z_g: float) -> float:
     """Generalized incomplete gamma: integral over tau in (t_g, inf) of
-    tau^(a-1) e^(-tau - z_g/tau), computed as 2 z_g^(a/2) S_a(2 sqrt(z_g), z_g/t_g)."""
+    tau^(a-1) e^(-tau - z_g/tau), computed as 2 z_g^(a/2) S_a(2 sqrt(z_g),
+    z_g/t_g), the prefactor in logs (core._exp_value with S the mantissa):
+    0.0 below the smallest normal double, or where S is the flagged 0.0,
+    and OverflowError naming the point and ln past the double range."""
     a = _as_finite_real("a", a)
     t_g = _as_positive("t", t_g)
     z_g = _as_positive("z", z_g)
-    return 2.0 * z_g ** (0.5 * a) * _S(a, 2.0 * math.sqrt(z_g), z_g / t_g)
+    s = _S(a, 2.0 * math.sqrt(z_g), z_g / t_g)
+    return _exp_value(LN2 + 0.5 * a * math.log(z_g), (a, t_g, z_g), s)
 
 
 def leaky_aquifer(a: float, z_l: float, t_l: float) -> float:
     """Leaky aquifer function: integral over tau in (1, inf) of
     e^(-z_l tau - t_l/tau) / tau^(a+1), computed as
-    2 (z_l/t_l)^(a/2) S_(-a)(2 sqrt(z_l t_l), t_l)."""
+    2 (z_l/t_l)^(a/2) S_(-a)(2 sqrt(z_l t_l), t_l), the prefactor in logs
+    as in gen_incomplete_gamma."""
     a = _as_finite_real("a", a)
     z_l = _as_positive("z", z_l)
     t_l = _as_positive("t", t_l)
-    return 2.0 * (z_l / t_l) ** (0.5 * a) * _S(-a, 2.0 * math.sqrt(z_l * t_l), t_l)
+    s = _S(-a, 2.0 * math.sqrt(z_l * t_l), t_l)
+    return _exp_value(LN2 + 0.5 * a * (math.log(z_l) - math.log(t_l)), (a, z_l, t_l), s)
 
 
 def incomplete_modified_bessel(a: float, z: float, t_imb: float) -> float:

@@ -8,6 +8,7 @@ from incmac.cli import main
 from incmac.core import TIGHT, ShuParams
 from incmac.expansions import _alternating_small_t
 from incmac.gamma import macdonald_k
+from incmac.quadrature import shu_oracle, shu_oracle_cosh
 from incmac.verification import run_verification
 
 from frozen import S0_3_3, S_SPLIT_TAIL
@@ -40,7 +41,7 @@ class TestEval:
     def test_json_object_schema(self, capsys):
         # both series miss the target here and the oracle runs
         code, out, _ = _run(
-            capsys, "eval", "--nu=-0.0035698091700417933", "--z", "0.7888472780221482", "--t", "7.084354778849424",
+            capsys, "eval", "--nu=-1.109479216152386e-06", "--z", "0.4676922245056698", "--t", "1.2462067429762094",
             "--json",
         )
         assert code == 0
@@ -322,6 +323,22 @@ class TestEval:
         assert out == ""
         assert err.startswith("incmac: overflow")
         assert err.count("\n") == 1
+
+    def test_split_form_past_its_kummer_range_takes_k_form(self, capsys):
+        # at z <= 1 the split form's Kummer sum passes the double range past
+        # t of about 709 and raises (this exited 3); the K form then returns
+        # a value within its estimate of forms 4 and 5
+        point = (-10.221386380768287, 0.00012792044675106218, 1608.2844326438064)
+        code, out, _ = _run(
+            capsys, "eval", f"--nu={point[0]!r}", "--z", repr(point[1]), "--t", repr(point[2]), "--method", "small-z",
+            "--json",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["method"] == "SeriesSmallZ"
+        p = ShuParams(*point)
+        for ref in (shu_oracle(p, TIGHT), shu_oracle_cosh(p, TIGHT)):
+            assert abs(obj["value"] - ref.value) <= obj["error_estimate"] + ref.error_estimate, ref.method
 
 
 def test_usage_error_is_exit_code_one():

@@ -61,13 +61,17 @@ from frozen import (
 
 TIGHT = Tolerances(abs_tol=1e-300, rel_tol=1e-12, max_depth=120)
 
-# a point near order 0 at z^2/4t = 0.022 that falls through to the
-# quadrature oracle: the small-argument series and the small-endpoint series
-# in positive terms both miss the target there
-_ORACLE_CELL = (-0.0035698091700417933, 0.7888472780221482, 7.084354778849424)
+# a point near order 0 at z^2/4t = 0.044 that falls through to the
+# quadrature oracle: the split and K forms of the small-argument series miss
+# the target there by 8,400x and 3,400x, and the small-endpoint series by
+# 1,000x (its positive-term sum raises, and the alternating sum misses)
+_ORACLE_CELL = (-1.109479216152386e-06, 0.4676922245056698, 1.2462067429762094)
 # the oracle cell of scatter-wide's seed 1 at z^2/4t = 0.87, near order -2,
 # until the positive-term sum took h_0 from its own recurrence
 _FORMER_ORACLE_CELL = (-1.9919421798402084, 0.037746421311855016, 0.000409201433594809)
+# the oracle cell near order 0 at z^2/4t = 0.022, until the K form ran after
+# the split form at z <= 1
+_FORMER_SPLIT_ONLY_CELL = (-0.0035698091700417933, 0.7888472780221482, 7.084354778849424)
 
 
 def _rel(a, b):
@@ -103,9 +107,9 @@ class TestDecisionProcedure:
         assert _rel(ev.value, S0_3_3) < 1e-9
 
     def test_fallback_oracle(self):
-        # z^2/4t = 0.022: the small-argument series runs, then the
-        # small-endpoint series in positive terms, and both estimates miss
-        # the target
+        # z^2/4t = 0.044: the small-argument series runs both its forms,
+        # then the small-endpoint series both its sums, and every estimate
+        # misses the target or its sum raises
         p = ShuParams(*_ORACLE_CELL)
         ev, dec = evaluate(p, TIGHT)
         assert dec.chosen is MethodTag.ORACLE5
@@ -125,6 +129,16 @@ class TestDecisionProcedure:
         ev, dec = evaluate(p, TIGHT)
         assert dec.chosen is MethodTag.SERIES_SMALL_T
         assert dec.candidates_tried == ((MethodTag.SERIES_SMALL_Z, "TAIL_TOO_LARGE"),)
+        for ref in (shu_oracle(p, TIGHT), shu_oracle_cosh(p, TIGHT)):
+            assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, ref.method
+
+    def test_former_fallback_taken_by_k_form(self):
+        # the split form misses the target here, near integer order; the K
+        # form after it meets it, within forms 4 and 5
+        p = ShuParams(*_FORMER_SPLIT_ONLY_CELL)
+        assert incmac.expansions._split_small_z(-p.order, p.argument, p.endpoint, TIGHT).rejection(TIGHT)
+        ev, dec = evaluate(p, TIGHT)
+        assert (dec.chosen, dec.candidates_tried) == (MethodTag.SERIES_SMALL_Z, ())
         for ref in (shu_oracle(p, TIGHT), shu_oracle_cosh(p, TIGHT)):
             assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, ref.method
 
@@ -1366,8 +1380,8 @@ class TestKReuse:
             )
 
 
-# the small-argument series at every form: the split form at z <= 1, both
-# forms past z = 1, the K form at order >= 0; endpoints on both sides of
+# the small-argument series at every form: the split form first at z <= 1,
+# the K form first past z = 1, the K form alone at order >= 0; endpoints on both sides of
 # 1.5, where the incomplete-gamma anchors switch from the Kummer sum or E1
 # to the Legendre fraction
 _SMALL_Z_GRID = ([-2.6, -0.4, 1.0], [0.3, 0.9, 3.0], [0.2, 1.0, 2.0, 6.0])
@@ -1417,21 +1431,23 @@ class TestSeriesReuse:
             assert (c.evaluation, c.decision, c.error) == _pointwise(c.order, c.argument, c.endpoint)
 
     def test_failing_kummer_sum_fails_the_same_cells_as_pointwise(self, monkeypatch):
-        # the split form at order -2.6 and endpoint 1 steps down from this
-        # sum; a raise is not cached, so every cell that needs it tries again
+        # at order -0.4 and endpoint 1 the split form steps down from this
+        # sum, and the K form's small-x anchor at order 0.4 is the same sum,
+        # so both forms fail; a raise is not cached, so every cell that
+        # needs it tries again
         gamma_module = importlib.import_module("incmac.gamma")
         calls = []
         real = gamma_module._kummer_sum
 
         def failing(a, x):
             calls.append((a, x))
-            if (a, x) == (2.6, 1.0):
+            if (a, x) == (0.4, 1.0):
                 raise NonConvergence("forced Kummer failure")
             return real(a, x)
 
         monkeypatch.setattr(gamma_module, "_kummer_sum", failing)
         cells = evaluate_grid(*_SMALL_Z_GRID, TIGHT)
-        assert calls.count((2.6, 1.0)) >= 2
+        assert calls.count((0.4, 1.0)) >= 2
         assert any(
             (MethodTag.SERIES_SMALL_Z, "NON_CONVERGENCE") in c.decision.candidates_tried
             for c in cells

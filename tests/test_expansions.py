@@ -423,10 +423,16 @@ class TestSeriesSmallZNegativeOrder:
         assert abs(ev.value - S_SMALL_Z_SPLIT[-2.3, 0.5, 1.7]) <= ev.error_estimate
 
     @pytest.mark.parametrize("t", [720.0, 2000.0])
-    def test_overflowing_lower_gamma_sums_raise(self, t):
-        # e^t overflows in the Kummer sums; the series must not return a value
+    def test_overflowing_lower_gamma_sums_fall_back_to_k_form(self, t):
+        # e^t overflows in the split form's Kummer sums, which raise; the K
+        # form then returns a value within its estimate of forms 4 and 5
+        p = ShuParams(-2.5, 0.5, t)
         with pytest.raises(NonConvergence):
-            series_small_z(ShuParams(-2.5, 0.5, t), TIGHT)
+            incmac.expansions._split_small_z(2.5, 0.5, t, TIGHT)
+        ev = series_small_z(p, TIGHT)
+        assert ev.rejection(TIGHT) is None
+        for ref in (shu_oracle(p, TIGHT, 5), shu_oracle_cosh(p, TIGHT)):
+            assert abs(ev.value - ref.value) <= ev.error_estimate + ref.error_estimate, ref.method
 
     @pytest.mark.parametrize("nu", [-3.0, 0.0, 2.5])
     def test_integer_and_nonnegative_orders_keep_k_form(self, nu, monkeypatch):

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import itertools
 import math
 import random
@@ -8,11 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from incmac.core import DomainError, NonConvergence, PoleError, ShuParams, Tolerances, shared_work
-from incmac.expansions import series_small_z
+from incmac.expansions import _tricomi_bracket, series_small_z
 from incmac.gamma import (
+    _CF_ERR,
     _bessel_i_series,
     _e1_series,
     _kummer_sum,
+    _legendre_cf,
     _lower_gamma_orders,
     _macdonald_k_eval,
     _upper_gamma_orders,
@@ -291,6 +295,95 @@ class TestLowerGammaOrders:
             return next(itertools.islice(_lower_gamma_orders(a0, x), k, None))[0]
 
         assert lk(below) * lk(above) < 0.0
+
+
+def test_lower_plus_upper_is_gamma_within_both_bounds():
+    # gamma(b, x) + Gamma(b, x) = Gamma(b): in the generators' units, L_k +
+    # h_k = Gamma(b) x^-b e^x at every order b = a0 - k, within e_L + e_h,
+    # the sum's rounding, and the reference's own, EPS (|ln Gamma(b)| +
+    # |b ln x| + x + 4) of it.  The orders are dyadic, so every a0 - k is
+    # exact, and at least 3/256 from an integer: nearer a pole, lgamma's
+    # error outgrows that model
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(300):
+        x = math.exp(rng.uniform(math.log(0.05), math.log(300.0)))
+        a0 = rng.randrange(-20, 30) + rng.randrange(3, 254) / 256.0
+        pairs = zip(_lower_gamma_orders(a0, x), _upper_gamma_orders(a0, x))
+        for k, ((lk, el), (hk, eh)) in zip(range(60), pairs):
+            b = a0 - k
+            lg = math.lgamma(b)
+            e = lg - b * math.log(x) + x
+            if not -700.0 < e < 700.0:  # Gamma(b) x^-b e^x is not a normal double
+                continue
+            ref = math.exp(e) if b > 0.0 or math.floor(b) % 2 == 0 else -math.exp(e)
+            slack = el + eh + EPS * abs(lk + hk) + EPS * (abs(lg) + abs(b * math.log(x)) + x + 4.0) * abs(ref)
+            assert abs(lk + hk - ref) <= slack, (a0, x, k)
+            checked += 1
+    assert checked > 15000
+
+
+def test_legendre_fraction_within_the_u_bracket():
+    # the fraction h in Gamma(a, x) = x^a e^-x h is U(1, a + 1, x), which
+    # the positive-term sum's recurrence brackets with proven bounds at t =
+    # 0 (expansions._tricomi_bracket, valid at a <= x + 1): the fraction lies
+    # within _CF_ERR h of the bracket, plus the bracket's rounding.  The start
+    # doubles until the half-width is 2 EPS or less
+    rng = random.Random(47)
+    for _ in range(500):
+        x = math.exp(rng.uniform(math.log(1.5), math.log(3000.0)))
+        a = rng.uniform(-x, x - 1.0)
+        h = _legendre_cf(a, x)
+        start = 32
+        while True:
+            lo, hi, rounding, _ = _tricomi_bracket(a, x, 0.0, start)
+            if lo is not None and hi - lo <= 4.0 * EPS * hi:
+                break
+            start *= 2
+            assert start <= 4096, (a, x)
+        assert lo - rounding - _CF_ERR * h <= h <= hi + rounding + _CF_ERR * h, (a, x)
+
+
+def test_one_downward_step_and_one_exp_rule():
+    # exactly one function steps an incomplete gamma downward in the order,
+    # dividing by the order b = a0 - k it reaches (a step upward multiplies
+    # by it), and both order generators reach it; and no function scales a
+    # value by a hand-written exp under the underflow rule, which
+    # core._exp_value holds with the overflow rule
+    tree = ast.parse(inspect.getsource(importlib.import_module("incmac.gamma")))
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def divides_by_order(fn):
+        orders = {"a0 - k"} | {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and ast.unparse(node.value).startswith("a0 - ")
+            for target in node.targets
+        }
+        return any(
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and ast.unparse(node.right) in orders
+            for node in ast.walk(fn)
+        )
+
+    def reached(name):
+        seen, todo = set(), [name]
+        while todo:
+            for node in ast.walk(fns[todo.pop()]):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in fns:
+                    if node.func.id not in seen:
+                        seen.add(node.func.id)
+                        todo.append(node.func.id)
+        return seen
+
+    assert [name for name, fn in fns.items() if divides_by_order(fn)] == ["_downward"]
+    assert "_downward" in reached("_upper_gamma_orders") & reached("_lower_gamma_orders")
+    by_hand = [
+        name
+        for name, fn in fns.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "underflow_to_zero" and "math.exp(" in ast.unparse(node.args[0])
+    ]
+    assert by_hand == []
 
 
 def _lower_gamma(a, x):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -250,6 +251,33 @@ class TestLeakyAquifer:
         nu, z, t = 1.0, 3.0, 2.0
         got = 0.5 * (0.5 * z / t) ** nu * leaky_aquifer(-nu, 0.25 * z * z / t, t)
         assert _rel(got, _oracle(nu, z, t)) < 1e-9
+
+
+class TestRelatedPrefactorInLogs:
+    # a float power of the prefactor raised a bare "(34, 'Numerical result
+    # out of range')" at all three points
+    @pytest.mark.parametrize(
+        "fn, args, ln",
+        [
+            (gen_incomplete_gamma, (-4.50138860697233, 2.497147511579292e-167, 7.819102936091888e-280), "1725.3"),
+            (leaky_aquifer, (-3.81158495769935, 7.646669364573077e-283, 8.491178019658856e144), "2477.56"),
+        ],
+    )
+    def test_past_double_range_names_point_and_ln(self, fn, args, ln):
+        with pytest.raises(OverflowError, match=re.escape(f"double range at {args}: ln = {ln} > ln DBL_MAX")):
+            fn(*args)
+
+    def test_value_in_range_where_the_prefactor_is_not(self):
+        # (z/t)^(a/2) is e^-730, S e^944: the value, t^-a Gamma(a) to 1e-200
+        # here, was 0.0
+        a, z, t = 2.196961353605578, 6.199411401539187e-243, 5.161331862861815e46
+        want = math.exp(math.lgamma(a) - a * math.log(t))
+        assert abs(leaky_aquifer(a, z, t) - want) <= 1e-12 * want
+
+    def test_flagged_zero_s_stays_zero(self):
+        # z_g^500 is e^11513, but S, whose integrand is below e^-990000, is
+        # the flagged 0.0, and so is the value
+        assert gen_incomplete_gamma(1000.0, 1e6, 1e10) == 0.0
 
 
 class TestIncompleteModifiedBessel:
