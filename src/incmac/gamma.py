@@ -8,10 +8,13 @@ order, x h(a+1) = a h(a) + 1 for the upper and with -1 for the lower
 (_upper_gamma_orders and _lower_gamma_orders, which the series of S use;
 both step downward through one generator, _downward, and a sweep shares
 every anchor and every Legendre-anchored block of upper orders through
-core.shared), the upper one's large-argument asymptotic sum, which no
-series of S uses, the modified Bessel function I from its power series,
-and the Macdonald function K to full double precision by Temme's series,
-Steed's continued fraction and forward recurrence in order.
+core.shared; below x = 1.5 every upper order starts from one pole-free
+anchor, _small_x_anchor, which takes (Gamma(1 + f) - 1)/f from the
+series of 1/Gamma(1 + f) that Temme's series for K sums), the upper one's
+large-argument asymptotic sum, which no series of S uses, the modified
+Bessel function I from its power series, and the Macdonald function K to
+full double precision by Temme's series, Steed's continued fraction and
+forward recurrence in order.
 upper_incomplete_gamma and incomplete_gamma_asymptotic take their
 prefactor through core._exp_value's one double-range rule.  No other
 module evaluates an incomplete gamma.  Nothing here integrates: the
@@ -41,7 +44,6 @@ _BLOCK = 16  # orders per Legendre-fraction anchor in _upper_gamma_orders
 # 50-digit arithmetic; the fraction is U(1, a + 1, x), and the tests hold
 # it within this of expansions._tricomi_bracket's proven bracket at t = 0
 _CF_ERR = 64.0 * EPS
-_EULER = 0.5772156649015328606065120900824024
 _SUM_UNIT = 2.0**-64  # _kummer_sum's running sums, finite where the sum nears DBL_MAX
 
 # K: Temme's series below this argument, Steed's continued fraction at and above
@@ -60,19 +62,17 @@ _K_ERR_STEP = 3.0
 # outgrows the base, at z below about 1e-18 (worst measured 0.8, over 576
 # random orders |nu| <= 1 and z down to 1e-308, against 40-digit values)
 _K_ERR_EXP = 3.0
-# Taylor coefficients of 1/Gamma(1+x) about 0, even and odd powers
-# (c_0 = 1, c_1 = Euler's constant), rounded from 40-digit values
-_RGAMMA_EVEN = (
-    1.0, -0.6558780715202539, 0.16653861138229148, -0.009621971527876973,
-    -0.0011651675918590652, 0.0001280502823881162, -1.2504934821426706e-06,
-    -2.056338416977607e-07, 5.002007644469223e-09, 1.0434267116911005e-10,
-    -3.696805618642206e-12, -2.0583260535665066e-14,
-)
-_RGAMMA_ODD = (
-    0.5772156649015329, -0.04200263503409524, -0.04219773455554433, 0.0072189432466631,
-    -0.00021524167411495098, -2.013485478078824e-05, 1.133027231981696e-06,
-    6.116095104481416e-09, -1.18127457048702e-09, 7.782263439905071e-12,
-    5.100370287454476e-13, -5.348122539423018e-15,
+# Taylor coefficients c_k of 1/Gamma(1+x) about 0 (c_0 = 1, c_1 = Euler's
+# constant), rounded from 40-digit values, as pairs (c_2k, c_2k-1) from k =
+# 12 down to 1, so that one Horner loop sums the even part past c_0 and the
+# odd part; the series stops at c_23, so the first pair's c_24 is 0
+_RGAMMA = (
+    (0.0, -5.348122539423018e-15), (-2.0583260535665066e-14, 5.100370287454476e-13),
+    (-3.696805618642206e-12, 7.782263439905071e-12), (1.0434267116911005e-10, -1.18127457048702e-09),
+    (5.002007644469223e-09, 6.116095104481416e-09), (-2.056338416977607e-07, 1.133027231981696e-06),
+    (-1.2504934821426706e-06, -2.013485478078824e-05), (0.0001280502823881162, -0.00021524167411495098),
+    (-0.0011651675918590652, 0.0072189432466631), (-0.009621971527876973, -0.04219773455554433),
+    (0.16653861138229148, -0.04200263503409524), (-0.6558780715202539, 0.5772156649015329),
 )
 
 
@@ -161,33 +161,14 @@ def _downward(a0: float, x: float, one: float, k: int, h: float, e: float, head=
 
 
 def _upper_from_series(a: float, x: float) -> float:
-    # Gamma(a) - x^a e^-x * series; fine for x < 1.5, or x < a + 1, where the
-    # subtraction loses at most a couple of digits; in logs past the double range
+    # Gamma(a) - x^a e^-x * series; fine for a >= 1 below x = 1.5, or x < a + 1,
+    # where the subtraction loses at most a couple of digits, and where x^a e^-x
+    # underflows; in logs past the double range
     try:
         return math.gamma(a) - math.exp(a * math.log(x) - x) * _kummer_sum(a, x)[0]
     except OverflowError:
         lg = math.lgamma(a)
         return _exp_value(lg + math.log1p(-math.exp(a * math.log(x) - x - lg) * _kummer_sum(a, x)[0]), f"a={a!r}, x={x!r}")
-
-
-def _e1_series(x: float):
-    """E1(x) = -euler - ln x + sum (-1)^(k+1) x^k / (k k!) for x < 1.5, and an
-    absolute bound on its rounding: the constant's and the logarithm's,
-    and core._sum_rounding's, term k being (-x)^k/k! after k steps of two
-    roundings each, divided by -k."""
-    log_x = math.log(x)
-    total = -_EULER - log_x
-    plain, stepped, term = abs(total), 0.0, 1.0
-    for k in range(1, _MAX_ITER):
-        term *= -x / k
-        piece = -term / k
-        total += piece
-        size = abs(piece)
-        plain += size + abs(total)
-        stepped += k * size
-        if size <= EPS * abs(total):
-            return total, EPS * (_EULER + abs(log_x)) + _sum_rounding(2.0, plain, stepped)
-    raise NonConvergence(f"E1 series stalled at x={x}", partial=total)
 
 
 def _legendre_cf(a: float, x: float) -> float:
@@ -222,28 +203,32 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     Any finite real order is accepted; x must be strictly positive.  For
     x >= 1.5 the Legendre continued fraction is used at every order except
     positive orders with x < a + 1, where it converges to a false value
-    (Numerical Recipes section 6.2); those, and positive orders below
-    x = 1.5, subtract the lower-tail series from Gamma(a).  Nonpositive
-    orders below x = 1.5 take the first value of _upper_gamma_orders,
-    which steps down from an E1 or Kummer anchor.  One call computes one
-    order; the series of S take consecutive orders from
+    (Numerical Recipes section 6.2); those, and orders a >= 1 below x =
+    1.5, subtract the lower-tail series from Gamma(a).  Orders a < 1 below
+    x = 1.5 take the first value of _upper_gamma_orders, from the
+    pole-free anchor (_small_x_anchor), where Gamma(a) - gamma(a, x)
+    cancels like 1/a near 0; except where x^a e^-x underflows: there the
+    subtraction loses nothing, and h = Gamma(a, x) x^-a e^x could pass the
+    double range.  One call computes one order; the series of S take
+    consecutive orders from
     _upper_gamma_orders instead.  A value below the smallest normal double
     is an exact 0.0 (core.underflow_to_zero), as for K.
     """
     a = _as_finite_real("a", a)
     x = _as_positive("x", x)
-    if a > 0.0 and (x < _X_SPLIT or x < a + 1.0):
-        return _upper_from_series(a, x)
     e = a * math.log(x) - x
-    if x >= _X_SPLIT:
+    if x < _X_SPLIT and a < 1.0 and e > LOG_TINY:
+        # no 1/a cancellation; with x^a e^-x normal, h <= Gamma(a) e^-e is finite
+        h, _ = next(_upper_gamma_orders(a, x))
+    elif a > 0.0 and (x < _X_SPLIT or x < a + 1.0):
+        return _upper_from_series(a, x)
+    else:
         # the fraction h = int_0^inf e^-u (1 + u/x)^(a-1) du / x is at most
         # 1/x for a <= 1 and 1/(x + 1 - a) for x >= a + 1, so below 1 here:
         # e^e below the smallest normal double puts the value there too
         if e < LOG_TINY:
             return 0.0
         h = _legendre_cf(a, x)
-    else:
-        h, _ = next(_upper_gamma_orders(a, x))
     return _exp_value(e, f"a={a!r}, x={x!r}", h)  # in logs where e^e alone overflows
 
 
@@ -264,20 +249,31 @@ def _upper_gamma_orders(a0: float, x: float):
     (the interval [1 - x, x - 1] always holds one of the orders); orders
     below 1 - x come downward from the order above, or from a0's own
     fraction where a0 < 1 - x.
-    For x < 1.5 the anchor is the order a0 - floor(a0) in [0, 1)
-    (_small_x_anchor); orders above it come upward and orders below it
-    downward, the growing direction there.  Every Legendre-anchored block
-    (_legendre_block) and every x < 1.5 anchor is core.shared, so a sweep
-    builds each once per (order, x).  The x < 1.5 upward run and the steps
-    downward stay per call: replayed from stored lists they measured slower
-    than stepping again, on sweeps and on one-off calls alike.
+    For x < 1.5 the orders come from the pole-free anchor
+    (_small_x_anchor): those at and above 0 upward from the anchor at a0 -
+    floor(a0) in [0, 1), and those below 0 downward, the growing direction
+    there, from the anchor at a0 - round(a0) in [-1/2, 1/2].  So no step
+    divides by an order within 1/2 of 0: an upward step divides by x, a
+    downward one by an order at most -1/2; and no step upward starts from
+    an order below 0, where a h(a) + 1 cancels at small x.  Where a0 lies
+    just below an integer, a step down from a0 - floor(a0), just below 1,
+    would divide by an order near 0; a0 - round(a0) is that order itself.
+    Every Legendre-anchored block (_legendre_block) and every x < 1.5
+    anchor is core.shared, so a sweep builds each once per (order, x).  The
+    x < 1.5 upward run and the steps downward stay per call: replayed from
+    stored lists they measured slower than stepping again, on sweeps and on
+    one-off calls alike.
     """
     if x >= _X_SPLIT:
         return _legendre_orders(a0, x)
-    n = math.floor(a0)
-    h, r = shared(_small_x_anchor, a0 - n, x)  # a0 - n exact
-    down = _downward(a0, x, -1.0, n + 1, h, h * r, _upward(a0, x, 0, n, h, r) if n >= 0 else ())
-    for _ in range(-1 - n):  # below 0 the first steps lead from the anchor down to a0
+    n, m = math.floor(a0), round(a0)  # a0 - n and a0 - m exact
+    head = _upward(a0, x, 0, n, *shared(_small_x_anchor, a0 - n, x)) if n >= 0 else []
+    if m > n or n < 0:  # the orders below 0 take their own anchor, at a0 - m
+        h, r = shared(_small_x_anchor, a0 - m, x)
+        head.append((h, h * r))
+    # head[-1] is order a0 - m, the start downward; yielded only where m >= 0
+    down = _downward(a0, x, -1.0, m + 1, *head[-1], head if m >= 0 else ())
+    for _ in range(-1 - m):  # below 0 the first steps lead from the anchor down to a0
         next(down)
     return down
 
@@ -300,17 +296,63 @@ def _legendre_orders(a0: float, x: float):
 
 
 def _small_x_anchor(f: float, x: float):
-    """(h, r) with Gamma(f, x) = x^f e^-x h for 0 <= f < 1 and x < 1.5, and a
-    bound r on the relative error of h: from E1 at f = 0, from Gamma(f)
-    minus the Kummer sum otherwise."""
-    if f == 0.0:
-        e1, err = _e1_series(x)
-        h = math.exp(x) * e1
-        return h, err / e1 + EPS * (x + 2.0)
-    lead = _exp_value(x - f * math.log(x), (f, x)) * math.gamma(f)
-    kummer, err = shared(_kummer_sum, f, x)  # the split form at order -f starts from it too
-    h = lead - kummer
-    return h, (EPS * (f * abs(math.log(x)) + x + 4.0) * lead + err + EPS * kummer) / h
+    """(h, r) with Gamma(f, x) = x^f e^-x h for -1/2 <= f < 1 and x < 1.5,
+    and a bound r on the relative error of h, from the pole-free form of
+    the series (Temme, Probab. Eng. Inf. Sci. 8:291, 1994; Gil, Segura &
+    Temme, SIAM J. Sci. Comput. 34:A2965, 2012)
+
+        e^-x h = x^-f G(f) + (x^-f - 1)/f + s,  G(f) = (Gamma(1 + f) - 1)/f,
+
+    s = -sum_(n>=1) (-x)^n/(n! (f + n)).  At f = 0 it is E1(x) = -euler -
+    ln x + s.  No term has a pole: G is (gam1 - f tail)/gampl from
+    _temme_gammas, (x^-f - 1)/f is -ln x expm1(w)/w, w = -f ln x, for |w| <=
+    1 and the quotient itself beyond, where x^-f is at least e from 1, and
+    s is x q_1 by Horner's rule backward, q_n = 1/(f + n) - x q_(n+1)/(n +
+    1), from the n just below the first with x^n/n! <= EPS x/8, which
+    bounds the alternating tail, at most EPS s/2 as s >= x/4 (its terms
+    fall, x < 1.5).  Gamma(f, x) > 0, so the sum is positive; near x = 1.5
+    its terms cancel, by up to 56 at f = -1/2, which the bound shows.
+
+    The bound adds, term by term to first order, u = EPS/2 for each of +,
+    -, *, / and one ulp, at most EPS, for pow, log, exp and expm1:
+    - G: measured against 100-digit values on [-1/2, 1], within 2.2 EPS
+      (|gam1| + |f tail|)/gampl plus the series' omitted terms, sum_(k>=24)
+      |c_k| |f|^(k-1) <= 1.35e-15 |f|^23, over gampl; taken with 3 EPS,
+      times x^-f;
+    - x^-f G: EPS for pow and u for the product;
+    - (x^-f - 1)/f: for |w| <= 1, EPS for log, u for w's product, so
+      3/2 EPS in w, which moves expm1(w)/w by at most 0.582 of it, EPS for
+      expm1 and u each for the quotient and the product, within 4 EPS; for
+      |w| > 1, pow's EPS times x^-f/|x^-f - 1| <= e/(e - 1) and u each for
+      the difference and the quotient, within 4 EPS too;
+    - s: each step carries x/(n + 1) times the bound on q_(n+1) and adds
+      EPS |1/(f + n)| for the sum and quotient it takes, EPS |x
+      q_(n+1)/(n + 1)| for its quotient and product and u |q_n|; then x
+      times the bound, u s and the tail;
+    - u for each partial sum of the three terms, and EPS for exp and u for
+      the product e^x times the sum, relative.
+    """
+    gam1, _, gampl, _, tail = _temme_gammas(f)
+    log_x = math.log(x)
+    w = -f * log_x
+    # libm's pow, within an ulp; past the double range _exp_value raises, naming (f, x)
+    xf = x**-f if w < LOG_HUGE else _exp_value(w, (f, x))
+    lead = xf * (gam1 - f * tail) / gampl
+    ratio = -log_x * (math.expm1(w) / w if w else 1.0) if -1.0 <= w <= 1.0 else (xf - 1.0) / f
+    c, n, tiny = x, 1, 0.125 * EPS * x
+    while c > tiny:
+        n += 1
+        c *= x / n
+    q = e = 0.0
+    for n in range(n - 1, 0, -1):
+        m = x / (n + 1)
+        mq = m * q
+        q = 1.0 / (f + n) - mq
+        e = m * e + 1.5 * q + 2.0 * mq  # in units of EPS; 1/(f + n) = q + mq, all three positive
+    b = lead + ratio + x * q
+    err = xf * (3.0 * EPS * (abs(gam1) + abs(f * tail)) + 1.35e-15 * abs(f) ** 23) / gampl + EPS * x * e + c
+    err += EPS * (1.5 * abs(lead) + 4.0 * abs(ratio) + 0.5 * (abs(lead + ratio) + b + x * q))
+    return math.exp(x) * b, err / b + 1.5 * EPS
 
 
 def _legendre_block(a0: float, x: float, k: int, b: int):
@@ -360,20 +402,25 @@ def incomplete_gamma_asymptotic(a: float, x: float, m_max: int) -> float:
 
 
 def _temme_gammas(mu: float):
-    """Temme's gam1, gam2 and 1/Gamma(1+mu), 1/Gamma(1-mu) for |mu| <= 1/2.
+    """Temme's gam1, gam2 and 1/Gamma(1+mu), 1/Gamma(1-mu) for |mu| <= 1/2,
+    and the even part's tail (gam2 - 1)/mu^2.
 
     gam1 = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu) cancels as mu -> 0, so
     all four come from the Taylor series of 1/Gamma(1+x), split into its
-    even and odd parts.
+    even and odd parts.  The tail is the even part's Horner value one step
+    before its constant term, so gam2 keeps its bits, and with it
+    (Gamma(1 + mu) - 1)/mu = (gam1 - mu tail)/(1/Gamma(1+mu)) has no pole
+    (_small_x_anchor).  The 24 coefficients give 1/Gamma(1+mu) to 6 EPS on
+    all of [-1/2, 1] against 100-digit values, the omitted terms at most
+    1.35e-15 |mu|^24, so the anchor reads them up to mu = 1 too.
     """
     m2 = mu * mu
-    even = 0.0
-    for c in reversed(_RGAMMA_EVEN):
-        even = even * m2 + c
-    odd = 0.0
-    for c in reversed(_RGAMMA_ODD):
-        odd = odd * m2 + c
-    return -odd, even, even + mu * odd, even - mu * odd
+    tail = odd = 0.0
+    for ce, co in _RGAMMA:
+        tail = tail * m2 + ce
+        odd = odd * m2 + co
+    even = tail * m2 + 1.0
+    return -odd, even, even + mu * odd, even - mu * odd, tail
 
 
 def _k_temme(mu: float, z: float):
@@ -385,7 +432,7 @@ def _k_temme(mu: float, z: float):
     d = -log_half_ratio(z)
     e = mu * d
     fact2 = math.sinh(e) / e if e != 0.0 else 1.0
-    gam1, gam2, gampl, gammi = _temme_gammas(mu)
+    gam1, gam2, gampl, gammi, _ = _temme_gammas(mu)
     ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
     s0 = ff
     e = math.exp(e)
@@ -497,6 +544,11 @@ def _macdonald_k_eval(order: float, z: float):
         scale = 0.0
         # Temme's (z/2)^+-mu carry the rounding of their exponent e, up to 372
         base = max(base, _K_ERR_EXP * abs(e))
+    elif 0.5 * a * (a / z) - z < LOG_TINY - 1.0:
+        # K <= sqrt(2 pi/z) e^(a^2/2z - z) (cosh s >= 1 + s^2/2, cosh(a s) <=
+        # e^(a s)), and sqrt(2 pi/z) < e at z >= 2: K underflows, here up to
+        # DBL_MAX, where Steed's 2(1 + z) would overflow
+        return 0.0, 0.0, 0
     else:
         k0, k1, work = _k_steed(mu, z)
         scale = z

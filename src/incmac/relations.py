@@ -16,7 +16,8 @@ import math
 from collections import namedtuple
 
 from .core import (
-    LN2, TIGHT, TINY, ShuParams, StepTooCoarse, _as_finite_real, _as_positive, _exp_value, log_half_ratio, shared,
+    LN2, LOG_TINY, TIGHT, TINY, DomainError, ShuParams, StepTooCoarse, _as_finite_real, _as_positive, _exp_value,
+    log_half_ratio, shared,
 )
 from .evaluator import evaluate
 
@@ -238,16 +239,39 @@ def pde_residual(p: ShuParams, mode: str = "exact") -> ResidualReport:
     return ResidualReport("PDE", p, math.fsum(terms), _scale(*terms), mode=mode)
 
 
+def _log_gamma_tail_bound(a: float, x: float) -> float:
+    """ln of a bound on Gamma(a, x) = x^a e^-x int_0^inf (1 + u)^(a-1) e^(-x u) du:
+    (1 + u)^(a-1) <= e^(max(a - 1, 0) u) gives x^a e^-x/(x - max(a - 1, 0)),
+    for x > max(a - 1, 0); inf elsewhere."""
+    d = x - max(a - 1.0, 0.0)
+    return a * math.log(x) - x - math.log(d) if d > 0.0 else math.inf
+
+
+def _outside_double_range(log_bound: float, derived: str, value: float, point: str) -> float:
+    """Where a related function's derived point leaves the double range:
+    0.0 if e^log_bound, a bound on its value in its own variables, lies
+    below the smallest normal double, else DomainError naming its inputs."""
+    if log_bound < LOG_TINY:
+        return 0.0
+    raise DomainError(derived, value, f"leaves the double range at {point}")
+
+
 def gen_incomplete_gamma(a: float, t_g: float, z_g: float) -> float:
     """Generalized incomplete gamma: integral over tau in (t_g, inf) of
     tau^(a-1) e^(-tau - z_g/tau), computed as 2 z_g^(a/2) S_a(2 sqrt(z_g),
     z_g/t_g), the prefactor in logs (core._exp_value with S the mantissa):
     0.0 below the smallest normal double, or where S is the flagged 0.0,
-    and OverflowError naming the point and ln past the double range."""
+    and OverflowError naming the point and ln past the double range.
+    Where z_g/t_g leaves the double range, the value is at most Gamma(a,
+    t_g): 0.0 where that bound is below the smallest normal double, else
+    DomainError naming (a, t, z)."""
     a = _as_finite_real("a", a)
     t_g = _as_positive("t", t_g)
     z_g = _as_positive("z", z_g)
-    s = _S(a, 2.0 * math.sqrt(z_g), z_g / t_g)
+    endpoint = z_g / t_g
+    if not 0.0 < endpoint < math.inf:
+        return _outside_double_range(_log_gamma_tail_bound(a, t_g), "z/t", endpoint, f"(a, t, z) = {(a, t_g, z_g)}")
+    s = _S(a, 2.0 * math.sqrt(z_g), endpoint)
     return _exp_value(LN2 + 0.5 * a * math.log(z_g), (a, t_g, z_g), s)
 
 
@@ -255,11 +279,18 @@ def leaky_aquifer(a: float, z_l: float, t_l: float) -> float:
     """Leaky aquifer function: integral over tau in (1, inf) of
     e^(-z_l tau - t_l/tau) / tau^(a+1), computed as
     2 (z_l/t_l)^(a/2) S_(-a)(2 sqrt(z_l t_l), t_l), the prefactor in logs
-    as in gen_incomplete_gamma."""
+    as in gen_incomplete_gamma.  Where z_l t_l leaves the double range, the
+    value is at most E_(a+1)(z_l) = z_l^a Gamma(-a, z_l): 0.0 where that
+    bound is below the smallest normal double, else DomainError naming (a,
+    z, t)."""
     a = _as_finite_real("a", a)
     z_l = _as_positive("z", z_l)
     t_l = _as_positive("t", t_l)
-    s = _S(-a, 2.0 * math.sqrt(z_l * t_l), t_l)
+    zt = z_l * t_l
+    if not 0.0 < zt < math.inf:
+        log_bound = a * math.log(z_l) + _log_gamma_tail_bound(-a, z_l)
+        return _outside_double_range(log_bound, "z t", zt, f"(a, z, t) = {(a, z_l, t_l)}")
+    s = _S(-a, 2.0 * math.sqrt(zt), t_l)
     return _exp_value(LN2 + 0.5 * a * (math.log(z_l) - math.log(t_l)), (a, z_l, t_l), s)
 
 

@@ -41,7 +41,7 @@ class TestEval:
     def test_json_object_schema(self, capsys):
         # both series miss the target here and the oracle runs
         code, out, _ = _run(
-            capsys, "eval", "--nu=-1.109479216152386e-06", "--z", "0.4676922245056698", "--t", "1.2462067429762094",
+            capsys, "eval", "--nu=-11.999999999992843", "--z", "0.9485453364375106", "--t", "5.13835606317601",
             "--json",
         )
         assert code == 0

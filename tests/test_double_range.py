@@ -10,6 +10,7 @@ double range.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -78,3 +79,36 @@ def test_no_bare_math_range_error(name):
             if str(exc) in _BARE:
                 bare.append(args)
     assert bare == []
+
+
+def test_related_functions_past_their_derived_range():
+    # z/t underflows in gen_incomplete_gamma and z t overflows in
+    # leaky_aquifer; both values are at most Gamma(a, t) and E_(a+1)(z),
+    # below the smallest normal double here, so 0.0.  Where the bound is not
+    # that small, the error names the function's own inputs
+    assert incmac.gen_incomplete_gamma(-312.55663504341993, 3.3049588030767804e168, 1.1437974299707802e-270) == 0.0
+    assert incmac.leaky_aquifer(1.0, 1e200, 1e200) == 0.0
+    with pytest.raises(incmac.DomainError, match=r"z/t=0\.0: leaves the double range at \(a, t, z\) = \(2\.0, 3\.0, 5e-324\)"):
+        incmac.gen_incomplete_gamma(2.0, 3.0, 5e-324)
+    with pytest.raises(incmac.DomainError, match=r"z t=0\.0: leaves the double range at \(a, z, t\) = \(2\.0, 1e-200, 1e-200\)"):
+        incmac.leaky_aquifer(2.0, 1e-200, 1e-200)
+
+
+@pytest.mark.parametrize("name", ["macdonald_k", "evaluate"])
+def test_k_underflows_up_to_dbl_max(name):
+    # z in [9e307, DBL_MAX]: K, and so S <= K, lies below the smallest
+    # normal double at every order here, where Steed's 2(1 + z) overflows;
+    # the underflow rule's 0.0, flagged from evaluate
+    rng = random.Random(60)
+    for _ in range(200):
+        order, z = _order(rng), rng.uniform(9e307, sys.float_info.max)
+        if name == "macdonald_k":
+            assert incmac.macdonald_k(order, z) == 0.0, (order, z)
+        else:
+            ev, _ = incmac.evaluate(ShuParams(order, z, _wide(rng, 1e-300, 1e300)), TIGHT)
+            assert (ev.value, ev.flags) == (0.0, (incmac.FLAG_UNDERFLOW,)), (order, z)
+    if name == "macdonald_k":
+        assert incmac.macdonald_k(0.0, sys.float_info.max) == 0.0
+    else:
+        ev, _ = incmac.evaluate(ShuParams(2.0, 1e308, 1e300), TIGHT)
+        assert (ev.value, ev.flags) == (0.0, (incmac.FLAG_UNDERFLOW,))

@@ -14,11 +14,11 @@ from incmac.expansions import _tricomi_bracket, series_small_z
 from incmac.gamma import (
     _CF_ERR,
     _bessel_i_series,
-    _e1_series,
     _kummer_sum,
     _legendre_cf,
     _lower_gamma_orders,
     _macdonald_k_eval,
+    _small_x_anchor,
     _upper_gamma_orders,
     gamma,
     incomplete_gamma_asymptotic,
@@ -38,6 +38,9 @@ from frozen import (
     K_REF,
     K_TINY_Z,
     LOWER_GAMMA_REF,
+    SMALL_X_ANCHOR_REF,
+    UPPER_GAMMA_NEAR_ZERO_REF,
+    UPPER_ORDERS_NEAR_INTEGER_REF,
 )
 
 EPS = 2.220446049250313e-16
@@ -194,10 +197,10 @@ class TestUpperGammaOrders:
         (-5.0, 40.0, 200),  # integer orders, crossover at 1 - x = -39
         (10.0, 640.0, 200),  # block after block, all upward
         (12.25, 1.5, 80),  # x at the split: [1 - x, x - 1] holds one order
-        (0.0, 1.0, 60),  # below the split: E1 anchor, all downward
+        (0.0, 1.0, 60),  # below the split: the anchor at f = 0, E1, all downward
         (4.0, 1.2, 40),  # below the split: upward from E1 to integer orders
         (-2.3, 0.5, 60),  # below the split: the anchor's order is above a0
-        (6.6, 0.05, 40),  # below the split: upward from the Kummer anchor
+        (6.6, 0.05, 40),  # below the split: upward from the anchor at 0.6, downward from -0.4
     ]
 
     @staticmethod
@@ -437,8 +440,58 @@ class TestLowerIncompleteGamma:
 
 @pytest.mark.parametrize("x", sorted(E1_REF))
 def test_e1_series_within_its_bound(x):
-    value, err = _e1_series(x)
+    # the anchor at f = 0 is E1(x) = e^-x h, its bound r plus exp's ulp and
+    # the product's rounding
+    h, r = _small_x_anchor(0.0, x)
+    value = math.exp(-x) * h
+    err = (r + 1.5 * EPS) * value
     assert abs(value - E1_REF[x]) <= err <= 1e-13 * value
+
+
+class TestSmallXAnchor:
+    """The pole-free anchor below x = 1.5 and the orders stepped from it,
+    against frozen two-method references: each value lies within its
+    estimate, and each estimate is at most 64 EPS relative at x <= 0.5 and
+    256 EPS at x = 1.4999, where the anchor's three terms cancel, by up to
+    56 at f = -1/2, and the measured error itself reaches 28 EPS."""
+
+    @staticmethod
+    def _cap(x):
+        return (64.0 if x <= 0.5 else 256.0) * EPS
+
+    @pytest.mark.parametrize("f,x", sorted(SMALL_X_ANCHOR_REF))
+    def test_anchor_within_its_estimate(self, f, x):
+        h, r = _small_x_anchor(f, x)
+        assert abs(h - SMALL_X_ANCHOR_REF[f, x]) <= r * h
+        assert r <= self._cap(x)
+
+    @pytest.mark.parametrize("a0,x", sorted({(a0, x) for a0, x, _ in UPPER_ORDERS_NEAR_INTEGER_REF}))
+    def test_orders_near_integers_within_their_estimates(self, a0, x):
+        # orders at and above 0 upward from a0 - floor(a0), below 0 downward
+        # from a0 - round(a0): no step divides by an order near 0
+        for k, (h, e) in zip(range(6), _upper_gamma_orders(a0, x)):
+            assert abs(h - UPPER_ORDERS_NEAR_INTEGER_REF[a0, x, k]) <= e, k
+            assert e <= self._cap(x) * abs(h), k
+
+    @pytest.mark.parametrize("a,x", sorted(UPPER_GAMMA_NEAR_ZERO_REF))
+    def test_public_gamma_near_order_zero(self, a, x):
+        # read from the anchor, not as Gamma(a) - gamma(a, x), which was
+        # 1.9e-5 off at (1e-12, 1e-3)
+        ref = UPPER_GAMMA_NEAR_ZERO_REF[a, x]
+        assert abs(upper_incomplete_gamma(a, x) - ref) <= 64.0 * EPS * ref
+
+
+def test_one_pole_free_anchor():
+    # below x = 1.5 every upper gamma starts from one formula: no E1 series
+    # and no Euler constant of its own, and the anchor takes G(f) from
+    # _temme_gammas, with no Kummer sum and no math.gamma
+    module = importlib.import_module("incmac.gamma")
+    assert not hasattr(module, "_e1_series") and not hasattr(module, "_EULER")
+    tree = ast.parse(inspect.getsource(module._small_x_anchor))
+    called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    named = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "_temme_gammas" in called
+    assert not {"_kummer_sum", "math.gamma"} & (called | named)
 
 
 class TestBesselISeries:
