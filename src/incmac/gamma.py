@@ -16,8 +16,10 @@ Bessel function I from its power series, and the Macdonald function K to
 full double precision by Temme's series, Steed's continued fraction and
 forward recurrence in order.
 upper_incomplete_gamma and incomplete_gamma_asymptotic take their
-prefactor through core._exp_value's one double-range rule.  No other
-module evaluates an incomplete gamma.  Nothing here integrates: the
+prefactor through core._exp_value's one double-range rule, and it and
+the related functions of relations return 0.0 by one bound on the upper
+gamma, _log_upper_gamma_bound.  No other module evaluates an incomplete
+gamma.  Nothing here integrates: the
 quadrature oracle stays an independent check on every value.
 """
 
@@ -63,16 +65,19 @@ _K_ERR_STEP = 3.0
 # random orders |nu| <= 1 and z down to 1e-308, against 40-digit values)
 _K_ERR_EXP = 3.0
 # Taylor coefficients c_k of 1/Gamma(1+x) about 0 (c_0 = 1, c_1 = Euler's
-# constant), rounded from 40-digit values, as pairs (c_2k, c_2k-1) from k =
-# 12 down to 1, so that one Horner loop sums the even part past c_0 and the
-# odd part; the series stops at c_23, so the first pair's c_24 is 0
+# constant), rounded from 60-digit values, as pairs (c_2k, c_2k-1) from k =
+# 15 down to 1, so that one Horner loop sums the even part past c_0 and the
+# odd part; the series stops at c_30, and the omitted terms, at most 2.4e-22
+# |x|^30, lie below 0.002 EPS on [-1/2, 1]
 _RGAMMA = (
-    (0.0, -5.348122539423018e-15), (-2.0583260535665066e-14, 5.100370287454476e-13),
-    (-3.696805618642206e-12, 7.782263439905071e-12), (1.0434267116911005e-10, -1.18127457048702e-09),
-    (5.002007644469223e-09, 6.116095104481416e-09), (-2.056338416977607e-07, 1.133027231981696e-06),
-    (-1.2504934821426706e-06, -2.013485478078824e-05), (0.0001280502823881162, -0.00021524167411495098),
-    (-0.0011651675918590652, 0.0072189432466631), (-0.009621971527876973, -0.04219773455554433),
-    (0.16653861138229148, -0.04200263503409524), (-0.6558780715202539, 0.5772156649015329),
+    (1.337351730493693e-22, 1.7144063219273374e-20), (-2.29874568443537e-19, 1.4123806553180319e-18),
+    (1.1866922547516004e-18, -1.1812593016974588e-16), (1.2267786282382608e-15, -5.348122539423018e-15),
+    (-2.0583260535665066e-14, 5.100370287454476e-13), (-3.696805618642206e-12, 7.782263439905071e-12),
+    (1.0434267116911005e-10, -1.18127457048702e-09), (5.002007644469223e-09, 6.116095104481416e-09),
+    (-2.056338416977607e-07, 1.133027231981696e-06), (-1.2504934821426706e-06, -2.013485478078824e-05),
+    (0.0001280502823881162, -0.00021524167411495098), (-0.0011651675918590652, 0.0072189432466631),
+    (-0.009621971527876973, -0.04219773455554433), (0.16653861138229148, -0.04200263503409524),
+    (-0.6558780715202539, 0.5772156649015329),
 )
 
 
@@ -205,31 +210,41 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     positive orders with x < a + 1, where it converges to a false value
     (Numerical Recipes section 6.2); those, and orders a >= 1 below x =
     1.5, subtract the lower-tail series from Gamma(a).  Orders a < 1 below
-    x = 1.5 take the first value of _upper_gamma_orders, from the
-    pole-free anchor (_small_x_anchor), where Gamma(a) - gamma(a, x)
-    cancels like 1/a near 0; except where x^a e^-x underflows: there the
-    subtraction loses nothing, and h = Gamma(a, x) x^-a e^x could pass the
-    double range.  One call computes one order; the series of S take
-    consecutive orders from
-    _upper_gamma_orders instead.  A value below the smallest normal double
-    is an exact 0.0 (core.underflow_to_zero), as for K.
+    x = 1.5 take the pole-free anchor (_small_x_anchor), at a itself for a
+    >= -1/2 and through _upper_gamma_orders below, where Gamma(a) -
+    gamma(a, x) cancels like 1/a near 0; except where x^a e^-x underflows:
+    there the subtraction loses nothing, and h = Gamma(a, x) x^-a e^x
+    could pass the double range.  One call computes one order; the series
+    of S take consecutive orders from _upper_gamma_orders instead.  A
+    value below the smallest normal double is an exact 0.0
+    (core.underflow_to_zero), as for K, and so is every value whose
+    _log_upper_gamma_bound lies below it.
     """
     a = _as_finite_real("a", a)
     x = _as_positive("x", x)
     e = a * math.log(x) - x
     if x < _X_SPLIT and a < 1.0 and e > LOG_TINY:
         # no 1/a cancellation; with x^a e^-x normal, h <= Gamma(a) e^-e is finite
-        h, _ = next(_upper_gamma_orders(a, x))
+        h, _ = _small_x_anchor(a, x) if a >= -0.5 else next(_upper_gamma_orders(a, x))
     elif a > 0.0 and (x < _X_SPLIT or x < a + 1.0):
         return _upper_from_series(a, x)
+    elif _log_upper_gamma_bound(a, x) < LOG_TINY:
+        return 0.0
     else:
-        # the fraction h = int_0^inf e^-u (1 + u/x)^(a-1) du / x is at most
-        # 1/x for a <= 1 and 1/(x + 1 - a) for x >= a + 1, so below 1 here:
-        # e^e below the smallest normal double puts the value there too
-        if e < LOG_TINY:
-            return 0.0
         h = _legendre_cf(a, x)
     return _exp_value(e, f"a={a!r}, x={x!r}", h)  # in logs where e^e alone overflows
+
+
+def _log_upper_gamma_bound(a: float, x: float) -> float:
+    """ln of a bound on Gamma(a, x) = x^a e^-x h, h = int_0^inf (1 +
+    u)^(a-1) e^(-x u) du: (1 + u)^(a-1) <= e^(max(a - 1, 0) u) gives h <=
+    1/(x - max(a - 1, 0)) for x > max(a - 1, 0); inf elsewhere.  Where it
+    lies below the smallest normal double, so does the value, and
+    upper_incomplete_gamma and the related functions of relations return
+    0.0 without evaluating it.
+    """
+    d = x - max(a - 1.0, 0.0)
+    return a * math.log(x) - x - math.log(d) if d > 0.0 else math.inf
 
 
 def _upper_gamma_orders(a0: float, x: float):
@@ -311,14 +326,15 @@ def _small_x_anchor(f: float, x: float):
     1), from the n just below the first with x^n/n! <= EPS x/8, which
     bounds the alternating tail, at most EPS s/2 as s >= x/4 (its terms
     fall, x < 1.5).  Gamma(f, x) > 0, so the sum is positive; near x = 1.5
-    its terms cancel, by up to 56 at f = -1/2, which the bound shows.
+    its terms cancel, by up to 56 at f = -1/2, which the bound shows: at
+    most 25 EPS at x <= 1/2, but 215 EPS at (-1/2, 1.4999), where the
+    measured error is 24 EPS and rounding each term once costs 28.
 
     The bound adds, term by term to first order, u = EPS/2 for each of +,
     -, *, / and one ulp, at most EPS, for pow, log, exp and expm1:
-    - G: measured against 100-digit values on [-1/2, 1], within 2.2 EPS
-      (|gam1| + |f tail|)/gampl plus the series' omitted terms, sum_(k>=24)
-      |c_k| |f|^(k-1) <= 1.35e-15 |f|^23, over gampl; taken with 3 EPS,
-      times x^-f;
+    - G: measured against 100-digit values on [-1/2, 1], within 2.12 EPS
+      (|gam1| + |f tail|)/gampl, the series' omitted terms included;
+      taken with 3 EPS, times x^-f;
     - x^-f G: EPS for pow and u for the product;
     - (x^-f - 1)/f: for |w| <= 1, EPS for log, u for w's product, so
       3/2 EPS in w, which moves expm1(w)/w by at most 0.582 of it, EPS for
@@ -329,8 +345,8 @@ def _small_x_anchor(f: float, x: float):
       EPS |1/(f + n)| for the sum and quotient it takes, EPS |x
       q_(n+1)/(n + 1)| for its quotient and product and u |q_n|; then x
       times the bound, u s and the tail;
-    - u for each partial sum of the three terms, and EPS for exp and u for
-      the product e^x times the sum, relative.
+    - u for the sum of the three terms, which math.fsum rounds once, and
+      EPS for exp and u for the product e^x times the sum, relative.
     """
     gam1, _, gampl, _, tail = _temme_gammas(f)
     log_x = math.log(x)
@@ -349,9 +365,9 @@ def _small_x_anchor(f: float, x: float):
         mq = m * q
         q = 1.0 / (f + n) - mq
         e = m * e + 1.5 * q + 2.0 * mq  # in units of EPS; 1/(f + n) = q + mq, all three positive
-    b = lead + ratio + x * q
-    err = xf * (3.0 * EPS * (abs(gam1) + abs(f * tail)) + 1.35e-15 * abs(f) ** 23) / gampl + EPS * x * e + c
-    err += EPS * (1.5 * abs(lead) + 4.0 * abs(ratio) + 0.5 * (abs(lead + ratio) + b + x * q))
+    b = math.fsum((lead, ratio, x * q))
+    err = 3.0 * EPS * xf * (abs(gam1) + abs(f * tail)) / gampl + EPS * x * e + c
+    err += EPS * (1.5 * abs(lead) + 4.0 * abs(ratio) + 0.5 * (b + x * q))
     return math.exp(x) * b, err / b + 1.5 * EPS
 
 
@@ -410,9 +426,10 @@ def _temme_gammas(mu: float):
     even and odd parts.  The tail is the even part's Horner value one step
     before its constant term, so gam2 keeps its bits, and with it
     (Gamma(1 + mu) - 1)/mu = (gam1 - mu tail)/(1/Gamma(1+mu)) has no pole
-    (_small_x_anchor).  The 24 coefficients give 1/Gamma(1+mu) to 6 EPS on
-    all of [-1/2, 1] against 100-digit values, the omitted terms at most
-    1.35e-15 |mu|^24, so the anchor reads them up to mu = 1 too.
+    (_small_x_anchor).  The 30 coefficients give 1/Gamma(1+mu) within 1.3
+    EPS on all of [-1/2, 1] against 100-digit values, so the anchor reads
+    them up to mu = 1 too; at |mu| <= 1/2, K's range, the terms past c_23
+    are below 1e-22.
     """
     m2 = mu * mu
     tail = odd = 0.0

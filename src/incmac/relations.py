@@ -20,6 +20,7 @@ from .core import (
     log_half_ratio, shared,
 )
 from .evaluator import evaluate
+from .gamma import _log_upper_gamma_bound
 
 __all__ = [
     "ResidualReport",
@@ -239,14 +240,6 @@ def pde_residual(p: ShuParams, mode: str = "exact") -> ResidualReport:
     return ResidualReport("PDE", p, math.fsum(terms), _scale(*terms), mode=mode)
 
 
-def _log_gamma_tail_bound(a: float, x: float) -> float:
-    """ln of a bound on Gamma(a, x) = x^a e^-x int_0^inf (1 + u)^(a-1) e^(-x u) du:
-    (1 + u)^(a-1) <= e^(max(a - 1, 0) u) gives x^a e^-x/(x - max(a - 1, 0)),
-    for x > max(a - 1, 0); inf elsewhere."""
-    d = x - max(a - 1.0, 0.0)
-    return a * math.log(x) - x - math.log(d) if d > 0.0 else math.inf
-
-
 def _outside_double_range(log_bound: float, derived: str, value: float, point: str) -> float:
     """Where a related function's derived point leaves the double range:
     0.0 if e^log_bound, a bound on its value in its own variables, lies
@@ -270,7 +263,7 @@ def gen_incomplete_gamma(a: float, t_g: float, z_g: float) -> float:
     z_g = _as_positive("z", z_g)
     endpoint = z_g / t_g
     if not 0.0 < endpoint < math.inf:
-        return _outside_double_range(_log_gamma_tail_bound(a, t_g), "z/t", endpoint, f"(a, t, z) = {(a, t_g, z_g)}")
+        return _outside_double_range(_log_upper_gamma_bound(a, t_g), "z/t", endpoint, f"(a, t, z) = {(a, t_g, z_g)}")
     s = _S(a, 2.0 * math.sqrt(z_g), endpoint)
     return _exp_value(LN2 + 0.5 * a * math.log(z_g), (a, t_g, z_g), s)
 
@@ -288,7 +281,7 @@ def leaky_aquifer(a: float, z_l: float, t_l: float) -> float:
     t_l = _as_positive("t", t_l)
     zt = z_l * t_l
     if not 0.0 < zt < math.inf:
-        log_bound = a * math.log(z_l) + _log_gamma_tail_bound(-a, z_l)
+        log_bound = a * math.log(z_l) + _log_upper_gamma_bound(-a, z_l)
         return _outside_double_range(log_bound, "z t", zt, f"(a, z, t) = {(a, z_l, t_l)}")
     s = _S(-a, 2.0 * math.sqrt(zt), t_l)
     return _exp_value(LN2 + 0.5 * a * (math.log(z_l) - math.log(t_l)), (a, z_l, t_l), s)

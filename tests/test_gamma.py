@@ -451,19 +451,23 @@ def test_e1_series_within_its_bound(x):
 class TestSmallXAnchor:
     """The pole-free anchor below x = 1.5 and the orders stepped from it,
     against frozen two-method references: each value lies within its
-    estimate, and each estimate is at most 64 EPS relative at x <= 0.5 and
-    256 EPS at x = 1.4999, where the anchor's three terms cancel, by up to
-    56 at f = -1/2, and the measured error itself reaches 28 EPS."""
+    estimate, and each estimate is at most 64 EPS relative, but for the
+    anchors at f < 1/2 and x = 1.4999 and the orders stepped from them.
+    There the anchor's three terms cancel, by up to 56 at f = -1/2, so
+    that rounding each of them once costs 28 EPS, and the measured error
+    reaches 24 EPS; a downward step near order -1 doubles the relative
+    error, as it does from the Legendre fraction at x = 1.5 (64 EPS at
+    order 0, 135 at -1).  Those take 224 EPS."""
 
     @staticmethod
-    def _cap(x):
-        return (64.0 if x <= 0.5 else 256.0) * EPS
+    def _cap(f, x):
+        return (64.0 if x <= 0.5 or f >= 0.5 else 224.0) * EPS
 
     @pytest.mark.parametrize("f,x", sorted(SMALL_X_ANCHOR_REF))
     def test_anchor_within_its_estimate(self, f, x):
         h, r = _small_x_anchor(f, x)
         assert abs(h - SMALL_X_ANCHOR_REF[f, x]) <= r * h
-        assert r <= self._cap(x)
+        assert r <= self._cap(f, x)
 
     @pytest.mark.parametrize("a0,x", sorted({(a0, x) for a0, x, _ in UPPER_ORDERS_NEAR_INTEGER_REF}))
     def test_orders_near_integers_within_their_estimates(self, a0, x):
@@ -471,7 +475,8 @@ class TestSmallXAnchor:
         # from a0 - round(a0): no step divides by an order near 0
         for k, (h, e) in zip(range(6), _upper_gamma_orders(a0, x)):
             assert abs(h - UPPER_ORDERS_NEAR_INTEGER_REF[a0, x, k]) <= e, k
-            assert e <= self._cap(x) * abs(h), k
+            f = a0 - (math.floor(a0) if a0 - k >= 0.0 else round(a0))
+            assert e <= self._cap(f, x) * abs(h), k
 
     @pytest.mark.parametrize("a,x", sorted(UPPER_GAMMA_NEAR_ZERO_REF))
     def test_public_gamma_near_order_zero(self, a, x):
